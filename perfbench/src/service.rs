@@ -112,7 +112,6 @@ struct Observed {
     /// Fixed-rate phase: per burst, the time from its due instant until the
     /// completion of its last event arrived, ms.
     bursts_ms: Vec<f64>,
-    burst_at: Vec<Instant>,
     /// Fixed-rate phase: how late each submission left, ms.
     late_ms: Vec<f64>,
     /// Fixed-rate phase, per completion: server-reported queue wait and
@@ -248,7 +247,6 @@ impl Service {
                     self.open_bursts.remove(&p.due);
                     seen.bursts_ms
                         .push(at.duration_since(p.due).as_secs_f64() * 1e3);
-                    seen.burst_at.push(at);
                 }
             }
             let client_us = at.duration_since(closed[0].sent).as_secs_f64() * 1e6;
