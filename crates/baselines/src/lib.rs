@@ -41,7 +41,7 @@ mod system;
 pub use decoupled::{DecoupledParallelism, DecoupledPlanner};
 pub use distmm::DistMmMtPlanner;
 pub use optimus::OptimusPlanner;
-pub use system::{BaselineSystem, SystemKind};
+pub use system::SystemKind;
 
 // Every planner here implements `PlanningSystem` against a `SpindleSession`;
 // re-exported so harnesses depending on this crate get the trait in one hop.

@@ -2,8 +2,7 @@
 
 use std::fmt;
 
-use spindle_core::{ExecutionPlan, PlanError, PlanningSystem, SpindlePlanner, SpindleSession};
-use spindle_graph::ComputationGraph;
+use spindle_core::{PlanningSystem, SpindlePlanner};
 
 use crate::{DecoupledParallelism, DecoupledPlanner, DistMmMtPlanner, OptimusPlanner};
 
@@ -86,49 +85,11 @@ impl fmt::Display for SystemKind {
     }
 }
 
-/// A system under evaluation: produces an [`ExecutionPlan`] for any workload /
-/// cluster pair, so that the same runtime engine can measure all of them.
-///
-/// `BaselineSystem` is itself a [`PlanningSystem`], dispatching to the planner
-/// of its kind; harnesses that iterate over [`SystemKind::ALL`] usually call
-/// [`SystemKind::planning_system`] directly instead.
-#[derive(Debug, Clone, Copy)]
-pub struct BaselineSystem {
-    kind: SystemKind,
-}
-
-impl BaselineSystem {
-    /// Creates the system of the given kind.
-    #[must_use]
-    pub fn new(kind: SystemKind) -> Self {
-        Self { kind }
-    }
-
-    /// The system's kind.
-    #[must_use]
-    pub fn kind(&self) -> SystemKind {
-        self.kind
-    }
-}
-
-impl PlanningSystem for BaselineSystem {
-    fn name(&self) -> &str {
-        self.kind.label()
-    }
-
-    fn plan(
-        &mut self,
-        graph: &ComputationGraph,
-        session: &mut SpindleSession,
-    ) -> Result<ExecutionPlan, PlanError> {
-        self.kind.planning_system().plan(graph, session)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use spindle_cluster::ClusterSpec;
+    use spindle_core::SpindleSession;
     use spindle_runtime::RuntimeEngine;
     use spindle_workloads::multitask_clip;
 
@@ -174,13 +135,6 @@ mod tests {
         }
         let spindle_seq = SystemKind::SpindleSeq.planning_system();
         assert_eq!(spindle_seq.name(), "DeepSpeed"); // same decoupled strategy
-        let mut dispatcher = BaselineSystem::new(SystemKind::DistMmMt);
-        assert_eq!(dispatcher.kind(), SystemKind::DistMmMt);
-        assert_eq!(PlanningSystem::name(&dispatcher), "DistMM-MT");
-        let graph = multitask_clip(2).unwrap();
-        let mut session = SpindleSession::new(ClusterSpec::homogeneous(1, 8));
-        let plan = PlanningSystem::plan(&mut dispatcher, &graph, &mut session).unwrap();
-        plan.validate().unwrap();
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Covers the paths this repo's perf work targets: cold single-phase planning
 //! (fresh session, fresh curve cache), warm re-planning, the MPSP bisection
-//! and wavefront micro-loops, dense locality placement, and sequential vs.
-//! parallel multi-phase planning of the dynamic Multitask-CLIP schedule.
+//! and wavefront micro-loops, and sequential multi-phase planning of the
+//! dynamic Multitask-CLIP schedule.
 //!
 //! Every case's mean is written to `BENCH_planning.json` at the workspace
 //! root as `bench name → ns/iter`. Set `SPINDLE_BENCH_QUICK=1` for the CI
@@ -35,12 +35,6 @@ fn report_path() -> PathBuf {
 fn main() {
     let quick = quick_mode();
     let (warmup, iters) = if quick { (1, 3) } else { (2, 30) };
-    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "planning_hot_path: {} hardware threads{} (phase-parallel planning needs >1 to win)",
-        hardware_threads,
-        if quick { ", quick mode" } else { "" }
-    );
     let mut report: Vec<(String, Timing)> = Vec::new();
     let record = |name: &str, t: Timing, report: &mut Vec<(String, Timing)>| {
         report.push((name.to_string(), t));
@@ -101,19 +95,19 @@ fn main() {
     });
     record("wavefront_level0", t, &mut report);
 
-    // -- Multi-phase planning: sequential vs. parallel -----------------------
-    group("dynamic Multitask-CLIP schedule: sequential vs parallel phases");
+    // -- Multi-phase planning -------------------------------------------------
+    group("dynamic Multitask-CLIP schedule: sequential phases");
     let schedule = DynamicWorkload::multitask_clip_schedule().unwrap();
     let phase_cluster = ClusterSpec::homogeneous(2, 8);
     for (suffix, sched) in [("4", schedule.clone()), ("8", schedule.repeated(2))] {
         let graphs = sched.phase_graphs();
         let mut session = SpindleSession::new(phase_cluster.clone());
-        // Warm the curve cache once so both variants measure steady-state
+        // Warm the curve cache once so the pass measures steady-state
         // re-planning (the Fig. 13 regime).
         for g in &graphs {
             session.plan(g).unwrap();
         }
-        let t_seq = bench(
+        let t = bench(
             &format!("phases_sequential_{suffix}"),
             warmup,
             iters,
@@ -123,15 +117,7 @@ fn main() {
                 }
             },
         );
-        record(&format!("phases_sequential_{suffix}"), t_seq, &mut report);
-        let t_par = bench(&format!("phases_parallel_{suffix}"), warmup, iters, || {
-            let _ = session.plan_phases_parallel(&graphs).unwrap();
-        });
-        record(&format!("phases_parallel_{suffix}"), t_par, &mut report);
-        println!(
-            "phase-parallel speedup over sequential ({suffix} phases): {:.2}x",
-            t_seq.mean.as_secs_f64() / t_par.mean.as_secs_f64()
-        );
+        record(&format!("phases_sequential_{suffix}"), t, &mut report);
     }
 
     // -- Zero-alloc probes ---------------------------------------------------

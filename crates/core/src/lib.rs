@@ -73,7 +73,6 @@ pub mod mpsp;
 pub mod pipeline;
 pub mod placement;
 mod plan;
-mod planner;
 mod session;
 pub mod structural;
 mod system;
@@ -85,15 +84,14 @@ pub use error::PlanError;
 pub use metagraph::{MetaGraph, MetaLevel};
 pub use metaop::{MetaOp, MetaOpId};
 pub use mpsp::ContinuousSolution;
-pub use pipeline::{ContractedGraph, CurveSet, LevelSchedule};
+pub use pipeline::{curves_for, ContractedGraph, CurveSet, LevelSchedule};
 pub use placement::{
     LocalityPlacement, PlacementCheckpoint, PlacementPolicy, PlacementStrategy, SequentialPlacement,
 };
 pub use plan::{ExecutionPlan, Wave, WaveEntry};
-pub use planner::curves_for;
-pub use session::{PlannerConfig, ReplanOutcome, SpindleSession, TopologyImpact};
+pub use session::{PlannerConfig, ReplanOutcome, SpindleSession};
 pub use structural::{
     LevelArtifact, LevelKey, PlacedSkeleton, PlanKey, StructuralCacheStats, StructuralPlanCache,
-    StructuralReuse, DEFAULT_STRUCTURAL_CACHE_BUDGET,
+    DEFAULT_STRUCTURAL_CACHE_BUDGET,
 };
 pub use system::{PlanningSystem, SpindlePlanner};

@@ -81,6 +81,27 @@ impl From<Arc<MetaGraph>> for ContractedGraph {
     }
 }
 
+/// Resolves the scaling curve of every MetaOp of `metagraph` against
+/// `estimator` — the loop behind [`CurveSet::resolve`], exposed on a bare
+/// MetaGraph for baseline planners and tests.
+///
+/// # Errors
+///
+/// Returns [`PlanError::NoCurve`] for operators that cannot be profiled.
+pub fn curves_for(
+    metagraph: &MetaGraph,
+    estimator: &ScalabilityEstimator,
+) -> Result<CurveMap, PlanError> {
+    let mut curves = CurveMap::new();
+    for metaop in metagraph.metaops() {
+        let curve = estimator
+            .try_curve_for(metaop.representative())
+            .map_err(|_| PlanError::NoCurve(metaop.id()))?;
+        curves.insert(metaop.id(), curve);
+    }
+    Ok(curves)
+}
+
 /// Stage-2 artifact: one scaling curve per MetaOp of a [`ContractedGraph`].
 #[derive(Debug, Clone, Default)]
 pub struct CurveSet {
@@ -99,14 +120,7 @@ impl CurveSet {
         contracted: &ContractedGraph,
         estimator: &ScalabilityEstimator,
     ) -> Result<Self, PlanError> {
-        let mut curves = CurveMap::new();
-        for metaop in contracted.metagraph().metaops() {
-            let curve = estimator
-                .try_curve_for(metaop.representative())
-                .map_err(|_| PlanError::NoCurve(metaop.id()))?;
-            curves.insert(metaop.id(), curve);
-        }
-        Ok(Self { curves })
+        curves_for(contracted.metagraph(), estimator).map(Self::from)
     }
 
     /// The curve of a MetaOp, if resolved.
@@ -187,7 +201,7 @@ impl LevelSchedule {
         estimator: &ScalabilityEstimator,
         num_devices: u32,
         epsilon: f64,
-        cache: Option<&StructuralPlanCache>,
+        mut cache: Option<&mut StructuralPlanCache>,
     ) -> Self {
         let metagraph = contracted.metagraph();
         let arena = MetaOpArena::build(metagraph, curves);
@@ -203,11 +217,10 @@ impl LevelSchedule {
         // memoise per (metaop, devices) to avoid re-running the model sweep.
         let mut memo: Vec<Vec<(u32, u64)>> = vec![Vec::new(); arena.len()];
         for level in metagraph.levels() {
-            let key = cache.map(|_| LevelKey::of(metagraph, level, num_devices));
-            if let Some(artifact) = key
-                .as_ref()
-                .and_then(|k| cache.expect("key implies cache").level(k))
-            {
+            let key = cache
+                .is_some()
+                .then(|| LevelKey::of(metagraph, level, num_devices));
+            if let Some(artifact) = key.as_ref().and_then(|k| cache.as_mut()?.level(k)) {
                 now = artifact.splice(level, now, waves.len(), &mut waves);
                 theoretical_optimum += artifact.optimal_time();
                 levels_reused += 1;
@@ -247,7 +260,7 @@ impl LevelSchedule {
                     entry.memory_per_device = per_op.saturating_mul(u64::from(entry.layers));
                 }
             }
-            if let (Some(c), Some(k)) = (cache, key) {
+            if let (Some(c), Some(k)) = (cache.as_mut(), key) {
                 c.insert_level(
                     k,
                     LevelArtifact::capture(level, solution.optimal_time, &level_waves),
@@ -531,6 +544,15 @@ mod tests {
             LevelSchedule::build(&contracted, &curves, &estimator, 8, mpsp::DEFAULT_EPSILON);
         assert!((direct - schedule.theoretical_optimum()).abs() < 1e-12);
         assert!(direct > 0.0);
+    }
+
+    #[test]
+    fn curves_for_covers_every_metaop() {
+        let graph = workload();
+        let mg = MetaGraph::contract(&graph);
+        let est = ScalabilityEstimator::new(&ClusterSpec::homogeneous(1, 8));
+        let curves = curves_for(&mg, &est).unwrap();
+        assert_eq!(curves.len(), mg.num_metaops());
     }
 
     #[test]

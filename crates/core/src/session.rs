@@ -10,60 +10,13 @@ use spindle_graph::ComputationGraph;
 
 use crate::pipeline::{self, ContractedGraph, CurveSet, LevelSchedule};
 use crate::structural::{
-    PlacedSkeleton, PlanKey, StructuralCacheStats, StructuralPlanCache, StructuralReuse,
+    PlacedSkeleton, PlanKey, StructuralCacheStats, StructuralPlanCache,
     DEFAULT_STRUCTURAL_CACHE_BUDGET,
 };
 use crate::{
     mpsp, CacheTelemetry, ExecutionPlan, PlacementCheckpoint, PlacementStrategy, PlanError,
     PlanningStats, Wave,
 };
-
-/// One produced plan with its hot-path counters, structural-reuse probe and
-/// topology-change impact (all-zero when the topology did not change).
-type PhasePlan = (
-    ExecutionPlan,
-    PlanningStats,
-    StructuralReuse,
-    TopologyImpact,
-);
-type PhaseResult = Result<PhasePlan, PlanError>;
-
-/// What a topology change cost one re-plan: how many devices the session lost
-/// relative to the placement being reused, how much of the plan had to be
-/// re-placed, and the estimated parameter-migration traffic.
-///
-/// Migration is priced with the analytical α-β link model
-/// ([`InterconnectSpec::transfer_time`](spindle_cluster::InterconnectSpec::transfer_time)):
-/// for every MetaOp whose placement shifted, the bytes resident per lost
-/// device move once over the cheapest class of link that connects an old
-/// replica to the new device (intra-island when a surviving replica shares
-/// the island, inter-island otherwise), and the per-transfer times are
-/// summed — a serialized upper bound. The runtime simulator charges the finer
-/// contended cost by pushing the same transfers through its flow model.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TopologyImpact {
-    /// Devices lost relative to the topology the reused placement was made
-    /// for (0 when the topology did not shrink since the last plan of this
-    /// structure).
-    pub devices_lost: usize,
-    /// Levels whose placement had to be redone on the surviving device set.
-    /// A clean prefix of levels (placements untouched by the loss) keeps its
-    /// placements and pays zero migration.
-    pub levels_replaced: usize,
-    /// Parameter bytes that must move to realize the new placement. Zero when
-    /// the previous placement is unknown (nothing to diff against).
-    pub migration_bytes: u64,
-    /// Serialized α-β estimate of the migration time, seconds.
-    pub migration_cost_s: f64,
-    /// Distinct re-placed MetaOps whose every old replica died: no survivor
-    /// can source their state, so it must be re-materialised from the
-    /// checkpoint tier. Always counted, whether or not the caller models
-    /// checkpoints.
-    pub rematerialized_metaops: usize,
-    /// State bytes of the re-materialised MetaOps' new placements, restored
-    /// from the checkpoint tier rather than migrated from survivors.
-    pub restore_bytes: u64,
-}
 
 /// Tunable knobs of the planner.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,27 +85,59 @@ pub struct ReplanOutcome {
     /// combined).
     pub cache: CacheTelemetry,
     /// Devices lost since the placement being reused was made (0 when the
-    /// topology did not shrink; see [`TopologyImpact::devices_lost`]).
+    /// topology did not shrink since the last plan of this structure).
     pub devices_lost: usize,
     /// Levels re-placed onto the surviving device set after a topology
     /// change; the remaining `levels_total - levels_replaced` clean-prefix
     /// levels kept their placements and paid zero migration.
     pub levels_replaced: usize,
-    /// Parameter bytes that must move to realize the new placement
-    /// ([`TopologyImpact::migration_bytes`]).
+    /// Parameter bytes that must move to realize the new placement. Zero when
+    /// the previous placement is unknown (nothing to diff against).
     pub migration_bytes: u64,
-    /// Serialized α-β estimate of the migration time, seconds
-    /// ([`TopologyImpact::migration_cost_s`]).
+    /// Serialized α-β estimate of the migration time, seconds.
+    ///
+    /// Migration is priced with the analytical α-β link model
+    /// ([`InterconnectSpec::transfer_time`](spindle_cluster::InterconnectSpec::transfer_time)):
+    /// for every MetaOp whose placement shifted, the bytes resident per lost
+    /// device move once over the cheapest class of link that connects an old
+    /// replica to the new device (intra-island when a surviving replica shares
+    /// the island, inter-island otherwise), and the per-transfer times are
+    /// summed — a serialized upper bound. The runtime simulator charges the
+    /// finer contended cost by pushing the same transfers through its flow
+    /// model.
     pub migration_cost: f64,
-    /// Re-placed MetaOps that lost every replica and must restore from the
-    /// checkpoint tier ([`TopologyImpact::rematerialized_metaops`]).
+    /// Distinct re-placed MetaOps whose every old replica died: no survivor
+    /// can source their state, so it must be re-materialised from the
+    /// checkpoint tier. Always counted, whether or not the caller models
+    /// checkpoints.
     pub rematerialized_metaops: usize,
-    /// State bytes restored from the checkpoint tier
-    /// ([`TopologyImpact::restore_bytes`]).
+    /// State bytes of the re-materialised MetaOps' new placements, restored
+    /// from the checkpoint tier rather than migrated from survivors.
     pub restore_bytes: u64,
 }
 
 impl ReplanOutcome {
+    /// An outcome for `plan` with no structural reuse, no topology change and
+    /// an empty cache probe; each planning path sets the fields that apply.
+    fn new(plan: ExecutionPlan, levels_total: usize) -> Self {
+        Self {
+            plan,
+            new_curve_fits: 0,
+            cache_hits: 0,
+            warm: true,
+            levels_total,
+            levels_reused: 0,
+            placement_reused: false,
+            cache: CacheTelemetry::default(),
+            devices_lost: 0,
+            levels_replaced: 0,
+            migration_bytes: 0,
+            migration_cost: 0.0,
+            rematerialized_metaops: 0,
+            restore_bytes: 0,
+        }
+    }
+
     /// Cache hit rate of this re-plan: hits over total lookups.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
@@ -485,40 +470,22 @@ impl SpindleSession {
         CurveSet::resolve(contracted, &self.estimator)
     }
 
-    /// Stage 3: allocates devices level by level (MPSP) and schedules the
-    /// waves.
-    #[must_use]
-    pub fn schedule(&self, contracted: &ContractedGraph, curves: &CurveSet) -> LevelSchedule {
-        LevelSchedule::build(
-            contracted,
-            curves,
-            &self.estimator,
-            self.cluster.num_devices() as u32,
-            self.config.bisection_epsilon,
-        )
-    }
-
-    /// Runs the full staged pipeline and returns the execution plan.
+    /// Runs the full staged pipeline and returns the execution plan: a
+    /// [`replan`](Self::replan) without the probe.
     ///
     /// # Errors
     ///
     /// Returns [`PlanError::EmptyCluster`] for clusters without devices and
     /// [`PlanError::NoCurve`] if an operator cannot be profiled.
     pub fn plan(&mut self, graph: &ComputationGraph) -> Result<ExecutionPlan, PlanError> {
-        if self.cluster.num_devices() == 0 {
-            return Err(PlanError::EmptyCluster);
-        }
-        let (plan, stats, _reuse, _impact) = self.plan_shared(graph)?;
-        self.stats.merge(&stats);
-        self.plans_produced += 1;
-        Ok(plan)
+        self.replan(graph).map(|outcome| outcome.plan)
     }
 
     /// Re-plans a (possibly changed) workload and reports how warm the
     /// session's caches were for it — the online re-planning hook used by
     /// the runtime's dynamic run loop when the task mix changes mid-run.
     ///
-    /// Functionally identical to [`plan`](Self::plan); the extra value is the
+    /// Produces the same plan as [`plan`](Self::plan); the extra value is the
     /// probe: how many genuinely new operator signatures had to be fitted
     /// versus how many were served from the curve cache, and how many
     /// MetaLevels (and whether the placement) were spliced from the
@@ -533,122 +500,31 @@ impl SpindleSession {
         if self.cluster.num_devices() == 0 {
             return Err(PlanError::EmptyCluster);
         }
-        let before = self.cache_stats();
+        let fits_before = self.curve_fits();
+        let hits_before = self.estimator.cache_hits();
         let evictions_before = self.cache_evictions();
-        let (plan, stats, reuse, impact) = self.plan_shared(graph)?;
-        self.stats.merge(&stats);
+        let mut outcome = self.plan_pass(graph)?;
         self.plans_produced += 1;
-        let after = self.cache_stats();
-        let new_curve_fits = after.fits.saturating_sub(before.fits);
-        Ok(ReplanOutcome {
-            plan,
-            new_curve_fits,
-            cache_hits: after.hits.saturating_sub(before.hits),
-            warm: new_curve_fits == 0,
-            levels_total: reuse.levels_total,
-            levels_reused: reuse.levels_reused,
-            placement_reused: reuse.placement_reused,
-            cache: CacheTelemetry {
-                bytes: self.cache_bytes(),
-                evictions: self.cache_evictions().saturating_sub(evictions_before) as u64,
-            },
-            devices_lost: impact.devices_lost,
-            levels_replaced: impact.levels_replaced,
-            migration_bytes: impact.migration_bytes,
-            migration_cost: impact.migration_cost_s,
-            rematerialized_metaops: impact.rematerialized_metaops,
-            restore_bytes: impact.restore_bytes,
-        })
-    }
-
-    /// Plans several independent phase graphs concurrently, one scoped worker
-    /// thread per phase, all sharing this session's curve cache (phase
-    /// workers that hit signatures another phase already fitted serve them
-    /// straight from the cache's read path).
-    ///
-    /// This is the re-planning fast path for dynamic schedules (Appendix D /
-    /// Fig. 13): the task mix of every phase is known up front, so the phases
-    /// can be planned in parallel instead of one after another. Plans are
-    /// returned in the order of `graphs`, and the produced plans are
-    /// identical to sequential [`plan`](Self::plan) calls.
-    ///
-    /// The worker count is capped at the machine's available parallelism
-    /// (phases are striped across workers); when only one hardware thread is
-    /// available — or only one phase was passed — planning runs inline, since
-    /// a spawned thread would add scheduling overhead without concurrency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::EmptyCluster`] for clusters without devices and
-    /// the first phase's [`PlanError::NoCurve`] if an operator cannot be
-    /// profiled. Plans of phases that succeeded before the failing one are
-    /// discarded, but their fitted curves stay in the session cache.
-    pub fn plan_phases_parallel(
-        &mut self,
-        graphs: &[&ComputationGraph],
-    ) -> Result<Vec<ExecutionPlan>, PlanError> {
-        if self.cluster.num_devices() == 0 {
-            return Err(PlanError::EmptyCluster);
-        }
-        let workers = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(graphs.len());
-        let results: Vec<PhaseResult> = if workers <= 1 {
-            graphs.iter().map(|graph| self.plan_shared(graph)).collect()
-        } else {
-            let shared: &Self = self;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            graphs
-                                .iter()
-                                .enumerate()
-                                .skip(w)
-                                .step_by(workers)
-                                .map(|(i, graph)| (i, shared.plan_shared(graph)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                let mut slots: Vec<Option<PhaseResult>> = (0..graphs.len()).map(|_| None).collect();
-                for handle in handles {
-                    for (i, result) in handle.join().expect("phase planning worker panicked") {
-                        slots[i] = Some(result);
-                    }
-                }
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("striped workers cover every phase"))
-                    .collect()
-            })
+        outcome.new_curve_fits = self.curve_fits().saturating_sub(fits_before);
+        outcome.cache_hits = self.estimator.cache_hits().saturating_sub(hits_before);
+        outcome.warm = outcome.new_curve_fits == 0;
+        outcome.cache = CacheTelemetry {
+            bytes: self.cache_bytes(),
+            evictions: self.cache_evictions().saturating_sub(evictions_before) as u64,
         };
-        // Surface any failure before touching the session counters: a failed
-        // pass must not leave `plans_produced`/`planning_stats` accounting
-        // for plans the caller never received.
-        let mut produced = Vec::with_capacity(results.len());
-        for result in results {
-            produced.push(result?);
-        }
-        let mut plans = Vec::with_capacity(produced.len());
-        for (plan, stats, _reuse, _impact) in produced {
-            self.stats.merge(&stats);
-            self.plans_produced += 1;
-            plans.push(plan);
-        }
-        Ok(plans)
+        Ok(outcome)
     }
 
-    /// One full pipeline pass against `&self` only — shared by the
-    /// sequential, re-planning and phase-parallel entry points. Consults the
+    /// The single pipeline pass behind [`replan`](Self::replan). Consults the
     /// structural plan cache (when enabled): a whole-plan hit skips stages 3
     /// and 4 entirely, per-level hits splice cached schedule fragments, and
-    /// misses solve fresh and feed the cache for the next re-plan.
-    fn plan_shared(&self, graph: &ComputationGraph) -> Result<PhasePlan, PlanError> {
+    /// misses solve fresh and feed the cache for the next re-plan. Merges the
+    /// pass's hot-path counters into the session's on success; the caller
+    /// fills in the curve-cache probe.
+    fn plan_pass(&mut self, graph: &ComputationGraph) -> Result<ReplanOutcome, PlanError> {
         let started = Instant::now();
         // Apply the configured byte budgets before the pass touches either
-        // cache (both calls are one relaxed load when unchanged), so
-        // `config_mut` edits take effect on the very next plan.
+        // cache, so `config_mut` edits take effect on the very next plan.
         self.estimator
             .ensure_cache_budget(self.config.curve_cache_budget);
         self.structural
@@ -656,70 +532,54 @@ impl SpindleSession {
         let contracted = self.contract(graph);
         let curves = self.resolve_curves(&contracted)?;
         let num_devices = self.cluster.num_devices() as u32;
-        let device_space = self.cluster.device_space() as u32;
-        let cache = if self.config.structural_cache {
+        let levels_total = contracted.metagraph().levels().len();
+        let use_cache = self.config.structural_cache;
+        if use_cache {
             self.structural
                 .ensure_epsilon(self.config.bisection_epsilon);
-            Some(&self.structural)
-        } else {
-            None
-        };
-        let plan_key = cache.map(|_| {
+        }
+        let plan_key = use_cache.then(|| {
             let (n, missing) = Self::device_set_signature(&self.cluster);
             PlanKey::with_device_set(contracted.metagraph(), n, missing, self.config.placement)
         });
-        if let Some(skeleton) = plan_key
-            .as_ref()
-            .and_then(|k| cache.expect("key implies cache").skeleton(k))
-        {
-            // Whole-plan structural hit: clone the placed waves and attach
-            // the freshly contracted MetaGraph. Bit-identical to the full
-            // pipeline by construction of `PlanKey`.
-            let levels_total = contracted.metagraph().levels().len();
-            let mut plan = ExecutionPlan::new(
-                skeleton.waves.clone(),
-                contracted.metagraph_handle(),
-                num_devices,
-                skeleton.theoretical_optimum,
-                started.elapsed(),
-            );
-            plan.set_device_space(device_space);
-            let stats = PlanningStats {
-                levels_reused: levels_total as u64,
-                ..PlanningStats::default()
-            };
-            let reuse = StructuralReuse {
-                levels_total,
-                levels_reused: levels_total,
-                placement_reused: true,
-            };
-            return Ok((plan, stats, reuse, TopologyImpact::default()));
+        if let Some(skeleton) = plan_key.as_ref().and_then(|k| self.structural.skeleton(k)) {
+            // Whole-plan structural hit. Bit-identical to the full pipeline
+            // by construction of `PlanKey`.
+            return Ok(self.serve_skeleton(&contracted, &skeleton, started));
         }
         // Migration-aware partial placement reuse: when the topology shrank
         // since this structure was last placed, salvage the clean prefix of
         // levels from the pre-churn skeleton instead of re-placing everything.
-        let mut impact = TopologyImpact::default();
-        if let (Some(c), Some((prev_n, prev_missing))) = (cache, self.prev_topology.as_ref()) {
-            if *prev_n > num_devices && self.config.placement == PlacementStrategy::Locality {
-                impact.devices_lost = (*prev_n - num_devices) as usize;
-                let prev_key = PlanKey::with_device_set(
+        let mut devices_lost = 0;
+        let mut levels_replaced = 0;
+        let prev_key = match &self.prev_topology {
+            Some((prev_n, prev_missing))
+                if use_cache
+                    && *prev_n > num_devices
+                    && self.config.placement == PlacementStrategy::Locality =>
+            {
+                devices_lost = (*prev_n - num_devices) as usize;
+                Some(PlanKey::with_device_set(
                     contracted.metagraph(),
                     *prev_n,
                     prev_missing.clone(),
                     self.config.placement,
-                );
-                if let Some(old) = c.skeleton(&prev_key) {
-                    if let Some(result) =
-                        self.replan_after_loss(&contracted, &curves, &old, c, impact, started)?
-                    {
-                        return Ok(result);
-                    }
-                } else {
-                    // The pre-churn placement was evicted: nothing to diff
-                    // against, so the whole plan is re-placed and the
-                    // migration volume is unknown (reported as zero).
-                    impact.levels_replaced = contracted.metagraph().levels().len();
+                ))
+            }
+            _ => None,
+        };
+        if let Some(prev_key) = prev_key {
+            if let Some(old) = self.structural.skeleton(&prev_key) {
+                if let Some(outcome) =
+                    self.replan_after_loss(&contracted, &curves, &old, devices_lost, started)?
+                {
+                    return Ok(outcome);
                 }
+            } else {
+                // The pre-churn placement was evicted: nothing to diff
+                // against, so the whole plan is re-placed and the
+                // migration volume is unknown (reported as zero).
+                levels_replaced = levels_total;
             }
         }
         let schedule = LevelSchedule::build_with_cache(
@@ -728,14 +588,9 @@ impl SpindleSession {
             &self.estimator,
             num_devices,
             self.config.bisection_epsilon,
-            cache,
+            use_cache.then_some(&mut self.structural),
         );
         let stats = schedule.stats();
-        let reuse = StructuralReuse {
-            levels_total: contracted.metagraph().levels().len(),
-            levels_reused: stats.levels_reused as usize,
-            placement_reused: false,
-        };
         let (mut plan, checkpoints) = schedule.place_checkpointed(
             &contracted,
             &self.cluster,
@@ -743,8 +598,8 @@ impl SpindleSession {
             started.elapsed(),
         )?;
         plan.set_planning_time(started.elapsed());
-        if let (Some(c), Some(key)) = (cache, plan_key) {
-            c.insert_skeleton(
+        if let Some(key) = plan_key {
+            self.structural.insert_skeleton(
                 key,
                 PlacedSkeleton {
                     waves: plan.waves().to_vec(),
@@ -753,7 +608,41 @@ impl SpindleSession {
                 },
             );
         }
-        Ok((plan, stats, reuse, impact))
+        self.stats.merge(&stats);
+        Ok(ReplanOutcome {
+            levels_reused: stats.levels_reused as usize,
+            devices_lost,
+            levels_replaced,
+            ..ReplanOutcome::new(plan, levels_total)
+        })
+    }
+
+    /// Serves a whole plan from a placed skeleton: clones its waves, attaches
+    /// the freshly contracted MetaGraph and counts every level as reused.
+    fn serve_skeleton(
+        &mut self,
+        contracted: &ContractedGraph,
+        skeleton: &PlacedSkeleton,
+        started: Instant,
+    ) -> ReplanOutcome {
+        let levels_total = contracted.metagraph().levels().len();
+        let mut plan = ExecutionPlan::new(
+            skeleton.waves.clone(),
+            contracted.metagraph_handle(),
+            self.cluster.num_devices() as u32,
+            skeleton.theoretical_optimum,
+            started.elapsed(),
+        );
+        plan.set_device_space(self.cluster.device_space() as u32);
+        self.stats.merge(&PlanningStats {
+            levels_reused: levels_total as u64,
+            ..PlanningStats::default()
+        });
+        ReplanOutcome {
+            levels_reused: levels_total,
+            placement_reused: true,
+            ..ReplanOutcome::new(plan, levels_total)
+        }
     }
 
     /// The partial-reuse re-plan after device loss: keep the placements of
@@ -765,14 +654,13 @@ impl SpindleSession {
     /// skeleton cannot seed a resume (no usable checkpoints) — the caller
     /// falls back to a full re-plan.
     fn replan_after_loss(
-        &self,
+        &mut self,
         contracted: &ContractedGraph,
         curves: &CurveSet,
         old: &PlacedSkeleton,
-        cache: &StructuralPlanCache,
-        mut impact: TopologyImpact,
+        devices_lost: usize,
         started: Instant,
-    ) -> Result<Option<PhasePlan>, PlanError> {
+    ) -> Result<Option<ReplanOutcome>, PlanError> {
         let num_devices = self.cluster.num_devices() as u32;
         let device_space = self.cluster.device_space();
         let levels_total = contracted.metagraph().levels().len();
@@ -806,33 +694,12 @@ impl SpindleSession {
             // Every placed device survived: the old plan is feasible on the
             // surviving set as-is (disjoint placements on survivors cannot
             // exceed the surviving capacity) and pays zero migration.
-            let mut plan = ExecutionPlan::new(
-                old.waves.clone(),
-                contracted.metagraph_handle(),
-                num_devices,
-                old.theoretical_optimum,
-                started.elapsed(),
-            );
-            plan.set_device_space(device_space as u32);
-            cache.insert_skeleton(
-                new_key,
-                PlacedSkeleton {
-                    waves: old.waves.clone(),
-                    theoretical_optimum: old.theoretical_optimum,
-                    checkpoints: old.checkpoints.clone(),
-                },
-            );
-            let stats = PlanningStats {
-                levels_reused: levels_total as u64,
-                ..PlanningStats::default()
-            };
-            let reuse = StructuralReuse {
-                levels_total,
-                levels_reused: levels_total,
-                placement_reused: true,
-            };
-            impact.levels_replaced = 0;
-            return Ok(Some((plan, stats, reuse, impact)));
+            let outcome = self.serve_skeleton(contracted, old, started);
+            self.structural.insert_skeleton(new_key, old.clone());
+            return Ok(Some(ReplanOutcome {
+                devices_lost,
+                ..outcome
+            }));
         }
         if clean_prefix > 0 && old.checkpoints.len() < clean_prefix {
             // Skeleton predates checkpointing (or used a stateless strategy):
@@ -863,7 +730,7 @@ impl SpindleSession {
             &self.estimator,
             num_devices,
             self.config.bisection_epsilon,
-            Some(cache),
+            Some(&mut self.structural),
         );
         let stats = schedule.stats();
         let (new_waves, new_optimum) = schedule.into_parts();
@@ -897,6 +764,12 @@ impl SpindleSession {
         let suffix_checkpoints =
             crate::placement::place_locality_resume(&mut plan, &self.cluster, prefix_len, &resume);
         plan.set_device_space(device_space as u32);
+        let mut outcome = ReplanOutcome {
+            levels_reused: stats.levels_reused as usize,
+            devices_lost,
+            levels_replaced: levels_total - clean_prefix,
+            ..ReplanOutcome::new(plan, levels_total)
+        };
         // Price the migration: for every suffix MetaOp, each device it now
         // occupies but did not before receives that MetaOp's per-device bytes
         // over the cheapest link class connecting it to a surviving old
@@ -905,7 +778,7 @@ impl SpindleSession {
         let interconnect = self.cluster.interconnect();
         let mut new_sites: Vec<Vec<DeviceId>> = vec![Vec::new(); num_metaops];
         let mut bytes_per_device: Vec<u64> = vec![0; num_metaops];
-        for wave in plan.waves().iter().skip(prefix_len) {
+        for wave in outcome.plan.waves().iter().skip(prefix_len) {
             for entry in &wave.entries {
                 let m = entry.metaop.index();
                 bytes_per_device[m] = bytes_per_device[m].max(entry.memory_per_device);
@@ -933,38 +806,33 @@ impl SpindleSession {
             // lost state is surfaced, never silently dropped.
             let rematerialized = !old_sites[m].is_empty() && old_nodes.is_empty();
             if rematerialized && !new_sites[m].is_empty() {
-                impact.rematerialized_metaops += 1;
+                outcome.rematerialized_metaops += 1;
             }
             for &d in new_sites[m].iter().filter(|d| !old_sites[m].contains(d)) {
-                impact.migration_bytes += bytes;
+                outcome.migration_bytes += bytes;
                 if rematerialized {
-                    impact.restore_bytes += bytes;
+                    outcome.restore_bytes += bytes;
                 }
                 let class = match self.cluster.node_of(d) {
                     Ok(node) if old_nodes.contains(&node) => LinkClass::IntraIsland,
                     _ => LinkClass::InterIsland,
                 };
-                impact.migration_cost_s += interconnect.transfer_time(class, bytes);
+                outcome.migration_cost += interconnect.transfer_time(class, bytes);
             }
         }
         let mut checkpoints = old.checkpoints[..clean_prefix].to_vec();
         checkpoints.extend(suffix_checkpoints);
-        cache.insert_skeleton(
+        self.structural.insert_skeleton(
             new_key,
             PlacedSkeleton {
-                waves: plan.waves().to_vec(),
+                waves: outcome.plan.waves().to_vec(),
                 theoretical_optimum: new_optimum,
                 checkpoints,
             },
         );
-        plan.set_planning_time(started.elapsed());
-        let reuse = StructuralReuse {
-            levels_total,
-            levels_reused: stats.levels_reused as usize,
-            placement_reused: false,
-        };
-        impact.levels_replaced = levels_total - clean_prefix;
-        Ok(Some((plan, stats, reuse, impact)))
+        outcome.plan.set_planning_time(started.elapsed());
+        self.stats.merge(&stats);
+        Ok(Some(outcome))
     }
 
     /// The theoretical optimum `Σ C̃*` of a workload on this session's
@@ -1131,63 +999,6 @@ mod tests {
         let direct = session.theoretical_optimum(&graph).unwrap();
         let plan = session.plan(&graph).unwrap();
         assert!((direct - plan.theoretical_optimum()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_phase_planning_matches_sequential() {
-        let schedule_graphs = [workload(), workload()];
-        let extra = {
-            // A third, different phase so the parallel pass mixes cached and
-            // fresh signatures.
-            let mut b = GraphBuilder::new();
-            let t = b.add_task("solo", [Modality::Depth, Modality::Text], 16);
-            let tower = b
-                .add_op_chain(
-                    t,
-                    OpKind::Encoder(Modality::Depth),
-                    TensorShape::new(16, 99, 512),
-                    8,
-                )
-                .unwrap();
-            let loss = b
-                .add_op(t, OpKind::ContrastiveLoss, TensorShape::new(16, 1, 512))
-                .unwrap();
-            b.add_flow(*tower.last().unwrap(), loss).unwrap();
-            b.build().unwrap()
-        };
-        let graphs: Vec<&ComputationGraph> = vec![&schedule_graphs[0], &schedule_graphs[1], &extra];
-
-        let mut sequential = SpindleSession::new(ClusterSpec::homogeneous(2, 8));
-        let expected: Vec<_> = graphs.iter().map(|g| sequential.plan(g).unwrap()).collect();
-
-        let mut parallel = SpindleSession::new(ClusterSpec::homogeneous(2, 8));
-        let got = parallel.plan_phases_parallel(&graphs).unwrap();
-        assert_eq!(got.len(), expected.len());
-        for (p, e) in got.iter().zip(&expected) {
-            assert_eq!(p.waves(), e.waves());
-            assert!((p.theoretical_optimum() - e.theoretical_optimum()).abs() < 1e-12);
-        }
-        assert_eq!(parallel.plans_produced(), 3);
-        assert_eq!(
-            parallel.planning_stats().waves_crafted,
-            sequential.planning_stats().waves_crafted
-        );
-        // The shared cache never fits one signature twice, even when phases
-        // race on it.
-        assert_eq!(parallel.curve_fits(), parallel.cached_curves());
-    }
-
-    #[test]
-    fn parallel_phase_planning_on_warm_session_performs_no_fits() {
-        let graph = workload();
-        let mut session = SpindleSession::new(ClusterSpec::homogeneous(1, 8));
-        session.plan(&graph).unwrap();
-        let fits = session.curve_fits();
-        let graphs = vec![&graph, &graph, &graph, &graph];
-        let plans = session.plan_phases_parallel(&graphs).unwrap();
-        assert_eq!(plans.len(), 4);
-        assert_eq!(session.curve_fits(), fits, "warm phases must not re-fit");
-        assert_eq!(session.plans_produced(), 5);
     }
 
     #[test]

@@ -32,8 +32,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use spindle_graph::WorkloadSignature;
 
@@ -330,31 +329,6 @@ impl PlacedSkeleton {
     }
 }
 
-/// How much of a plan was served structurally — reported per plan by
-/// [`SpindleSession`](crate::SpindleSession) and per re-plan through
-/// [`ReplanOutcome`](crate::ReplanOutcome).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StructuralReuse {
-    /// MetaLevels of the planned graph.
-    pub levels_total: usize,
-    /// Levels spliced from the structural cache instead of being re-solved.
-    pub levels_reused: usize,
-    /// `true` if the fully placed wave list was reused (every level clean and
-    /// the MetaGraph wiring seen before), skipping placement entirely.
-    pub placement_reused: bool,
-}
-
-impl StructuralReuse {
-    /// Fraction of levels served from the cache (1.0 when there are none).
-    #[must_use]
-    pub fn level_reuse_rate(&self) -> f64 {
-        if self.levels_total == 0 {
-            return 1.0;
-        }
-        self.levels_reused as f64 / self.levels_total as f64
-    }
-}
-
 /// Counters of the structural cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StructuralCacheStats {
@@ -381,9 +355,8 @@ pub struct StructuralCacheStats {
 struct LevelSlot {
     artifact: Arc<LevelArtifact>,
     bytes: usize,
-    /// Tick of the most recent lookup; a relaxed store through the read path
-    /// (an approximate LRU is all eviction needs).
-    tick: AtomicU64,
+    /// Tick of the most recent lookup or insert.
+    tick: u64,
 }
 
 /// One cached placed skeleton with its LRU stamp and accounted size.
@@ -391,68 +364,15 @@ struct LevelSlot {
 struct SkeletonSlot {
     skeleton: Arc<PlacedSkeleton>,
     bytes: usize,
-    tick: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct CacheInner {
-    /// Bisection epsilon the level artifacts were solved under; a config
-    /// change invalidates them.
-    epsilon_bits: u64,
-    /// Approximate bytes currently cached across both maps.
-    bytes: usize,
-    levels: HashMap<LevelKey, LevelSlot>,
-    skeletons: HashMap<PlanKey, SkeletonSlot>,
-}
-
-impl CacheInner {
-    /// Evicts least-recently-used slots (levels and skeletons pooled under
-    /// one LRU clock) until the accounted bytes fit `budget`. Returns the
-    /// number of evictions performed. A just-inserted slot carries the
-    /// freshest tick so it goes last, but even it is dropped when it alone
-    /// exceeds the budget — the byte bound is a hard invariant.
-    fn evict_to_budget(&mut self, budget: usize) -> usize {
-        let mut evicted = 0;
-        while self.bytes > budget && (!self.levels.is_empty() || !self.skeletons.is_empty()) {
-            let oldest_level = self
-                .levels
-                .iter()
-                .min_by_key(|(_, s)| s.tick.load(Ordering::Relaxed))
-                .map(|(k, s)| (k.clone(), s.tick.load(Ordering::Relaxed)));
-            let oldest_skeleton = self
-                .skeletons
-                .iter()
-                .min_by_key(|(_, s)| s.tick.load(Ordering::Relaxed))
-                .map(|(k, s)| (k.clone(), s.tick.load(Ordering::Relaxed)));
-            let level_is_older = match (&oldest_level, &oldest_skeleton) {
-                (Some((_, lt)), Some((_, st))) => lt <= st,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if level_is_older {
-                let (key, _) = oldest_level.expect("checked above");
-                if let Some(slot) = self.levels.remove(&key) {
-                    self.bytes -= slot.bytes;
-                    evicted += 1;
-                }
-            } else if let Some((key, _)) = oldest_skeleton {
-                if let Some(slot) = self.skeletons.remove(&key) {
-                    self.bytes -= slot.bytes;
-                    evicted += 1;
-                }
-            }
-        }
-        evicted
-    }
+    tick: u64,
 }
 
 /// The level-keyed structural plan cache of a
 /// [`SpindleSession`](crate::SpindleSession).
 ///
-/// Thread-safe behind an `RwLock` (the phase-parallel planning workers share
-/// it): lookups take the read path, only fresh solves write. Hit/miss
-/// counters let tests and benches *assert* structural reuse rather than
-/// trusting it.
+/// Plain owned state: the session plans through `&mut self`, so lookups and
+/// inserts need no lock. Hit/miss counters let tests and benches *assert*
+/// structural reuse rather than trusting it.
 ///
 /// The cache is bounded: artifacts carry approximate byte sizes and an LRU
 /// tick, and inserts evict least-recently-used entries once the accounted
@@ -460,29 +380,39 @@ impl CacheInner {
 /// [`PlannerConfig::structural_cache_budget`](crate::PlannerConfig) on every
 /// planning pass).
 pub struct StructuralPlanCache {
-    inner: RwLock<CacheInner>,
+    /// Bisection epsilon the level artifacts were solved under; a config
+    /// change invalidates them.
+    epsilon_bits: u64,
     /// Byte budget; `usize::MAX` means unbounded.
-    budget: AtomicUsize,
-    /// Global LRU clock; every lookup hit stamps its slot with the next tick.
-    clock: AtomicU64,
-    level_hits: AtomicUsize,
-    level_misses: AtomicUsize,
-    skeleton_hits: AtomicUsize,
-    skeleton_misses: AtomicUsize,
-    evictions: AtomicUsize,
+    budget: usize,
+    /// Approximate bytes currently cached across both maps.
+    bytes: usize,
+    /// LRU clock; every lookup hit and insert stamps its slot with the next
+    /// tick.
+    clock: u64,
+    levels: HashMap<LevelKey, LevelSlot>,
+    skeletons: HashMap<PlanKey, SkeletonSlot>,
+    level_hits: usize,
+    level_misses: usize,
+    skeleton_hits: usize,
+    skeleton_misses: usize,
+    evictions: usize,
 }
 
 impl Default for StructuralPlanCache {
     fn default() -> Self {
         Self {
-            inner: RwLock::new(CacheInner::default()),
-            budget: AtomicUsize::new(usize::MAX),
-            clock: AtomicU64::new(0),
-            level_hits: AtomicUsize::new(0),
-            level_misses: AtomicUsize::new(0),
-            skeleton_hits: AtomicUsize::new(0),
-            skeleton_misses: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
+            epsilon_bits: 0,
+            budget: usize::MAX,
+            bytes: 0,
+            clock: 0,
+            levels: HashMap::new(),
+            skeletons: HashMap::new(),
+            level_hits: 0,
+            level_misses: 0,
+            skeleton_hits: 0,
+            skeleton_misses: 0,
+            evictions: 0,
         }
     }
 }
@@ -509,161 +439,167 @@ impl StructuralPlanCache {
     /// Ensures the cache's artifacts were produced under `epsilon`, clearing
     /// them if the tolerance changed (cached bisection iterates would no
     /// longer match a fresh solve).
-    pub fn ensure_epsilon(&self, epsilon: f64) {
+    pub fn ensure_epsilon(&mut self, epsilon: f64) {
         let bits = epsilon.to_bits();
-        if self.read().epsilon_bits == bits {
-            return;
-        }
-        let mut inner = self.write();
-        if inner.epsilon_bits != bits {
-            inner.levels.clear();
-            inner.skeletons.clear();
-            inner.bytes = 0;
-            inner.epsilon_bits = bits;
+        if self.epsilon_bits != bits {
+            self.clear();
+            self.epsilon_bits = bits;
         }
     }
 
     /// The current byte budget (`usize::MAX` means unbounded).
     #[must_use]
     pub fn budget(&self) -> usize {
-        self.budget.load(Ordering::Relaxed)
+        self.budget
     }
 
     /// Ensures the cache is bounded by `budget` bytes, evicting immediately
-    /// if the budget shrank below the currently cached bytes. Cheap when the
-    /// budget is unchanged (one relaxed load).
-    pub fn ensure_budget(&self, budget: usize) {
-        if self.budget.swap(budget, Ordering::Relaxed) == budget {
-            return;
+    /// if the budget shrank below the currently cached bytes.
+    pub fn ensure_budget(&mut self, budget: usize) {
+        if self.budget != budget {
+            self.budget = budget;
+            self.evict_to_budget();
         }
-        let mut inner = self.write();
-        let evicted = inner.evict_to_budget(budget);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// Approximate bytes currently cached.
     #[must_use]
     pub fn bytes(&self) -> usize {
-        self.read().bytes
+        self.bytes
     }
 
     /// Total artifacts evicted over the cache's lifetime.
     #[must_use]
     pub fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
+        self.evictions
     }
 
-    fn next_tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+    /// Evicts least-recently-used slots (levels and skeletons pooled under
+    /// one LRU clock) until the accounted bytes fit the budget. A
+    /// just-inserted slot carries the freshest tick so it goes last, but even
+    /// it is dropped when it alone exceeds the budget — the byte bound is a
+    /// hard invariant.
+    fn evict_to_budget(&mut self) {
+        while self.bytes > self.budget && (!self.levels.is_empty() || !self.skeletons.is_empty()) {
+            let oldest_level = self
+                .levels
+                .iter()
+                .min_by_key(|(_, s)| s.tick)
+                .map(|(k, s)| (k.clone(), s.tick));
+            let oldest_skeleton = self
+                .skeletons
+                .iter()
+                .min_by_key(|(_, s)| s.tick)
+                .map(|(k, s)| (k.clone(), s.tick));
+            let level_is_older = match (&oldest_level, &oldest_skeleton) {
+                (Some((_, lt)), Some((_, st))) => lt <= st,
+                (Some(_), None) => true,
+                _ => false,
+            };
+            if level_is_older {
+                let (key, _) = oldest_level.expect("checked above");
+                if let Some(slot) = self.levels.remove(&key) {
+                    self.bytes -= slot.bytes;
+                    self.evictions += 1;
+                }
+            } else if let Some((key, _)) = oldest_skeleton {
+                if let Some(slot) = self.skeletons.remove(&key) {
+                    self.bytes -= slot.bytes;
+                    self.evictions += 1;
+                }
+            }
+        }
     }
 
     /// Looks up a level artifact, counting the hit or miss.
     #[must_use]
-    pub fn level(&self, key: &LevelKey) -> Option<Arc<LevelArtifact>> {
-        let found = {
-            let inner = self.read();
-            inner.levels.get(key).map(|slot| {
-                slot.tick.store(self.next_tick(), Ordering::Relaxed);
-                Arc::clone(&slot.artifact)
-            })
-        };
-        match &found {
-            Some(_) => self.level_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.level_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+    pub fn level(&mut self, key: &LevelKey) -> Option<Arc<LevelArtifact>> {
+        match self.levels.get_mut(key) {
+            Some(slot) => {
+                self.clock += 1;
+                slot.tick = self.clock;
+                self.level_hits += 1;
+                Some(Arc::clone(&slot.artifact))
+            }
+            None => {
+                self.level_misses += 1;
+                None
+            }
+        }
     }
 
     /// Inserts a freshly solved level artifact, evicting LRU entries if the
     /// insert pushed the cache over its byte budget.
-    pub fn insert_level(&self, key: LevelKey, artifact: LevelArtifact) {
+    pub fn insert_level(&mut self, key: LevelKey, artifact: LevelArtifact) {
         let bytes = key.approx_bytes() + std::mem::size_of::<LevelSlot>() + artifact.approx_bytes();
+        self.clock += 1;
         let slot = LevelSlot {
             artifact: Arc::new(artifact),
             bytes,
-            tick: AtomicU64::new(self.next_tick()),
+            tick: self.clock,
         };
-        let budget = self.budget();
-        let mut inner = self.write();
-        if let Some(old) = inner.levels.insert(key, slot) {
-            inner.bytes -= old.bytes;
+        if let Some(old) = self.levels.insert(key, slot) {
+            self.bytes -= old.bytes;
         }
-        inner.bytes += bytes;
-        let evicted = inner.evict_to_budget(budget);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        self.bytes += bytes;
+        self.evict_to_budget();
     }
 
     /// Looks up a placed skeleton, counting the hit or miss.
     #[must_use]
-    pub fn skeleton(&self, key: &PlanKey) -> Option<Arc<PlacedSkeleton>> {
-        let found = {
-            let inner = self.read();
-            inner.skeletons.get(key).map(|slot| {
-                slot.tick.store(self.next_tick(), Ordering::Relaxed);
-                Arc::clone(&slot.skeleton)
-            })
-        };
-        match &found {
-            Some(_) => self.skeleton_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.skeleton_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+    pub fn skeleton(&mut self, key: &PlanKey) -> Option<Arc<PlacedSkeleton>> {
+        match self.skeletons.get_mut(key) {
+            Some(slot) => {
+                self.clock += 1;
+                slot.tick = self.clock;
+                self.skeleton_hits += 1;
+                Some(Arc::clone(&slot.skeleton))
+            }
+            None => {
+                self.skeleton_misses += 1;
+                None
+            }
+        }
     }
 
     /// Inserts a freshly placed skeleton, evicting LRU entries if the insert
     /// pushed the cache over its byte budget.
-    pub fn insert_skeleton(&self, key: PlanKey, skeleton: PlacedSkeleton) {
+    pub fn insert_skeleton(&mut self, key: PlanKey, skeleton: PlacedSkeleton) {
         let bytes =
             key.approx_bytes() + std::mem::size_of::<SkeletonSlot>() + skeleton.approx_bytes();
+        self.clock += 1;
         let slot = SkeletonSlot {
             skeleton: Arc::new(skeleton),
             bytes,
-            tick: AtomicU64::new(self.next_tick()),
+            tick: self.clock,
         };
-        let budget = self.budget();
-        let mut inner = self.write();
-        if let Some(old) = inner.skeletons.insert(key, slot) {
-            inner.bytes -= old.bytes;
+        if let Some(old) = self.skeletons.insert(key, slot) {
+            self.bytes -= old.bytes;
         }
-        inner.bytes += bytes;
-        let evicted = inner.evict_to_budget(budget);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        self.bytes += bytes;
+        self.evict_to_budget();
     }
 
     /// Drops every cached artifact (counters are kept).
-    pub fn clear(&self) {
-        let mut inner = self.write();
-        inner.levels.clear();
-        inner.skeletons.clear();
-        inner.bytes = 0;
+    pub fn clear(&mut self) {
+        self.levels.clear();
+        self.skeletons.clear();
+        self.bytes = 0;
     }
 
     /// A snapshot of the cache counters.
     #[must_use]
     pub fn stats(&self) -> StructuralCacheStats {
-        let inner = self.read();
         StructuralCacheStats {
-            level_entries: inner.levels.len(),
-            skeleton_entries: inner.skeletons.len(),
-            level_hits: self.level_hits.load(Ordering::Relaxed),
-            level_misses: self.level_misses.load(Ordering::Relaxed),
-            skeleton_hits: self.skeleton_hits.load(Ordering::Relaxed),
-            skeleton_misses: self.skeleton_misses.load(Ordering::Relaxed),
-            bytes: inner.bytes,
-            evictions: self.evictions.load(Ordering::Relaxed),
+            level_entries: self.levels.len(),
+            skeleton_entries: self.skeletons.len(),
+            level_hits: self.level_hits,
+            level_misses: self.level_misses,
+            skeleton_hits: self.skeleton_hits,
+            skeleton_misses: self.skeleton_misses,
+            bytes: self.bytes,
+            evictions: self.evictions,
         }
-    }
-
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, CacheInner> {
-        self.inner
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, CacheInner> {
-        self.inner
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -776,7 +712,7 @@ mod tests {
     fn cache_counts_hits_misses_and_clears_on_epsilon_change() {
         let cg = contracted(&[8]);
         let mg = cg.metagraph();
-        let cache = StructuralPlanCache::new();
+        let mut cache = StructuralPlanCache::new();
         cache.ensure_epsilon(1e-7);
         let key = LevelKey::of(mg, &mg.levels()[0], 8);
         assert!(cache.level(&key).is_none());
@@ -821,7 +757,7 @@ mod tests {
         let cg = contracted(&[8]);
         let mg = cg.metagraph();
         let level = &mg.levels()[0];
-        let cache = StructuralPlanCache::new();
+        let mut cache = StructuralPlanCache::new();
         assert_eq!(cache.budget(), usize::MAX, "unbounded by default");
         let key_for = |devices: u32| LevelKey::of(mg, level, devices);
         let artifact = || LevelArtifact {
@@ -877,16 +813,5 @@ mod tests {
         assert_eq!(stats.level_entries + stats.skeleton_entries, 0);
         assert_eq!(stats.bytes, 0);
         assert!(stats.evictions >= 3);
-    }
-
-    #[test]
-    fn reuse_rate_handles_empty_plans() {
-        assert!((StructuralReuse::default().level_reuse_rate() - 1.0).abs() < 1e-12);
-        let partial = StructuralReuse {
-            levels_total: 4,
-            levels_reused: 3,
-            placement_reused: false,
-        };
-        assert!((partial.level_reuse_rate() - 0.75).abs() < 1e-12);
     }
 }

@@ -62,10 +62,11 @@ pub struct ScalabilityEstimator {
     model: Arc<dyn PerfModel>,
     profiler: Profiler,
     max_devices: u32,
-    /// Curves by signature. An `RwLock` (not a `Mutex`) so that concurrent
-    /// planners sharing one warm estimator — e.g. the phase workers of
-    /// `SpindleSession::plan_phases_parallel` — serve cache hits without
-    /// serialising on the lock; the write path is taken only on a fit.
+    /// Curves by signature. An `RwLock` (not a `Mutex`) because one
+    /// estimator can serve sessions on several threads at once: the planning
+    /// service pools one estimator per worker, and a tenant migrated by
+    /// `PlanService::resize` keeps its origin worker's estimator. Cache hits
+    /// take the read path; the write path is taken only on a fit.
     cache: RwLock<HashMap<WorkloadSignature, CurveSlot>>,
     /// Byte budget of the cache; [`usize::MAX`] disables eviction.
     budget: AtomicUsize,

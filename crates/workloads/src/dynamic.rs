@@ -109,15 +109,14 @@ impl DynamicWorkload {
         &self.phases
     }
 
-    /// The phase graphs in training order — the shape consumed by
-    /// `SpindleSession::plan_phases_parallel`.
+    /// The phase graphs in training order, one re-plan each.
     #[must_use]
     pub fn phase_graphs(&self) -> Vec<&ComputationGraph> {
         self.phases.iter().map(|p| &p.graph).collect()
     }
 
     /// A schedule with this schedule's phases repeated `times` in a row —
-    /// used to scale phase-parallelism experiments beyond the native phase
+    /// used to scale multi-phase planning benches beyond the native phase
     /// count.
     #[must_use]
     pub fn repeated(&self, times: usize) -> Self {

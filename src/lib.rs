@@ -84,7 +84,7 @@ pub use spindle_workloads as workloads;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use spindle_baselines::{BaselineSystem, SystemKind};
+    pub use spindle_baselines::SystemKind;
     pub use spindle_cluster::{ClusterSpec, DeviceId};
     pub use spindle_core::{
         ContractedGraph, CurveSet, ExecutionPlan, LevelSchedule, PlacementPolicy,

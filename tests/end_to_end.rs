@@ -125,7 +125,8 @@ fn independent_sessions_produce_identical_plans() {
     assert_eq!(first.waves(), second.waves());
     assert!((first.theoretical_optimum() - second.theoretical_optimum()).abs() < 1e-12);
     let mut session = SpindleSession::new(cluster);
-    let baseline = BaselineSystem::new(SystemKind::DeepSpeed)
+    let baseline = SystemKind::DeepSpeed
+        .planning_system()
         .plan(&model, &mut session)
         .unwrap();
     baseline.validate().unwrap();

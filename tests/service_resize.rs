@@ -72,10 +72,17 @@ fn resize_under_concurrent_load_loses_zero_accepted_submissions() {
         .collect();
 
     // Re-shard while the submitters are running: grow, shrink, grow again.
+    // The loop runs until the submitters finish, so the number of resizes
+    // depends on host speed; each one moves at most the live tenant
+    // population (8), never more.
     let mut total_moves = 0;
+    let mut resizes = 0;
     while !done_submitting.load(Ordering::Relaxed) {
         for workers in [4usize, 1, 3, 2] {
-            total_moves += service.resize(workers);
+            let moved = service.resize(workers);
+            assert!(moved <= 8, "one resize moved {moved} of 8 tenants");
+            total_moves += moved;
+            resizes += 1;
             assert_eq!(service.num_workers(), workers);
         }
         if submitters.iter().all(std::thread::JoinHandle::is_finished) {
@@ -102,9 +109,10 @@ fn resize_under_concurrent_load_loses_zero_accepted_submissions() {
         served, accepted,
         "an accepted submission was lost during resize"
     );
-    // Only sanity-bound the migration volume: each resize moves at most the
-    // live tenant population (8), never more.
-    assert!(total_moves <= 8 * 4 * 12, "moves: {total_moves}");
+    assert!(
+        total_moves <= 8 * resizes,
+        "moves: {total_moves} over {resizes} resizes"
+    );
 }
 
 #[test]
