@@ -21,7 +21,7 @@ use spindle_runtime::{
     price_checkpoint_write, CheckpointPolicy, DynamicRunLoop, RuntimeEngine, SimConfig, Simulator,
     Straggler,
 };
-use spindle_workloads::{multitask_clip, ArrivalSchedule, DynamicWorkload};
+use spindle_workloads::{hyperscale, multitask_clip, ArrivalSchedule, DynamicWorkload};
 
 fn report_path() -> PathBuf {
     if let Ok(path) = std::env::var("SPINDLE_BENCH_SIM_OUT") {
@@ -68,6 +68,28 @@ fn main() {
         });
         report.push((format!("sim_contended_{name}"), t));
     }
+
+    group("contended simulator at hyperscale (work counters beside the time)");
+    let graph = hyperscale(48).unwrap();
+    let cluster = ClusterSpec::homogeneous(32, 8);
+    let plan = Arc::new(SpindleSession::new(cluster.clone()).plan(&graph).unwrap());
+    let contended = Simulator::new(Arc::clone(&plan), &cluster)
+        .with_graph(&graph)
+        .with_config(SimConfig::contended());
+    let name = "sim_contended_hyperscale-48t/256gpu";
+    let t = bench(name, warmup, iters, || {
+        let _ = contended.run_iteration().unwrap();
+    });
+    let run = contended.run_iteration().unwrap();
+    println!(
+        "{:48} {} events, {} flows repriced ({} transmissions, {} syncs)",
+        "",
+        run.event_log().entries().len(),
+        run.flows_repriced(),
+        run.flows_executed(),
+        run.syncs_executed()
+    );
+    report.push((name.to_string(), t));
 
     group("perturbed scenarios (clip-4t, 16 gpus)");
     let graph = multitask_clip(4).unwrap();

@@ -9,7 +9,9 @@
 //! The first argument is the baseline; every further argument is a current
 //! report (they are merged). Thresholds default to fail >30% / warn >15% and
 //! can be overridden with `SPINDLE_GATE_FAIL_PCT` / `SPINDLE_GATE_WARN_PCT`
-//! (whole percents). When `GITHUB_STEP_SUMMARY` is set, the markdown delta
+//! (whole percents); they do not apply to the deterministic `fig8_iter_*` and
+//! `fig8_contended_*` model outputs, which fail on any change of more than
+//! 1 ns. When `GITHUB_STEP_SUMMARY` is set, the markdown delta
 //! table is appended there too. Exits non-zero if any entry fails the gate —
 //! including when a baseline key is missing from the fresh reports (a bench
 //! that silently vanished is treated as a regression, not skipped).

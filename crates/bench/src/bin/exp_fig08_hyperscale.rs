@@ -9,9 +9,12 @@
 //!
 //! The iteration and planning times are written to `BENCH_fig8.json` in the
 //! bench-gate report format (name → ns), so CI pins both the *model outputs*
-//! (iteration times are deterministic — any drift is a planner behavior
-//! change, failed by the gate at its noise floor) and the planner's
-//! wall-clock cost trajectory at hyperscale.
+//! and the planner's wall-clock cost trajectory at hyperscale. The model
+//! outputs are deterministic: `fig8_iter_*` (the analytical engine) and
+//! `fig8_contended_spindle_*` (the contended event-driven simulator on the
+//! Spindle plan). The gate pins them exactly — a change of more than 1 ns in
+//! either direction fails — so any drift is a planner or simulator behaviour
+//! change.
 //!
 //! The binary itself asserts the headline claim of the paper's Fig. 8:
 //! Spindle's iteration time beats the decoupled (DeepSpeed-style) baseline
@@ -24,12 +27,14 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 use spindle_baselines::SystemKind;
 use spindle_bench::microbench::{bench, quick_mode, write_json_report, Timing};
 use spindle_bench::{measure, ms, paper_cluster, render_table, speedup};
 use spindle_core::SpindleSession;
+use spindle_runtime::{SimConfig, Simulator};
 use spindle_workloads::hyperscale;
 
 /// The compared systems: Spindle plus the three distinct baseline planning
@@ -109,6 +114,17 @@ fn main() -> ExitCode {
                 deterministic(m.iteration_ms / 1e3),
             ));
             report.push((format!("fig8_plan_{key}_{tasks}t{gpus}gpu"), plan_timing));
+            if system == SystemKind::Spindle {
+                let contended = Simulator::new(Arc::clone(&m.plan), &cluster)
+                    .with_graph(&graph)
+                    .with_config(SimConfig::contended())
+                    .run_iteration()
+                    .expect("the contended simulator runs the Spindle plan");
+                report.push((
+                    format!("fig8_contended_{key}_{tasks}t{gpus}gpu"),
+                    deterministic(contended.total_s()),
+                ));
+            }
 
             cells.push((
                 system,

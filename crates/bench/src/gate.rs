@@ -15,6 +15,12 @@
 //!   regression nobody measures any more (remove the baseline entry
 //!   deliberately when retiring a bench).
 //!
+//! Deterministic model outputs — `fig8_iter_*` and `fig8_contended_*`, the
+//! Fig. 8 iteration times of the analytical engine and the contended
+//! simulator — are not timings: they are pinned exactly, and a change of more
+//! than 1 ns in either direction fails (a faster iteration is a behaviour
+//! change too).
+//!
 //! Entries whose baseline and current means are both under the noise floor
 //! (default 500 ns) never fail: at that scale the timer resolution dominates.
 //! Latency-distribution entries — names containing `_p99` — are gated with a
@@ -53,11 +59,23 @@ impl GateConfig {
     /// percentage band would flag scheduler jitter as a regression.
     pub const TAIL_BAND_FACTOR: f64 = 2.0;
 
+    /// The largest change, in ns, an exact entry may show: model outputs are
+    /// written rounded to whole nanoseconds.
+    pub const EXACT_TOLERANCE_NS: f64 = 1.0;
+
     /// `true` for entries gated with the widened tail band (latency
     /// percentile keys, marked by a `_p99` name segment).
     #[must_use]
     pub fn is_tail_entry(name: &str) -> bool {
         name.contains("_p99")
+    }
+
+    /// `true` for deterministic model outputs, pinned to within
+    /// [`Self::EXACT_TOLERANCE_NS`] in either direction instead of gated
+    /// with a slowdown band.
+    #[must_use]
+    pub fn is_exact_entry(name: &str) -> bool {
+        name.starts_with("fig8_iter_") || name.starts_with("fig8_contended_")
     }
 
     /// The fail threshold applied to `name`.
@@ -180,11 +198,12 @@ impl GateReport {
         let _ = writeln!(
             out,
             "\nthresholds: fail >{:.0}% slowdown, warn >{:.0}%, noise floor {:.0} ns \
-             ({}x band for _p99 tail entries)",
+             ({}x band for _p99 tail entries; fig8_iter_/fig8_contended_ pinned to ±{} ns)",
             config.fail_pct * 100.0,
             config.warn_pct * 100.0,
             config.noise_floor_ns,
-            GateConfig::TAIL_BAND_FACTOR
+            GateConfig::TAIL_BAND_FACTOR,
+            GateConfig::EXACT_TOLERANCE_NS
         );
         out
     }
@@ -241,7 +260,13 @@ pub fn compare(
             Some(cur) => {
                 let delta = cur / base.max(f64::MIN_POSITIVE) - 1.0;
                 let in_noise_floor = *base < config.noise_floor_ns && cur < config.noise_floor_ns;
-                let verdict = if in_noise_floor || delta <= config.warn_pct_for(name) {
+                let verdict = if GateConfig::is_exact_entry(name) {
+                    if (cur - base).abs() > GateConfig::EXACT_TOLERANCE_NS {
+                        Verdict::Fail
+                    } else {
+                        Verdict::Pass
+                    }
+                } else if in_noise_floor || delta <= config.warn_pct_for(name) {
                     Verdict::Pass
                 } else if delta <= config.fail_pct_for(name) {
                     Verdict::Warn
@@ -395,6 +420,38 @@ mod tests {
         assert_eq!(report.entries[0].verdict, Verdict::Fail);
         assert!(GateConfig::is_tail_entry("service_replan_p99_hyper-fleet"));
         assert!(!GateConfig::is_tail_entry("service_replan_p50_hyper-fleet"));
+    }
+
+    #[test]
+    fn model_output_entries_are_pinned_in_both_directions() {
+        let config = GateConfig::default();
+        let key = "fig8_iter_spindle_48t256gpu";
+        let contended = "fig8_contended_spindle_48t256gpu";
+        let verdict = |name: &str, base: f64, cur: f64| {
+            compare(&set(&[(name, base)]), &set(&[(name, cur)]), &config).entries[0].verdict
+        };
+        // 1% faster is a behaviour change, not a speed-up.
+        assert_eq!(verdict(key, 206_944_207.0, 204_874_765.0), Verdict::Fail);
+        assert_eq!(
+            verdict(contended, 62_738_487.0, 62_111_102.0),
+            Verdict::Fail
+        );
+        // So is 2 ns slower, far inside the 30% band of a timing entry.
+        assert_eq!(verdict(key, 206_944_207.0, 206_944_209.0), Verdict::Fail);
+        // Equal values and a 1 ns rounding difference pass.
+        assert_eq!(verdict(key, 206_944_207.0, 206_944_207.0), Verdict::Pass);
+        assert_eq!(
+            verdict(contended, 62_738_487.0, 62_738_486.0),
+            Verdict::Pass
+        );
+        // Wall-clock keys next to them keep the slowdown band.
+        assert_eq!(
+            verdict("fig8_plan_spindle_48t256gpu", 3_400_000.0, 3_000_000.0),
+            Verdict::Pass
+        );
+        assert!(GateConfig::is_exact_entry(contended));
+        assert!(!GateConfig::is_exact_entry("fig8_plan_spindle_48t256gpu"));
+        assert!(!GateConfig::is_exact_entry("sim_contended_clip-4t/16gpu"));
     }
 
     #[test]

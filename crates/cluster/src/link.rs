@@ -11,8 +11,6 @@
 //! simulator divides the flow's nominal bandwidth by that congestion factor,
 //! which is the classic equal-share approximation of max-min fairness.
 
-use std::collections::BTreeMap;
-
 use crate::{ClusterSpec, DeviceGroup, NodeId};
 
 /// One shared physical communication resource of the cluster.
@@ -121,42 +119,77 @@ fn nodes_of(cluster: &ClusterSpec, group: &DeviceGroup) -> Vec<NodeId> {
     nodes
 }
 
-/// Tracks how many active flows occupy each shared link.
+/// Per-node links of [`LinkId`]: island bus, uplink, downlink and storage
+/// link.
+const LINKS_PER_NODE: usize = 4;
+
+/// The dense table slot of `link`: the storage spine first, then the
+/// [`LINKS_PER_NODE`] links of each node in node order.
+fn slot(link: LinkId) -> usize {
+    let (node, kind) = match link {
+        LinkId::StorageSpine => return 0,
+        LinkId::IslandBus(n) => (n, 0),
+        LinkId::Uplink(n) => (n, 1),
+        LinkId::Downlink(n) => (n, 2),
+        LinkId::StorageLink(n) => (n, 3),
+    };
+    1 + node.index() * LINKS_PER_NODE + kind
+}
+
+/// Tracks which active flows occupy each shared link.
 ///
-/// The tracker is deliberately simple — register a footprint when a flow
-/// starts, release it when the flow completes, and ask for the congestion of
-/// any footprint in between. All operations are deterministic and
-/// allocation-light (one `BTreeMap` keyed by [`LinkId`]).
-#[derive(Debug, Clone, Default)]
+/// Every [`LinkId`] maps to a slot of a dense table sized from the cluster;
+/// a slot lists the ids of the flows on its link. Callers name each flow
+/// with an id that is unique among the active flows. Registering or
+/// releasing a flow reports the other flows that share a link with it —
+/// exactly the flows whose [`congestion`](Self::congestion) that call can
+/// change — so a flow-level simulator reprices only those. All operations
+/// are deterministic.
+#[derive(Debug, Clone)]
 pub struct LinkOccupancy {
-    active: BTreeMap<LinkId, usize>,
+    slots: Vec<Vec<usize>>,
 }
 
 impl LinkOccupancy {
-    /// Creates an empty tracker.
+    /// Creates an empty tracker with a slot for every link of `cluster`.
+    /// Links of nodes beyond the cluster still work: the table grows on
+    /// first use.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers an active flow occupying `footprint`.
-    pub fn register(&mut self, footprint: &[LinkId]) {
-        for &link in footprint {
-            *self.active.entry(link).or_insert(0) += 1;
+    pub fn for_cluster(cluster: &ClusterSpec) -> Self {
+        Self {
+            slots: vec![Vec::new(); 1 + cluster.num_nodes() * LINKS_PER_NODE],
         }
     }
 
-    /// Releases a previously registered flow.
+    /// Registers flow `id` on every link of `footprint` and appends to
+    /// `sharers` the other flows already on those links — once per shared
+    /// link, unsorted. A link listed twice counts the flow twice, as if it
+    /// were two flows.
+    pub fn register(&mut self, id: usize, footprint: &[LinkId], sharers: &mut Vec<usize>) {
+        for &link in footprint {
+            let slot = slot(link);
+            if slot >= self.slots.len() {
+                self.slots.resize_with(slot + 1, Vec::new);
+            }
+            let flows = &mut self.slots[slot];
+            sharers.extend(flows.iter().filter(|&&f| f != id));
+            flows.push(id);
+        }
+    }
+
+    /// Releases flow `id` from the links of `footprint` and appends to
+    /// `sharers` the flows still on those links — once per released link,
+    /// unsorted.
     ///
-    /// Releasing links that were never registered is a no-op (the tracker
-    /// saturates at zero rather than underflowing).
-    pub fn release(&mut self, footprint: &[LinkId]) {
-        for link in footprint {
-            if let Some(count) = self.active.get_mut(link) {
-                *count = count.saturating_sub(1);
-                if *count == 0 {
-                    self.active.remove(link);
-                }
+    /// Releasing a flow from a link it is not on is a no-op.
+    pub fn release(&mut self, id: usize, footprint: &[LinkId], sharers: &mut Vec<usize>) {
+        for &link in footprint {
+            let Some(flows) = self.slots.get_mut(slot(link)) else {
+                continue;
+            };
+            if let Some(at) = flows.iter().position(|&f| f == id) {
+                flows.swap_remove(at);
+                sharers.extend(flows.iter().filter(|&&f| f != id));
             }
         }
     }
@@ -164,7 +197,7 @@ impl LinkOccupancy {
     /// Number of active flows on `link`.
     #[must_use]
     pub fn flows_on(&self, link: LinkId) -> usize {
-        self.active.get(&link).copied().unwrap_or(0)
+        self.slots.get(slot(link)).map_or(0, Vec::len)
     }
 
     /// Worst-case congestion over `footprint`: the maximum number of
@@ -180,12 +213,6 @@ impl LinkOccupancy {
             .max()
             .unwrap_or(0)
             .max(1)
-    }
-
-    /// Number of links currently carrying at least one flow.
-    #[must_use]
-    pub fn busy_links(&self) -> usize {
-        self.active.len()
     }
 }
 
@@ -251,21 +278,96 @@ mod tests {
         let far = DeviceGroup::contiguous(DeviceId(4), 2);
         let f1 = transfer_footprint(&c, &src, &near);
         let f2 = transfer_footprint(&c, &src, &far);
-        let mut occ = LinkOccupancy::new();
+        let mut occ = LinkOccupancy::for_cluster(&c);
+        let mut sharers = Vec::new();
         assert_eq!(occ.congestion(&f1), 1);
-        occ.register(&f1);
-        occ.register(&f1);
+        occ.register(0, &f1, &mut sharers);
+        assert!(sharers.is_empty());
+        occ.register(1, &f1, &mut sharers);
+        assert_eq!(sharers, [0]);
         assert_eq!(occ.congestion(&f1), 2);
-        // The cross-island flow does not contend with the NVLink flow.
-        occ.register(&f2);
+        // The cross-island flow does not contend with the NVLink flows.
+        sharers.clear();
+        occ.register(2, &f2, &mut sharers);
+        assert!(sharers.is_empty());
         assert_eq!(occ.congestion(&f2), 1);
-        assert_eq!(occ.busy_links(), 3);
-        occ.release(&f1);
+        occ.release(0, &f1, &mut sharers);
+        assert_eq!(sharers, [1]);
         assert_eq!(occ.congestion(&f1), 1);
-        occ.release(&f1);
-        occ.release(&f1); // over-release saturates
+        sharers.clear();
+        occ.release(1, &f1, &mut sharers);
+        occ.release(1, &f1, &mut sharers); // over-release is a no-op
+        assert!(sharers.is_empty());
         assert_eq!(occ.flows_on(LinkId::IslandBus(NodeId(0))), 0);
+        assert_eq!(occ.flows_on(LinkId::Uplink(NodeId(0))), 1);
         assert_eq!(occ.congestion(&[]), 1);
+    }
+
+    #[test]
+    fn sharers_are_reported_once_per_shared_link() {
+        let c = cluster();
+        let mut occ = LinkOccupancy::for_cluster(&c);
+        let mut sharers = Vec::new();
+        let up = LinkId::Uplink(NodeId(0));
+        let down = LinkId::Downlink(NodeId(1));
+        occ.register(7, &[up, down], &mut sharers);
+        occ.register(3, &[up], &mut sharers);
+        occ.register(5, &[down, LinkId::StorageSpine], &mut sharers);
+        assert_eq!(sharers, [7, 7]);
+        // Flow 9 shares its uplink with 7 and 3 and its downlink with 7 and
+        // 5: the report has one entry per (link, flow) pair.
+        sharers.clear();
+        occ.register(9, &[up, down], &mut sharers);
+        sharers.sort_unstable();
+        assert_eq!(sharers, [3, 5, 7, 7]);
+        sharers.clear();
+        occ.release(7, &[up, down], &mut sharers);
+        sharers.sort_unstable();
+        assert_eq!(sharers, [3, 5, 9, 9]);
+        assert_eq!(occ.congestion(&[up, down]), 2);
+        // A link listed twice counts its flow twice and never reports it as
+        // its own sharer.
+        sharers.clear();
+        occ.register(
+            11,
+            &[LinkId::StorageSpine, LinkId::StorageSpine],
+            &mut sharers,
+        );
+        assert_eq!(sharers, [5, 5]);
+        assert_eq!(occ.flows_on(LinkId::StorageSpine), 3);
+        sharers.clear();
+        occ.release(
+            11,
+            &[LinkId::StorageSpine, LinkId::StorageSpine],
+            &mut sharers,
+        );
+        assert_eq!(sharers, [5, 5]);
+        assert_eq!(occ.flows_on(LinkId::StorageSpine), 1);
+    }
+
+    #[test]
+    fn links_beyond_the_cluster_grow_the_table() {
+        let mut occ = LinkOccupancy::for_cluster(&cluster());
+        let mut sharers = Vec::new();
+        let far = LinkId::StorageLink(NodeId(40));
+        assert_eq!(occ.flows_on(far), 0);
+        occ.register(0, &[far], &mut sharers);
+        occ.register(1, &[far], &mut sharers);
+        assert_eq!(sharers, [0]);
+        assert_eq!(occ.congestion(&[far]), 2);
+        // Distinct links never share a slot.
+        let links = [
+            LinkId::StorageSpine,
+            LinkId::IslandBus(NodeId(1)),
+            LinkId::Uplink(NodeId(1)),
+            LinkId::Downlink(NodeId(1)),
+            LinkId::StorageLink(NodeId(1)),
+            LinkId::IslandBus(NodeId(2)),
+        ];
+        let mut slots: Vec<usize> = links.iter().map(|&l| slot(l)).collect();
+        slots.sort_unstable();
+        slots.dedup();
+        assert_eq!(slots.len(), links.len());
     }
 
     #[test]

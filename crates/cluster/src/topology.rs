@@ -41,6 +41,10 @@ pub struct ClusterSpec {
     interconnect: InterconnectSpec,
     storage: StorageSpec,
     nodes: Vec<NodeSpec>,
+    /// Dense device id → hosting node (`None` for ids not in the cluster),
+    /// derived from `nodes` by [`ClusterSpec::index_devices`] so
+    /// [`ClusterSpec::node_of`] and [`ClusterSpec::contains`] are O(1).
+    node_by_device: Vec<Option<NodeId>>,
 }
 
 impl ClusterSpec {
@@ -88,7 +92,23 @@ impl ClusterSpec {
             interconnect,
             storage: StorageSpec::default(),
             nodes,
+            node_by_device: Vec::new(),
         }
+        .index_devices()
+    }
+
+    /// Rebuilds the device → node table from `nodes`.
+    fn index_devices(mut self) -> Self {
+        self.node_by_device.clear();
+        for node in &self.nodes {
+            for d in &node.devices {
+                if self.node_by_device.len() <= d.index() {
+                    self.node_by_device.resize(d.index() + 1, None);
+                }
+                self.node_by_device[d.index()] = Some(node.id);
+            }
+        }
+        self
     }
 
     /// Replaces the checkpoint storage tier description (defaults to
@@ -136,12 +156,8 @@ impl ClusterSpec {
     /// numbering gains holes instead of being compacted.
     #[must_use]
     pub fn device_space(&self) -> usize {
-        self.nodes
-            .iter()
-            .flat_map(|n| n.devices.iter())
-            .map(|d| d.index() + 1)
-            .max()
-            .unwrap_or(0)
+        // The table ends at the highest device id present.
+        self.node_by_device.len()
     }
 
     /// A copy of this cluster with `removed` devices taken out of their
@@ -165,7 +181,7 @@ impl ClusterSpec {
         if spec.num_devices() == 0 {
             return Err(ClusterError::EmptyCluster);
         }
-        Ok(spec)
+        Ok(spec.index_devices())
     }
 
     /// Number of nodes (device islands).
@@ -205,17 +221,17 @@ impl ClusterSpec {
     /// Returns [`ClusterError::UnknownDevice`] if the device is not part of the
     /// cluster.
     pub fn node_of(&self, device: DeviceId) -> Result<NodeId, ClusterError> {
-        self.nodes
-            .iter()
-            .find(|n| n.devices.contains(&device))
-            .map(|n| n.id)
+        self.node_by_device
+            .get(device.index())
+            .copied()
+            .flatten()
             .ok_or(ClusterError::UnknownDevice(device))
     }
 
     /// Returns `true` if `device` exists in this cluster.
     #[must_use]
     pub fn contains(&self, device: DeviceId) -> bool {
-        self.nodes.iter().any(|n| n.devices.contains(&device))
+        self.node_of(device).is_ok()
     }
 
     /// Link class between two devices of the cluster.
@@ -404,6 +420,33 @@ mod tests {
             bare.without_devices(&[DeviceId(1), DeviceId(2), DeviceId(3)]),
             Err(ClusterError::EmptyCluster)
         );
+    }
+
+    #[test]
+    fn device_table_agrees_with_a_scan_of_the_nodes() {
+        let check = |c: &ClusterSpec| {
+            for id in 0..c.device_space() as u32 + 8 {
+                let d = DeviceId(id);
+                let scanned = c
+                    .nodes()
+                    .iter()
+                    .find(|n| n.devices.contains(&d))
+                    .map(|n| n.id);
+                assert_eq!(c.node_of(d).ok(), scanned, "{d}");
+                assert_eq!(c.contains(d), scanned.is_some(), "{d}");
+            }
+        };
+        let pristine = ClusterSpec::homogeneous(4, 8);
+        check(&pristine);
+        // Holes on nodes 0 and 2, and node 3 emptied entirely.
+        let mut removed: Vec<DeviceId> = (24..32).map(DeviceId).collect();
+        removed.extend([DeviceId(1), DeviceId(6), DeviceId(17)]);
+        let holed = pristine.without_devices(&removed).unwrap();
+        assert!(holed.nodes()[3].devices.is_empty());
+        assert_eq!(holed.device_space(), 24);
+        check(&holed);
+        // The table stays in step through a second removal.
+        check(&holed.without_devices(&[DeviceId(23), DeviceId(0)]).unwrap());
     }
 
     #[test]

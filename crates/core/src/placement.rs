@@ -387,7 +387,10 @@ impl LocalityPass {
                 &self.memory_used,
                 self.capacity,
             );
-            self.island_order.sort_by_key(|&k| {
+            // Cached: the key walks the island's devices, so compute it once
+            // per island rather than on every comparison. The sort is stable,
+            // like `sort_by_key`.
+            self.island_order.sort_by_cached_key(|&k| {
                 let island = &islands[k];
                 let mut free_count = 0usize;
                 let mut free_mem = 0u64;

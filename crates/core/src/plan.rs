@@ -235,7 +235,12 @@ impl ExecutionPlan {
     pub fn validate(&self) -> Result<(), PlanError> {
         let mut scheduled: BTreeMap<MetaOpId, u32> = BTreeMap::new();
         let mut prev_start = 0.0f64;
-        for wave in &self.waves {
+        // Per device, the stamp (1-based wave position) of the last wave that
+        // placed it: one dense table reused by every wave's overlap check.
+        // Ids past the device space grow it (`check_placement_in_range`
+        // reports them).
+        let mut last_wave: Vec<usize> = vec![0; self.device_space() as usize];
+        for (stamp, wave) in (1..).zip(&self.waves) {
             if wave.devices_used() > self.num_devices {
                 return Err(PlanError::CapacityExceeded {
                     wave: wave.index,
@@ -247,15 +252,17 @@ impl ExecutionPlan {
                 return Err(PlanError::UnorderedWaves { wave: wave.index });
             }
             prev_start = wave.start;
-            let mut used: Vec<spindle_cluster::DeviceId> = Vec::new();
             for entry in &wave.entries {
                 *scheduled.entry(entry.metaop).or_insert(0) += entry.layers;
                 if let Some(group) = &entry.placement {
                     for d in group.iter() {
-                        if used.contains(&d) {
+                        if d.index() >= last_wave.len() {
+                            last_wave.resize(d.index() + 1, 0);
+                        }
+                        if last_wave[d.index()] == stamp {
                             return Err(PlanError::PlacementOverlap { wave: wave.index });
                         }
-                        used.push(d);
+                        last_wave[d.index()] = stamp;
                     }
                 }
             }

@@ -101,7 +101,6 @@ pub fn migration_flows(
     new: &ExecutionPlan,
     cluster: &ClusterSpec,
 ) -> MigrationPlan {
-    let survivors = cluster.all_devices();
     let mut old_metaops: Vec<MetaOpId> = Vec::new();
     let mut old_sites: BTreeMap<MetaOpId, Vec<DeviceId>> = BTreeMap::new();
     for wave in old.waves() {
@@ -114,7 +113,7 @@ pub fn migration_flows(
             }
             let sites = old_sites.entry(entry.metaop).or_default();
             for d in group.iter() {
-                if survivors.contains(d) && !sites.contains(&d) {
+                if cluster.contains(d) && !sites.contains(&d) {
                     sites.push(d);
                 }
             }
@@ -186,6 +185,9 @@ pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended
     struct Active {
         remaining_s: f64,
         footprint: Vec<LinkId>,
+        /// The flow's equal-share slowdown, recomputed only when a flow
+        /// sharing one of its links completes.
+        congestion: f64,
     }
     let comm = CommModel::new(cluster);
     let mut active: Vec<Active> = flows
@@ -197,35 +199,49 @@ pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended
                 &DeviceGroup::contiguous(f.from, 1),
                 &DeviceGroup::contiguous(f.to, 1),
             ),
+            congestion: 1.0,
         })
         .collect();
-    let mut occupancy = LinkOccupancy::new();
+    let mut occupancy = LinkOccupancy::for_cluster(cluster);
+    let mut touched = Vec::new();
     if contended {
-        for flow in &active {
-            occupancy.register(&flow.footprint);
+        for (id, flow) in active.iter().enumerate() {
+            occupancy.register(id, &flow.footprint, &mut touched);
+            touched.clear();
+        }
+        for flow in &mut active {
+            flow.congestion = occupancy.congestion(&flow.footprint) as f64;
         }
     }
+    let mut live: Vec<usize> = (0..active.len()).collect();
+    // The last round whose completions touched each flow.
+    let mut touched_in = vec![0usize; active.len()];
+    let mut round = 0;
     let mut now = 0.0_f64;
-    while !active.is_empty() {
+    while !live.is_empty() {
+        round += 1;
         // Next completion at current equal-share rates.
-        let step = active
+        let step = live
             .iter()
-            .map(|f| f.remaining_s * occupancy.congestion(&f.footprint) as f64)
+            .map(|&i| active[i].remaining_s * active[i].congestion)
             .fold(f64::INFINITY, f64::min);
         now += step;
-        for flow in &mut active {
-            flow.remaining_s -= step / occupancy.congestion(&flow.footprint) as f64;
+        for &i in &live {
+            active[i].remaining_s -= step / active[i].congestion;
         }
         let eps = 1e-12 * now.max(1.0);
-        let mut i = 0;
-        while i < active.len() {
-            if active[i].remaining_s <= eps {
-                let done = active.swap_remove(i);
-                if contended {
-                    occupancy.release(&done.footprint);
-                }
-            } else {
-                i += 1;
+        live.retain(|&i| {
+            let done = active[i].remaining_s <= eps;
+            if done && contended {
+                occupancy.release(i, &active[i].footprint, &mut touched);
+            }
+            !done
+        });
+        // Only flows on a released link can change speed.
+        for i in touched.drain(..) {
+            if touched_in[i] != round {
+                touched_in[i] = round;
+                active[i].congestion = occupancy.congestion(&active[i].footprint) as f64;
             }
         }
     }
@@ -236,7 +252,120 @@ pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended
 mod tests {
     use super::*;
     use spindle_core::SpindleSession;
-    use spindle_graph::{ComputationGraph, GraphBuilder, Modality, OpKind, TensorShape};
+    use spindle_graph::{
+        ComputationGraph, GraphBuilder, Modality, OpKind, TensorShape, XorShift64Star,
+    };
+
+    /// The reference pricing loop: every round recomputes every flow's
+    /// congestion from a per-link flow count. [`price_migration`] caches
+    /// congestion and must price every flow set bit-identically.
+    fn price_migration_reference(
+        cluster: &ClusterSpec,
+        flows: &[MigrationFlow],
+        contended: bool,
+    ) -> f64 {
+        struct Active {
+            remaining_s: f64,
+            footprint: Vec<LinkId>,
+        }
+        fn congestion(counts: &BTreeMap<LinkId, usize>, footprint: &[LinkId]) -> usize {
+            footprint
+                .iter()
+                .map(|l| counts.get(l).copied().unwrap_or(0))
+                .max()
+                .unwrap_or(0)
+                .max(1)
+        }
+        let comm = CommModel::new(cluster);
+        let mut active: Vec<Active> = flows
+            .iter()
+            .map(|f| Active {
+                remaining_s: comm.p2p_time(f.from, f.to, f.bytes),
+                footprint: transfer_footprint(
+                    cluster,
+                    &DeviceGroup::contiguous(f.from, 1),
+                    &DeviceGroup::contiguous(f.to, 1),
+                ),
+            })
+            .collect();
+        let mut counts: BTreeMap<LinkId, usize> = BTreeMap::new();
+        if contended {
+            for link in active.iter().flat_map(|f| &f.footprint) {
+                *counts.entry(*link).or_insert(0) += 1;
+            }
+        }
+        let mut now = 0.0_f64;
+        while !active.is_empty() {
+            let step = active
+                .iter()
+                .map(|f| f.remaining_s * congestion(&counts, &f.footprint) as f64)
+                .fold(f64::INFINITY, f64::min);
+            now += step;
+            for flow in &mut active {
+                flow.remaining_s -= step / congestion(&counts, &flow.footprint) as f64;
+            }
+            let eps = 1e-12 * now.max(1.0);
+            let mut i = 0;
+            while i < active.len() {
+                if active[i].remaining_s <= eps {
+                    let done = active.swap_remove(i);
+                    if contended {
+                        for link in &done.footprint {
+                            *counts.get_mut(link).expect("registered") -= 1;
+                        }
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        now
+    }
+
+    #[test]
+    fn cached_congestion_prices_bit_identically_to_the_reference() {
+        // Four nodes of eight with holes, so flows mix same-node pairs,
+        // cross-node pairs and several flows out of (or into) one node.
+        let cluster = ClusterSpec::homogeneous(4, 8)
+            .without_devices(&[DeviceId(3), DeviceId(12), DeviceId(13)])
+            .unwrap();
+        let devices: Vec<DeviceId> = cluster.all_devices().iter().collect();
+        let mut rng = XorShift64Star::new(0x5EED_F10E);
+        let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+        for round in 0..200 {
+            let count = 1 + pick(48);
+            // Few distinct sizes, so several flows often finish in one round.
+            let sizes = [1u64 << 24, 3 << 26, 1 << 30, 5 << 27];
+            let flows: Vec<MigrationFlow> = (0..count)
+                .map(|k| {
+                    let from = devices[pick(devices.len())];
+                    // Every third flow stays on its source's node.
+                    let to = if k % 3 == 0 {
+                        let node = cluster.node_of(from).unwrap().index();
+                        let peers = &cluster.nodes()[node].devices;
+                        peers[pick(peers.len())]
+                    } else {
+                        devices[pick(devices.len())]
+                    };
+                    MigrationFlow {
+                        metaop: MetaOpId(k as u32),
+                        from,
+                        to,
+                        bytes: sizes[pick(sizes.len())] + pick(3) as u64,
+                    }
+                })
+                .collect();
+            for contended in [true, false] {
+                let got = price_migration(&cluster, &flows, contended);
+                let want = price_migration_reference(&cluster, &flows, contended);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "round {round}, contended {contended}: {got} vs {want}"
+                );
+            }
+        }
+    }
 
     fn graph() -> ComputationGraph {
         let mut b = GraphBuilder::new();

@@ -190,6 +190,7 @@ pub struct SimReport {
     event_log: EventLog,
     flows_executed: usize,
     syncs_executed: usize,
+    flows_repriced: usize,
 }
 
 impl SimReport {
@@ -252,6 +253,14 @@ impl SimReport {
     #[must_use]
     pub fn syncs_executed(&self) -> usize {
         self.syncs_executed
+    }
+
+    /// How many times a flow's congestion was recomputed. Only contended
+    /// runs reprice: each flow start or end recomputes the flows that share
+    /// a link with it, plus the starting flow itself.
+    #[must_use]
+    pub fn flows_repriced(&self) -> usize {
+        self.flows_repriced
     }
 
     /// Relative gap of the simulated iteration time versus a reference time
@@ -441,8 +450,14 @@ struct Run<'a> {
     /// so steady-state wave boundaries allocate no fresh `Vec` per stage.
     spec_buf: Vec<FlowSpec>,
     outstanding_flows: usize,
+    /// Every flow ever started, indexed by flow id; `None` once complete.
     flows: Vec<Option<ActiveFlow>>,
+    /// Ids of the active flows, unordered (contention mode only).
+    active: Vec<usize>,
     occupancy: LinkOccupancy,
+    /// Flows to reprice after a flow starts or ends.
+    sharers: Vec<usize>,
+    flows_repriced: usize,
     compute_s: f64,
     comm_s: f64,
     sync_s: f64,
@@ -482,7 +497,10 @@ impl<'a> Run<'a> {
             spec_buf: Vec::new(),
             outstanding_flows: 0,
             flows: Vec::new(),
-            occupancy: LinkOccupancy::new(),
+            active: Vec::new(),
+            occupancy: LinkOccupancy::for_cluster(cluster),
+            sharers: Vec::new(),
+            flows_repriced: 0,
             compute_s: 0.0,
             comm_s: 0.0,
             sync_s: 0.0,
@@ -773,10 +791,10 @@ impl<'a> Run<'a> {
             }
             FlowLabel::Background => {}
         }
+        let id = self.flows.len();
         if !self.config.contention {
             // Rates never change without contention: schedule the completion
             // once and never settle or reprice.
-            let id = self.flows.len();
             self.queue
                 .push(self.now + spec.nominal_s, Ev::FlowEnd { id, epoch: 0 });
             self.flows.push(Some(ActiveFlow {
@@ -790,7 +808,9 @@ impl<'a> Run<'a> {
             return;
         }
         self.settle_flows();
-        self.occupancy.register(&spec.footprint);
+        self.occupancy
+            .register(id, &spec.footprint, &mut self.sharers);
+        self.sharers.push(id);
         self.flows.push(Some(ActiveFlow {
             remaining_s: spec.nominal_s,
             // Negative sentinel: guarantees the first reprice sees a changed
@@ -801,6 +821,7 @@ impl<'a> Run<'a> {
             label: spec.label,
             epoch: 0,
         }));
+        self.active.push(id);
         self.reprice_flows();
     }
 
@@ -808,23 +829,29 @@ impl<'a> Run<'a> {
     /// its current rate (contention mode only — without contention the
     /// completion is scheduled once at start and never revisited).
     fn settle_flows(&mut self) {
-        for flow in self.flows.iter_mut().flatten() {
+        for &id in &self.active {
+            let flow = self.flows[id].as_mut().expect("active flows are live");
             let elapsed = self.now - flow.last_settle_s;
             flow.remaining_s = (flow.remaining_s - elapsed * flow.rate.max(0.0)).max(0.0);
             flow.last_settle_s = self.now;
         }
     }
 
-    /// Recomputes active flows' service rates from current link occupancy and
-    /// re-schedules the completion events of flows whose rate actually
+    /// Recomputes the service rates of the flows in `sharers` — the flows
+    /// sharing a link with the one that just started or ended, plus a
+    /// starting flow itself; no other flow's congestion can have changed —
+    /// and re-schedules the completion events of flows whose rate actually
     /// changed. A flow with an unchanged rate keeps its scheduled event —
-    /// settling preserves `last_settle + remaining/rate` — so only genuinely
-    /// affected flows churn the queue; stale events are invalidated through
-    /// the epoch counter.
+    /// settling preserves `last_settle + remaining/rate` — and stale events
+    /// are invalidated through the epoch counter. Visiting the flows in
+    /// ascending id order pushes their events in the order a scan of every
+    /// flow would, which keeps simultaneous completions in the same order.
     fn reprice_flows(&mut self) {
-        let mut updates: Vec<(usize, f64, u64)> = Vec::new();
-        for (id, slot) in self.flows.iter_mut().enumerate() {
-            let Some(flow) = slot else { continue };
+        self.sharers.sort_unstable();
+        self.sharers.dedup();
+        self.flows_repriced += self.sharers.len();
+        for &id in &self.sharers {
+            let flow = self.flows[id].as_mut().expect("sharers are active");
             let congestion = self.occupancy.congestion(&flow.footprint);
             let rate = 1.0 / congestion as f64;
             if rate == flow.rate {
@@ -832,11 +859,13 @@ impl<'a> Run<'a> {
             }
             flow.rate = rate;
             flow.epoch += 1;
-            updates.push((id, self.now + flow.remaining_s / rate, flow.epoch));
+            let epoch = flow.epoch;
+            self.queue.push(
+                self.now + flow.remaining_s / rate,
+                Ev::FlowEnd { id, epoch },
+            );
         }
-        for (id, at, epoch) in updates {
-            self.queue.push(at, Ev::FlowEnd { id, epoch });
-        }
+        self.sharers.clear();
     }
 
     fn on_flow_end(&mut self, id: usize, epoch: u64) {
@@ -852,7 +881,10 @@ impl<'a> Run<'a> {
         }
         let flow = self.flows[id].take().expect("flow checked active");
         if self.config.contention {
-            self.occupancy.release(&flow.footprint);
+            let at = self.active.iter().position(|&f| f == id);
+            self.active.swap_remove(at.expect("a live flow is active"));
+            self.occupancy
+                .release(id, &flow.footprint, &mut self.sharers);
             self.reprice_flows();
         }
         match flow.label {
@@ -967,6 +999,7 @@ impl<'a> Run<'a> {
             event_log: self.log,
             flows_executed: self.flows_executed,
             syncs_executed: self.syncs_executed,
+            flows_repriced: self.flows_repriced,
         }
     }
 }
@@ -1343,6 +1376,45 @@ mod tests {
             .run_iteration()
             .unwrap();
         assert!((serialized.total_s() - baseline.total_s()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn disjoint_background_flows_each_reprice_once() {
+        let (plan, graph, cluster) = plan_on(2, 8);
+        let run = |background_flows: Vec<BackgroundFlow>| {
+            Simulator::new(&plan, &cluster)
+                .with_graph(&graph)
+                .with_config(SimConfig {
+                    background_flows,
+                    ..SimConfig::contended()
+                })
+                .run_iteration()
+                .unwrap()
+        };
+        let base = run(Vec::new());
+        assert!(base.flows_repriced() > 0);
+        // Storage links of distinct nodes: no training flow and no other
+        // background flow uses them. Half finish at once, half outlive the
+        // iteration.
+        let k = 6;
+        let background = (0..k)
+            .map(|n| BackgroundFlow {
+                nominal_s: if n % 2 == 0 { 1e-6 } else { 10.0 },
+                footprint: vec![LinkId::StorageLink(spindle_cluster::NodeId(n))],
+            })
+            .collect();
+        let loaded = run(background);
+        // Each is repriced once, when it starts; sharing no link, it neither
+        // reprices nor is repriced by anything else.
+        assert_eq!(loaded.flows_repriced(), base.flows_repriced() + k as usize);
+        assert_eq!(loaded.event_log().render(), base.event_log().render());
+        assert_eq!(loaded.total_s().to_bits(), base.total_s().to_bits());
+        // Without contention nothing is ever repriced.
+        let free = Simulator::new(&plan, &cluster)
+            .with_graph(&graph)
+            .run_iteration()
+            .unwrap();
+        assert_eq!(free.flows_repriced(), 0);
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Invariants of the event-driven runtime simulator, checked through the
-//! public facade: determinism (same seed ⇒ byte-identical event log),
+//! public facade: determinism (same seed ⇒ byte-identical event log, and one
+//! contended hyperscale run pinned to the bit),
 //! conservation (per-device busy time never exceeds the makespan), and the
 //! cross-check oracle (contention-free simulated makespan matches the
 //! analytical engine within 1% on every preset workload).
 
 use std::collections::BTreeMap;
 
+use spindle::cluster::{LinkId, NodeId};
 use spindle::prelude::*;
 use spindle::runtime::{
-    CommMode, DynamicRunLoop, RuntimeEngine, SimConfig, SimEventKind, Simulator, Straggler,
+    BackgroundFlow, CommMode, DynamicRunLoop, RuntimeEngine, SimConfig, SimEventKind, Simulator,
+    Straggler,
 };
-use spindle::workloads::{ArrivalSchedule, DynamicWorkload};
+use spindle::workloads::{hyperscale, ArrivalSchedule, DynamicWorkload};
 
 /// The paper's Fig. 8 presets, each on its smallest evaluated cluster.
 fn preset_cases() -> Vec<(WorkloadPreset, ClusterSpec)> {
@@ -214,4 +217,54 @@ fn dynamic_run_loop_replans_online_and_reports_cache_warmth() {
     assert!(report.worst_gap() < 0.01);
     // The session kept planning through the loop (one plan per phase).
     assert_eq!(session.plans_produced(), schedule.arrivals().len());
+}
+
+/// FNV-1a over `bytes`: a digest that, unlike std's hashers, is specified
+/// and therefore stable across toolchains.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A contended hyperscale run: jittered compute, and checkpoint-style
+/// background flows that share node uplinks with the training traffic.
+fn contended_hyperscale_run(background_s: f64) -> spindle::runtime::SimReport {
+    let graph = hyperscale(16).unwrap();
+    let cluster = ClusterSpec::homogeneous(16, 8);
+    let plan = SpindleSession::new(cluster.clone()).plan(&graph).unwrap();
+    let background_flows = (0..4)
+        .map(|n| BackgroundFlow {
+            nominal_s: background_s * f64::from(n + 1),
+            footprint: vec![
+                LinkId::Uplink(NodeId(n * 4)),
+                LinkId::StorageLink(NodeId(n * 4)),
+                LinkId::StorageSpine,
+            ],
+        })
+        .collect();
+    Simulator::new(&plan, &cluster)
+        .with_graph(&graph)
+        .with_config(SimConfig {
+            seed: 0x00C0_FFEE,
+            compute_jitter: 0.05,
+            background_flows,
+            ..SimConfig::contended()
+        })
+        .run_iteration()
+        .unwrap()
+}
+
+#[test]
+fn contended_hyperscale_run_is_pinned_bit_for_bit() {
+    let run = contended_hyperscale_run(0.004);
+    let digest = fnv1a(run.event_log().render().as_bytes());
+    // The background flows end mid-iteration: the same run with flows that
+    // outlive it diverges, because their links free up before the end.
+    let outlived = contended_hyperscale_run(1e3);
+    assert_ne!(run.total_s(), outlived.total_s());
+    // Pinned before the link-indexed repricing landed; any change to the
+    // contention model's arithmetic or event order moves these.
+    assert_eq!(run.total_s().to_bits(), 0x3fb2_b712_4451_9ec1);
+    assert_eq!(digest, 0x8f75_f464_a9d2_c67e);
 }
