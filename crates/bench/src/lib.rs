@@ -95,18 +95,6 @@ pub fn measure(
     }
 }
 
-/// Convenience wrapper: measures `system` on a throwaway cold session for
-/// `cluster`.
-#[must_use]
-pub fn measure_on_cluster(
-    system: SystemKind,
-    graph: &ComputationGraph,
-    cluster: &ClusterSpec,
-) -> Measurement {
-    let mut session = SpindleSession::new(cluster.clone());
-    measure(system, graph, &mut session)
-}
-
 /// Measures Spindle with an explicit placement strategy (used by the Fig. 10
 /// ablation, where `Sequential` is the "w/o DP" variant).
 #[must_use]

@@ -133,12 +133,6 @@ impl CommModel {
         self.ring_collective_time(group, bytes, 1.0)
     }
 
-    /// Ring reduce-scatter time in seconds (same volume factor as all-gather).
-    #[must_use]
-    pub fn reduce_scatter_time(&self, group: &DeviceGroup, bytes: u64) -> f64 {
-        self.ring_collective_time(group, bytes, 1.0)
-    }
-
     /// Broadcast of `bytes` from one device of `group` to the rest, modelled as
     /// a pipelined chain bounded by the slowest link.
     #[must_use]

@@ -157,8 +157,13 @@ impl MpspScratch {
         let mut high = t_max.max(t_min);
         let eps = epsilon.max(f64::EPSILON);
         while high - low > eps {
-            self.iterations += 1;
             let mid = 0.5 * (low + high);
+            // Above 2^29 s adjacent doubles lie more than 1e-7 apart, so
+            // the interval can stop shrinking before it is `eps` wide.
+            if mid <= low || mid >= high {
+                break;
+            }
+            self.iterations += 1;
             let mut total = 0.0_f64;
             for item in &self.active {
                 total += inverse_hoisted(&item.curve, item.t1, mid / item.weight).min(n);
@@ -386,5 +391,27 @@ mod tests {
         // High water equals the larger staging set, not the sum: the buffer
         // was reused, not regrown.
         assert_eq!(scratch.high_water(), 2);
+    }
+
+    #[test]
+    fn huge_costs_plan_to_a_finite_makespan() {
+        use spindle_cluster::ClusterSpec;
+        use spindle_graph::{ComputationGraph, Modality, OpId, OpKind, Operator, TaskId, TaskSpec};
+        // Seconds far above 2^29, where doubles are coarser than epsilon.
+        for flops in [1e25, 1e40, 1e300] {
+            let shape = spindle_graph::TensorShape::new(8, 128, 768);
+            let op = |i| {
+                Operator::new(OpId(i), OpKind::LmDecoder, TaskId(0), shape).with_costs(flops, 1, 1)
+            };
+            let tasks = vec![TaskSpec::new(TaskId(0), "t", [Modality::Text], 8)];
+            let edges = vec![(OpId(0), OpId(1)), (OpId(1), OpId(2))];
+            let graph = ComputationGraph::new(vec![op(0), op(1), op(2)], edges, tasks).unwrap();
+            let cluster = ClusterSpec::homogeneous(1, 8);
+            let plan = crate::SpindleSession::new(cluster).plan(&graph).unwrap();
+            assert!(
+                plan.makespan().is_finite() && plan.makespan() > 1e9,
+                "{flops:e}"
+            );
+        }
     }
 }

@@ -24,7 +24,7 @@ use spindle_estimator::{ScalabilityEstimator, ScalingCurve};
 use spindle_graph::ComputationGraph;
 
 use crate::arena::{MetaOpArena, PlanningStats};
-use crate::mpsp::{self, MpspItem, MpspScratch};
+use crate::mpsp::{self, MpspScratch};
 use crate::structural::{LevelArtifact, LevelKey, StructuralPlanCache};
 use crate::wavefront::{CurveMap, WavefrontScratch};
 use crate::{
@@ -139,12 +139,6 @@ impl CurveSet {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.curves.is_empty()
-    }
-
-    /// The underlying per-MetaOp curve map.
-    #[must_use]
-    pub fn as_map(&self) -> &CurveMap {
-        &self.curves
     }
 
     /// Consumes the artifact, yielding the curve map.
@@ -417,29 +411,6 @@ pub fn theoretical_optimum(
                 .optimal_time
         })
         .sum()
-}
-
-/// Builds the [`MpspItem`]s of one MetaLevel — the map-based form consumed by
-/// the standalone [`mpsp::solve`] entry point (benches, tests, baselines).
-/// The pipeline itself goes through [`MetaOpArena`] instead.
-#[must_use]
-pub fn level_items(
-    metagraph: &MetaGraph,
-    metaops: &[MetaOpId],
-    curves: &CurveSet,
-) -> Vec<MpspItem> {
-    metaops
-        .iter()
-        .map(|&id| MpspItem {
-            metaop: id,
-            num_ops: metagraph.metaop(id).num_ops(),
-            curve: Arc::clone(
-                curves
-                    .get(id)
-                    .expect("CurveSet::resolve covers every MetaOp of the ContractedGraph"),
-            ),
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -270,13 +270,6 @@ impl SpindleSession {
         Arc::clone(&self.cluster)
     }
 
-    /// The full cluster this session was created with, before any device
-    /// churn.
-    #[must_use]
-    pub fn pristine_cluster(&self) -> &ClusterSpec {
-        &self.pristine
-    }
-
     /// Devices currently removed from the active cluster (sorted).
     #[must_use]
     pub fn removed_devices(&self) -> &[DeviceId] {

@@ -26,7 +26,8 @@ impl ComputationGraph {
     ///
     /// # Errors
     ///
-    /// Returns an error if the graph is empty, references unknown operators or
+    /// Returns an error if the graph is empty, an operator's id is not its
+    /// index ([`GraphError::UnknownOp`]), it references unknown operators or
     /// tasks, contains duplicate edges, self-loops, or a cycle.
     pub fn new(
         ops: Vec<Operator>,
@@ -37,7 +38,9 @@ impl ComputationGraph {
             return Err(GraphError::EmptyGraph);
         }
         for (idx, op) in ops.iter().enumerate() {
-            debug_assert_eq!(op.id().index(), idx, "operators must be densely indexed");
+            if op.id().index() != idx {
+                return Err(GraphError::UnknownOp(op.id()));
+            }
             op.input_shape().validate()?;
             if op.task().index() >= tasks.len() {
                 return Err(GraphError::UnknownTask(op.task()));

@@ -39,17 +39,20 @@ impl TensorShape {
         Ok(())
     }
 
-    /// Number of elements in a tensor of this shape.
+    /// Number of elements in a tensor of this shape, saturating at
+    /// `u64::MAX`: shapes decoded from the wire may be absurd.
     #[must_use]
     pub fn num_elements(&self) -> u64 {
-        u64::from(self.batch) * u64::from(self.seq) * u64::from(self.hidden)
+        u64::from(self.batch)
+            .saturating_mul(u64::from(self.seq))
+            .saturating_mul(u64::from(self.hidden))
     }
 
     /// Size in bytes assuming 2-byte (bf16/fp16) elements, the precision used
     /// for activations in mixed-precision training.
     #[must_use]
     pub fn activation_bytes(&self) -> u64 {
-        self.num_elements() * 2
+        self.num_elements().saturating_mul(2)
     }
 
     /// Number of tokens (batch × sequence).

@@ -45,18 +45,19 @@ impl TransformerLayerSpec {
     }
 
     /// Number of parameters in one layer: `4·h²` (attention) + `2·m·h²` (MLP)
-    /// plus layer norms (negligible, included as `4·h`).
+    /// plus layer norms (negligible, included as `4·h`), saturating at
+    /// `u64::MAX` for absurd hidden sizes.
     #[must_use]
     pub fn num_params(&self) -> u64 {
         let h = u64::from(self.hidden);
         let m = u64::from(self.ffn_multiplier);
-        4 * h * h + 2 * m * h * h + 4 * h
+        (h * h).saturating_mul(4 + 2 * m).saturating_add(4 * h)
     }
 
     /// Parameter bytes in half precision (2 bytes per parameter).
     #[must_use]
     pub fn param_bytes(&self) -> u64 {
-        self.num_params() * 2
+        self.num_params().saturating_mul(2)
     }
 }
 
@@ -94,7 +95,7 @@ pub fn default_costs(kind: OpKind, shape: TensorShape) -> OpCosts {
         OpKind::Adaptor(_) | OpKind::Projection => OpCosts {
             // One dense projection h -> h.
             flops_forward: 2.0 * b * s * h * h,
-            param_bytes: u64::from(shape.hidden) * u64::from(shape.hidden) * 2,
+            param_bytes: (u64::from(shape.hidden) * u64::from(shape.hidden)).saturating_mul(2),
             output_bytes,
         },
         OpKind::Embedding => OpCosts {

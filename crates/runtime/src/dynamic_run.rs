@@ -334,7 +334,6 @@ impl<'s> DynamicRunLoop<'s> {
                     // Price the plan both ways: closed form and event-driven.
                     let analytical = RuntimeEngine::new(Arc::clone(&plan), &cluster)
                         .with_graph(&arrival.graph)
-                        .with_config(self.sim_config.engine)
                         .run_iteration()?;
                     let sim = Simulator::new(Arc::clone(&plan), &cluster)
                         .with_graph(&arrival.graph)

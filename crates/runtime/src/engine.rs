@@ -10,22 +10,9 @@ use spindle_graph::ComputationGraph;
 use crate::localize::LocalizedPlan;
 use crate::metrics::{
     sample_utilization_trace, ComputeInterval, IterationReport, TimeBreakdown, UtilizationSample,
+    TRACE_SAMPLES,
 };
 use crate::RuntimeError;
-
-/// Tunable knobs of the runtime engine (shared with the event-driven
-/// simulator, which reuses the same trace resolution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Number of samples in the utilization-over-time trace.
-    pub trace_samples: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self { trace_samples: 200 }
-    }
-}
 
 /// Conversion into a shared [`Arc`] handle — what the engine's constructors
 /// accept in place of the lifetime-bound borrows of the old API.
@@ -81,7 +68,6 @@ pub struct RuntimeEngine {
     cluster: ClusterSpec,
     comm: CommModel,
     graph: Option<Arc<ComputationGraph>>,
-    config: EngineConfig,
 }
 
 impl RuntimeEngine {
@@ -94,7 +80,6 @@ impl RuntimeEngine {
             cluster: cluster.clone(),
             comm: CommModel::new(cluster),
             graph: None,
-            config: EngineConfig::default(),
         }
     }
 
@@ -104,14 +89,6 @@ impl RuntimeEngine {
     #[must_use]
     pub fn with_graph(mut self, graph: impl IntoShared<ComputationGraph>) -> Self {
         self.graph = Some(graph.into_shared());
-        self
-    }
-
-    /// Overrides the engine configuration (e.g. the utilization-trace
-    /// resolution).
-    #[must_use]
-    pub fn with_config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -205,7 +182,7 @@ impl RuntimeEngine {
                 })
             })
             .collect();
-        sample_utilization_trace(&intervals, horizon, self.config.trace_samples)
+        sample_utilization_trace(&intervals, horizon, TRACE_SAMPLES)
     }
 
     /// Average per-device utilization relative to peak compute.
@@ -364,22 +341,6 @@ mod tests {
         assert_eq!(trace.len(), 200);
         assert!(trace.iter().any(|s| s.tflops_per_s > 0.0));
         assert!(trace.windows(2).all(|w| w[0].time_s < w[1].time_s));
-    }
-
-    #[test]
-    fn trace_resolution_is_configurable() {
-        let graph = two_task_graph();
-        let cluster = ClusterSpec::homogeneous(1, 8);
-        let plan = SpindleSession::new(cluster.clone()).plan(&graph).unwrap();
-        let report = RuntimeEngine::new(&plan, &cluster)
-            .with_config(EngineConfig { trace_samples: 17 })
-            .run_iteration()
-            .unwrap();
-        assert_eq!(report.utilization_trace().len(), 17);
-        assert!(report
-            .utilization_trace()
-            .iter()
-            .any(|s| s.tflops_per_s > 0.0));
     }
 
     #[test]

@@ -73,7 +73,7 @@ mod sim;
 mod transmission;
 
 pub use dynamic_run::{ChurnRunReport, DynamicRunLoop, DynamicRunReport, PhaseRunReport};
-pub use engine::{EngineConfig, IntoShared, RuntimeEngine};
+pub use engine::{IntoShared, RuntimeEngine};
 pub use error::RuntimeError;
 pub use events::{EventLog, LoggedEvent, SimEventKind};
 pub use localize::LocalizedPlan;

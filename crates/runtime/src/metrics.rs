@@ -71,6 +71,9 @@ pub struct ComputeInterval {
     pub flops_per_s: f64,
 }
 
+/// Points in the utilization trace of every engine and simulator report.
+pub(crate) const TRACE_SAMPLES: usize = 200;
+
 /// Samples a utilization trace of `samples` uniform points over `[0,
 /// horizon_s)` from a set of busy compute intervals. Sample instants use
 /// midpoint positioning (`(k + 0.5) / samples`), so a trace of any resolution

@@ -25,10 +25,10 @@ use spindle_cluster::{
 use spindle_core::{ExecutionPlan, MetaOpId};
 use spindle_graph::ComputationGraph;
 
-use crate::engine::{EngineConfig, IntoShared};
+use crate::engine::IntoShared;
 use crate::events::{EventLog, EventQueue, SimEventKind, XorShift64Star};
 use crate::localize::LocalizedPlan;
-use crate::metrics::{sample_utilization_trace, ComputeInterval, UtilizationSample};
+use crate::metrics::{sample_utilization_trace, ComputeInterval, UtilizationSample, TRACE_SAMPLES};
 use crate::RuntimeError;
 
 /// How inter-wave transmissions and parameter syncs occupy the network.
@@ -145,9 +145,6 @@ pub struct SimConfig {
     /// iteration start; observable only with [`CommMode::Overlapped`] and
     /// contention.
     pub background_flows: Vec<BackgroundFlow>,
-    /// Engine knobs shared with the analytical engine (utilization-trace
-    /// resolution).
-    pub engine: EngineConfig,
 }
 
 impl Default for SimConfig {
@@ -160,7 +157,6 @@ impl Default for SimConfig {
             speed_factors: BTreeMap::new(),
             stragglers: Vec::new(),
             background_flows: Vec::new(),
-            engine: EngineConfig::default(),
         }
     }
 }
@@ -987,8 +983,7 @@ impl<'a> Run<'a> {
     }
 
     fn into_report(self) -> SimReport {
-        let trace =
-            sample_utilization_trace(&self.intervals, self.now, self.config.engine.trace_samples);
+        let trace = sample_utilization_trace(&self.intervals, self.now, TRACE_SAMPLES);
         SimReport {
             total_s: self.now,
             compute_s: self.compute_s,
@@ -1251,11 +1246,7 @@ mod tests {
             sim.event_log().entries().last().unwrap().kind,
             SimEventKind::IterationEnd
         ));
-        // Trace resolution follows the shared engine config.
-        assert_eq!(
-            sim.utilization_trace().len(),
-            EngineConfig::default().trace_samples
-        );
+        assert_eq!(sim.utilization_trace().len(), TRACE_SAMPLES);
     }
 
     #[test]

@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 use spindle_cluster::{ClusterSpec, DeviceId};
 use spindle_graph::ComputationGraph;
 
-use crate::proto::{FrameDecoder, ReplanSummary, Request, Response, WireStats, PROTO_VERSION};
-use crate::{Completion, PlanService, ServiceConfig, SubmitError};
+use crate::proto::{FrameDecoder, ReplanSummary, Request, Response, PROTO_VERSION};
+use crate::{Completion, PlanService, ServiceConfig, ServiceStats, SubmitError};
 
 /// One finished re-plan as seen through a [`ServiceApi`] transport.
 #[derive(Debug, Clone)]
@@ -101,7 +101,7 @@ pub trait ServiceApi {
 
     /// Shuts the service down (draining every accepted event), returning
     /// the final counters and all not-yet-polled completions.
-    fn finish(self) -> (WireStats, Vec<ApiCompletion>)
+    fn finish(self) -> (ServiceStats, Vec<ApiCompletion>)
     where
         Self: Sized;
 }
@@ -152,12 +152,12 @@ impl ServiceApi for LocalClient {
             .map(ApiCompletion::from)
     }
 
-    fn finish(self) -> (WireStats, Vec<ApiCompletion>) {
+    fn finish(self) -> (ServiceStats, Vec<ApiCompletion>) {
         // `shutdown` drains the workers and drops the service — and with it
         // the retained completion sender — so the drain below terminates.
         let stats = self.service.shutdown();
         let rest = self.completions.iter().map(ApiCompletion::from).collect();
-        (stats.into(), rest)
+        (stats, rest)
     }
 }
 
@@ -365,10 +365,10 @@ impl ServiceApi for TcpClient {
         }
     }
 
-    fn finish(mut self) -> (WireStats, Vec<ApiCompletion>) {
+    fn finish(mut self) -> (ServiceStats, Vec<ApiCompletion>) {
         let mut rest: Vec<ApiCompletion> = self.pending.drain(..).collect();
         if self.send(&Request::Shutdown).is_err() {
-            return (WireStats::default(), rest);
+            return (ServiceStats::default(), rest);
         }
         // The server drains its workers, streams the remaining PlanReady
         // frames, then answers with the final Stats and closes.
@@ -379,7 +379,7 @@ impl ServiceApi for TcpClient {
                 }
                 Ok(Some(Response::Stats(stats))) => return (stats, rest),
                 Ok(Some(_)) => continue,
-                Ok(None) | Err(_) => return (WireStats::default(), rest),
+                Ok(None) | Err(_) => return (ServiceStats::default(), rest),
             }
         }
     }

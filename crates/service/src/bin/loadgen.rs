@@ -29,7 +29,7 @@ use spindle_cluster::ClusterSpec;
 use spindle_core::PlannerConfig;
 use spindle_service::{
     ApiCompletion, Backoff, LocalClient, ServiceApi, ServiceConfig, SubmitError, TcpClient,
-    TcpIngress, WireStats,
+    TcpIngress,
 };
 use spindle_workloads::TenantFleet;
 
@@ -161,7 +161,7 @@ fn replay<A: ServiceApi>(
         replans: stats.replans,
         rejections,
         throttled,
-        coalescing_ratio: coalescing_ratio(&stats),
+        coalescing_ratio: stats.coalescing_ratio(),
         p50: percentile(&tally.latencies, 0.50),
         p99: percentile(&tally.latencies, 0.99),
         wall,
@@ -169,13 +169,6 @@ fn replay<A: ServiceApi>(
         evictions: tally.evictions,
         fingerprints: tally.fingerprints,
     }
-}
-
-fn coalescing_ratio(stats: &WireStats) -> f64 {
-    if stats.replans == 0 {
-        return 1.0;
-    }
-    stats.submitted as f64 / stats.replans as f64
 }
 
 /// Accumulates completion-side measurements during a replay.

@@ -84,6 +84,6 @@ pub use coalesce::{CoalescedReplan, CoalescingQueue};
 pub use fairness::{FairnessConfig, TenantPolicy, TenantThrottle};
 pub use listener::TcpIngress;
 pub use proto::{
-    ErrorCode, FrameDecoder, ReplanSummary, Request, Response, WireError, WireStats, PROTO_VERSION,
+    ErrorCode, FrameDecoder, ReplanSummary, Request, Response, WireError, PROTO_VERSION,
 };
 pub use service::{Completion, PlanService, ServiceConfig, ServiceStats, SubmitError};

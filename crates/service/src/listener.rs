@@ -348,7 +348,7 @@ fn handle_request(
                 }),
             }
         }
-        Request::Stats => conn.queue(&Response::Stats(service.stats().into())),
+        Request::Stats => conn.queue(&Response::Stats(service.stats())),
         Request::Shutdown => return true,
     }
     false
@@ -446,7 +446,7 @@ fn serve(
     for done in completions.iter() {
         route(&done, &mut conns, &owner);
     }
-    let final_stats = Response::Stats(stats.into());
+    let final_stats = Response::Stats(stats);
     for conn in conns.iter_mut().flatten() {
         if !conn.dead {
             conn.queue(&final_stats);

@@ -13,11 +13,22 @@
 //! payload  := [tag: u8] [body]
 //! ```
 //!
+//! Each message is declared once: its tag and its fields in wire order. One
+//! codec per field type writes and reads it, so encoding, decoding and the
+//! exact encoded length ([`graph_wire_len`]) all follow from that one list.
+//! Integers are little-endian; a `bool` is one byte (0 or 1); an `f64`
+//! travels as its bit pattern; a string is a `u32` byte count then UTF-8; an
+//! `Option` is a `bool` flag then the value; a list is a count then its
+//! items, with `u8` counts for a task's modalities, `u16` for an operator's
+//! params and `u32` everywhere else.
+//!
 //! Decoding is strict: unknown tags, truncated bodies, trailing bytes,
 //! out-of-range enum values, invalid UTF-8 and frames above
 //! [`MAX_FRAME_LEN`] are all [`WireError`]s — a malformed frame never reaches
 //! the worker shards (the listener answers [`Response::Error`] and closes the
-//! offending connection).
+//! offending connection). A graph must also pass [`ComputationGraph::new`],
+//! give every operator a finite, non-negative forward cost and list each of
+//! its params once, so whatever decodes re-encodes to the same bytes.
 //!
 //! Version negotiation: a client's first message must be
 //! [`Request::Hello`] carrying [`PROTO_VERSION`]; the server answers
@@ -26,7 +37,6 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 use spindle_cluster::DeviceId;
 use spindle_core::{CacheTelemetry, ReplanOutcome};
@@ -51,21 +61,9 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 /// Bytes of the frame length prefix.
 pub const FRAME_HEADER_LEN: usize = 4;
 
-// Request payload tags.
-const TAG_HELLO: u8 = 0x01;
-const TAG_SUBMIT_GRAPH: u8 = 0x02;
-const TAG_TOPOLOGY: u8 = 0x03;
-const TAG_STATS: u8 = 0x04;
-const TAG_SHUTDOWN: u8 = 0x05;
-
-// Response payload tags.
-const TAG_HELLO_ACK: u8 = 0x81;
-const TAG_ACCEPTED: u8 = 0x82;
-const TAG_PLAN_READY: u8 = 0x83;
-const TAG_REJECTED: u8 = 0x84;
-const TAG_STATS_REPLY: u8 = 0x85;
-const TAG_TOPOLOGY_ACK: u8 = 0x86;
-const TAG_ERROR: u8 = 0x87;
+/// Most list items a decoder reserves room for up front: a forged count must
+/// not allocate ahead of the bytes that actually arrive.
+const MAX_RESERVE: usize = 1024;
 
 /// Why a frame could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,7 +93,8 @@ pub enum WireError {
     BadUtf8,
     /// A length field exceeded the remaining body.
     BadLength,
-    /// The decoded graph failed [`ComputationGraph::new`] validation.
+    /// The decoded graph failed [`ComputationGraph::new`] validation, or an
+    /// operator carried a non-finite or negative cost or a repeated param.
     InvalidGraph(String),
     /// A `Hello` carried a protocol version this build does not speak.
     UnsupportedVersion(u16),
@@ -128,6 +127,334 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+// ---------------------------------------------------------------------------
+// The field codec
+// ---------------------------------------------------------------------------
+
+/// A value with one wire encoding: `put` appends it to a [`Sink`] and `take`
+/// reads it back from a strict [`Reader`], field for field.
+trait Wire: Sized {
+    fn put(&self, out: &mut impl Sink);
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
+/// Where [`Wire::put`] writes: a frame buffer, or a [`ByteCount`] that only
+/// measures.
+trait Sink: Sized {
+    fn bytes(&mut self, bytes: &[u8]);
+
+    /// Writes a list: its length as an `N`, then each item.
+    fn list<N: Count, T: Wire>(&mut self, items: &[T]) {
+        N::from_len(items.len()).put(self);
+        for item in items {
+            item.put(self);
+        }
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// A [`Sink`] that counts bytes instead of storing them.
+struct ByteCount(usize);
+
+impl ByteCount {
+    /// The exact encoded length of `value`, without allocating.
+    fn of(value: &impl Wire) -> usize {
+        let mut count = Self(0);
+        value.put(&mut count);
+        count.0
+    }
+}
+
+impl Sink for ByteCount {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+/// An integer type a list's length is written as.
+trait Count: Wire {
+    /// Truncates like `as`: a list longer than its count type allows is
+    /// not a valid message, and encoding must not panic on one.
+    fn from_len(len: usize) -> Self;
+    fn to_len(self) -> usize;
+}
+
+/// A strict reader over one frame payload.
+struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0 }
+    }
+
+    /// The next `n` bytes.
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let end = self.pos.checked_add(n).ok_or(WireError::BadLength)?;
+        if end > self.buf.len() {
+            return Err(WireError::Truncated);
+        }
+        let slice = &self.buf[self.pos..end];
+        self.pos = end;
+        Ok(slice)
+    }
+
+    /// Reads a list written by [`Sink::list`].
+    fn list<N: Count, T: Wire>(&mut self) -> Result<Vec<T>, WireError> {
+        let len = N::take(self)?.to_len();
+        let mut items = Vec::with_capacity(len.min(MAX_RESERVE));
+        for _ in 0..len {
+            items.push(T::take(self)?);
+        }
+        Ok(items)
+    }
+
+    /// Asserts the payload was consumed exactly.
+    fn finish(&self) -> Result<(), WireError> {
+        if self.pos != self.buf.len() {
+            return Err(WireError::TrailingBytes {
+                extra: self.buf.len() - self.pos,
+            });
+        }
+        Ok(())
+    }
+}
+
+macro_rules! wire_uint {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            fn put(&self, out: &mut impl Sink) {
+                out.bytes(&self.to_le_bytes());
+            }
+
+            fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                let bytes = r.bytes(std::mem::size_of::<$int>())?;
+                Ok(<$int>::from_le_bytes(
+                    bytes.try_into().expect("`Reader::bytes` returns exactly the width"),
+                ))
+            }
+        }
+
+        impl Count for $int {
+            fn from_len(len: usize) -> Self {
+                len as $int
+            }
+
+            fn to_len(self) -> usize {
+                self as usize
+            }
+        }
+    )*};
+}
+
+wire_uint!(u8, u16, u32, u64);
+
+/// Implements [`Wire`] for a struct as its fields in order. Given the whole
+/// declaration, it also declares the struct, so that the field order is
+/// written once.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$field_meta:meta])* pub $field:ident: $ty:ty,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$field_meta])* pub $field: $ty,)*
+        }
+
+        wire_struct!($name { $($field),* });
+    };
+    ($name:ident { $($field:tt),* $(,)? }) => {
+        impl Wire for $name {
+            fn put(&self, out: &mut impl Sink) {
+                $(self.$field.put(out);)*
+            }
+
+            fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(Self { $($field: Wire::take(r)?),* })
+            }
+        }
+    };
+}
+
+wire_struct!(TaskId { 0 });
+wire_struct!(OpId { 0 });
+wire_struct!(ParamId { 0 });
+wire_struct!(DeviceId { 0 });
+
+/// Declares a message enum whose variants each carry their tag, and
+/// implements [`Wire`] for it as the tag, then the variant's fields in
+/// order, plus the public `encode`/`decode`. A tuple variant names its one
+/// field: `Stats(stats: ServiceStats)`.
+macro_rules! wire_message {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$variant_meta:meta])*
+                $tag:ident = $value:literal => $variant:ident
+                    $({ $($(#[$field_meta:meta])* $field:ident: $ty:ty,)* })?
+                    $(($inner:ident: $inner_ty:ty))?,
+            )*
+        }
+    ) => {
+        $(const $tag: u8 = $value;)*
+
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$variant_meta])*
+                $variant $({ $($(#[$field_meta])* $field: $ty,)* })? $(($inner_ty))?,
+            )*
+        }
+
+        impl Wire for $name {
+            fn put(&self, out: &mut impl Sink) {
+                match self {
+                    $(Self::$variant $({ $($field),* })? $(($inner))? => {
+                        $tag.put(out);
+                        $($($field.put(out);)*)?
+                        $($inner.put(out);)?
+                    })*
+                }
+            }
+
+            fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(match u8::take(r)? {
+                    $($tag => {
+                        $($(let $field = Wire::take(r)?;)*)?
+                        $(let $inner = Wire::take(r)?;)?
+                        Self::$variant $({ $($field),* })? $(($inner))?
+                    })*
+                    other => return Err(WireError::UnknownTag(other)),
+                })
+            }
+        }
+
+        impl $name {
+            /// Encodes the message as one complete frame (length prefix
+            /// included).
+            #[must_use]
+            pub fn encode(&self) -> Vec<u8> {
+                let len = ByteCount::of(self);
+                debug_assert!(len <= MAX_FRAME_LEN);
+                let mut out = Vec::with_capacity(FRAME_HEADER_LEN + len);
+                (len as u32).put(&mut out);
+                self.put(&mut out);
+                out
+            }
+
+            /// Decodes a message from one frame payload (no length prefix).
+            ///
+            /// # Errors
+            ///
+            /// Any [`WireError`]: decoding is strict (see the module docs).
+            pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
+                let mut r = Reader::new(payload);
+                let message = Self::take(&mut r)?;
+                r.finish()?;
+                Ok(message)
+            }
+        }
+    };
+}
+
+impl Wire for bool {
+    fn put(&self, out: &mut impl Sink) {
+        u8::from(*self).put(out);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::take(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(WireError::BadEnum {
+                what: "bool",
+                value: u32::from(other),
+            }),
+        }
+    }
+}
+
+impl Wire for f64 {
+    fn put(&self, out: &mut impl Sink) {
+        self.to_bits().put(out);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        u64::take(r).map(f64::from_bits)
+    }
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut impl Sink) {
+        out.list::<u32, u8>(self.as_bytes());
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = u32::take(r)?.to_len();
+        let bytes = r.bytes(len).map_err(|_| WireError::BadLength)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut impl Sink) {
+        self.is_some().put(out);
+        if let Some(value) = self {
+            value.put(out);
+        }
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(if bool::take(r)? {
+            Some(T::take(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut impl Sink) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::take(r)?, B::take(r)?))
+    }
+}
+
+impl<T: Wire> Wire for Arc<T> {
+    fn put(&self, out: &mut impl Sink) {
+        (**self).put(out);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        T::take(r).map(Arc::new)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut impl Sink) {
+        out.list::<u32, T>(self);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.list::<u32, T>()
+    }
+}
+
 /// Stable numeric error codes carried by [`Response::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
@@ -147,215 +474,188 @@ pub enum ErrorCode {
     Internal = 6,
 }
 
-impl ErrorCode {
-    fn from_u16(value: u16) -> Result<Self, WireError> {
-        Ok(match value {
-            1 => Self::Malformed,
-            2 => Self::UnsupportedVersion,
-            3 => Self::HelloRequired,
-            4 => Self::InvalidGraph,
-            5 => Self::Unavailable,
-            6 => Self::Internal,
-            other => {
-                return Err(WireError::BadEnum {
-                    what: "error code",
-                    value: u32::from(other),
-                })
-            }
+impl Wire for ErrorCode {
+    fn put(&self, out: &mut impl Sink) {
+        (*self as u16).put(out);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let value = u16::take(r)?;
+        [
+            Self::Malformed,
+            Self::UnsupportedVersion,
+            Self::HelloRequired,
+            Self::InvalidGraph,
+            Self::Unavailable,
+            Self::Internal,
+        ]
+        .into_iter()
+        .find(|&code| code as u16 == value)
+        .ok_or(WireError::BadEnum {
+            what: "error code",
+            value: u32::from(value),
         })
     }
 }
 
-/// A client-to-server message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Version negotiation; must be the first message of every connection.
-    Hello {
-        /// The protocol version the client speaks.
-        proto_version: u16,
-    },
-    /// A churn event: `tenant`'s task mix became `graph`.
-    SubmitGraph {
-        /// The tenant whose task mix changed.
-        tenant: u64,
-        /// The tenant's new computation graph.
-        graph: Arc<ComputationGraph>,
-    },
-    /// A cluster topology change, broadcast to every worker.
-    Topology {
-        /// Devices that left the pool.
-        removed: Vec<DeviceId>,
-        /// Devices that rejoined the pool.
-        restored: Vec<DeviceId>,
-    },
-    /// Request a [`Response::Stats`] snapshot.
-    Stats,
-    /// Drain and stop the service; the server answers with any remaining
-    /// [`Response::PlanReady`] frames followed by a final [`Response::Stats`].
-    Shutdown,
-}
+// ---------------------------------------------------------------------------
+// Messages
+// ---------------------------------------------------------------------------
 
-/// A server-to-client message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// `Hello` accepted; the server speaks `proto_version`.
-    HelloAck {
-        /// The version the server will use on this connection.
-        proto_version: u16,
-    },
-    /// A `SubmitGraph` was accepted onto its tenant's worker queue. The
-    /// re-plan itself arrives later as [`Response::PlanReady`].
-    Accepted {
-        /// The tenant whose submission was accepted.
-        tenant: u64,
-    },
-    /// One finished re-plan (the wire form of a
-    /// [`Completion`](crate::Completion)).
-    PlanReady {
-        /// The tenant that was re-planned.
-        tenant: u64,
-        /// Summary of the produced plan; empty/default fields with
-        /// `error != None` mean the re-plan failed.
-        outcome: ReplanSummary,
-        /// Planning error message, if the re-plan failed.
-        error: Option<String>,
-        /// `true` when triggered by a topology change.
-        topology_change: bool,
-        /// Churn events folded into this re-plan.
-        coalesced: u32,
-        /// Queue wait of the oldest folded event, nanoseconds.
-        queue_wait_ns: u64,
-        /// Planning time, nanoseconds.
-        plan_time_ns: u64,
-    },
-    /// A `SubmitGraph` was rejected by backpressure or a tenant quota.
-    Rejected {
-        /// The tenant whose submission was rejected.
-        tenant: u64,
-        /// Suggested backoff before retrying, nanoseconds.
-        retry_hint_ns: u64,
-        /// `true` when a per-tenant fairness quota (not queue depth)
-        /// rejected the submission.
-        throttled: bool,
-    },
-    /// Service-wide counter snapshot.
-    Stats(WireStats),
-    /// A `Topology` change was broadcast to `workers` workers.
-    TopologyAck {
-        /// Workers notified of the change.
-        workers: u32,
-    },
-    /// A request failed; for [`ErrorCode::Malformed`],
-    /// [`ErrorCode::UnsupportedVersion`] and [`ErrorCode::HelloRequired`] the
-    /// server closes the connection after sending this.
-    Error {
-        /// Stable numeric code.
-        code: ErrorCode,
-        /// Human-readable detail.
-        message: String,
-    },
-}
-
-/// The wire form of [`ServiceStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WireStats {
-    /// Submissions accepted onto a worker queue.
-    pub submitted: u64,
-    /// Submissions rejected by backpressure.
-    pub rejected: u64,
-    /// Submissions rejected by per-tenant fairness quotas.
-    pub throttled: u64,
-    /// Coalesced re-plans executed.
-    pub replans: u64,
-    /// Topology-change re-plans executed.
-    pub topology_replans: u64,
-    /// Failed re-plans plus worker panics.
-    pub errors: u64,
-    /// Total planning time, nanoseconds.
-    pub plan_nanos: u64,
-    /// MetaOps re-materialised from checkpoints across all re-plans.
-    pub rematerialized_metaops: u64,
-    /// State bytes read back from the checkpoint tier across all re-plans.
-    pub restore_bytes: u64,
-}
-
-impl From<ServiceStats> for WireStats {
-    fn from(s: ServiceStats) -> Self {
-        Self {
-            submitted: s.submitted,
-            rejected: s.rejected,
-            throttled: s.throttled,
-            replans: s.replans,
-            topology_replans: s.topology_replans,
-            errors: s.errors,
-            plan_nanos: s.plan_nanos,
-            rematerialized_metaops: s.rematerialized_metaops,
-            restore_bytes: s.restore_bytes,
-        }
+wire_message! {
+    /// A client-to-server message.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request {
+        /// Version negotiation; must be the first message of every connection.
+        TAG_HELLO = 0x01 => Hello {
+            /// The protocol version the client speaks.
+            proto_version: u16,
+        },
+        /// A churn event: `tenant`'s task mix became `graph`.
+        TAG_SUBMIT_GRAPH = 0x02 => SubmitGraph {
+            /// The tenant whose task mix changed.
+            tenant: u64,
+            /// The tenant's new computation graph.
+            graph: Arc<ComputationGraph>,
+        },
+        /// A cluster topology change, broadcast to every worker.
+        TAG_TOPOLOGY = 0x03 => Topology {
+            /// Devices that left the pool.
+            removed: Vec<DeviceId>,
+            /// Devices that rejoined the pool.
+            restored: Vec<DeviceId>,
+        },
+        /// Request a [`Response::Stats`] snapshot.
+        TAG_STATS = 0x04 => Stats,
+        /// Drain and stop the service; the server answers with any remaining
+        /// [`Response::PlanReady`] frames followed by a final
+        /// [`Response::Stats`].
+        TAG_SHUTDOWN = 0x05 => Shutdown,
     }
 }
 
-impl From<WireStats> for ServiceStats {
-    fn from(s: WireStats) -> Self {
-        Self {
-            submitted: s.submitted,
-            rejected: s.rejected,
-            throttled: s.throttled,
-            replans: s.replans,
-            topology_replans: s.topology_replans,
-            errors: s.errors,
-            plan_nanos: s.plan_nanos,
-            rematerialized_metaops: s.rematerialized_metaops,
-            restore_bytes: s.restore_bytes,
-        }
+wire_message! {
+    /// A server-to-client message.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response {
+        /// `Hello` accepted; the server speaks `proto_version`.
+        TAG_HELLO_ACK = 0x81 => HelloAck {
+            /// The version the server will use on this connection.
+            proto_version: u16,
+        },
+        /// A `SubmitGraph` was accepted onto its tenant's worker queue. The
+        /// re-plan itself arrives later as [`Response::PlanReady`].
+        TAG_ACCEPTED = 0x82 => Accepted {
+            /// The tenant whose submission was accepted.
+            tenant: u64,
+        },
+        /// One finished re-plan (the wire form of a
+        /// [`Completion`](crate::Completion)).
+        TAG_PLAN_READY = 0x83 => PlanReady {
+            /// The tenant that was re-planned.
+            tenant: u64,
+            /// Summary of the produced plan; empty/default fields with
+            /// `error != None` mean the re-plan failed.
+            outcome: ReplanSummary,
+            /// Planning error message, if the re-plan failed.
+            error: Option<String>,
+            /// `true` when triggered by a topology change.
+            topology_change: bool,
+            /// Churn events folded into this re-plan.
+            coalesced: u32,
+            /// Queue wait of the oldest folded event, nanoseconds.
+            queue_wait_ns: u64,
+            /// Planning time, nanoseconds.
+            plan_time_ns: u64,
+        },
+        /// A `SubmitGraph` was rejected by backpressure or a tenant quota.
+        TAG_REJECTED = 0x84 => Rejected {
+            /// The tenant whose submission was rejected.
+            tenant: u64,
+            /// Suggested backoff before retrying, nanoseconds.
+            retry_hint_ns: u64,
+            /// `true` when a per-tenant fairness quota (not queue depth)
+            /// rejected the submission.
+            throttled: bool,
+        },
+        /// Service-wide counter snapshot.
+        TAG_STATS_REPLY = 0x85 => Stats(stats: ServiceStats),
+        /// A `Topology` change was broadcast to `workers` workers.
+        TAG_TOPOLOGY_ACK = 0x86 => TopologyAck {
+            /// Workers notified of the change.
+            workers: u32,
+        },
+        /// A request failed; for [`ErrorCode::Malformed`],
+        /// [`ErrorCode::UnsupportedVersion`] and [`ErrorCode::HelloRequired`]
+        /// the server closes the connection after sending this.
+        TAG_ERROR = 0x87 => Error {
+            /// Stable numeric code.
+            code: ErrorCode,
+            /// Human-readable detail.
+            message: String,
+        },
     }
 }
 
-/// A transport-portable summary of a [`ReplanOutcome`].
-///
-/// The full outcome owns an [`ExecutionPlan`](spindle_core::ExecutionPlan);
-/// shipping every wave over the wire would be wasteful when clients only need
-/// the plan's identity and the cache-warmth probe. The summary therefore
-/// carries the plan's *fingerprint* — an FNV-1a hash over every wave entry's
-/// exact bit pattern — plus the outcome's counters. Two plans have equal
-/// fingerprints iff their wave structure, timings and placements are
-/// bit-identical, which is the property the transport-equivalence cross-check
-/// asserts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReplanSummary {
-    /// Bit pattern of the plan's makespan (seconds as `f64::to_bits`).
-    pub makespan_bits: u64,
-    /// Number of waves in the plan.
-    pub num_waves: u32,
-    /// FNV-1a fingerprint over every wave's entries (metaop, layers, devices,
-    /// per-op time bits, start/duration bits and placement device ids).
-    pub plan_fingerprint: u64,
-    /// Operator signatures profiled and fitted anew.
-    pub new_curve_fits: u32,
-    /// Curve-cache hits served while producing the plan.
-    pub cache_hits: u32,
-    /// `true` if the curve cache was fully warm.
-    pub warm: bool,
-    /// MetaLevels of the re-planned graph.
-    pub levels_total: u32,
-    /// Levels spliced from the structural plan cache.
-    pub levels_reused: u32,
-    /// `true` if the fully placed wave list was served structurally.
-    pub placement_reused: bool,
-    /// Session cache telemetry after the re-plan.
-    pub cache: CacheTelemetry,
-    /// Devices lost since the reused placement was made.
-    pub devices_lost: u32,
-    /// Levels re-placed after a topology change.
-    pub levels_replaced: u32,
-    /// Parameter bytes that must move to realize the new placement.
-    pub migration_bytes: u64,
-    /// Bit pattern of the estimated migration time in seconds.
-    pub migration_cost_bits: u64,
-    /// MetaOps that lost every replica and must restore from checkpoints.
-    pub rematerialized_metaops: u32,
-    /// State bytes of those MetaOps that must be read back from storage.
-    pub restore_bytes: u64,
+wire_struct!(ServiceStats {
+    submitted,
+    rejected,
+    throttled,
+    replans,
+    topology_replans,
+    errors,
+    plan_nanos,
+    rematerialized_metaops,
+    restore_bytes,
+});
+
+wire_struct! {
+    /// A transport-portable summary of a [`ReplanOutcome`].
+    ///
+    /// The full outcome owns an [`ExecutionPlan`](spindle_core::ExecutionPlan);
+    /// shipping every wave over the wire would be wasteful when clients only need
+    /// the plan's identity and the cache-warmth probe. The summary therefore
+    /// carries the plan's *fingerprint* — an FNV-1a hash over every wave entry's
+    /// exact bit pattern — plus the outcome's counters. Two plans have equal
+    /// fingerprints iff their wave structure, timings and placements are
+    /// bit-identical, which is the property the transport-equivalence cross-check
+    /// asserts.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct ReplanSummary {
+        /// Bit pattern of the plan's makespan (seconds as `f64::to_bits`).
+        pub makespan_bits: u64,
+        /// Number of waves in the plan.
+        pub num_waves: u32,
+        /// FNV-1a fingerprint over every wave's entries (metaop, layers, devices,
+        /// per-op time bits, start/duration bits and placement device ids).
+        pub plan_fingerprint: u64,
+        /// Operator signatures profiled and fitted anew.
+        pub new_curve_fits: u32,
+        /// Curve-cache hits served while producing the plan.
+        pub cache_hits: u32,
+        /// `true` if the curve cache was fully warm.
+        pub warm: bool,
+        /// MetaLevels of the re-planned graph.
+        pub levels_total: u32,
+        /// Levels spliced from the structural plan cache.
+        pub levels_reused: u32,
+        /// `true` if the fully placed wave list was served structurally.
+        pub placement_reused: bool,
+        /// Session cache telemetry after the re-plan.
+        pub cache: CacheTelemetry,
+        /// Devices lost since the reused placement was made.
+        pub devices_lost: u32,
+        /// Levels re-placed after a topology change.
+        pub levels_replaced: u32,
+        /// Parameter bytes that must move to realize the new placement.
+        pub migration_bytes: u64,
+        /// Bit pattern of the estimated migration time in seconds.
+        pub migration_cost_bits: u64,
+        /// MetaOps that lost every replica and must restore from checkpoints.
+        pub rematerialized_metaops: u32,
+        /// State bytes of those MetaOps that must be read back from storage.
+        pub restore_bytes: u64,
+    }
 }
 
 impl ReplanSummary {
@@ -433,517 +733,174 @@ impl Fnv1a {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Primitive writers / readers
-// ---------------------------------------------------------------------------
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
-}
-
-/// A strict reader over one frame payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+impl Wire for CacheTelemetry {
+    fn put(&self, out: &mut impl Sink) {
+        (self.bytes as u64).put(out);
+        self.evictions.put(out);
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::BadLength)?;
-        if end > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(WireError::BadEnum {
-                what: "bool",
-                value: u32::from(other),
-            }),
-        }
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len).map_err(|_| WireError::BadLength)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
-    }
-
-    /// Asserts the payload was consumed exactly.
-    fn finish(&self) -> Result<(), WireError> {
-        if self.pos != self.buf.len() {
-            return Err(WireError::TrailingBytes {
-                extra: self.buf.len() - self.pos,
-            });
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Graph (de)serialization
-// ---------------------------------------------------------------------------
-
-fn modality_tag(m: Modality) -> u8 {
-    Modality::ALL
-        .iter()
-        .position(|&x| x == m)
-        .expect("Modality::ALL covers every modality") as u8
-}
-
-fn modality_from_tag(tag: u8) -> Result<Modality, WireError> {
-    Modality::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or(WireError::BadEnum {
-            what: "modality",
-            value: u32::from(tag),
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Self {
+            bytes: u64::take(r)? as usize,
+            evictions: u64::take(r)?,
         })
-}
-
-/// `(tag, modality payload)` of an [`OpKind`]. The enum is `#[non_exhaustive]`
-/// upstream; kinds unknown to this protocol version cannot be encoded.
-fn kind_tag(kind: OpKind) -> (u8, Option<Modality>) {
-    match kind {
-        OpKind::Encoder(m) => (0, Some(m)),
-        OpKind::Adaptor(m) => (1, Some(m)),
-        OpKind::LmEncoder => (2, None),
-        OpKind::LmDecoder => (3, None),
-        OpKind::LmDecoderOnly => (4, None),
-        OpKind::Embedding => (5, None),
-        OpKind::Projection => (6, None),
-        OpKind::ContrastiveLoss => (7, None),
-        OpKind::GenerativeLoss => (8, None),
-        // `OpKind` is non-exhaustive upstream; this protocol version covers
-        // all nine kinds that exist today.
-        _ => unreachable!("unknown OpKind cannot be built by this workspace"),
     }
 }
 
-fn kind_from_reader(r: &mut Reader<'_>) -> Result<OpKind, WireError> {
-    let tag = r.u8()?;
-    Ok(match tag {
-        0 => OpKind::Encoder(modality_from_tag(r.u8()?)?),
-        1 => OpKind::Adaptor(modality_from_tag(r.u8()?)?),
-        2 => OpKind::LmEncoder,
-        3 => OpKind::LmDecoder,
-        4 => OpKind::LmDecoderOnly,
-        5 => OpKind::Embedding,
-        6 => OpKind::Projection,
-        7 => OpKind::ContrastiveLoss,
-        8 => OpKind::GenerativeLoss,
-        other => {
-            return Err(WireError::BadEnum {
-                what: "op kind",
-                value: u32::from(other),
+// ---------------------------------------------------------------------------
+// Graphs
+// ---------------------------------------------------------------------------
+
+impl Wire for Modality {
+    fn put(&self, out: &mut impl Sink) {
+        let tag = Modality::ALL
+            .iter()
+            .position(|m| m == self)
+            .expect("Modality::ALL covers every modality");
+        (tag as u8).put(out);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let tag = u8::take(r)?;
+        Modality::ALL
+            .get(usize::from(tag))
+            .copied()
+            .ok_or(WireError::BadEnum {
+                what: "modality",
+                value: u32::from(tag),
             })
-        }
-    })
-}
-
-/// Appends the deterministic wire encoding of `graph` to `out`.
-pub fn encode_graph(graph: &ComputationGraph, out: &mut Vec<u8>) {
-    put_u32(out, graph.tasks().len() as u32);
-    for task in graph.tasks() {
-        put_u32(out, task.id().0);
-        put_str(out, task.name());
-        put_u8(out, task.modalities().len() as u8);
-        for &m in task.modalities() {
-            put_u8(out, modality_tag(m));
-        }
-        put_u32(out, task.batch_size());
-    }
-    put_u32(out, graph.ops().len() as u32);
-    for op in graph.ops() {
-        put_u32(out, op.id().0);
-        let (tag, modality) = kind_tag(op.kind());
-        put_u8(out, tag);
-        if let Some(m) = modality {
-            put_u8(out, modality_tag(m));
-        }
-        put_u32(out, op.task().0);
-        let shape = op.input_shape();
-        put_u32(out, shape.batch);
-        put_u32(out, shape.seq);
-        put_u32(out, shape.hidden);
-        put_u64(out, op.flops_forward().to_bits());
-        put_u64(out, op.param_bytes());
-        put_u64(out, op.output_bytes());
-        put_u16(out, op.params().len() as u16);
-        for &p in op.params() {
-            put_u32(out, p.0);
-        }
-    }
-    put_u32(out, graph.edges().len() as u32);
-    for &(src, dst) in graph.edges() {
-        put_u32(out, src.0);
-        put_u32(out, dst.0);
     }
 }
 
-/// Exact length of [`encode_graph`]'s output, without allocating. Used as the
-/// byte cost of a submission under per-tenant byte quotas — both transports
-/// charge the same figure.
-#[must_use]
-pub fn graph_wire_len(graph: &ComputationGraph) -> usize {
-    let mut len = 4;
-    for task in graph.tasks() {
-        len += 4 + 4 + task.name().len() + 1 + task.modalities().len() + 4;
+/// The op kinds that carry no modality, in tag order from 2; `Encoder` (0)
+/// and `Adaptor` (1) carry one after their tag.
+const PLAIN_KINDS: [OpKind; 7] = [
+    OpKind::LmEncoder,
+    OpKind::LmDecoder,
+    OpKind::LmDecoderOnly,
+    OpKind::Embedding,
+    OpKind::Projection,
+    OpKind::ContrastiveLoss,
+    OpKind::GenerativeLoss,
+];
+
+impl Wire for OpKind {
+    fn put(&self, out: &mut impl Sink) {
+        match *self {
+            OpKind::Encoder(m) => (0u8, m).put(out),
+            OpKind::Adaptor(m) => (1u8, m).put(out),
+            kind => {
+                let at = PLAIN_KINDS
+                    .iter()
+                    .position(|&k| k == kind)
+                    .expect("this protocol version covers every OpKind");
+                (2 + at as u8).put(out);
+            }
+        }
     }
-    len += 4;
-    for op in graph.ops() {
-        let (_, modality) = kind_tag(op.kind());
-        len += 4 + 1 + usize::from(modality.is_some()) + 4 + 12 + 8 + 8 + 8 + 2;
-        len += 4 * op.params().len();
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::take(r)? {
+            0 => Modality::take(r).map(OpKind::Encoder),
+            1 => Modality::take(r).map(OpKind::Adaptor),
+            tag => PLAIN_KINDS
+                .get(usize::from(tag) - 2)
+                .copied()
+                .ok_or(WireError::BadEnum {
+                    what: "op kind",
+                    value: u32::from(tag),
+                }),
+        }
     }
-    len + 4 + 8 * graph.edges().len()
 }
 
-fn decode_graph(r: &mut Reader<'_>) -> Result<ComputationGraph, WireError> {
-    let num_tasks = r.u32()? as usize;
-    let mut tasks = Vec::with_capacity(num_tasks.min(1024));
-    for _ in 0..num_tasks {
-        let id = TaskId(r.u32()?);
-        let name = r.str()?;
-        let num_modalities = r.u8()? as usize;
-        let mut modalities = Vec::with_capacity(num_modalities);
-        for _ in 0..num_modalities {
-            modalities.push(modality_from_tag(r.u8()?)?);
-        }
-        let batch = r.u32()?;
-        tasks.push(TaskSpec::new(id, name, modalities, batch));
+impl Wire for TaskSpec {
+    fn put(&self, out: &mut impl Sink) {
+        self.id().put(out);
+        // The `String` encoding of the name, without copying it.
+        out.list::<u32, u8>(self.name().as_bytes());
+        out.list::<u8, Modality>(self.modalities());
+        self.batch_size().put(out);
     }
-    let num_ops = r.u32()? as usize;
-    let mut ops = Vec::with_capacity(num_ops.min(65_536));
-    for _ in 0..num_ops {
-        let id = OpId(r.u32()?);
-        let kind = kind_from_reader(r)?;
-        let task = TaskId(r.u32()?);
-        let shape = TensorShape::new(r.u32()?, r.u32()?, r.u32()?);
-        let flops_forward = f64::from_bits(r.u64()?);
-        let param_bytes = r.u64()?;
-        let output_bytes = r.u64()?;
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let id = TaskId::take(r)?;
+        let name = String::take(r)?;
+        let modalities = r.list::<u8, Modality>()?;
+        Ok(TaskSpec::new(id, name, modalities, u32::take(r)?))
+    }
+}
+
+impl Wire for Operator {
+    fn put(&self, out: &mut impl Sink) {
+        self.id().put(out);
+        self.kind().put(out);
+        self.task().put(out);
+        let shape = self.input_shape();
+        shape.batch.put(out);
+        shape.seq.put(out);
+        shape.hidden.put(out);
+        self.flops_forward().put(out);
+        self.param_bytes().put(out);
+        self.output_bytes().put(out);
+        out.list::<u16, ParamId>(self.params());
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let id = OpId::take(r)?;
+        let kind = OpKind::take(r)?;
+        let task = TaskId::take(r)?;
+        let shape = TensorShape::new(u32::take(r)?, u32::take(r)?, u32::take(r)?);
+        let flops_forward = f64::take(r)?;
+        // No schedule prices a NaN or infinite cost: NaN plans to a 0 s
+        // makespan.
+        if !(flops_forward.is_finite() && flops_forward >= 0.0) {
+            return Err(WireError::InvalidGraph(format!(
+                "operator {id} has forward cost {flops_forward}"
+            )));
+        }
+        let (param_bytes, output_bytes) = (u64::take(r)?, u64::take(r)?);
         let mut op = Operator::new(id, kind, task, shape).with_costs(
             flops_forward,
             param_bytes,
             output_bytes,
         );
-        let num_params = r.u16()? as usize;
-        for _ in 0..num_params {
-            op = op.with_param(ParamId(r.u32()?));
+        // The `u16` list of params, attached as read rather than collected.
+        for _ in 0..u16::take(r)? {
+            let param = ParamId::take(r)?;
+            // `with_param` folds a repeat, which would re-encode differently.
+            if op.params().contains(&param) {
+                return Err(WireError::InvalidGraph(format!(
+                    "operator {id} lists param {param} twice"
+                )));
+            }
+            op = op.with_param(param);
         }
-        ops.push(op);
-    }
-    let num_edges = r.u32()? as usize;
-    let mut edges = Vec::with_capacity(num_edges.min(65_536));
-    for _ in 0..num_edges {
-        edges.push((OpId(r.u32()?), OpId(r.u32()?)));
-    }
-    ComputationGraph::new(ops, edges, tasks).map_err(|e| WireError::InvalidGraph(e.to_string()))
-}
-
-// ---------------------------------------------------------------------------
-// Message (de)serialization
-// ---------------------------------------------------------------------------
-
-fn frame(payload: Vec<u8>) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_FRAME_LEN);
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
-impl Request {
-    /// Encodes the request as one complete frame (length prefix included).
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        match self {
-            Self::Hello { proto_version } => {
-                put_u8(&mut p, TAG_HELLO);
-                put_u16(&mut p, *proto_version);
-            }
-            Self::SubmitGraph { tenant, graph } => {
-                put_u8(&mut p, TAG_SUBMIT_GRAPH);
-                put_u64(&mut p, *tenant);
-                encode_graph(graph, &mut p);
-            }
-            Self::Topology { removed, restored } => {
-                put_u8(&mut p, TAG_TOPOLOGY);
-                put_u32(&mut p, removed.len() as u32);
-                for d in removed {
-                    put_u32(&mut p, d.0);
-                }
-                put_u32(&mut p, restored.len() as u32);
-                for d in restored {
-                    put_u32(&mut p, d.0);
-                }
-            }
-            Self::Stats => put_u8(&mut p, TAG_STATS),
-            Self::Shutdown => put_u8(&mut p, TAG_SHUTDOWN),
-        }
-        frame(p)
-    }
-
-    /// Decodes a request from one frame payload (no length prefix).
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`]: strict decoding rejects unknown tags, truncation,
-    /// trailing bytes and invalid graphs.
-    pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(payload);
-        let request = match r.u8()? {
-            TAG_HELLO => Self::Hello {
-                proto_version: r.u16()?,
-            },
-            TAG_SUBMIT_GRAPH => {
-                let tenant = r.u64()?;
-                let graph = Arc::new(decode_graph(&mut r)?);
-                Self::SubmitGraph { tenant, graph }
-            }
-            TAG_TOPOLOGY => {
-                let n = r.u32()? as usize;
-                let mut removed = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    removed.push(DeviceId(r.u32()?));
-                }
-                let n = r.u32()? as usize;
-                let mut restored = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    restored.push(DeviceId(r.u32()?));
-                }
-                Self::Topology { removed, restored }
-            }
-            TAG_STATS => Self::Stats,
-            TAG_SHUTDOWN => Self::Shutdown,
-            other => return Err(WireError::UnknownTag(other)),
-        };
-        r.finish()?;
-        Ok(request)
+        Ok(op)
     }
 }
 
-fn put_summary(out: &mut Vec<u8>, s: &ReplanSummary) {
-    put_u64(out, s.makespan_bits);
-    put_u32(out, s.num_waves);
-    put_u64(out, s.plan_fingerprint);
-    put_u32(out, s.new_curve_fits);
-    put_u32(out, s.cache_hits);
-    put_bool(out, s.warm);
-    put_u32(out, s.levels_total);
-    put_u32(out, s.levels_reused);
-    put_bool(out, s.placement_reused);
-    put_u64(out, s.cache.bytes as u64);
-    put_u64(out, s.cache.evictions);
-    put_u32(out, s.devices_lost);
-    put_u32(out, s.levels_replaced);
-    put_u64(out, s.migration_bytes);
-    put_u64(out, s.migration_cost_bits);
-    put_u32(out, s.rematerialized_metaops);
-    put_u64(out, s.restore_bytes);
-}
-
-fn read_summary(r: &mut Reader<'_>) -> Result<ReplanSummary, WireError> {
-    Ok(ReplanSummary {
-        makespan_bits: r.u64()?,
-        num_waves: r.u32()?,
-        plan_fingerprint: r.u64()?,
-        new_curve_fits: r.u32()?,
-        cache_hits: r.u32()?,
-        warm: r.bool()?,
-        levels_total: r.u32()?,
-        levels_reused: r.u32()?,
-        placement_reused: r.bool()?,
-        cache: CacheTelemetry {
-            bytes: r.u64()? as usize,
-            evictions: r.u64()?,
-        },
-        devices_lost: r.u32()?,
-        levels_replaced: r.u32()?,
-        migration_bytes: r.u64()?,
-        migration_cost_bits: r.u64()?,
-        rematerialized_metaops: r.u32()?,
-        restore_bytes: r.u64()?,
-    })
-}
-
-impl Response {
-    /// Encodes the response as one complete frame (length prefix included).
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        match self {
-            Self::HelloAck { proto_version } => {
-                put_u8(&mut p, TAG_HELLO_ACK);
-                put_u16(&mut p, *proto_version);
-            }
-            Self::Accepted { tenant } => {
-                put_u8(&mut p, TAG_ACCEPTED);
-                put_u64(&mut p, *tenant);
-            }
-            Self::PlanReady {
-                tenant,
-                outcome,
-                error,
-                topology_change,
-                coalesced,
-                queue_wait_ns,
-                plan_time_ns,
-            } => {
-                put_u8(&mut p, TAG_PLAN_READY);
-                put_u64(&mut p, *tenant);
-                put_summary(&mut p, outcome);
-                match error {
-                    None => put_bool(&mut p, false),
-                    Some(message) => {
-                        put_bool(&mut p, true);
-                        put_str(&mut p, message);
-                    }
-                }
-                put_bool(&mut p, *topology_change);
-                put_u32(&mut p, *coalesced);
-                put_u64(&mut p, *queue_wait_ns);
-                put_u64(&mut p, *plan_time_ns);
-            }
-            Self::Rejected {
-                tenant,
-                retry_hint_ns,
-                throttled,
-            } => {
-                put_u8(&mut p, TAG_REJECTED);
-                put_u64(&mut p, *tenant);
-                put_u64(&mut p, *retry_hint_ns);
-                put_bool(&mut p, *throttled);
-            }
-            Self::Stats(stats) => {
-                put_u8(&mut p, TAG_STATS_REPLY);
-                put_u64(&mut p, stats.submitted);
-                put_u64(&mut p, stats.rejected);
-                put_u64(&mut p, stats.throttled);
-                put_u64(&mut p, stats.replans);
-                put_u64(&mut p, stats.topology_replans);
-                put_u64(&mut p, stats.errors);
-                put_u64(&mut p, stats.plan_nanos);
-                put_u64(&mut p, stats.rematerialized_metaops);
-                put_u64(&mut p, stats.restore_bytes);
-            }
-            Self::TopologyAck { workers } => {
-                put_u8(&mut p, TAG_TOPOLOGY_ACK);
-                put_u32(&mut p, *workers);
-            }
-            Self::Error { code, message } => {
-                put_u8(&mut p, TAG_ERROR);
-                put_u16(&mut p, *code as u16);
-                put_str(&mut p, message);
-            }
-        }
-        frame(p)
+impl Wire for ComputationGraph {
+    fn put(&self, out: &mut impl Sink) {
+        out.list::<u32, TaskSpec>(self.tasks());
+        out.list::<u32, Operator>(self.ops());
+        out.list::<u32, (OpId, OpId)>(self.edges());
     }
 
-    /// Decodes a response from one frame payload (no length prefix).
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`]: strict decoding rejects unknown tags, truncation
-    /// and trailing bytes.
-    pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(payload);
-        let response = match r.u8()? {
-            TAG_HELLO_ACK => Self::HelloAck {
-                proto_version: r.u16()?,
-            },
-            TAG_ACCEPTED => Self::Accepted { tenant: r.u64()? },
-            TAG_PLAN_READY => {
-                let tenant = r.u64()?;
-                let outcome = read_summary(&mut r)?;
-                let error = if r.bool()? { Some(r.str()?) } else { None };
-                Self::PlanReady {
-                    tenant,
-                    outcome,
-                    error,
-                    topology_change: r.bool()?,
-                    coalesced: r.u32()?,
-                    queue_wait_ns: r.u64()?,
-                    plan_time_ns: r.u64()?,
-                }
-            }
-            TAG_REJECTED => Self::Rejected {
-                tenant: r.u64()?,
-                retry_hint_ns: r.u64()?,
-                throttled: r.bool()?,
-            },
-            TAG_STATS_REPLY => Self::Stats(WireStats {
-                submitted: r.u64()?,
-                rejected: r.u64()?,
-                throttled: r.u64()?,
-                replans: r.u64()?,
-                topology_replans: r.u64()?,
-                errors: r.u64()?,
-                plan_nanos: r.u64()?,
-                rematerialized_metaops: r.u64()?,
-                restore_bytes: r.u64()?,
-            }),
-            TAG_TOPOLOGY_ACK => Self::TopologyAck { workers: r.u32()? },
-            TAG_ERROR => {
-                let code = ErrorCode::from_u16(r.u16()?)?;
-                let message = r.str()?;
-                Self::Error { code, message }
-            }
-            other => return Err(WireError::UnknownTag(other)),
-        };
-        r.finish()?;
-        Ok(response)
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let tasks = r.list::<u32, TaskSpec>()?;
+        let ops = r.list::<u32, Operator>()?;
+        let edges = r.list::<u32, (OpId, OpId)>()?;
+        Self::new(ops, edges, tasks).map_err(|e| WireError::InvalidGraph(e.to_string()))
     }
 }
 
-/// Converts a nanosecond wire field back to a [`Duration`].
+/// Exact length of `graph`'s encoding inside a [`Request::SubmitGraph`],
+/// measured without allocating. Used as the byte cost of a submission under
+/// per-tenant byte quotas — both transports charge the same figure.
 #[must_use]
-pub fn duration_from_ns(ns: u64) -> Duration {
-    Duration::from_nanos(ns)
+pub fn graph_wire_len(graph: &ComputationGraph) -> usize {
+    ByteCount::of(graph)
 }
 
 // ---------------------------------------------------------------------------
@@ -1093,10 +1050,10 @@ mod tests {
         for _ in 0..16 {
             let graph = random_graph(&mut rng);
             let mut bytes = Vec::new();
-            encode_graph(&graph, &mut bytes);
+            graph.put(&mut bytes);
             assert_eq!(bytes.len(), graph_wire_len(&graph), "length oracle drifts");
             let mut r = Reader::new(&bytes);
-            let decoded = decode_graph(&mut r).unwrap();
+            let decoded = ComputationGraph::take(&mut r).unwrap();
             r.finish().unwrap();
             assert_eq!(decoded.ops(), graph.ops());
             assert_eq!(decoded.edges(), graph.edges());
@@ -1154,7 +1111,7 @@ mod tests {
                     retry_hint_ns: rng.next_u64(),
                     throttled: rng.next_u64() % 2 == 0,
                 },
-                Response::Stats(WireStats {
+                Response::Stats(ServiceStats {
                     submitted: rng.next_u64(),
                     rejected: rng.next_u64(),
                     throttled: rng.next_u64(),
@@ -1215,12 +1172,12 @@ mod tests {
         assert_eq!(Response::decode(&[0x00]), Err(WireError::UnknownTag(0x00)));
         // A modality tag of 200 is out of range.
         let mut payload = vec![TAG_SUBMIT_GRAPH];
-        put_u64(&mut payload, 5);
-        put_u32(&mut payload, 1); // one task
-        put_u32(&mut payload, 0); // task id
-        put_str(&mut payload, "t");
-        put_u8(&mut payload, 1); // one modality
-        put_u8(&mut payload, 200); // bad tag
+        5u64.put(&mut payload);
+        1u32.put(&mut payload); // one task
+        0u32.put(&mut payload); // task id
+        "t".to_string().put(&mut payload);
+        1u8.put(&mut payload); // one modality
+        200u8.put(&mut payload); // bad tag
         assert_eq!(
             Request::decode(&payload),
             Err(WireError::BadEnum {
@@ -1266,35 +1223,241 @@ mod tests {
         assert_eq!(decoder.buffered(), 0);
     }
 
+    /// Frames of seeded draws of all five request and seven response kinds.
+    /// Graphs cover every op kind, params, overridden costs and non-ASCII
+    /// task names; every SubmitGraph frame checks `graph_wire_len`.
+    fn wire_test_frames(seed: u64, rounds: u64) -> Vec<Vec<u8>> {
+        let mut rng = XorShift64Star::new(seed);
+        let mut n = move |bound: u64| rng.next_u64() % bound;
+        let mut frames = Vec::new();
+        for round in 0..rounds {
+            let tasks: Vec<TaskSpec> = (0..1 + n(3) as u32)
+                .map(|t| {
+                    let modalities: Vec<_> = (0..1 + n(3))
+                        .map(|_| Modality::ALL[n(9) as usize])
+                        .collect();
+                    let batch = 1 + n(64) as u32;
+                    TaskSpec::new(TaskId(t), format!("tâche-{t}"), modalities, batch)
+                })
+                .collect();
+            let ops: Vec<Operator> = (0..1 + n(12) as u32)
+                .map(|i| {
+                    let m = Modality::ALL[n(9) as usize];
+                    let kind = [
+                        OpKind::Encoder(m),
+                        OpKind::Adaptor(m),
+                        OpKind::LmEncoder,
+                        OpKind::LmDecoder,
+                        OpKind::LmDecoderOnly,
+                        OpKind::Embedding,
+                        OpKind::Projection,
+                        OpKind::ContrastiveLoss,
+                        OpKind::GenerativeLoss,
+                    ][n(9) as usize];
+                    let shape = TensorShape::new(1 + n(64) as u32, 1 + n(512) as u32, 64 << n(5));
+                    let task = TaskId(n(tasks.len() as u64) as u32);
+                    let op = Operator::new(OpId(i), kind, task, shape);
+                    let op = op.with_costs(n(1 << 40) as f64, n(1 << 40), n(1 << 30));
+                    (0..n(4)).fold(op, |op, _| op.with_param(ParamId(n(8) as u32)))
+                })
+                .collect();
+            let edges = (1..ops.len() as u32)
+                .map(|dst| (OpId(n(dst.into()) as u32), OpId(dst)))
+                .collect();
+            let graph = Arc::new(ComputationGraph::new(ops, edges, tasks).unwrap());
+            let removed = (0..n(6)).map(|_| DeviceId(n(1024) as u32)).collect();
+            let restored = (0..n(6)).map(|_| DeviceId(n(1024) as u32)).collect();
+            let requests = [
+                Request::Hello {
+                    proto_version: n(8) as u16,
+                },
+                Request::SubmitGraph {
+                    tenant: n(u64::MAX),
+                    graph: Arc::clone(&graph),
+                },
+                Request::Topology { removed, restored },
+                Request::Stats,
+                Request::Shutdown,
+            ];
+            // Length prefix, tag and tenant precede the graph.
+            assert_eq!(requests[1].encode().len() - 13, graph_wire_len(&graph));
+            let outcome = ReplanSummary {
+                makespan_bits: n(u64::MAX),
+                num_waves: n(1000) as u32,
+                plan_fingerprint: n(u64::MAX),
+                new_curve_fits: n(100) as u32,
+                cache_hits: n(100) as u32,
+                warm: n(2) == 0,
+                levels_total: n(40) as u32,
+                levels_reused: n(40) as u32,
+                placement_reused: n(2) == 0,
+                cache: CacheTelemetry {
+                    bytes: n(1 << 30) as usize,
+                    evictions: n(1000),
+                },
+                devices_lost: n(8) as u32,
+                levels_replaced: n(40) as u32,
+                migration_bytes: n(u64::MAX),
+                migration_cost_bits: n(u64::MAX),
+                rematerialized_metaops: n(64) as u32,
+                restore_bytes: n(u64::MAX),
+            };
+            // A stats reply is nine `u64` counters: any 72-byte body is one.
+            let stats: Vec<u8> = (0..72).map(|_| n(256) as u8).collect();
+            let code = [
+                ErrorCode::Malformed,
+                ErrorCode::UnsupportedVersion,
+                ErrorCode::HelloRequired,
+                ErrorCode::InvalidGraph,
+                ErrorCode::Unavailable,
+                ErrorCode::Internal,
+            ][n(6) as usize];
+            let responses = [
+                Response::HelloAck {
+                    proto_version: n(4) as u16,
+                },
+                Response::Accepted {
+                    tenant: n(u64::MAX),
+                },
+                Response::PlanReady {
+                    tenant: n(u64::MAX),
+                    outcome,
+                    error: (round % 2 == 1).then(|| format!("planner failed: «{round}»")),
+                    topology_change: n(2) == 0,
+                    coalesced: 1 + n(12) as u32,
+                    queue_wait_ns: n(u64::MAX),
+                    plan_time_ns: n(u64::MAX),
+                },
+                Response::Rejected {
+                    tenant: n(u64::MAX),
+                    retry_hint_ns: n(u64::MAX),
+                    throttled: n(2) == 0,
+                },
+                Response::decode(&[&[0x85][..], &stats].concat()).unwrap(),
+                Response::TopologyAck {
+                    workers: n(64) as u32,
+                },
+                Response::Error {
+                    code,
+                    message: format!("error {round}: ünïcode"),
+                },
+            ];
+            frames.extend(requests.iter().map(Request::encode));
+            frames.extend(responses.iter().map(Response::encode));
+        }
+        frames
+    }
+
+    /// Pins the bytes on the wire: the length and FNV-1a digest of a seeded
+    /// corpus, recorded from the hand-written codec of protocol version 2.
+    #[test]
+    fn encoded_frames_match_the_recorded_digest() {
+        let bytes = wire_test_frames(0x601D_F4A3, 48).concat();
+        let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(PROTO_VERSION, 2);
+        assert_eq!(
+            (bytes.len(), digest),
+            (36_187, 0x8ad1_77d5_bed8_1bda),
+            "wire bytes moved"
+        );
+    }
+
+    /// Every truncation and seeded 1–4 byte corruptions of every message
+    /// kind: decoding never panics, and whatever decodes re-encodes to the
+    /// exact payload it came from.
+    #[test]
+    fn corrupted_payloads_never_panic_and_decode_canonically() {
+        let mut rng = XorShift64Star::new(0xBAD_F00D);
+        for frame in wire_test_frames(0xC0DE, 6) {
+            let payload = &frame[FRAME_HEADER_LEN..];
+            let truncations = (0..payload.len()).map(|cut| payload[..cut].to_vec());
+            let corruptions = (0..400).map(|_| {
+                let mut bytes = payload.to_vec();
+                for _ in 0..1 + rng.next_u64() % 4 {
+                    let at = (rng.next_u64() % bytes.len() as u64) as usize;
+                    bytes[at] = rng.next_u64() as u8;
+                }
+                bytes
+            });
+            for bytes in truncations.chain(corruptions) {
+                let reencoded = std::panic::catch_unwind(|| match bytes.first() {
+                    Some(&tag) if tag < 0x80 => Request::decode(&bytes).map(|m| m.encode()),
+                    _ => Response::decode(&bytes).map(|m| m.encode()),
+                })
+                .unwrap_or_else(|_| panic!("decoding {bytes:02x?} panicked"));
+                if let Ok(frame) = reencoded {
+                    assert_eq!(&frame[FRAME_HEADER_LEN..], &bytes[..], "non-canonical");
+                }
+            }
+        }
+    }
+
     #[test]
     fn invalid_graphs_are_rejected_by_decode() {
         // A graph with a self-loop edge: structurally well-formed bytes,
         // semantically invalid — ComputationGraph::new must veto it.
         let mut payload = vec![TAG_SUBMIT_GRAPH];
-        put_u64(&mut payload, 9);
-        put_u32(&mut payload, 1); // one task
-        put_u32(&mut payload, 0);
-        put_str(&mut payload, "t");
-        put_u8(&mut payload, 1);
-        put_u8(&mut payload, 0); // text
-        put_u32(&mut payload, 8);
-        put_u32(&mut payload, 1); // one op
-        put_u32(&mut payload, 0); // op id
-        put_u8(&mut payload, 7); // contrastive loss
-        put_u32(&mut payload, 0); // task
-        put_u32(&mut payload, 8);
-        put_u32(&mut payload, 1);
-        put_u32(&mut payload, 768);
-        put_u64(&mut payload, 1.0f64.to_bits());
-        put_u64(&mut payload, 2);
-        put_u64(&mut payload, 3);
-        put_u16(&mut payload, 0); // no params
-        put_u32(&mut payload, 1); // one edge
-        put_u32(&mut payload, 0); // 0 -> 0: self-loop
-        put_u32(&mut payload, 0);
+        9u64.put(&mut payload);
+        1u32.put(&mut payload); // one task
+        0u32.put(&mut payload);
+        "t".to_string().put(&mut payload);
+        1u8.put(&mut payload);
+        0u8.put(&mut payload); // text
+        8u32.put(&mut payload);
+        1u32.put(&mut payload); // one op
+        0u32.put(&mut payload); // op id
+        7u8.put(&mut payload); // contrastive loss
+        0u32.put(&mut payload); // task
+        8u32.put(&mut payload);
+        1u32.put(&mut payload);
+        768u32.put(&mut payload);
+        1.0f64.to_bits().put(&mut payload);
+        2u64.put(&mut payload);
+        3u64.put(&mut payload);
+        0u16.put(&mut payload); // no params
+        1u32.put(&mut payload); // one edge
+        0u32.put(&mut payload); // 0 -> 0: self-loop
+        0u32.put(&mut payload);
         assert!(matches!(
             Request::decode(&payload),
             Err(WireError::InvalidGraph(_))
         ));
+    }
+
+    #[test]
+    fn bad_costs_and_repeated_params_are_invalid_graphs() {
+        let op = Operator::new(
+            OpId(0),
+            OpKind::Projection,
+            TaskId(0),
+            TensorShape::new(8, 1, 64),
+        )
+        .with_costs(1.0, 2, 3)
+        .with_param(ParamId(1))
+        .with_param(ParamId(2));
+        let task = TaskSpec::new(TaskId(0), "t", [Modality::Text], 8);
+        let mut valid = Vec::new();
+        ComputationGraph::new(vec![op], vec![], vec![task])
+            .unwrap()
+            .put(&mut valid);
+        assert!(ComputationGraph::take(&mut Reader::new(&valid)).is_ok());
+        // The graph ends with the op's flops, param and output bytes, its
+        // two params (a `u16` count and two ids) and an empty edge list.
+        let end = valid.len() - 4;
+        let flops = end - 8 - 2 - 16 - 8;
+        let mut bad = vec![valid; 4];
+        bad[0][flops..flops + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        bad[1][flops..flops + 8].copy_from_slice(&(-1.0f64).to_le_bytes());
+        bad[2][flops..flops + 8].copy_from_slice(&f64::INFINITY.to_le_bytes());
+        bad[3][end - 4..end].copy_from_slice(&1u32.to_le_bytes());
+        for bytes in bad {
+            let decoded = ComputationGraph::take(&mut Reader::new(&bytes));
+            assert!(
+                matches!(decoded, Err(WireError::InvalidGraph(_))),
+                "{decoded:?}"
+            );
+        }
     }
 }

@@ -684,13 +684,16 @@ fn panic_error(payload: &(dyn std::any::Any + Send)) -> PlanError {
     PlanError::Panicked { message }
 }
 
-struct WorkerState {
+struct WorkerState<'a> {
     sessions: HashMap<u64, SpindleSession>,
     last_graph: HashMap<u64, Arc<ComputationGraph>>,
     /// The devices currently removed from the cluster, applied to sessions
     /// created after the topology change so new tenants see the same
     /// survivor set as old ones.
     removed_now: Vec<DeviceId>,
+    /// Where every re-plan is counted and delivered.
+    counters: &'a Counters,
+    completions: &'a Sender<Completion>,
 }
 
 /// A pending re-shard directive; `keys: None` means this worker retires.
@@ -713,6 +716,8 @@ fn worker_loop(
         sessions: HashMap::new(),
         last_graph: HashMap::new(),
         removed_now: Vec::new(),
+        counters,
+        completions,
     };
     let mut queue = CoalescingQueue::with_quantum(quantum);
     let mut topology: Vec<(Vec<DeviceId>, Vec<DeviceId>, Instant)> = Vec::new();
@@ -751,14 +756,7 @@ fn worker_loop(
         // Topology changes first: subsequent tenant re-plans must see the
         // new device set.
         for (removed, restored, submitted) in topology.drain(..) {
-            apply_topology(
-                &removed,
-                &restored,
-                submitted,
-                &mut state,
-                counters,
-                completions,
-            );
+            apply_topology(&removed, &restored, submitted, &mut state);
         }
         if let Some(directive) = migration.take() {
             // Drain-before-migrate: every accepted event is planned by the
@@ -766,15 +764,7 @@ fn worker_loop(
             // a tenant's in-flight work (submissions are blocked on the
             // shard lock for the whole re-shard, so the queue is complete).
             while let Some(replan) = queue.pop() {
-                plan_one(
-                    replan,
-                    &mut state,
-                    cluster,
-                    &estimator,
-                    planner,
-                    counters,
-                    completions,
-                );
+                plan_one(replan, &mut state, cluster, &estimator, planner);
             }
             let mut tenants: Vec<u64> = state.sessions.keys().copied().collect();
             tenants.sort_unstable();
@@ -802,31 +792,21 @@ fn worker_loop(
             continue;
         }
         let Some(replan) = queue.pop() else { continue };
-        plan_one(
-            replan,
-            &mut state,
-            cluster,
-            &estimator,
-            planner,
-            counters,
-            completions,
-        );
+        plan_one(replan, &mut state, cluster, &estimator, planner);
     }
 }
 
 /// Plans one coalesced re-plan and delivers its completion.
 fn plan_one(
     replan: crate::CoalescedReplan,
-    state: &mut WorkerState,
+    state: &mut WorkerState<'_>,
     cluster: &Arc<ClusterSpec>,
     estimator: &Arc<ScalabilityEstimator>,
     planner: PlannerConfig,
-    counters: &Counters,
-    completions: &Sender<Completion>,
 ) {
     let queue_wait = replan.oldest_submit.elapsed();
     let removed_now = &state.removed_now;
-    let session = state.sessions.entry(replan.tenant).or_insert_with(|| {
+    state.sessions.entry(replan.tenant).or_insert_with(|| {
         let mut session =
             SpindleSession::with_estimator(Arc::clone(cluster), Arc::clone(estimator), planner);
         if !removed_now.is_empty() {
@@ -836,44 +816,8 @@ fn plan_one(
         }
         session
     });
-    let started = Instant::now();
-    let result = guarded_replan(session, &replan.graph);
-    let plan_time = started.elapsed();
-    counters.replans.fetch_add(1, Ordering::Relaxed);
-    counters
-        .plan_nanos
-        .fetch_add(plan_time.as_nanos() as u64, Ordering::Relaxed);
-    match &result {
-        Ok(outcome) => {
-            counters
-                .rematerialized_metaops
-                .fetch_add(outcome.rematerialized_metaops as u64, Ordering::Relaxed);
-            counters
-                .restore_bytes
-                .fetch_add(outcome.restore_bytes, Ordering::Relaxed);
-            state
-                .last_graph
-                .insert(replan.tenant, Arc::clone(&replan.graph));
-        }
-        Err(error) => {
-            counters.errors.fetch_add(1, Ordering::Relaxed);
-            if matches!(error, PlanError::Panicked { .. }) {
-                // The session may hold half-updated caches: discard it.
-                state.sessions.remove(&replan.tenant);
-                state.last_graph.remove(&replan.tenant);
-            }
-        }
-    }
-    // A gone receiver just means the caller stopped listening; keep
-    // draining so accepted events still update the counters.
-    let _ = completions.send(Completion {
-        tenant: replan.tenant,
-        result,
-        topology_change: false,
-        coalesced: replan.coalesced,
-        queue_wait,
-        plan_time,
-    });
+    let trigger = Trigger::Events(replan.coalesced);
+    replan_tenant(state, replan.tenant, &replan.graph, queue_wait, trigger);
 }
 
 /// Applies one topology change to every tenant session of a worker and
@@ -883,9 +827,7 @@ fn apply_topology(
     removed: &[DeviceId],
     restored: &[DeviceId],
     submitted: Instant,
-    state: &mut WorkerState,
-    counters: &Counters,
-    completions: &Sender<Completion>,
+    state: &mut WorkerState<'_>,
 ) {
     state.removed_now.retain(|d| !restored.contains(d));
     for &d in removed {
@@ -895,13 +837,12 @@ fn apply_topology(
     }
     let mut tenants: Vec<u64> = state.sessions.keys().copied().collect();
     tenants.sort_unstable();
-    let mut poisoned = Vec::new();
     for tenant in tenants {
         let session = state.sessions.get_mut(&tenant).expect("tenant listed");
         if !restored.is_empty() {
             session.restore_devices(restored);
         }
-        let shrink = if removed.is_empty() {
+        let applied = if removed.is_empty() {
             Ok(0)
         } else {
             session.remove_devices(removed)
@@ -911,46 +852,83 @@ fn apply_topology(
         let Some(graph) = state.last_graph.get(&tenant).cloned() else {
             continue;
         };
-        let queue_wait = submitted.elapsed();
-        let started = Instant::now();
-        let result = match shrink {
-            Ok(_) => guarded_replan(session, &graph),
-            Err(error) => Err(error),
-        };
-        let plan_time = started.elapsed();
+        let trigger = Trigger::Topology(applied);
+        replan_tenant(state, tenant, &graph, submitted.elapsed(), trigger);
+    }
+}
+
+/// What set off a re-plan.
+enum Trigger {
+    /// This many task-mix events, folded into one re-plan.
+    Events(usize),
+    /// A topology change, and how the tenant's session took it: an error
+    /// there fails the re-plan.
+    Topology(Result<usize, PlanError>),
+}
+
+/// Re-plans `tenant`'s session on `graph` behind the panic guard and
+/// reports it. Event re-plans add to `replans` and `plan_nanos`, topology
+/// re-plans to `topology_replans`; a success adds its recovery figures and
+/// keeps `graph` as the tenant's latest mix; a failure counts as an error,
+/// and a panic also discards the session. The completion goes out last.
+fn replan_tenant(
+    state: &mut WorkerState<'_>,
+    tenant: u64,
+    graph: &Arc<ComputationGraph>,
+    queue_wait: Duration,
+    trigger: Trigger,
+) {
+    let session = state.sessions.get_mut(&tenant).expect("session made");
+    let topology_change = matches!(trigger, Trigger::Topology(_));
+    let started = Instant::now();
+    let (result, coalesced) = match trigger {
+        Trigger::Events(coalesced) => (guarded_replan(session, graph), coalesced),
+        Trigger::Topology(applied) => (applied.and_then(|_| guarded_replan(session, graph)), 1),
+    };
+    let plan_time = started.elapsed();
+    let counters = state.counters;
+    if topology_change {
         counters.topology_replans.fetch_add(1, Ordering::Relaxed);
-        if let Ok(outcome) = &result {
+    } else {
+        counters.replans.fetch_add(1, Ordering::Relaxed);
+        counters
+            .plan_nanos
+            .fetch_add(plan_time.as_nanos() as u64, Ordering::Relaxed);
+    }
+    match &result {
+        Ok(outcome) => {
             counters
                 .rematerialized_metaops
                 .fetch_add(outcome.rematerialized_metaops as u64, Ordering::Relaxed);
             counters
                 .restore_bytes
                 .fetch_add(outcome.restore_bytes, Ordering::Relaxed);
+            state.last_graph.insert(tenant, Arc::clone(graph));
         }
-        if let Err(error) = &result {
+        Err(error) => {
             counters.errors.fetch_add(1, Ordering::Relaxed);
             if matches!(error, PlanError::Panicked { .. }) {
-                poisoned.push(tenant);
+                // The session may hold half-updated caches: discard it.
+                state.sessions.remove(&tenant);
+                state.last_graph.remove(&tenant);
             }
         }
-        let _ = completions.send(Completion {
-            tenant,
-            result,
-            topology_change: true,
-            coalesced: 1,
-            queue_wait,
-            plan_time,
-        });
     }
-    for tenant in poisoned {
-        state.sessions.remove(&tenant);
-        state.last_graph.remove(&tenant);
-    }
+    // A gone receiver just means the caller stopped listening; keep
+    // draining so accepted events still update the counters.
+    let _ = state.completions.send(Completion {
+        tenant,
+        result,
+        topology_change,
+        coalesced,
+        queue_wait,
+        plan_time,
+    });
 }
 
 fn apply(
     request: Request,
-    state: &mut WorkerState,
+    state: &mut WorkerState<'_>,
     queue: &mut CoalescingQueue,
     topology: &mut Vec<(Vec<DeviceId>, Vec<DeviceId>, Instant)>,
     migration: &mut Option<Migration>,

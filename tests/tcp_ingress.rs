@@ -100,6 +100,25 @@ fn version_mismatch_is_rejected() {
     ingress.shutdown();
 }
 
+/// Opens a raw connection and completes the `Hello` handshake.
+fn hello(addr: std::net::SocketAddr) -> (TcpStream, FrameDecoder) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(
+            &spindle::service::Request::Hello {
+                proto_version: PROTO_VERSION,
+            }
+            .encode(),
+        )
+        .unwrap();
+    let mut decoder = FrameDecoder::new();
+    assert!(matches!(
+        read_response(&mut stream, &mut decoder),
+        Some(Response::HelloAck { .. })
+    ));
+    (stream, decoder)
+}
+
 #[test]
 fn malformed_frames_kill_only_their_connection() {
     let ingress = ingress();
@@ -109,19 +128,7 @@ fn malformed_frames_kill_only_their_connection() {
     let mut good = TcpClient::connect(addr).expect("good client connects");
 
     // Bad client 1: valid Hello, then an unknown tag.
-    let mut bad = TcpStream::connect(addr).unwrap();
-    bad.write_all(
-        &spindle::service::Request::Hello {
-            proto_version: PROTO_VERSION,
-        }
-        .encode(),
-    )
-    .unwrap();
-    let mut decoder = FrameDecoder::new();
-    assert!(matches!(
-        read_response(&mut bad, &mut decoder),
-        Some(Response::HelloAck { .. })
-    ));
+    let (mut bad, mut decoder) = hello(addr);
     bad.write_all(&[1, 0, 0, 0, 0x7f]).unwrap(); // frame: len 1, unknown tag
     match read_response(&mut bad, &mut decoder) {
         Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
@@ -130,19 +137,7 @@ fn malformed_frames_kill_only_their_connection() {
     assert_eq!(read_response(&mut bad, &mut decoder), None, "closed");
 
     // Bad client 2: an oversized length prefix is rejected at the header.
-    let mut huge = TcpStream::connect(addr).unwrap();
-    huge.write_all(
-        &spindle::service::Request::Hello {
-            proto_version: PROTO_VERSION,
-        }
-        .encode(),
-    )
-    .unwrap();
-    let mut decoder = FrameDecoder::new();
-    assert!(matches!(
-        read_response(&mut huge, &mut decoder),
-        Some(Response::HelloAck { .. })
-    ));
+    let (mut huge, mut decoder) = hello(addr);
     huge.write_all(&u32::MAX.to_le_bytes()).unwrap();
     match read_response(&mut huge, &mut decoder) {
         Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
@@ -154,6 +149,41 @@ fn malformed_frames_kill_only_their_connection() {
     let mut trunc = TcpStream::connect(addr).unwrap();
     trunc.write_all(&[200, 0, 0, 0, 0x02, 1, 2, 3]).unwrap();
     drop(trunc);
+
+    // Bad client 4 and client 5 patch a SubmitGraph frame of `graph(8)`. Op
+    // 0's id sits at byte 37, after the length, tag and tenant (13), the
+    // task list (4 + 16 for task "t" with two modalities) and the op count
+    // (4); its dimensions sit 10 bytes later, after kind, modality and task.
+    let valid = spindle::service::Request::SubmitGraph {
+        tenant: 9,
+        graph: graph(8),
+    }
+    .encode();
+    assert_eq!(valid[47..51], 8u32.to_le_bytes(), "op 0's batch");
+    // Bad client 4: op 0 claims id 3, which every build refuses.
+    let mut misplaced = valid.clone();
+    misplaced[37] = 3;
+    let (mut bad, mut decoder) = hello(addr);
+    bad.write_all(&misplaced).unwrap();
+    match read_response(&mut bad, &mut decoder) {
+        Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
+        other => panic!("expected Malformed error, got {other:?}"),
+    }
+    assert_eq!(read_response(&mut bad, &mut decoder), None, "closed");
+    // Client 5: op 0 is u32::MAX wide in every dimension. Its costs travel
+    // on the wire, so the graph is valid and plans; pricing its shape must
+    // saturate rather than overflow.
+    let mut vast = valid;
+    vast[47..59].fill(0xff);
+    let (mut wide, mut decoder) = hello(addr);
+    wide.write_all(&vast).unwrap();
+    let accepted = read_response(&mut wide, &mut decoder);
+    assert!(matches!(accepted, Some(Response::Accepted { tenant: 9 })));
+    let planned = read_response(&mut wide, &mut decoder);
+    assert!(matches!(
+        planned,
+        Some(Response::PlanReady { error: None, .. })
+    ));
 
     // The good client still plans, the workers never noticed any of it.
     good.submit(7, &graph(8))
@@ -167,7 +197,7 @@ fn malformed_frames_kill_only_their_connection() {
 
     let (stats, _) = good.finish();
     assert_eq!(stats.errors, 0, "malformed frames never reach a worker");
-    assert_eq!(stats.submitted, 1);
+    assert_eq!(stats.submitted, 2, "the good client's graph and client 5's");
     ingress.shutdown();
 }
 
@@ -252,13 +282,21 @@ fn stats_and_topology_flow_over_the_wire() {
 
 #[test]
 fn graph_wire_len_matches_encoded_length_for_fleet_graphs() {
-    // The throttle charges `graph_wire_len` without encoding; the analytic
-    // figure must equal the real encoding for arbitrary graphs.
+    // The throttle charges `graph_wire_len` without encoding; the figure
+    // must equal the graph's share of a real SubmitGraph frame, which adds
+    // 13 header bytes: 4 of length, 1 of tag and 8 of tenant.
     for batch in [1u32, 8, 64] {
-        let g = graph(batch);
-        let mut bytes = Vec::new();
-        proto::encode_graph(&g, &mut bytes);
-        assert_eq!(bytes.len(), proto::graph_wire_len(&g), "batch {batch}");
+        let graph = graph(batch);
+        let frame = spindle::service::Request::SubmitGraph {
+            tenant: 1,
+            graph: Arc::clone(&graph),
+        }
+        .encode();
+        assert_eq!(
+            frame.len() - 13,
+            proto::graph_wire_len(&graph),
+            "batch {batch}"
+        );
     }
 }
 
