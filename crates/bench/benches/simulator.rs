@@ -18,8 +18,8 @@ use spindle_bench::microbench::{bench, group, quick_mode, write_json_report, Tim
 use spindle_cluster::ClusterSpec;
 use spindle_core::SpindleSession;
 use spindle_runtime::{
-    price_checkpoint_write, CheckpointPolicy, DynamicRunLoop, RuntimeEngine, SimConfig, Simulator,
-    Straggler,
+    price_checkpoint_write, CheckpointPolicy, DynamicRunLoop, LocalizedPlan, RuntimeEngine,
+    SimConfig, Simulator, Straggler,
 };
 use spindle_workloads::{hyperscale, multitask_clip, ArrivalSchedule, DynamicWorkload};
 
@@ -69,10 +69,24 @@ fn main() {
         report.push((format!("sim_contended_{name}"), t));
     }
 
-    group("contended simulator at hyperscale (work counters beside the time)");
+    group("engine and contended simulator at hyperscale (work counters beside the time)");
     let graph = hyperscale(48).unwrap();
     let cluster = ClusterSpec::homogeneous(32, 8);
     let plan = Arc::new(SpindleSession::new(cluster.clone()).plan(&graph).unwrap());
+    let engine = RuntimeEngine::new(Arc::clone(&plan), &cluster).with_graph(&graph);
+    let name = "engine_analytical_hyperscale-48t/256gpu";
+    let t = bench(name, warmup, iters, || {
+        let _ = engine.run_iteration().unwrap();
+    });
+    let localized = LocalizedPlan::new(Arc::clone(&plan), &cluster, Some(&graph)).unwrap();
+    println!(
+        "{:48} {} transmission sites, {} parameter groups",
+        "",
+        localized.sites().len(),
+        localized.pool().num_groups()
+    );
+    report.push((name.to_string(), t));
+
     let contended = Simulator::new(Arc::clone(&plan), &cluster)
         .with_graph(&graph)
         .with_config(SimConfig::contended());

@@ -119,13 +119,26 @@ impl fmt::Display for DeviceGroup {
 }
 
 impl FromIterator<DeviceId> for DeviceGroup {
-    /// Collects devices into a group, silently dropping duplicates.
+    /// Collects devices into a group, silently dropping duplicates: the first
+    /// occurrence of each device keeps its place. O(n log n).
     fn from_iter<T: IntoIterator<Item = DeviceId>>(iter: T) -> Self {
-        let mut devices: Vec<DeviceId> = Vec::new();
-        for d in iter {
-            if !devices.contains(&d) {
-                devices.push(d);
-            }
+        let mut devices: Vec<DeviceId> = iter.into_iter().collect();
+        // Strictly increasing input (islands, sorted pool keys) has no
+        // duplicates; anything else is checked on a sorted copy.
+        if devices.windows(2).all(|w| w[0] < w[1]) {
+            return Self { devices };
+        }
+        let mut sorted = devices.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        if sorted.len() < devices.len() {
+            let mut seen = vec![false; sorted.len()];
+            devices.retain(|d| {
+                let slot = sorted
+                    .binary_search(d)
+                    .expect("every device is in the sorted copy");
+                !std::mem::replace(&mut seen[slot], true)
+            });
         }
         Self { devices }
     }
@@ -187,6 +200,45 @@ mod tests {
             .collect();
         assert_eq!(g.devices(), &[DeviceId(3), DeviceId(1)]);
         assert_eq!(g.sorted().devices(), &[DeviceId(1), DeviceId(3)]);
+    }
+
+    /// The quadratic first-occurrence loop the collector replaced.
+    fn first_occurrences(ids: &[u32]) -> Vec<DeviceId> {
+        let mut devices: Vec<DeviceId> = Vec::new();
+        for &id in ids {
+            if !devices.contains(&DeviceId(id)) {
+                devices.push(DeviceId(id));
+            }
+        }
+        devices
+    }
+
+    #[test]
+    fn from_iterator_keeps_first_occurrence_order() {
+        for ids in [
+            &[5u32, 5, 9, 2, 7][..],
+            &[9, 2, 5, 2, 7, 5, 1],
+            &[4, 8, 1, 6, 1],
+            &[3, 3, 3],
+            &[7, 2, 9, 7, 2, 9],
+            &[6, 0, 3],
+            &[],
+        ] {
+            let g: DeviceGroup = ids.iter().map(|&d| DeviceId(d)).collect();
+            assert_eq!(g.devices(), first_occurrences(ids), "input {ids:?}");
+        }
+    }
+
+    #[test]
+    fn from_iterator_returns_a_large_duplicate_free_input_unchanged() {
+        // A fixed permutation of 0..1024 (odd multiplier mod a power of two).
+        let ids: Vec<DeviceId> = (0..1024u32)
+            .map(|i| DeviceId((i * 389 + 17) % 1024))
+            .collect();
+        let g: DeviceGroup = ids.iter().copied().collect();
+        assert_eq!(g.devices(), ids);
+        let ascending: DeviceGroup = (0..1024).map(DeviceId).collect();
+        assert_eq!(ascending, DeviceGroup::contiguous(DeviceId(0), 1024));
     }
 
     #[test]

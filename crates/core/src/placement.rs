@@ -11,6 +11,8 @@
 //!    memory-first assignment (the paper's "alternative placements with
 //!    sub-optimal communication costs and better memory balance").
 
+use std::cmp::Reverse;
+
 use spindle_cluster::{ClusterSpec, DeviceGroup, DeviceId, Island};
 
 use crate::{ExecutionPlan, MetaOpId, PlanError, Wave};
@@ -179,14 +181,54 @@ impl PlacementCheckpoint {
     }
 }
 
+/// Island index recorded for device ids that are not part of the cluster.
+const NO_ISLAND: usize = usize::MAX;
+
+/// Fills [`LocalityPass::chosen`] with the devices of one entry, given how
+/// many it needs; the entry's affinities are already marked.
+type Chooser = fn(&mut LocalityPass, usize);
+
+/// Ranking key of an island for one entry (smaller ranks first): islands
+/// with enough free devices, then high affinity, then plenty of free memory.
+type IslandKey = (Reverse<bool>, Reverse<i64>, Reverse<u64>);
+
+/// Affinity of every device, and of every island, for the entry being placed.
+struct Affinity {
+    /// Island index of each device id (`NO_ISLAND` for ids outside the
+    /// cluster).
+    island_of: Vec<usize>,
+    device: Vec<i64>,
+    /// Sum of `device` over each island's devices, occupied ones included:
+    /// being on the same island as a producer is what makes the data flow
+    /// cheap, regardless of which sibling occupies the device.
+    island: Vec<i64>,
+}
+
+impl Affinity {
+    fn clear(&mut self) {
+        self.device.fill(0);
+        self.island.fill(0);
+    }
+
+    fn mark(&mut self, group: Option<&DeviceGroup>, weight: i64) {
+        for d in group.into_iter().flat_map(DeviceGroup::iter) {
+            self.device[d.index()] += weight;
+            if let Some(island) = self.island.get_mut(self.island_of[d.index()]) {
+                *island += weight;
+            }
+        }
+    }
+}
+
 /// The locality pass (§3.5) with its cross-wave state made explicit, so the
 /// state can be checkpointed at level boundaries and restored later.
 ///
 /// All working state is dense and reused across waves: device sets are
 /// `Vec`-indexed by `DeviceId` (sized by [`ClusterSpec::device_space`], so a
 /// post-churn cluster with holes in its numbering indexes safely), per-MetaOp
-/// state by `MetaOpId`, and the MetaGraph adjacency is extracted once up
-/// front instead of being re-scanned (and re-allocated) per entry.
+/// state by `MetaOpId`, per-island totals by island index, and the MetaGraph
+/// adjacency is extracted once up front instead of being re-scanned (and
+/// re-allocated) per entry.
 struct LocalityPass {
     islands: Vec<Island>,
     all_devices: Vec<DeviceId>,
@@ -205,11 +247,19 @@ struct LocalityPass {
     last_placement: Vec<Option<DeviceGroup>>,
     // Per-wave scratch.
     free: Vec<bool>,
-    affinity: Vec<i64>,
+    /// Free devices of each island, and the sum of their free memory: set
+    /// once per wave, reduced as entries take devices.
+    island_free: Vec<usize>,
+    island_free_mem: Vec<u64>,
+    affinity: Affinity,
+    /// Islands with free devices and their ranking keys, for one entry.
+    ranked: Vec<(IslandKey, usize)>,
     order: Vec<usize>,
-    island_order: Vec<usize>,
     candidates: Vec<DeviceId>,
     chosen: Vec<DeviceId>,
+    /// Entries placed by the memory-balance fallback.
+    #[cfg(test)]
+    fallbacks: usize,
 }
 
 impl LocalityPass {
@@ -236,8 +286,16 @@ impl LocalityPass {
             volume[i] = incoming + outgoing;
         }
 
+        let islands = cluster.islands();
+        let mut island_of = vec![NO_ISLAND; space];
+        for (k, island) in islands.iter().enumerate() {
+            for d in island.devices.iter() {
+                island_of[d.index()] = k;
+            }
+        }
+        let num_islands = islands.len();
         Self {
-            islands: cluster.islands(),
+            islands,
             all_devices: cluster.all_devices().iter().collect(),
             capacity: cluster.device_memory_bytes(),
             num_devices: cluster.num_devices(),
@@ -250,12 +308,28 @@ impl LocalityPass {
             resident: vec![false; num_metaops * space],
             last_placement: vec![None; num_metaops],
             free: vec![false; space],
-            affinity: vec![0; space],
+            island_free: vec![0; num_islands],
+            island_free_mem: vec![0; num_islands],
+            affinity: Affinity {
+                island_of,
+                device: vec![0; space],
+                island: vec![0; num_islands],
+            },
+            ranked: Vec::with_capacity(num_islands),
             order: Vec::new(),
-            island_order: Vec::new(),
             candidates: Vec::new(),
             chosen: Vec::new(),
+            #[cfg(test)]
+            fallbacks: 0,
         }
+    }
+
+    /// Whether `d` is one of this pass's cluster devices.
+    fn contains(&self, d: DeviceId) -> bool {
+        self.affinity
+            .island_of
+            .get(d.index())
+            .is_some_and(|&k| k != NO_ISLAND)
     }
 
     /// Snapshots the cross-wave state in sparse, id-stable form.
@@ -291,20 +365,16 @@ impl LocalityPass {
     /// placement touching a removed device keeps its surviving members —
     /// affinity toward the survivors still makes the data flows cheap.
     fn restore(&mut self, checkpoint: &PlacementCheckpoint) {
-        let mut present = vec![false; self.space];
-        for &d in &self.all_devices {
-            present[d.index()] = true;
-        }
         self.memory_used.fill(0);
         for &(d, bytes) in &checkpoint.memory_used {
-            if d.index() < self.space && present[d.index()] {
+            if self.contains(d) {
                 self.memory_used[d.index()] = bytes;
             }
         }
         self.resident.fill(false);
         for &(m, d) in &checkpoint.resident {
             let m = m as usize;
-            if m < self.num_metaops && d.index() < self.space && present[d.index()] {
+            if m < self.num_metaops && self.contains(d) {
                 self.resident[m * self.space + d.index()] = true;
             }
         }
@@ -314,135 +384,78 @@ impl LocalityPass {
             if m >= self.num_metaops {
                 continue;
             }
-            let survivors: DeviceGroup = group
-                .iter()
-                .filter(|d| d.index() < self.space && present[d.index()])
-                .collect();
+            let survivors: DeviceGroup = group.iter().filter(|&d| self.contains(d)).collect();
             if !survivors.is_empty() {
                 self.last_placement[m] = Some(survivors);
             }
         }
     }
 
+    /// Places the given waves in order, snapshotting the cross-wave state
+    /// after the last wave of every level they cover.
+    fn place_levels<'w>(
+        &mut self,
+        waves: impl IntoIterator<Item = &'w mut Wave>,
+        choose: Chooser,
+    ) -> Vec<PlacementCheckpoint> {
+        let mut checkpoints = Vec::new();
+        let mut current_level: Option<usize> = None;
+        for wave in waves {
+            if current_level.is_some_and(|level| level != wave.level) {
+                checkpoints.push(self.checkpoint());
+            }
+            current_level = Some(wave.level);
+            self.place_wave(wave, choose);
+        }
+        if current_level.is_some() {
+            checkpoints.push(self.checkpoint());
+        }
+        checkpoints
+    }
+
     /// Places every entry of one wave, advancing the cross-wave state.
-    fn place_wave(&mut self, wave: &mut Wave) {
+    fn place_wave(&mut self, wave: &mut Wave, choose: Chooser) {
         self.free.fill(false);
+        self.island_free.fill(0);
+        self.island_free_mem.fill(0);
         for &d in &self.all_devices {
             self.free[d.index()] = true;
+            let k = self.affinity.island_of[d.index()];
+            self.island_free[k] += 1;
+            self.island_free_mem[k] += self.capacity.saturating_sub(self.memory_used[d.index()]);
         }
         // Guideline 2: place the most communication-intensive entries first.
         self.order.clear();
         self.order.extend(0..wave.entries.len());
         let volume = &self.volume;
         self.order
-            .sort_by_key(|&i| std::cmp::Reverse(volume[wave.entries[i].metaop.index()]));
+            .sort_by_key(|&i| Reverse(volume[wave.entries[i].metaop.index()]));
 
         for oi in 0..self.order.len() {
             let idx = self.order[oi];
-            let entry = &wave.entries[idx];
-            let needed = (entry.devices as usize).min(self.num_devices);
-            // Affinity of each device for this entry.
-            self.affinity.fill(0);
-            let mark = |group: Option<&DeviceGroup>, weight: i64, affinity: &mut Vec<i64>| {
-                if let Some(g) = group {
-                    for d in g.iter() {
-                        affinity[d.index()] += weight;
-                    }
-                }
-            };
-            mark(
-                self.last_placement[entry.metaop.index()].as_ref(),
-                4,
-                &mut self.affinity,
-            );
-            for &pred in &self.preds[entry.metaop.index()] {
-                mark(
-                    self.last_placement[pred.index()].as_ref(),
-                    2,
-                    &mut self.affinity,
-                );
+            let metaop = wave.entries[idx].metaop;
+            let needed = (wave.entries[idx].devices as usize).min(self.num_devices);
+            // Affinity of each device and island for this entry.
+            self.affinity.clear();
+            self.affinity
+                .mark(self.last_placement[metaop.index()].as_ref(), 4);
+            for &pred in &self.preds[metaop.index()] {
+                self.affinity
+                    .mark(self.last_placement[pred.index()].as_ref(), 2);
             }
             // Sibling affinity: co-locate with MetaOps that feed the same
             // successor, so the successor's inputs end up on one island.
-            for &succ in &self.succs[entry.metaop.index()] {
+            for &succ in &self.succs[metaop.index()] {
                 for &sibling in &self.preds[succ.index()] {
-                    if sibling != entry.metaop {
-                        mark(
-                            self.last_placement[sibling.index()].as_ref(),
-                            1,
-                            &mut self.affinity,
-                        );
+                    if sibling != metaop {
+                        self.affinity
+                            .mark(self.last_placement[sibling.index()].as_ref(), 1);
                     }
                 }
             }
-
-            // Guideline 1: choose islands first, preferring islands with
-            // enough free devices, high affinity and plenty of free memory.
-            self.island_order.clear();
-            self.island_order.extend(0..self.islands.len());
-            let (islands, free, affinity, memory_used, capacity) = (
-                &self.islands,
-                &self.free,
-                &self.affinity,
-                &self.memory_used,
-                self.capacity,
-            );
-            // Cached: the key walks the island's devices, so compute it once
-            // per island rather than on every comparison. The sort is stable,
-            // like `sort_by_key`.
-            self.island_order.sort_by_cached_key(|&k| {
-                let island = &islands[k];
-                let mut free_count = 0usize;
-                let mut free_mem = 0u64;
-                // Affinity counts every device of the island (even occupied
-                // ones): being on the same island as a producer is what makes
-                // the data flow cheap, regardless of which sibling occupies it.
-                let mut aff = 0i64;
-                for d in island.devices.iter() {
-                    aff += affinity[d.index()];
-                    if free[d.index()] {
-                        free_count += 1;
-                        free_mem += capacity.saturating_sub(memory_used[d.index()]);
-                    }
-                }
-                let fits = free_count >= needed;
-                (
-                    std::cmp::Reverse(fits),
-                    std::cmp::Reverse(aff),
-                    std::cmp::Reverse(free_mem),
-                )
-            });
 
             self.chosen.clear();
-            for ki in 0..self.island_order.len() {
-                let k = self.island_order[ki];
-                if self.chosen.len() >= needed {
-                    break;
-                }
-                self.candidates.clear();
-                self.candidates.extend(
-                    self.islands[k]
-                        .devices
-                        .iter()
-                        .filter(|d| self.free[d.index()]),
-                );
-                // Guideline 3 tie-break: most affine, then most free memory.
-                let (affinity, memory_used) = (&self.affinity, &self.memory_used);
-                self.candidates.sort_by_key(|d| {
-                    (
-                        std::cmp::Reverse(affinity[d.index()]),
-                        memory_used[d.index()],
-                        d.0,
-                    )
-                });
-                for ci in 0..self.candidates.len() {
-                    if self.chosen.len() >= needed {
-                        break;
-                    }
-                    let d = self.candidates[ci];
-                    self.chosen.push(d);
-                }
-            }
+            choose(self, needed);
 
             // Memory-balance fallback: if any chosen device would exceed its
             // capacity, redo the choice ordering devices purely by free memory.
@@ -452,6 +465,10 @@ impl LocalityPass {
                 .iter()
                 .any(|d| self.memory_used[d.index()] + per_device > self.capacity);
             if would_overflow {
+                #[cfg(test)]
+                {
+                    self.fallbacks += 1;
+                }
                 self.candidates.clear();
                 self.candidates
                     .extend(self.all_devices.iter().filter(|d| self.free[d.index()]));
@@ -463,10 +480,13 @@ impl LocalityPass {
                 self.chosen.extend(self.candidates.iter().take(take));
             }
 
-            let metaop = wave.entries[idx].metaop;
             for i in 0..self.chosen.len() {
                 let d = self.chosen[i];
                 self.free[d.index()] = false;
+                let k = self.affinity.island_of[d.index()];
+                self.island_free[k] -= 1;
+                self.island_free_mem[k] -=
+                    self.capacity.saturating_sub(self.memory_used[d.index()]);
                 let slot = metaop.index() * self.space + d.index();
                 if !self.resident[slot] {
                     self.resident[slot] = true;
@@ -479,13 +499,70 @@ impl LocalityPass {
             wave.entries[idx].placement = Some(group);
         }
     }
+
+    /// Ranking key of island `k` for an entry needing `needed` devices, from
+    /// the running totals.
+    fn island_key(&self, k: usize, needed: usize) -> IslandKey {
+        (
+            Reverse(self.island_free[k] >= needed),
+            Reverse(self.affinity.island[k]),
+            Reverse(self.island_free_mem[k]),
+        )
+    }
+
+    /// Guideline 1: takes islands best-first by [`island_key`](Self::island_key),
+    /// ties to the lower index, until the entry has `needed` devices — the
+    /// order a stable sort of every island visits them in. Islands without
+    /// free devices would add nothing and are left out. Most entries fit on
+    /// the best island, found in one scan; the rest are sorted only when the
+    /// entry needs more.
+    fn choose_islands(&mut self, needed: usize) {
+        self.ranked.clear();
+        for k in 0..self.islands.len() {
+            if self.island_free[k] > 0 {
+                self.ranked.push((self.island_key(k, needed), k));
+            }
+        }
+        let Some(&(_, best)) = self.ranked.iter().min() else {
+            return;
+        };
+        self.take_from_island(best, needed);
+        if self.chosen.len() < needed {
+            self.ranked.sort_unstable();
+            for i in 1..self.ranked.len() {
+                if self.chosen.len() >= needed {
+                    break;
+                }
+                self.take_from_island(self.ranked[i].1, needed);
+            }
+        }
+    }
+
+    /// Appends island `k`'s free devices to `chosen`, most affine first, then
+    /// least loaded (guideline 3 tie-break), until the entry has `needed`.
+    fn take_from_island(&mut self, k: usize, needed: usize) {
+        self.candidates.clear();
+        self.candidates.extend(
+            self.islands[k]
+                .devices
+                .iter()
+                .filter(|d| self.free[d.index()]),
+        );
+        let (affinity, memory_used) = (&self.affinity.device, &self.memory_used);
+        self.candidates
+            .sort_by_key(|d| (Reverse(affinity[d.index()]), memory_used[d.index()], d.0));
+        let take = needed
+            .saturating_sub(self.chosen.len())
+            .min(self.candidates.len());
+        self.chosen.extend_from_slice(&self.candidates[..take]);
+    }
 }
 
 /// Locality-, communication- and memory-aware placement.
 fn place_locality(plan: &mut ExecutionPlan, cluster: &ClusterSpec) {
     let mut pass = LocalityPass::new(plan, cluster);
     for wave in plan.waves_mut() {
-        pass.place_wave(wave);
+        pass.place_wave(wave, LocalityPass::choose_islands);
     }
 }
 
@@ -498,21 +575,7 @@ pub(crate) fn place_locality_checkpointed(
     cluster: &ClusterSpec,
 ) -> Vec<PlacementCheckpoint> {
     let mut pass = LocalityPass::new(plan, cluster);
-    let mut checkpoints = Vec::new();
-    let mut current_level: Option<usize> = None;
-    for wave in plan.waves_mut() {
-        if let Some(level) = current_level {
-            if level != wave.level {
-                checkpoints.push(pass.checkpoint());
-            }
-        }
-        current_level = Some(wave.level);
-        pass.place_wave(wave);
-    }
-    if current_level.is_some() {
-        checkpoints.push(pass.checkpoint());
-    }
-    checkpoints
+    pass.place_levels(plan.waves_mut(), LocalityPass::choose_islands)
 }
 
 /// Resumes a locality pass from `resume_from` (the checkpoint taken after the
@@ -529,28 +592,18 @@ pub(crate) fn place_locality_resume(
 ) -> Vec<PlacementCheckpoint> {
     let mut pass = LocalityPass::new(plan, cluster);
     pass.restore(resume_from);
-    let mut checkpoints = Vec::new();
-    let mut current_level: Option<usize> = None;
-    for wave in plan.waves_mut().iter_mut().skip(first_wave) {
-        if let Some(level) = current_level {
-            if level != wave.level {
-                checkpoints.push(pass.checkpoint());
-            }
-        }
-        current_level = Some(wave.level);
-        pass.place_wave(wave);
-    }
-    if current_level.is_some() {
-        checkpoints.push(pass.checkpoint());
-    }
-    checkpoints
+    pass.place_levels(
+        plan.waves_mut().iter_mut().skip(first_wave),
+        LocalityPass::choose_islands,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{MetaGraph, Wave, WaveEntry};
-    use spindle_graph::{GraphBuilder, Modality, OpKind, TensorShape};
+    use spindle_cluster::{GpuSpec, InterconnectSpec};
+    use spindle_graph::{GraphBuilder, Modality, OpKind, TensorShape, XorShift64Star};
     use std::time::Duration;
 
     /// Builds a plan with two encoder MetaOps feeding an LM MetaOp, scheduled
@@ -688,5 +741,163 @@ mod tests {
         let policy: &dyn PlacementPolicy = &LocalityPlacement;
         policy.place(&mut plan, &cluster).unwrap();
         plan.require_placement().unwrap();
+    }
+
+    impl LocalityPass {
+        /// The island ranking [`LocalityPass::choose_islands`] replaced: every
+        /// entry sorts every island by a key walked from its devices, then
+        /// takes islands in that order.
+        fn choose_islands_reference(&mut self, needed: usize) {
+            let mut order: Vec<usize> = (0..self.islands.len()).collect();
+            order.sort_by_cached_key(|&k| {
+                let mut free_count = 0usize;
+                let mut free_mem = 0u64;
+                let mut aff = 0i64;
+                for d in self.islands[k].devices.iter() {
+                    aff += self.affinity.device[d.index()];
+                    if self.free[d.index()] {
+                        free_count += 1;
+                        free_mem += self.capacity.saturating_sub(self.memory_used[d.index()]);
+                    }
+                }
+                (
+                    Reverse(free_count >= needed),
+                    Reverse(aff),
+                    Reverse(free_mem),
+                )
+            });
+            for k in order {
+                if self.chosen.len() >= needed {
+                    break;
+                }
+                self.take_from_island(k, needed);
+            }
+        }
+    }
+
+    /// Asserts that the production pass of `plan` on `cluster`, resumed from
+    /// `resume` at `first_wave`, places and checkpoints exactly like a pass
+    /// with the reference island ranking; returns how many entries took the
+    /// memory-balance fallback.
+    fn assert_matches_reference(
+        plan: &ExecutionPlan,
+        cluster: &ClusterSpec,
+        first_wave: usize,
+        resume: &PlacementCheckpoint,
+    ) -> usize {
+        let mut placed = plan.clone();
+        let checkpoints = place_locality_resume(&mut placed, cluster, first_wave, resume);
+        let mut reference = plan.clone();
+        let mut pass = LocalityPass::new(&reference, cluster);
+        pass.restore(resume);
+        let reference_checkpoints = pass.place_levels(
+            reference.waves_mut().iter_mut().skip(first_wave),
+            LocalityPass::choose_islands_reference,
+        );
+        assert_eq!(placed.waves(), reference.waves(), "placements differ");
+        assert_eq!(checkpoints, reference_checkpoints, "checkpoints differ");
+        pass.fallbacks
+    }
+
+    /// A cold plan of the hyperscale roster's first `tasks` slots minus one
+    /// seeded slot, on `cluster`.
+    fn hyperscale_plan(
+        tasks: usize,
+        rng: &mut XorShift64Star,
+        cluster: &ClusterSpec,
+    ) -> ExecutionPlan {
+        let dropped = (rng.next_u64() % tasks as u64) as usize;
+        let slots: Vec<usize> = (0..tasks).filter(|&s| s != dropped).collect();
+        let graph = spindle_workloads::hyperscale_subset(&slots).unwrap();
+        crate::SpindleSession::new(cluster.clone())
+            .plan(&graph)
+            .unwrap()
+    }
+
+    /// Index of the first wave after the `level`-th level of `plan` (in wave
+    /// order) — where a pass resumed from checkpoint `level` starts.
+    fn first_wave_after(plan: &ExecutionPlan, level: usize) -> usize {
+        let mut levels_seen = 0;
+        for (i, pair) in plan.waves().windows(2).enumerate() {
+            if pair[0].level != pair[1].level {
+                if levels_seen == level {
+                    return i + 1;
+                }
+                levels_seen += 1;
+            }
+        }
+        plan.num_waves()
+    }
+
+    #[test]
+    fn best_first_islands_match_the_full_ranking_on_hyperscale_mixes() {
+        let mut rng = XorShift64Star::new(0x5EED_0001);
+        for (tasks, gpus) in [(48, 256), (48, 256), (64, 512), (64, 512)] {
+            let cluster = ClusterSpec::homogeneous(gpus / 8, 8);
+            let plan = hyperscale_plan(tasks, &mut rng, &cluster);
+            assert_matches_reference(&plan, &cluster, 0, &PlacementCheckpoint::default());
+        }
+    }
+
+    #[test]
+    fn best_first_islands_match_the_full_ranking_on_churned_clusters() {
+        let mut rng = XorShift64Star::new(0x5EED_0002);
+        let full = ClusterSpec::homogeneous(32, 8);
+        for draw in 0..3 {
+            // Knock out a seeded set of devices, emptying one island outright
+            // on the last draw.
+            let mut removed: Vec<DeviceId> = (0..12)
+                .map(|_| DeviceId((rng.next_u64() % 256) as u32))
+                .collect();
+            if draw == 2 {
+                removed.extend((40..48).map(DeviceId));
+            }
+            let churned = full.without_devices(&removed).unwrap();
+            assert!(
+                churned.device_space() > churned.num_devices(),
+                "no id holes"
+            );
+            let plan = hyperscale_plan(48, &mut rng, &churned);
+            assert_matches_reference(&plan, &churned, 0, &PlacementCheckpoint::default());
+
+            // Resume on the survivors from checkpoints of a pass on the full
+            // cluster, as a re-plan after device loss does: restore drops the
+            // state of the removed devices.
+            let mut before_loss = plan.clone();
+            let checkpoints = place_locality_checkpointed(&mut before_loss, &full);
+            for level in [0, checkpoints.len() / 2, checkpoints.len() - 2] {
+                let first_wave = first_wave_after(&plan, level);
+                assert!(first_wave < plan.num_waves());
+                assert_matches_reference(&plan, &churned, first_wave, &checkpoints[level]);
+            }
+        }
+    }
+
+    #[test]
+    fn best_first_islands_match_the_full_ranking_through_the_memory_fallback() {
+        let mut rng = XorShift64Star::new(0x5EED_0003);
+        let cluster = ClusterSpec::homogeneous(32, 8);
+        let plan = hyperscale_plan(48, &mut rng, &cluster);
+        // The same topology with devices of twice the largest entry's
+        // footprint: resident slices pile up until some locality choices
+        // would overflow and fall back.
+        let largest = plan
+            .waves()
+            .iter()
+            .flat_map(|w| &w.entries)
+            .map(|e| e.memory_per_device)
+            .max()
+            .unwrap();
+        let small = ClusterSpec::with_specs(
+            32,
+            8,
+            GpuSpec {
+                memory_bytes: 2 * largest,
+                ..GpuSpec::a800_80gb()
+            },
+            InterconnectSpec::nvlink_plus_infiniband_400g(),
+        );
+        let fallbacks = assert_matches_reference(&plan, &small, 0, &PlacementCheckpoint::default());
+        assert!(fallbacks > 0, "no entry took the memory-balance fallback");
     }
 }

@@ -108,9 +108,10 @@ impl RuntimeEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidPlan`] if the plan fails validation or
-    /// lacks placement, and [`RuntimeError::ClusterMismatch`] if the plan was
-    /// built for more devices than the cluster has.
+    /// Returns [`RuntimeError::InvalidPlan`] if the plan fails validation,
+    /// lacks placement or places an entry on a device the cluster does not
+    /// contain, and [`RuntimeError::ClusterMismatch`] if the plan was built
+    /// for more devices than the cluster has.
     pub fn run_iteration(&self) -> Result<IterationReport, RuntimeError> {
         // Steps 1-3: localisation, transmission derivation and the parameter
         // device-group pool — shared with the event-driven simulator so both
@@ -189,12 +190,7 @@ impl RuntimeEngine {
     fn device_utilization(&self, total_s: f64) -> BTreeMap<DeviceId, f64> {
         let peak = self.cluster.gpu().peak_flops();
         let horizon = total_s.max(self.plan.makespan()).max(1e-12);
-        let mut per_device: BTreeMap<DeviceId, f64> = self
-            .cluster
-            .all_devices()
-            .iter()
-            .map(|d| (d, 0.0))
-            .collect();
+        let mut flops = vec![0.0; self.cluster.device_space()];
         for wave in self.plan.waves() {
             for entry in &wave.entries {
                 let Some(group) = &entry.placement else {
@@ -204,14 +200,11 @@ impl RuntimeEngine {
                 let flops_per_device =
                     rep.flops_total() * f64::from(entry.layers) / group.len() as f64;
                 for d in group.iter() {
-                    *per_device.entry(d).or_insert(0.0) += flops_per_device;
+                    flops[d.index()] += flops_per_device;
                 }
             }
         }
-        per_device
-            .into_iter()
-            .map(|(d, flops)| (d, flops / (peak * horizon)))
-            .collect()
+        self.per_cluster_device(|d| flops[d.index()] / (peak * horizon))
     }
 
     /// Computational utilization of each MetaOp: achieved FLOP/s on its
@@ -241,24 +234,29 @@ impl RuntimeEngine {
     /// Peak per-device memory: parameters and optimizer state stay resident, so
     /// each device accumulates the footprint of every slice placed on it.
     fn device_memory(&self) -> BTreeMap<DeviceId, u64> {
-        let mut memory: BTreeMap<DeviceId, u64> = self
-            .cluster
-            .all_devices()
-            .iter()
-            .map(|d| (d, 0u64))
-            .collect();
+        let mut memory = vec![0u64; self.cluster.device_space()];
         for wave in self.plan.waves() {
             for entry in &wave.entries {
                 let Some(group) = &entry.placement else {
                     continue;
                 };
                 for d in group.iter() {
-                    *memory.entry(d).or_insert(0) =
-                        memory[&d].saturating_add(entry.memory_per_device);
+                    memory[d.index()] = memory[d.index()].saturating_add(entry.memory_per_device);
                 }
             }
         }
-        memory
+        self.per_cluster_device(|d| memory[d.index()])
+    }
+
+    /// One value per cluster device. Localisation has checked that every
+    /// placed device belongs to the cluster, so dense tables sized by the
+    /// device space cover the plan.
+    fn per_cluster_device<T>(&self, value: impl Fn(DeviceId) -> T) -> BTreeMap<DeviceId, T> {
+        self.cluster
+            .all_devices()
+            .iter()
+            .map(|d| (d, value(d)))
+            .collect()
     }
 }
 

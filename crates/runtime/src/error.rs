@@ -11,7 +11,10 @@ use spindle_core::PlanError;
 pub enum RuntimeError {
     /// The plan failed structural validation.
     InvalidPlan(PlanError),
-    /// The plan references devices outside the cluster it is executed on.
+    /// The plan was built for more devices than the cluster it is executed
+    /// on has. (A plan placed on a device the cluster lacks is an
+    /// [`InvalidPlan`](RuntimeError::InvalidPlan) with
+    /// [`PlanError::PlacementOutOfRange`].)
     ClusterMismatch {
         /// Devices the plan was built for.
         plan_devices: u32,

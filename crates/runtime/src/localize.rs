@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use spindle_cluster::{ClusterSpec, CommModel};
-use spindle_core::ExecutionPlan;
+use spindle_core::{ExecutionPlan, PlanError};
 use spindle_graph::ComputationGraph;
 
 use crate::param_groups::ParamGroupPool;
@@ -37,9 +37,11 @@ impl LocalizedPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidPlan`] if the plan fails validation or
-    /// lacks placement, and [`RuntimeError::ClusterMismatch`] if the plan was
-    /// built for more devices than the cluster has.
+    /// Returns [`RuntimeError::InvalidPlan`] if the plan fails validation,
+    /// lacks placement or places an entry on a device the cluster does not
+    /// contain ([`PlanError::PlacementOutOfRange`] names the first such
+    /// device), and [`RuntimeError::ClusterMismatch`] if the plan was built
+    /// for more devices than the cluster has.
     pub fn new(
         plan: Arc<ExecutionPlan>,
         cluster: &ClusterSpec,
@@ -53,6 +55,18 @@ impl LocalizedPlan {
                 plan_devices: plan.num_devices(),
                 cluster_devices,
             });
+        }
+        // Both backends index per-device state by id over the cluster's
+        // device space, so every placed device must exist in the cluster.
+        for wave in plan.waves() {
+            let placed = wave.entries.iter().flat_map(|e| e.placement.iter());
+            if let Some(device) = placed.flatten().find(|&d| !cluster.contains(d)) {
+                return Err(RuntimeError::InvalidPlan(PlanError::PlacementOutOfRange {
+                    wave: wave.index,
+                    device: device.0,
+                    available: cluster_devices,
+                }));
+            }
         }
         let sites = derive_transmission_sites(&plan);
         let pool = match graph {
@@ -113,7 +127,7 @@ impl LocalizedPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spindle_cluster::ClusterSpec;
+    use spindle_cluster::{ClusterSpec, DeviceId};
     use spindle_core::SpindleSession;
     use spindle_graph::{GraphBuilder, Modality, OpKind, TensorShape};
 
@@ -161,5 +175,45 @@ mod tests {
         let small = ClusterSpec::homogeneous(1, 8);
         let err = LocalizedPlan::new(plan, &small, None).unwrap_err();
         assert!(matches!(err, RuntimeError::ClusterMismatch { .. }));
+    }
+
+    #[test]
+    fn placement_on_a_device_the_cluster_lacks_is_rejected() {
+        // Planned on ids 0-15; run on a cluster of 16 devices with ids 8-23.
+        let graph = graph();
+        let plan = Arc::new(
+            SpindleSession::new(ClusterSpec::homogeneous(2, 8))
+                .plan(&graph)
+                .unwrap(),
+        );
+        let lost: Vec<DeviceId> = (0..8).map(DeviceId).collect();
+        let shifted = ClusterSpec::homogeneous(3, 8)
+            .without_devices(&lost)
+            .unwrap();
+        assert_eq!(shifted.num_devices(), 16);
+        let first_stray = plan
+            .waves()
+            .iter()
+            .flat_map(|w| w.entries.iter().map(move |e| (w.index, e)))
+            .find_map(|(wave, e)| {
+                let group = e.placement.as_ref().unwrap();
+                group.iter().find(|d| d.0 < 8).map(|d| (wave, d.0))
+            })
+            .unwrap();
+        let expected = RuntimeError::InvalidPlan(PlanError::PlacementOutOfRange {
+            wave: first_stray.0,
+            device: first_stray.1,
+            available: 16,
+        });
+        let engine = crate::RuntimeEngine::new(Arc::clone(&plan), &shifted)
+            .with_graph(&graph)
+            .run_iteration()
+            .unwrap_err();
+        assert_eq!(engine, expected);
+        let sim = crate::Simulator::new(Arc::clone(&plan), &shifted)
+            .with_graph(&graph)
+            .run_iteration()
+            .unwrap_err();
+        assert_eq!(sim, expected);
     }
 }

@@ -343,9 +343,10 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidPlan`] if the plan fails validation or
-    /// lacks placement, and [`RuntimeError::ClusterMismatch`] if the plan was
-    /// built for more devices than the cluster has.
+    /// Returns [`RuntimeError::InvalidPlan`] if the plan fails validation,
+    /// lacks placement or places an entry on a device the cluster does not
+    /// contain, and [`RuntimeError::ClusterMismatch`] if the plan was built
+    /// for more devices than the cluster has.
     pub fn run_iteration(&self) -> Result<SimReport, RuntimeError> {
         let localized =
             LocalizedPlan::new(Arc::clone(&self.plan), &self.cluster, self.graph.as_deref())?;
@@ -457,7 +458,8 @@ struct Run<'a> {
     compute_s: f64,
     comm_s: f64,
     sync_s: f64,
-    device_busy: BTreeMap<DeviceId, f64>,
+    /// Busy seconds by device id; `None` for devices that ran nothing.
+    device_busy: Vec<Option<f64>>,
     intervals: Vec<ComputeInterval>,
     flows_executed: usize,
     syncs_executed: usize,
@@ -500,7 +502,7 @@ impl<'a> Run<'a> {
             compute_s: 0.0,
             comm_s: 0.0,
             sync_s: 0.0,
-            device_busy: BTreeMap::new(),
+            device_busy: vec![None; cluster.device_space()],
             intervals: Vec::new(),
             flows_executed: 0,
             syncs_executed: 0,
@@ -656,7 +658,7 @@ impl<'a> Run<'a> {
                 flops_per_s: flops / duration.max(1e-12),
             });
             for d in group.iter() {
-                *self.device_busy.entry(d).or_insert(0.0) += duration;
+                *self.device_busy[d.index()].get_or_insert(0.0) += duration;
             }
             self.log.push(
                 self.now,
@@ -942,7 +944,7 @@ impl<'a> Run<'a> {
                     // busy seconds credited up front at schedule time.
                     let overrun = (scheduled_end - self.now).max(0.0);
                     for d in group.iter() {
-                        if let Some(busy) = self.device_busy.get_mut(&d) {
+                        if let Some(busy) = &mut self.device_busy[d.index()] {
                             *busy = (*busy - overrun).max(0.0);
                         }
                     }
@@ -989,7 +991,11 @@ impl<'a> Run<'a> {
             compute_s: self.compute_s,
             comm_s: self.comm_s,
             sync_s: self.sync_s,
-            device_busy_s: self.device_busy,
+            device_busy_s: (0..)
+                .map(DeviceId)
+                .zip(self.device_busy)
+                .filter_map(|(d, busy)| busy.map(|b| (d, b)))
+                .collect(),
             utilization_trace: trace,
             event_log: self.log,
             flows_executed: self.flows_executed,

@@ -11,8 +11,6 @@
 //! The runtime prices each transmission with the cluster's communication model
 //! (copy / shard / send / receive collapse into a group-to-group transfer).
 
-use std::collections::BTreeMap;
-
 use spindle_cluster::{CommModel, DeviceGroup};
 use spindle_core::{ExecutionPlan, MetaOpId};
 
@@ -79,33 +77,34 @@ pub struct TransmissionSite {
 #[must_use]
 pub fn derive_transmission_sites(plan: &ExecutionPlan) -> Vec<TransmissionSite> {
     // Ordered placements of each MetaOp's slices across waves, with the wave
-    // index of each slice.
-    let mut slices: BTreeMap<MetaOpId, Vec<(usize, DeviceGroup)>> = BTreeMap::new();
+    // index of each slice, by MetaOp index.
+    let mut slices: Vec<Vec<(usize, &DeviceGroup)>> =
+        vec![Vec::new(); plan.metagraph().num_metaops()];
     for wave in plan.waves() {
         for entry in &wave.entries {
             if let Some(group) = &entry.placement {
-                slices
-                    .entry(entry.metaop)
-                    .or_default()
-                    .push((wave.index, group.clone()));
+                slices[entry.metaop.index()].push((wave.index, group));
             }
         }
     }
 
     let mut sites = Vec::new();
     // Slice hand-overs within a MetaOp.
-    for (metaop, groups) in &slices {
+    for (metaop, groups) in (0..).map(MetaOpId).zip(&slices) {
+        if groups.len() < 2 {
+            continue;
+        }
         let bytes = plan
             .metagraph()
-            .metaop(*metaop)
+            .metaop(metaop)
             .representative()
             .output_bytes();
         for pair in groups.windows(2) {
             if pair[0].1 != pair[1].1 {
                 sites.push(TransmissionSite {
                     transmission: Transmission {
-                        from: *metaop,
-                        to: *metaop,
+                        from: metaop,
+                        to: metaop,
                         src: pair[0].1.clone(),
                         dst: pair[1].1.clone(),
                         bytes,
@@ -120,8 +119,8 @@ pub fn derive_transmission_sites(plan: &ExecutionPlan) -> Vec<TransmissionSite> 
     // consumer's first slice.
     for &(from, to) in plan.metagraph().edges() {
         let (Some(src), Some(dst)) = (
-            slices.get(&from).and_then(|g| g.last()),
-            slices.get(&to).and_then(|g| g.first()),
+            slices.get(from.index()).and_then(|g| g.last()),
+            slices.get(to.index()).and_then(|g| g.first()),
         ) else {
             continue;
         };
