@@ -141,7 +141,7 @@ impl PlanningSystem for DecoupledPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spindle_runtime::RuntimeEngine;
+    use spindle_runtime::Simulator;
     use spindle_workloads::multitask_clip;
 
     #[test]
@@ -180,7 +180,7 @@ mod tests {
         let plan = DecoupledPlanner::new(DecoupledParallelism::DataParallelOnly)
             .plan(&graph, &cluster)
             .unwrap();
-        let report = RuntimeEngine::new(&plan, &cluster)
+        let report = Simulator::new(&plan, &cluster)
             .with_graph(&graph)
             .run_iteration()
             .unwrap();
@@ -196,7 +196,7 @@ mod tests {
         let plan = DecoupledPlanner::new(DecoupledParallelism::HybridBest)
             .plan(&graph, &cluster)
             .unwrap();
-        let report = RuntimeEngine::new(&plan, &cluster)
+        let report = Simulator::new(&plan, &cluster)
             .with_graph(&graph)
             .run_iteration()
             .unwrap();

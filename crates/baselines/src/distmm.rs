@@ -135,7 +135,7 @@ impl PlanningSystem for DistMmMtPlanner {
 mod tests {
     use super::*;
     use crate::{DecoupledParallelism, DecoupledPlanner};
-    use spindle_runtime::RuntimeEngine;
+    use spindle_runtime::Simulator;
     use spindle_workloads::multitask_clip;
 
     #[test]
@@ -166,7 +166,7 @@ mod tests {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(1, 8);
         let plan = DistMmMtPlanner::new().plan(&graph, &cluster).unwrap();
-        let report = RuntimeEngine::new(&plan, &cluster)
+        let report = Simulator::new(&plan, &cluster)
             .with_graph(&graph)
             .run_iteration()
             .unwrap();

@@ -3,7 +3,7 @@
 //! The comparison systems of the Spindle evaluation (§5.1, Tab. 1a),
 //! re-implemented as planners over the same computation-graph / cluster /
 //! estimator substrate so that every system is executed by the same runtime
-//! engine and measured identically:
+//! simulator and measured identically:
 //!
 //! | System | Inter-task heterogeneity | Intra-task heterogeneity |
 //! |---|---|---|

@@ -235,7 +235,7 @@ fn sort_waves_by_start(plan: &mut ExecutionPlan) {
 mod tests {
     use super::*;
     use crate::{DecoupledParallelism, DecoupledPlanner};
-    use spindle_runtime::RuntimeEngine;
+    use spindle_runtime::Simulator;
     use spindle_workloads::{multitask_clip, ofasys};
 
     #[test]
@@ -245,7 +245,7 @@ mod tests {
         let plan = OptimusPlanner::new().plan(&graph, &cluster).unwrap();
         plan.validate().unwrap();
         plan.require_placement().unwrap();
-        let report = RuntimeEngine::new(&plan, &cluster)
+        let report = Simulator::new(&plan, &cluster)
             .with_graph(&graph)
             .run_iteration()
             .unwrap();

@@ -90,7 +90,7 @@ mod tests {
     use super::*;
     use spindle_cluster::ClusterSpec;
     use spindle_core::SpindleSession;
-    use spindle_runtime::RuntimeEngine;
+    use spindle_runtime::Simulator;
     use spindle_workloads::multitask_clip;
 
     #[test]
@@ -117,7 +117,7 @@ mod tests {
             let mut system = kind.planning_system();
             let plan = system.plan(&graph, &mut session).unwrap();
             plan.validate().unwrap_or_else(|e| panic!("{kind}: {e}"));
-            let report = RuntimeEngine::new(plan, &cluster)
+            let report = Simulator::new(plan, &cluster)
                 .with_graph(&graph)
                 .run_iteration()
                 .unwrap();
@@ -147,7 +147,7 @@ mod tests {
         let mut times = std::collections::BTreeMap::new();
         for kind in SystemKind::ALL {
             let plan = kind.planning_system().plan(&graph, &mut session).unwrap();
-            let report = RuntimeEngine::new(plan, &cluster)
+            let report = Simulator::new(plan, &cluster)
                 .with_graph(&graph)
                 .run_iteration()
                 .unwrap();

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use spindle_baselines::{SpindleSession, SystemKind};
 use spindle_bench::microbench::{bench, group};
 use spindle_cluster::ClusterSpec;
-use spindle_runtime::RuntimeEngine;
+use spindle_runtime::Simulator;
 use spindle_workloads::multitask_clip;
 
 fn bench_fig8_cell() {
@@ -25,7 +25,7 @@ fn bench_fig8_cell() {
     for kind in SystemKind::ALL {
         bench(kind.label(), 1, 10, || {
             let plan = kind.planning_system().plan(&graph, &mut session).unwrap();
-            let _ = RuntimeEngine::new(plan, &cluster)
+            let _ = Simulator::new(plan, &cluster)
                 .with_graph(Arc::clone(&graph))
                 .run_iteration()
                 .unwrap()
@@ -46,7 +46,7 @@ fn bench_simulation_only() {
             .unwrap(),
     );
     bench("clip-10t-32gpu", 1, 10, || {
-        let _ = RuntimeEngine::new(Arc::clone(&plan), &cluster)
+        let _ = Simulator::new(Arc::clone(&plan), &cluster)
             .with_graph(Arc::clone(&graph))
             .run_iteration()
             .unwrap();

@@ -18,8 +18,8 @@ use spindle_bench::microbench::{bench, group, quick_mode, write_json_report, Tim
 use spindle_cluster::ClusterSpec;
 use spindle_core::SpindleSession;
 use spindle_runtime::{
-    price_checkpoint_write, CheckpointPolicy, DynamicRunLoop, LocalizedPlan, RuntimeEngine,
-    SimConfig, Simulator, Straggler,
+    price_checkpoint_write, CheckpointPolicy, DynamicRunLoop, LocalizedPlan, SimConfig, Simulator,
+    Straggler,
 };
 use spindle_workloads::{hyperscale, multitask_clip, ArrivalSchedule, DynamicWorkload};
 
@@ -39,7 +39,7 @@ fn main() {
     );
     let mut report: Vec<(String, Timing)> = Vec::new();
 
-    group("one simulated iteration (analytical engine vs event-driven)");
+    group("one simulated iteration (serialized closed form vs contended)");
     for (name, tasks, gpus) in [
         ("clip-4t/16gpu", 4usize, 16usize),
         ("clip-10t/32gpu", 10, 32),
@@ -47,12 +47,6 @@ fn main() {
         let graph = multitask_clip(tasks).unwrap();
         let cluster = ClusterSpec::homogeneous(gpus / 8, 8);
         let plan = Arc::new(SpindleSession::new(cluster.clone()).plan(&graph).unwrap());
-
-        let engine = RuntimeEngine::new(Arc::clone(&plan), &cluster).with_graph(&graph);
-        let t = bench(&format!("engine_analytical_{name}"), warmup, iters, || {
-            let _ = engine.run_iteration().unwrap();
-        });
-        report.push((format!("engine_analytical_{name}"), t));
 
         let oracle = Simulator::new(Arc::clone(&plan), &cluster).with_graph(&graph);
         let t = bench(&format!("sim_serialized_{name}"), warmup, iters, || {
@@ -69,14 +63,14 @@ fn main() {
         report.push((format!("sim_contended_{name}"), t));
     }
 
-    group("engine and contended simulator at hyperscale (work counters beside the time)");
+    group("serialized and contended simulator at hyperscale (work counters beside the time)");
     let graph = hyperscale(48).unwrap();
     let cluster = ClusterSpec::homogeneous(32, 8);
     let plan = Arc::new(SpindleSession::new(cluster.clone()).plan(&graph).unwrap());
-    let engine = RuntimeEngine::new(Arc::clone(&plan), &cluster).with_graph(&graph);
-    let name = "engine_analytical_hyperscale-48t/256gpu";
+    let serialized = Simulator::new(Arc::clone(&plan), &cluster).with_graph(&graph);
+    let name = "sim_serialized_hyperscale-48t/256gpu";
     let t = bench(name, warmup, iters, || {
-        let _ = engine.run_iteration().unwrap();
+        let _ = serialized.run_iteration().unwrap();
     });
     let localized = LocalizedPlan::new(Arc::clone(&plan), &cluster, Some(&graph)).unwrap();
     println!(

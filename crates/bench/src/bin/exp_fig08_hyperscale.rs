@@ -2,7 +2,9 @@
 //! 512 simulated GPUs on the hyperscale preset (48 and 64 heterogeneous
 //! tasks), reporting per cell
 //!
-//! * simulated iteration time (the analytical engine's makespan + comm),
+//! * simulated iteration time: serialized (the closed form — compute
+//!   makespan, then every transmission, then every all-reduce) and
+//!   contended (overlapped flows sharing links, all-reduces concurrent),
 //! * average cluster utilization of the plan,
 //! * planning wall-clock cost (cold session), and
 //! * the makespan's gap to the level-synchronous theoretical optimum `Σ C̃*`.
@@ -10,11 +12,10 @@
 //! The iteration and planning times are written to `BENCH_fig8.json` in the
 //! bench-gate report format (name → ns), so CI pins both the *model outputs*
 //! and the planner's wall-clock cost trajectory at hyperscale. The model
-//! outputs are deterministic: `fig8_iter_*` (the analytical engine) and
-//! `fig8_contended_spindle_*` (the contended event-driven simulator on the
-//! Spindle plan). The gate pins them exactly — a change of more than 1 ns in
-//! either direction fails — so any drift is a planner or simulator behaviour
-//! change.
+//! outputs are deterministic: `fig8_iter_*` (the serialized simulator) and
+//! `fig8_contended_*` (the contended simulator), for every system. The gate
+//! pins them exactly — a change of more than 1 ns in either direction fails
+//! — so any drift is a planner or simulator behaviour change.
 //!
 //! The binary itself asserts the headline claim of the paper's Fig. 8:
 //! Spindle's iteration time beats the decoupled (DeepSpeed-style) baseline
@@ -85,7 +86,7 @@ fn main() -> ExitCode {
         let cluster = paper_cluster(gpus);
         println!("== {tasks} tasks on {gpus} GPUs ==");
 
-        let mut cells: Vec<(SystemKind, f64, f64, f64, f64)> = Vec::new();
+        let mut cells: Vec<(SystemKind, f64, f64, f64, f64, f64)> = Vec::new();
         for (system, key) in SYSTEMS {
             // Planning cost: a cold session per run, exactly what a tenant
             // pays on first submission.
@@ -114,21 +115,20 @@ fn main() -> ExitCode {
                 deterministic(m.iteration_ms / 1e3),
             ));
             report.push((format!("fig8_plan_{key}_{tasks}t{gpus}gpu"), plan_timing));
-            if system == SystemKind::Spindle {
-                let contended = Simulator::new(Arc::clone(&m.plan), &cluster)
-                    .with_graph(&graph)
-                    .with_config(SimConfig::contended())
-                    .run_iteration()
-                    .expect("the contended simulator runs the Spindle plan");
-                report.push((
-                    format!("fig8_contended_{key}_{tasks}t{gpus}gpu"),
-                    deterministic(contended.total_s()),
-                ));
-            }
+            let contended = Simulator::new(Arc::clone(&m.plan), &cluster)
+                .with_graph(&graph)
+                .with_config(SimConfig::contended())
+                .run_iteration()
+                .expect("the contended simulator runs every plan");
+            report.push((
+                format!("fig8_contended_{key}_{tasks}t{gpus}gpu"),
+                deterministic(contended.total_s()),
+            ));
 
             cells.push((
                 system,
                 m.iteration_ms,
+                contended.total_ms(),
                 m.plan.average_utilization(),
                 plan_timing.mean_ms(),
                 makespan_s / optimum_s,
@@ -146,10 +146,11 @@ fn main() -> ExitCode {
         let decoupled = iter_of(SystemKind::DeepSpeed);
         let rows: Vec<Vec<String>> = cells
             .iter()
-            .map(|&(system, iter_ms, util, plan_ms, vs_opt)| {
+            .map(|&(system, iter_ms, contended_ms, util, plan_ms, vs_opt)| {
                 vec![
                     system.label().to_string(),
                     ms(iter_ms),
+                    ms(contended_ms),
                     format!("{:.1}%", util * 100.0),
                     ms(plan_ms),
                     format!("{vs_opt:.2}x"),
@@ -163,6 +164,7 @@ fn main() -> ExitCode {
                 &[
                     "System",
                     "Iteration",
+                    "Contended",
                     "Cluster util",
                     "Plan cost",
                     "Vs optimum",

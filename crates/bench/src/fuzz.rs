@@ -18,7 +18,10 @@
 //!    of Theorem 1, computed by the session so decoupled baselines — which
 //!    record an optimum of 0 in their plans — are held to the same bar);
 //! 5. **Model agreement** — the event-driven simulator in serialized mode
-//!    matches the analytical engine within a configured tolerance
+//!    matches the closed form
+//!    ([`LocalizedPlan::closed_form_iteration_s`](spindle_runtime::LocalizedPlan::closed_form_iteration_s))
+//!    within a configured two-sided tolerance on every plan, task-parallel
+//!    ones included
 //!    ([`SimReport::check_gap_within`](spindle_runtime::SimReport::check_gap_within));
 //! 6. **Cache soundness** — Spindle's warm re-plan of an already-seen phase
 //!    is bit-identical (wave-for-wave) to a cold plan of the same graph;
@@ -55,13 +58,15 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use spindle_baselines::SystemKind;
-use spindle_cluster::{ClusterSpec, DeviceId, StorageSpec};
+use spindle_cluster::{ClusterSpec, CommModel, DeviceId, StorageSpec};
 use spindle_core::{ExecutionPlan, MetaOpId, SpindleSession};
+use spindle_graph::ComputationGraph;
 use spindle_runtime::{
     migration_flows, price_checkpoint_write, price_restore, CheckpointPolicy, CommMode,
-    RuntimeEngine, SimConfig, Simulator, Straggler,
+    LocalizedPlan, RuntimeError, SimConfig, Simulator, Straggler,
 };
 use spindle_workloads::{FuzzBounds, Scenario};
 
@@ -87,8 +92,9 @@ pub struct FuzzConfig {
     pub draws: u64,
     /// Bounds of the scenario space.
     pub bounds: FuzzBounds,
-    /// Maximum relative gap between the serialized simulator and the
-    /// analytical engine.
+    /// Maximum relative gap, either way, between the serialized simulator
+    /// and the closed form: they price the same work and differ only in the
+    /// order float sums are taken.
     pub gap_tolerance: f64,
     /// Relative slack on the `makespan ≥ theoretical_optimum` bound. The
     /// bound is a continuous MPSP solution obtained by bisection (per-level
@@ -107,7 +113,7 @@ impl FuzzConfig {
             seed,
             draws,
             bounds: FuzzBounds::quick(),
-            gap_tolerance: 0.02,
+            gap_tolerance: 1e-9,
             optimum_tolerance: 1e-3,
             shrink: true,
         }
@@ -256,13 +262,30 @@ impl fmt::Display for Violation {
 }
 
 /// Whether the plan's waves form a serial timeline: every wave starts at or
-/// after its predecessor ends (up to float noise). Only such plans are
-/// directly comparable to the wave-barriered serialized simulator.
+/// after its predecessor ends (up to float noise). Only such plans are held
+/// to the level-synchronous optimum `Σ C̃*`.
 #[must_use]
 pub fn has_serial_timeline(plan: &ExecutionPlan) -> bool {
     plan.waves()
         .windows(2)
         .all(|w| w[1].start >= w[0].end() - 1e-9)
+}
+
+/// Invariant 5: the serialized simulator's iteration time on `cluster` is
+/// within `tolerance` (relative, either way) of the plan's closed form.
+fn serialized_matches_closed_form(
+    plan: &ExecutionPlan,
+    graph: &ComputationGraph,
+    cluster: &ClusterSpec,
+    tolerance: f64,
+) -> Result<f64, RuntimeError> {
+    let plan = Arc::new(plan.clone());
+    let closed_form = LocalizedPlan::new(Arc::clone(&plan), cluster, Some(graph))?
+        .closed_form_iteration_s(&CommModel::new(cluster));
+    Simulator::new(plan, cluster)
+        .with_graph(graph)
+        .run_iteration()?
+        .check_gap_within(closed_form, tolerance)
 }
 
 /// Counters accumulated over the checked draws.
@@ -404,36 +427,10 @@ pub fn check_scenario(
                 }
             }
 
-            // 5: analytical engine vs event-driven simulator, serialized.
-            // The two models agree tightly only when the plan's wave
-            // timeline is itself serial (each wave starts at or after its
-            // predecessor's end) — true for Spindle's wavefront plans and
-            // the decoupled baselines. Optimus-style plans place
-            // task-parallel waves at overlapping timeline positions; the
-            // simulator's wave barriers then serialize work the analytical
-            // makespan counts as concurrent, so only the one-sided bound
-            // (the simulator is never *faster*) is sound there.
-            let analytical = RuntimeEngine::new(plan.clone(), &cluster)
-                .with_graph(graph.clone())
-                .run_iteration()
-                .map_err(|e| fail(format!("analytical engine: {e}")))?
-                .iteration_time_s();
-            let serialized = Simulator::new(plan.clone(), &cluster)
-                .with_graph(graph.clone())
-                .run_iteration()
+            // 5: the serialized simulator runs the closed form as events.
+            serialized_matches_closed_form(&plan, graph, &cluster, cfg.gap_tolerance)
                 .map_err(|e| fail(format!("serialized simulation: {e}")))?;
             stats.simulations += 1;
-            if has_serial_timeline(&plan) {
-                serialized
-                    .check_gap_within(analytical, cfg.gap_tolerance)
-                    .map_err(|e| fail(e.to_string()))?;
-            } else if serialized.gap_vs(analytical) < -cfg.gap_tolerance {
-                return Err(fail(format!(
-                    "simulated iteration {:.6}s undercuts the analytical {analytical:.6}s \
-                     on a plan with overlapping waves",
-                    serialized.total_s()
-                )));
-            }
 
             // 7: heterogeneous contended simulation stays sane. Slow
             // devices, straggler windows, the drawn comm-overlap mode and
@@ -532,24 +529,12 @@ pub fn check_scenario(
                     }
                 }
                 // The surviving cluster still satisfies invariants 5 and 7:
-                // serialized simulation matches the analytical engine, the
+                // serialized simulation matches the closed form, the
                 // heterogeneous contended one stays finite and positive.
                 let churned = session.cluster_handle();
-                let analytical = RuntimeEngine::new(plan.clone(), &churned)
-                    .with_graph(graph.clone())
-                    .run_iteration()
-                    .map_err(|e| fail(format!("churned analytical engine: {e}")))?
-                    .iteration_time_s();
-                let serialized = Simulator::new(plan.clone(), &churned)
-                    .with_graph(graph.clone())
-                    .run_iteration()
+                serialized_matches_closed_form(&plan, graph, &churned, cfg.gap_tolerance)
                     .map_err(|e| fail(format!("churned serialized simulation: {e}")))?;
                 stats.simulations += 1;
-                if has_serial_timeline(&plan) {
-                    serialized
-                        .check_gap_within(analytical, cfg.gap_tolerance)
-                        .map_err(|e| fail(format!("churned plan: {e}")))?;
-                }
                 let hetero = Simulator::new(plan.clone(), &churned)
                     .with_graph(graph.clone())
                     .with_config(hetero_config.clone())

@@ -16,7 +16,7 @@
 //!   deliberately when retiring a bench).
 //!
 //! Deterministic model outputs — `fig8_iter_*` and `fig8_contended_*`, the
-//! Fig. 8 iteration times of the analytical engine and the contended
+//! Fig. 8 iteration times of the serialized (closed-form) and the contended
 //! simulator — are not timings: they are pinned exactly, and a change of more
 //! than 1 ns in either direction fails (a faster iteration is a behaviour
 //! change too).

@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use spindle_core::{ExecutionPlan, PlacementStrategy, PlannerConfig, SpindleSession};
 use spindle_graph::ComputationGraph;
-use spindle_runtime::{IterationReport, RuntimeEngine};
+use spindle_runtime::{SimReport, Simulator};
 use spindle_workloads::WorkloadPreset;
 
 /// One measured (system, workload, cluster) cell.
@@ -47,9 +47,9 @@ pub struct Measurement {
     /// End-to-end iteration time in milliseconds.
     pub iteration_ms: f64,
     /// Full iteration report (breakdown, utilization, memory).
-    pub report: IterationReport,
-    /// The execution plan (for plan-level statistics), shared with the engine
-    /// that executed it — no copy is made.
+    pub report: SimReport,
+    /// The execution plan (for plan-level statistics), shared with the
+    /// simulator that executed it — no copy is made.
     pub plan: Arc<ExecutionPlan>,
 }
 
@@ -83,7 +83,7 @@ pub fn measure(
             .plan(graph, session)
             .unwrap_or_else(|e| panic!("{system} failed to plan: {e}")),
     );
-    let report = RuntimeEngine::new(Arc::clone(&plan), session.cluster())
+    let report = Simulator::new(Arc::clone(&plan), session.cluster())
         .with_graph(graph)
         .run_iteration()
         .unwrap_or_else(|e| panic!("{system} failed to run: {e}"));

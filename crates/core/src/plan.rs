@@ -1,5 +1,5 @@
 //! Execution plans: waves, wave entries and the overall plan consumed by the
-//! runtime engine.
+//! runtime simulator.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -208,12 +208,13 @@ impl ExecutionPlan {
         self.planning_time
     }
 
-    /// Planned makespan: the end time of the last wave (compute + intra-wave
+    /// Planned makespan: the latest end of any wave (compute + intra-wave
     /// alignment idle time, excluding inter-wave transmission and parameter
-    /// synchronisation, which the runtime adds).
+    /// synchronisation, which the runtime adds). Waves of task-parallel
+    /// plans overlap, so the last wave to start need not end last.
     #[must_use]
     pub fn makespan(&self) -> f64 {
-        self.waves.last().map_or(0.0, Wave::end)
+        self.waves.iter().map(Wave::end).fold(0.0, f64::max)
     }
 
     /// Number of waves.
@@ -464,6 +465,31 @@ mod tests {
         assert!((plan.theoretical_optimum() - 1.9).abs() < 1e-12);
         assert!(plan.average_utilization() > 0.5);
         assert!(plan.to_string().contains("1 waves"));
+    }
+
+    #[test]
+    fn makespan_is_the_latest_wave_end() {
+        // Two overlapping waves where the first to start ends last.
+        let mg = tiny_metagraph();
+        let wave = |index, start, duration, entry| Wave {
+            index,
+            level: 0,
+            start,
+            duration,
+            entries: vec![placed(entry, 4 * index as u32)],
+        };
+        let plan = ExecutionPlan::new(
+            vec![
+                wave(0, 0.0, 3.0, WaveEntry::new(MetaOpId(0), 2, 4, 1.5)),
+                wave(1, 1.0, 1.5, WaveEntry::new(MetaOpId(1), 3, 4, 0.5)),
+            ],
+            mg,
+            8,
+            0.0,
+            Duration::ZERO,
+        );
+        assert!(plan.validate().is_ok());
+        assert_eq!(plan.makespan(), 3.0);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::PerfModel;
 /// Used by the device-placement step (§3.5: "Spindle estimates each MetaOp's
 /// memory consumption, tracks available memory on devices, and prioritizes
 /// placement on the device with the most available memory") and by the runtime
-/// engine's memory accounting (Appendix G).
+/// simulator's memory accounting (Appendix G).
 #[derive(Debug)]
 pub struct MemoryModel<'a> {
     model: &'a dyn PerfModel,

@@ -8,24 +8,25 @@
 //! [`SpindleSession`] to re-plan online (served from the warm curve cache for
 //! operator signatures seen before), then executes the new plan on the
 //! event-driven [`Simulator`]. The report captures, per phase, the re-plan
-//! cost and cache warmth, the simulated versus analytically-priced iteration
-//! time (the plan-vs-simulated gap), and the utilization trace.
+//! cost and cache warmth, the simulated versus closed-form iteration time
+//! (the plan-vs-simulated gap), and the utilization trace.
 
 use std::fmt;
 use std::sync::Arc;
 
-use spindle_cluster::DeviceId;
+use spindle_cluster::{CommModel, DeviceId};
 use spindle_core::{ExecutionPlan, SpindleSession};
 use spindle_graph::ComputationGraph;
 use spindle_workloads::{ArrivalSchedule, DeviceChurnEvent, DeviceChurnKind, ScheduleEvent};
 
+use crate::localize::LocalizedPlan;
 use crate::metrics::UtilizationSample;
 use crate::migrate::{migration_flows, price_migration};
 use crate::recovery::{
     background_checkpoint_flows, price_checkpoint_write, price_restore, CheckpointPolicy,
 };
 use crate::sim::{FaultSpec, SimConfig, Simulator};
-use crate::{RuntimeEngine, RuntimeError};
+use crate::RuntimeError;
 
 /// What happened in one phase of a dynamic run.
 #[derive(Debug, Clone)]
@@ -52,7 +53,8 @@ pub struct PhaseRunReport {
     pub placement_reused: bool,
     /// Simulated iteration time of the phase's plan, seconds.
     pub sim_iteration_s: f64,
-    /// Closed-form iteration time of the same plan, seconds.
+    /// Closed-form iteration time of the same plan
+    /// ([`LocalizedPlan::closed_form_iteration_s`]), seconds.
     pub analytical_iteration_s: f64,
     /// Relative plan-vs-simulated gap:
     /// `(simulated - analytical) / analytical`.
@@ -270,8 +272,8 @@ pub struct DynamicRunLoop<'s> {
 
 impl<'s> DynamicRunLoop<'s> {
     /// Creates a run loop over `session` with the default simulator
-    /// configuration (serialized, contention-free — the oracle-matching
-    /// setup) and checkpoint modeling off.
+    /// configuration (serialized, contention-free — the closed form run as
+    /// events) and checkpoint modeling off.
     pub fn new(session: &'s mut SpindleSession) -> Self {
         Self {
             session,
@@ -332,9 +334,9 @@ impl<'s> DynamicRunLoop<'s> {
                     let cluster = self.session.cluster_handle();
 
                     // Price the plan both ways: closed form and event-driven.
-                    let analytical = RuntimeEngine::new(Arc::clone(&plan), &cluster)
-                        .with_graph(&arrival.graph)
-                        .run_iteration()?;
+                    let analytical_s =
+                        LocalizedPlan::new(Arc::clone(&plan), &cluster, Some(&arrival.graph))?
+                            .closed_form_iteration_s(&CommModel::new(&cluster));
                     let sim = Simulator::new(Arc::clone(&plan), &cluster)
                         .with_graph(&arrival.graph)
                         .with_config(self.sim_config.clone())
@@ -387,8 +389,8 @@ impl<'s> DynamicRunLoop<'s> {
                         levels_reused: outcome.levels_reused,
                         placement_reused: outcome.placement_reused,
                         sim_iteration_s: sim.total_s(),
-                        analytical_iteration_s: analytical.iteration_time_s(),
-                        gap: sim.gap_vs(analytical.iteration_time_s()),
+                        analytical_iteration_s: analytical_s,
+                        gap: sim.gap_vs(analytical_s),
                         iterations,
                         checkpoints_written,
                         checkpoint_write_s,
@@ -578,8 +580,9 @@ mod tests {
         );
         assert!(report.phases[3].placement_reused);
         assert!(report.structural_reuse_rate() > 0.0);
-        // In the oracle-matching default config every phase's gap is tiny.
-        assert!(report.worst_gap() < 0.01, "gap {}", report.worst_gap());
+        // The default serialized config is the closed form run as events:
+        // every phase agrees with it up to float rounding.
+        assert!(report.worst_gap() < 1e-9, "gap {}", report.worst_gap());
         assert!(report.total_simulated_s > 0.0);
         assert!(report.total_replan_ms > 0.0);
         for phase in &report.phases {

@@ -1,4 +1,4 @@
-//! Error type for the runtime engine.
+//! Error type for the runtime simulator.
 
 use std::error::Error;
 use std::fmt;
@@ -21,13 +21,13 @@ pub enum RuntimeError {
         /// Devices available in the executing cluster.
         cluster_devices: u32,
     },
-    /// The simulated iteration time diverged from an analytical reference
-    /// beyond the caller's tolerance — the analytical cost model and the
+    /// The simulated iteration time diverged from a reference (such as the
+    /// closed form) beyond the caller's tolerance — the cost model and the
     /// event-driven simulator disagree about the same plan.
     GapExceeded {
         /// Simulated iteration time, seconds.
         simulated_s: f64,
-        /// Analytical reference iteration time, seconds.
+        /// Reference (closed-form) iteration time, seconds.
         reference_s: f64,
         /// Relative gap `(simulated - reference) / reference`.
         gap: f64,
@@ -54,10 +54,8 @@ impl fmt::Display for RuntimeError {
                 tolerance,
             } => write!(
                 f,
-                "simulated iteration {simulated_s:.6}s vs analytical {reference_s:.6}s: \
-                 gap {:+.3}% exceeds ±{:.3}%",
-                gap * 100.0,
-                tolerance * 100.0
+                "simulated iteration {simulated_s:.6}s vs reference {reference_s:.6}s: \
+                 gap {gap:+.3e} exceeds ±{tolerance:.0e}"
             ),
         }
     }

@@ -1,6 +1,6 @@
 //! # spindle-runtime
 //!
-//! A deterministic discrete-event runtime engine that executes Spindle
+//! A deterministic discrete-event simulator that executes Spindle
 //! [`ExecutionPlan`](spindle_core::ExecutionPlan)s and reports the metrics the
 //! paper's evaluation measures.
 //!
@@ -8,26 +8,31 @@
 //! inserts transmission operators at wave boundaries, maintains a parameter
 //! device-group pool, and runs forward/backward wave by wave followed by
 //! group-wise parameter synchronisation. This crate reproduces that execution
-//! *in simulation*, through two backends sharing one localisation pass
-//! ([`LocalizedPlan`]):
+//! *in simulation* with one execution model, the [`Simulator`]: localisation
+//! ([`LocalizedPlan`]) binds entries to devices and derives the transmissions
+//! and the parameter pool, then a binary-heap event queue with deterministic
+//! tie-breaking runs every wave once the waves it waits on have finished.
 //!
-//! * [`RuntimeEngine`] — the closed-form fast path: computation, transmission
-//!   and synchronisation are priced by the same cost models the planner uses,
-//!   and every quantity reported in §5 (end-to-end iteration time, time
-//!   breakdown, utilization traces, per-device / per-MetaOp utilization,
-//!   memory consumption) is derived analytically.
-//! * [`Simulator`] — a discrete-event backend that executes the plan op by op
-//!   on a binary-heap event queue with deterministic tie-breaking: per-link
-//!   bandwidth sharing (contention), heterogeneous per-device speed factors,
-//!   injected stragglers and seeded compute perturbations. In its default
-//!   (serialized, contention-free) configuration it reproduces the analytical
-//!   engine's iteration time, so each backend cross-checks the other.
+//! * Its default [`CommMode::Serialized`] configuration is the closed form
+//!   run as events — all compute, then every transmission, then every
+//!   all-reduce, one at a time — so its iteration time is
+//!   [`LocalizedPlan::closed_form_iteration_s`] up to float rounding.
+//! * [`SimConfig::contended`] overlaps each wave's transmissions with the
+//!   waves that do not wait on them and runs the all-reduces concurrently,
+//!   sharing link bandwidth; heterogeneous per-device speed factors,
+//!   injected stragglers, seeded compute perturbations, background flows and
+//!   device-death faults model what the closed form cannot.
+//!
+//! Every run returns a [`SimReport`]: iteration time and breakdown,
+//! utilization trace, per-device and per-MetaOp utilization, memory, FLOPs
+//! and the event log. [`RuntimeEngine`] and [`IterationReport`] are the
+//! older names of [`Simulator`] and [`SimReport`].
 //!
 //! On top of the simulator, [`DynamicRunLoop`] drives dynamic task-arrival
 //! schedules ([`spindle_workloads::ArrivalSchedule`]) with *online
 //! re-planning*: at every task-mix change it calls back into the planning
 //! session (reusing its warm curve cache) and reports per-phase makespan,
-//! re-plan cost, cache warmth and the plan-vs-simulated gap.
+//! re-plan cost, cache warmth and the simulated-vs-closed-form gap.
 //!
 //! ## Example
 //!
@@ -35,7 +40,7 @@
 //! use spindle_cluster::ClusterSpec;
 //! use spindle_core::SpindleSession;
 //! use spindle_graph::{GraphBuilder, Modality, OpKind, TensorShape};
-//! use spindle_runtime::RuntimeEngine;
+//! use spindle_runtime::Simulator;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut b = GraphBuilder::new();
@@ -50,7 +55,7 @@
 //! let mut session = SpindleSession::new(cluster.clone());
 //! let plan = session.plan(&graph)?;
 //!
-//! let report = RuntimeEngine::new(plan, &cluster).with_graph(&graph).run_iteration()?;
+//! let report = Simulator::new(plan, &cluster).with_graph(&graph).run_iteration()?;
 //! assert!(report.iteration_time_ms() > 0.0);
 //! assert!(report.breakdown().fwd_bwd_s > 0.0);
 //! # Ok(())
@@ -61,7 +66,6 @@
 #![warn(missing_debug_implementations)]
 
 mod dynamic_run;
-mod engine;
 mod error;
 mod events;
 mod localize;
@@ -73,12 +77,12 @@ mod sim;
 mod transmission;
 
 pub use dynamic_run::{ChurnRunReport, DynamicRunLoop, DynamicRunReport, PhaseRunReport};
-pub use engine::{IntoShared, RuntimeEngine};
 pub use error::RuntimeError;
 pub use events::{EventLog, LoggedEvent, SimEventKind};
 pub use localize::LocalizedPlan;
 pub use metrics::{
-    sample_utilization_trace, ComputeInterval, IterationReport, TimeBreakdown, UtilizationSample,
+    sample_utilization_trace, ComputeInterval, IterationReport, SimReport, TimeBreakdown,
+    UtilizationSample,
 };
 pub use migrate::{
     migration_bytes, migration_flows, price_migration, MigrationFlow, MigrationPlan, RestoreFlow,
@@ -89,7 +93,8 @@ pub use recovery::{
     price_checkpoint_write, price_restore, CheckpointPolicy,
 };
 pub use sim::{
-    BackgroundFlow, CommMode, FaultReport, FaultSpec, SimConfig, SimReport, Simulator, Straggler,
+    BackgroundFlow, CommMode, FaultReport, FaultSpec, IntoShared, RuntimeEngine, SimConfig,
+    Simulator, Straggler,
 };
 pub use transmission::{
     derive_transmission_sites, derive_transmissions, total_transmission_time, Transmission,

@@ -1,13 +1,12 @@
-//! Plan localisation (§3.6 steps 1–3), shared by the analytical engine and the
-//! event-driven simulator.
+//! Plan localisation (§3.6 steps 1–3): what the simulator needs before it
+//! can run a placed plan.
 //!
-//! Both execution backends need the same three artefacts before they can run a
-//! placed plan: the wave entries bound to their device groups (step 1, implicit
+//! Those are the wave entries bound to their device groups (step 1, implicit
 //! in the placed plan), the inter-wave transmission operators with the wave
 //! boundary each one crosses (step 2), and the parameter device-group pool
-//! (step 3). [`LocalizedPlan`] computes all three once, so the closed-form
-//! engine and the simulator price the *same* physical work and can be
-//! cross-checked against each other.
+//! (step 3). [`LocalizedPlan`] computes all three once; its closed-form
+//! iteration time prices the same physical work without events, the
+//! reference the serialized simulator is cross-checked against.
 
 use std::sync::Arc;
 
@@ -56,7 +55,7 @@ impl LocalizedPlan {
                 cluster_devices,
             });
         }
-        // Both backends index per-device state by id over the cluster's
+        // The simulator indexes per-device state by id over the cluster's
         // device space, so every placed device must exist in the cluster.
         for wave in plan.waves() {
             let placed = wave.entries.iter().flat_map(|e| e.placement.iter());
@@ -106,8 +105,7 @@ impl LocalizedPlan {
         &self.pool
     }
 
-    /// Total forward+backward transmission time priced by `comm`, seconds —
-    /// the closed-form quantity the analytical engine reports.
+    /// Total forward+backward transmission time priced by `comm`, seconds.
     #[must_use]
     pub fn total_transmission_time(&self, comm: &CommModel) -> f64 {
         self.sites
@@ -121,6 +119,15 @@ impl LocalizedPlan {
     #[must_use]
     pub fn sync_time(&self, comm: &CommModel) -> f64 {
         self.pool.sync_time(comm)
+    }
+
+    /// The closed-form iteration time, seconds: the plan's makespan, then
+    /// every transmission, then every all-reduce, one after another. The
+    /// default serialized [`Simulator`](crate::Simulator) runs exactly this
+    /// as events and agrees with it up to float rounding.
+    #[must_use]
+    pub fn closed_form_iteration_s(&self, comm: &CommModel) -> f64 {
+        self.plan.makespan() + self.total_transmission_time(comm) + self.sync_time(comm)
     }
 }
 
@@ -205,11 +212,8 @@ mod tests {
             device: first_stray.1,
             available: 16,
         });
-        let engine = crate::RuntimeEngine::new(Arc::clone(&plan), &shifted)
-            .with_graph(&graph)
-            .run_iteration()
-            .unwrap_err();
-        assert_eq!(engine, expected);
+        let localized = LocalizedPlan::new(Arc::clone(&plan), &shifted, Some(&graph)).unwrap_err();
+        assert_eq!(localized, expected);
         let sim = crate::Simulator::new(Arc::clone(&plan), &shifted)
             .with_graph(&graph)
             .run_iteration()

@@ -1,4 +1,4 @@
-//! Metrics collected by the runtime engine: the quantities reported in the
+//! Metrics collected by the simulator: the quantities reported in the
 //! paper's evaluation (Figs. 8, 9, 10, 15).
 
 use std::collections::BTreeMap;
@@ -6,6 +6,9 @@ use std::fmt;
 
 use spindle_cluster::DeviceId;
 use spindle_core::MetaOpId;
+
+use crate::events::EventLog;
+use crate::RuntimeError;
 
 /// Iteration-time breakdown (Fig. 10): forward+backward computation, parameter
 /// synchronisation, and inter-wave send & receive.
@@ -59,8 +62,7 @@ pub struct UtilizationSample {
 
 /// A half-open interval of busy compute `[start_s, end_s)` contributing
 /// `flops_per_s` of achieved throughput — the raw material of a utilization
-/// trace, produced by both the analytical engine (from the plan timeline) and
-/// the event-driven simulator (from the actual event timeline).
+/// trace, produced by the simulator from its event timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeInterval {
     /// Interval start, seconds.
@@ -71,13 +73,15 @@ pub struct ComputeInterval {
     pub flops_per_s: f64,
 }
 
-/// Points in the utilization trace of every engine and simulator report.
+/// Points in the utilization trace of every simulator report.
 pub(crate) const TRACE_SAMPLES: usize = 200;
 
 /// Samples a utilization trace of `samples` uniform points over `[0,
 /// horizon_s)` from a set of busy compute intervals. Sample instants use
 /// midpoint positioning (`(k + 0.5) / samples`), so a trace of any resolution
-/// covers the full horizon without sampling the ambiguous endpoints.
+/// covers the full horizon without sampling the ambiguous endpoints. Each
+/// sample sums the intervals live at its instant in slice order; an interval
+/// visits only the samples it covers.
 #[must_use]
 pub fn sample_utilization_trace(
     intervals: &[ComputeInterval],
@@ -85,26 +89,42 @@ pub fn sample_utilization_trace(
     samples: usize,
 ) -> Vec<UtilizationSample> {
     let horizon = horizon_s.max(1e-12);
-    let mut trace = Vec::with_capacity(samples);
-    for k in 0..samples {
-        let t = horizon * (k as f64 + 0.5) / samples as f64;
-        let flops_per_s: f64 = intervals
-            .iter()
-            .filter(|iv| t >= iv.start_s && t < iv.end_s)
-            .map(|iv| iv.flops_per_s)
-            .sum();
-        trace.push(UtilizationSample {
-            time_s: t,
-            tflops_per_s: flops_per_s / 1e12,
-        });
+    let instant = |k: usize| horizon * (k as f64 + 0.5) / samples as f64;
+    let mut flops_per_s = vec![0.0; samples];
+    for iv in intervals {
+        // One sample before the first the interval can cover: the exact
+        // test below decides membership.
+        let first = (iv.start_s / horizon * samples as f64 - 1.5).max(0.0) as usize;
+        for (k, sum) in flops_per_s.iter_mut().enumerate().skip(first) {
+            let t = instant(k);
+            if t >= iv.end_s {
+                break;
+            }
+            if t >= iv.start_s {
+                *sum += iv.flops_per_s;
+            }
+        }
     }
-    trace
+    flops_per_s
+        .into_iter()
+        .enumerate()
+        .map(|(k, sum)| UtilizationSample {
+            time_s: instant(k),
+            tflops_per_s: sum / 1e12,
+        })
+        .collect()
 }
 
-/// The full report of one simulated training iteration.
+/// The report of one simulated training iteration — every quantity the
+/// paper's evaluation reports: the simulated timeline (iteration time, stage
+/// breakdown, utilization trace, per-device busy time and utilization, event
+/// log and work counters) and the plan's footprint (FLOPs, per-device
+/// memory, per-MetaOp utilization).
 #[derive(Debug, Clone)]
-pub struct IterationReport {
+pub struct SimReport {
+    pub(crate) total_s: f64,
     pub(crate) breakdown: TimeBreakdown,
+    pub(crate) device_busy_s: BTreeMap<DeviceId, f64>,
     pub(crate) utilization_trace: Vec<UtilizationSample>,
     pub(crate) device_utilization: BTreeMap<DeviceId, f64>,
     pub(crate) metaop_utilization: BTreeMap<MetaOpId, f64>,
@@ -112,30 +132,60 @@ pub struct IterationReport {
     pub(crate) total_flops: f64,
     pub(crate) num_devices: u32,
     pub(crate) peak_flops_per_device: f64,
+    pub(crate) event_log: EventLog,
+    pub(crate) flows_executed: usize,
+    pub(crate) syncs_executed: usize,
+    pub(crate) flows_repriced: usize,
 }
 
-impl IterationReport {
-    /// End-to-end iteration time in milliseconds (the headline metric of
-    /// Fig. 8).
+/// The report's name from before the simulator became the only execution
+/// model.
+pub type IterationReport = SimReport;
+
+impl SimReport {
+    /// End-to-end simulated iteration time, seconds.
     #[must_use]
-    pub fn iteration_time_ms(&self) -> f64 {
-        self.breakdown.total_s() * 1e3
+    pub fn total_s(&self) -> f64 {
+        self.total_s
     }
 
-    /// End-to-end iteration time in seconds.
+    /// End-to-end simulated iteration time, milliseconds.
+    #[must_use]
+    pub fn total_ms(&self) -> f64 {
+        self.total_s * 1e3
+    }
+
+    /// End-to-end iteration time in seconds; the same as
+    /// [`total_s`](Self::total_s).
     #[must_use]
     pub fn iteration_time_s(&self) -> f64 {
-        self.breakdown.total_s()
+        self.total_s
     }
 
-    /// The iteration-time breakdown (Fig. 10).
+    /// End-to-end iteration time in milliseconds (the headline metric of
+    /// Fig. 8); the same as [`total_ms`](Self::total_ms).
+    #[must_use]
+    pub fn iteration_time_ms(&self) -> f64 {
+        self.total_ms()
+    }
+
+    /// The iteration-time breakdown (Fig. 10): time with some wave
+    /// computing, time blocked on transmissions alone, and the
+    /// synchronisation stage. The stages add up to
+    /// [`total_s`](Self::total_s) up to float rounding.
     #[must_use]
     pub fn breakdown(&self) -> TimeBreakdown {
         self.breakdown
     }
 
-    /// Cluster utilization over time (Fig. 9a), sampled at uniform intervals
-    /// over the compute portion of the iteration.
+    /// Busy seconds of every device that computed (compute only).
+    #[must_use]
+    pub fn device_busy_s(&self) -> &BTreeMap<DeviceId, f64> {
+        &self.device_busy_s
+    }
+
+    /// Cluster throughput over the simulated timeline (Fig. 9a), sampled at
+    /// 200 uniform points.
     #[must_use]
     pub fn utilization_trace(&self) -> &[UtilizationSample] {
         &self.utilization_trace
@@ -144,28 +194,27 @@ impl IterationReport {
     /// Average achieved cluster throughput over the whole iteration, TFLOP/s.
     #[must_use]
     pub fn average_cluster_tflops(&self) -> f64 {
-        if self.breakdown.total_s() <= 0.0 {
+        if self.total_s <= 0.0 {
             return 0.0;
         }
-        self.total_flops / self.breakdown.total_s() / 1e12
+        self.total_flops / self.total_s / 1e12
     }
 
-    /// Average utilization of each device as a fraction of its peak compute
-    /// (Fig. 9b, left spider chart).
+    /// Average utilization of each cluster device as a fraction of its peak
+    /// compute (Fig. 9b, left spider chart).
     #[must_use]
     pub fn device_utilization(&self) -> &BTreeMap<DeviceId, f64> {
         &self.device_utilization
     }
 
-    /// Average computational utilization of each MetaOp: achieved FLOP/s on
-    /// its devices divided by their aggregate peak (Fig. 9b, right spider
-    /// chart).
+    /// Planned computational utilization of each MetaOp: its FLOPs over its
+    /// planned device-seconds at peak (Fig. 9b, right spider chart).
     #[must_use]
     pub fn metaop_utilization(&self) -> &BTreeMap<MetaOpId, f64> {
         &self.metaop_utilization
     }
 
-    /// Peak memory consumption of each device in bytes (Fig. 15).
+    /// Peak memory consumption of each cluster device in bytes (Fig. 15).
     #[must_use]
     pub fn device_memory(&self) -> &BTreeMap<DeviceId, u64> {
         &self.device_memory
@@ -196,7 +245,8 @@ impl IterationReport {
         }
     }
 
-    /// Total FLOPs executed in the iteration.
+    /// Total FLOPs of the plan (forward + backward over every scheduled
+    /// operator).
     #[must_use]
     pub fn total_flops(&self) -> f64 {
         self.total_flops
@@ -206,14 +256,73 @@ impl IterationReport {
     #[must_use]
     pub fn average_utilization(&self) -> f64 {
         let peak = self.peak_flops_per_device * f64::from(self.num_devices);
-        if peak <= 0.0 || self.breakdown.total_s() <= 0.0 {
+        if peak <= 0.0 || self.total_s <= 0.0 {
             return 0.0;
         }
-        (self.total_flops / self.breakdown.total_s()) / peak
+        (self.total_flops / self.total_s) / peak
+    }
+
+    /// The deterministic event log of the run.
+    #[must_use]
+    pub fn event_log(&self) -> &EventLog {
+        &self.event_log
+    }
+
+    /// Number of inter-wave transmissions executed.
+    #[must_use]
+    pub fn flows_executed(&self) -> usize {
+        self.flows_executed
+    }
+
+    /// Number of parameter-group all-reduces executed.
+    #[must_use]
+    pub fn syncs_executed(&self) -> usize {
+        self.syncs_executed
+    }
+
+    /// How many times a flow's congestion was recomputed. Only contended
+    /// runs reprice: each flow start or end recomputes the flows that share
+    /// a link with it, plus the starting flow itself.
+    #[must_use]
+    pub fn flows_repriced(&self) -> usize {
+        self.flows_repriced
+    }
+
+    /// Relative gap of the simulated iteration time versus a reference time
+    /// (e.g. the closed form): `(simulated - reference) / reference`.
+    #[must_use]
+    pub fn gap_vs(&self, reference_s: f64) -> f64 {
+        if reference_s <= 0.0 {
+            return 0.0;
+        }
+        (self.total_s - reference_s) / reference_s
+    }
+
+    /// Asserts that the simulated iteration time stays within `tolerance`
+    /// (relative, two-sided) of a reference — the simulator-vs-closed-form
+    /// cross-check the scenario fuzzer enforces on every randomized draw.
+    /// Returns the gap on success so callers can aggregate worst-case
+    /// statistics.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::GapExceeded`] with both sides and the gap if
+    /// `|gap| > tolerance`.
+    pub fn check_gap_within(&self, reference_s: f64, tolerance: f64) -> Result<f64, RuntimeError> {
+        let gap = self.gap_vs(reference_s);
+        if gap.abs() > tolerance {
+            return Err(RuntimeError::GapExceeded {
+                simulated_s: self.total_s,
+                reference_s,
+                gap,
+                tolerance,
+            });
+        }
+        Ok(gap)
     }
 }
 
-impl fmt::Display for IterationReport {
+impl fmt::Display for SimReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -231,13 +340,15 @@ impl fmt::Display for IterationReport {
 mod tests {
     use super::*;
 
-    fn report() -> IterationReport {
-        IterationReport {
+    fn report() -> SimReport {
+        SimReport {
+            total_s: 1.0,
             breakdown: TimeBreakdown {
                 fwd_bwd_s: 0.8,
                 sync_s: 0.1,
                 send_recv_s: 0.1,
             },
+            device_busy_s: [(DeviceId(0), 0.6)].into_iter().collect(),
             utilization_trace: vec![
                 UtilizationSample {
                     time_s: 0.0,
@@ -258,6 +369,10 @@ mod tests {
             total_flops: 1e14,
             num_devices: 2,
             peak_flops_per_device: 312e12,
+            event_log: EventLog::default(),
+            flows_executed: 0,
+            syncs_executed: 0,
+            flows_repriced: 0,
         }
     }
 
@@ -296,6 +411,30 @@ mod tests {
         assert!((trace[2].tflops_per_s - 2.0).abs() < 1e-12);
         assert!(trace[3].tflops_per_s.abs() < 1e-12);
         assert!(trace.windows(2).all(|w| w[0].time_s < w[1].time_s));
+    }
+
+    #[test]
+    fn trace_sampling_matches_a_scan_of_every_interval() {
+        let mut rng = crate::events::XorShift64Star::new(7);
+        let intervals: Vec<ComputeInterval> = (0..300)
+            .map(|_| {
+                let start_s = rng.next_f64() * 0.9;
+                ComputeInterval {
+                    start_s,
+                    end_s: start_s + rng.next_f64() * 0.2,
+                    flops_per_s: rng.next_f64() * 1e15,
+                }
+            })
+            .collect();
+        let trace = sample_utilization_trace(&intervals, 1.0, TRACE_SAMPLES);
+        for sample in &trace {
+            let t = sample.time_s;
+            let scanned = intervals
+                .iter()
+                .filter(|iv| t >= iv.start_s && t < iv.end_s)
+                .fold(0.0, |sum, iv| sum + iv.flops_per_s);
+            assert_eq!(sample.tflops_per_s.to_bits(), (scanned / 1e12).to_bits());
+        }
     }
 
     #[test]

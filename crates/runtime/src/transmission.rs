@@ -57,8 +57,8 @@ impl Transmission {
 }
 
 /// A [`Transmission`] bound to its position on the plan's timeline: the flow
-/// becomes ready once wave `after_wave` completes. The event-driven simulator
-/// issues flows per boundary; the analytical engine ignores the index.
+/// becomes ready once wave `after_wave` completes. The overlapped simulator
+/// issues flows per boundary; the closed form ignores the index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransmissionSite {
     /// The transmission itself.

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let fits_before = session.curve_fits();
             let plan = system.plan(&phase.graph, &mut session)?;
             let new_fits = session.curve_fits() - fits_before;
-            let report = RuntimeEngine::new(&plan, session.cluster())
+            let report = Simulator::new(&plan, session.cluster())
                 .with_graph(&phase.graph)
                 .run_iteration()?;
             // Each phase re-plans once, then trains for `iterations` steps.

@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. Simulate one training iteration and read the paper's metrics.
-    let report = RuntimeEngine::new(&plan, session.cluster())
+    let report = Simulator::new(&plan, session.cluster())
         .with_graph(&graph)
         .run_iteration()?;
     let breakdown = report.breakdown();

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             SystemKind::Spindle,
         ] {
             let plan = kind.planning_system().plan(&graph, &mut session)?;
-            let report = RuntimeEngine::new(&plan, session.cluster())
+            let report = Simulator::new(&plan, session.cluster())
                 .with_graph(&graph)
                 .run_iteration()?;
             let ms = report.iteration_time_ms();

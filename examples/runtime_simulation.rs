@@ -1,10 +1,11 @@
 //! Event-driven runtime simulation: link contention, stragglers,
 //! heterogeneous GPUs, and online re-planning under task arrivals.
 //!
-//! Part 1 cross-checks the discrete-event simulator against the closed-form
-//! analytical engine (contention-free runs match within 1%), then turns on
-//! the effects the closed-form model cannot express: overlapped flows with
-//! link contention, a straggling GPU, and a slow second node.
+//! Part 1 cross-checks the discrete-event simulator against the closed form
+//! (the default serialized, contention-free run reproduces it up to float
+//! rounding), then turns on the effects the closed form cannot express:
+//! overlapped flows with link contention, a straggling GPU, and a slow
+//! second node.
 //!
 //! Part 2 runs a dynamic task-arrival schedule through the online
 //! re-planning loop: tasks join and finish at simulated timestamps, the
@@ -17,9 +18,11 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
+use spindle::cluster::CommModel;
 use spindle::prelude::*;
-use spindle::runtime::{CommMode, DynamicRunLoop, SimConfig, Simulator, Straggler};
+use spindle::runtime::{CommMode, DynamicRunLoop, LocalizedPlan, SimConfig, Straggler};
 use spindle::workloads::ArrivalSchedule;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,23 +32,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plan = session.plan(&graph)?;
 
     println!("== simulating Multitask-CLIP (4 tasks) on {cluster} ==\n");
-    let analytical = RuntimeEngine::new(&plan, &cluster)
-        .with_graph(&graph)
-        .run_iteration()?;
+    let plan = Arc::new(plan);
+    let closed_form = LocalizedPlan::new(Arc::clone(&plan), &cluster, Some(&graph))?
+        .closed_form_iteration_s(&CommModel::new(&cluster));
     println!(
-        "analytical engine:        {:>8.2} ms/iter",
-        analytical.iteration_time_ms()
+        "closed form:              {:>8.2} ms/iter",
+        closed_form * 1e3
     );
 
-    // Contention-free, serialized flows: the event-driven timeline reproduces
-    // the closed-form model (the cross-check oracle).
+    // Serialized, contention-free flows: the event-driven timeline runs the
+    // closed form as events (the cross-check oracle).
     let oracle = Simulator::new(&plan, &cluster)
         .with_graph(&graph)
         .run_iteration()?;
     println!(
         "simulator (oracle mode):  {:>8.2} ms/iter  (gap {:+.3}%, {} events)",
         oracle.total_ms(),
-        oracle.gap_vs(analytical.iteration_time_s()) * 100.0,
+        oracle.gap_vs(closed_form) * 100.0,
         oracle.event_log().len()
     );
 
@@ -58,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "simulator (contended):    {:>8.2} ms/iter  (gap {:+.3}%)",
         contended.total_ms(),
-        contended.gap_vs(analytical.iteration_time_s()) * 100.0
+        contended.gap_vs(closed_form) * 100.0
     );
 
     // A straggling GPU: gpu3 runs 2.5x slower for the whole iteration.

@@ -26,8 +26,8 @@
 //!   analytic hardware model) with cache-aware curve fitting.
 //! * [`core`] — the execution planner: sessions, the staged pipeline, MPSP
 //!   resource allocation, wavefront scheduling and device placement.
-//! * [`runtime`] — a deterministic discrete-event runtime engine that executes
-//!   an [`ExecutionPlan`] wave by wave and records metrics.
+//! * [`runtime`] — a deterministic discrete-event simulator that executes an
+//!   [`ExecutionPlan`] wave by wave and records metrics.
 //! * [`baselines`] — the comparison systems from the paper's evaluation,
 //!   unified behind [`PlanningSystem`].
 //! * [`workloads`] — the Multitask-CLIP / OFASys / QWen-VAL workload presets
@@ -48,7 +48,7 @@
 //! // Plan the 4-task Multitask-CLIP workload and simulate one iteration.
 //! let model = multitask_clip(4)?;
 //! let plan = session.plan(&model)?;
-//! let report = RuntimeEngine::new(&plan, session.cluster())
+//! let report = Simulator::new(&plan, session.cluster())
 //!     .with_graph(&model)
 //!     .run_iteration()?;
 //! println!("iteration time: {:.1} ms", report.iteration_time_ms());
@@ -92,6 +92,6 @@ pub mod prelude {
     };
     pub use spindle_estimator::{CurveCacheStats, ScalabilityEstimator, ScalingCurve};
     pub use spindle_graph::{ComputationGraph, Modality, OpKind, TaskSpec};
-    pub use spindle_runtime::{IterationReport, RuntimeEngine};
+    pub use spindle_runtime::{SimReport, Simulator};
     pub use spindle_workloads::{multitask_clip, ofasys, qwen_val, WorkloadPreset};
 }

@@ -30,7 +30,7 @@ fn every_system_handles_every_workload_family() {
                 .unwrap_or_else(|e| panic!("{kind} produced an invalid plan on {name}: {e}"));
             plan.require_placement()
                 .unwrap_or_else(|e| panic!("{kind} left {name} unplaced: {e}"));
-            let report = RuntimeEngine::new(&plan, session.cluster())
+            let report = Simulator::new(&plan, session.cluster())
                 .with_graph(&graph)
                 .run_iteration()
                 .unwrap_or_else(|e| panic!("{kind} failed to execute {name}: {e}"));
@@ -54,7 +54,7 @@ fn spindle_beats_the_sota_systems_on_the_paper_workloads() {
     ] {
         let mut time = |kind: SystemKind| {
             let plan = kind.planning_system().plan(&graph, &mut session).unwrap();
-            RuntimeEngine::new(&plan, &ClusterSpec::homogeneous(2, 8))
+            Simulator::new(&plan, &ClusterSpec::homogeneous(2, 8))
                 .with_graph(&graph)
                 .run_iteration()
                 .unwrap()
@@ -83,7 +83,7 @@ fn spindles_advantage_grows_with_task_count() {
         let graph = multitask_clip(tasks).unwrap();
         let mut run = |kind: SystemKind| {
             let plan = kind.planning_system().plan(&graph, &mut session).unwrap();
-            RuntimeEngine::new(&plan, &cluster)
+            Simulator::new(&plan, &cluster)
                 .with_graph(&graph)
                 .run_iteration()
                 .unwrap()
@@ -105,7 +105,7 @@ fn session_quickstart_flow_works() {
     let mut session = SpindleSession::new(ClusterSpec::homogeneous(2, 8));
     let model = multitask_clip(4).unwrap();
     let plan = session.plan(&model).unwrap();
-    let report = RuntimeEngine::new(&plan, session.cluster())
+    let report = Simulator::new(&plan, session.cluster())
         .run_iteration()
         .unwrap();
     assert!(report.iteration_time_ms() > 0.0);
@@ -140,7 +140,7 @@ fn larger_clusters_do_not_slow_spindle_down() {
         let cluster = ClusterSpec::homogeneous(nodes, 8);
         let mut session = SpindleSession::new(cluster.clone());
         let plan = session.plan(&graph).unwrap();
-        let report = RuntimeEngine::new(&plan, &cluster)
+        let report = Simulator::new(&plan, &cluster)
             .with_graph(&graph)
             .run_iteration()
             .unwrap();
@@ -167,7 +167,7 @@ fn memory_fits_on_the_paper_cluster_for_the_encoder_workloads() {
         ("ofasys", ofasys(3).unwrap()),
     ] {
         let plan = session.plan(&graph).unwrap();
-        let report = RuntimeEngine::new(&plan, session.cluster())
+        let report = Simulator::new(&plan, session.cluster())
             .with_graph(&graph)
             .run_iteration()
             .unwrap();
@@ -189,7 +189,7 @@ fn spindle_memory_is_better_balanced_than_task_level_allocation() {
     let graph = multitask_clip(4).unwrap();
     let mut imbalance = |kind: SystemKind| {
         let plan = kind.planning_system().plan(&graph, &mut session).unwrap();
-        RuntimeEngine::new(&plan, &cluster)
+        Simulator::new(&plan, &cluster)
             .with_graph(&graph)
             .run_iteration()
             .unwrap()

@@ -8,7 +8,7 @@
 use spindle_cluster::ClusterSpec;
 use spindle_core::{MetaGraph, SpindleSession};
 use spindle_graph::{ComputationGraph, GraphBuilder, Modality, OpKind, TensorShape};
-use spindle_runtime::RuntimeEngine;
+use spindle_runtime::Simulator;
 
 /// Deterministic xorshift64* PRNG — a stand-in for proptest's generators.
 struct Rng(u64);
@@ -175,7 +175,7 @@ fn simulation_is_consistent() {
         let tasks = random_tasks(&mut rng, 4);
         let graph = build_graph(&tasks);
         let plan = session.plan(&graph).expect("plan");
-        let report = RuntimeEngine::new(&plan, &cluster)
+        let report = Simulator::new(&plan, &cluster)
             .with_graph(&graph)
             .run_iteration()
             .expect("simulation");

@@ -2,16 +2,16 @@
 //! public facade: determinism (same seed ⇒ byte-identical event log, and one
 //! contended hyperscale run pinned to the bit),
 //! conservation (per-device busy time never exceeds the makespan), and the
-//! cross-check oracle (contention-free simulated makespan matches the
-//! analytical engine within 1% on every preset workload).
+//! cross-check oracle (the serialized, contention-free simulation matches the
+//! closed form to 1e-9 for every system on every preset workload).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
-use spindle::cluster::{LinkId, NodeId};
+use spindle::cluster::{CommModel, LinkId, NodeId};
 use spindle::prelude::*;
 use spindle::runtime::{
-    BackgroundFlow, CommMode, DynamicRunLoop, RuntimeEngine, SimConfig, SimEventKind, Simulator,
-    Straggler,
+    BackgroundFlow, CommMode, DynamicRunLoop, LocalizedPlan, SimConfig, SimEventKind, Straggler,
 };
 use spindle::workloads::{hyperscale, ArrivalSchedule, DynamicWorkload};
 
@@ -34,23 +34,55 @@ fn preset_cases() -> Vec<(WorkloadPreset, ClusterSpec)> {
 fn contention_free_simulation_matches_analytical_engine_on_all_presets() {
     for (preset, cluster) in preset_cases() {
         let graph = preset.build().unwrap();
-        let plan = SpindleSession::new(cluster.clone()).plan(&graph).unwrap();
-        let analytical = RuntimeEngine::new(&plan, &cluster)
-            .with_graph(&graph)
-            .run_iteration()
-            .unwrap();
-        let sim = Simulator::new(&plan, &cluster)
-            .with_graph(&graph)
-            .run_iteration()
-            .unwrap();
-        let gap = sim.gap_vs(analytical.iteration_time_s()).abs();
-        assert!(
-            gap < 0.01,
-            "{preset}: sim {:.4} ms vs analytical {:.4} ms (gap {:.3}%)",
-            sim.total_ms(),
-            analytical.iteration_time_ms(),
-            gap * 100.0
-        );
+        let mut session = SpindleSession::new(cluster.clone());
+        for system in SystemKind::ALL {
+            let plan = Arc::new(system.planning_system().plan(&graph, &mut session).unwrap());
+            let closed_form = LocalizedPlan::new(Arc::clone(&plan), &cluster, Some(&graph))
+                .unwrap()
+                .closed_form_iteration_s(&CommModel::new(&cluster));
+            let sim = Simulator::new(&plan, &cluster)
+                .with_graph(&graph)
+                .run_iteration()
+                .unwrap();
+            let gap = sim.gap_vs(closed_form).abs();
+            assert!(
+                gap < 1e-9,
+                "{preset} / {system}: sim {:.6} ms vs closed form {:.6} ms (gap {gap:e})",
+                sim.total_ms(),
+                closed_form * 1e3
+            );
+            // Every wave starts when planned, and two waves computing at the
+            // same time never share a device.
+            let mut spans = vec![(f64::NAN, f64::NAN); plan.num_waves()];
+            for event in sim.event_log().entries() {
+                match event.kind {
+                    SimEventKind::ComputeStart { wave, .. } => spans[wave].0 = event.time_s,
+                    SimEventKind::WaveComplete { wave } => spans[wave].1 = event.time_s,
+                    _ => {}
+                }
+            }
+            let devices = |w: usize| -> BTreeSet<DeviceId> {
+                plan.waves()[w]
+                    .entries
+                    .iter()
+                    .flat_map(|e| e.placement.as_ref().unwrap().iter())
+                    .collect()
+            };
+            for (w, wave) in plan.waves().iter().enumerate() {
+                assert!(
+                    (spans[w].0 - wave.start).abs() <= 1e-9 * (1.0 + wave.start),
+                    "{preset} / {system}: wave {w} starts at {} s, planned {} s",
+                    spans[w].0,
+                    wave.start
+                );
+                for v in (0..w).filter(|&v| spans[v].0 < spans[w].1 && spans[w].0 < spans[v].1) {
+                    assert!(
+                        devices(v).is_disjoint(&devices(w)),
+                        "{preset} / {system}: waves {v} and {w} overlap on a device"
+                    );
+                }
+            }
+        }
     }
 }
 
