@@ -3,8 +3,9 @@
 //!
 //! Every case's mean is written to `BENCH_sim.json` at the workspace root
 //! (bench name → ns/iter) — together with `BENCH_planning.json` this is the
-//! input to the CI perf-regression gate. Set `SPINDLE_BENCH_QUICK=1` for the
-//! CI smoke mode.
+//! input to the CI perf-regression gate. The contended hyperscale case also
+//! writes its event and flow-repricing counts as `work_*` entries, which the
+//! gate pins exactly. Set `SPINDLE_BENCH_QUICK=1` for the CI smoke mode.
 //!
 //! ```bash
 //! cargo bench -p spindle-bench --bench simulator
@@ -13,6 +14,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 use spindle_bench::microbench::{bench, group, quick_mode, write_json_report, Timing};
 use spindle_cluster::ClusterSpec;
@@ -98,6 +100,15 @@ fn main() {
         run.syncs_executed()
     );
     report.push((name.to_string(), t));
+    for (counter, count) in [
+        ("events", run.event_log().len()),
+        ("flows_repriced", run.flows_repriced()),
+    ] {
+        report.push((
+            format!("work_sim_{counter}_hyperscale-48t/256gpu"),
+            Timing::exact(Duration::from_nanos(count as u64)),
+        ));
+    }
 
     group("perturbed scenarios (clip-4t, 16 gpus)");
     let graph = multitask_clip(4).unwrap();

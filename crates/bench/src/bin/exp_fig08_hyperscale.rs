@@ -58,18 +58,6 @@ fn report_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fig8.json")
 }
 
-/// Wraps a deterministic model output (seconds) as a [`Timing`] so it lands
-/// in the report in the standard ns-per-iter unit.
-fn deterministic(seconds: f64) -> Timing {
-    let d = Duration::from_secs_f64(seconds);
-    Timing {
-        iters: 1,
-        min: d,
-        mean: d,
-        max: d,
-    }
-}
-
 fn main() -> ExitCode {
     let quick = quick_mode();
     let (warmup, iters) = if quick { (1, 3) } else { (2, 10) };
@@ -112,7 +100,7 @@ fn main() -> ExitCode {
 
             report.push((
                 format!("fig8_iter_{key}_{tasks}t{gpus}gpu"),
-                deterministic(m.iteration_ms / 1e3),
+                Timing::exact(Duration::from_secs_f64(m.iteration_ms / 1e3)),
             ));
             report.push((format!("fig8_plan_{key}_{tasks}t{gpus}gpu"), plan_timing));
             let contended = Simulator::new(Arc::clone(&m.plan), &cluster)
@@ -122,7 +110,7 @@ fn main() -> ExitCode {
                 .expect("the contended simulator runs every plan");
             report.push((
                 format!("fig8_contended_{key}_{tasks}t{gpus}gpu"),
-                deterministic(contended.total_s()),
+                Timing::exact(Duration::from_secs_f64(contended.total_s())),
             ));
 
             cells.push((

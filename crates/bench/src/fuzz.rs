@@ -28,7 +28,8 @@
 //! 7. **Robustness** — a heterogeneous contended simulation (slow devices,
 //!    transient straggler windows, the scenario's drawn comm-overlap mode,
 //!    link contention) still completes with a finite, positive iteration
-//!    time no shorter than the plan's compute alone.
+//!    time no shorter than the plan's compute alone, and completes every
+//!    transmission site and every parameter-group all-reduce exactly once.
 //!
 //! Scenarios additionally carry a *device-level* churn trace (removals and
 //! restores of whole device sets). For Spindle — the only system with an
@@ -66,7 +67,7 @@ use spindle_core::{ExecutionPlan, MetaOpId, SpindleSession};
 use spindle_graph::ComputationGraph;
 use spindle_runtime::{
     migration_flows, price_checkpoint_write, price_restore, CheckpointPolicy, CommMode,
-    LocalizedPlan, RuntimeError, SimConfig, Simulator, Straggler,
+    LocalizedPlan, RuntimeError, SimConfig, SimReport, Simulator, Straggler,
 };
 use spindle_workloads::{FuzzBounds, Scenario};
 
@@ -273,19 +274,38 @@ pub fn has_serial_timeline(plan: &ExecutionPlan) -> bool {
 
 /// Invariant 5: the serialized simulator's iteration time on `cluster` is
 /// within `tolerance` (relative, either way) of the plan's closed form.
+/// Returns the localized plan.
 fn serialized_matches_closed_form(
     plan: &ExecutionPlan,
     graph: &ComputationGraph,
     cluster: &ClusterSpec,
     tolerance: f64,
-) -> Result<f64, RuntimeError> {
+) -> Result<LocalizedPlan, RuntimeError> {
     let plan = Arc::new(plan.clone());
-    let closed_form = LocalizedPlan::new(Arc::clone(&plan), cluster, Some(graph))?
-        .closed_form_iteration_s(&CommModel::new(cluster));
+    let localized = LocalizedPlan::new(Arc::clone(&plan), cluster, Some(graph))?;
     Simulator::new(plan, cluster)
         .with_graph(graph)
         .run_iteration()?
-        .check_gap_within(closed_form, tolerance)
+        .check_gap_within(
+            localized.closed_form_iteration_s(&CommModel::new(cluster)),
+            tolerance,
+        )?;
+    Ok(localized)
+}
+
+/// Part of invariant 7: `run` completed every transmission site and every
+/// parameter-group all-reduce of `localized` exactly once.
+fn completes_every_flow_once(run: &SimReport, localized: &LocalizedPlan) -> Result<(), String> {
+    let sites = localized.sites().len();
+    let groups = localized.pool().num_groups();
+    if run.flows_executed() == sites && run.syncs_executed() == groups {
+        return Ok(());
+    }
+    Err(format!(
+        "completed {} transmissions of {sites} sites and {} all-reduces of {groups} groups",
+        run.flows_executed(),
+        run.syncs_executed()
+    ))
 }
 
 /// Counters accumulated over the checked draws.
@@ -428,15 +448,17 @@ pub fn check_scenario(
             }
 
             // 5: the serialized simulator runs the closed form as events.
-            serialized_matches_closed_form(&plan, graph, &cluster, cfg.gap_tolerance)
-                .map_err(|e| fail(format!("serialized simulation: {e}")))?;
+            let localized =
+                serialized_matches_closed_form(&plan, graph, &cluster, cfg.gap_tolerance)
+                    .map_err(|e| fail(format!("serialized simulation: {e}")))?;
             stats.simulations += 1;
 
             // 7: heterogeneous contended simulation stays sane. Slow
             // devices, straggler windows, the drawn comm-overlap mode and
             // contention can move the total either way relative to the
             // serialized run, but it can never finish faster than the
-            // plan's pure compute on the slowest assigned device.
+            // plan's pure compute on the slowest assigned device, and it
+            // completes every transmission and all-reduce exactly once.
             let hetero = Simulator::new(plan.clone(), &cluster)
                 .with_graph(graph.clone())
                 .with_config(hetero_config.clone())
@@ -456,6 +478,8 @@ pub fn check_scenario(
                     hetero.total_s()
                 )));
             }
+            completes_every_flow_once(&hetero, &localized)
+                .map_err(|e| fail(format!("heterogeneous simulation {e}")))?;
 
             // 6: warm re-plan bit-identity. A fresh session planning the
             // same graph cold must produce exactly the waves the warm
@@ -530,10 +554,12 @@ pub fn check_scenario(
                 }
                 // The surviving cluster still satisfies invariants 5 and 7:
                 // serialized simulation matches the closed form, the
-                // heterogeneous contended one stays finite and positive.
+                // heterogeneous contended one stays finite and positive and
+                // completes every flow once.
                 let churned = session.cluster_handle();
-                serialized_matches_closed_form(&plan, graph, &churned, cfg.gap_tolerance)
-                    .map_err(|e| fail(format!("churned serialized simulation: {e}")))?;
+                let localized =
+                    serialized_matches_closed_form(&plan, graph, &churned, cfg.gap_tolerance)
+                        .map_err(|e| fail(format!("churned serialized simulation: {e}")))?;
                 stats.simulations += 1;
                 let hetero = Simulator::new(plan.clone(), &churned)
                     .with_graph(graph.clone())
@@ -547,6 +573,8 @@ pub fn check_scenario(
                         hetero.total_s()
                     )));
                 }
+                completes_every_flow_once(&hetero, &localized)
+                    .map_err(|e| fail(format!("churned heterogeneous simulation {e}")))?;
                 // Invariant 8: recovery accounting. Diff the plan against its
                 // predecessor on the surviving cluster: restore traffic exists
                 // iff some stateful MetaOp lost every replica, the per-MetaOp

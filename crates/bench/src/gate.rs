@@ -19,7 +19,10 @@
 //! Fig. 8 iteration times of the serialized (closed-form) and the contended
 //! simulator — are not timings: they are pinned exactly, and a change of more
 //! than 1 ns in either direction fails (a faster iteration is a behaviour
-//! change too).
+//! change too). Deterministic work counters — `work_*`, such as the events
+//! and flow repricings of one contended simulation — are counts written in
+//! place of ns/iter and fail on any change at all: doing less work for the
+//! same output is a change the baseline must record.
 //!
 //! Entries whose baseline and current means are both under the noise floor
 //! (default 500 ns) never fail: at that scale the timer resolution dominates.
@@ -63,6 +66,10 @@ impl GateConfig {
     /// written rounded to whole nanoseconds.
     pub const EXACT_TOLERANCE_NS: f64 = 1.0;
 
+    /// Name prefix of the deterministic work counters, pinned with no
+    /// tolerance at all.
+    pub const COUNTER_PREFIX: &'static str = "work_";
+
     /// `true` for entries gated with the widened tail band (latency
     /// percentile keys, marked by a `_p99` name segment).
     #[must_use]
@@ -70,12 +77,25 @@ impl GateConfig {
         name.contains("_p99")
     }
 
-    /// `true` for deterministic model outputs, pinned to within
-    /// [`Self::EXACT_TOLERANCE_NS`] in either direction instead of gated
+    /// `true` for deterministic model outputs and work counters, pinned in
+    /// either direction (see [`Self::exact_tolerance_for`]) instead of gated
     /// with a slowdown band.
     #[must_use]
     pub fn is_exact_entry(name: &str) -> bool {
-        name.starts_with("fig8_iter_") || name.starts_with("fig8_contended_")
+        name.starts_with("fig8_iter_")
+            || name.starts_with("fig8_contended_")
+            || name.starts_with(Self::COUNTER_PREFIX)
+    }
+
+    /// The largest change an exact entry may show: none for a work counter,
+    /// [`Self::EXACT_TOLERANCE_NS`] for a model output.
+    #[must_use]
+    pub fn exact_tolerance_for(name: &str) -> f64 {
+        if name.starts_with(Self::COUNTER_PREFIX) {
+            0.0
+        } else {
+            Self::EXACT_TOLERANCE_NS
+        }
     }
 
     /// The fail threshold applied to `name`.
@@ -198,12 +218,14 @@ impl GateReport {
         let _ = writeln!(
             out,
             "\nthresholds: fail >{:.0}% slowdown, warn >{:.0}%, noise floor {:.0} ns \
-             ({}x band for _p99 tail entries; fig8_iter_/fig8_contended_ pinned to ±{} ns)",
+             ({}x band for _p99 tail entries; fig8_iter_/fig8_contended_ pinned to ±{} ns, \
+             {}* counters exactly)",
             config.fail_pct * 100.0,
             config.warn_pct * 100.0,
             config.noise_floor_ns,
             GateConfig::TAIL_BAND_FACTOR,
-            GateConfig::EXACT_TOLERANCE_NS
+            GateConfig::EXACT_TOLERANCE_NS,
+            GateConfig::COUNTER_PREFIX
         );
         out
     }
@@ -261,7 +283,7 @@ pub fn compare(
                 let delta = cur / base.max(f64::MIN_POSITIVE) - 1.0;
                 let in_noise_floor = *base < config.noise_floor_ns && cur < config.noise_floor_ns;
                 let verdict = if GateConfig::is_exact_entry(name) {
-                    if (cur - base).abs() > GateConfig::EXACT_TOLERANCE_NS {
+                    if (cur - base).abs() > GateConfig::exact_tolerance_for(name) {
                         Verdict::Fail
                     } else {
                         Verdict::Pass
@@ -452,6 +474,33 @@ mod tests {
         assert!(GateConfig::is_exact_entry(contended));
         assert!(!GateConfig::is_exact_entry("fig8_plan_spindle_48t256gpu"));
         assert!(!GateConfig::is_exact_entry("sim_contended_clip-4t/16gpu"));
+    }
+
+    #[test]
+    fn work_counters_fail_on_any_change() {
+        let config = GateConfig::default();
+        let repriced = "work_sim_flows_repriced_hyperscale-48t/256gpu";
+        let events = "work_sim_events_hyperscale-48t/256gpu";
+        let verdict = |name: &str, base: f64, cur: f64| {
+            compare(&set(&[(name, base)]), &set(&[(name, cur)]), &config).entries[0].verdict
+        };
+        // A doubled reprice count fails, and so does one repricing more or
+        // fewer, which a timing's 1 ns tolerance would let through.
+        assert_eq!(verdict(repriced, 1964.0, 3928.0), Verdict::Fail);
+        assert_eq!(verdict(repriced, 1964.0, 1965.0), Verdict::Fail);
+        assert_eq!(verdict(repriced, 1964.0, 1963.0), Verdict::Fail);
+        assert_eq!(verdict(repriced, 1964.0, 1964.0), Verdict::Pass);
+        // Counts below the noise floor are pinned too.
+        assert_eq!(verdict(events, 40.0, 80.0), Verdict::Fail);
+        assert!(GateConfig::is_exact_entry(repriced));
+        assert_eq!(GateConfig::exact_tolerance_for(repriced), 0.0);
+        assert_eq!(
+            GateConfig::exact_tolerance_for("fig8_iter_spindle_48t256gpu"),
+            GateConfig::EXACT_TOLERANCE_NS
+        );
+        assert!(!GateConfig::is_exact_entry(
+            "sim_contended_hyperscale-48t/256gpu"
+        ));
     }
 
     #[test]

@@ -35,6 +35,19 @@ impl Timing {
     pub fn ns_per_iter(&self) -> f64 {
         self.mean.as_secs_f64() * 1e9
     }
+
+    /// A deterministic value — a model output, or a work count as that many
+    /// nanoseconds — as one exact sample, so it lands in a report beside the
+    /// measured timings.
+    #[must_use]
+    pub fn exact(value: Duration) -> Self {
+        Self {
+            iters: 1,
+            min: value,
+            mean: value,
+            max: value,
+        }
+    }
 }
 
 /// Whether quick mode is active (`SPINDLE_BENCH_QUICK=1`): benches shrink

@@ -62,60 +62,64 @@ pub fn transfer_footprint(
 ) -> Vec<LinkId> {
     let src_nodes = nodes_of(cluster, src);
     let dst_nodes = nodes_of(cluster, dst);
-    let mut links = Vec::new();
     if src_nodes.len() == 1 && src_nodes == dst_nodes {
         // Same island: a pure NVLink transfer, unless it is one device talking
         // to itself (a local copy contends with nothing).
         let same_single_device = src.len() == 1 && dst.len() == 1 && src.devices() == dst.devices();
-        if !same_single_device {
-            links.push(LinkId::IslandBus(src_nodes[0]));
-        }
-    } else {
-        for &n in &src_nodes {
-            links.push(LinkId::Uplink(n));
-        }
-        for &n in &dst_nodes {
-            links.push(LinkId::Downlink(n));
-        }
+        return if same_single_device {
+            Vec::new()
+        } else {
+            vec![LinkId::IslandBus(src_nodes[0])]
+        };
     }
-    links.sort_unstable();
-    links.dedup();
+    // Ascending nodes give ascending links: every uplink sorts before every
+    // downlink.
+    let mut links = Vec::with_capacity(src_nodes.len() + dst_nodes.len());
+    links.extend(src_nodes.iter().map(|&n| LinkId::Uplink(n)));
+    links.extend(dst_nodes.iter().map(|&n| LinkId::Downlink(n)));
     links
 }
 
 /// The set of shared links an intra-group collective (e.g. the gradient
-/// all-reduce of a parameter device group) occupies.
+/// all-reduce of a parameter device group) occupies, sorted and
+/// duplicate-free.
 #[must_use]
 pub fn collective_footprint(cluster: &ClusterSpec, group: &DeviceGroup) -> Vec<LinkId> {
     let nodes = nodes_of(cluster, group);
-    let mut links = Vec::new();
-    if nodes.len() <= 1 {
-        if group.len() > 1 {
-            if let Some(&n) = nodes.first() {
-                links.push(LinkId::IslandBus(n));
-            }
-        }
-    } else {
-        // A hierarchical all-reduce touches every participating island's
-        // fabric and both directions of its uplink (ring neighbours).
-        for &n in &nodes {
-            links.push(LinkId::IslandBus(n));
-            links.push(LinkId::Uplink(n));
-            links.push(LinkId::Downlink(n));
+    match nodes[..] {
+        [n] if group.len() > 1 => vec![LinkId::IslandBus(n)],
+        [] | [_] => Vec::new(),
+        _ => {
+            // A hierarchical all-reduce touches every participating island's
+            // fabric and both directions of its uplink (ring neighbours).
+            let mut links = Vec::with_capacity(3 * nodes.len());
+            links.extend(nodes.iter().map(|&n| LinkId::IslandBus(n)));
+            links.extend(nodes.iter().map(|&n| LinkId::Uplink(n)));
+            links.extend(nodes.iter().map(|&n| LinkId::Downlink(n)));
+            links
         }
     }
-    links.sort_unstable();
-    links.dedup();
-    links
 }
 
+/// The nodes hosting `group`'s devices, ascending and once each. Node ids
+/// ascend with device ids, so a sorted group yields them in one pass; any
+/// other order falls back to a sort.
 fn nodes_of(cluster: &ClusterSpec, group: &DeviceGroup) -> Vec<NodeId> {
-    let mut nodes: Vec<NodeId> = group
-        .iter()
-        .filter_map(|d| cluster.node_of(d).ok())
-        .collect();
-    nodes.sort_unstable();
-    nodes.dedup();
+    let mut nodes: Vec<NodeId> = Vec::new();
+    let mut ascending = true;
+    for node in group.iter().filter_map(|d| cluster.node_of(d).ok()) {
+        if let Some(&last) = nodes.last() {
+            if last == node {
+                continue;
+            }
+            ascending &= last < node;
+        }
+        nodes.push(node);
+    }
+    if !ascending {
+        nodes.sort_unstable();
+        nodes.dedup();
+    }
     nodes
 }
 
@@ -140,11 +144,12 @@ fn slot(link: LinkId) -> usize {
 ///
 /// Every [`LinkId`] maps to a slot of a dense table sized from the cluster;
 /// a slot lists the ids of the flows on its link. Callers name each flow
-/// with an id that is unique among the active flows. Registering or
-/// releasing a flow reports the other flows that share a link with it —
-/// exactly the flows whose [`congestion`](Self::congestion) that call can
-/// change — so a flow-level simulator reprices only those. All operations
-/// are deterministic.
+/// with an id that is unique among the active flows. A flow's
+/// [`congestion`](Self::congestion) can change only when a flow on one of
+/// its links registers or releases, so a flow-level simulator reads
+/// [`flows_on`](Self::flows_on) for the links of the flow that started or
+/// ended and reprices only the flows it finds there. All operations are
+/// deterministic.
 #[derive(Debug, Clone)]
 pub struct LinkOccupancy {
     slots: Vec<Vec<usize>>,
@@ -161,43 +166,37 @@ impl LinkOccupancy {
         }
     }
 
-    /// Registers flow `id` on every link of `footprint` and appends to
-    /// `sharers` the other flows already on those links — once per shared
-    /// link, unsorted. A link listed twice counts the flow twice, as if it
-    /// were two flows.
-    pub fn register(&mut self, id: usize, footprint: &[LinkId], sharers: &mut Vec<usize>) {
+    /// Registers flow `id` on every link of `footprint`. A link listed twice
+    /// counts the flow twice, as if it were two flows.
+    pub fn register(&mut self, id: usize, footprint: &[LinkId]) {
         for &link in footprint {
             let slot = slot(link);
             if slot >= self.slots.len() {
                 self.slots.resize_with(slot + 1, Vec::new);
             }
-            let flows = &mut self.slots[slot];
-            sharers.extend(flows.iter().filter(|&&f| f != id));
-            flows.push(id);
+            self.slots[slot].push(id);
         }
     }
 
-    /// Releases flow `id` from the links of `footprint` and appends to
-    /// `sharers` the flows still on those links — once per released link,
-    /// unsorted.
+    /// Releases flow `id` from the links of `footprint`, once per listing.
     ///
     /// Releasing a flow from a link it is not on is a no-op.
-    pub fn release(&mut self, id: usize, footprint: &[LinkId], sharers: &mut Vec<usize>) {
+    pub fn release(&mut self, id: usize, footprint: &[LinkId]) {
         for &link in footprint {
             let Some(flows) = self.slots.get_mut(slot(link)) else {
                 continue;
             };
             if let Some(at) = flows.iter().position(|&f| f == id) {
                 flows.swap_remove(at);
-                sharers.extend(flows.iter().filter(|&&f| f != id));
             }
         }
     }
 
-    /// Number of active flows on `link`.
+    /// The ids of the active flows on `link`, unordered; a flow registered
+    /// with the link listed twice appears twice.
     #[must_use]
-    pub fn flows_on(&self, link: LinkId) -> usize {
-        self.slots.get(slot(link)).map_or(0, Vec::len)
+    pub fn flows_on(&self, link: LinkId) -> &[usize] {
+        self.slots.get(slot(link)).map_or(&[], Vec::as_slice)
     }
 
     /// Worst-case congestion over `footprint`: the maximum number of
@@ -209,7 +208,7 @@ impl LinkOccupancy {
     pub fn congestion(&self, footprint: &[LinkId]) -> usize {
         footprint
             .iter()
-            .map(|&l| self.flows_on(l))
+            .map(|&l| self.flows_on(l).len())
             .max()
             .unwrap_or(0)
             .max(1)
@@ -271,6 +270,34 @@ mod tests {
     }
 
     #[test]
+    fn footprints_of_unsorted_groups_match_sorted_ones() {
+        let c = ClusterSpec::homogeneous(4, 4);
+        let group = |ids: &[u32]| DeviceGroup::new(ids.iter().map(|&d| DeviceId(d))).unwrap();
+        // Placement order need not be device order: nodes 3, 0, 3, 1.
+        let shuffled = group(&[13, 1, 12, 5]);
+        let sorted = shuffled.sorted();
+        let dst = group(&[9, 2]);
+        assert_eq!(
+            collective_footprint(&c, &shuffled),
+            collective_footprint(&c, &sorted)
+        );
+        let links = transfer_footprint(&c, &shuffled, &dst);
+        assert_eq!(links, transfer_footprint(&c, &sorted, &dst.sorted()));
+        assert_eq!(
+            links,
+            [0, 1, 3]
+                .map(|n| LinkId::Uplink(NodeId(n)))
+                .into_iter()
+                .chain([0, 2].map(|n| LinkId::Downlink(NodeId(n))))
+                .collect::<Vec<_>>()
+        );
+        let mut sorted_links = links.clone();
+        sorted_links.sort_unstable();
+        sorted_links.dedup();
+        assert_eq!(links, sorted_links);
+    }
+
+    #[test]
     fn occupancy_counts_and_saturates() {
         let c = cluster();
         let src = DeviceGroup::contiguous(DeviceId(0), 2);
@@ -279,81 +306,46 @@ mod tests {
         let f1 = transfer_footprint(&c, &src, &near);
         let f2 = transfer_footprint(&c, &src, &far);
         let mut occ = LinkOccupancy::for_cluster(&c);
-        let mut sharers = Vec::new();
         assert_eq!(occ.congestion(&f1), 1);
-        occ.register(0, &f1, &mut sharers);
-        assert!(sharers.is_empty());
-        occ.register(1, &f1, &mut sharers);
-        assert_eq!(sharers, [0]);
+        occ.register(0, &f1);
+        occ.register(1, &f1);
+        assert_eq!(occ.flows_on(LinkId::IslandBus(NodeId(0))), [0, 1]);
         assert_eq!(occ.congestion(&f1), 2);
         // The cross-island flow does not contend with the NVLink flows.
-        sharers.clear();
-        occ.register(2, &f2, &mut sharers);
-        assert!(sharers.is_empty());
+        occ.register(2, &f2);
         assert_eq!(occ.congestion(&f2), 1);
-        occ.release(0, &f1, &mut sharers);
-        assert_eq!(sharers, [1]);
+        occ.release(0, &f1);
+        assert_eq!(occ.flows_on(LinkId::IslandBus(NodeId(0))), [1]);
         assert_eq!(occ.congestion(&f1), 1);
-        sharers.clear();
-        occ.release(1, &f1, &mut sharers);
-        occ.release(1, &f1, &mut sharers); // over-release is a no-op
-        assert!(sharers.is_empty());
-        assert_eq!(occ.flows_on(LinkId::IslandBus(NodeId(0))), 0);
-        assert_eq!(occ.flows_on(LinkId::Uplink(NodeId(0))), 1);
+        occ.release(1, &f1);
+        occ.release(1, &f1); // over-release is a no-op
+        assert!(occ.flows_on(LinkId::IslandBus(NodeId(0))).is_empty());
+        assert_eq!(occ.flows_on(LinkId::Uplink(NodeId(0))), [2]);
         assert_eq!(occ.congestion(&[]), 1);
     }
 
     #[test]
-    fn sharers_are_reported_once_per_shared_link() {
+    fn a_link_listed_twice_counts_its_flow_twice() {
         let c = cluster();
         let mut occ = LinkOccupancy::for_cluster(&c);
-        let mut sharers = Vec::new();
         let up = LinkId::Uplink(NodeId(0));
-        let down = LinkId::Downlink(NodeId(1));
-        occ.register(7, &[up, down], &mut sharers);
-        occ.register(3, &[up], &mut sharers);
-        occ.register(5, &[down, LinkId::StorageSpine], &mut sharers);
-        assert_eq!(sharers, [7, 7]);
-        // Flow 9 shares its uplink with 7 and 3 and its downlink with 7 and
-        // 5: the report has one entry per (link, flow) pair.
-        sharers.clear();
-        occ.register(9, &[up, down], &mut sharers);
-        sharers.sort_unstable();
-        assert_eq!(sharers, [3, 5, 7, 7]);
-        sharers.clear();
-        occ.release(7, &[up, down], &mut sharers);
-        sharers.sort_unstable();
-        assert_eq!(sharers, [3, 5, 9, 9]);
-        assert_eq!(occ.congestion(&[up, down]), 2);
-        // A link listed twice counts its flow twice and never reports it as
-        // its own sharer.
-        sharers.clear();
-        occ.register(
-            11,
-            &[LinkId::StorageSpine, LinkId::StorageSpine],
-            &mut sharers,
-        );
-        assert_eq!(sharers, [5, 5]);
-        assert_eq!(occ.flows_on(LinkId::StorageSpine), 3);
-        sharers.clear();
-        occ.release(
-            11,
-            &[LinkId::StorageSpine, LinkId::StorageSpine],
-            &mut sharers,
-        );
-        assert_eq!(sharers, [5, 5]);
-        assert_eq!(occ.flows_on(LinkId::StorageSpine), 1);
+        occ.register(5, &[up, LinkId::StorageSpine]);
+        occ.register(11, &[LinkId::StorageSpine, LinkId::StorageSpine]);
+        assert_eq!(occ.flows_on(LinkId::StorageSpine), [5, 11, 11]);
+        assert_eq!(occ.congestion(&[up]), 1);
+        assert_eq!(occ.congestion(&[up, LinkId::StorageSpine]), 3);
+        occ.release(11, &[LinkId::StorageSpine, LinkId::StorageSpine]);
+        assert_eq!(occ.flows_on(LinkId::StorageSpine), [5]);
     }
 
     #[test]
     fn links_beyond_the_cluster_grow_the_table() {
         let mut occ = LinkOccupancy::for_cluster(&cluster());
-        let mut sharers = Vec::new();
         let far = LinkId::StorageLink(NodeId(40));
-        assert_eq!(occ.flows_on(far), 0);
-        occ.register(0, &[far], &mut sharers);
-        occ.register(1, &[far], &mut sharers);
-        assert_eq!(sharers, [0]);
+        assert!(occ.flows_on(far).is_empty());
+        occ.register(0, &[far]);
+        occ.register(1, &[far]);
+        assert_eq!(occ.flows_on(far), [0, 1]);
         assert_eq!(occ.congestion(&[far]), 2);
         // Distinct links never share a slot.
         let links = [

@@ -72,6 +72,13 @@ pub enum PlanError {
         /// The panic payload, when it carried a message.
         message: String,
     },
+    /// A wave entry names a MetaOp the plan's MetaGraph does not contain.
+    UnknownMetaOp {
+        /// Index of the offending wave.
+        wave: usize,
+        /// The unknown MetaOp.
+        metaop: MetaOpId,
+    },
     /// A wave entry was placed on a device outside the cluster.
     PlacementOutOfRange {
         /// Index of the offending wave.
@@ -122,6 +129,12 @@ impl fmt::Display for PlanError {
             ),
             PlanError::Panicked { message } => {
                 write!(f, "planning panicked: {message}")
+            }
+            PlanError::UnknownMetaOp { wave, metaop } => {
+                write!(
+                    f,
+                    "wave {wave} schedules {metaop}, which the MetaGraph lacks"
+                )
             }
             PlanError::PlacementOutOfRange {
                 wave,

@@ -1,7 +1,6 @@
 //! Execution plans: waves, wave entries and the overall plan consumed by the
 //! runtime simulator.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -226,6 +225,7 @@ impl ExecutionPlan {
     /// Checks the structural invariants of the plan:
     ///
     /// * no wave allocates more devices than the cluster has;
+    /// * every entry names a MetaOp of the plan's MetaGraph;
     /// * placed entries of a wave occupy disjoint devices;
     /// * every MetaOp's operators are all scheduled exactly once across waves;
     /// * waves are ordered by start time.
@@ -234,7 +234,8 @@ impl ExecutionPlan {
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), PlanError> {
-        let mut scheduled: BTreeMap<MetaOpId, u32> = BTreeMap::new();
+        // Layers scheduled per MetaOp, by MetaOp index.
+        let mut scheduled = vec![0u32; self.metagraph.num_metaops()];
         let mut prev_start = 0.0f64;
         // Per device, the stamp (1-based wave position) of the last wave that
         // placed it: one dense table reused by every wave's overlap check.
@@ -254,7 +255,13 @@ impl ExecutionPlan {
             }
             prev_start = wave.start;
             for entry in &wave.entries {
-                *scheduled.entry(entry.metaop).or_insert(0) += entry.layers;
+                let Some(layers) = scheduled.get_mut(entry.metaop.index()) else {
+                    return Err(PlanError::UnknownMetaOp {
+                        wave: wave.index,
+                        metaop: entry.metaop,
+                    });
+                };
+                *layers += entry.layers;
                 if let Some(group) = &entry.placement {
                     for d in group.iter() {
                         if d.index() >= last_wave.len() {
@@ -268,8 +275,7 @@ impl ExecutionPlan {
                 }
             }
         }
-        for metaop in self.metagraph.metaops() {
-            let got = scheduled.get(&metaop.id()).copied().unwrap_or(0);
+        for (metaop, &got) in self.metagraph.metaops().iter().zip(&scheduled) {
             if got != metaop.num_ops() {
                 return Err(PlanError::IncompleteSchedule {
                     metaop: metaop.id(),

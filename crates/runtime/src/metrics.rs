@@ -280,9 +280,11 @@ impl SimReport {
         self.syncs_executed
     }
 
-    /// How many times a flow's congestion was recomputed. Only contended
-    /// runs reprice: each flow start or end recomputes the flows that share
-    /// a link with it, plus the starting flow itself.
+    /// How many times a flow was repriced. Only contended runs reprice. A
+    /// batch of flows starting at one instant reprices once each of its
+    /// flows and each active flow whose congestion it raised; a flow's end
+    /// reprices the flows whose bottleneck link it released, whether or not
+    /// their rate then changes.
     #[must_use]
     pub fn flows_repriced(&self) -> usize {
         self.flows_repriced

@@ -206,8 +206,7 @@ pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended
     let mut touched = Vec::new();
     if contended {
         for (id, flow) in active.iter().enumerate() {
-            occupancy.register(id, &flow.footprint, &mut touched);
-            touched.clear();
+            occupancy.register(id, &flow.footprint);
         }
         for flow in &mut active {
             flow.congestion = occupancy.congestion(&flow.footprint) as f64;
@@ -233,7 +232,10 @@ pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended
         live.retain(|&i| {
             let done = active[i].remaining_s <= eps;
             if done && contended {
-                occupancy.release(i, &active[i].footprint, &mut touched);
+                occupancy.release(i, &active[i].footprint);
+                for &link in &active[i].footprint {
+                    touched.extend_from_slice(occupancy.flows_on(link));
+                }
             }
             !done
         });

@@ -24,6 +24,16 @@
 //!   they are delivered — and every all-reduce at once after the last wave.
 //!   With [`SimConfig::contention`] concurrent flows share link bandwidth,
 //!   a flow's service rate set by its most contended link.
+//!
+//! Under contention a flow's rate changes only when a flow on one of its
+//! links starts or ends. Flows that start at one instant — a wave's boundary
+//! flows, the whole sync stage, the background flows at time zero — start as
+//! one batch: the active flows are settled once, the batch's flows are
+//! registered together, and every flow whose congestion rose is repriced
+//! once. An ending flow reprices only the flows whose bottleneck it
+//! released. The event log is byte-identical to starting each flow on its
+//! own: a batch pushes its completion events in the order in which starting
+//! its flows one at a time left the valid ones (see `Run::start_flows`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -410,11 +420,38 @@ enum FlowLabel {
 #[derive(Debug)]
 struct ActiveFlow {
     remaining_s: f64,
+    /// `1 / congestion`: the share of its bottleneck link the flow gets.
     rate: f64,
-    last_settle_s: f64,
+    /// The most flows on any link of the footprint, at least 1 — what
+    /// [`LinkOccupancy::congestion`] reports for it (contention mode only).
+    congestion: usize,
     footprint: Vec<LinkId>,
     label: FlowLabel,
+    /// Bumped with every completion event pushed; older events are stale.
     epoch: u64,
+    /// Position in [`Run::active`] (contention mode only).
+    active_at: usize,
+    /// Whether the flow waits in [`Run::repriced`].
+    queued: bool,
+    /// While a batch of flows starts: the step of the batch at which
+    /// `congestion` last rose.
+    raised_at: usize,
+}
+
+impl ActiveFlow {
+    /// Prices the flow at its congestion and schedules its completion at
+    /// that rate; the flow's earlier completion event goes stale.
+    fn reschedule(&mut self, id: usize, now: f64, queue: &mut EventQueue<Ev>) {
+        self.rate = 1.0 / self.congestion as f64;
+        self.epoch += 1;
+        queue.push(
+            now + self.remaining_s / self.rate,
+            Ev::FlowEnd {
+                id,
+                epoch: self.epoch,
+            },
+        );
+    }
 }
 
 /// What the cluster is doing, for the time breakdown: some wave computing,
@@ -464,9 +501,12 @@ struct Run<'a> {
     flows: Vec<Option<ActiveFlow>>,
     /// Ids of the active flows, unordered (contention mode only).
     active: Vec<usize>,
+    /// The instant every active flow was last settled at.
+    settled_at: f64,
     occupancy: LinkOccupancy,
-    /// Flows to reprice after a flow starts or ends.
-    sharers: Vec<usize>,
+    /// Flows to reprice: those a starting batch raised, or those an ending
+    /// flow's links bottlenecked.
+    repriced: Vec<usize>,
     flows_repriced: usize,
     /// Busy seconds by device id; `None` for devices that ran nothing.
     device_busy: Vec<Option<f64>>,
@@ -511,8 +551,9 @@ impl<'a> Run<'a> {
             outstanding_syncs: 0,
             flows: Vec::new(),
             active: Vec::new(),
+            settled_at: 0.0,
             occupancy: LinkOccupancy::for_cluster(cluster),
-            sharers: Vec::new(),
+            repriced: Vec::new(),
             flows_repriced: 0,
             device_busy: vec![None; cluster.device_space()],
             intervals: Vec::new(),
@@ -528,13 +569,12 @@ impl<'a> Run<'a> {
         // Background flows contend from t=0; without overlapped contention
         // they could never interact with the iteration, so skip them.
         if self.config.comm_mode == CommMode::Overlapped && self.config.contention {
-            for bg in &self.config.background_flows {
-                self.start_flow(FlowSpec {
-                    nominal_s: bg.nominal_s,
-                    footprint: bg.footprint.clone(),
-                    label: FlowLabel::Background,
-                });
-            }
+            let config = self.config;
+            self.start_flows(config.background_flows.iter().map(|bg| FlowSpec {
+                nominal_s: bg.nominal_s,
+                footprint: bg.footprint.clone(),
+                label: FlowLabel::Background,
+            }));
         }
         if self.localized.plan().num_waves() == 0 {
             self.after_compute();
@@ -706,12 +746,13 @@ impl<'a> Run<'a> {
             .push(self.now, SimEventKind::WaveComplete { wave: w });
         self.computing -= 1;
         if self.config.comm_mode == CommMode::Overlapped {
-            let localized = self.localized;
-            for site in localized.sites_after_wave(w) {
-                self.outstanding[w] += 1;
-                let spec = self.transmission_flow(site);
-                self.start_flow(spec);
-            }
+            let specs: Vec<FlowSpec> = self
+                .localized
+                .sites_after_wave(w)
+                .map(|site| self.transmission_flow(site))
+                .collect();
+            self.outstanding[w] += specs.len();
+            self.start_flows(specs);
         }
         if self.outstanding[w] == 0 {
             self.update_phase();
@@ -752,10 +793,10 @@ impl<'a> Run<'a> {
         if self.outstanding_syncs == 0 {
             self.finish();
         }
-        for group in 0..self.outstanding_syncs {
-            let spec = self.sync_flow(group);
-            self.start_flow(spec);
-        }
+        let specs: Vec<FlowSpec> = (0..self.outstanding_syncs)
+            .map(|group| self.sync_flow(group))
+            .collect();
+        self.start_flows(specs);
     }
 
     /// Starts the next flow of the serialized tail — the transmissions in
@@ -775,7 +816,7 @@ impl<'a> Run<'a> {
             self.finish();
             return;
         };
-        self.start_flow(spec);
+        self.start_flows(std::iter::once(spec));
     }
 
     fn transmission_flow(&self, site: &TransmissionSite) -> FlowSpec {
@@ -837,92 +878,139 @@ impl<'a> Run<'a> {
         self.phase_start = self.now;
     }
 
-    fn start_flow(&mut self, spec: FlowSpec) {
-        match spec.label {
-            FlowLabel::Transmission { from, to, .. } => {
-                self.log
-                    .push(self.now, SimEventKind::FlowStart { from, to });
-            }
-            FlowLabel::Sync { group } => {
-                self.log.push(self.now, SimEventKind::SyncStart { group });
-            }
-            FlowLabel::Background => {}
+    /// Starts `specs` together at the current instant, in order, as one
+    /// batch.
+    ///
+    /// Without contention rates never change: each completion is scheduled
+    /// once, at start. With contention the batch settles the active flows
+    /// once, then registers its flows one by one. Registering a flow raises
+    /// the stored congestion of every flow on its links that now has more
+    /// company on one of them, and records the step of the batch at which
+    /// that happened. Once every flow is registered, each flow whose
+    /// congestion rose (every new flow among them) is repriced once and gets
+    /// one completion event, pushed in order of (step of its last rise, flow
+    /// id). Starting the flows one at a time, each start repricing the flows
+    /// on its links in id order, leaves exactly these events valid, pushed
+    /// in exactly this order; the event queue breaks time ties by push
+    /// order, so simultaneous completions pop as they always did.
+    fn start_flows(&mut self, specs: impl IntoIterator<Item = FlowSpec>) {
+        let contention = self.config.contention;
+        if contention {
+            self.settle_flows();
         }
-        let id = self.flows.len();
-        if !self.config.contention {
-            // Rates never change without contention: schedule the completion
-            // once and never settle or reprice.
-            self.queue
-                .push(self.now + spec.nominal_s, Ev::FlowEnd { id, epoch: 0 });
-            self.flows.push(Some(ActiveFlow {
+        for (step, spec) in specs.into_iter().enumerate() {
+            match spec.label {
+                FlowLabel::Transmission { from, to, .. } => {
+                    self.log
+                        .push(self.now, SimEventKind::FlowStart { from, to });
+                }
+                FlowLabel::Sync { group } => {
+                    self.log.push(self.now, SimEventKind::SyncStart { group });
+                }
+                FlowLabel::Background => {}
+            }
+            let id = self.flows.len();
+            let mut flow = ActiveFlow {
                 remaining_s: spec.nominal_s,
                 rate: 1.0,
-                last_settle_s: self.now,
+                congestion: 1,
                 footprint: spec.footprint,
                 label: spec.label,
                 epoch: 0,
-            }));
-            return;
+                active_at: self.active.len(),
+                queued: contention,
+                raised_at: step,
+            };
+            if !contention {
+                flow.reschedule(id, self.now, &mut self.queue);
+                self.flows.push(Some(flow));
+                continue;
+            }
+            self.occupancy.register(id, &flow.footprint);
+            for &link in &flow.footprint {
+                let on = self.occupancy.flows_on(link);
+                flow.congestion = flow.congestion.max(on.len());
+                for &other in on.iter().filter(|&&f| f != id) {
+                    let other_flow = self.flows[other]
+                        .as_mut()
+                        .expect("flows on a link are live");
+                    if other_flow.congestion < on.len() {
+                        other_flow.congestion = on.len();
+                        other_flow.raised_at = step;
+                        if !std::mem::replace(&mut other_flow.queued, true) {
+                            self.repriced.push(other);
+                        }
+                    }
+                }
+            }
+            self.flows.push(Some(flow));
+            self.active.push(id);
+            self.repriced.push(id);
         }
-        self.settle_flows();
-        self.occupancy
-            .register(id, &spec.footprint, &mut self.sharers);
-        self.sharers.push(id);
-        self.flows.push(Some(ActiveFlow {
-            remaining_s: spec.nominal_s,
-            // Negative sentinel: guarantees the first reprice sees a changed
-            // rate and schedules this flow's completion event.
-            rate: -1.0,
-            last_settle_s: self.now,
-            footprint: spec.footprint,
-            label: spec.label,
-            epoch: 0,
-        }));
-        self.active.push(id);
-        self.reprice_flows();
+        let flows = &self.flows;
+        self.repriced
+            .sort_unstable_by_key(|&id| (flows[id].as_ref().map(|f| f.raised_at), id));
+        self.flows_repriced += self.repriced.len();
+        for &id in &self.repriced {
+            let flow = self.flows[id].as_mut().expect("repriced flows are live");
+            flow.queued = false;
+            flow.reschedule(id, self.now, &mut self.queue);
+        }
+        self.repriced.clear();
     }
 
     /// Advances every active flow's remaining service to the current time at
     /// its current rate (contention mode only — without contention the
-    /// completion is scheduled once at start and never revisited).
+    /// completion is scheduled once at start and never revisited). Every
+    /// start and end settles, so all active flows were last settled at the
+    /// same instant.
     fn settle_flows(&mut self) {
+        let elapsed = self.now - self.settled_at;
+        self.settled_at = self.now;
+        if elapsed == 0.0 {
+            // Settling twice at one instant changes nothing.
+            return;
+        }
         for &id in &self.active {
             let flow = self.flows[id].as_mut().expect("active flows are live");
-            let elapsed = self.now - flow.last_settle_s;
-            flow.remaining_s = (flow.remaining_s - elapsed * flow.rate.max(0.0)).max(0.0);
-            flow.last_settle_s = self.now;
+            flow.remaining_s = (flow.remaining_s - elapsed * flow.rate).max(0.0);
         }
     }
 
-    /// Recomputes the service rates of the flows in `sharers` — the flows
-    /// sharing a link with the one that just started or ended, plus a
-    /// starting flow itself; no other flow's congestion can have changed —
-    /// and re-schedules the completion events of flows whose rate actually
-    /// changed. A flow with an unchanged rate keeps its scheduled event —
-    /// settling preserves `last_settle + remaining/rate` — and stale events
-    /// are invalidated through the epoch counter. Visiting the flows in
-    /// ascending id order pushes their events in the order a scan of every
-    /// flow would, which keeps simultaneous completions in the same order.
-    fn reprice_flows(&mut self) {
-        self.sharers.sort_unstable();
-        self.sharers.dedup();
-        self.flows_repriced += self.sharers.len();
-        for &id in &self.sharers {
-            let flow = self.flows[id].as_mut().expect("sharers are active");
+    /// Releases the links of flow `id`, which just ended, and reprices the
+    /// flows it leaves behind. A flow's congestion can fall only if a
+    /// released link was its bottleneck — its congestion equals the link's
+    /// flow count before the release; every other flow on those links keeps
+    /// its rate. Flows whose rate changes get a new completion event, pushed
+    /// in ascending flow id.
+    fn release_flow(&mut self, id: usize, footprint: &[LinkId]) {
+        for &link in footprint {
+            let on = self.occupancy.flows_on(link);
+            for &other in on.iter().filter(|&&f| f != id) {
+                let other_flow = self.flows[other]
+                    .as_mut()
+                    .expect("flows on a link are live");
+                if other_flow.congestion == on.len()
+                    && !std::mem::replace(&mut other_flow.queued, true)
+                {
+                    self.repriced.push(other);
+                }
+            }
+        }
+        self.occupancy.release(id, footprint);
+        self.repriced.sort_unstable();
+        self.flows_repriced += self.repriced.len();
+        for &id in &self.repriced {
+            let flow = self.flows[id].as_mut().expect("repriced flows are live");
+            flow.queued = false;
             let congestion = self.occupancy.congestion(&flow.footprint);
-            let rate = 1.0 / congestion as f64;
-            if rate == flow.rate {
+            if congestion == flow.congestion {
                 continue;
             }
-            flow.rate = rate;
-            flow.epoch += 1;
-            let epoch = flow.epoch;
-            self.queue.push(
-                self.now + flow.remaining_s / rate,
-                Ev::FlowEnd { id, epoch },
-            );
+            flow.congestion = congestion;
+            flow.reschedule(id, self.now, &mut self.queue);
         }
-        self.sharers.clear();
+        self.repriced.clear();
     }
 
     fn on_flow_end(&mut self, id: usize, epoch: u64) {
@@ -938,11 +1026,14 @@ impl<'a> Run<'a> {
         }
         let flow = self.flows[id].take().expect("flow checked active");
         if self.config.contention {
-            let at = self.active.iter().position(|&f| f == id);
-            self.active.swap_remove(at.expect("a live flow is active"));
-            self.occupancy
-                .release(id, &flow.footprint, &mut self.sharers);
-            self.reprice_flows();
+            self.active.swap_remove(flow.active_at);
+            if let Some(&moved) = self.active.get(flow.active_at) {
+                self.flows[moved]
+                    .as_mut()
+                    .expect("active flows are live")
+                    .active_at = flow.active_at;
+            }
+            self.release_flow(id, &flow.footprint);
         }
         let serialized = self.config.comm_mode == CommMode::Serialized;
         match flow.label {
@@ -1652,6 +1743,72 @@ mod tests {
             .run_iteration()
             .unwrap();
         assert_eq!(free.flows_repriced(), 0);
+    }
+
+    /// Contended runs of the two-task plan with `background_flows`.
+    fn run_with_background(background_flows: Vec<BackgroundFlow>) -> SimReport {
+        let (plan, graph, cluster) = plan_on(2, 8);
+        Simulator::new(&plan, &cluster)
+            .with_graph(&graph)
+            .with_config(SimConfig {
+                background_flows,
+                ..SimConfig::contended()
+            })
+            .run_iteration()
+            .unwrap()
+    }
+
+    #[test]
+    fn flows_starting_together_on_one_link_reprice_once_each() {
+        let base = run_with_background(Vec::new());
+        // k flows on one storage link no training flow uses, all outliving
+        // the iteration. The batch registers all k and prices each once, at
+        // congestion k; one start at a time would reprice every flow already
+        // on the link as well, k(k+1)/2 in all.
+        let k = 5;
+        let background = (0..k)
+            .map(|_| BackgroundFlow {
+                nominal_s: 10.0,
+                footprint: vec![LinkId::StorageLink(spindle_cluster::NodeId(0))],
+            })
+            .collect();
+        let loaded = run_with_background(background);
+        assert_eq!(loaded.flows_repriced(), base.flows_repriced() + k);
+        assert_eq!(loaded.event_log().render(), base.event_log().render());
+    }
+
+    #[test]
+    fn an_end_reprices_only_the_flows_it_bottlenecked() {
+        use spindle_cluster::NodeId;
+        let base = run_with_background(Vec::new());
+        // Three long flows share the storage spine, each with the storage
+        // link of its own node; a short flow shares one more link with them.
+        let with_short = |link: LinkId| {
+            let mut flows = vec![BackgroundFlow {
+                nominal_s: 1e-6,
+                footprint: vec![link],
+            }];
+            flows.extend((0..3).map(|n| BackgroundFlow {
+                nominal_s: 10.0,
+                footprint: vec![LinkId::StorageLink(NodeId(n)), LinkId::StorageSpine],
+            }));
+            run_with_background(flows)
+        };
+        // On node 0's storage link the short flow leaves its neighbour at 2
+        // flows there but 3 on the spine: ending, it releases a link that is
+        // no flow's bottleneck, and the batch's four pricings are all.
+        let off_bottleneck = with_short(LinkId::StorageLink(NodeId(0)));
+        assert_eq!(off_bottleneck.flows_repriced(), base.flows_repriced() + 4);
+        // On the spine it is every long flow's bottleneck: its end
+        // reprices all three.
+        let on_bottleneck = with_short(LinkId::StorageSpine);
+        assert_eq!(
+            on_bottleneck.flows_repriced(),
+            base.flows_repriced() + 4 + 3
+        );
+        for run in [off_bottleneck, on_bottleneck] {
+            assert_eq!(run.event_log().render(), base.event_log().render());
+        }
     }
 
     #[test]

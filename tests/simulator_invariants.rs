@@ -9,11 +9,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use spindle::cluster::{CommModel, LinkId, NodeId};
+use spindle::core::{MetaOpId, PlanError};
 use spindle::prelude::*;
 use spindle::runtime::{
-    BackgroundFlow, CommMode, DynamicRunLoop, LocalizedPlan, SimConfig, SimEventKind, Straggler,
+    BackgroundFlow, CommMode, DynamicRunLoop, FaultSpec, LocalizedPlan, RuntimeError, SimConfig,
+    SimEventKind, Straggler,
 };
-use spindle::workloads::{hyperscale, ArrivalSchedule, DynamicWorkload};
+use spindle::workloads::{
+    hyperscale, hyperscale_subset, ArrivalSchedule, DynamicWorkload, HYPERSCALE_ROSTER,
+};
 
 /// The paper's Fig. 8 presets, each on its smallest evaluated cluster.
 fn preset_cases() -> Vec<(WorkloadPreset, ClusterSpec)> {
@@ -299,4 +303,230 @@ fn contended_hyperscale_run_is_pinned_bit_for_bit() {
     // contention model's arithmetic or event order moves these.
     assert_eq!(run.total_s().to_bits(), 0x3fb2_b712_4451_9ec1);
     assert_eq!(digest, 0x8f75_f464_a9d2_c67e);
+}
+
+/// Digest of what a run reports: FNV-1a over the rendered event log, then
+/// the bits of `total_s`, of the breakdown and of every device's busy time.
+fn report_digest(report: &SimReport) -> u64 {
+    let mut bytes = report.event_log().render().into_bytes();
+    let b = report.breakdown();
+    for x in [report.total_s(), b.fwd_bwd_s, b.sync_s, b.send_recv_s] {
+        bytes.extend(x.to_bits().to_le_bytes());
+    }
+    for (d, busy) in report.device_busy_s() {
+        bytes.extend(d.0.to_le_bytes());
+        bytes.extend(busy.to_bits().to_le_bytes());
+    }
+    fnv1a(&bytes)
+}
+
+/// One plan of the corpus: a graph, its cluster and the plan on it.
+fn corpus_plan(
+    graph: ComputationGraph,
+    nodes: usize,
+) -> (Arc<ExecutionPlan>, ComputationGraph, ClusterSpec) {
+    let cluster = ClusterSpec::homogeneous(nodes, 8);
+    let plan = SpindleSession::new(cluster.clone()).plan(&graph).unwrap();
+    (Arc::new(plan), graph, cluster)
+}
+
+fn corpus_run(
+    (plan, graph, cluster): &(Arc<ExecutionPlan>, ComputationGraph, ClusterSpec),
+    config: SimConfig,
+) -> SimReport {
+    Simulator::new(Arc::clone(plan), cluster)
+        .with_graph(graph)
+        .with_config(config)
+        .run_iteration()
+        .unwrap()
+}
+
+/// Contended runs of two `fig8-cold` mixes (the 64-slot roster minus one
+/// slot, 512 GPUs), plain and jittered, digested and pinned. The digests
+/// were recorded from the one-flow-at-a-time settle-and-reprice loop; the
+/// batched loop must reproduce every bit.
+#[test]
+fn fig8_cold_contended_runs_match_the_recorded_digests() {
+    let mut digests = Vec::new();
+    for dropped in [5, 41] {
+        let slots: Vec<usize> = (0..HYPERSCALE_ROSTER).filter(|&s| s != dropped).collect();
+        let case = corpus_plan(hyperscale_subset(&slots).unwrap(), 64);
+        for compute_jitter in [0.0, 0.05] {
+            let run = corpus_run(
+                &case,
+                SimConfig {
+                    compute_jitter,
+                    ..SimConfig::contended()
+                },
+            );
+            digests.push(report_digest(&run));
+        }
+    }
+    assert_eq!(
+        digests,
+        [
+            0x0b0c_fa59_f649_296e,
+            0xe6b4_6e07_db66_6aa0,
+            0xc883_1119_1c07_4af2,
+            0x8d35_7303_5079_b73e,
+        ],
+        "{digests:#018x?}"
+    );
+}
+
+/// The rest of the corpus, on one plan of 48 tasks on 256 GPUs: the plain
+/// contended run, background flows that share uplinks with the training
+/// traffic and with each other, stragglers with speed factors, the
+/// serialized tail under contention, and a fault that fires during the sync
+/// stage.
+#[test]
+fn contended_corner_cases_match_the_recorded_digests() {
+    let mut digests = Vec::new();
+    let case = corpus_plan(hyperscale(48).unwrap(), 32);
+    let plain = corpus_run(&case, SimConfig::contended());
+    digests.push(report_digest(&plain));
+    let background_flows = vec![
+        BackgroundFlow {
+            nominal_s: 0.002,
+            footprint: vec![LinkId::Uplink(NodeId(0)), LinkId::StorageLink(NodeId(0))],
+        },
+        BackgroundFlow {
+            nominal_s: 0.004,
+            footprint: vec![
+                LinkId::Uplink(NodeId(0)),
+                LinkId::Uplink(NodeId(0)),
+                LinkId::StorageSpine,
+            ],
+        },
+        BackgroundFlow {
+            nominal_s: 0.003,
+            footprint: vec![
+                LinkId::Uplink(NodeId(5)),
+                LinkId::StorageLink(NodeId(5)),
+                LinkId::StorageSpine,
+            ],
+        },
+        BackgroundFlow {
+            nominal_s: 1e3,
+            footprint: vec![LinkId::Downlink(NodeId(9)), LinkId::StorageSpine],
+        },
+    ];
+    let loaded = corpus_run(
+        &case,
+        SimConfig {
+            background_flows,
+            ..SimConfig::contended()
+        },
+    );
+    assert_ne!(loaded.total_s(), plain.total_s());
+    digests.push(report_digest(&loaded));
+
+    let speed_factors: BTreeMap<DeviceId, f64> = (8..16).map(|d| (DeviceId(d), 0.8)).collect();
+    digests.push(report_digest(&corpus_run(
+        &case,
+        SimConfig {
+            speed_factors,
+            stragglers: vec![
+                Straggler::persistent(DeviceId(3), 1.5),
+                Straggler {
+                    device: DeviceId(42),
+                    slowdown: 3.0,
+                    from_s: 0.002,
+                    until_s: 0.01,
+                },
+            ],
+            ..SimConfig::contended()
+        },
+    )));
+
+    digests.push(report_digest(&corpus_run(
+        &case,
+        SimConfig {
+            comm_mode: CommMode::Serialized,
+            contention: true,
+            ..SimConfig::default()
+        },
+    )));
+
+    // The fault fires halfway through the plain run's sync stage.
+    let sync_start = plain
+        .event_log()
+        .entries()
+        .iter()
+        .find(|e| matches!(e.kind, SimEventKind::SyncStart { .. }))
+        .unwrap()
+        .time_s;
+    let fault = FaultSpec {
+        at_s: (sync_start + plain.total_s()) / 2.0,
+        devices: vec![DeviceId(17), DeviceId(90)],
+    };
+    let (report, fired) = Simulator::new(Arc::clone(&case.0), &case.2)
+        .with_graph(&case.1)
+        .with_config(SimConfig::contended())
+        .run_iteration_with_fault(&fault)
+        .unwrap();
+    assert!(fired.fired);
+    let mut bytes = report_digest(&report).to_le_bytes().to_vec();
+    for x in [fired.at_s, fired.wasted_compute_s] {
+        bytes.extend(x.to_bits().to_le_bytes());
+    }
+    for n in [fired.killed_entries, fired.completed_waves] {
+        bytes.extend((n as u64).to_le_bytes());
+    }
+    digests.push(fnv1a(&bytes));
+    assert_eq!(
+        digests,
+        [
+            0x3caf_c439_698e_734c,
+            0x5a1e_a36f_fa30_d2d7,
+            0xe9bd_cf1c_d5e0_a860,
+            0x713e_2f18_9a10_75fe,
+            0x9176_f58a_83f6_7cf5,
+        ],
+        "{digests:#018x?}"
+    );
+}
+
+/// A wave entry naming a MetaOp the MetaGraph lacks is a typed plan error,
+/// not an index panic inside localization.
+#[test]
+fn a_plan_naming_an_unknown_metaop_is_rejected() {
+    let graph = multitask_clip(4).unwrap();
+    let cluster = ClusterSpec::homogeneous(2, 8);
+    let plan = SpindleSession::new(cluster.clone()).plan(&graph).unwrap();
+    let unknown = MetaOpId(plan.metagraph().num_metaops() as u32 + 5);
+    let mut waves = plan.waves().to_vec();
+    let mut extra = waves.last().unwrap().clone();
+    extra.index = waves.len();
+    extra.entries.truncate(1);
+    extra.entries[0].metaop = unknown;
+    waves.push(extra);
+    let broken = Arc::new(ExecutionPlan::new(
+        waves,
+        plan.metagraph_handle(),
+        plan.num_devices(),
+        plan.theoretical_optimum(),
+        plan.planning_time(),
+    ));
+    let expected = PlanError::UnknownMetaOp {
+        wave: plan.num_waves(),
+        metaop: unknown,
+    };
+    assert_eq!(broken.validate(), Err(expected.clone()));
+    assert_eq!(
+        broken.check_invariants(cluster.device_memory_bytes()),
+        Err(expected.clone())
+    );
+    let invalid = RuntimeError::InvalidPlan(expected);
+    assert_eq!(
+        LocalizedPlan::new(Arc::clone(&broken), &cluster, Some(&graph)).unwrap_err(),
+        invalid
+    );
+    assert_eq!(
+        Simulator::new(broken, &cluster)
+            .with_config(SimConfig::contended())
+            .run_iteration()
+            .unwrap_err(),
+        invalid
+    );
 }
