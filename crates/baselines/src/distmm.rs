@@ -9,12 +9,13 @@
 //! tasks, which is exactly the gap the paper attributes to it.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use spindle_cluster::ClusterSpec;
+use spindle_core::mpsp::{self, MpspScratch};
+use spindle_core::wavefront::{self, WavefrontScratch};
 use spindle_core::{
-    allocator, mpsp, placement, wavefront, ExecutionPlan, MetaOpId, PlacementStrategy, PlanError,
+    allocator, CurveSet, ExecutionPlan, MetaOpArena, MetaOpId, PlacementStrategy, PlanError,
     PlanningSystem, SpindleSession, Wave,
 };
 use spindle_graph::ComputationGraph;
@@ -54,6 +55,9 @@ impl DistMmMtPlanner {
         cluster: &ClusterSpec,
         started: Instant,
     ) -> Result<ExecutionPlan, PlanError> {
+        let arena = MetaOpArena::build(&ctx.metagraph, &CurveSet::from(ctx.curves.clone()));
+        let mut mpsp_scratch = MpspScratch::new();
+        let mut wavefront_scratch = WavefrontScratch::new();
         let mut waves: Vec<Wave> = Vec::new();
         let mut now = 0.0f64;
 
@@ -67,27 +71,22 @@ impl DistMmMtPlanner {
                     .push(id);
             }
             for (level, ids) in by_level {
-                let items: Vec<mpsp::MpspItem> = ids
-                    .iter()
-                    .map(|&id| mpsp::MpspItem {
-                        metaop: id,
-                        num_ops: ctx.metagraph.metaop(id).num_ops(),
-                        curve: Arc::clone(&ctx.curves[&id]),
-                    })
-                    .collect();
-                let solution = mpsp::solve(&items, ctx.num_devices, mpsp::DEFAULT_EPSILON);
-                let alloc = allocator::discretize(&solution, &items);
-                let curve_map: wavefront::CurveMap = ids
-                    .iter()
-                    .map(|&id| (id, Arc::clone(&ctx.curves[&id])))
-                    .collect();
-                let (mut level_waves, end) = wavefront::schedule_level(
+                let solution = mpsp::solve_level(
+                    &arena,
+                    &ids,
+                    ctx.num_devices,
+                    mpsp::DEFAULT_EPSILON,
+                    &mut mpsp_scratch,
+                );
+                let alloc = allocator::discretize_level(&solution, &arena, &ids);
+                let (mut level_waves, end) = wavefront::schedule_level_dense(
                     &alloc,
-                    &curve_map,
+                    &arena,
                     ctx.num_devices,
                     level,
                     now,
                     waves.len(),
+                    &mut wavefront_scratch,
                 );
                 for wave in &mut level_waves {
                     for entry in &mut wave.entries {
@@ -110,7 +109,7 @@ impl DistMmMtPlanner {
             0.0,
             started.elapsed(),
         );
-        placement::place(&mut plan, cluster, PlacementStrategy::Locality)?;
+        PlacementStrategy::Locality.place(&mut plan, cluster)?;
         Ok(plan)
     }
 }
@@ -136,7 +135,7 @@ mod tests {
     use super::*;
     use crate::{DecoupledParallelism, DecoupledPlanner};
     use spindle_runtime::Simulator;
-    use spindle_workloads::multitask_clip;
+    use spindle_workloads::{multitask_clip, WorkloadPreset};
 
     #[test]
     fn distmm_plan_is_valid() {
@@ -159,6 +158,69 @@ mod tests {
             .plan(&graph, &cluster)
             .unwrap();
         assert!(distmm.makespan() < decoupled.makespan());
+    }
+
+    /// FNV-1a over every wave's and entry's exact bits, placements included:
+    /// equal iff two plans are identical wave for wave.
+    fn plan_digest(plan: &ExecutionPlan) -> u64 {
+        let mut words = Vec::new();
+        for wave in plan.waves() {
+            words.extend([wave.index as u64, wave.level as u64]);
+            words.extend([wave.start.to_bits(), wave.duration.to_bits()]);
+            for e in &wave.entries {
+                words.extend([e.metaop.index() as u64, e.layers.into(), e.devices.into()]);
+                words.extend([e.time_per_op.to_bits(), e.exec_time.to_bits()]);
+                words.push(e.memory_per_device);
+                let group = e.placement.as_ref().expect("placed");
+                words.extend(group.iter().map(|d| u64::from(d.0)));
+            }
+        }
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// DistMM-MT plans of every Fig. 8 preset on each of its paper cluster
+    /// sizes, digested and pinned: the digests were recorded from the
+    /// map-based MPSP, discretisation and wavefront path, and the dense path
+    /// must reproduce every bit.
+    #[test]
+    fn fig8_preset_plans_match_the_recorded_digests() {
+        let mut digests = Vec::new();
+        for preset in WorkloadPreset::figure8_presets() {
+            let graph = preset.build().unwrap();
+            for gpus in preset.paper_cluster_sizes() {
+                let cluster = ClusterSpec::homogeneous(gpus / 8, 8);
+                let plan = DistMmMtPlanner::new().plan(&graph, &cluster).unwrap();
+                digests.push(plan_digest(&plan));
+            }
+        }
+        assert_eq!(
+            digests,
+            [
+                0x309a_1c32_62b9_4039,
+                0x535a_11e2_fed4_c9a1,
+                0x0c64_8d4d_fec2_9682,
+                0xdf78_28b3_107b_4fdb,
+                0xdbf6_24ca_c348_bc74,
+                0x5012_6653_249a_bccb,
+                0x354d_f7dd_84ba_4629,
+                0x3833_e8ca_53b3_6e6d,
+                0xf7c0_2742_94fb_9931,
+                0xca4c_f4a1_6c10_5794,
+                0x4e02_fdf7_03b0_9f5b,
+                0x70cb_2777_4ca0_ac61,
+                0x84df_745d_fb33_cd6d,
+                0x952f_e415_d295_b8e8,
+                0xc0e6_c817_cbd3_9093,
+                0x50f7_5f7b_01c9_df04,
+                0x3502_1cc2_cdfe_be91,
+            ],
+            "{digests:#018x?}"
+        );
     }
 
     #[test]

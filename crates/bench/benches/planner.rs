@@ -1,20 +1,16 @@
 //! Micro-benchmarks of the Spindle execution planner's components
 //! (Fig. 12's complexity analysis, broken down by stage): graph contraction,
-//! the continuous MPSP solve, wavefront scheduling, device placement and the
-//! end-to-end `SpindleSession::plan` call.
+//! device placement and the end-to-end `SpindleSession::plan` call. The MPSP
+//! solve and wavefront scheduling of clip-10t level 0 are timed, and gated,
+//! by the `planning_hot_path` bench.
 //!
 //! ```bash
 //! cargo bench -p spindle-bench --bench planner
 //! ```
 
-use std::sync::Arc;
-
 use spindle_bench::microbench::{bench, group};
 use spindle_cluster::ClusterSpec;
-use spindle_core::{
-    allocator, curves_for, mpsp, placement, wavefront, MetaGraph, PlacementStrategy, SpindleSession,
-};
-use spindle_estimator::ScalabilityEstimator;
+use spindle_core::{MetaGraph, PlacementStrategy, SpindleSession};
 use spindle_workloads::{multitask_clip, ofasys, qwen_val, QwenValSize};
 
 fn bench_contraction() {
@@ -30,36 +26,6 @@ fn bench_contraction() {
     }
 }
 
-fn bench_mpsp() {
-    group("mpsp + discretisation + wavefront (clip-10t level 0)");
-    let graph = multitask_clip(10).unwrap();
-    let cluster = ClusterSpec::homogeneous(4, 8);
-    let metagraph = MetaGraph::contract(&graph);
-    let estimator = ScalabilityEstimator::new(&cluster);
-    let curves = curves_for(&metagraph, &estimator).unwrap();
-    let level = &metagraph.levels()[0];
-    let items: Vec<mpsp::MpspItem> = level
-        .metaops
-        .iter()
-        .map(|&id| mpsp::MpspItem {
-            metaop: id,
-            num_ops: metagraph.metaop(id).num_ops(),
-            curve: Arc::clone(&curves[&id]),
-        })
-        .collect();
-    bench("mpsp-bisection", 2, 20, || {
-        let _ = mpsp::solve(&items, 32, mpsp::DEFAULT_EPSILON);
-    });
-    let solution = mpsp::solve(&items, 32, mpsp::DEFAULT_EPSILON);
-    bench("bi-point-discretisation", 2, 20, || {
-        let _ = allocator::discretize(&solution, &items);
-    });
-    let plan = allocator::discretize(&solution, &items);
-    bench("wavefront-scheduling", 2, 20, || {
-        let _ = wavefront::schedule_level(&plan, &curves, 32, 0, 0.0, 0);
-    });
-}
-
 fn bench_placement() {
     group("device-placement");
     let graph = multitask_clip(10).unwrap();
@@ -68,7 +34,7 @@ fn bench_placement() {
     for strategy in [PlacementStrategy::Locality, PlacementStrategy::Sequential] {
         bench(&format!("{strategy:?}"), 2, 20, || {
             let mut plan = unplaced.clone();
-            placement::place(&mut plan, &cluster, strategy).unwrap();
+            strategy.place(&mut plan, &cluster).unwrap();
         });
     }
 }
@@ -90,7 +56,6 @@ fn bench_end_to_end_planning() {
 
 fn main() {
     bench_contraction();
-    bench_mpsp();
     bench_placement();
     bench_end_to_end_planning();
 }

@@ -7,8 +7,11 @@
 //! dynamic Multitask-CLIP schedule.
 //!
 //! Every case's mean is written to `BENCH_planning.json` at the workspace
-//! root as `bench name → ns/iter`. Set `SPINDLE_BENCH_QUICK=1` for the CI
-//! smoke mode (fewer iterations, same coverage, same report).
+//! root as `bench name → ns/iter`. The clip-10t/32gpu cold-plan probe also
+//! writes its MPSP solves, bisection iterations, waves crafted and curve fits
+//! as `work_plan_*` entries, which the gate pins exactly. Set
+//! `SPINDLE_BENCH_QUICK=1` for the CI smoke mode (fewer iterations, same
+//! coverage, same report).
 //!
 //! ```bash
 //! cargo bench -p spindle-bench --bench planning_hot_path
@@ -16,6 +19,7 @@
 //! ```
 
 use std::path::PathBuf;
+use std::time::Duration;
 
 use spindle_bench::microbench::{bench, group, quick_mode, write_json_report, Timing};
 use spindle_cluster::ClusterSpec;
@@ -138,6 +142,17 @@ fn main() {
         plan.num_waves() as u64,
         "probe must account for every wave"
     );
+    for (counter, count) in [
+        ("mpsp_solves", stats.mpsp_solves),
+        ("bisection_iters", stats.bisection_iterations),
+        ("waves_crafted", stats.waves_crafted),
+        ("curve_fits", session.curve_fits() as u64),
+    ] {
+        report.push((
+            format!("work_plan_{counter}_clip-10t/32gpu"),
+            Timing::exact(Duration::from_nanos(count)),
+        ));
+    }
     let largest_level = contracted
         .metagraph()
         .levels()

@@ -308,6 +308,91 @@ fn completes_every_flow_once(run: &SimReport, localized: &LocalizedPlan) -> Resu
     ))
 }
 
+/// Invariants 1–5 and 7 for one plan of `graph` on `cluster` — the check
+/// every phase plan and every churned re-plan goes through. `session` plans
+/// on `cluster` and supplies invariant 4's `Σ C̃*`. Returns the number of
+/// simulations run.
+fn check_plan(
+    plan: &ExecutionPlan,
+    graph: &ComputationGraph,
+    cluster: &ClusterSpec,
+    session: &SpindleSession,
+    hetero_config: &SimConfig,
+    cfg: &FuzzConfig,
+) -> Result<u64, String> {
+    // 1–3: structure, placement, capacity, memory.
+    plan.check_invariants(cluster.device_memory_bytes())
+        .map_err(|e| format!("invariant: {e}"))?;
+
+    // 4: lower bounds on the makespan. Two bounds apply:
+    //
+    // * The averaging bound — busy device-seconds cannot exceed
+    //   `makespan × num_devices` — holds for *any* schedule.
+    // * The session's `Σ C̃*` is the optimum of *level-synchronous*
+    //   schedules (Theorem 1 assumes wavefront level barriers).
+    //   Task-parallel plans (Optimus) overlap heterogeneous-depth tasks
+    //   across level boundaries and can legitimately finish below it, so it
+    //   is enforced only on serial-timeline plans (which decoupled and
+    //   sequential baselines also produce).
+    let makespan = plan.makespan();
+    let busy: f64 = plan
+        .waves()
+        .iter()
+        .flat_map(|w| w.entries.iter())
+        .map(|e| e.exec_time * f64::from(e.devices))
+        .sum();
+    let averaging_bound = busy / f64::from(plan.num_devices());
+    if makespan < averaging_bound * (1.0 - cfg.optimum_tolerance) {
+        return Err(format!(
+            "makespan {makespan:.6}s packs {busy:.6} busy device-seconds onto \
+             {} devices (averaging bound {averaging_bound:.6}s)",
+            plan.num_devices()
+        ));
+    }
+    if has_serial_timeline(plan) {
+        let optimum = session
+            .theoretical_optimum(graph)
+            .map_err(|e| format!("optimum bound unavailable: {e}"))?;
+        if makespan < optimum * (1.0 - cfg.optimum_tolerance) {
+            return Err(format!(
+                "makespan {makespan:.6}s beats the theoretical optimum {optimum:.6}s"
+            ));
+        }
+    }
+
+    // 5: the serialized simulator runs the closed form as events.
+    let localized = serialized_matches_closed_form(plan, graph, cluster, cfg.gap_tolerance)
+        .map_err(|e| format!("serialized simulation: {e}"))?;
+
+    // 7: heterogeneous contended simulation stays sane. Slow devices,
+    // straggler windows, the drawn comm-overlap mode and contention can move
+    // the total either way relative to the serialized run, but it can never
+    // finish faster than the plan's pure compute on the slowest assigned
+    // device, and it completes every transmission and all-reduce exactly
+    // once.
+    let hetero = Simulator::new(plan.clone(), cluster)
+        .with_graph(graph.clone())
+        .with_config(hetero_config.clone())
+        .run_iteration()
+        .map_err(|e| format!("heterogeneous simulation: {e}"))?;
+    if !hetero.total_s().is_finite() || hetero.total_s() <= 0.0 {
+        return Err(format!(
+            "heterogeneous simulation produced a degenerate total of {}s",
+            hetero.total_s()
+        ));
+    }
+    if hetero.total_s() + 1e-9 < makespan {
+        return Err(format!(
+            "heterogeneous simulation finished in {:.6}s, faster than the plan's \
+             own compute makespan {makespan:.6}s",
+            hetero.total_s()
+        ));
+    }
+    completes_every_flow_once(&hetero, &localized)
+        .map_err(|e| format!("heterogeneous simulation {e}"))?;
+    Ok(2)
+}
+
 /// Counters accumulated over the checked draws.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FuzzStats {
@@ -350,7 +435,6 @@ pub fn check_scenario(
     let policy = scenario
         .checkpoint_cadence
         .map_or_else(CheckpointPolicy::default, CheckpointPolicy::every);
-    let capacity = cluster.device_memory_bytes();
     let phases = scenario.phases().map_err(|e| {
         Box::new(Violation::new(
             scenario,
@@ -406,80 +490,8 @@ pub fn check_scenario(
                 _ => plan,
             };
             stats.plans_checked += 1;
-
-            // 1–3: structure, placement, capacity, memory.
-            plan.check_invariants(capacity)
-                .map_err(|e| fail(format!("invariant: {e}")))?;
-
-            // 4: lower bounds on the makespan. Two bounds apply:
-            //
-            // * The averaging bound — busy device-seconds cannot exceed
-            //   `makespan × num_devices` — holds for *any* schedule.
-            // * The session's `Σ C̃*` is the optimum of *level-synchronous*
-            //   schedules (Theorem 1 assumes wavefront level barriers).
-            //   Task-parallel plans (Optimus) overlap heterogeneous-depth
-            //   tasks across level boundaries and can legitimately finish
-            //   below it, so it is enforced only on serial-timeline plans
-            //   (which decoupled and sequential baselines also produce).
-            let makespan = plan.makespan();
-            let busy: f64 = plan
-                .waves()
-                .iter()
-                .flat_map(|w| w.entries.iter())
-                .map(|e| e.exec_time * f64::from(e.devices))
-                .sum();
-            let averaging_bound = busy / f64::from(plan.num_devices());
-            if makespan < averaging_bound * (1.0 - cfg.optimum_tolerance) {
-                return Err(fail(format!(
-                    "makespan {makespan:.6}s packs {busy:.6} busy device-seconds onto \
-                     {} devices (averaging bound {averaging_bound:.6}s)",
-                    plan.num_devices()
-                )));
-            }
-            if has_serial_timeline(&plan) {
-                let optimum = session
-                    .theoretical_optimum(graph)
-                    .map_err(|e| fail(format!("optimum bound unavailable: {e}")))?;
-                if makespan < optimum * (1.0 - cfg.optimum_tolerance) {
-                    return Err(fail(format!(
-                        "makespan {makespan:.6}s beats the theoretical optimum {optimum:.6}s"
-                    )));
-                }
-            }
-
-            // 5: the serialized simulator runs the closed form as events.
-            let localized =
-                serialized_matches_closed_form(&plan, graph, &cluster, cfg.gap_tolerance)
-                    .map_err(|e| fail(format!("serialized simulation: {e}")))?;
-            stats.simulations += 1;
-
-            // 7: heterogeneous contended simulation stays sane. Slow
-            // devices, straggler windows, the drawn comm-overlap mode and
-            // contention can move the total either way relative to the
-            // serialized run, but it can never finish faster than the
-            // plan's pure compute on the slowest assigned device, and it
-            // completes every transmission and all-reduce exactly once.
-            let hetero = Simulator::new(plan.clone(), &cluster)
-                .with_graph(graph.clone())
-                .with_config(hetero_config.clone())
-                .run_iteration()
-                .map_err(|e| fail(format!("heterogeneous simulation: {e}")))?;
-            stats.simulations += 1;
-            if !hetero.total_s().is_finite() || hetero.total_s() <= 0.0 {
-                return Err(fail(format!(
-                    "heterogeneous simulation produced a degenerate total of {}s",
-                    hetero.total_s()
-                )));
-            }
-            if hetero.total_s() + 1e-9 < makespan {
-                return Err(fail(format!(
-                    "heterogeneous simulation finished in {:.6}s, faster than the plan's \
-                     own compute makespan {makespan:.6}s",
-                    hetero.total_s()
-                )));
-            }
-            completes_every_flow_once(&hetero, &localized)
-                .map_err(|e| fail(format!("heterogeneous simulation {e}")))?;
+            stats.simulations +=
+                check_plan(&plan, graph, &cluster, &session, &hetero_config, cfg).map_err(fail)?;
 
             // 6: warm re-plan bit-identity. A fresh session planning the
             // same graph cold must produce exactly the waves the warm
@@ -506,7 +518,8 @@ pub fn check_scenario(
         // Device-level churn — Spindle only (baselines have no elastic
         // session). Every removal/restore re-plans the last phase graph on
         // the surviving devices and pushes the result through the same
-        // gauntlet, plus: no placement may reference a removed device.
+        // per-plan check as a phase plan (invariants 1–5 and 7), plus: no
+        // placement may reference a removed device.
         if system == SystemKind::Spindle && mutation.is_none() && !scenario.device_churn.is_empty()
         {
             let (last_phase, graph) = phases.last().expect("phases are non-empty");
@@ -537,8 +550,10 @@ pub fn check_scenario(
                 let planner_restore_bytes = outcome.restore_bytes;
                 let plan = outcome.plan;
                 stats.plans_checked += 1;
-                plan.check_invariants(capacity)
-                    .map_err(|e| fail(format!("churn invariant: {e}")))?;
+                let churned = session.cluster_handle();
+                stats.simulations +=
+                    check_plan(&plan, graph, &churned, &session, &hetero_config, cfg)
+                        .map_err(fail)?;
                 let removed = session.removed_devices();
                 for (w, wave) in plan.waves().iter().enumerate() {
                     for entry in &wave.entries {
@@ -552,29 +567,6 @@ pub fn check_scenario(
                         }
                     }
                 }
-                // The surviving cluster still satisfies invariants 5 and 7:
-                // serialized simulation matches the closed form, the
-                // heterogeneous contended one stays finite and positive and
-                // completes every flow once.
-                let churned = session.cluster_handle();
-                let localized =
-                    serialized_matches_closed_form(&plan, graph, &churned, cfg.gap_tolerance)
-                        .map_err(|e| fail(format!("churned serialized simulation: {e}")))?;
-                stats.simulations += 1;
-                let hetero = Simulator::new(plan.clone(), &churned)
-                    .with_graph(graph.clone())
-                    .with_config(hetero_config.clone())
-                    .run_iteration()
-                    .map_err(|e| fail(format!("churned heterogeneous simulation: {e}")))?;
-                stats.simulations += 1;
-                if !hetero.total_s().is_finite() || hetero.total_s() <= 0.0 {
-                    return Err(fail(format!(
-                        "churned heterogeneous simulation produced a degenerate total of {}s",
-                        hetero.total_s()
-                    )));
-                }
-                completes_every_flow_once(&hetero, &localized)
-                    .map_err(|e| fail(format!("churned heterogeneous simulation {e}")))?;
                 // Invariant 8: recovery accounting. Diff the plan against its
                 // predecessor on the surviving cluster: restore traffic exists
                 // iff some stateful MetaOp lost every replica, the per-MetaOp

@@ -174,14 +174,39 @@ impl ClusterSpec {
     /// Returns [`ClusterError::EmptyCluster`] if removal would leave no
     /// device at all.
     pub fn without_devices(&self, removed: &[DeviceId]) -> Result<Self, ClusterError> {
+        let gone = self.removed_set(&[], &[], removed);
         let mut spec = self.clone();
         for node in &mut spec.nodes {
-            node.devices.retain(|d| !removed.contains(d));
+            node.devices.retain(|d| gone.binary_search(d).is_err());
         }
         if spec.num_devices() == 0 {
             return Err(ClusterError::EmptyCluster);
         }
         Ok(spec.index_devices())
+    }
+
+    /// The removed-device set after a topology change: `current` minus
+    /// `restored`, plus `removed`, applied in that order. Ids this cluster
+    /// does not have are dropped. The result is sorted and deduplicated
+    /// through a table indexed by device id, so a call takes time linear in
+    /// ids plus devices.
+    #[must_use]
+    pub fn removed_set(
+        &self,
+        current: &[DeviceId],
+        restored: &[DeviceId],
+        removed: &[DeviceId],
+    ) -> Vec<DeviceId> {
+        let mut gone = vec![false; self.device_space()];
+        for (ids, mark) in [(current, true), (restored, false), (removed, true)] {
+            for &d in ids.iter().filter(|&&d| self.contains(d)) {
+                gone[d.index()] = mark;
+            }
+        }
+        (0..)
+            .zip(gone)
+            .filter_map(|(i, g)| g.then_some(DeviceId(i)))
+            .collect()
     }
 
     /// Number of nodes (device islands).
@@ -420,6 +445,19 @@ mod tests {
             bare.without_devices(&[DeviceId(1), DeviceId(2), DeviceId(3)]),
             Err(ClusterError::EmptyCluster)
         );
+    }
+
+    #[test]
+    fn removed_set_drops_unknown_ids_and_restores_before_removing() {
+        let c = ClusterSpec::homogeneous(2, 4);
+        let ids = |raw: &[u32]| raw.iter().copied().map(DeviceId).collect::<Vec<_>>();
+        let set = c.removed_set(&ids(&[5, 1]), &ids(&[5, 99]), &ids(&[7, 1, 8, 7]));
+        assert_eq!(
+            set,
+            ids(&[1, 7]),
+            "sorted, deduplicated, unknown ids dropped"
+        );
+        assert_eq!(c.removed_set(&[], &ids(&[2]), &ids(&[2])), ids(&[2]));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::fmt;
 use spindle_estimator::ScalingCurve;
 
 use crate::arena::MetaOpArena;
-use crate::mpsp::{ContinuousSolution, MpspItem};
+use crate::mpsp::ContinuousSolution;
 use crate::MetaOpId;
 
 /// One discrete ASL-tuple without a start time: `layers` consecutive operators
@@ -103,34 +103,11 @@ impl fmt::Display for AllocationPlan {
 }
 
 /// Discretises the continuous solution of one MetaLevel into an
-/// [`AllocationPlan`].
+/// [`AllocationPlan`], reading curves and operator counts from the dense
+/// [`MetaOpArena`].
 ///
-/// `items` must be the same items the continuous solution was computed from;
+/// `metaops` must be the level the continuous solution was computed for;
 /// MetaOps missing from the solution (e.g. empty ones) are skipped.
-#[must_use]
-pub fn discretize(solution: &ContinuousSolution, items: &[MpspItem]) -> AllocationPlan {
-    let mut allocations = Vec::with_capacity(items.len());
-    for item in items {
-        if item.num_ops == 0 {
-            continue;
-        }
-        let Some(&n_star) = solution.allocations.get(&item.metaop) else {
-            continue;
-        };
-        let tuples = discretize_one(&item.curve, n_star, item.num_ops, solution.optimal_time);
-        allocations.push(MetaOpAllocation {
-            metaop: item.metaop,
-            tuples,
-        });
-    }
-    AllocationPlan {
-        allocations,
-        target_time: solution.optimal_time,
-    }
-}
-
-/// [`discretize`] driven by the dense [`MetaOpArena`] — curves and operator
-/// counts are read by index, with no per-call lookup structures.
 #[must_use]
 pub fn discretize_level(
     solution: &ContinuousSolution,
@@ -219,36 +196,46 @@ fn discretize_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mpsp::{self, DEFAULT_EPSILON};
+    use crate::mpsp::{self, MpspScratch, DEFAULT_EPSILON};
     use spindle_estimator::test_util::{curve_from_points as curve, linear_curve};
     use std::sync::Arc;
 
-    fn item(id: u32, num_ops: u32, c: Arc<ScalingCurve>) -> MpspItem {
-        MpspItem {
-            metaop: MetaOpId(id),
-            num_ops,
-            curve: c,
-        }
+    /// Every slot of `arena`, as one level.
+    fn level(arena: &MetaOpArena) -> Vec<MetaOpId> {
+        (0..arena.len() as u32).map(MetaOpId).collect()
+    }
+
+    /// Solves and discretises one level holding every `(num_ops, curve)`
+    /// slot on `num_devices` devices.
+    fn plan(
+        slots: Vec<(u32, Arc<ScalingCurve>)>,
+        num_devices: u32,
+    ) -> (AllocationPlan, MetaOpArena) {
+        let arena = MetaOpArena::from_slots(slots.into_iter());
+        let ids = level(&arena);
+        let mut scratch = MpspScratch::new();
+        let sol = mpsp::solve_level(&arena, &ids, num_devices, DEFAULT_EPSILON, &mut scratch);
+        (discretize_level(&sol, &arena, &ids), arena)
     }
 
     #[test]
     fn conditions_10a_and_10b_hold_before_rounding_bias() {
         // Two MetaOps competing for 12 devices; allocations land between valid
         // integers so both get two tuples.
-        let items = vec![
-            item(0, 12, linear_curve(1.0, 16)),
-            item(
-                1,
-                8,
-                curve(&[(1, 1.0), (2, 0.7), (4, 0.55), (8, 0.5), (16, 0.48)]),
-            ),
-        ];
-        let sol = mpsp::solve(&items, 12, DEFAULT_EPSILON);
-        let plan = discretize(&sol, &items);
+        let (plan, arena) = plan(
+            vec![
+                (12, linear_curve(1.0, 16)),
+                (
+                    8,
+                    curve(&[(1, 1.0), (2, 0.7), (4, 0.55), (8, 0.5), (16, 0.48)]),
+                ),
+            ],
+            12,
+        );
+        assert_eq!(plan.allocations.len(), 2);
         for alloc in &plan.allocations {
-            let original = items.iter().find(|i| i.metaop == alloc.metaop).unwrap();
             // Cond. (10a): all operators covered.
-            assert_eq!(alloc.total_layers(), original.num_ops);
+            assert_eq!(alloc.total_layers(), arena.num_ops(alloc.metaop));
             // Cond. (10b) up to rounding: total time close to the target.
             let per_op_worst = alloc
                 .tuples
@@ -268,12 +255,10 @@ mod tests {
 
     #[test]
     fn tuples_ordered_larger_allocation_first() {
-        let items = vec![
-            item(0, 12, linear_curve(1.0, 16)),
-            item(1, 12, linear_curve(2.0, 16)),
-        ];
-        let sol = mpsp::solve(&items, 12, DEFAULT_EPSILON);
-        let plan = discretize(&sol, &items);
+        let (plan, _) = plan(
+            vec![(12, linear_curve(1.0, 16)), (12, linear_curve(2.0, 16))],
+            12,
+        );
         for alloc in &plan.allocations {
             if alloc.tuples.len() == 2 {
                 assert!(alloc.tuples[0].devices > alloc.tuples[1].devices);
@@ -284,9 +269,7 @@ mod tests {
     #[test]
     fn dummy_allocation_collapses_to_single_device() {
         // 8 identical MetaOps on 4 devices: each continuous allocation is 0.5.
-        let items: Vec<MpspItem> = (0..8).map(|i| item(i, 4, linear_curve(1.0, 4))).collect();
-        let sol = mpsp::solve(&items, 4, DEFAULT_EPSILON);
-        let plan = discretize(&sol, &items);
+        let (plan, _) = plan((0..8).map(|_| (4, linear_curve(1.0, 4))).collect(), 4);
         for alloc in &plan.allocations {
             assert_eq!(alloc.tuples.len(), 1);
             assert_eq!(alloc.tuples[0].devices, 1);
@@ -298,9 +281,7 @@ mod tests {
 
     #[test]
     fn exact_valid_allocation_yields_single_tuple() {
-        let items = vec![item(0, 10, linear_curve(1.0, 8))];
-        let sol = mpsp::solve(&items, 8, DEFAULT_EPSILON);
-        let plan = discretize(&sol, &items);
+        let (plan, _) = plan(vec![(10, linear_curve(1.0, 8))], 8);
         let alloc = plan.allocation_for(MetaOpId(0)).unwrap();
         assert_eq!(alloc.tuples.len(), 1);
         assert_eq!(alloc.tuples[0].devices, 8);
@@ -316,8 +297,8 @@ mod tests {
             optimal_time: crate::mpsp::continuous_time(&c, 1.5) * 12.0,
             allocations: [(MetaOpId(0), 1.5)].into_iter().collect(),
         };
-        let items = vec![item(0, 12, c)];
-        let plan = discretize(&sol, &items);
+        let arena = MetaOpArena::from_slots([(12, c)].into_iter());
+        let plan = discretize_level(&sol, &arena, &level(&arena));
         let alloc = plan.allocation_for(MetaOpId(0)).unwrap();
         assert_eq!(alloc.tuples.len(), 2);
         assert_eq!(alloc.tuples[0].devices, 2);
@@ -329,12 +310,10 @@ mod tests {
 
     #[test]
     fn display_lists_every_metaop() {
-        let items = vec![
-            item(0, 4, linear_curve(1.0, 4)),
-            item(1, 4, linear_curve(1.0, 4)),
-        ];
-        let sol = mpsp::solve(&items, 8, DEFAULT_EPSILON);
-        let plan = discretize(&sol, &items);
+        let (plan, _) = plan(
+            vec![(4, linear_curve(1.0, 4)), (4, linear_curve(1.0, 4))],
+            8,
+        );
         let text = plan.to_string();
         assert!(text.contains("metaop0"));
         assert!(text.contains("metaop1"));

@@ -38,19 +38,26 @@ impl MetaOpArena {
     /// stage-2 artifact always does).
     #[must_use]
     pub fn build(metagraph: &MetaGraph, curves: &CurveSet) -> Self {
-        let n = metagraph.num_metaops();
+        Self::from_slots(metagraph.metaops().iter().map(|metaop| {
+            let curve = curves
+                .get(metaop.id())
+                .expect("CurveSet::resolve covers every MetaOp of the ContractedGraph");
+            (metaop.num_ops(), Arc::clone(curve))
+        }))
+    }
+
+    /// An arena of `(num_ops, curve)` slots, slot `i` holding `MetaOpId(i)`.
+    pub(crate) fn from_slots(slots: impl Iterator<Item = (u32, Arc<ScalingCurve>)>) -> Self {
+        let n = slots.size_hint().0;
         let mut arena = Self {
             curves: Vec::with_capacity(n),
             num_ops: Vec::with_capacity(n),
             t1: Vec::with_capacity(n),
         };
-        for metaop in metagraph.metaops() {
-            let curve = curves
-                .get(metaop.id())
-                .expect("CurveSet::resolve covers every MetaOp of the ContractedGraph");
+        for (num_ops, curve) in slots {
             arena.t1.push(curve.time(1.0));
-            arena.curves.push(Arc::clone(curve));
-            arena.num_ops.push(metaop.num_ops());
+            arena.curves.push(curve);
+            arena.num_ops.push(num_ops);
         }
         arena
     }

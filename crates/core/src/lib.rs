@@ -21,12 +21,18 @@
 //! 2. **Scalability estimation** (§3.2, [`CurveSet`]) resolves each MetaOp's
 //!    execution-time function `T_m(n)` through the session's curve cache.
 //! 3. **Resource allocation + wavefront scheduling** (§3.3–§3.4,
-//!    [`LevelSchedule`]) solves the relaxed malleable-project-scheduling
-//!    problem by bisection, discretises the continuous optimum into at most
-//!    two ASL-tuples per MetaOp, and greedily slices the tuples into compact
-//!    waves.
-//! 4. **Device placement** (§3.5) maps each wave entry onto concrete devices
-//!    behind the [`PlacementPolicy`] trait.
+//!    [`LevelSchedule::build`]) solves the relaxed
+//!    malleable-project-scheduling problem by bisection
+//!    ([`mpsp::solve_level`]), discretises the continuous optimum into at
+//!    most two ASL-tuples per MetaOp ([`allocator::discretize_level`]), and
+//!    greedily slices the tuples into compact waves
+//!    ([`wavefront::schedule_level_dense`]), all over one dense
+//!    [`MetaOpArena`].
+//! 4. **Device placement** (§3.5, [`LevelSchedule::place`]) maps each wave
+//!    entry onto concrete devices by a [`PlacementStrategy`].
+//!
+//! Each stage has exactly one entry point; the DistMM-MT baseline runs the
+//! same three stage functions one task at a time.
 //!
 //! Spindle and the baseline systems all implement the [`PlanningSystem`]
 //! trait, so experiment harnesses drive every system through one interface.
@@ -85,9 +91,7 @@ pub use metagraph::{MetaGraph, MetaLevel};
 pub use metaop::{MetaOp, MetaOpId};
 pub use mpsp::ContinuousSolution;
 pub use pipeline::{curves_for, ContractedGraph, CurveSet, LevelSchedule};
-pub use placement::{
-    LocalityPlacement, PlacementCheckpoint, PlacementPolicy, PlacementStrategy, SequentialPlacement,
-};
+pub use placement::{PlacementCheckpoint, PlacementStrategy};
 pub use plan::{ExecutionPlan, Wave, WaveEntry};
 pub use session::{PlannerConfig, ReplanOutcome, SpindleSession};
 pub use structural::{

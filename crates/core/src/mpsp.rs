@@ -21,17 +21,6 @@ use spindle_estimator::ScalingCurve;
 use crate::arena::MetaOpArena;
 use crate::MetaOpId;
 
-/// One MetaOp's inputs to the continuous problem.
-#[derive(Debug, Clone)]
-pub struct MpspItem {
-    /// The MetaOp being allocated.
-    pub metaop: MetaOpId,
-    /// Number of operators in the MetaOp (`L_m`).
-    pub num_ops: u32,
-    /// Its execution-time function `T_m(n)`.
-    pub curve: Arc<ScalingCurve>,
-}
-
 /// The continuous optimum of one MetaLevel's allocation problem.
 #[derive(Debug, Clone)]
 pub struct ContinuousSolution {
@@ -93,9 +82,9 @@ struct ActiveItem {
 
 /// Reusable working buffers (and probes) of the bisection solver.
 ///
-/// A scratch can be reused across any number of [`solve_with`] /
-/// [`solve_level`] calls; its buffers keep their capacity, so steady-state
-/// solves perform no heap allocation. The counters feed
+/// A scratch can be reused across any number of [`solve_level`] calls; its
+/// buffers keep their capacity, so steady-state solves perform no heap
+/// allocation. The counters feed
 /// [`PlanningStats`](crate::PlanningStats).
 #[derive(Debug, Default)]
 pub struct MpspScratch {
@@ -196,45 +185,14 @@ impl MpspScratch {
     }
 }
 
-/// Solves the relaxed MPSP for one MetaLevel by bisection search over the
-/// common completion time `C̃*` (Alg. 2 of Appendix B).
+/// Solves the relaxed MPSP for the `metaops` of one MetaLevel by bisection
+/// search over the common completion time `C̃*` (Alg. 2 of Appendix B),
+/// reading curves, operator counts and the hoisted `T(1)` from the dense
+/// [`MetaOpArena`].
 ///
-/// `num_devices` is the cluster size `N`. Items with zero operators are
+/// `num_devices` is the cluster size `N`. MetaOps with zero operators are
 /// ignored. If the level is empty the solution has zero time and no
 /// allocations.
-#[must_use]
-pub fn solve(items: &[MpspItem], num_devices: u32, epsilon: f64) -> ContinuousSolution {
-    let mut scratch = MpspScratch::new();
-    solve_with(items, num_devices, epsilon, &mut scratch)
-}
-
-/// [`solve`] with caller-owned scratch buffers, for allocation-free repeated
-/// solves.
-#[must_use]
-pub fn solve_with(
-    items: &[MpspItem],
-    num_devices: u32,
-    epsilon: f64,
-    scratch: &mut MpspScratch,
-) -> ContinuousSolution {
-    scratch.active.clear();
-    for item in items {
-        if item.num_ops == 0 {
-            continue;
-        }
-        scratch.active.push(ActiveItem {
-            metaop: item.metaop,
-            weight: f64::from(item.num_ops),
-            t1: item.curve.time(1.0),
-            curve: Arc::clone(&item.curve),
-        });
-    }
-    scratch.bisect(num_devices, epsilon)
-}
-
-/// Solves one MetaLevel straight from the dense [`MetaOpArena`] — no
-/// intermediate `MpspItem` vector, and the hoisted `T(1)` comes from the
-/// arena's per-plan cache.
 #[must_use]
 pub fn solve_level(
     arena: &MetaOpArena,
@@ -264,21 +222,25 @@ mod tests {
     use super::*;
     use spindle_estimator::test_util::{linear_curve, saturating_curve};
 
-    fn item(id: u32, num_ops: u32, curve: Arc<ScalingCurve>) -> MpspItem {
-        MpspItem {
-            metaop: MetaOpId(id),
-            num_ops,
-            curve,
-        }
+    /// An arena of `(num_ops, curve)` slots.
+    fn arena(slots: Vec<(u32, Arc<ScalingCurve>)>) -> MetaOpArena {
+        MetaOpArena::from_slots(slots.into_iter())
+    }
+
+    /// Solves one level holding every slot of `arena` on a fresh scratch.
+    fn solve(arena: &MetaOpArena, num_devices: u32) -> ContinuousSolution {
+        let ids: Vec<MetaOpId> = (0..arena.len() as u32).map(MetaOpId).collect();
+        let mut scratch = MpspScratch::new();
+        solve_level(arena, &ids, num_devices, DEFAULT_EPSILON, &mut scratch)
     }
 
     #[test]
     fn equal_workloads_split_evenly() {
-        let items = vec![
-            item(0, 10, linear_curve(1.0, 16)),
-            item(1, 10, linear_curve(1.0, 16)),
-        ];
-        let sol = solve(&items, 16, DEFAULT_EPSILON);
+        let items = arena(vec![
+            (10, linear_curve(1.0, 16)),
+            (10, linear_curve(1.0, 16)),
+        ]);
+        let sol = solve(&items, 16);
         let a0 = sol.allocations[&MetaOpId(0)];
         let a1 = sol.allocations[&MetaOpId(1)];
         assert!((a0 - 8.0).abs() < 0.05, "a0 = {a0}");
@@ -289,31 +251,30 @@ mod tests {
 
     #[test]
     fn heavier_workload_gets_more_devices() {
-        let items = vec![
-            item(0, 30, linear_curve(1.0, 32)),
-            item(1, 10, linear_curve(1.0, 32)),
-        ];
-        let sol = solve(&items, 16, DEFAULT_EPSILON);
+        let items = arena(vec![
+            (30, linear_curve(1.0, 32)),
+            (10, linear_curve(1.0, 32)),
+        ]);
+        let sol = solve(&items, 16);
         assert!(sol.allocations[&MetaOpId(0)] > 2.5 * sol.allocations[&MetaOpId(1)]);
     }
 
     #[test]
     fn all_metaops_finish_together_at_optimum() {
-        let items = vec![
-            item(0, 12, linear_curve(2.0, 32)),
-            item(1, 6, saturating_curve(1.0, 32)),
-            item(2, 20, linear_curve(0.5, 32)),
-        ];
-        let sol = solve(&items, 32, DEFAULT_EPSILON);
-        for it in &items {
-            let n = sol.allocations[&it.metaop];
-            let finish = continuous_time(&it.curve, n) * f64::from(it.num_ops);
+        let items = arena(vec![
+            (12, linear_curve(2.0, 32)),
+            (6, saturating_curve(1.0, 32)),
+            (20, linear_curve(0.5, 32)),
+        ]);
+        let sol = solve(&items, 32);
+        assert_eq!(sol.allocations.len(), items.len());
+        for (&id, &n) in &sol.allocations {
+            let finish = continuous_time(items.curve(id), n) * f64::from(items.num_ops(id));
             // Items pinned at the cluster bound may finish early; all others
             // must finish exactly at C*.
             assert!(
                 finish <= sol.optimal_time + 1e-3,
-                "{} finishes at {finish} > {}",
-                it.metaop,
+                "{id} finishes at {finish} > {}",
                 sol.optimal_time
             );
         }
@@ -323,11 +284,11 @@ mod tests {
 
     #[test]
     fn poor_scalability_caps_useful_allocation() {
-        let items = vec![
-            item(0, 10, saturating_curve(1.0, 32)),
-            item(1, 10, linear_curve(1.0, 32)),
-        ];
-        let sol = solve(&items, 32, DEFAULT_EPSILON);
+        let items = arena(vec![
+            (10, saturating_curve(1.0, 32)),
+            (10, linear_curve(1.0, 32)),
+        ]);
+        let sol = solve(&items, 32);
         // The saturating MetaOp gains nothing beyond 2 devices, so it must not
         // hoard more than that even though the cluster has 32; the level's
         // optimum is pinned by its floor of T(2)·L = 5.
@@ -339,8 +300,8 @@ mod tests {
 
     #[test]
     fn more_metaops_than_devices_yields_fractional_allocations() {
-        let items: Vec<MpspItem> = (0..8).map(|i| item(i, 4, linear_curve(1.0, 4))).collect();
-        let sol = solve(&items, 4, DEFAULT_EPSILON);
+        let items = arena((0..8).map(|_| (4, linear_curve(1.0, 4))).collect());
+        let sol = solve(&items, 4);
         let total: f64 = sol.allocations.values().sum();
         assert!((total - 4.0).abs() < 0.1);
         assert!(sol.allocations.values().all(|&a| a < 1.0 + 1e-9));
@@ -349,15 +310,14 @@ mod tests {
 
     #[test]
     fn empty_level_is_trivial() {
-        let sol = solve(&[], 8, DEFAULT_EPSILON);
+        let sol = solve(&arena(vec![]), 8);
         assert_eq!(sol.optimal_time, 0.0);
         assert!(sol.allocations.is_empty());
     }
 
     #[test]
     fn single_metaop_takes_whole_cluster_or_its_max() {
-        let items = vec![item(0, 10, linear_curve(1.0, 8))];
-        let sol = solve(&items, 8, DEFAULT_EPSILON);
+        let sol = solve(&arena(vec![(10, linear_curve(1.0, 8))]), 8);
         let a = sol.allocations[&MetaOpId(0)];
         assert!(a >= 7.9, "allocation {a}");
     }
@@ -372,16 +332,20 @@ mod tests {
 
     #[test]
     fn reused_scratch_matches_fresh_solves_and_counts_work() {
-        let items_a = vec![
-            item(0, 12, linear_curve(2.0, 16)),
-            item(1, 6, saturating_curve(1.0, 16)),
-        ];
-        let items_b = vec![item(2, 20, linear_curve(0.5, 16))];
+        let items = arena(vec![
+            (12, linear_curve(2.0, 16)),
+            (6, saturating_curve(1.0, 16)),
+            (20, linear_curve(0.5, 16)),
+        ]);
+        let (level_a, level_b) = ([MetaOpId(0), MetaOpId(1)], [MetaOpId(2)]);
+        let level = |ids: &[MetaOpId], scratch: &mut MpspScratch| {
+            solve_level(&items, ids, 16, DEFAULT_EPSILON, scratch)
+        };
         let mut scratch = MpspScratch::new();
-        let a = solve_with(&items_a, 16, DEFAULT_EPSILON, &mut scratch);
-        let b = solve_with(&items_b, 16, DEFAULT_EPSILON, &mut scratch);
-        let a_fresh = solve(&items_a, 16, DEFAULT_EPSILON);
-        let b_fresh = solve(&items_b, 16, DEFAULT_EPSILON);
+        let a = level(&level_a, &mut scratch);
+        let b = level(&level_b, &mut scratch);
+        let a_fresh = level(&level_a, &mut MpspScratch::new());
+        let b_fresh = level(&level_b, &mut MpspScratch::new());
         assert_eq!(a.allocations, a_fresh.allocations);
         assert_eq!(b.allocations, b_fresh.allocations);
         assert_eq!(a.optimal_time, a_fresh.optimal_time);

@@ -8,14 +8,16 @@
 //! 2. [`CurveSet::resolve`] — scalability estimation (§3.2), served from the
 //!    session's persistent curve cache;
 //! 3. [`LevelSchedule::build`] — MPSP resource allocation + wavefront
-//!    scheduling (§3.3–§3.4);
-//! 4. [`LevelSchedule::place`] — device placement (§3.5) behind a
-//!    [`PlacementPolicy`].
+//!    scheduling (§3.3–§3.4), splicing levels from an optional
+//!    [`StructuralPlanCache`];
+//! 4. [`LevelSchedule::place`] — device placement (§3.5) by a
+//!    [`PlacementStrategy`].
 //!
 //! The split exists for the dynamic re-planning loop: a session re-planning a
 //! mutated workload re-runs stages 1 and 3–4 but stage 2 degenerates to cache
 //! lookups for every operator signature seen before.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,12 +27,16 @@ use spindle_graph::ComputationGraph;
 
 use crate::arena::{MetaOpArena, PlanningStats};
 use crate::mpsp::{self, MpspScratch};
+use crate::placement::{check_capacity, place_locality_checkpointed, place_sequential};
 use crate::structural::{LevelArtifact, LevelKey, StructuralPlanCache};
-use crate::wavefront::{CurveMap, WavefrontScratch};
+use crate::wavefront::{self, WavefrontScratch};
 use crate::{
-    allocator, ExecutionPlan, MetaGraph, MetaOpId, PlacementCheckpoint, PlacementPolicy,
-    PlacementStrategy, PlanError, Wave,
+    allocator, ExecutionPlan, MetaGraph, MetaOpId, PlacementCheckpoint, PlacementStrategy,
+    PlanError, Wave,
 };
+
+/// Per-MetaOp scaling curves, keyed by MetaOp.
+pub type CurveMap = BTreeMap<MetaOpId, Arc<ScalingCurve>>;
 
 /// Stage-1 artifact: the contracted MetaGraph of a workload, behind an
 /// [`Arc`] so plans (and cached plan skeletons) share it without deep copies.
@@ -58,26 +64,6 @@ impl ContractedGraph {
     #[must_use]
     pub fn metagraph_handle(&self) -> Arc<MetaGraph> {
         Arc::clone(&self.metagraph)
-    }
-
-    /// Consumes the artifact, yielding the (shared) MetaGraph.
-    #[must_use]
-    pub fn into_metagraph(self) -> Arc<MetaGraph> {
-        self.metagraph
-    }
-}
-
-impl From<MetaGraph> for ContractedGraph {
-    fn from(metagraph: MetaGraph) -> Self {
-        Self {
-            metagraph: Arc::new(metagraph),
-        }
-    }
-}
-
-impl From<Arc<MetaGraph>> for ContractedGraph {
-    fn from(metagraph: Arc<MetaGraph>) -> Self {
-        Self { metagraph }
     }
 }
 
@@ -140,12 +126,6 @@ impl CurveSet {
     pub fn is_empty(&self) -> bool {
         self.curves.is_empty()
     }
-
-    /// Consumes the artifact, yielding the curve map.
-    #[must_use]
-    pub fn into_map(self) -> CurveMap {
-        self.curves
-    }
 }
 
 impl From<CurveMap> for CurveSet {
@@ -171,25 +151,15 @@ impl LevelSchedule {
     /// All per-level working state lives in a dense [`MetaOpArena`] plus
     /// reusable MPSP/wavefront scratch buffers: steady-state levels allocate
     /// nothing beyond the produced wave artifacts.
+    ///
+    /// With a [`StructuralPlanCache`], levels whose [`LevelKey`] hits the
+    /// cache are *spliced* from the cached artifact (bit-identical to a fresh
+    /// solve) instead of re-running MPSP, discretisation, wavefront
+    /// scheduling and memory estimation; dirty levels are solved as usual and
+    /// their artifacts inserted for the next re-plan. `stats().levels_reused`
+    /// reports how many levels were spliced.
     #[must_use]
     pub fn build(
-        contracted: &ContractedGraph,
-        curves: &CurveSet,
-        estimator: &ScalabilityEstimator,
-        num_devices: u32,
-        epsilon: f64,
-    ) -> Self {
-        Self::build_with_cache(contracted, curves, estimator, num_devices, epsilon, None)
-    }
-
-    /// [`build`](Self::build) consulting a [`StructuralPlanCache`]: levels
-    /// whose [`LevelKey`] hits the cache are *spliced* from the cached
-    /// artifact (bit-identical to a fresh solve) instead of re-running MPSP,
-    /// discretisation, wavefront scheduling and memory estimation; dirty
-    /// levels are solved as usual and their artifacts inserted for the next
-    /// re-plan. `stats().levels_reused` reports how many levels were spliced.
-    #[must_use]
-    pub fn build_with_cache(
         contracted: &ContractedGraph,
         curves: &CurveSet,
         estimator: &ScalabilityEstimator,
@@ -230,7 +200,7 @@ impl LevelSchedule {
             );
             theoretical_optimum += solution.optimal_time;
             let alloc_plan = allocator::discretize_level(&solution, &arena, &level.metaops);
-            let (mut level_waves, end) = crate::wavefront::schedule_level_dense(
+            let (mut level_waves, end) = wavefront::schedule_level_dense(
                 &alloc_plan,
                 &arena,
                 num_devices,
@@ -289,30 +259,6 @@ impl LevelSchedule {
         self.stats
     }
 
-    /// The scheduled waves, in execution order (unplaced).
-    #[must_use]
-    pub fn waves(&self) -> &[Wave] {
-        &self.waves
-    }
-
-    /// The theoretical optimum `Σ C̃*` accumulated over all levels.
-    #[must_use]
-    pub fn theoretical_optimum(&self) -> f64 {
-        self.theoretical_optimum
-    }
-
-    /// Cluster size the schedule was built for.
-    #[must_use]
-    pub fn num_devices(&self) -> u32 {
-        self.num_devices
-    }
-
-    /// End time of the last wave.
-    #[must_use]
-    pub fn makespan(&self) -> f64 {
-        self.waves.last().map_or(0.0, Wave::end)
-    }
-
     /// Decomposes the schedule into its raw waves and theoretical optimum —
     /// the partial re-plan path consumes these directly, splicing a subset of
     /// the waves behind a reused placed prefix.
@@ -320,8 +266,14 @@ impl LevelSchedule {
         (self.waves, self.theoretical_optimum)
     }
 
-    /// Stage 4: assigns concrete devices to every wave entry through `policy`
+    /// Stage 4: assigns concrete devices to every wave entry by `strategy`
     /// and assembles the final [`ExecutionPlan`].
+    ///
+    /// The locality strategy also snapshots its pass state after every level
+    /// — the [`PlacementCheckpoint`]s that make migration-aware partial
+    /// re-planning possible after device churn (one checkpoint per level, in
+    /// level order). [`PlacementStrategy::Sequential`] carries no cross-wave
+    /// state, so it returns an empty checkpoint list.
     ///
     /// `planning_time` is the wall-clock time attributed to planning so far
     /// (sessions pass their pipeline timer; standalone callers may pass
@@ -335,36 +287,6 @@ impl LevelSchedule {
         self,
         contracted: &ContractedGraph,
         cluster: &ClusterSpec,
-        policy: &dyn PlacementPolicy,
-        planning_time: Duration,
-    ) -> Result<ExecutionPlan, PlanError> {
-        let mut plan = ExecutionPlan::new(
-            self.waves,
-            contracted.metagraph_handle(),
-            self.num_devices,
-            self.theoretical_optimum,
-            planning_time,
-        );
-        policy.place(&mut plan, cluster)?;
-        plan.set_device_space(cluster.device_space() as u32);
-        Ok(plan)
-    }
-
-    /// [`place`](Self::place) for the locality strategy, additionally
-    /// snapshotting the placement pass's state after every level — the
-    /// [`PlacementCheckpoint`]s that make migration-aware partial re-planning
-    /// possible after device churn (one checkpoint per level, in level
-    /// order). Strategies other than [`PlacementStrategy::Locality`] carry no
-    /// cross-wave state, so they return an empty checkpoint list.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::CapacityExceeded`] if a wave requests more devices
-    /// than the cluster provides.
-    pub fn place_checkpointed(
-        self,
-        contracted: &ContractedGraph,
-        cluster: &ClusterSpec,
         strategy: PlacementStrategy,
         planning_time: Duration,
     ) -> Result<(ExecutionPlan, Vec<PlacementCheckpoint>), PlanError> {
@@ -375,13 +297,11 @@ impl LevelSchedule {
             self.theoretical_optimum,
             planning_time,
         );
-        crate::placement::check_capacity(&plan, cluster)?;
+        check_capacity(&plan, cluster)?;
         let checkpoints = match strategy {
-            PlacementStrategy::Locality => {
-                crate::placement::place_locality_checkpointed(&mut plan, cluster)
-            }
+            PlacementStrategy::Locality => place_locality_checkpointed(&mut plan, cluster),
             PlacementStrategy::Sequential => {
-                strategy.policy().place(&mut plan, cluster)?;
+                place_sequential(&mut plan);
                 Vec::new()
             }
         };
@@ -446,6 +366,22 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Stage 3 on 8 devices, without a structural cache.
+    fn build(
+        contracted: &ContractedGraph,
+        curves: &CurveSet,
+        estimator: &ScalabilityEstimator,
+    ) -> LevelSchedule {
+        LevelSchedule::build(
+            contracted,
+            curves,
+            estimator,
+            8,
+            mpsp::DEFAULT_EPSILON,
+            None,
+        )
+    }
+
     #[test]
     fn stages_compose_into_a_valid_plan() {
         let graph = workload();
@@ -459,21 +395,20 @@ mod tests {
         assert_eq!(curves.len(), contracted.metagraph().num_metaops());
         assert!(!curves.is_empty());
 
-        let schedule =
-            LevelSchedule::build(&contracted, &curves, &estimator, 8, mpsp::DEFAULT_EPSILON);
-        assert!(schedule.makespan() > 0.0);
-        assert!(schedule.theoretical_optimum() > 0.0);
-        assert_eq!(schedule.num_devices(), 8);
-        assert!(schedule.waves().iter().all(|w| w.devices_used() <= 8));
-
-        let plan = schedule
+        let schedule = build(&contracted, &curves, &estimator);
+        let (plan, checkpoints) = schedule
             .place(
                 &contracted,
                 &cluster,
-                PlacementStrategy::Locality.policy(),
+                PlacementStrategy::Locality,
                 Duration::ZERO,
             )
             .unwrap();
+        assert!(plan.makespan() > 0.0);
+        assert!(plan.theoretical_optimum() > 0.0);
+        assert_eq!(plan.num_devices(), 8);
+        assert!(plan.waves().iter().all(|w| w.devices_used() <= 8));
+        assert_eq!(checkpoints.len(), contracted.metagraph().levels().len());
         plan.validate().unwrap();
         plan.require_placement().unwrap();
     }
@@ -488,13 +423,11 @@ mod tests {
         let estimator = ScalabilityEstimator::new(&cluster);
         let contracted = ContractedGraph::new(&graph);
         let curves = CurveSet::resolve(&contracted, &estimator).unwrap();
-        let schedule =
-            LevelSchedule::build(&contracted, &curves, &estimator, 8, mpsp::DEFAULT_EPSILON);
-        let by_hand = schedule
+        let (by_hand, _) = build(&contracted, &curves, &estimator)
             .place(
                 &contracted,
                 &cluster,
-                PlacementStrategy::Locality.policy(),
+                PlacementStrategy::Locality,
                 Duration::ZERO,
             )
             .unwrap();
@@ -511,9 +444,8 @@ mod tests {
         let contracted = ContractedGraph::new(&graph);
         let curves = CurveSet::resolve(&contracted, &estimator).unwrap();
         let direct = theoretical_optimum(&contracted, &curves, 8, mpsp::DEFAULT_EPSILON);
-        let schedule =
-            LevelSchedule::build(&contracted, &curves, &estimator, 8, mpsp::DEFAULT_EPSILON);
-        assert!((direct - schedule.theoretical_optimum()).abs() < 1e-12);
+        let (_, optimum) = build(&contracted, &curves, &estimator).into_parts();
+        assert!((direct - optimum).abs() < 1e-12);
         assert!(direct > 0.0);
     }
 
@@ -524,19 +456,5 @@ mod tests {
         let est = ScalabilityEstimator::new(&ClusterSpec::homogeneous(1, 8));
         let curves = curves_for(&mg, &est).unwrap();
         assert_eq!(curves.len(), mg.num_metaops());
-    }
-
-    #[test]
-    fn artifacts_convert_to_and_from_raw_parts() {
-        let graph = workload();
-        let contracted = ContractedGraph::new(&graph);
-        let roundtrip = ContractedGraph::from(contracted.clone().into_metagraph());
-        assert_eq!(contracted, roundtrip);
-
-        let cluster = ClusterSpec::homogeneous(1, 8);
-        let estimator = ScalabilityEstimator::new(&cluster);
-        let curves = CurveSet::resolve(&contracted, &estimator).unwrap();
-        let map = curves.clone().into_map();
-        assert_eq!(CurveSet::from(map).len(), curves.len());
     }
 }

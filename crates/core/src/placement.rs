@@ -17,101 +17,45 @@ use spindle_cluster::{ClusterSpec, DeviceGroup, DeviceId, Island};
 
 use crate::{ExecutionPlan, MetaOpId, PlanError, Wave};
 
-/// A device-placement policy: maps every wave entry of a plan onto concrete
-/// devices.
-///
-/// New placement strategies implement this trait instead of touching the
-/// planner core — [`SpindleSession`](crate::SpindleSession) invokes whatever
-/// policy its configuration selects after wavefront scheduling. Implementors
-/// must place *every* entry of *every* wave, keeping the entries of each wave
-/// on disjoint devices ([`ExecutionPlan::validate`] checks this).
-pub trait PlacementPolicy: std::fmt::Debug + Send + Sync {
-    /// Human-readable name of the policy.
-    fn name(&self) -> &'static str;
+/// The device-placement strategy applied to a plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum PlacementStrategy {
+    /// The locality-, communication- and memory-aware strategy of §3.5.
+    #[default]
+    Locality,
+    /// Consecutive devices from device 0 for each entry, ignoring locality —
+    /// the ablation baseline of Fig. 10 ("Spindle w/o DP", i.e. without the
+    /// device-placement mechanism).
+    Sequential,
+}
 
-    /// Assigns concrete devices to every wave entry of `plan`.
+impl PlacementStrategy {
+    /// The strategy itself, so callers written against the former
+    /// trait-object API (`strategy.policy().place(..)`) keep compiling.
+    #[must_use]
+    pub fn policy(self) -> Self {
+        self
+    }
+
+    /// Assigns concrete devices to every wave entry of `plan`, keeping the
+    /// entries of each wave on disjoint devices.
     ///
     /// # Errors
     ///
     /// Returns [`PlanError::CapacityExceeded`] if some wave requests more
     /// devices than the cluster provides.
-    fn place(&self, plan: &mut ExecutionPlan, cluster: &ClusterSpec) -> Result<(), PlanError>;
-}
-
-/// The locality-, communication- and memory-aware policy of §3.5.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LocalityPlacement;
-
-impl PlacementPolicy for LocalityPlacement {
-    fn name(&self) -> &'static str {
-        "locality"
-    }
-
-    fn place(&self, plan: &mut ExecutionPlan, cluster: &ClusterSpec) -> Result<(), PlanError> {
+    pub fn place(self, plan: &mut ExecutionPlan, cluster: &ClusterSpec) -> Result<(), PlanError> {
         check_capacity(plan, cluster)?;
-        place_locality(plan, cluster);
-        Ok(())
-    }
-}
-
-/// A naïve policy that assigns each entry consecutive devices starting from
-/// device 0, ignoring locality — the ablation baseline of Fig. 10
-/// ("Spindle w/o DP", i.e. without the device-placement mechanism).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SequentialPlacement;
-
-impl PlacementPolicy for SequentialPlacement {
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-
-    fn place(&self, plan: &mut ExecutionPlan, cluster: &ClusterSpec) -> Result<(), PlanError> {
-        check_capacity(plan, cluster)?;
-        place_sequential(plan);
-        Ok(())
-    }
-}
-
-/// The placement strategy to apply to a plan — a compact, copyable selector
-/// over the built-in [`PlacementPolicy`] implementations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PlacementStrategy {
-    /// The locality-, communication- and memory-aware strategy of §3.5
-    /// ([`LocalityPlacement`]).
-    #[default]
-    Locality,
-    /// Consecutive-device placement ignoring locality
-    /// ([`SequentialPlacement`]).
-    Sequential,
-}
-
-impl PlacementStrategy {
-    /// The policy implementing this strategy.
-    #[must_use]
-    pub fn policy(self) -> &'static dyn PlacementPolicy {
         match self {
-            PlacementStrategy::Locality => &LocalityPlacement,
-            PlacementStrategy::Sequential => &SequentialPlacement,
+            PlacementStrategy::Locality => place_locality(plan, cluster),
+            PlacementStrategy::Sequential => place_sequential(plan),
         }
+        Ok(())
     }
 }
 
-/// Assigns concrete devices to every wave entry of `plan`.
-///
-/// # Errors
-///
-/// Returns [`PlanError::CapacityExceeded`] if some wave requests more devices
+/// Shared precondition of every strategy: no wave may request more devices
 /// than the cluster provides.
-pub fn place(
-    plan: &mut ExecutionPlan,
-    cluster: &ClusterSpec,
-    strategy: PlacementStrategy,
-) -> Result<(), PlanError> {
-    strategy.policy().place(plan, cluster)
-}
-
-/// Shared precondition of every built-in policy: no wave may request more
-/// devices than the cluster provides.
 pub(crate) fn check_capacity(plan: &ExecutionPlan, cluster: &ClusterSpec) -> Result<(), PlanError> {
     let total_devices = cluster.num_devices() as u32;
     for wave in plan.waves() {
@@ -127,7 +71,7 @@ pub(crate) fn check_capacity(plan: &ExecutionPlan, cluster: &ClusterSpec) -> Res
 }
 
 /// Naïve consecutive-device placement.
-fn place_sequential(plan: &mut ExecutionPlan) {
+pub(crate) fn place_sequential(plan: &mut ExecutionPlan) {
     for wave in plan.waves_mut() {
         let mut next = 0u32;
         for entry in &mut wave.entries {
@@ -668,7 +612,9 @@ mod tests {
     #[test]
     fn sequential_placement_is_consecutive() {
         let (mut plan, cluster) = unplaced_plan();
-        place(&mut plan, &cluster, PlacementStrategy::Sequential).unwrap();
+        PlacementStrategy::Sequential
+            .place(&mut plan, &cluster)
+            .unwrap();
         plan.require_placement().unwrap();
         plan.validate().unwrap();
         let first = plan.waves()[0].entries[0].placement.as_ref().unwrap();
@@ -680,7 +626,9 @@ mod tests {
     #[test]
     fn locality_placement_is_valid_and_disjoint_per_wave() {
         let (mut plan, cluster) = unplaced_plan();
-        place(&mut plan, &cluster, PlacementStrategy::Locality).unwrap();
+        PlacementStrategy::Locality
+            .place(&mut plan, &cluster)
+            .unwrap();
         plan.require_placement().unwrap();
         plan.validate().unwrap();
     }
@@ -688,7 +636,9 @@ mod tests {
     #[test]
     fn locality_prefers_single_island_groups() {
         let (mut plan, cluster) = unplaced_plan();
-        place(&mut plan, &cluster, PlacementStrategy::Locality).unwrap();
+        PlacementStrategy::Locality
+            .place(&mut plan, &cluster)
+            .unwrap();
         // 4-device entries fit inside one 8-GPU island and must stay there.
         for entry in &plan.waves()[0].entries {
             let group = entry.placement.as_ref().unwrap();
@@ -704,14 +654,18 @@ mod tests {
         let (plan, _) = unplaced_plan();
         let small_cluster = ClusterSpec::homogeneous(1, 4);
         let mut plan = plan;
-        let err = place(&mut plan, &small_cluster, PlacementStrategy::Locality).unwrap_err();
+        let err = PlacementStrategy::Locality
+            .place(&mut plan, &small_cluster)
+            .unwrap_err();
         assert!(matches!(err, PlanError::CapacityExceeded { .. }));
     }
 
     #[test]
     fn successor_lands_near_predecessors() {
         let (mut plan, cluster) = unplaced_plan();
-        place(&mut plan, &cluster, PlacementStrategy::Locality).unwrap();
+        PlacementStrategy::Locality
+            .place(&mut plan, &cluster)
+            .unwrap();
         // The LM entry (8 devices) must reuse every device its two 4-device
         // predecessors used, because affinity pulls it there.
         let wave0 = &plan.waves()[0];
@@ -733,14 +687,13 @@ mod tests {
     }
 
     #[test]
-    fn strategies_resolve_to_named_policies() {
-        assert_eq!(PlacementStrategy::Locality.policy().name(), "locality");
-        assert_eq!(PlacementStrategy::Sequential.policy().name(), "sequential");
-        // Policies are directly invokable, like any custom implementation.
-        let (mut plan, cluster) = unplaced_plan();
-        let policy: &dyn PlacementPolicy = &LocalityPlacement;
-        policy.place(&mut plan, &cluster).unwrap();
-        plan.require_placement().unwrap();
+    fn a_strategy_is_its_own_policy() {
+        for strategy in [PlacementStrategy::Locality, PlacementStrategy::Sequential] {
+            assert_eq!(strategy.policy(), strategy);
+            let (mut plan, cluster) = unplaced_plan();
+            strategy.policy().place(&mut plan, &cluster).unwrap();
+            plan.require_placement().unwrap();
+        }
     }
 
     impl LocalityPass {

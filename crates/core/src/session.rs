@@ -322,13 +322,8 @@ impl SpindleSession {
     /// Returns [`PlanError::EmptyCluster`] (leaving the session unchanged) if
     /// the removal would leave no device.
     pub fn remove_devices(&mut self, devices: &[DeviceId]) -> Result<usize, PlanError> {
-        let saved = self.removed.clone();
-        for &d in devices {
-            if !self.removed.contains(&d) {
-                self.removed.push(d);
-            }
-        }
-        self.removed.sort_unstable();
+        let next = self.pristine.removed_set(&self.removed, &[], devices);
+        let saved = std::mem::replace(&mut self.removed, next);
         match self.apply_topology() {
             Ok(delta) => Ok(delta.max(0) as usize),
             Err(e) => {
@@ -346,7 +341,7 @@ impl SpindleSession {
     ///
     /// Returns the number of devices actually regained.
     pub fn restore_devices(&mut self, devices: &[DeviceId]) -> usize {
-        self.removed.retain(|d| !devices.contains(d));
+        self.removed = self.pristine.removed_set(&self.removed, devices, &[]);
         match self.apply_topology() {
             Ok(delta) => (-delta).max(0) as usize,
             Err(_) => unreachable!("restoring devices cannot empty the cluster"),
@@ -575,7 +570,7 @@ impl SpindleSession {
                 levels_replaced = levels_total;
             }
         }
-        let schedule = LevelSchedule::build_with_cache(
+        let schedule = LevelSchedule::build(
             &contracted,
             &curves,
             &self.estimator,
@@ -584,7 +579,7 @@ impl SpindleSession {
             use_cache.then_some(&mut self.structural),
         );
         let stats = schedule.stats();
-        let (mut plan, checkpoints) = schedule.place_checkpointed(
+        let (mut plan, checkpoints) = schedule.place(
             &contracted,
             &self.cluster,
             self.config.placement,
@@ -717,7 +712,7 @@ impl SpindleSession {
         // cached per capacity make repeats cheap), keep the clean prefix's
         // old waves verbatim, and splice the freshly scheduled suffix after
         // them.
-        let schedule = LevelSchedule::build_with_cache(
+        let schedule = LevelSchedule::build(
             contracted,
             curves,
             &self.estimator,
@@ -1204,6 +1199,54 @@ mod tests {
         ));
         assert_eq!(session.cluster().num_devices(), 4, "session unchanged");
         session.plan(&graph).unwrap();
+    }
+
+    #[test]
+    fn replans_after_device_loss_time_every_entry_at_a_point_of_its_curve() {
+        // 4 nodes of 5 GPUs: curves are fitted at 1, 2, 4, 8 and 16 devices,
+        // so 15 survivors can bracket n* with an allocation that no longer
+        // fits the cluster.
+        let graph = workload();
+        let mut session = SpindleSession::new(ClusterSpec::homogeneous(4, 5));
+        session.replan(&graph).unwrap();
+        let node2: Vec<_> = (10..15).map(DeviceId).collect();
+        assert_eq!(session.remove_devices(&node2).unwrap(), 5);
+        let plan = session.replan(&graph).unwrap().plan;
+        let curves = session.resolve_curves(&session.contract(&graph)).unwrap();
+        let mut points = 0;
+        for entry in plan.waves().iter().flat_map(|w| &w.entries) {
+            assert!(entry.devices <= 15, "{} on {}", entry.metaop, entry.devices);
+            let curve = curves.get(entry.metaop).unwrap();
+            assert!(
+                curve
+                    .valid_allocations()
+                    .contains(&(entry.devices, entry.time_per_op)),
+                "{} runs on {} devices at {:e} s/op, not a point of its curve {:?}",
+                entry.metaop,
+                entry.devices,
+                entry.time_per_op,
+                curve.valid_allocations()
+            );
+            points += 1;
+        }
+        assert!(points > 0);
+    }
+
+    #[test]
+    fn unknown_device_ids_are_ignored() {
+        let graph = workload();
+        let mut session = SpindleSession::new(ClusterSpec::homogeneous(2, 4));
+        let cold = session.plan(&graph).unwrap();
+        let unknown: Vec<_> = [99, 8, 1 << 20].into_iter().map(DeviceId).collect();
+        assert_eq!(session.remove_devices(&unknown).unwrap(), 0);
+        assert_eq!(session.removed_devices(), &[]);
+        let (a, b) = (DeviceId(3), DeviceId(1));
+        assert_eq!(session.remove_devices(&[a, b, a, DeviceId(99)]).unwrap(), 2);
+        assert_eq!(session.removed_devices(), &[b, a], "sorted, deduplicated");
+        assert_eq!(session.restore_devices(&[DeviceId(99), a, a]), 1);
+        assert_eq!(session.removed_devices(), &[b]);
+        assert_eq!(session.restore_devices(&[b]), 1);
+        assert_eq!(session.plan(&graph).unwrap().waves(), cold.waves());
     }
 
     #[test]

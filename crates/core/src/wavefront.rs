@@ -12,17 +12,11 @@
 //! tuple, their ASL-tuples live in one flat reusable buffer, and the sort
 //! orders reuse scratch vectors — nothing is recomputed inside comparators.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
 use spindle_estimator::ScalingCurve;
 
-use crate::allocator::AllocationPlan;
+use crate::allocator::{AllocationPlan, DiscreteAllocation};
 use crate::arena::MetaOpArena;
 use crate::{MetaOpId, Wave, WaveEntry};
-
-/// Per-MetaOp scaling curves, needed when the scheduler extends allocations.
-pub type CurveMap = BTreeMap<MetaOpId, Arc<ScalingCurve>>;
 
 #[derive(Debug, Clone, Copy)]
 struct PendingTuple {
@@ -34,7 +28,6 @@ struct PendingTuple {
 #[derive(Debug, Clone)]
 struct PendingMetaOp {
     metaop: MetaOpId,
-    curve: Option<Arc<ScalingCurve>>,
     /// Index of the first unfinished tuple in [`WavefrontScratch::tuples`].
     head: u32,
     /// One past the last tuple of this MetaOp in the flat buffer.
@@ -88,36 +81,15 @@ impl WavefrontScratch {
 /// Schedules one MetaLevel into waves.
 ///
 /// * `plan` — the level's discretised allocation plan;
-/// * `curves` — scaling curves for resource extension;
+/// * `arena` — the plan's dense per-MetaOp state, whose scaling curves drive
+///   resource extension;
 /// * `num_devices` — cluster size `N`;
 /// * `level` — the MetaLevel index (recorded on the produced waves);
 /// * `start_time` — the end time of the previous level;
-/// * `first_wave_index` — index to assign to the first produced wave.
+/// * `first_wave_index` — index to assign to the first produced wave;
+/// * `scratch` — caller-owned working buffers, reusable across levels.
 ///
 /// Returns the produced waves and the end time of the level.
-#[must_use]
-pub fn schedule_level(
-    plan: &AllocationPlan,
-    curves: &CurveMap,
-    num_devices: u32,
-    level: usize,
-    start_time: f64,
-    first_wave_index: usize,
-) -> (Vec<Wave>, f64) {
-    let mut scratch = WavefrontScratch::new();
-    schedule_level_with(
-        plan,
-        |id| curves.get(&id).cloned(),
-        num_devices,
-        level,
-        start_time,
-        first_wave_index,
-        &mut scratch,
-    )
-}
-
-/// [`schedule_level`] with curve lookup served by the dense [`MetaOpArena`]
-/// and caller-owned scratch buffers — the planning pipeline's hot path.
 #[must_use]
 pub fn schedule_level_dense(
     plan: &AllocationPlan,
@@ -128,49 +100,25 @@ pub fn schedule_level_dense(
     first_wave_index: usize,
     scratch: &mut WavefrontScratch,
 ) -> (Vec<Wave>, f64) {
-    schedule_level_with(
-        plan,
-        |id| Some(Arc::clone(arena.curve(id))),
-        num_devices,
-        level,
-        start_time,
-        first_wave_index,
-        scratch,
-    )
-}
-
-fn schedule_level_with<F>(
-    plan: &AllocationPlan,
-    lookup: F,
-    num_devices: u32,
-    level: usize,
-    start_time: f64,
-    first_wave_index: usize,
-    scratch: &mut WavefrontScratch,
-) -> (Vec<Wave>, f64)
-where
-    F: Fn(MetaOpId) -> Option<Arc<ScalingCurve>>,
-{
     scratch.pending.clear();
     scratch.tuples.clear();
     for a in &plan.allocations {
+        let curve = arena.curve(a.metaop);
         let start = scratch.tuples.len() as u32;
         let mut remaining = 0.0_f64;
-        for t in &a.tuples {
-            if t.layers > 0 {
-                scratch.tuples.push(PendingTuple {
-                    devices: t.devices.max(1),
-                    layers_left: t.layers,
-                    time_per_op: t.time_per_op,
-                });
-                remaining += f64::from(t.layers) * t.time_per_op;
-            }
+        for t in a.tuples.iter().filter(|t| t.layers > 0) {
+            let (devices, time_per_op) = fit_to_cluster(t, curve, num_devices);
+            scratch.tuples.push(PendingTuple {
+                devices,
+                layers_left: t.layers,
+                time_per_op,
+            });
+            remaining += f64::from(t.layers) * time_per_op;
         }
         let end = scratch.tuples.len() as u32;
         if end > start {
             scratch.pending.push(PendingMetaOp {
                 metaop: a.metaop,
-                curve: lookup(a.metaop),
                 head: start,
                 end,
                 remaining,
@@ -184,7 +132,7 @@ where
     let mut wave_index = first_wave_index;
 
     while !scratch.pending.is_empty() {
-        let wave = craft_wave(scratch, num_devices, level, now, wave_index);
+        let wave = craft_wave(scratch, arena, num_devices, level, now, wave_index);
         now = wave.end();
         wave_index += 1;
         waves.push(wave);
@@ -193,9 +141,28 @@ where
     (waves, now)
 }
 
+/// The `(devices, time_per_op)` a tuple is staged at. A tuple wider than the
+/// cluster — curves fitted before a device loss can bracket `n*` above the
+/// survivor count — runs at the curve's largest valid allocation that fits,
+/// at that allocation's time; every staged tuple fits the cluster.
+fn fit_to_cluster(t: &DiscreteAllocation, curve: &ScalingCurve, num_devices: u32) -> (u32, f64) {
+    let devices = t.devices.max(1);
+    if devices <= num_devices {
+        return (devices, t.time_per_op);
+    }
+    curve
+        .valid_allocations()
+        .iter()
+        .rev()
+        .find(|&&(n, _)| n <= num_devices)
+        .copied()
+        .unwrap_or((num_devices, t.time_per_op))
+}
+
 /// Crafts a single wave, mutating the pending set (Alg. 1 lines 3–7).
 fn craft_wave(
     scratch: &mut WavefrontScratch,
+    arena: &MetaOpArena,
     num_devices: u32,
     level: usize,
     start: f64,
@@ -226,24 +193,15 @@ fn craft_wave(
             .cmp(&tuples[pa.head as usize].devices)
             .then(pb.remaining.total_cmp(&pa.remaining))
     });
+    // Every staged tuple fits the cluster, so the first candidate always
+    // does: a wave is never empty.
     selected.clear();
     let mut used = 0u32;
     for &i in order.iter() {
-        let n = tuples[pending[i as usize].head as usize]
-            .devices
-            .min(num_devices);
+        let n = tuples[pending[i as usize].head as usize].devices;
         if used + n <= num_devices {
             selected.push(i);
             used += n;
-        }
-    }
-    if selected.is_empty() {
-        // Guaranteed progress: schedule the smallest candidate alone.
-        if let Some(&i) = order.last() {
-            selected.push(i);
-            used = tuples[pending[i as usize].head as usize]
-                .devices
-                .min(num_devices);
         }
     }
 
@@ -266,9 +224,9 @@ fn craft_wave(
             for &i in extension_order.iter() {
                 let p = &pending[i as usize];
                 let h = p.head as usize;
-                let current = tuples[h].devices.min(num_devices);
+                let current = tuples[h].devices;
                 if let Some((next_n, next_t)) =
-                    next_valid_allocation(p.curve.as_deref(), current, current + spare)
+                    next_valid_allocation(arena.curve(p.metaop), current, current + spare)
                 {
                     let extra = next_n - current;
                     let tuple = &mut tuples[h];
@@ -308,12 +266,7 @@ fn craft_wave(
         let layers = fit.clamp(1, tuple.layers_left);
         tuple.layers_left -= layers;
         p.remaining -= f64::from(layers) * tuple.time_per_op;
-        let entry = WaveEntry::new(
-            p.metaop,
-            layers,
-            tuple.devices.min(num_devices),
-            tuple.time_per_op,
-        );
+        let entry = WaveEntry::new(p.metaop, layers, tuple.devices, tuple.time_per_op);
         if tuple.layers_left == 0 {
             // Advance the cached head; tuples are only staged with layers > 0,
             // so the next tuple (if any) is immediately schedulable.
@@ -335,12 +288,7 @@ fn craft_wave(
 
 /// The next valid allocation strictly larger than `current` but no larger than
 /// `limit`, with its per-operator time.
-fn next_valid_allocation(
-    curve: Option<&ScalingCurve>,
-    current: u32,
-    limit: u32,
-) -> Option<(u32, f64)> {
-    let curve = curve?;
+fn next_valid_allocation(curve: &ScalingCurve, current: u32, limit: u32) -> Option<(u32, f64)> {
     curve
         .valid_allocations()
         .iter()
@@ -350,8 +298,11 @@ fn next_valid_allocation(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
     use super::*;
-    use crate::allocator::{AllocationPlan, DiscreteAllocation, MetaOpAllocation};
+    use crate::allocator::MetaOpAllocation;
     use spindle_estimator::test_util::{curve_from_points, linear_curve};
 
     fn alloc(metaop: u32, tuples: &[(u32, u32, f64)]) -> MetaOpAllocation {
@@ -368,14 +319,44 @@ mod tests {
         }
     }
 
+    /// The arena of `curves[i]` as `MetaOpId(i)`, each slot holding the
+    /// layers `plan` gives that MetaOp.
+    fn arena(plan: &AllocationPlan, curves: Vec<Arc<ScalingCurve>>) -> MetaOpArena {
+        MetaOpArena::from_slots(curves.into_iter().enumerate().map(|(i, curve)| {
+            let layers = plan
+                .allocation_for(MetaOpId(i as u32))
+                .map_or(0, MetaOpAllocation::total_layers);
+            (layers, curve)
+        }))
+    }
+
+    /// Schedules `plan` as level `level` from `start` on a fresh scratch.
+    fn schedule(
+        plan: &AllocationPlan,
+        curves: Vec<Arc<ScalingCurve>>,
+        num_devices: u32,
+        (level, start, first_wave): (usize, f64, usize),
+    ) -> (Vec<Wave>, f64) {
+        let arena = arena(plan, curves);
+        let mut scratch = WavefrontScratch::new();
+        schedule_level_dense(
+            plan,
+            &arena,
+            num_devices,
+            level,
+            start,
+            first_wave,
+            &mut scratch,
+        )
+    }
+
     #[test]
     fn single_metaop_single_wave() {
         let plan = AllocationPlan {
             allocations: vec![alloc(0, &[(8, 4, 0.5)])],
             target_time: 2.0,
         };
-        let curves: CurveMap = [(MetaOpId(0), linear_curve(4.0, 8))].into_iter().collect();
-        let (waves, end) = schedule_level(&plan, &curves, 8, 0, 0.0, 0);
+        let (waves, end) = schedule(&plan, vec![linear_curve(4.0, 8)], 8, (0, 0.0, 0));
         assert_eq!(waves.len(), 1);
         assert_eq!(waves[0].entries.len(), 1);
         assert_eq!(waves[0].entries[0].layers, 4);
@@ -393,14 +374,12 @@ mod tests {
             ],
             target_time: 6.0,
         };
-        let curves: CurveMap = [
-            (MetaOpId(0), linear_curve(2.0, 8)),
-            (MetaOpId(1), linear_curve(0.6, 8)),
-            (MetaOpId(2), linear_curve(0.8, 8)),
-        ]
-        .into_iter()
-        .collect();
-        let (waves, end) = schedule_level(&plan, &curves, 8, 0, 0.0, 0);
+        let curves = vec![
+            linear_curve(2.0, 8),
+            linear_curve(0.6, 8),
+            linear_curve(0.8, 8),
+        ];
+        let (waves, end) = schedule(&plan, curves, 8, (0, 0.0, 0));
         assert!(end > 0.0);
         let mut layers: BTreeMap<MetaOpId, u32> = BTreeMap::new();
         for w in &waves {
@@ -420,13 +399,8 @@ mod tests {
             allocations: vec![alloc(0, &[(4, 6, 0.5)]), alloc(1, &[(4, 3, 1.1)])],
             target_time: 3.3,
         };
-        let curves: CurveMap = [
-            (MetaOpId(0), linear_curve(2.0, 8)),
-            (MetaOpId(1), linear_curve(4.4, 8)),
-        ]
-        .into_iter()
-        .collect();
-        let (waves, end) = schedule_level(&plan, &curves, 8, 2, 1.5, 7);
+        let curves = vec![linear_curve(2.0, 8), linear_curve(4.4, 8)];
+        let (waves, end) = schedule(&plan, curves, 8, (2, 1.5, 7));
         assert!(!waves.is_empty());
         assert_eq!(waves[0].start, 1.5);
         assert_eq!(waves[0].index, 7);
@@ -452,10 +426,8 @@ mod tests {
             ],
             target_time: 6.0,
         };
-        let curves: CurveMap = (0..5)
-            .map(|i| (MetaOpId(i), linear_curve(1.0, 8)))
-            .collect();
-        let (waves, _) = schedule_level(&plan, &curves, 8, 0, 0.0, 0);
+        let curves = (0..5).map(|_| linear_curve(1.0, 8)).collect();
+        let (waves, _) = schedule(&plan, curves, 8, (0, 0.0, 0));
         assert!(waves.len() <= 2 * 5);
     }
 
@@ -469,8 +441,7 @@ mod tests {
             allocations: vec![alloc(0, &[(1, 8, t1)])],
             target_time: 8.0 * t1,
         };
-        let curves: CurveMap = [(MetaOpId(0), Arc::clone(&c))].into_iter().collect();
-        let (waves, end) = schedule_level(&plan, &curves, 8, 0, 0.0, 0);
+        let (waves, end) = schedule(&plan, vec![c], 8, (0, 0.0, 0));
         assert_eq!(waves.len(), 1);
         assert_eq!(waves[0].entries[0].devices, 8);
         // Extension uses the faster per-op time from the curve.
@@ -485,13 +456,8 @@ mod tests {
             allocations: vec![alloc(0, &[(4, 20, 0.5)]), alloc(1, &[(4, 2, 0.5)])],
             target_time: 10.0,
         };
-        let curves: CurveMap = [
-            (MetaOpId(0), linear_curve(2.0, 4)),
-            (MetaOpId(1), linear_curve(2.0, 4)),
-        ]
-        .into_iter()
-        .collect();
-        let (waves, _) = schedule_level(&plan, &curves, 8, 0, 0.0, 0);
+        let curves = vec![linear_curve(2.0, 4), linear_curve(2.0, 4)];
+        let (waves, _) = schedule(&plan, curves, 8, (0, 0.0, 0));
         let first = &waves[0];
         let e0 = first.entry_for(MetaOpId(0)).unwrap();
         let e1 = first.entry_for(MetaOpId(1)).unwrap();
@@ -513,7 +479,7 @@ mod tests {
             allocations: vec![],
             target_time: 0.0,
         };
-        let (waves, end) = schedule_level(&plan, &CurveMap::new(), 8, 0, 3.0, 0);
+        let (waves, end) = schedule(&plan, vec![], 8, (0, 3.0, 0));
         assert!(waves.is_empty());
         assert_eq!(end, 3.0);
     }
@@ -534,10 +500,7 @@ mod tests {
             allocations: vec![alloc(0, &[(1, 10, 1.0)]), alloc(1, &[(1, 9, 1.1)])],
             target_time: 10.0,
         };
-        let curves: CurveMap = [(MetaOpId(0), a_curve), (MetaOpId(1), b_curve)]
-            .into_iter()
-            .collect();
-        let (waves, _) = schedule_level(&plan, &curves, 5, 0, 0.0, 0);
+        let (waves, _) = schedule(&plan, vec![a_curve, b_curve], 5, (0, 0.0, 0));
         let first = &waves[0];
         let a = first.entry_for(MetaOpId(0)).unwrap();
         let b = first.entry_for(MetaOpId(1)).unwrap();
@@ -546,6 +509,33 @@ mod tests {
             b.devices, 3,
             "round 2 must re-rank and give the spare device to B"
         );
+    }
+
+    #[test]
+    fn tuples_wider_than_the_cluster_run_at_a_point_of_their_curve() {
+        // Curves fitted on 16 devices, scheduled on the 15 that survive a
+        // device loss: bi-point rounding bracketed n* with 16 and 8.
+        let curve = curve_from_points(&[(1, 1.0), (2, 0.55), (4, 0.3), (8, 0.17), (16, 0.1)]);
+        let plan = AllocationPlan {
+            allocations: vec![alloc(0, &[(16, 6, 0.1), (8, 4, 0.17)])],
+            target_time: 1.28,
+        };
+        let (waves, end) = schedule(&plan, vec![Arc::clone(&curve)], 15, (0, 0.0, 0));
+        let entries: Vec<&WaveEntry> = waves.iter().flat_map(|w| &w.entries).collect();
+        for e in &entries {
+            assert!(
+                curve
+                    .valid_allocations()
+                    .contains(&(e.devices, e.time_per_op)),
+                "{} devices at {} s/op is not a point of the curve",
+                e.devices,
+                e.time_per_op
+            );
+        }
+        // The wide tuple keeps its layers and runs on 8 devices at T(8).
+        assert_eq!(entries.iter().map(|e| e.layers).sum::<u32>(), 10);
+        assert!(entries.iter().all(|e| e.devices == 8));
+        assert!((end - 10.0 * 0.17).abs() < 1e-9);
     }
 
     #[test]
@@ -561,20 +551,136 @@ mod tests {
             allocations: vec![alloc(2, &[(2, 3, 0.4), (1, 13, 0.7)])],
             target_time: 9.5,
         };
-        let curves: CurveMap = (0..3)
-            .map(|i| (MetaOpId(i), linear_curve(1.0, 8)))
-            .collect();
+        let curves: Vec<_> = (0..3).map(|_| linear_curve(1.0, 8)).collect();
+        let arena = MetaOpArena::from_slots(curves.iter().map(|c| (16, Arc::clone(c))));
         let mut scratch = WavefrontScratch::new();
-        let lookup = |id: MetaOpId| curves.get(&id).cloned();
-        let (wa, ea) = schedule_level_with(&plan_a, lookup, 8, 0, 0.0, 0, &mut scratch);
-        let (wb, eb) = schedule_level_with(&plan_b, lookup, 8, 1, ea, wa.len(), &mut scratch);
-        let (wa_fresh, ea_fresh) = schedule_level(&plan_a, &curves, 8, 0, 0.0, 0);
-        let (wb_fresh, eb_fresh) = schedule_level(&plan_b, &curves, 8, 1, ea_fresh, wa_fresh.len());
+        let (wa, ea) = schedule_level_dense(&plan_a, &arena, 8, 0, 0.0, 0, &mut scratch);
+        let (wb, eb) = schedule_level_dense(&plan_b, &arena, 8, 1, ea, wa.len(), &mut scratch);
+        let (wa_fresh, ea_fresh) = schedule(&plan_a, curves.clone(), 8, (0, 0.0, 0));
+        let (wb_fresh, eb_fresh) = schedule(&plan_b, curves, 8, (1, ea_fresh, wa_fresh.len()));
         assert_eq!(wa, wa_fresh);
         assert_eq!(wb, wb_fresh);
         assert_eq!(ea, ea_fresh);
         assert_eq!(eb, eb_fresh);
         assert_eq!(scratch.waves_crafted(), (wa.len() + wb.len()) as u64);
         assert_eq!(scratch.high_water(), 2);
+    }
+
+    /// Deterministic xorshift64* PRNG — a stand-in for proptest's generators.
+    struct Rng(u64);
+
+    impl Rng {
+        fn new(seed: u64) -> Self {
+            Self(seed.max(1))
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        /// Uniform value in `[lo, hi)`.
+        fn range(&mut self, lo: u64, hi: u64) -> u64 {
+            lo + self.next_u64() % (hi - lo)
+        }
+
+        fn pick<T: Copy>(&mut self, options: &[T]) -> T {
+            options[self.range(0, options.len() as u64) as usize]
+        }
+    }
+
+    /// A random allocation plan shaped like the bi-point discretiser's
+    /// output: at most two tuples per MetaOp (larger allocation first),
+    /// power-of-two device counts no larger than the cluster, positive
+    /// per-operator times consistent with a `base / n` curve.
+    fn random_plan(rng: &mut Rng, num_devices: u32) -> (AllocationPlan, Vec<Arc<ScalingCurve>>) {
+        let num_metaops = rng.range(1, 12) as u32;
+        let mut allocations = Vec::new();
+        let mut curves = Vec::new();
+        for id in 0..num_metaops {
+            let base = rng.range(1, 40) as f64 / 10.0;
+            curves.push(linear_curve(base, num_devices));
+            let powers: Vec<u32> = (0..)
+                .map(|k| 1u32 << k)
+                .take_while(|&n| n <= num_devices)
+                .collect();
+            let hi = rng.pick(&powers);
+            let mut tuples = vec![(hi, rng.range(1, 20) as u32, base / f64::from(hi))];
+            // Half the MetaOps get a second, smaller tuple (the bi-point case).
+            if hi > 1 && rng.range(0, 2) == 0 {
+                let lo = hi / 2;
+                tuples.push((lo, rng.range(1, 20) as u32, base / f64::from(lo)));
+            }
+            allocations.push(alloc(id, &tuples));
+        }
+        let target_time = rng.range(1, 100) as f64 / 10.0;
+        (
+            AllocationPlan {
+                allocations,
+                target_time,
+            },
+            curves,
+        )
+    }
+
+    /// For *any* well-formed allocation plan the scheduler must (a) schedule
+    /// every layer of every MetaOp exactly once, (b) never oversubscribe the
+    /// cluster in any wave, and (c) produce at most `2·|MetaOps|` waves — the
+    /// §5.5 complexity bound: each wave finishes at least one ASL-tuple and
+    /// each MetaOp has at most two.
+    #[test]
+    fn random_plans_satisfy_all_wavefront_invariants() {
+        let mut rng = Rng::new(0x5eed_0a0e);
+        for case in 0..64 {
+            let num_devices = rng.pick(&[4u32, 8, 16, 32]);
+            let (plan, curves) = random_plan(&mut rng, num_devices);
+            let expected_layers: BTreeMap<MetaOpId, u32> = plan
+                .allocations
+                .iter()
+                .map(|a| (a.metaop, a.total_layers()))
+                .collect();
+            let num_metaops = plan.allocations.len();
+
+            let (waves, end) = schedule(&plan, curves, num_devices, (0, 0.0, 0));
+
+            // (a) every layer scheduled exactly once.
+            let mut scheduled: BTreeMap<MetaOpId, u32> = BTreeMap::new();
+            for w in &waves {
+                for e in &w.entries {
+                    *scheduled.entry(e.metaop).or_insert(0) += e.layers;
+                }
+            }
+            assert_eq!(scheduled, expected_layers, "case {case}: layer coverage");
+
+            // (b) no wave oversubscribes the cluster.
+            for w in &waves {
+                assert!(
+                    w.devices_used() <= num_devices,
+                    "case {case}: wave {} uses {} of {num_devices} devices",
+                    w.index,
+                    w.devices_used()
+                );
+            }
+
+            // (c) at most 2·|MetaOps| waves.
+            assert!(
+                waves.len() <= 2 * num_metaops,
+                "case {case}: {} waves for {num_metaops} MetaOps",
+                waves.len()
+            );
+
+            // Waves are contiguous and the reported end matches the last wave.
+            for pair in waves.windows(2) {
+                assert!(
+                    (pair[1].start - pair[0].end()).abs() < 1e-9,
+                    "case {case}: waves not contiguous"
+                );
+            }
+            assert!((end - waves.last().map_or(0.0, |w| w.end())).abs() < 1e-12);
+        }
     }
 }

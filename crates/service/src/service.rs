@@ -756,7 +756,7 @@ fn worker_loop(
         // Topology changes first: subsequent tenant re-plans must see the
         // new device set.
         for (removed, restored, submitted) in topology.drain(..) {
-            apply_topology(&removed, &restored, submitted, &mut state);
+            apply_topology(&removed, &restored, submitted, cluster, &mut state);
         }
         if let Some(directive) = migration.take() {
             // Drain-before-migrate: every accepted event is planned by the
@@ -827,14 +827,10 @@ fn apply_topology(
     removed: &[DeviceId],
     restored: &[DeviceId],
     submitted: Instant,
+    cluster: &ClusterSpec,
     state: &mut WorkerState<'_>,
 ) {
-    state.removed_now.retain(|d| !restored.contains(d));
-    for &d in removed {
-        if !state.removed_now.contains(&d) {
-            state.removed_now.push(d);
-        }
-    }
+    state.removed_now = cluster.removed_set(&state.removed_now, restored, removed);
     let mut tenants: Vec<u64> = state.sessions.keys().copied().collect();
     tenants.sort_unstable();
     for tenant in tenants {

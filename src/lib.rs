@@ -14,9 +14,9 @@
 //! mix (the dynamic scenario of the paper's Appendix D) re-fits **zero**
 //! scaling curves for operators it has already profiled. Internally each plan
 //! runs an explicit staged pipeline (`ContractedGraph` → `CurveSet` →
-//! `LevelSchedule` → [`ExecutionPlan`]), device placement is pluggable behind
-//! the `PlacementPolicy` trait, and Spindle plus every baseline system
-//! implement the common [`PlanningSystem`] trait.
+//! `LevelSchedule` → [`ExecutionPlan`]) with one entry point per stage,
+//! device placement is chosen by the `PlacementStrategy` enum, and Spindle
+//! plus every baseline system implement the common [`PlanningSystem`] trait.
 //!
 //! This crate is a facade that re-exports the whole workspace:
 //!
@@ -87,8 +87,8 @@ pub mod prelude {
     pub use spindle_baselines::SystemKind;
     pub use spindle_cluster::{ClusterSpec, DeviceId};
     pub use spindle_core::{
-        ContractedGraph, CurveSet, ExecutionPlan, LevelSchedule, PlacementPolicy,
-        PlacementStrategy, PlannerConfig, PlanningSystem, SpindlePlanner, SpindleSession,
+        ContractedGraph, CurveSet, ExecutionPlan, LevelSchedule, PlacementStrategy, PlannerConfig,
+        PlanningSystem, SpindlePlanner, SpindleSession,
     };
     pub use spindle_estimator::{CurveCacheStats, ScalabilityEstimator, ScalingCurve};
     pub use spindle_graph::{ComputationGraph, Modality, OpKind, TaskSpec};
