@@ -3,9 +3,12 @@
 //!
 //! Every case's mean is written to `BENCH_sim.json` at the workspace root
 //! (bench name → ns/iter) — together with `BENCH_planning.json` this is the
-//! input to the CI perf-regression gate. The contended hyperscale case also
-//! writes its event and flow-repricing counts as `work_*` entries, which the
-//! gate pins exactly. Set `SPINDLE_BENCH_QUICK=1` for the CI smoke mode.
+//! input to the CI perf-regression gate. Each plan is localised once, timed
+//! on its own, and every configuration runs from that localisation. The
+//! hyperscale cases also write their work counts as `work_*` entries, which
+//! the gate pins exactly: the contended run's logged events, flow
+//! repricings and events popped, and the serialized run's transmissions
+//! and all-reduces. Set `SPINDLE_BENCH_QUICK=1` for the CI smoke mode.
 //!
 //! ```bash
 //! cargo bench -p spindle-bench --bench simulator
@@ -20,8 +23,7 @@ use spindle_bench::microbench::{bench, group, quick_mode, write_json_report, Tim
 use spindle_cluster::ClusterSpec;
 use spindle_core::SpindleSession;
 use spindle_runtime::{
-    price_checkpoint_write, CheckpointPolicy, DynamicRunLoop, LocalizedPlan, SimConfig, Simulator,
-    Straggler,
+    price_checkpoint_write, CheckpointPolicy, DynamicRunLoop, LocalizedPlan, SimConfig, Straggler,
 };
 use spindle_workloads::{hyperscale, multitask_clip, ArrivalSchedule, DynamicWorkload};
 
@@ -49,52 +51,67 @@ fn main() {
         let graph = multitask_clip(tasks).unwrap();
         let cluster = ClusterSpec::homogeneous(gpus / 8, 8);
         let plan = Arc::new(SpindleSession::new(cluster.clone()).plan(&graph).unwrap());
+        let localized = LocalizedPlan::new(plan, &cluster, Some(&graph)).unwrap();
 
-        let oracle = Simulator::new(Arc::clone(&plan), &cluster).with_graph(&graph);
+        let oracle = SimConfig::default();
         let t = bench(&format!("sim_serialized_{name}"), warmup, iters, || {
-            let _ = oracle.run_iteration().unwrap();
+            let _ = localized.run(&oracle);
         });
         report.push((format!("sim_serialized_{name}"), t));
 
-        let contended = Simulator::new(Arc::clone(&plan), &cluster)
-            .with_graph(&graph)
-            .with_config(SimConfig::contended());
+        let contended = SimConfig::contended();
         let t = bench(&format!("sim_contended_{name}"), warmup, iters, || {
-            let _ = contended.run_iteration().unwrap();
+            let _ = localized.run(&contended);
         });
         report.push((format!("sim_contended_{name}"), t));
     }
 
-    group("serialized and contended simulator at hyperscale (work counters beside the time)");
+    group("localisation, serialized and contended simulator at hyperscale (work counters beside the time)");
     let graph = hyperscale(48).unwrap();
-    let cluster = ClusterSpec::homogeneous(32, 8);
-    let plan = Arc::new(SpindleSession::new(cluster.clone()).plan(&graph).unwrap());
-    let serialized = Simulator::new(Arc::clone(&plan), &cluster).with_graph(&graph);
-    let name = "sim_serialized_hyperscale-48t/256gpu";
+    let cluster = Arc::new(ClusterSpec::homogeneous(32, 8));
+    let plan = Arc::new(
+        SpindleSession::new(Arc::clone(&cluster))
+            .plan(&graph)
+            .unwrap(),
+    );
+    let name = "localize_hyperscale-48t/256gpu";
     let t = bench(name, warmup, iters, || {
-        let _ = serialized.run_iteration().unwrap();
+        let _ = LocalizedPlan::new(Arc::clone(&plan), &cluster, Some(&graph)).unwrap();
     });
-    let localized = LocalizedPlan::new(Arc::clone(&plan), &cluster, Some(&graph)).unwrap();
+    report.push((name.to_string(), t));
+    let localized = LocalizedPlan::new(plan, &cluster, Some(&graph)).unwrap();
     println!(
         "{:48} {} transmission sites, {} parameter groups",
         "",
         localized.sites().len(),
         localized.pool().num_groups()
     );
-    report.push((name.to_string(), t));
 
-    let contended = Simulator::new(Arc::clone(&plan), &cluster)
-        .with_graph(&graph)
-        .with_config(SimConfig::contended());
+    let serialized = SimConfig::default();
+    let name = "sim_serialized_hyperscale-48t/256gpu";
+    let t = bench(name, warmup, iters, || {
+        let _ = localized.run(&serialized);
+    });
+    report.push((name.to_string(), t));
+    let serial = localized.run(&serialized);
+    println!(
+        "{:48} {} transmissions, {} syncs",
+        "",
+        serial.flows_executed(),
+        serial.syncs_executed()
+    );
+
+    let contended = SimConfig::contended();
     let name = "sim_contended_hyperscale-48t/256gpu";
     let t = bench(name, warmup, iters, || {
-        let _ = contended.run_iteration().unwrap();
+        let _ = localized.run(&contended);
     });
-    let run = contended.run_iteration().unwrap();
+    let run = localized.run(&contended);
     println!(
-        "{:48} {} events, {} flows repriced ({} transmissions, {} syncs)",
+        "{:48} {} events, {} popped, {} flows repriced ({} transmissions, {} syncs)",
         "",
         run.event_log().entries().len(),
+        run.events_popped(),
         run.flows_repriced(),
         run.flows_executed(),
         run.syncs_executed()
@@ -103,6 +120,9 @@ fn main() {
     for (counter, count) in [
         ("events", run.event_log().len()),
         ("flows_repriced", run.flows_repriced()),
+        ("events_popped", run.events_popped()),
+        ("serialized_flows", serial.flows_executed()),
+        ("serialized_syncs", serial.syncs_executed()),
     ] {
         report.push((
             format!("work_sim_{counter}_hyperscale-48t/256gpu"),
@@ -114,15 +134,14 @@ fn main() {
     let graph = multitask_clip(4).unwrap();
     let cluster = ClusterSpec::homogeneous(2, 8);
     let plan = Arc::new(SpindleSession::new(cluster.clone()).plan(&graph).unwrap());
-    let perturbed = Simulator::new(Arc::clone(&plan), &cluster)
-        .with_graph(&graph)
-        .with_config(SimConfig {
-            compute_jitter: 0.05,
-            stragglers: vec![Straggler::persistent(spindle_cluster::DeviceId(3), 2.0)],
-            ..SimConfig::contended()
-        });
+    let localized = LocalizedPlan::new(plan, &cluster, Some(&graph)).unwrap();
+    let perturbed = SimConfig {
+        compute_jitter: 0.05,
+        stragglers: vec![Straggler::persistent(spindle_cluster::DeviceId(3), 2.0)],
+        ..SimConfig::contended()
+    };
     let t = bench("sim_straggler_jitter_clip-4t/16gpu", warmup, iters, || {
-        let _ = perturbed.run_iteration().unwrap();
+        let _ = localized.run(&perturbed);
     });
     report.push(("sim_straggler_jitter_clip-4t/16gpu".to_string(), t));
 

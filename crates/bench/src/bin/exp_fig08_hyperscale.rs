@@ -28,14 +28,13 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use spindle_baselines::SystemKind;
 use spindle_bench::microbench::{bench, quick_mode, write_json_report, Timing};
 use spindle_bench::{measure, ms, paper_cluster, render_table, speedup};
 use spindle_core::SpindleSession;
-use spindle_runtime::{SimConfig, Simulator};
+use spindle_runtime::SimConfig;
 use spindle_workloads::hyperscale;
 
 /// The compared systems: Spindle plus the three distinct baseline planning
@@ -103,11 +102,9 @@ fn main() -> ExitCode {
                 Timing::exact(Duration::from_secs_f64(m.iteration_ms / 1e3)),
             ));
             report.push((format!("fig8_plan_{key}_{tasks}t{gpus}gpu"), plan_timing));
-            let contended = Simulator::new(Arc::clone(&m.plan), &cluster)
-                .with_graph(&graph)
-                .with_config(SimConfig::contended())
-                .run_iteration()
-                .expect("the contended simulator runs every plan");
+            // The contended run reads the localisation the serialized run
+            // was priced from.
+            let contended = m.localized.run(&SimConfig::contended());
             report.push((
                 format!("fig8_contended_{key}_{tasks}t{gpus}gpu"),
                 Timing::exact(Duration::from_secs_f64(contended.total_s())),

@@ -92,14 +92,15 @@ fn main() -> ExitCode {
         return match fuzz::check_scenario(&scenario, &cfg, None) {
             Ok(stats) => {
                 println!(
-                    "ok: {} plans checked, {} simulations, {} warm re-plans bit-identical, \
-                     {} recovery checks",
+                    "ok: {} plans checked, {} localizations, {} simulations, {} warm \
+                     re-plans bit-identical, {} recovery checks",
                     stats.plans_checked,
+                    stats.localizations,
                     stats.simulations,
                     stats.warm_identical,
                     stats.recovery_checked
                 );
-                ExitCode::SUCCESS
+                one_localization_per_plan(&stats)
             }
             Err(v) => {
                 let (min, v) = if cfg.shrink {
@@ -132,15 +133,33 @@ fn main() -> ExitCode {
         None => {
             let s = report.stats;
             println!(
-                "\nall {} draws clean: {} plans checked, {} simulations, \
+                "\nall {} draws clean: {} plans checked, {} localizations, {} simulations, \
                  {} warm re-plans bit-identical to cold plans, {} recovery checks",
-                s.draws, s.plans_checked, s.simulations, s.warm_identical, s.recovery_checked
+                s.draws,
+                s.plans_checked,
+                s.localizations,
+                s.simulations,
+                s.warm_identical,
+                s.recovery_checked
             );
-            ExitCode::SUCCESS
+            one_localization_per_plan(&s)
         }
         Some((scenario, violation)) => {
             report_violation(&scenario, &violation);
             ExitCode::FAILURE
         }
     }
+}
+
+/// Every checked plan is evaluated from exactly one localisation; anything
+/// else fails the run.
+fn one_localization_per_plan(stats: &fuzz::FuzzStats) -> ExitCode {
+    if stats.localizations == stats.plans_checked {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!(
+        "{} localizations for {} plans checked: every plan must be localised exactly once",
+        stats.localizations, stats.plans_checked
+    );
+    ExitCode::FAILURE
 }

@@ -62,12 +62,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use spindle_baselines::SystemKind;
-use spindle_cluster::{ClusterSpec, CommModel, DeviceId, StorageSpec};
+use spindle_cluster::{ClusterSpec, DeviceId, StorageSpec};
 use spindle_core::{ExecutionPlan, MetaOpId, SpindleSession};
 use spindle_graph::ComputationGraph;
 use spindle_runtime::{
     migration_flows, price_checkpoint_write, price_restore, CheckpointPolicy, CommMode,
-    LocalizedPlan, RuntimeError, SimConfig, SimReport, Simulator, Straggler,
+    LocalizedPlan, SimConfig, SimReport, Straggler,
 };
 use spindle_workloads::{FuzzBounds, Scenario};
 
@@ -272,27 +272,6 @@ pub fn has_serial_timeline(plan: &ExecutionPlan) -> bool {
         .all(|w| w[1].start >= w[0].end() - 1e-9)
 }
 
-/// Invariant 5: the serialized simulator's iteration time on `cluster` is
-/// within `tolerance` (relative, either way) of the plan's closed form.
-/// Returns the localized plan.
-fn serialized_matches_closed_form(
-    plan: &ExecutionPlan,
-    graph: &ComputationGraph,
-    cluster: &ClusterSpec,
-    tolerance: f64,
-) -> Result<LocalizedPlan, RuntimeError> {
-    let plan = Arc::new(plan.clone());
-    let localized = LocalizedPlan::new(Arc::clone(&plan), cluster, Some(graph))?;
-    Simulator::new(plan, cluster)
-        .with_graph(graph)
-        .run_iteration()?
-        .check_gap_within(
-            localized.closed_form_iteration_s(&CommModel::new(cluster)),
-            tolerance,
-        )?;
-    Ok(localized)
-}
-
 /// Part of invariant 7: `run` completed every transmission site and every
 /// parameter-group all-reduce of `localized` exactly once.
 fn completes_every_flow_once(run: &SimReport, localized: &LocalizedPlan) -> Result<(), String> {
@@ -310,16 +289,18 @@ fn completes_every_flow_once(run: &SimReport, localized: &LocalizedPlan) -> Resu
 
 /// Invariants 1–5 and 7 for one plan of `graph` on `cluster` — the check
 /// every phase plan and every churned re-plan goes through. `session` plans
-/// on `cluster` and supplies invariant 4's `Σ C̃*`. Returns the number of
-/// simulations run.
+/// on `cluster` and supplies invariant 4's `Σ C̃*`. The closed form and both
+/// simulations run from one localisation of the plan; `stats` counts it and
+/// the simulations.
 fn check_plan(
-    plan: &ExecutionPlan,
+    plan: &Arc<ExecutionPlan>,
     graph: &ComputationGraph,
     cluster: &ClusterSpec,
     session: &SpindleSession,
     hetero_config: &SimConfig,
     cfg: &FuzzConfig,
-) -> Result<u64, String> {
+    stats: &mut FuzzStats,
+) -> Result<(), String> {
     // 1–3: structure, placement, capacity, memory.
     plan.check_invariants(cluster.device_memory_bytes())
         .map_err(|e| format!("invariant: {e}"))?;
@@ -361,7 +342,12 @@ fn check_plan(
     }
 
     // 5: the serialized simulator runs the closed form as events.
-    let localized = serialized_matches_closed_form(plan, graph, cluster, cfg.gap_tolerance)
+    let localized = LocalizedPlan::new(Arc::clone(plan), cluster, Some(graph))
+        .map_err(|e| format!("localization: {e}"))?;
+    stats.localizations += 1;
+    localized
+        .run(&SimConfig::default())
+        .check_gap_within(localized.closed_form_iteration_s(), cfg.gap_tolerance)
         .map_err(|e| format!("serialized simulation: {e}"))?;
 
     // 7: heterogeneous contended simulation stays sane. Slow devices,
@@ -370,11 +356,8 @@ fn check_plan(
     // finish faster than the plan's pure compute on the slowest assigned
     // device, and it completes every transmission and all-reduce exactly
     // once.
-    let hetero = Simulator::new(plan.clone(), cluster)
-        .with_graph(graph.clone())
-        .with_config(hetero_config.clone())
-        .run_iteration()
-        .map_err(|e| format!("heterogeneous simulation: {e}"))?;
+    let hetero = localized.run(hetero_config);
+    stats.simulations += 2;
     if !hetero.total_s().is_finite() || hetero.total_s() <= 0.0 {
         return Err(format!(
             "heterogeneous simulation produced a degenerate total of {}s",
@@ -389,8 +372,7 @@ fn check_plan(
         ));
     }
     completes_every_flow_once(&hetero, &localized)
-        .map_err(|e| format!("heterogeneous simulation {e}"))?;
-    Ok(2)
+        .map_err(|e| format!("heterogeneous simulation {e}"))
 }
 
 /// Counters accumulated over the checked draws.
@@ -404,6 +386,9 @@ pub struct FuzzStats {
     pub warm_identical: u64,
     /// Simulations executed (serialized + heterogeneous contended).
     pub simulations: u64,
+    /// Plans localised for simulation: one per plan checked, shared by the
+    /// closed form and both simulations.
+    pub localizations: u64,
     /// Device-churn events whose recovery accounting (restore-iff-all-dead,
     /// re-materialised counts, restore pricing) was verified.
     pub recovery_checked: u64,
@@ -489,9 +474,18 @@ pub fn check_scenario(
                 Some(m) if system == SystemKind::Spindle => m.apply(&plan),
                 _ => plan,
             };
+            let plan = Arc::new(plan);
             stats.plans_checked += 1;
-            stats.simulations +=
-                check_plan(&plan, graph, &cluster, &session, &hetero_config, cfg).map_err(fail)?;
+            check_plan(
+                &plan,
+                graph,
+                &cluster,
+                &session,
+                &hetero_config,
+                cfg,
+                &mut stats,
+            )
+            .map_err(fail)?;
 
             // 6: warm re-plan bit-identity. A fresh session planning the
             // same graph cold must produce exactly the waves the warm
@@ -530,10 +524,12 @@ pub fn check_scenario(
             // after every event so each re-plan is compared to its true
             // predecessor. Served from the warm cache (bit-identical to the
             // phase plan per invariant 6).
-            let mut prev_plan = session
-                .replan(graph)
-                .map_err(|e| fail(format!("pre-churn snapshot re-plan: {e}")))?
-                .plan;
+            let mut prev_plan = Arc::new(
+                session
+                    .replan(graph)
+                    .map_err(|e| fail(format!("pre-churn snapshot re-plan: {e}")))?
+                    .plan,
+            );
             for event in &scenario.device_churn {
                 let ids: Vec<DeviceId> = event.devices.iter().map(|&d| DeviceId(d)).collect();
                 if event.remove {
@@ -548,12 +544,19 @@ pub fn check_scenario(
                     .map_err(|e| fail(format!("churn re-plan: {e}")))?;
                 let planner_rematerialized = outcome.rematerialized_metaops;
                 let planner_restore_bytes = outcome.restore_bytes;
-                let plan = outcome.plan;
+                let plan = Arc::new(outcome.plan);
                 stats.plans_checked += 1;
                 let churned = session.cluster_handle();
-                stats.simulations +=
-                    check_plan(&plan, graph, &churned, &session, &hetero_config, cfg)
-                        .map_err(fail)?;
+                check_plan(
+                    &plan,
+                    graph,
+                    &churned,
+                    &session,
+                    &hetero_config,
+                    cfg,
+                    &mut stats,
+                )
+                .map_err(fail)?;
                 let removed = session.removed_devices();
                 for (w, wave) in plan.waves().iter().enumerate() {
                     for entry in &wave.entries {
@@ -771,6 +774,7 @@ pub fn run_with(cfg: &FuzzConfig, mut progress: impl FnMut(u64, &str)) -> FuzzRe
                 stats.plans_checked += s.plans_checked;
                 stats.warm_identical += s.warm_identical;
                 stats.simulations += s.simulations;
+                stats.localizations += s.localizations;
                 stats.recovery_checked += s.recovery_checked;
             }
             Err(v) => {
@@ -878,6 +882,7 @@ mod tests {
         for index in 0..cfg.draws {
             let stats = check_draw(&cfg, index).unwrap_or_else(|v| panic!("{v}"));
             assert!(stats.plans_checked >= FUZZ_SYSTEMS.len() as u64);
+            assert_eq!(stats.localizations, stats.plans_checked);
             assert!(stats.warm_identical >= 1);
         }
     }

@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use spindle_core::{ExecutionPlan, PlacementStrategy, PlannerConfig, SpindleSession};
 use spindle_graph::ComputationGraph;
-use spindle_runtime::{SimReport, Simulator};
+use spindle_runtime::{LocalizedPlan, SimConfig, SimReport};
 use spindle_workloads::WorkloadPreset;
 
 /// One measured (system, workload, cluster) cell.
@@ -51,6 +51,9 @@ pub struct Measurement {
     /// The execution plan (for plan-level statistics), shared with the
     /// simulator that executed it — no copy is made.
     pub plan: Arc<ExecutionPlan>,
+    /// The plan localised and priced on the session's cluster: run it under
+    /// further configurations without localising it again.
+    pub localized: LocalizedPlan,
 }
 
 impl Measurement {
@@ -83,15 +86,15 @@ pub fn measure(
             .plan(graph, session)
             .unwrap_or_else(|e| panic!("{system} failed to plan: {e}")),
     );
-    let report = Simulator::new(Arc::clone(&plan), session.cluster())
-        .with_graph(graph)
-        .run_iteration()
+    let localized = LocalizedPlan::new(Arc::clone(&plan), session.cluster_handle(), Some(graph))
         .unwrap_or_else(|e| panic!("{system} failed to run: {e}"));
+    let report = localized.run(&SimConfig::default());
     Measurement {
         system,
         iteration_ms: report.iteration_time_ms(),
         report,
         plan,
+        localized,
     }
 }
 

@@ -8,24 +8,32 @@
 //! makes crossing a device island expensive — the effect Spindle's device
 //! placement (§3.5) is designed to avoid.
 
-use crate::{ClusterSpec, DeviceGroup, DeviceId, LinkClass};
+use std::sync::Arc;
+
+use crate::link::ring_collective_time;
+use crate::{ClusterSpec, DeviceGroup, DeviceId, LinkClass, NodeSpan};
 
 /// Communication cost model over a specific cluster.
 ///
-/// The model is cheap to construct and borrows nothing mutable; create one per
-/// cluster and share it freely.
+/// The model shares its cluster description and borrows nothing mutable;
+/// create one per cluster and clone it freely.
 #[derive(Debug, Clone)]
 pub struct CommModel {
-    cluster: ClusterSpec,
+    cluster: Arc<ClusterSpec>,
 }
 
 impl CommModel {
-    /// Creates a cost model for `cluster`.
+    /// Creates a cost model for a copy of `cluster`.
     #[must_use]
     pub fn new(cluster: &ClusterSpec) -> Self {
-        Self {
-            cluster: cluster.clone(),
-        }
+        Self::shared(Arc::new(cluster.clone()))
+    }
+
+    /// Creates a cost model over a shared cluster description, copying
+    /// nothing.
+    #[must_use]
+    pub fn shared(cluster: Arc<ClusterSpec>) -> Self {
+        Self { cluster }
     }
 
     /// The cluster this model describes.
@@ -68,6 +76,39 @@ impl CommModel {
         if src.is_empty() || dst.is_empty() || bytes == 0 {
             return 0.0;
         }
+        let worst = self.worst_pairing(src, dst, LinkClass::InterIsland);
+        self.sharded_transfer_time(src, worst, bytes)
+    }
+
+    /// [`group_transfer_time`](Self::group_transfer_time) of groups whose
+    /// node spans are known. The spans settle the worst link without
+    /// visiting a device when the groups share no node, and cap it at the
+    /// island when both sit on the same one node.
+    #[must_use]
+    pub fn spanned_transfer_time(
+        &self,
+        (src, src_span): (&DeviceGroup, &NodeSpan),
+        (dst, dst_span): (&DeviceGroup, &NodeSpan),
+        bytes: u64,
+    ) -> f64 {
+        if src.is_empty() || dst.is_empty() || bytes == 0 {
+            return 0.0;
+        }
+        let worst = match NodeSpan::pairing_ceiling(src_span, dst_span) {
+            Some(LinkClass::InterIsland) if src_span.disjoint_from(dst_span) => {
+                LinkClass::InterIsland
+            }
+            Some(ceiling) => self.worst_pairing(src, dst, ceiling),
+            None => self.worst_pairing(src, dst, LinkClass::InterIsland),
+        };
+        self.sharded_transfer_time(src, worst, bytes)
+    }
+
+    /// The worst link class over the round-robin pairing of `src` with
+    /// `dst` (each source device streams to the destination device at its
+    /// id modulo the destination size), scanning until `ceiling` is reached:
+    /// no pair can be worse.
+    fn worst_pairing(&self, src: &DeviceGroup, dst: &DeviceGroup, ceiling: LinkClass) -> LinkClass {
         let mut worst = LinkClass::IntraDevice;
         for s in src.iter() {
             // Pair each source device with the destination device it would
@@ -79,7 +120,15 @@ impl CommModel {
                 .link_class(s, d)
                 .unwrap_or(LinkClass::InterIsland);
             worst = worst.max(class);
+            if worst >= ceiling {
+                break;
+            }
         }
+        worst
+    }
+
+    /// One shard of `bytes` split evenly over `src`, over a `worst` link.
+    fn sharded_transfer_time(&self, src: &DeviceGroup, worst: LinkClass, bytes: u64) -> f64 {
         let shard = (bytes as f64 / src.len() as f64).ceil() as u64;
         self.cluster.interconnect().transfer_time(worst, shard)
     }
@@ -95,35 +144,7 @@ impl CommModel {
     /// Single-device groups cost nothing.
     #[must_use]
     pub fn all_reduce_time(&self, group: &DeviceGroup, bytes: u64) -> f64 {
-        if group.len() <= 1 || bytes == 0 {
-            return 0.0;
-        }
-        if self.bottleneck_class(group) != LinkClass::InterIsland {
-            return self.ring_collective_time(group, bytes, 2.0);
-        }
-        let ic = self.cluster.interconnect();
-        // Devices per island actually used by this group.
-        let mut per_island: std::collections::BTreeMap<crate::NodeId, usize> =
-            std::collections::BTreeMap::new();
-        for d in group.iter() {
-            if let Ok(node) = self.cluster.node_of(d) {
-                *per_island.entry(node).or_insert(0) += 1;
-            }
-        }
-        let islands = per_island.len().max(1);
-        let local = per_island.values().copied().max().unwrap_or(1).max(1);
-        let intra = if local > 1 {
-            let steps = (local - 1) as f64;
-            2.0 * steps * ic.latency(LinkClass::IntraIsland)
-                + 2.0 * steps / local as f64 * bytes as f64 / ic.bandwidth(LinkClass::IntraIsland)
-        } else {
-            0.0
-        };
-        let shard = bytes as f64 / local as f64;
-        let steps = (islands - 1) as f64;
-        let inter = 2.0 * steps * ic.latency(LinkClass::InterIsland)
-            + 2.0 * steps / islands as f64 * shard / ic.bandwidth(LinkClass::InterIsland);
-        intra + inter
+        NodeSpan::new(&self.cluster, group).all_reduce_time(self.cluster.interconnect(), bytes)
     }
 
     /// Ring all-gather time in seconds for `bytes` of *output* data across
@@ -145,17 +166,13 @@ impl CommModel {
     }
 
     fn ring_collective_time(&self, group: &DeviceGroup, bytes: u64, volume_factor: f64) -> f64 {
-        let n = group.len();
-        if n <= 1 || bytes == 0 {
-            return 0.0;
-        }
-        let class = self.bottleneck_class(group);
-        let ic = self.cluster.interconnect();
-        let steps = (n - 1) as f64;
-        let volume = volume_factor * steps / n as f64 * bytes as f64;
-        // Each of the (n-1) steps pays the per-message latency once.
-        steps * ic.latency(class) * if volume_factor > 1.0 { 2.0 } else { 1.0 }
-            + volume / ic.bandwidth(class)
+        ring_collective_time(
+            self.cluster.interconnect(),
+            self.bottleneck_class(group),
+            group.len(),
+            bytes,
+            volume_factor,
+        )
     }
 }
 
@@ -264,6 +281,106 @@ mod tests {
         let dst = DeviceGroup::contiguous(DeviceId(8), 4);
         let b = 256u64 << 20;
         assert!(m.group_transfer_time(&src4, &dst, b) < m.group_transfer_time(&src1, &dst, b));
+    }
+
+    /// The all-reduce model as it was written before [`NodeSpan`]: devices
+    /// per island counted in an ordered map per call.
+    fn all_reduce_reference(m: &CommModel, group: &DeviceGroup, bytes: u64) -> f64 {
+        if group.len() <= 1 || bytes == 0 {
+            return 0.0;
+        }
+        if m.bottleneck_class(group) != LinkClass::InterIsland {
+            return m.ring_collective_time(group, bytes, 2.0);
+        }
+        let ic = m.cluster.interconnect();
+        let mut per_island: std::collections::BTreeMap<crate::NodeId, usize> =
+            std::collections::BTreeMap::new();
+        for d in group.iter() {
+            if let Ok(node) = m.cluster.node_of(d) {
+                *per_island.entry(node).or_insert(0) += 1;
+            }
+        }
+        let islands = per_island.len().max(1);
+        let local = per_island.values().copied().max().unwrap_or(1).max(1);
+        let intra = if local > 1 {
+            let steps = (local - 1) as f64;
+            2.0 * steps * ic.latency(LinkClass::IntraIsland)
+                + 2.0 * steps / local as f64 * bytes as f64 / ic.bandwidth(LinkClass::IntraIsland)
+        } else {
+            0.0
+        };
+        let shard = bytes as f64 / local as f64;
+        let steps = (islands - 1) as f64;
+        let inter = 2.0 * steps * ic.latency(LinkClass::InterIsland)
+            + 2.0 * steps / islands as f64 * shard / ic.bandwidth(LinkClass::InterIsland);
+        intra + inter
+    }
+
+    #[test]
+    fn all_reduce_prices_bit_identically_to_the_ordered_map_reference() {
+        // Four nodes of eight with holes; ids up to 40 include devices the
+        // cluster lacks.
+        let cluster = ClusterSpec::homogeneous(4, 8)
+            .without_devices(&[DeviceId(3), DeviceId(17), DeviceId(18)])
+            .unwrap();
+        let m = CommModel::new(&cluster);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for _ in 0..2_000 {
+            let len = 1 + next(20) as usize;
+            let group: DeviceGroup = (0..len).map(|_| DeviceId(next(41) as u32)).collect();
+            let bytes = next(1 << 32);
+            let reference = all_reduce_reference(&m, &group, bytes);
+            assert_eq!(
+                m.all_reduce_time(&group, bytes).to_bits(),
+                reference.to_bits(),
+                "{group} x {bytes} bytes"
+            );
+            assert_eq!(
+                m.all_reduce_time(&group.sorted(), bytes).to_bits(),
+                all_reduce_reference(&m, &group.sorted(), bytes).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn spanned_transfers_price_bit_identically_to_the_pairing_scan() {
+        let cluster = ClusterSpec::homogeneous(4, 8)
+            .without_devices(&[DeviceId(3), DeviceId(17), DeviceId(18)])
+            .unwrap();
+        let m = CommModel::new(&cluster);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for _ in 0..4_000 {
+            // Narrow windows make same-node, disjoint and overlapping pairs
+            // all common; ids up to 40 include devices the cluster lacks.
+            let mut group = || -> DeviceGroup {
+                let base = next(36);
+                let len = 1 + next(10) as usize;
+                (0..len)
+                    .map(|_| DeviceId((base + next(6)) as u32))
+                    .collect()
+            };
+            let (src, dst) = (group(), group());
+            let bytes = next(1 << 30);
+            let spans = (NodeSpan::new(&cluster, &src), NodeSpan::new(&cluster, &dst));
+            assert_eq!(
+                m.spanned_transfer_time((&src, &spans.0), (&dst, &spans.1), bytes)
+                    .to_bits(),
+                m.group_transfer_time(&src, &dst, bytes).to_bits(),
+                "{src} -> {dst}"
+            );
+        }
     }
 
     #[test]

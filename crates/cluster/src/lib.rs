@@ -50,6 +50,6 @@ pub use collective::CommModel;
 pub use device::{DeviceId, GpuSpec, NodeId};
 pub use error::ClusterError;
 pub use group::DeviceGroup;
-pub use link::{collective_footprint, transfer_footprint, LinkId, LinkOccupancy};
+pub use link::{collective_footprint, transfer_footprint, LinkId, LinkOccupancy, NodeSpan};
 pub use storage::{storage_footprint, StorageSpec};
 pub use topology::{ClusterSpec, Island, NodeSpec};

@@ -10,8 +10,12 @@
 //! congestion (number of concurrent flows) on any of its links. A flow-level
 //! simulator divides the flow's nominal bandwidth by that congestion factor,
 //! which is the classic equal-share approximation of max-min fairness.
+//!
+//! A group's footprint and its collective price both depend only on the
+//! nodes it spans, so [`NodeSpan`] finds those in one pass over the group's
+//! devices and derives both.
 
-use crate::{ClusterSpec, DeviceGroup, NodeId};
+use crate::{ClusterSpec, DeviceGroup, DeviceId, InterconnectSpec, LinkClass, NodeId};
 
 /// One shared physical communication resource of the cluster.
 ///
@@ -37,6 +41,28 @@ pub enum LinkId {
     StorageSpine,
 }
 
+/// Per-node links of [`LinkId`]: island bus, uplink, downlink and storage
+/// link.
+const LINKS_PER_NODE: usize = 4;
+
+impl LinkId {
+    /// The link's slot in a dense per-link table such as
+    /// [`LinkOccupancy`]: the storage spine first, then the four links of
+    /// each node (island bus, uplink, downlink, storage link) in node order.
+    /// Distinct links never share a slot.
+    #[must_use]
+    pub fn slot(self) -> u32 {
+        let (node, kind) = match self {
+            LinkId::StorageSpine => return 0,
+            LinkId::IslandBus(n) => (n, 0),
+            LinkId::Uplink(n) => (n, 1),
+            LinkId::Downlink(n) => (n, 2),
+            LinkId::StorageLink(n) => (n, 3),
+        };
+        (1 + node.index() * LINKS_PER_NODE + kind) as u32
+    }
+}
+
 impl std::fmt::Display for LinkId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -47,6 +73,225 @@ impl std::fmt::Display for LinkId {
             LinkId::StorageSpine => write!(f, "spine"),
         }
     }
+}
+
+/// The nodes one device group spans, found in one pass over its devices:
+/// everything a group's link footprint and its all-reduce price depend on.
+///
+/// Devices the cluster does not contain count towards the group's size but
+/// span no node.
+#[derive(Debug, Clone, Default)]
+pub struct NodeSpan {
+    /// The nodes hosting the group's devices, ascending and once each.
+    nodes: Vec<NodeId>,
+    /// Devices in the group.
+    devices: usize,
+    /// Most devices on one node.
+    busiest: usize,
+    /// Whether every device is in the cluster.
+    complete: bool,
+    /// The group's device when it has exactly one.
+    only: Option<DeviceId>,
+    /// Devices per node while a span is being filled, by node index; all
+    /// zero in between.
+    counts: Vec<u32>,
+}
+
+impl PartialEq for NodeSpan {
+    fn eq(&self, other: &Self) -> bool {
+        // `counts` is scratch space.
+        (
+            &self.nodes,
+            self.devices,
+            self.busiest,
+            self.complete,
+            self.only,
+        ) == (
+            &other.nodes,
+            other.devices,
+            other.busiest,
+            other.complete,
+            other.only,
+        )
+    }
+}
+
+impl Eq for NodeSpan {}
+
+impl NodeSpan {
+    /// The span of `group` on `cluster`.
+    #[must_use]
+    pub fn new(cluster: &ClusterSpec, group: &DeviceGroup) -> Self {
+        let mut span = Self::default();
+        span.fill(cluster, group.devices());
+        span
+    }
+
+    /// Recomputes the span for `devices` (no repeats), reusing this span's
+    /// buffers.
+    pub fn fill(&mut self, cluster: &ClusterSpec, devices: &[DeviceId]) {
+        self.nodes.clear();
+        self.devices = devices.len();
+        self.only = match devices {
+            [d] => Some(*d),
+            _ => None,
+        };
+        self.complete = true;
+        // Node ids ascend with device ids, so a sorted group meets its
+        // nodes in order; any other order sorts the distinct nodes.
+        let mut ascending = true;
+        for &d in devices {
+            let Ok(node) = cluster.node_of(d) else {
+                self.complete = false;
+                continue;
+            };
+            let n = node.index();
+            if n >= self.counts.len() {
+                self.counts.resize(n + 1, 0);
+            }
+            if self.counts[n] == 0 {
+                if let Some(&last) = self.nodes.last() {
+                    ascending &= last < node;
+                }
+                self.nodes.push(node);
+            }
+            self.counts[n] += 1;
+        }
+        if !ascending {
+            self.nodes.sort_unstable();
+        }
+        self.busiest = 0;
+        for node in &self.nodes {
+            let count = std::mem::take(&mut self.counts[node.index()]);
+            self.busiest = self.busiest.max(count as usize);
+        }
+    }
+
+    /// The nodes hosting the group's devices, ascending and once each.
+    #[must_use]
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes
+    }
+
+    /// All-reduce time in seconds for `bytes` across the group on
+    /// `interconnect` — the model [`CommModel::all_reduce_time`] documents.
+    ///
+    /// [`CommModel::all_reduce_time`]: crate::CommModel::all_reduce_time
+    #[must_use]
+    pub fn all_reduce_time(&self, interconnect: &InterconnectSpec, bytes: u64) -> f64 {
+        if self.devices <= 1 || bytes == 0 {
+            return 0.0;
+        }
+        if self.complete && self.nodes.len() == 1 {
+            return ring_collective_time(
+                interconnect,
+                LinkClass::IntraIsland,
+                self.devices,
+                bytes,
+                2.0,
+            );
+        }
+        let ic = interconnect;
+        let islands = self.nodes.len().max(1);
+        let local = self.busiest.max(1);
+        let intra = if local > 1 {
+            let steps = (local - 1) as f64;
+            2.0 * steps * ic.latency(LinkClass::IntraIsland)
+                + 2.0 * steps / local as f64 * bytes as f64 / ic.bandwidth(LinkClass::IntraIsland)
+        } else {
+            0.0
+        };
+        let shard = bytes as f64 / local as f64;
+        let steps = (islands - 1) as f64;
+        let inter = 2.0 * steps * ic.latency(LinkClass::InterIsland)
+            + 2.0 * steps / islands as f64 * shard / ic.bandwidth(LinkClass::InterIsland);
+        intra + inter
+    }
+
+    /// The worst link class a transfer between groups spanning `src` and
+    /// `dst` can cross: `None` when a device is outside the cluster (the
+    /// pairing decides), the island when both sit on the same one node, the
+    /// network otherwise.
+    pub(crate) fn pairing_ceiling(src: &NodeSpan, dst: &NodeSpan) -> Option<LinkClass> {
+        if !(src.complete && dst.complete) {
+            return None;
+        }
+        if src.nodes.len() == 1 && src.nodes == dst.nodes {
+            return Some(LinkClass::IntraIsland);
+        }
+        Some(LinkClass::InterIsland)
+    }
+
+    /// Whether the two spans share no node.
+    pub(crate) fn disjoint_from(&self, other: &NodeSpan) -> bool {
+        let (mut a, mut b) = (self.nodes.iter().peekable(), other.nodes.iter().peekable());
+        while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
+            match x.cmp(&y) {
+                std::cmp::Ordering::Less => {
+                    a.next();
+                }
+                std::cmp::Ordering::Greater => {
+                    b.next();
+                }
+                std::cmp::Ordering::Equal => return false,
+            }
+        }
+        true
+    }
+
+    /// Appends the links an intra-group collective (e.g. the gradient
+    /// all-reduce of a parameter device group) over this span occupies,
+    /// sorted and duplicate-free.
+    pub fn collective_links(&self, out: &mut Vec<LinkId>) {
+        match self.nodes[..] {
+            [n] if self.devices > 1 => out.push(LinkId::IslandBus(n)),
+            [] | [_] => {}
+            _ => {
+                // A hierarchical all-reduce touches every participating
+                // island's fabric and both directions of its uplink (ring
+                // neighbours).
+                out.extend(self.nodes.iter().map(|&n| LinkId::IslandBus(n)));
+                out.extend(self.nodes.iter().map(|&n| LinkId::Uplink(n)));
+                out.extend(self.nodes.iter().map(|&n| LinkId::Downlink(n)));
+            }
+        }
+    }
+
+    /// Appends the links a transfer from `src` to `dst` occupies, sorted and
+    /// duplicate-free.
+    pub fn transfer_links(src: &NodeSpan, dst: &NodeSpan, out: &mut Vec<LinkId>) {
+        if src.nodes.len() == 1 && src.nodes == dst.nodes {
+            // Same island: a pure NVLink transfer, unless it is one device
+            // talking to itself (a local copy contends with nothing).
+            if src.only.is_none() || src.only != dst.only {
+                out.push(LinkId::IslandBus(src.nodes[0]));
+            }
+            return;
+        }
+        // Ascending nodes give ascending links: every uplink sorts before
+        // every downlink.
+        out.extend(src.nodes.iter().map(|&n| LinkId::Uplink(n)));
+        out.extend(dst.nodes.iter().map(|&n| LinkId::Downlink(n)));
+    }
+}
+
+/// Ring collective time in seconds for `bytes` across `n` devices whose
+/// slowest link is of `class`, moving `volume_factor · (n−1)/n` of the data.
+pub(crate) fn ring_collective_time(
+    ic: &InterconnectSpec,
+    class: LinkClass,
+    n: usize,
+    bytes: u64,
+    volume_factor: f64,
+) -> f64 {
+    if n <= 1 || bytes == 0 {
+        return 0.0;
+    }
+    let steps = (n - 1) as f64;
+    let volume = volume_factor * steps / n as f64 * bytes as f64;
+    // Each of the (n-1) steps pays the per-message latency once.
+    steps * ic.latency(class) * if volume_factor > 1.0 { 2.0 } else { 1.0 }
+        + volume / ic.bandwidth(class)
 }
 
 /// The set of shared links a group-to-group transfer occupies.
@@ -60,23 +305,12 @@ pub fn transfer_footprint(
     src: &DeviceGroup,
     dst: &DeviceGroup,
 ) -> Vec<LinkId> {
-    let src_nodes = nodes_of(cluster, src);
-    let dst_nodes = nodes_of(cluster, dst);
-    if src_nodes.len() == 1 && src_nodes == dst_nodes {
-        // Same island: a pure NVLink transfer, unless it is one device talking
-        // to itself (a local copy contends with nothing).
-        let same_single_device = src.len() == 1 && dst.len() == 1 && src.devices() == dst.devices();
-        return if same_single_device {
-            Vec::new()
-        } else {
-            vec![LinkId::IslandBus(src_nodes[0])]
-        };
-    }
-    // Ascending nodes give ascending links: every uplink sorts before every
-    // downlink.
-    let mut links = Vec::with_capacity(src_nodes.len() + dst_nodes.len());
-    links.extend(src_nodes.iter().map(|&n| LinkId::Uplink(n)));
-    links.extend(dst_nodes.iter().map(|&n| LinkId::Downlink(n)));
+    let mut links = Vec::new();
+    NodeSpan::transfer_links(
+        &NodeSpan::new(cluster, src),
+        &NodeSpan::new(cluster, dst),
+        &mut links,
+    );
     links
 }
 
@@ -85,66 +319,17 @@ pub fn transfer_footprint(
 /// duplicate-free.
 #[must_use]
 pub fn collective_footprint(cluster: &ClusterSpec, group: &DeviceGroup) -> Vec<LinkId> {
-    let nodes = nodes_of(cluster, group);
-    match nodes[..] {
-        [n] if group.len() > 1 => vec![LinkId::IslandBus(n)],
-        [] | [_] => Vec::new(),
-        _ => {
-            // A hierarchical all-reduce touches every participating island's
-            // fabric and both directions of its uplink (ring neighbours).
-            let mut links = Vec::with_capacity(3 * nodes.len());
-            links.extend(nodes.iter().map(|&n| LinkId::IslandBus(n)));
-            links.extend(nodes.iter().map(|&n| LinkId::Uplink(n)));
-            links.extend(nodes.iter().map(|&n| LinkId::Downlink(n)));
-            links
-        }
-    }
-}
-
-/// The nodes hosting `group`'s devices, ascending and once each. Node ids
-/// ascend with device ids, so a sorted group yields them in one pass; any
-/// other order falls back to a sort.
-fn nodes_of(cluster: &ClusterSpec, group: &DeviceGroup) -> Vec<NodeId> {
-    let mut nodes: Vec<NodeId> = Vec::new();
-    let mut ascending = true;
-    for node in group.iter().filter_map(|d| cluster.node_of(d).ok()) {
-        if let Some(&last) = nodes.last() {
-            if last == node {
-                continue;
-            }
-            ascending &= last < node;
-        }
-        nodes.push(node);
-    }
-    if !ascending {
-        nodes.sort_unstable();
-        nodes.dedup();
-    }
-    nodes
-}
-
-/// Per-node links of [`LinkId`]: island bus, uplink, downlink and storage
-/// link.
-const LINKS_PER_NODE: usize = 4;
-
-/// The dense table slot of `link`: the storage spine first, then the
-/// [`LINKS_PER_NODE`] links of each node in node order.
-fn slot(link: LinkId) -> usize {
-    let (node, kind) = match link {
-        LinkId::StorageSpine => return 0,
-        LinkId::IslandBus(n) => (n, 0),
-        LinkId::Uplink(n) => (n, 1),
-        LinkId::Downlink(n) => (n, 2),
-        LinkId::StorageLink(n) => (n, 3),
-    };
-    1 + node.index() * LINKS_PER_NODE + kind
+    let mut links = Vec::new();
+    NodeSpan::new(cluster, group).collective_links(&mut links);
+    links
 }
 
 /// Tracks which active flows occupy each shared link.
 ///
-/// Every [`LinkId`] maps to a slot of a dense table sized from the cluster;
-/// a slot lists the ids of the flows on its link. Callers name each flow
-/// with an id that is unique among the active flows. A flow's
+/// A table indexed by [`LinkId::slot`], sized from the cluster, lists the
+/// ids of the flows on each link; the list's length is the link's flow
+/// count. Footprints are given as link slots. Callers name each flow with
+/// an id that is unique among the active flows. A flow's
 /// [`congestion`](Self::congestion) can change only when a flow on one of
 /// its links registers or releases, so a flow-level simulator reads
 /// [`flows_on`](Self::flows_on) for the links of the flow that started or
@@ -152,7 +337,7 @@ fn slot(link: LinkId) -> usize {
 /// deterministic.
 #[derive(Debug, Clone)]
 pub struct LinkOccupancy {
-    slots: Vec<Vec<usize>>,
+    slots: Vec<Vec<u32>>,
 }
 
 impl LinkOccupancy {
@@ -166,11 +351,11 @@ impl LinkOccupancy {
         }
     }
 
-    /// Registers flow `id` on every link of `footprint`. A link listed twice
-    /// counts the flow twice, as if it were two flows.
-    pub fn register(&mut self, id: usize, footprint: &[LinkId]) {
-        for &link in footprint {
-            let slot = slot(link);
+    /// Registers flow `id` on every link slot of `footprint`. A slot listed
+    /// twice counts the flow twice, as if it were two flows.
+    pub fn register(&mut self, id: u32, footprint: &[u32]) {
+        for &slot in footprint {
+            let slot = slot as usize;
             if slot >= self.slots.len() {
                 self.slots.resize_with(slot + 1, Vec::new);
             }
@@ -178,12 +363,13 @@ impl LinkOccupancy {
         }
     }
 
-    /// Releases flow `id` from the links of `footprint`, once per listing.
+    /// Releases flow `id` from the link slots of `footprint`, once per
+    /// listing.
     ///
     /// Releasing a flow from a link it is not on is a no-op.
-    pub fn release(&mut self, id: usize, footprint: &[LinkId]) {
-        for &link in footprint {
-            let Some(flows) = self.slots.get_mut(slot(link)) else {
+    pub fn release(&mut self, id: u32, footprint: &[u32]) {
+        for &slot in footprint {
+            let Some(flows) = self.slots.get_mut(slot as usize) else {
                 continue;
             };
             if let Some(at) = flows.iter().position(|&f| f == id) {
@@ -192,23 +378,23 @@ impl LinkOccupancy {
         }
     }
 
-    /// The ids of the active flows on `link`, unordered; a flow registered
-    /// with the link listed twice appears twice.
+    /// The ids of the active flows on link slot `slot`, unordered; a flow
+    /// registered with the slot listed twice appears twice.
     #[must_use]
-    pub fn flows_on(&self, link: LinkId) -> &[usize] {
-        self.slots.get(slot(link)).map_or(&[], Vec::as_slice)
+    pub fn flows_on(&self, slot: u32) -> &[u32] {
+        self.slots.get(slot as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Worst-case congestion over `footprint`: the maximum number of
-    /// concurrent flows on any of its links, at least 1 (a flow always has
-    /// itself). A registered flow asking about its own footprint therefore
-    /// gets `1` when it runs alone and `k` when `k` flows share its most
-    /// contended link.
+    /// concurrent flows on any of its link slots, at least 1 (a flow always
+    /// has itself). A registered flow asking about its own footprint
+    /// therefore gets `1` when it runs alone and `k` when `k` flows share
+    /// its most contended link.
     #[must_use]
-    pub fn congestion(&self, footprint: &[LinkId]) -> usize {
+    pub fn congestion(&self, footprint: &[u32]) -> u32 {
         footprint
             .iter()
-            .map(|&l| self.flows_on(l).len())
+            .map(|&slot| self.flows_on(slot).len() as u32)
             .max()
             .unwrap_or(0)
             .max(1)
@@ -297,30 +483,36 @@ mod tests {
         assert_eq!(links, sorted_links);
     }
 
+    /// The link slots of `footprint`.
+    fn slots(footprint: &[LinkId]) -> Vec<u32> {
+        footprint.iter().map(|l| l.slot()).collect()
+    }
+
     #[test]
     fn occupancy_counts_and_saturates() {
         let c = cluster();
         let src = DeviceGroup::contiguous(DeviceId(0), 2);
         let near = DeviceGroup::contiguous(DeviceId(2), 2);
         let far = DeviceGroup::contiguous(DeviceId(4), 2);
-        let f1 = transfer_footprint(&c, &src, &near);
-        let f2 = transfer_footprint(&c, &src, &far);
+        let f1 = slots(&transfer_footprint(&c, &src, &near));
+        let f2 = slots(&transfer_footprint(&c, &src, &far));
+        let bus = LinkId::IslandBus(NodeId(0)).slot();
         let mut occ = LinkOccupancy::for_cluster(&c);
         assert_eq!(occ.congestion(&f1), 1);
         occ.register(0, &f1);
         occ.register(1, &f1);
-        assert_eq!(occ.flows_on(LinkId::IslandBus(NodeId(0))), [0, 1]);
+        assert_eq!(occ.flows_on(bus), [0, 1]);
         assert_eq!(occ.congestion(&f1), 2);
         // The cross-island flow does not contend with the NVLink flows.
         occ.register(2, &f2);
         assert_eq!(occ.congestion(&f2), 1);
         occ.release(0, &f1);
-        assert_eq!(occ.flows_on(LinkId::IslandBus(NodeId(0))), [1]);
+        assert_eq!(occ.flows_on(bus), [1]);
         assert_eq!(occ.congestion(&f1), 1);
         occ.release(1, &f1);
         occ.release(1, &f1); // over-release is a no-op
-        assert!(occ.flows_on(LinkId::IslandBus(NodeId(0))).is_empty());
-        assert_eq!(occ.flows_on(LinkId::Uplink(NodeId(0))), [2]);
+        assert!(occ.flows_on(bus).is_empty());
+        assert_eq!(occ.flows_on(LinkId::Uplink(NodeId(0)).slot()), [2]);
         assert_eq!(occ.congestion(&[]), 1);
     }
 
@@ -328,20 +520,21 @@ mod tests {
     fn a_link_listed_twice_counts_its_flow_twice() {
         let c = cluster();
         let mut occ = LinkOccupancy::for_cluster(&c);
-        let up = LinkId::Uplink(NodeId(0));
-        occ.register(5, &[up, LinkId::StorageSpine]);
-        occ.register(11, &[LinkId::StorageSpine, LinkId::StorageSpine]);
-        assert_eq!(occ.flows_on(LinkId::StorageSpine), [5, 11, 11]);
+        let up = LinkId::Uplink(NodeId(0)).slot();
+        let spine = LinkId::StorageSpine.slot();
+        occ.register(5, &[up, spine]);
+        occ.register(11, &[spine, spine]);
+        assert_eq!(occ.flows_on(spine), [5, 11, 11]);
         assert_eq!(occ.congestion(&[up]), 1);
-        assert_eq!(occ.congestion(&[up, LinkId::StorageSpine]), 3);
-        occ.release(11, &[LinkId::StorageSpine, LinkId::StorageSpine]);
-        assert_eq!(occ.flows_on(LinkId::StorageSpine), [5]);
+        assert_eq!(occ.congestion(&[up, spine]), 3);
+        occ.release(11, &[spine, spine]);
+        assert_eq!(occ.flows_on(spine), [5]);
     }
 
     #[test]
     fn links_beyond_the_cluster_grow_the_table() {
         let mut occ = LinkOccupancy::for_cluster(&cluster());
-        let far = LinkId::StorageLink(NodeId(40));
+        let far = LinkId::StorageLink(NodeId(40)).slot();
         assert!(occ.flows_on(far).is_empty());
         occ.register(0, &[far]);
         occ.register(1, &[far]);
@@ -356,10 +549,35 @@ mod tests {
             LinkId::StorageLink(NodeId(1)),
             LinkId::IslandBus(NodeId(2)),
         ];
-        let mut slots: Vec<usize> = links.iter().map(|&l| slot(l)).collect();
+        let mut slots = slots(&links);
         slots.sort_unstable();
         slots.dedup();
         assert_eq!(slots.len(), links.len());
+    }
+
+    #[test]
+    fn node_spans_count_nodes_whatever_the_device_order() {
+        let c = ClusterSpec::homogeneous(4, 4);
+        let group = |ids: &[u32]| DeviceGroup::new(ids.iter().map(|&d| DeviceId(d))).unwrap();
+        // Nodes 3, 0, 3, 1, 3: node 3 hosts three of the five devices.
+        let shuffled = group(&[13, 1, 12, 5, 14]);
+        let span = NodeSpan::new(&c, &shuffled);
+        assert_eq!(span, NodeSpan::new(&c, &shuffled.sorted()));
+        assert_eq!(span.nodes(), [NodeId(0), NodeId(1), NodeId(3)]);
+        assert_eq!(span.busiest, 3);
+        assert!(span.complete);
+        // A device the cluster lacks spans no node and breaks completeness.
+        let stray = NodeSpan::new(&c, &group(&[2, 3, 99]));
+        assert_eq!(stray.nodes(), [NodeId(0)]);
+        assert_eq!(
+            (stray.devices, stray.busiest, stray.complete),
+            (3, 2, false)
+        );
+        // One refilled span matches a fresh one.
+        let mut reused = span.clone();
+        reused.fill(&c, group(&[7]).devices());
+        assert_eq!(reused, NodeSpan::new(&c, &group(&[7])));
+        assert_eq!(reused.only, Some(DeviceId(7)));
     }
 
     #[test]

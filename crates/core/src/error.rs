@@ -79,6 +79,29 @@ pub enum PlanError {
         /// The unknown MetaOp.
         metaop: MetaOpId,
     },
+    /// Two slices of one MetaOp overlap in time.
+    SliceOverlap {
+        /// Index of the wave whose slice starts before the previous one
+        /// ends.
+        wave: usize,
+        /// The MetaOp.
+        metaop: MetaOpId,
+    },
+    /// An entry starts on a device while an entry of an earlier wave is
+    /// still running there.
+    DeviceBusy {
+        /// Index of the wave of the entry that starts too early.
+        wave: usize,
+        /// Raw id of the device.
+        device: u32,
+    },
+    /// A MetaOp's first slice starts before a producer's last slice ends.
+    EarlyConsumer {
+        /// The producing MetaOp.
+        producer: MetaOpId,
+        /// The consuming MetaOp.
+        consumer: MetaOpId,
+    },
     /// A wave entry was placed on a device outside the cluster.
     PlacementOutOfRange {
         /// Index of the offending wave.
@@ -136,6 +159,18 @@ impl fmt::Display for PlanError {
                     "wave {wave} schedules {metaop}, which the MetaGraph lacks"
                 )
             }
+            PlanError::SliceOverlap { wave, metaop } => write!(
+                f,
+                "wave {wave} starts a slice of {metaop} before its previous slice ends"
+            ),
+            PlanError::DeviceBusy { wave, device } => write!(
+                f,
+                "wave {wave} starts an entry on device {device} while an earlier one runs there"
+            ),
+            PlanError::EarlyConsumer { producer, consumer } => write!(
+                f,
+                "{consumer} starts before its producer {producer} finishes"
+            ),
             PlanError::PlacementOutOfRange {
                 wave,
                 device,

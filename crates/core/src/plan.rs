@@ -228,20 +228,35 @@ impl ExecutionPlan {
     /// * every entry names a MetaOp of the plan's MetaGraph;
     /// * placed entries of a wave occupy disjoint devices;
     /// * every MetaOp's operators are all scheduled exactly once across waves;
-    /// * waves are ordered by start time.
+    /// * waves are ordered by start time;
+    ///
+    /// and the timing rules a level barrier used to guarantee, at 1e-9 s,
+    /// where an entry runs from its wave's start for its `exec_time`:
+    ///
+    /// * a MetaOp's slices do not overlap in time;
+    /// * entries that overlap in time use disjoint devices;
+    /// * a consumer's first slice starts at or after its producers' last
+    ///   slices end.
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), PlanError> {
-        // Layers scheduled per MetaOp, by MetaOp index.
-        let mut scheduled = vec![0u32; self.metagraph.num_metaops()];
+        // Two instants this close count as one.
+        const TOLERANCE_S: f64 = 1e-9;
+        let metaops = self.metagraph.num_metaops();
+        // Layers scheduled per MetaOp, and when its first slice starts and
+        // its last one ends, by MetaOp index.
+        let mut scheduled = vec![0u32; metaops];
+        let mut first_start = vec![f64::INFINITY; metaops];
+        let mut last_end = vec![f64::NEG_INFINITY; metaops];
         let mut prev_start = 0.0f64;
         // Per device, the stamp (1-based wave position) of the last wave that
-        // placed it: one dense table reused by every wave's overlap check.
-        // Ids past the device space grow it (`check_placement_in_range`
-        // reports them).
-        let mut last_wave: Vec<usize> = vec![0; self.device_space() as usize];
+        // placed it and when its latest entry ends: one dense table reused
+        // by every wave. Ids past the device space grow it
+        // (`check_placement_in_range` reports them).
+        let mut last_use: Vec<(usize, f64)> =
+            vec![(0, f64::NEG_INFINITY); self.device_space() as usize];
         for (stamp, wave) in (1..).zip(&self.waves) {
             if wave.devices_used() > self.num_devices {
                 return Err(PlanError::CapacityExceeded {
@@ -250,27 +265,45 @@ impl ExecutionPlan {
                     available: self.num_devices,
                 });
             }
-            if wave.start + 1e-9 < prev_start {
+            if wave.start + TOLERANCE_S < prev_start {
                 return Err(PlanError::UnorderedWaves { wave: wave.index });
             }
             prev_start = wave.start;
             for entry in &wave.entries {
-                let Some(layers) = scheduled.get_mut(entry.metaop.index()) else {
+                let m = entry.metaop.index();
+                let Some(layers) = scheduled.get_mut(m) else {
                     return Err(PlanError::UnknownMetaOp {
                         wave: wave.index,
                         metaop: entry.metaop,
                     });
                 };
                 *layers += entry.layers;
+                let end = wave.start + entry.exec_time;
+                if wave.start + TOLERANCE_S < last_end[m] {
+                    return Err(PlanError::SliceOverlap {
+                        wave: wave.index,
+                        metaop: entry.metaop,
+                    });
+                }
+                first_start[m] = first_start[m].min(wave.start);
+                last_end[m] = last_end[m].max(end);
                 if let Some(group) = &entry.placement {
                     for d in group.iter() {
-                        if d.index() >= last_wave.len() {
-                            last_wave.resize(d.index() + 1, 0);
+                        if d.index() >= last_use.len() {
+                            last_use.resize(d.index() + 1, (0, f64::NEG_INFINITY));
                         }
-                        if last_wave[d.index()] == stamp {
+                        let (last_wave, busy_until) = &mut last_use[d.index()];
+                        if *last_wave == stamp {
                             return Err(PlanError::PlacementOverlap { wave: wave.index });
                         }
-                        last_wave[d.index()] = stamp;
+                        if wave.start + TOLERANCE_S < *busy_until {
+                            return Err(PlanError::DeviceBusy {
+                                wave: wave.index,
+                                device: d.0,
+                            });
+                        }
+                        *last_wave = stamp;
+                        *busy_until = busy_until.max(end);
                     }
                 }
             }
@@ -282,6 +315,11 @@ impl ExecutionPlan {
                     scheduled: got,
                     required: metaop.num_ops(),
                 });
+            }
+        }
+        for &(producer, consumer) in self.metagraph.edges() {
+            if first_start[consumer.index()] + TOLERANCE_S < last_end[producer.index()] {
+                return Err(PlanError::EarlyConsumer { producer, consumer });
             }
         }
         Ok(())
@@ -541,6 +579,121 @@ mod tests {
                 required: 3
             })
         ));
+    }
+
+    /// One wave at `start` holding `entries`.
+    fn wave_at(index: usize, start: f64, entries: Vec<WaveEntry>) -> Wave {
+        let duration = entries.iter().map(|e| e.exec_time).fold(0.0, f64::max);
+        Wave {
+            index,
+            level: index,
+            start,
+            duration,
+            entries,
+        }
+    }
+
+    #[test]
+    fn slices_overlapping_in_time_are_rejected() {
+        // MetaOp 0's second slice starts at 0.5 s, before its first (one
+        // layer of 1 s from 0 s) ends.
+        let waves = vec![
+            wave_at(
+                0,
+                0.0,
+                vec![
+                    placed(WaveEntry::new(MetaOpId(0), 1, 2, 1.0), 0),
+                    placed(WaveEntry::new(MetaOpId(1), 3, 4, 0.1), 4),
+                ],
+            ),
+            wave_at(
+                1,
+                0.5,
+                vec![placed(WaveEntry::new(MetaOpId(0), 1, 2, 1.0), 2)],
+            ),
+        ];
+        let plan = ExecutionPlan::new(waves, tiny_metagraph(), 8, 0.0, Duration::ZERO);
+        assert_eq!(
+            plan.validate(),
+            Err(PlanError::SliceOverlap {
+                wave: 1,
+                metaop: MetaOpId(0)
+            })
+        );
+    }
+
+    #[test]
+    fn entries_overlapping_in_time_on_one_device_are_rejected() {
+        // Wave 1 starts at 1 s on devices 2-5; devices 2 and 3 run MetaOp 0
+        // until 2 s.
+        let waves = |second_on: u32| {
+            vec![
+                wave_at(
+                    0,
+                    0.0,
+                    vec![placed(WaveEntry::new(MetaOpId(0), 2, 4, 1.0), 0)],
+                ),
+                wave_at(
+                    1,
+                    1.0,
+                    vec![placed(WaveEntry::new(MetaOpId(1), 3, 4, 0.5), second_on)],
+                ),
+            ]
+        };
+        let plan = ExecutionPlan::new(waves(2), tiny_metagraph(), 8, 0.0, Duration::ZERO);
+        assert_eq!(
+            plan.validate(),
+            Err(PlanError::DeviceBusy { wave: 1, device: 2 })
+        );
+        // The same overlap on disjoint devices is fine.
+        let plan = ExecutionPlan::new(waves(4), tiny_metagraph(), 8, 0.0, Duration::ZERO);
+        assert_eq!(plan.validate(), Ok(()));
+    }
+
+    #[test]
+    fn a_consumer_starting_before_its_producer_ends_is_rejected() {
+        // The audio tower feeds the text tower: one MetaGraph edge.
+        let mut b = GraphBuilder::new();
+        let t = b.add_task("t", [Modality::Audio, Modality::Text], 8);
+        let audio = b
+            .add_op_chain(
+                t,
+                OpKind::Encoder(Modality::Audio),
+                TensorShape::new(8, 229, 768),
+                2,
+            )
+            .unwrap();
+        let text = b
+            .add_op_chain(
+                t,
+                OpKind::Encoder(Modality::Text),
+                TensorShape::new(8, 77, 768),
+                3,
+            )
+            .unwrap();
+        b.add_flow(*audio.last().unwrap(), text[0]).unwrap();
+        let mg = Arc::new(MetaGraph::contract(&b.build().unwrap()));
+        let &[(producer, consumer)] = mg.edges() else {
+            panic!("one edge expected, got {:?}", mg.edges());
+        };
+        // The producer runs two layers of 1 s from 0 s on devices 0-3; the
+        // consumer starts on devices 4-7 at `consumer_start`.
+        let plan = |consumer_start: f64| {
+            let waves = vec![
+                wave_at(0, 0.0, vec![placed(WaveEntry::new(producer, 2, 4, 1.0), 0)]),
+                wave_at(
+                    1,
+                    consumer_start,
+                    vec![placed(WaveEntry::new(consumer, 3, 4, 0.5), 4)],
+                ),
+            ];
+            ExecutionPlan::new(waves, Arc::clone(&mg), 8, 0.0, Duration::ZERO)
+        };
+        assert_eq!(
+            plan(1.0).validate(),
+            Err(PlanError::EarlyConsumer { producer, consumer })
+        );
+        assert_eq!(plan(2.0 - 5e-10).validate(), Ok(()));
     }
 
     #[test]

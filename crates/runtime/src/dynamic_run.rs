@@ -6,16 +6,17 @@
 //! [`ArrivalSchedule`] positions task-mix changes on a simulated timeline,
 //! and at each arrival the loop calls back into the long-lived
 //! [`SpindleSession`] to re-plan online (served from the warm curve cache for
-//! operator signatures seen before), then executes the new plan on the
-//! event-driven [`Simulator`]. The report captures, per phase, the re-plan
+//! operator signatures seen before), localises the new plan once and runs
+//! it on the event-driven simulator ([`LocalizedPlan::run`]). The report
+//! captures, per phase, the re-plan
 //! cost and cache warmth, the simulated versus closed-form iteration time
 //! (the plan-vs-simulated gap), and the utilization trace.
 
 use std::fmt;
 use std::sync::Arc;
 
-use spindle_cluster::{CommModel, DeviceId};
-use spindle_core::{ExecutionPlan, SpindleSession};
+use spindle_cluster::DeviceId;
+use spindle_core::SpindleSession;
 use spindle_graph::ComputationGraph;
 use spindle_workloads::{ArrivalSchedule, DeviceChurnEvent, DeviceChurnKind, ScheduleEvent};
 
@@ -25,7 +26,7 @@ use crate::migrate::{migration_flows, price_migration};
 use crate::recovery::{
     background_checkpoint_flows, price_checkpoint_write, price_restore, CheckpointPolicy,
 };
-use crate::sim::{FaultSpec, SimConfig, Simulator};
+use crate::sim::{FaultSpec, SimConfig};
 use crate::RuntimeError;
 
 /// What happened in one phase of a dynamic run.
@@ -318,9 +319,10 @@ impl<'s> DynamicRunLoop<'s> {
         let mut churn = Vec::with_capacity(schedule.num_topology_changes());
         let mut total_simulated_s = 0.0;
         let mut total_replan_ms = 0.0;
-        // The active phase: its graph, its current plan, the plan's simulated
-        // iteration time and the instant the plan took effect.
-        let mut active: Option<(&ComputationGraph, Arc<ExecutionPlan>, f64, f64)> = None;
+        // The active phase: its graph, its current plan (localised once), the
+        // plan's simulated iteration time and the instant the plan took
+        // effect.
+        let mut active: Option<(&ComputationGraph, LocalizedPlan, f64, f64)> = None;
         let mut phase_idx = 0;
         for event in schedule.timeline() {
             match event {
@@ -333,14 +335,12 @@ impl<'s> DynamicRunLoop<'s> {
                     let plan = Arc::new(outcome.plan);
                     let cluster = self.session.cluster_handle();
 
-                    // Price the plan both ways: closed form and event-driven.
-                    let analytical_s =
-                        LocalizedPlan::new(Arc::clone(&plan), &cluster, Some(&arrival.graph))?
-                            .closed_form_iteration_s(&CommModel::new(&cluster));
-                    let sim = Simulator::new(Arc::clone(&plan), &cluster)
-                        .with_graph(&arrival.graph)
-                        .with_config(self.sim_config.clone())
-                        .run_iteration()?;
+                    // Price the plan both ways, from one localisation: closed
+                    // form and event-driven.
+                    let localized =
+                        LocalizedPlan::new(Arc::clone(&plan), &cluster, Some(&arrival.graph))?;
+                    let analytical_s = localized.closed_form_iteration_s();
+                    let sim = localized.run(&self.sim_config);
 
                     let window_s = schedule.phase_window_s(phase_idx);
                     let iterations = if sim.total_s() > 0.0 {
@@ -362,10 +362,7 @@ impl<'s> DynamicRunLoop<'s> {
                         let mut bg_config = self.sim_config.clone();
                         bg_config.background_flows =
                             background_checkpoint_flows(&cluster, &plan, &self.checkpoint_policy);
-                        let loaded = Simulator::new(Arc::clone(&plan), &cluster)
-                            .with_graph(&arrival.graph)
-                            .with_config(bg_config)
-                            .run_iteration()?;
+                        let loaded = localized.run(&bg_config);
                         checkpoints_written as f64 * (loaded.total_s() - sim.total_s()).max(0.0)
                     } else {
                         checkpoints_written as f64
@@ -396,7 +393,7 @@ impl<'s> DynamicRunLoop<'s> {
                         checkpoint_write_s,
                         utilization_trace: sim.utilization_trace().to_vec(),
                     });
-                    active = Some((&arrival.graph, plan, sim.total_s(), arrival.at_s));
+                    active = Some((&arrival.graph, localized, sim.total_s(), arrival.at_s));
                     phase_idx += 1;
                 }
                 ScheduleEvent::Churn(event) => {
@@ -421,7 +418,7 @@ impl<'s> DynamicRunLoop<'s> {
     fn on_churn(
         &mut self,
         event: &DeviceChurnEvent,
-        active: &mut Option<(&ComputationGraph, Arc<ExecutionPlan>, f64, f64)>,
+        active: &mut Option<(&ComputationGraph, LocalizedPlan, f64, f64)>,
     ) -> Result<ChurnRunReport, RuntimeError> {
         let device_ids: Vec<DeviceId> = event.devices.iter().map(|&d| DeviceId(d)).collect();
         let removed = event.kind == DeviceChurnKind::Remove;
@@ -431,17 +428,16 @@ impl<'s> DynamicRunLoop<'s> {
         // the iteration and charge the discarded compute.
         let mut wasted_compute_s = 0.0;
         if removed {
-            if let Some((graph, plan, iter_s, since_s)) = active.as_ref() {
+            if let Some((_, localized, iter_s, since_s)) = active.as_ref() {
                 if *iter_s > 0.0 {
                     let offset = (event.at_s - since_s).rem_euclid(*iter_s);
-                    let cluster = self.session.cluster_handle();
-                    let (_, fault) = Simulator::new(Arc::clone(plan), &cluster)
-                        .with_graph(*graph)
-                        .with_config(self.sim_config.clone())
-                        .run_iteration_with_fault(&FaultSpec {
+                    let (_, fault) = localized.run_with_fault(
+                        &self.sim_config,
+                        &FaultSpec {
                             at_s: offset,
                             devices: device_ids.clone(),
-                        })?;
+                        },
+                    );
                     wasted_compute_s = fault.wasted_compute_s;
                 }
             }
@@ -450,7 +446,7 @@ impl<'s> DynamicRunLoop<'s> {
             self.session.restore_devices(&device_ids);
         }
 
-        let Some((graph, old_plan, iter_before_s, since_s)) = active.take() else {
+        let Some((graph, old, iter_before_s, since_s)) = active.take() else {
             // Topology changed before any task arrived: nothing to re-plan.
             return Ok(ChurnRunReport {
                 at_s: event.at_s,
@@ -491,7 +487,7 @@ impl<'s> DynamicRunLoop<'s> {
         // even though the planner charges no loss migration for it. MetaOps
         // whose every replica died cannot be moved at all: their state comes
         // back from the checkpoint tier over the storage links.
-        let migration = migration_flows(&old_plan, &new_plan, &cluster);
+        let migration = migration_flows(old.plan(), &new_plan, &cluster);
         let moved_bytes = migration.migration_bytes();
         let sim_migration_s =
             price_migration(&cluster, &migration.flows, self.sim_config.contention);
@@ -509,11 +505,8 @@ impl<'s> DynamicRunLoop<'s> {
             0.0
         };
 
-        let sim = Simulator::new(Arc::clone(&new_plan), &cluster)
-            .with_graph(graph)
-            .with_config(self.sim_config.clone())
-            .run_iteration()?;
-        let iteration_after_s = sim.total_s();
+        let localized = LocalizedPlan::new(new_plan, &cluster, Some(graph))?;
+        let iteration_after_s = localized.run(&self.sim_config).total_s();
 
         // Lost progress: the aborted in-flight iteration is always re-run;
         // when state was re-materialised it is only as fresh as the last
@@ -524,7 +517,7 @@ impl<'s> DynamicRunLoop<'s> {
             let iters_done = ((event.at_s - since_s).max(0.0) / iter_before_s).floor() as u64;
             replay_s += policy.replay_iterations(iters_done) as f64 * iteration_after_s;
         }
-        *active = Some((graph, new_plan, iteration_after_s, event.at_s));
+        *active = Some((graph, localized, iteration_after_s, event.at_s));
 
         Ok(ChurnRunReport {
             at_s: event.at_s,

@@ -8,10 +8,13 @@
 //! inserts transmission operators at wave boundaries, maintains a parameter
 //! device-group pool, and runs forward/backward wave by wave followed by
 //! group-wise parameter synchronisation. This crate reproduces that execution
-//! *in simulation* with one execution model, the [`Simulator`]: localisation
-//! ([`LocalizedPlan`]) binds entries to devices and derives the transmissions
-//! and the parameter pool, then a binary-heap event queue with deterministic
-//! tie-breaking runs every wave once the waves it waits on have finished.
+//! *in simulation* with one execution model: localisation
+//! ([`LocalizedPlan`]) binds entries to devices, derives the transmissions
+//! and the parameter pool and prices every flow once per plan, then
+//! [`LocalizedPlan::run`] drives an indexed event queue with deterministic
+//! tie-breaking that runs every wave once the waves it waits on have
+//! finished. The [`Simulator`] localises and runs in one call; to run one
+//! plan under several configurations, localise it once.
 //!
 //! * Its default [`CommMode::Serialized`] configuration is the closed form
 //!   run as events — all compute, then every transmission, then every
@@ -97,6 +100,5 @@ pub use sim::{
     Simulator, Straggler,
 };
 pub use transmission::{
-    derive_transmission_sites, derive_transmissions, total_transmission_time, Transmission,
-    TransmissionKind, TransmissionSite,
+    derive_transmission_sites, Transmission, TransmissionKind, TransmissionSite,
 };

@@ -1,34 +1,57 @@
 //! Plan localisation (§3.6 steps 1–3): what the simulator needs before it
-//! can run a placed plan.
+//! can run a placed plan, built and priced once per plan.
 //!
 //! Those are the wave entries bound to their device groups (step 1, implicit
 //! in the placed plan), the inter-wave transmission operators with the wave
 //! boundary each one crosses (step 2), and the parameter device-group pool
-//! (step 3). [`LocalizedPlan`] computes all three once; its closed-form
-//! iteration time prices the same physical work without events, the
-//! reference the serialized simulator is cross-checked against.
+//! (step 3). [`LocalizedPlan`] derives all three and prices them here, not
+//! in the runs: every transmission's round trip and every group's
+//! all-reduce, each with the link slots it occupies under contention, from
+//! one node-span pass per device group. Every run of the plan —
+//! [`LocalizedPlan::run`] under any [`SimConfig`](crate::SimConfig) —
+//! reads those prices, and the closed-form iteration time adds them up
+//! without events: the reference the serialized simulator is cross-checked
+//! against.
 
 use std::sync::Arc;
 
-use spindle_cluster::{ClusterSpec, CommModel};
+use spindle_cluster::{ClusterSpec, CommModel, DeviceId, NodeSpan};
 use spindle_core::{ExecutionPlan, PlanError};
 use spindle_graph::ComputationGraph;
 
 use crate::param_groups::ParamGroupPool;
+use crate::sim::IntoShared;
 use crate::transmission::{derive_transmission_sites, TransmissionSite};
 use crate::RuntimeError;
 
-/// A validated, localised execution plan: transmissions resolved per wave
-/// boundary and the parameter device-group pool built.
+/// A validated, localised and priced execution plan: transmissions resolved
+/// per wave boundary, the parameter device-group pool built, and every
+/// transmission and all-reduce priced with its link footprint.
+///
+/// The plan's flows are numbered as the simulator issues them: transmission
+/// site `i` is flow `i`, and parameter group `g` is flow `sites().len() + g`.
 #[derive(Debug, Clone)]
 pub struct LocalizedPlan {
     plan: Arc<ExecutionPlan>,
+    cluster: Arc<ClusterSpec>,
     sites: Vec<TransmissionSite>,
+    /// Site indices by the wave boundary they cross: boundary `w`'s are
+    /// `boundary_sites[boundary_at[w]..boundary_at[w + 1]]`, ascending.
+    boundary_at: Vec<u32>,
+    boundary_sites: Vec<u32>,
     pool: ParamGroupPool,
+    /// Nominal service seconds of every flow: each site's round trip, then
+    /// each group's all-reduce.
+    flow_s: Vec<f64>,
+    /// Link slots of every flow: flow `f` occupies
+    /// `slots[slots_at[f]..slots_at[f + 1]]`.
+    slots_at: Vec<u32>,
+    slots: Vec<u32>,
 }
 
 impl LocalizedPlan {
-    /// Localises `plan` for execution on `cluster`.
+    /// Localises and prices `plan` for execution on `cluster`, which is
+    /// taken by value, by `Arc` or by reference (cloning).
     ///
     /// When the original computation graph is supplied, the parameter pool
     /// captures cross-task parameter sharing exactly; without it, the
@@ -43,9 +66,10 @@ impl LocalizedPlan {
     /// for more devices than the cluster has.
     pub fn new(
         plan: Arc<ExecutionPlan>,
-        cluster: &ClusterSpec,
+        cluster: impl IntoShared<ClusterSpec>,
         graph: Option<&ComputationGraph>,
     ) -> Result<Self, RuntimeError> {
+        let cluster = cluster.into_shared();
         plan.validate()?;
         plan.require_placement()?;
         let cluster_devices = cluster.num_devices() as u32;
@@ -56,10 +80,20 @@ impl LocalizedPlan {
             });
         }
         // The simulator indexes per-device state by id over the cluster's
-        // device space, so every placed device must exist in the cluster.
+        // device space, so every placed device must exist in the cluster. A
+        // cluster without holes holds exactly the ids below its space.
+        let space = cluster.device_space();
+        let dense = space == cluster.num_devices();
+        let in_cluster = |d: DeviceId| {
+            if dense {
+                d.index() < space
+            } else {
+                cluster.contains(d)
+            }
+        };
         for wave in plan.waves() {
             let placed = wave.entries.iter().flat_map(|e| e.placement.iter());
-            if let Some(device) = placed.flatten().find(|&d| !cluster.contains(d)) {
+            if let Some(device) = placed.flatten().find(|&d| !in_cluster(d)) {
                 return Err(RuntimeError::InvalidPlan(PlanError::PlacementOutOfRange {
                     wave: wave.index,
                     device: device.0,
@@ -72,7 +106,65 @@ impl LocalizedPlan {
             Some(graph) => ParamGroupPool::from_plan(&plan, graph),
             None => ParamGroupPool::from_plan_approximate(&plan),
         };
-        Ok(Self { plan, sites, pool })
+
+        // Sites by boundary, in site order.
+        let mut boundary_at = vec![0u32; plan.num_waves() + 1];
+        for site in &sites {
+            boundary_at[site.after_wave + 1] += 1;
+        }
+        for w in 0..plan.num_waves() {
+            boundary_at[w + 1] += boundary_at[w];
+        }
+        let mut boundary_sites = vec![0u32; sites.len()];
+        let mut next = boundary_at.clone();
+        for (i, site) in (0..).zip(&sites) {
+            boundary_sites[next[site.after_wave] as usize] = i;
+            next[site.after_wave] += 1;
+        }
+
+        // Prices and footprints, one node-span pass per device group.
+        let flows = sites.len() + pool.num_groups();
+        let comm = CommModel::shared(Arc::clone(&cluster));
+        let mut flow_s = Vec::with_capacity(flows);
+        let mut slots_at = Vec::with_capacity(flows + 1);
+        let mut slots = Vec::new();
+        let (mut src, mut dst) = (NodeSpan::default(), NodeSpan::default());
+        let mut links = Vec::new();
+        slots_at.push(0);
+        for site in &sites {
+            let t = &site.transmission;
+            src.fill(&cluster, t.src.devices());
+            dst.fill(&cluster, t.dst.devices());
+            // Transmission::round_trip_time, settled by the spans.
+            let (there, back) = ((&t.src, &src), (&t.dst, &dst));
+            flow_s.push(
+                comm.spanned_transfer_time(there, back, t.bytes)
+                    + comm.spanned_transfer_time(back, there, t.bytes),
+            );
+            links.clear();
+            NodeSpan::transfer_links(&src, &dst, &mut links);
+            slots.extend(links.iter().map(|l| l.slot()));
+            slots_at.push(slots.len() as u32);
+        }
+        for (group, bytes) in pool.groups() {
+            src.fill(&cluster, group.devices());
+            flow_s.push(src.all_reduce_time(cluster.interconnect(), *bytes));
+            links.clear();
+            src.collective_links(&mut links);
+            slots.extend(links.iter().map(|l| l.slot()));
+            slots_at.push(slots.len() as u32);
+        }
+        Ok(Self {
+            plan,
+            cluster,
+            sites,
+            boundary_at,
+            boundary_sites,
+            pool,
+            flow_s,
+            slots_at,
+            slots,
+        })
     }
 
     /// The underlying plan.
@@ -81,10 +173,9 @@ impl LocalizedPlan {
         &self.plan
     }
 
-    /// A shareable handle to the plan.
-    #[must_use]
-    pub fn plan_handle(&self) -> Arc<ExecutionPlan> {
-        Arc::clone(&self.plan)
+    /// The cluster the plan is localised on.
+    pub(crate) fn cluster(&self) -> &ClusterSpec {
+        &self.cluster
     }
 
     /// The inter-wave transmissions, each bound to the wave boundary it
@@ -94,9 +185,18 @@ impl LocalizedPlan {
         &self.sites
     }
 
-    /// The transmissions ready after wave `wave` completes.
+    /// The transmissions ready after wave `wave` completes, in site order.
     pub fn sites_after_wave(&self, wave: usize) -> impl Iterator<Item = &TransmissionSite> {
-        self.sites.iter().filter(move |s| s.after_wave == wave)
+        self.boundary(wave)
+            .iter()
+            .map(move |&site| &self.sites[site as usize])
+    }
+
+    /// The indices of the sites ready after wave `wave` completes,
+    /// ascending.
+    pub(crate) fn boundary(&self, wave: usize) -> &[u32] {
+        let (from, to) = (self.boundary_at[wave], self.boundary_at[wave + 1]);
+        &self.boundary_sites[from as usize..to as usize]
     }
 
     /// The parameter device-group pool (§3.6 step 3).
@@ -105,36 +205,46 @@ impl LocalizedPlan {
         &self.pool
     }
 
-    /// Total forward+backward transmission time priced by `comm`, seconds.
-    #[must_use]
-    pub fn total_transmission_time(&self, comm: &CommModel) -> f64 {
-        self.sites
-            .iter()
-            .map(|s| s.transmission.round_trip_time(comm))
-            .sum()
+    /// Nominal service seconds of flow `flow` (see the type docs for the
+    /// numbering): alone on its links.
+    pub(crate) fn flow_s(&self, flow: usize) -> f64 {
+        self.flow_s[flow]
     }
 
-    /// Total group-wise parameter synchronisation time priced by `comm`,
-    /// seconds.
+    /// The link slots flow `flow` occupies.
+    pub(crate) fn footprint(&self, flow: usize) -> &[u32] {
+        &self.slots[self.slots_at[flow] as usize..self.slots_at[flow + 1] as usize]
+    }
+
+    /// Total forward+backward transmission time, seconds: every site's
+    /// round trip, one after another.
     #[must_use]
-    pub fn sync_time(&self, comm: &CommModel) -> f64 {
-        self.pool.sync_time(comm)
+    pub fn transmission_s(&self) -> f64 {
+        self.flow_s[..self.sites.len()].iter().sum()
+    }
+
+    /// Total group-wise parameter synchronisation time, seconds: every
+    /// group's all-reduce, one after another.
+    #[must_use]
+    pub fn sync_s(&self) -> f64 {
+        self.flow_s[self.sites.len()..].iter().sum()
     }
 
     /// The closed-form iteration time, seconds: the plan's makespan, then
     /// every transmission, then every all-reduce, one after another. The
-    /// default serialized [`Simulator`](crate::Simulator) runs exactly this
-    /// as events and agrees with it up to float rounding.
+    /// default serialized run ([`run`](Self::run) with
+    /// [`SimConfig::default`](crate::SimConfig)) runs exactly this as
+    /// events and agrees with it up to float rounding.
     #[must_use]
-    pub fn closed_form_iteration_s(&self, comm: &CommModel) -> f64 {
-        self.plan.makespan() + self.total_transmission_time(comm) + self.sync_time(comm)
+    pub fn closed_form_iteration_s(&self) -> f64 {
+        self.plan.makespan() + self.transmission_s() + self.sync_s()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spindle_cluster::{ClusterSpec, DeviceId};
+    use spindle_cluster::{collective_footprint, transfer_footprint, ClusterSpec};
     use spindle_core::SpindleSession;
     use spindle_graph::{GraphBuilder, Modality, OpKind, TensorShape};
 
@@ -157,21 +267,57 @@ mod tests {
     }
 
     #[test]
-    fn localisation_matches_standalone_derivations() {
+    fn localisation_prices_every_flow_as_the_cost_model_does() {
         let graph = graph();
         let cluster = ClusterSpec::homogeneous(2, 8);
         let plan = Arc::new(SpindleSession::new(cluster.clone()).plan(&graph).unwrap());
         let localized = LocalizedPlan::new(Arc::clone(&plan), &cluster, Some(&graph)).unwrap();
         let comm = CommModel::new(&cluster);
-        let direct = crate::transmission::total_transmission_time(&plan, &comm);
-        assert!((localized.total_transmission_time(&comm) - direct).abs() < 1e-15);
+        let sites = crate::derive_transmission_sites(&plan);
+        assert_eq!(localized.sites(), sites);
         let pool = ParamGroupPool::from_plan(&plan, &graph);
-        assert!((localized.sync_time(&comm) - pool.sync_time(&comm)).abs() < 1e-15);
-        // Every site is reachable through exactly one boundary iterator.
-        let by_boundary: usize = (0..plan.num_waves())
-            .map(|w| localized.sites_after_wave(w).count())
+        assert_eq!(localized.pool().groups(), pool.groups());
+        // Each flow's price and footprint, bit for bit.
+        for (i, site) in sites.iter().enumerate() {
+            let t = &site.transmission;
+            assert_eq!(
+                localized.flow_s(i).to_bits(),
+                t.round_trip_time(&comm).to_bits()
+            );
+            let links = transfer_footprint(&cluster, &t.src, &t.dst);
+            assert_eq!(localized.footprint(i), slots(&links));
+        }
+        for (g, (group, bytes)) in pool.groups().iter().enumerate() {
+            let flow = sites.len() + g;
+            assert_eq!(
+                localized.flow_s(flow).to_bits(),
+                comm.all_reduce_time(group, *bytes).to_bits()
+            );
+            let links = collective_footprint(&cluster, group);
+            assert_eq!(localized.footprint(flow), slots(&links));
+        }
+        let transmission: f64 = sites
+            .iter()
+            .map(|s| s.transmission.round_trip_time(&comm))
             .sum();
-        assert_eq!(by_boundary, localized.sites().len());
+        assert_eq!(localized.transmission_s().to_bits(), transmission.to_bits());
+        let sync: f64 = pool
+            .groups()
+            .iter()
+            .map(|(group, bytes)| comm.all_reduce_time(group, *bytes))
+            .sum();
+        assert_eq!(localized.sync_s().to_bits(), sync.to_bits());
+        // Every site is reachable through exactly one boundary iterator, in
+        // site order.
+        for w in 0..plan.num_waves() {
+            let direct: Vec<&TransmissionSite> =
+                sites.iter().filter(|s| s.after_wave == w).collect();
+            assert_eq!(localized.sites_after_wave(w).collect::<Vec<_>>(), direct);
+        }
+    }
+
+    fn slots(links: &[spindle_cluster::LinkId]) -> Vec<u32> {
+        links.iter().map(|l| l.slot()).collect()
     }
 
     #[test]

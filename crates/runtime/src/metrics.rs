@@ -136,6 +136,7 @@ pub struct SimReport {
     pub(crate) flows_executed: usize,
     pub(crate) syncs_executed: usize,
     pub(crate) flows_repriced: usize,
+    pub(crate) events_popped: usize,
 }
 
 /// The report's name from before the simulator became the only execution
@@ -290,6 +291,16 @@ impl SimReport {
         self.flows_repriced
     }
 
+    /// How many events the run took off its queue. A flow's completion is
+    /// one event, moved whenever the flow is repriced, so no popped event
+    /// is stale: this is the compute ends, flow ends and all-reduce ends
+    /// processed, plus background-flow ends and the event at which an
+    /// armed fault fires.
+    #[must_use]
+    pub fn events_popped(&self) -> usize {
+        self.events_popped
+    }
+
     /// Relative gap of the simulated iteration time versus a reference time
     /// (e.g. the closed form): `(simulated - reference) / reference`.
     #[must_use]
@@ -375,6 +386,7 @@ mod tests {
             flows_executed: 0,
             syncs_executed: 0,
             flows_repriced: 0,
+            events_popped: 0,
         }
     }
 

@@ -14,9 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use spindle_cluster::{
-    transfer_footprint, ClusterSpec, CommModel, DeviceGroup, DeviceId, LinkId, LinkOccupancy,
-};
+use spindle_cluster::{ClusterSpec, CommModel, DeviceId, LinkOccupancy, NodeSpan};
 use spindle_core::{ExecutionPlan, MetaOpId};
 
 /// One parameter-shard move: `bytes` of MetaOp state travel from a surviving
@@ -184,32 +182,41 @@ pub fn migration_bytes(flows: &[MigrationFlow]) -> u64 {
 pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended: bool) -> f64 {
     struct Active {
         remaining_s: f64,
-        footprint: Vec<LinkId>,
+        /// The flow's link slots: `slots[footprint.0..footprint.1]`.
+        footprint: (usize, usize),
         /// The flow's equal-share slowdown, recomputed only when a flow
         /// sharing one of its links completes.
         congestion: f64,
     }
     let comm = CommModel::new(cluster);
+    let (mut from, mut to) = (NodeSpan::default(), NodeSpan::default());
+    let mut links = Vec::new();
+    let mut slots: Vec<u32> = Vec::new();
     let mut active: Vec<Active> = flows
         .iter()
-        .map(|f| Active {
-            remaining_s: comm.p2p_time(f.from, f.to, f.bytes),
-            footprint: transfer_footprint(
-                cluster,
-                &DeviceGroup::contiguous(f.from, 1),
-                &DeviceGroup::contiguous(f.to, 1),
-            ),
-            congestion: 1.0,
+        .map(|f| {
+            from.fill(cluster, &[f.from]);
+            to.fill(cluster, &[f.to]);
+            links.clear();
+            NodeSpan::transfer_links(&from, &to, &mut links);
+            let start = slots.len();
+            slots.extend(links.iter().map(|l| l.slot()));
+            Active {
+                remaining_s: comm.p2p_time(f.from, f.to, f.bytes),
+                footprint: (start, slots.len()),
+                congestion: 1.0,
+            }
         })
         .collect();
+    let footprint = |flow: &Active| &slots[flow.footprint.0..flow.footprint.1];
     let mut occupancy = LinkOccupancy::for_cluster(cluster);
     let mut touched = Vec::new();
     if contended {
-        for (id, flow) in active.iter().enumerate() {
-            occupancy.register(id, &flow.footprint);
+        for (id, flow) in (0..).zip(&active) {
+            occupancy.register(id, footprint(flow));
         }
         for flow in &mut active {
-            flow.congestion = occupancy.congestion(&flow.footprint) as f64;
+            flow.congestion = f64::from(occupancy.congestion(footprint(flow)));
         }
     }
     let mut live: Vec<usize> = (0..active.len()).collect();
@@ -232,18 +239,19 @@ pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended
         live.retain(|&i| {
             let done = active[i].remaining_s <= eps;
             if done && contended {
-                occupancy.release(i, &active[i].footprint);
-                for &link in &active[i].footprint {
-                    touched.extend_from_slice(occupancy.flows_on(link));
+                occupancy.release(i as u32, footprint(&active[i]));
+                for &slot in footprint(&active[i]) {
+                    touched.extend_from_slice(occupancy.flows_on(slot));
                 }
             }
             !done
         });
         // Only flows on a released link can change speed.
         for i in touched.drain(..) {
+            let i = i as usize;
             if touched_in[i] != round {
                 touched_in[i] = round;
-                active[i].congestion = occupancy.congestion(&active[i].footprint) as f64;
+                active[i].congestion = f64::from(occupancy.congestion(footprint(&active[i])));
             }
         }
     }
@@ -253,6 +261,7 @@ pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spindle_cluster::{transfer_footprint, DeviceGroup, LinkId};
     use spindle_core::SpindleSession;
     use spindle_graph::{
         ComputationGraph, GraphBuilder, Modality, OpKind, TensorShape, XorShift64Star,

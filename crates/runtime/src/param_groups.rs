@@ -7,9 +7,11 @@
 //! parameter sets synchronised within them — one all-reduce per group per
 //! iteration instead of one per parameter.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use spindle_cluster::{CommModel, DeviceGroup, DeviceId};
+use spindle_cluster::{DeviceGroup, DeviceId};
 use spindle_core::ExecutionPlan;
 use spindle_graph::{ComputationGraph, ParamId};
 
@@ -28,6 +30,7 @@ impl ParamGroupPool {
     #[must_use]
     pub fn from_plan(plan: &ExecutionPlan, graph: &ComputationGraph) -> Self {
         let (placements, op_entry) = entry_map(plan, graph.num_ops());
+        let sets = DeviceSets::of(&placements, plan.device_space() as usize);
         // Bytes synchronised within exactly one entry's devices, by entry:
         // anonymous parameters and named ones no other entry holds.
         let mut entry_bytes: Vec<Option<u64>> = vec![None; placements.len()];
@@ -50,7 +53,8 @@ impl ParamGroupPool {
         }
         // Each parameter's holders become adjacent, ascending by entry.
         holders.sort_unstable();
-        let mut groups = GroupSums::default();
+        let mut groups = GroupSums::new(sets.words, placements.len());
+        let mut union = vec![0u64; sets.words];
         let mut rest = holders.as_slice();
         while let Some(&(param, first, _)) = rest.first() {
             let count = rest.iter().take_while(|h| h.0 == param).count();
@@ -60,12 +64,18 @@ impl ParamGroupPool {
             if held[count - 1].1 == first {
                 *entry_bytes[first].get_or_insert(0) += bytes;
             } else {
-                groups.add(held.iter().flat_map(|h| placements[h.1]), bytes);
+                union.fill(0);
+                for h in held {
+                    for (word, &bits) in union.iter_mut().zip(sets.of_entry(h.1)) {
+                        *word |= bits;
+                    }
+                }
+                groups.add(&union, bytes);
             }
         }
         for (entry, bytes) in entry_bytes.into_iter().enumerate() {
             if let Some(bytes) = bytes {
-                groups.add(placements[entry], bytes);
+                groups.add(sets.of_entry(entry), bytes);
             }
         }
         groups.into_pool()
@@ -78,16 +88,25 @@ impl ParamGroupPool {
     #[must_use]
     pub fn from_plan_approximate(plan: &ExecutionPlan) -> Self {
         let metagraph = plan.metagraph();
-        let mut metaop_devices: Vec<Vec<DeviceId>> = vec![Vec::new(); metagraph.num_metaops()];
-        for entry in plan.waves().iter().flat_map(|w| &w.entries) {
-            if let Some(group) = &entry.placement {
-                metaop_devices[entry.metaop.index()].extend(group.iter());
+        let (placements, _) = entry_map(plan, 0);
+        let sets = DeviceSets::of(&placements, plan.device_space() as usize);
+        // Every device that ran a slice of each MetaOp, by MetaOp index.
+        let mut metaop_sets = vec![0u64; metagraph.num_metaops() * sets.words];
+        let entries = plan.waves().iter().flat_map(|w| &w.entries);
+        for (entry, placed) in entries.enumerate() {
+            let at = placed.metaop.index() * sets.words;
+            for (word, &bits) in metaop_sets[at..at + sets.words]
+                .iter_mut()
+                .zip(sets.of_entry(entry))
+            {
+                *word |= bits;
             }
         }
-        let mut groups = GroupSums::default();
+        let mut groups = GroupSums::new(sets.words, metagraph.num_metaops());
         for metaop in metagraph.metaops() {
             let bytes = metaop.representative().param_bytes() * u64::from(metaop.num_ops());
-            groups.add(&metaop_devices[metaop.id().index()], bytes);
+            let at = metaop.id().index() * sets.words;
+            groups.add(&metaop_sets[at..at + sets.words], bytes);
         }
         groups.into_pool()
     }
@@ -110,51 +129,158 @@ impl ParamGroupPool {
     pub fn groups(&self) -> &[(DeviceGroup, u64)] {
         &self.groups
     }
+}
 
-    /// Total group-wise synchronisation time per iteration, seconds.
-    #[must_use]
-    pub fn sync_time(&self, comm: &CommModel) -> f64 {
-        self.groups
-            .iter()
-            .map(|(group, bytes)| comm.all_reduce_time(group, *bytes))
-            .sum()
+/// Every wave entry's device set as a bitset over device ids: the
+/// canonical form two entries share exactly when they run on the same
+/// devices, in whatever order.
+struct DeviceSets {
+    /// `u64` words per set.
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl DeviceSets {
+    /// The sets of `placements`, sized for ids below `space` unless some
+    /// placed id is larger.
+    fn of(placements: &[&[DeviceId]], space: usize) -> Self {
+        let words = space.div_ceil(64).max(1);
+        let mut bits = vec![0u64; placements.len() * words];
+        for (set, devices) in bits.chunks_exact_mut(words).zip(placements) {
+            for d in devices.iter() {
+                let Some(word) = set.get_mut(d.index() / 64) else {
+                    // An id past the space: size for the largest one.
+                    let largest = placements.iter().flat_map(|p| p.iter()).max();
+                    return Self::of(placements, largest.map_or(0, |d| d.index() + 1));
+                };
+                *word |= 1 << (d.index() % 64);
+            }
+        }
+        Self { words, bits }
+    }
+
+    /// The device set of entry `entry`.
+    fn of_entry(&self, entry: usize) -> &[u64] {
+        &self.bits[entry * self.words..(entry + 1) * self.words]
     }
 }
 
-/// Bytes per sorted device group, keyed through one reused scratch buffer.
-#[derive(Default)]
+/// Bytes per distinct device set, found by hashing each set's bits.
 struct GroupSums {
-    sums: BTreeMap<Vec<DeviceId>, u64>,
-    scratch: Vec<DeviceId>,
+    words: usize,
+    /// Each group's device set, `words` words apiece, in insertion order.
+    sets: Vec<u64>,
+    bytes: Vec<u64>,
+    /// Set hash → the latest group with that hash; groups sharing a hash
+    /// chain through `collided`.
+    index: HashMap<u64, u32, BuildHasherDefault<SetHash>>,
+    collided: Vec<Option<u32>>,
+}
+
+/// Passes through the FNV-1a hash [`GroupSums::add`] computed over a set's
+/// words.
+#[derive(Default)]
+struct SetHash(u64);
+
+impl Hasher for SetHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
 }
 
 impl GroupSums {
-    /// Adds `bytes` to the group of `devices` (repeats allowed) when it
-    /// spans more than one device.
-    fn add<'a>(&mut self, devices: impl IntoIterator<Item = &'a DeviceId>, bytes: u64) {
-        self.scratch.clear();
-        self.scratch.extend(devices);
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
-        if self.scratch.len() < 2 {
-            return;
-        }
-        match self.sums.get_mut(self.scratch.as_slice()) {
-            Some(sum) => *sum += bytes,
-            None => {
-                self.sums.insert(self.scratch.clone(), bytes);
-            }
+    /// Sums for sets of `words` words, room made for `groups` groups.
+    fn new(words: usize, groups: usize) -> Self {
+        let mut index = HashMap::default();
+        index.reserve(groups);
+        Self {
+            words,
+            sets: Vec::with_capacity(groups * words),
+            bytes: Vec::with_capacity(groups),
+            index,
+            collided: Vec::with_capacity(groups),
         }
     }
 
-    fn into_pool(self) -> ParamGroupPool {
-        ParamGroupPool {
-            groups: self
-                .sums
-                .into_iter()
-                .map(|(devices, bytes)| (devices.into_iter().collect(), bytes))
-                .collect(),
+    fn set(&self, group: u32) -> &[u64] {
+        let at = group as usize * self.words;
+        &self.sets[at..at + self.words]
+    }
+
+    /// Adds `bytes` to the group of the devices in `set` when it holds more
+    /// than one device.
+    fn add(&mut self, set: &[u64], bytes: u64) {
+        if set.iter().map(|w| w.count_ones()).sum::<u32>() < 2 {
+            return;
         }
+        // FNV-1a over the words.
+        let hash = set.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &w| {
+            (h ^ w).wrapping_mul(0x0100_0000_01b3)
+        });
+        let mut candidate = self.index.get(&hash).copied();
+        while let Some(group) = candidate {
+            if self.set(group) == set {
+                self.bytes[group as usize] += bytes;
+                return;
+            }
+            candidate = self.collided[group as usize];
+        }
+        let group = self.bytes.len() as u32;
+        self.sets.extend_from_slice(set);
+        self.bytes.push(bytes);
+        self.collided.push(self.index.insert(hash, group));
+    }
+
+    fn into_pool(self) -> ParamGroupPool {
+        let mut order: Vec<u32> = (0..self.bytes.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| list_order(self.set(a), self.set(b)));
+        let groups = order
+            .into_iter()
+            .map(|group| {
+                let set = self.set(group);
+                let count = set.iter().map(|w| w.count_ones() as usize).sum();
+                let mut devices = Vec::with_capacity(count);
+                for (w, &bits) in (0..).zip(set) {
+                    let mut rest = bits;
+                    while rest != 0 {
+                        devices.push(DeviceId(w * 64 + rest.trailing_zeros()));
+                        rest &= rest - 1;
+                    }
+                }
+                // Ascending ids: the group is already sorted.
+                (devices.into_iter().collect(), self.bytes[group as usize])
+            })
+            .collect();
+        ParamGroupPool { groups }
+    }
+}
+
+/// How two device sets compare as their ascending device lists do. Below
+/// the lowest device in one set only, the lists agree; there the set
+/// holding it lists it, and the other lists its next larger device — or
+/// nothing, and is the shorter list.
+fn list_order(a: &[u64], b: &[u64]) -> Ordering {
+    let Some(w) = a.iter().zip(b).position(|(x, y)| x != y) else {
+        return Ordering::Equal;
+    };
+    let bit = (a[w] ^ b[w]).trailing_zeros();
+    let in_a = a[w] >> bit & 1 == 1;
+    let other = if in_a { b } else { a };
+    let other_continues = other[w] >> bit >> 1 != 0 || other[w + 1..].iter().any(|&x| x != 0);
+    if in_a == other_continues {
+        Ordering::Less
+    } else {
+        Ordering::Greater
     }
 }
 
@@ -254,8 +380,6 @@ mod tests {
         let pool = ParamGroupPool::from_plan(&plan, &graph);
         assert!(pool.num_groups() >= 1);
         assert!(pool.total_bytes() > 0);
-        let comm = CommModel::new(&cluster);
-        assert!(pool.sync_time(&comm) > 0.0);
         // The shared text-encoder parameters must be synchronised across a
         // group that is at least as large as either task's text placement.
         let largest = pool.groups().iter().map(|(g, _)| g.len()).max().unwrap();
@@ -268,8 +392,8 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(1, 8);
         let plan = SpindleSession::new(cluster.clone()).plan(&graph).unwrap();
         let approx = ParamGroupPool::from_plan_approximate(&plan);
-        let comm = CommModel::new(&cluster);
-        assert!(approx.sync_time(&comm) >= 0.0);
+        assert!(approx.total_bytes() > 0);
+        assert!(approx.groups().iter().all(|(group, _)| group.len() > 1));
     }
 
     #[test]
@@ -299,6 +423,7 @@ mod tests {
     fn from_plan_reference(plan: &ExecutionPlan, graph: &ComputationGraph) -> ParamGroupPool {
         use spindle_core::MetaOpId;
         use spindle_graph::OpId;
+        use std::collections::BTreeMap;
         let mut consumed: BTreeMap<MetaOpId, usize> = BTreeMap::new();
         let mut op_devices: BTreeMap<OpId, Vec<DeviceId>> = BTreeMap::new();
         for wave in plan.waves() {
@@ -348,11 +473,12 @@ mod tests {
                 *groups.entry(devices).or_insert(0) += bytes;
             }
         }
-        GroupSums {
-            sums: groups,
-            scratch: Vec::new(),
+        ParamGroupPool {
+            groups: groups
+                .into_iter()
+                .map(|(devices, bytes)| (devices.into_iter().collect(), bytes))
+                .collect(),
         }
-        .into_pool()
     }
 
     fn assert_pool_matches_reference(plan: &ExecutionPlan, graph: &ComputationGraph) {
@@ -410,6 +536,68 @@ mod tests {
         let outcome = session.replan(&graph).unwrap();
         assert!(outcome.devices_lost > 0);
         assert_pool_matches_reference(&outcome.plan, &graph);
+    }
+
+    #[test]
+    fn approximate_pool_matches_the_reference_on_hyperscale_mixes() {
+        // The per-MetaOp device union the bitset pool replaced, sorted and
+        // deduplicated into an ordered map.
+        let reference = |plan: &ExecutionPlan| {
+            use std::collections::BTreeMap;
+            let metagraph = plan.metagraph();
+            let mut devices: Vec<Vec<DeviceId>> = vec![Vec::new(); metagraph.num_metaops()];
+            for entry in plan.waves().iter().flat_map(|w| &w.entries) {
+                if let Some(group) = &entry.placement {
+                    devices[entry.metaop.index()].extend(group.iter());
+                }
+            }
+            let mut sums: BTreeMap<Vec<DeviceId>, u64> = BTreeMap::new();
+            for metaop in metagraph.metaops() {
+                let mut set = devices[metaop.id().index()].clone();
+                set.sort_unstable();
+                set.dedup();
+                if set.len() > 1 {
+                    let bytes = metaop.representative().param_bytes() * u64::from(metaop.num_ops());
+                    *sums.entry(set).or_insert(0) += bytes;
+                }
+            }
+            sums.into_iter()
+                .map(|(set, bytes)| (set.into_iter().collect::<DeviceGroup>(), bytes))
+                .collect::<Vec<_>>()
+        };
+        let mut rng = XorShift64Star::new(0x9003);
+        for (tasks, gpus) in [(48, 256), (64, 512)] {
+            let cluster = ClusterSpec::homogeneous(gpus / 8, 8);
+            let graph = hyperscale_mix(tasks, &mut rng);
+            let plan = SpindleSession::new(cluster).plan(&graph).unwrap();
+            let pool = ParamGroupPool::from_plan_approximate(&plan);
+            assert!(pool.num_groups() > 1);
+            assert_eq!(pool.groups(), reference(&plan));
+        }
+    }
+
+    #[test]
+    fn bitsets_order_as_their_device_lists() {
+        let mut rng = XorShift64Star::new(0x9004);
+        let mut set = || -> Vec<u64> {
+            // Sparse sets over two words, often sharing a prefix.
+            (0..2)
+                .map(|_| rng.next_u64() & rng.next_u64() & rng.next_u64() & 0x00ff_00f0_0f00_f00f)
+                .collect()
+        };
+        let list = |set: &[u64]| -> Vec<u32> {
+            (0..128)
+                .filter(|&d| set[d as usize / 64] >> (d % 64) & 1 == 1)
+                .collect()
+        };
+        for _ in 0..5_000 {
+            let (a, b) = (set(), set());
+            assert_eq!(
+                list_order(&a, &b),
+                list(&a).cmp(&list(&b)),
+                "{a:x?} vs {b:x?}"
+            );
+        }
     }
 
     #[test]

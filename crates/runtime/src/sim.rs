@@ -25,23 +25,29 @@
 //!   With [`SimConfig::contention`] concurrent flows share link bandwidth,
 //!   a flow's service rate set by its most contended link.
 //!
+//! A run prices nothing: every flow's nominal service time and link slots
+//! come from the [`LocalizedPlan`] it runs, priced once per plan at
+//! localisation. The run keeps its flows as parallel arrays — label,
+//! congestion, queued flag and batch step by flow id; remaining service and
+//! rate packed over the flows in flight — and their link occupancy as
+//! per-slot flow lists.
+//!
 //! Under contention a flow's rate changes only when a flow on one of its
 //! links starts or ends. Flows that start at one instant — a wave's boundary
 //! flows, the whole sync stage, the background flows at time zero — start as
 //! one batch: the active flows are settled once, the batch's flows are
 //! registered together, and every flow whose congestion rose is repriced
 //! once. An ending flow reprices only the flows whose bottleneck it
-//! released. The event log is byte-identical to starting each flow on its
-//! own: a batch pushes its completion events in the order in which starting
+//! released. A flow owns one completion event; repricing moves it under a
+//! fresh sequence number, so the queue never holds, and never pops, a stale
+//! completion. The event log is byte-identical to starting each flow on its
+//! own: a batch schedules its completions in the order in which starting
 //! its flows one at a time left the valid ones (see `Run::start_flows`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use spindle_cluster::{
-    collective_footprint, transfer_footprint, ClusterSpec, CommModel, DeviceGroup, DeviceId,
-    LinkId, LinkOccupancy,
-};
+use spindle_cluster::{ClusterSpec, DeviceGroup, DeviceId, LinkId, LinkOccupancy};
 use spindle_core::{ExecutionPlan, MetaOpId, Wave};
 use spindle_graph::ComputationGraph;
 
@@ -50,7 +56,6 @@ use crate::localize::LocalizedPlan;
 use crate::metrics::{
     sample_utilization_trace, ComputeInterval, SimReport, TimeBreakdown, TRACE_SAMPLES,
 };
-use crate::transmission::TransmissionSite;
 use crate::RuntimeError;
 
 /// Conversion into a shared [`Arc`] handle — what the simulator's
@@ -230,12 +235,14 @@ impl SimConfig {
     }
 }
 
-/// The discrete-event simulator for one execution plan on one cluster.
+/// The discrete-event simulator for one execution plan on one cluster:
+/// each run localises the plan ([`LocalizedPlan::new`]) and runs it
+/// ([`LocalizedPlan::run`]). To run one plan under several configurations,
+/// localise it once and call [`LocalizedPlan::run`] per configuration.
 #[derive(Debug)]
 pub struct Simulator {
     plan: Arc<ExecutionPlan>,
-    cluster: ClusterSpec,
-    comm: CommModel,
+    cluster: Arc<ClusterSpec>,
     graph: Option<Arc<ComputationGraph>>,
     config: SimConfig,
 }
@@ -245,14 +252,16 @@ pub struct Simulator {
 pub type RuntimeEngine = Simulator;
 
 impl Simulator {
-    /// Creates a simulator for `plan` on `cluster`. Accepts the plan by
-    /// value, by `Arc`, or by reference (cloning).
+    /// Creates a simulator for `plan` on `cluster`. Accepts each by value,
+    /// by `Arc`, or by reference (cloning).
     #[must_use]
-    pub fn new(plan: impl IntoShared<ExecutionPlan>, cluster: &ClusterSpec) -> Self {
+    pub fn new(
+        plan: impl IntoShared<ExecutionPlan>,
+        cluster: impl IntoShared<ClusterSpec>,
+    ) -> Self {
         Self {
             plan: plan.into_shared(),
-            cluster: cluster.clone(),
-            comm: CommModel::new(cluster),
+            cluster: cluster.into_shared(),
             graph: None,
             config: SimConfig::default(),
         }
@@ -289,15 +298,11 @@ impl Simulator {
     /// contain, and [`RuntimeError::ClusterMismatch`] if the plan was built
     /// for more devices than the cluster has.
     pub fn run_iteration(&self) -> Result<SimReport, RuntimeError> {
-        self.run(None).map(|(report, _)| report)
+        Ok(self.localize()?.run(&self.config))
     }
 
-    /// Simulates one training iteration with a device-death fault armed: if
-    /// the fault instant falls inside the iteration, the listed devices die
-    /// at that instant, every in-flight entry touching them is killed, and
-    /// the iteration aborts there (the returned report's makespan is the
-    /// fault instant). If the iteration finishes first, the fault never
-    /// fires and the run is identical to [`Self::run_iteration`].
+    /// Simulates one training iteration with a device-death fault armed (see
+    /// [`LocalizedPlan::run_with_fault`]).
     ///
     /// # Errors
     ///
@@ -306,27 +311,55 @@ impl Simulator {
         &self,
         fault: &FaultSpec,
     ) -> Result<(SimReport, FaultReport), RuntimeError> {
-        let (report, fired) = self.run(Some(fault))?;
+        Ok(self.localize()?.run_with_fault(&self.config, fault))
+    }
+
+    fn localize(&self) -> Result<LocalizedPlan, RuntimeError> {
+        LocalizedPlan::new(Arc::clone(&self.plan), &self.cluster, self.graph.as_deref())
+    }
+}
+
+impl LocalizedPlan {
+    /// Simulates one training iteration of the plan under `config`, event
+    /// by event, reading the prices and footprints computed at
+    /// localisation.
+    #[must_use]
+    pub fn run(&self, config: &SimConfig) -> SimReport {
+        self.execute(config, None).0
+    }
+
+    /// Simulates one training iteration with a device-death fault armed: if
+    /// the fault instant falls inside the iteration, the listed devices die
+    /// at that instant, every in-flight entry touching them is killed, and
+    /// the iteration aborts there (the returned report's makespan is the
+    /// fault instant). If the iteration finishes first, the fault never
+    /// fires and the run is identical to [`Self::run`].
+    #[must_use]
+    pub fn run_with_fault(
+        &self,
+        config: &SimConfig,
+        fault: &FaultSpec,
+    ) -> (SimReport, FaultReport) {
+        let (report, fired) = self.execute(config, Some(fault));
         let fault_report = fired.unwrap_or(FaultReport {
             fired: false,
             at_s: fault.at_s,
-            completed_waves: self.plan.num_waves(),
+            completed_waves: self.plan().num_waves(),
             ..FaultReport::default()
         });
-        Ok((report, fault_report))
+        (report, fault_report)
     }
 
-    fn run(
+    fn execute(
         &self,
+        config: &SimConfig,
         fault: Option<&FaultSpec>,
-    ) -> Result<(SimReport, Option<FaultReport>), RuntimeError> {
-        let localized =
-            LocalizedPlan::new(Arc::clone(&self.plan), &self.cluster, self.graph.as_deref())?;
-        let mut run = Run::new(&localized, &self.cluster, &self.comm, &self.config);
+    ) -> (SimReport, Option<FaultReport>) {
+        let mut run = Run::new(self, config);
         run.fault = fault;
         run.execute();
         let fired = run.fault_report.take();
-        Ok((run.into_report(), fired))
+        (run.into_report(), fired)
     }
 }
 
@@ -393,64 +426,70 @@ impl WaveDeps {
     }
 }
 
-/// An inter-wave transmission or parameter sync waiting to be serviced.
-#[derive(Debug, Clone)]
-struct FlowSpec {
-    nominal_s: f64,
-    /// The links the flow occupies; empty unless contention is modelled.
-    footprint: Vec<LinkId>,
-    label: FlowLabel,
-}
-
+/// What a flow carries.
 #[derive(Debug, Clone, Copy)]
 enum FlowLabel {
-    /// A transmission across the boundary after wave `wave`.
-    Transmission {
-        from: MetaOpId,
-        to: MetaOpId,
-        wave: usize,
-    },
-    Sync {
-        group: usize,
-    },
-    /// A background flow: contends for links but never gates anything.
-    Background,
+    /// Transmission site `site` of the localised plan.
+    Transmission { site: u32 },
+    /// The all-reduce of parameter group `group`.
+    Sync { group: u32 },
+    /// Background flow `index` of the configuration: contends for links but
+    /// never gates anything.
+    Background { index: u32 },
 }
 
-#[derive(Debug)]
-struct ActiveFlow {
-    remaining_s: f64,
-    /// `1 / congestion`: the share of its bottleneck link the flow gets.
-    rate: f64,
+/// `active_at` of a flow that has ended.
+const ENDED: u32 = u32::MAX;
+
+/// Every flow ever started, indexed by flow id (flows are numbered in start
+/// order), one array per field.
+#[derive(Debug, Default)]
+struct Flows {
+    label: Vec<FlowLabel>,
     /// The most flows on any link of the footprint, at least 1 — what
     /// [`LinkOccupancy::congestion`] reports for it (contention mode only).
-    congestion: usize,
-    footprint: Vec<LinkId>,
-    label: FlowLabel,
-    /// Bumped with every completion event pushed; older events are stale.
-    epoch: u64,
-    /// Position in [`Run::active`] (contention mode only).
-    active_at: usize,
+    congestion: Vec<u32>,
     /// Whether the flow waits in [`Run::repriced`].
-    queued: bool,
+    queued: Vec<bool>,
     /// While a batch of flows starts: the step of the batch at which
     /// `congestion` last rose.
-    raised_at: usize,
+    raised_at: Vec<u32>,
+    /// Position in [`Active`], or [`ENDED`].
+    active_at: Vec<u32>,
 }
 
-impl ActiveFlow {
-    /// Prices the flow at its congestion and schedules its completion at
-    /// that rate; the flow's earlier completion event goes stale.
-    fn reschedule(&mut self, id: usize, now: f64, queue: &mut EventQueue<Ev>) {
-        self.rate = 1.0 / self.congestion as f64;
-        self.epoch += 1;
-        queue.push(
-            now + self.remaining_s / self.rate,
-            Ev::FlowEnd {
-                id,
-                epoch: self.epoch,
-            },
-        );
+/// The flows in flight, packed: position `i` holds flow `id[i]` with
+/// `remaining_s[i]` nominal seconds of service left at rate `rate[i]`
+/// (`1 / congestion`, the share of its bottleneck link it gets).
+#[derive(Debug, Default)]
+struct Active {
+    id: Vec<u32>,
+    remaining_s: Vec<f64>,
+    rate: Vec<f64>,
+}
+
+/// The link slots of every flow a run can start: the localised plan's, and
+/// the configuration's background flows'.
+#[derive(Debug)]
+struct FlowSlots<'a> {
+    localized: &'a LocalizedPlan,
+    /// Background flow `b` occupies `background[background_at[b]..background_at[b + 1]]`.
+    background_at: Vec<u32>,
+    background: Vec<u32>,
+}
+
+impl FlowSlots<'_> {
+    fn of(&self, label: FlowLabel) -> &[u32] {
+        match label {
+            FlowLabel::Transmission { site } => self.localized.footprint(site as usize),
+            FlowLabel::Sync { group } => self
+                .localized
+                .footprint(self.localized.sites().len() + group as usize),
+            FlowLabel::Background { index } => {
+                let b = index as usize;
+                &self.background[self.background_at[b] as usize..self.background_at[b + 1] as usize]
+            }
+        }
     }
 }
 
@@ -467,16 +506,22 @@ enum Phase {
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    ComputeEnd { wave: usize, entry: usize },
-    FlowEnd { id: usize, epoch: u64 },
+    ComputeEnd {
+        wave: u32,
+        entry: u32,
+    },
+    /// Flow `id` completes: the flow's one event, moved whenever it is
+    /// repriced.
+    FlowEnd {
+        id: u32,
+    },
 }
 
 struct Run<'a> {
     localized: &'a LocalizedPlan,
-    cluster: &'a ClusterSpec,
-    comm: &'a CommModel,
     config: &'a SimConfig,
     queue: EventQueue<Ev>,
+    events_popped: usize,
     log: EventLog,
     now: f64,
     done: bool,
@@ -497,16 +542,15 @@ struct Run<'a> {
     serial_next: usize,
     /// Overlapped mode: all-reduces in flight.
     outstanding_syncs: usize,
-    /// Every flow ever started, indexed by flow id; `None` once complete.
-    flows: Vec<Option<ActiveFlow>>,
-    /// Ids of the active flows, unordered (contention mode only).
-    active: Vec<usize>,
+    flows: Flows,
+    active: Active,
+    slots: FlowSlots<'a>,
     /// The instant every active flow was last settled at.
     settled_at: f64,
     occupancy: LinkOccupancy,
     /// Flows to reprice: those a starting batch raised, or those an ending
     /// flow's links bottlenecked.
-    repriced: Vec<usize>,
+    repriced: Vec<u32>,
     flows_repriced: usize,
     /// Busy seconds by device id; `None` for devices that ran nothing.
     device_busy: Vec<Option<f64>>,
@@ -521,19 +565,25 @@ struct Run<'a> {
 }
 
 impl<'a> Run<'a> {
-    fn new(
-        localized: &'a LocalizedPlan,
-        cluster: &'a ClusterSpec,
-        comm: &'a CommModel,
-        config: &'a SimConfig,
-    ) -> Self {
+    fn new(localized: &'a LocalizedPlan, config: &'a SimConfig) -> Self {
         let waves = localized.plan().waves();
+        let cluster = localized.cluster();
+        let mut slots = FlowSlots {
+            localized,
+            background_at: vec![0],
+            background: Vec::new(),
+        };
+        for flow in &config.background_flows {
+            slots
+                .background
+                .extend(flow.footprint.iter().map(|l| l.slot()));
+            slots.background_at.push(slots.background.len() as u32);
+        }
         Self {
             localized,
-            cluster,
-            comm,
             config,
             queue: EventQueue::new(),
+            events_popped: 0,
             log: EventLog::default(),
             now: 0.0,
             done: false,
@@ -549,8 +599,9 @@ impl<'a> Run<'a> {
             sync_s: 0.0,
             serial_next: 0,
             outstanding_syncs: 0,
-            flows: Vec::new(),
-            active: Vec::new(),
+            flows: Flows::default(),
+            active: Active::default(),
+            slots,
             settled_at: 0.0,
             occupancy: LinkOccupancy::for_cluster(cluster),
             repriced: Vec::new(),
@@ -569,12 +620,8 @@ impl<'a> Run<'a> {
         // Background flows contend from t=0; without overlapped contention
         // they could never interact with the iteration, so skip them.
         if self.config.comm_mode == CommMode::Overlapped && self.config.contention {
-            let config = self.config;
-            self.start_flows(config.background_flows.iter().map(|bg| FlowSpec {
-                nominal_s: bg.nominal_s,
-                footprint: bg.footprint.clone(),
-                label: FlowLabel::Background,
-            }));
+            let count = self.config.background_flows.len() as u32;
+            self.start_flows((0..count).map(|index| FlowLabel::Background { index }));
         }
         if self.localized.plan().num_waves() == 0 {
             self.after_compute();
@@ -589,6 +636,7 @@ impl<'a> Run<'a> {
                 self.finish();
                 break;
             };
+            self.events_popped += 1;
             if let Some(fault) = self.fault {
                 if self.fault_report.is_none() && fault.at_s <= t {
                     self.fire_fault(fault);
@@ -597,8 +645,10 @@ impl<'a> Run<'a> {
             }
             self.now = self.now.max(t);
             match ev {
-                Ev::ComputeEnd { wave, entry } => self.on_compute_end(wave, entry),
-                Ev::FlowEnd { id, epoch } => self.on_flow_end(id, epoch),
+                Ev::ComputeEnd { wave, entry } => {
+                    self.on_compute_end(wave as usize, entry as usize)
+                }
+                Ev::FlowEnd { id } => self.on_flow_end(id),
             }
         }
     }
@@ -719,8 +769,8 @@ impl<'a> Run<'a> {
             self.queue.push(
                 end,
                 Ev::ComputeEnd {
-                    wave: w,
-                    entry: idx,
+                    wave: w as u32,
+                    entry: idx as u32,
                 },
             );
         }
@@ -746,13 +796,9 @@ impl<'a> Run<'a> {
             .push(self.now, SimEventKind::WaveComplete { wave: w });
         self.computing -= 1;
         if self.config.comm_mode == CommMode::Overlapped {
-            let specs: Vec<FlowSpec> = self
-                .localized
-                .sites_after_wave(w)
-                .map(|site| self.transmission_flow(site))
-                .collect();
-            self.outstanding[w] += specs.len();
-            self.start_flows(specs);
+            let sites = self.localized.boundary(w);
+            self.outstanding[w] += sites.len();
+            self.start_flows(sites.iter().map(|&site| FlowLabel::Transmission { site }));
         }
         if self.outstanding[w] == 0 {
             self.update_phase();
@@ -789,63 +835,46 @@ impl<'a> Run<'a> {
             return;
         }
         self.enter(Phase::Sync);
-        self.outstanding_syncs = self.localized.pool().groups().len();
+        self.outstanding_syncs = self.localized.pool().num_groups();
         if self.outstanding_syncs == 0 {
             self.finish();
         }
-        let specs: Vec<FlowSpec> = (0..self.outstanding_syncs)
-            .map(|group| self.sync_flow(group))
-            .collect();
-        self.start_flows(specs);
+        let groups = self.outstanding_syncs as u32;
+        self.start_flows((0..groups).map(|group| FlowLabel::Sync { group }));
     }
 
     /// Starts the next flow of the serialized tail — the transmissions in
     /// site order, then the all-reduces in pool order — or ends the
     /// iteration after the last.
     fn start_next_serial(&mut self) {
-        let sites = self.localized.sites();
+        let sites = self.localized.sites().len();
         let next = self.serial_next;
         self.serial_next += 1;
-        let spec = if let Some(site) = sites.get(next) {
+        let label = if next < sites {
             self.enter(Phase::Comm);
-            self.transmission_flow(site)
-        } else if next - sites.len() < self.localized.pool().groups().len() {
+            FlowLabel::Transmission { site: next as u32 }
+        } else if next - sites < self.localized.pool().num_groups() {
             self.enter(Phase::Sync);
-            self.sync_flow(next - sites.len())
+            FlowLabel::Sync {
+                group: (next - sites) as u32,
+            }
         } else {
             self.finish();
             return;
         };
-        self.start_flows(std::iter::once(spec));
+        self.start_flows(std::iter::once(label));
     }
 
-    fn transmission_flow(&self, site: &TransmissionSite) -> FlowSpec {
-        let t = &site.transmission;
-        FlowSpec {
-            nominal_s: t.round_trip_time(self.comm),
-            footprint: if self.config.contention {
-                transfer_footprint(self.cluster, &t.src, &t.dst)
-            } else {
-                Vec::new()
-            },
-            label: FlowLabel::Transmission {
-                from: t.from,
-                to: t.to,
-                wave: site.after_wave,
-            },
-        }
-    }
-
-    fn sync_flow(&self, group: usize) -> FlowSpec {
-        let (devices, bytes) = &self.localized.pool().groups()[group];
-        FlowSpec {
-            nominal_s: self.comm.all_reduce_time(devices, *bytes),
-            footprint: if self.config.contention {
-                collective_footprint(self.cluster, devices)
-            } else {
-                Vec::new()
-            },
-            label: FlowLabel::Sync { group },
+    /// Nominal service seconds of a flow: alone on its links.
+    fn nominal_s(&self, label: FlowLabel) -> f64 {
+        match label {
+            FlowLabel::Transmission { site } => self.localized.flow_s(site as usize),
+            FlowLabel::Sync { group } => self
+                .localized
+                .flow_s(self.localized.sites().len() + group as usize),
+            FlowLabel::Background { index } => {
+                self.config.background_flows[index as usize].nominal_s
+            }
         }
     }
 
@@ -878,8 +907,21 @@ impl<'a> Run<'a> {
         self.phase_start = self.now;
     }
 
-    /// Starts `specs` together at the current instant, in order, as one
-    /// batch.
+    /// Prices flow `id` at its congestion and moves its one completion event
+    /// to the time that rate finishes it.
+    fn reschedule(&mut self, id: u32) {
+        let at = self.flows.active_at[id as usize] as usize;
+        let rate = 1.0 / f64::from(self.flows.congestion[id as usize]);
+        self.active.rate[at] = rate;
+        self.queue.schedule(
+            id,
+            self.now + self.active.remaining_s[at] / rate,
+            Ev::FlowEnd { id },
+        );
+    }
+
+    /// Starts the flows of `labels` together at the current instant, in
+    /// order, as one batch.
     ///
     /// Without contention rates never change: each completion is scheduled
     /// once, at start. With contention the batch settles the active flows
@@ -887,75 +929,84 @@ impl<'a> Run<'a> {
     /// the stored congestion of every flow on its links that now has more
     /// company on one of them, and records the step of the batch at which
     /// that happened. Once every flow is registered, each flow whose
-    /// congestion rose (every new flow among them) is repriced once and gets
-    /// one completion event, pushed in order of (step of its last rise, flow
-    /// id). Starting the flows one at a time, each start repricing the flows
-    /// on its links in id order, leaves exactly these events valid, pushed
-    /// in exactly this order; the event queue breaks time ties by push
-    /// order, so simultaneous completions pop as they always did.
-    fn start_flows(&mut self, specs: impl IntoIterator<Item = FlowSpec>) {
+    /// congestion rose (every new flow among them) is repriced once and its
+    /// completion moved, in order of (step of its last rise, flow id).
+    /// Starting the flows one at a time, each start repricing the flows on
+    /// its links in id order, leaves exactly these completions valid, last
+    /// scheduled in exactly this order; the event queue breaks time ties by
+    /// when an event was last scheduled, so simultaneous completions pop as
+    /// they always did.
+    fn start_flows(&mut self, labels: impl IntoIterator<Item = FlowLabel>) {
         let contention = self.config.contention;
         if contention {
             self.settle_flows();
         }
-        for (step, spec) in specs.into_iter().enumerate() {
-            match spec.label {
-                FlowLabel::Transmission { from, to, .. } => {
-                    self.log
-                        .push(self.now, SimEventKind::FlowStart { from, to });
+        for (step, label) in (0..).zip(labels) {
+            match label {
+                FlowLabel::Transmission { site } => {
+                    let t = &self.localized.sites()[site as usize].transmission;
+                    self.log.push(
+                        self.now,
+                        SimEventKind::FlowStart {
+                            from: t.from,
+                            to: t.to,
+                        },
+                    );
                 }
                 FlowLabel::Sync { group } => {
-                    self.log.push(self.now, SimEventKind::SyncStart { group });
+                    self.log.push(
+                        self.now,
+                        SimEventKind::SyncStart {
+                            group: group as usize,
+                        },
+                    );
                 }
-                FlowLabel::Background => {}
+                FlowLabel::Background { .. } => {}
             }
-            let id = self.flows.len();
-            let mut flow = ActiveFlow {
-                remaining_s: spec.nominal_s,
-                rate: 1.0,
-                congestion: 1,
-                footprint: spec.footprint,
-                label: spec.label,
-                epoch: 0,
-                active_at: self.active.len(),
-                queued: contention,
-                raised_at: step,
-            };
+            let id = self.flows.label.len() as u32;
+            self.flows.label.push(label);
+            self.flows.congestion.push(1);
+            self.flows.queued.push(contention);
+            self.flows.raised_at.push(step);
+            self.flows.active_at.push(self.active.id.len() as u32);
+            self.active.id.push(id);
+            self.active.remaining_s.push(self.nominal_s(label));
+            self.active.rate.push(1.0);
             if !contention {
-                flow.reschedule(id, self.now, &mut self.queue);
-                self.flows.push(Some(flow));
+                self.reschedule(id);
                 continue;
             }
-            self.occupancy.register(id, &flow.footprint);
-            for &link in &flow.footprint {
-                let on = self.occupancy.flows_on(link);
-                flow.congestion = flow.congestion.max(on.len());
+            let footprint = self.slots.of(label);
+            self.occupancy.register(id, footprint);
+            let mut congestion = 1;
+            for &slot in footprint {
+                let on = self.occupancy.flows_on(slot);
+                let count = on.len() as u32;
+                congestion = congestion.max(count);
                 for &other in on.iter().filter(|&&f| f != id) {
-                    let other_flow = self.flows[other]
-                        .as_mut()
-                        .expect("flows on a link are live");
-                    if other_flow.congestion < on.len() {
-                        other_flow.congestion = on.len();
-                        other_flow.raised_at = step;
-                        if !std::mem::replace(&mut other_flow.queued, true) {
+                    let o = other as usize;
+                    if self.flows.congestion[o] < count {
+                        self.flows.congestion[o] = count;
+                        self.flows.raised_at[o] = step;
+                        if !std::mem::replace(&mut self.flows.queued[o], true) {
                             self.repriced.push(other);
                         }
                     }
                 }
             }
-            self.flows.push(Some(flow));
-            self.active.push(id);
+            self.flows.congestion[id as usize] = congestion;
             self.repriced.push(id);
         }
-        let flows = &self.flows;
+        let raised_at = &self.flows.raised_at;
         self.repriced
-            .sort_unstable_by_key(|&id| (flows[id].as_ref().map(|f| f.raised_at), id));
+            .sort_unstable_by_key(|&id| (raised_at[id as usize], id));
         self.flows_repriced += self.repriced.len();
-        for &id in &self.repriced {
-            let flow = self.flows[id].as_mut().expect("repriced flows are live");
-            flow.queued = false;
-            flow.reschedule(id, self.now, &mut self.queue);
+        let repriced = std::mem::take(&mut self.repriced);
+        for &id in &repriced {
+            self.flows.queued[id as usize] = false;
+            self.reschedule(id);
         }
+        self.repriced = repriced;
         self.repriced.clear();
     }
 
@@ -971,9 +1022,8 @@ impl<'a> Run<'a> {
             // Settling twice at one instant changes nothing.
             return;
         }
-        for &id in &self.active {
-            let flow = self.flows[id].as_mut().expect("active flows are live");
-            flow.remaining_s = (flow.remaining_s - elapsed * flow.rate).max(0.0);
+        for (remaining, &rate) in self.active.remaining_s.iter_mut().zip(&self.active.rate) {
+            *remaining = (*remaining - elapsed * rate).max(0.0);
         }
     }
 
@@ -981,17 +1031,17 @@ impl<'a> Run<'a> {
     /// flows it leaves behind. A flow's congestion can fall only if a
     /// released link was its bottleneck — its congestion equals the link's
     /// flow count before the release; every other flow on those links keeps
-    /// its rate. Flows whose rate changes get a new completion event, pushed
-    /// in ascending flow id.
-    fn release_flow(&mut self, id: usize, footprint: &[LinkId]) {
-        for &link in footprint {
-            let on = self.occupancy.flows_on(link);
+    /// its rate. Flows whose rate changes have their completion moved, in
+    /// ascending flow id.
+    fn release_flow(&mut self, id: u32) {
+        let footprint = self.slots.of(self.flows.label[id as usize]);
+        for &slot in footprint {
+            let on = self.occupancy.flows_on(slot);
+            let count = on.len() as u32;
             for &other in on.iter().filter(|&&f| f != id) {
-                let other_flow = self.flows[other]
-                    .as_mut()
-                    .expect("flows on a link are live");
-                if other_flow.congestion == on.len()
-                    && !std::mem::replace(&mut other_flow.queued, true)
+                let o = other as usize;
+                if self.flows.congestion[o] == count
+                    && !std::mem::replace(&mut self.flows.queued[o], true)
                 {
                     self.repriced.push(other);
                 }
@@ -1000,50 +1050,61 @@ impl<'a> Run<'a> {
         self.occupancy.release(id, footprint);
         self.repriced.sort_unstable();
         self.flows_repriced += self.repriced.len();
-        for &id in &self.repriced {
-            let flow = self.flows[id].as_mut().expect("repriced flows are live");
-            flow.queued = false;
-            let congestion = self.occupancy.congestion(&flow.footprint);
-            if congestion == flow.congestion {
+        let repriced = std::mem::take(&mut self.repriced);
+        for &other in &repriced {
+            let o = other as usize;
+            self.flows.queued[o] = false;
+            let congestion = self
+                .occupancy
+                .congestion(self.slots.of(self.flows.label[o]));
+            if congestion == self.flows.congestion[o] {
                 continue;
             }
-            flow.congestion = congestion;
-            flow.reschedule(id, self.now, &mut self.queue);
+            self.flows.congestion[o] = congestion;
+            self.reschedule(other);
         }
+        self.repriced = repriced;
         self.repriced.clear();
     }
 
-    fn on_flow_end(&mut self, id: usize, epoch: u64) {
-        let stale = match &self.flows[id] {
-            Some(flow) => flow.epoch != epoch,
-            None => true,
-        };
-        if stale {
-            return;
-        }
+    fn on_flow_end(&mut self, id: u32) {
+        let f = id as usize;
+        let at = self.flows.active_at[f];
+        // Each flow has one completion event, moved on every repricing and
+        // gone once popped: nothing the queue pops is stale.
+        assert_ne!(at, ENDED, "flow {id} completed twice");
         if self.config.contention {
             self.settle_flows();
         }
-        let flow = self.flows[id].take().expect("flow checked active");
+        let at = at as usize;
+        self.active.id.swap_remove(at);
+        self.active.remaining_s.swap_remove(at);
+        self.active.rate.swap_remove(at);
+        if let Some(&moved) = self.active.id.get(at) {
+            self.flows.active_at[moved as usize] = at as u32;
+        }
+        self.flows.active_at[f] = ENDED;
         if self.config.contention {
-            self.active.swap_remove(flow.active_at);
-            if let Some(&moved) = self.active.get(flow.active_at) {
-                self.flows[moved]
-                    .as_mut()
-                    .expect("active flows are live")
-                    .active_at = flow.active_at;
-            }
-            self.release_flow(id, &flow.footprint);
+            self.release_flow(id);
         }
         let serialized = self.config.comm_mode == CommMode::Serialized;
-        match flow.label {
-            FlowLabel::Transmission { from, to, wave } => {
-                self.log.push(self.now, SimEventKind::FlowEnd { from, to });
+        match self.flows.label[f] {
+            FlowLabel::Transmission { site } => {
+                let site = &self.localized.sites()[site as usize];
+                let t = &site.transmission;
+                self.log.push(
+                    self.now,
+                    SimEventKind::FlowEnd {
+                        from: t.from,
+                        to: t.to,
+                    },
+                );
                 self.flows_executed += 1;
                 if serialized {
                     self.start_next_serial();
                     return;
                 }
+                let wave = site.after_wave;
                 self.outstanding[wave] -= 1;
                 if self.outstanding[wave] == 0 {
                     self.communicating -= 1;
@@ -1052,7 +1113,12 @@ impl<'a> Run<'a> {
                 }
             }
             FlowLabel::Sync { group } => {
-                self.log.push(self.now, SimEventKind::SyncEnd { group });
+                self.log.push(
+                    self.now,
+                    SimEventKind::SyncEnd {
+                        group: group as usize,
+                    },
+                );
                 self.syncs_executed += 1;
                 if serialized {
                     self.start_next_serial();
@@ -1065,7 +1131,7 @@ impl<'a> Run<'a> {
             }
             // Background flows gate nothing: release their links (already
             // done above) and leave every counter untouched.
-            FlowLabel::Background => {}
+            FlowLabel::Background { .. } => {}
         }
     }
 
@@ -1128,14 +1194,15 @@ impl<'a> Run<'a> {
 
     fn into_report(self) -> SimReport {
         let plan = self.localized.plan();
-        let peak = self.cluster.gpu().peak_flops();
+        let cluster = self.localized.cluster();
+        let peak = cluster.gpu().peak_flops();
         // The plan's static footprint: FLOPs and resident memory per device
         // (parameters and optimizer state stay resident, so each device
         // accumulates every slice placed on it), FLOPs and planned
         // device-seconds per MetaOp.
         let mut total_flops = 0.0;
-        let mut device_flops = vec![0.0; self.cluster.device_space()];
-        let mut device_memory = vec![0u64; self.cluster.device_space()];
+        let mut device_flops = vec![0.0; cluster.device_space()];
+        let mut device_memory = vec![0u64; cluster.device_space()];
         let mut metaops: Vec<Option<(f64, f64)>> = vec![None; plan.metagraph().num_metaops()];
         for entry in plan.waves().iter().flat_map(|w| &w.entries) {
             let rep = plan.metagraph().metaop(entry.metaop).representative();
@@ -1154,7 +1221,7 @@ impl<'a> Run<'a> {
             }
         }
         let horizon = self.now.max(plan.makespan()).max(1e-12);
-        let devices = self.cluster.all_devices();
+        let devices = cluster.all_devices();
         SimReport {
             total_s: self.now,
             breakdown: TimeBreakdown {
@@ -1184,12 +1251,13 @@ impl<'a> Run<'a> {
                 .map(|d| (d, device_memory[d.index()]))
                 .collect(),
             total_flops,
-            num_devices: self.cluster.num_devices() as u32,
+            num_devices: cluster.num_devices() as u32,
             peak_flops_per_device: peak,
             event_log: self.log,
             flows_executed: self.flows_executed,
             syncs_executed: self.syncs_executed,
             flows_repriced: self.flows_repriced,
+            events_popped: self.events_popped,
         }
     }
 }
@@ -1293,12 +1361,11 @@ mod tests {
     fn serialized_contention_free_matches_the_closed_form() {
         let (plan, graph, cluster) = plan_on(2, 8);
         let localized = LocalizedPlan::new(Arc::new(plan.clone()), &cluster, Some(&graph)).unwrap();
-        let comm = CommModel::new(&cluster);
         let sim = Simulator::new(&plan, &cluster)
             .with_graph(&graph)
             .run_iteration()
             .unwrap();
-        let closed_form = localized.closed_form_iteration_s(&comm);
+        let closed_form = localized.closed_form_iteration_s();
         let gap = sim.gap_vs(closed_form).abs();
         assert!(
             gap < 1e-9,
@@ -1309,11 +1376,8 @@ mod tests {
         let close = |a: f64, b: f64| (a - b).abs() <= b * 1e-9 + 1e-15;
         let b = sim.breakdown();
         assert!(close(b.fwd_bwd_s, plan.makespan()), "{b:?}");
-        assert!(close(
-            b.send_recv_s,
-            localized.total_transmission_time(&comm)
-        ));
-        assert!(close(b.sync_s, localized.sync_time(&comm)));
+        assert!(close(b.send_recv_s, localized.transmission_s()));
+        assert!(close(b.sync_s, localized.sync_s()));
         assert!(close(b.total_s(), sim.total_s()));
     }
 

@@ -144,31 +144,13 @@ pub fn derive_transmission_sites(plan: &ExecutionPlan) -> Vec<TransmissionSite> 
     sites
 }
 
-/// Derives every inter-wave transmission of a placed execution plan (without
-/// timeline positions — see [`derive_transmission_sites`] for those).
-#[must_use]
-pub fn derive_transmissions(plan: &ExecutionPlan) -> Vec<Transmission> {
-    derive_transmission_sites(plan)
-        .into_iter()
-        .map(|s| s.transmission)
-        .collect()
-}
-
-/// Total forward+backward transmission time of a placed plan, in seconds.
-#[must_use]
-pub fn total_transmission_time(plan: &ExecutionPlan, comm: &CommModel) -> f64 {
-    derive_transmissions(plan)
-        .iter()
-        .map(|t| t.round_trip_time(comm))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use spindle_cluster::ClusterSpec;
     use spindle_core::{PlacementStrategy, PlannerConfig, SpindleSession};
     use spindle_graph::{ComputationGraph, GraphBuilder, Modality, OpKind, TensorShape};
+    use std::sync::Arc;
 
     fn pipeline_graph() -> ComputationGraph {
         let mut b = GraphBuilder::new();
@@ -193,13 +175,13 @@ mod tests {
         let graph = pipeline_graph();
         let cluster = ClusterSpec::homogeneous(2, 8);
         let plan = SpindleSession::new(cluster.clone()).plan(&graph).unwrap();
-        let transmissions = derive_transmissions(&plan);
-        let data_flows: Vec<&Transmission> = transmissions
+        let sites = derive_transmission_sites(&plan);
+        let data_flows = sites
             .iter()
-            .filter(|t| t.kind == TransmissionKind::DataFlow)
-            .collect();
-        assert_eq!(data_flows.len(), plan.metagraph().edges().len());
-        for t in &transmissions {
+            .filter(|s| s.transmission.kind == TransmissionKind::DataFlow)
+            .count();
+        assert_eq!(data_flows, plan.metagraph().edges().len());
+        for t in sites.iter().map(|s| &s.transmission) {
             assert!(t.bytes > 0);
             assert!(!t.src.is_empty());
             assert!(!t.dst.is_empty());
@@ -210,7 +192,6 @@ mod tests {
     fn locality_placement_transmits_no_more_than_sequential() {
         let graph = pipeline_graph();
         let cluster = ClusterSpec::homogeneous(2, 8);
-        let comm = CommModel::new(&cluster);
         let locality = SpindleSession::new(cluster.clone()).plan(&graph).unwrap();
         let sequential = SpindleSession::with_config(
             cluster.clone(),
@@ -221,8 +202,13 @@ mod tests {
         )
         .plan(&graph)
         .unwrap();
-        let t_loc = total_transmission_time(&locality, &comm);
-        let t_seq = total_transmission_time(&sequential, &comm);
+        let transmission_s = |plan| {
+            crate::LocalizedPlan::new(Arc::new(plan), &cluster, Some(&graph))
+                .unwrap()
+                .transmission_s()
+        };
+        let t_loc = transmission_s(locality);
+        let t_seq = transmission_s(sequential);
         assert!(
             t_loc <= t_seq + 1e-9,
             "locality {t_loc} vs sequential {t_seq}"
@@ -235,7 +221,7 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(2, 8);
         let plan = SpindleSession::new(cluster.clone()).plan(&graph).unwrap();
         let sites = derive_transmission_sites(&plan);
-        assert_eq!(sites.len(), derive_transmissions(&plan).len());
+        assert!(!sites.is_empty());
         for site in &sites {
             assert!(site.after_wave < plan.num_waves());
             // The producing slice really executes in `after_wave`.
@@ -251,7 +237,8 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(1, 8);
         let comm = CommModel::new(&cluster);
         let plan = SpindleSession::new(cluster.clone()).plan(&graph).unwrap();
-        for t in derive_transmissions(&plan) {
+        for site in derive_transmission_sites(&plan) {
+            let t = site.transmission;
             assert!(t.round_trip_time(&comm) >= t.one_way_time(&comm));
         }
     }

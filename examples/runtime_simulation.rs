@@ -20,7 +20,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use spindle::cluster::CommModel;
 use spindle::prelude::*;
 use spindle::runtime::{CommMode, DynamicRunLoop, LocalizedPlan, SimConfig, Straggler};
 use spindle::workloads::ArrivalSchedule;
@@ -32,9 +31,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plan = session.plan(&graph)?;
 
     println!("== simulating Multitask-CLIP (4 tasks) on {cluster} ==\n");
-    let plan = Arc::new(plan);
-    let closed_form = LocalizedPlan::new(Arc::clone(&plan), &cluster, Some(&graph))?
-        .closed_form_iteration_s(&CommModel::new(&cluster));
+    // Localise the plan once: transmissions, parameter groups, their prices
+    // and link footprints. Every run below reads them.
+    let localized = LocalizedPlan::new(Arc::new(plan), &cluster, Some(&graph))?;
+    let closed_form = localized.closed_form_iteration_s();
     println!(
         "closed form:              {:>8.2} ms/iter",
         closed_form * 1e3
@@ -42,9 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Serialized, contention-free flows: the event-driven timeline runs the
     // closed form as events (the cross-check oracle).
-    let oracle = Simulator::new(&plan, &cluster)
-        .with_graph(&graph)
-        .run_iteration()?;
+    let oracle = localized.run(&SimConfig::default());
     println!(
         "simulator (oracle mode):  {:>8.2} ms/iter  (gap {:+.3}%, {} events)",
         oracle.total_ms(),
@@ -54,10 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Overlapped flows sharing links: boundary transmissions and parameter
     // syncs contend instead of queueing politely.
-    let contended = Simulator::new(&plan, &cluster)
-        .with_graph(&graph)
-        .with_config(SimConfig::contended())
-        .run_iteration()?;
+    let contended = localized.run(&SimConfig::contended());
     println!(
         "simulator (contended):    {:>8.2} ms/iter  (gap {:+.3}%)",
         contended.total_ms(),
@@ -65,13 +60,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // A straggling GPU: gpu3 runs 2.5x slower for the whole iteration.
-    let straggling = Simulator::new(&plan, &cluster)
-        .with_graph(&graph)
-        .with_config(SimConfig {
-            stragglers: vec![Straggler::persistent(DeviceId(3), 2.5)],
-            ..SimConfig::contended()
-        })
-        .run_iteration()?;
+    let straggling = localized.run(&SimConfig {
+        stragglers: vec![Straggler::persistent(DeviceId(3), 2.5)],
+        ..SimConfig::contended()
+    });
     println!(
         "simulator (gpu3 straggles 2.5x): {:>8.2} ms/iter  ({:+.1}% vs contended)",
         straggling.total_ms(),
@@ -80,15 +72,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A heterogeneous cluster: the second node's GPUs are a slower SKU.
     let speed_factors: BTreeMap<DeviceId, f64> = (8..16).map(|d| (DeviceId(d), 0.75)).collect();
-    let hetero = Simulator::new(&plan, &cluster)
-        .with_graph(&graph)
-        .with_config(SimConfig {
-            speed_factors,
-            compute_jitter: 0.03,
-            seed: 1,
-            ..SimConfig::contended()
-        })
-        .run_iteration()?;
+    let hetero = localized.run(&SimConfig {
+        speed_factors,
+        compute_jitter: 0.03,
+        seed: 1,
+        ..SimConfig::contended()
+    });
     println!(
         "simulator (node1 at 75% + 3% jitter): {:>5.2} ms/iter  ({:+.1}% vs contended)",
         hetero.total_ms(),

@@ -54,7 +54,7 @@ fn spindle_beats_the_sota_systems_on_the_paper_workloads() {
     ] {
         let mut time = |kind: SystemKind| {
             let plan = kind.planning_system().plan(&graph, &mut session).unwrap();
-            Simulator::new(&plan, &ClusterSpec::homogeneous(2, 8))
+            Simulator::new(&plan, ClusterSpec::homogeneous(2, 8))
                 .with_graph(&graph)
                 .run_iteration()
                 .unwrap()

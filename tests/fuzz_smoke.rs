@@ -27,6 +27,7 @@ fn fixed_seed_smoke_batch_is_clean() {
     // every Spindle phase plan is compared wave-for-wave to a cold plan.
     assert!(report.stats.plans_checked >= 16 * fuzz::FUZZ_SYSTEMS.len() as u64);
     assert!(report.stats.simulations == 2 * report.stats.plans_checked);
+    assert_eq!(report.stats.localizations, report.stats.plans_checked);
     assert!(report.stats.warm_identical >= 16);
 }
 

@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use spindle::cluster::{CommModel, LinkId, NodeId};
+use spindle::cluster::{LinkId, NodeId};
 use spindle::core::{MetaOpId, PlanError};
 use spindle::prelude::*;
 use spindle::runtime::{
@@ -43,7 +43,7 @@ fn contention_free_simulation_matches_analytical_engine_on_all_presets() {
             let plan = Arc::new(system.planning_system().plan(&graph, &mut session).unwrap());
             let closed_form = LocalizedPlan::new(Arc::clone(&plan), &cluster, Some(&graph))
                 .unwrap()
-                .closed_form_iteration_s(&CommModel::new(&cluster));
+                .closed_form_iteration_s();
             let sim = Simulator::new(&plan, &cluster)
                 .with_graph(&graph)
                 .run_iteration()
@@ -485,6 +485,101 @@ fn contended_corner_cases_match_the_recorded_digests() {
         ],
         "{digests:#018x?}"
     );
+}
+
+/// The ends a run logs: compute, transmission and all-reduce ends.
+fn logged_ends(report: &SimReport) -> usize {
+    report
+        .event_log()
+        .entries()
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.kind,
+                SimEventKind::ComputeEnd { .. }
+                    | SimEventKind::FlowEnd { .. }
+                    | SimEventKind::SyncEnd { .. }
+            )
+        })
+        .count()
+}
+
+/// A repriced flow moves its one completion event instead of leaving a
+/// stale one behind, so every event the corpus runs pop is an end they
+/// log — plus the ends of background flows, which are not logged, and the
+/// event at which an armed fault fires.
+#[test]
+fn the_corpus_runs_pop_only_the_ends_they_log() {
+    for dropped in [5, 41] {
+        let slots: Vec<usize> = (0..HYPERSCALE_ROSTER).filter(|&s| s != dropped).collect();
+        let case = corpus_plan(hyperscale_subset(&slots).unwrap(), 64);
+        for compute_jitter in [0.0, 0.05] {
+            let run = corpus_run(
+                &case,
+                SimConfig {
+                    compute_jitter,
+                    ..SimConfig::contended()
+                },
+            );
+            assert_eq!(run.events_popped(), logged_ends(&run));
+        }
+    }
+    let case = corpus_plan(hyperscale(48).unwrap(), 32);
+    let speed_factors: BTreeMap<DeviceId, f64> = (8..16).map(|d| (DeviceId(d), 0.8)).collect();
+    for config in [
+        SimConfig::contended(),
+        SimConfig {
+            speed_factors,
+            stragglers: vec![Straggler::persistent(DeviceId(3), 1.5)],
+            ..SimConfig::contended()
+        },
+        SimConfig {
+            comm_mode: CommMode::Serialized,
+            contention: true,
+            ..SimConfig::default()
+        },
+        SimConfig::default(),
+    ] {
+        let run = corpus_run(&case, config);
+        assert_eq!(run.events_popped(), logged_ends(&run));
+    }
+    // Two background flows end mid-iteration; the third outlives it.
+    let loaded = corpus_run(
+        &case,
+        SimConfig {
+            background_flows: vec![
+                BackgroundFlow {
+                    nominal_s: 0.002,
+                    footprint: vec![LinkId::Uplink(NodeId(0)), LinkId::StorageLink(NodeId(0))],
+                },
+                BackgroundFlow {
+                    nominal_s: 0.003,
+                    footprint: vec![LinkId::Uplink(NodeId(5)), LinkId::StorageSpine],
+                },
+                BackgroundFlow {
+                    nominal_s: 1e3,
+                    footprint: vec![LinkId::Downlink(NodeId(9)), LinkId::StorageSpine],
+                },
+            ],
+            ..SimConfig::contended()
+        },
+    );
+    assert_eq!(loaded.events_popped(), logged_ends(&loaded) + 2);
+    // All four background flows of the pinned hyperscale run end inside it.
+    let pinned = contended_hyperscale_run(0.004);
+    assert_eq!(pinned.events_popped(), logged_ends(&pinned) + 4);
+    // A fault fires at the event it pops and processes nothing after.
+    let plain = corpus_run(&case, SimConfig::contended());
+    let (faulted, fired) = Simulator::new(Arc::clone(&case.0), &case.2)
+        .with_graph(&case.1)
+        .with_config(SimConfig::contended())
+        .run_iteration_with_fault(&FaultSpec {
+            at_s: plain.total_s() / 2.0,
+            devices: vec![DeviceId(17)],
+        })
+        .unwrap();
+    assert!(fired.fired);
+    assert_eq!(faulted.events_popped(), logged_ends(&faulted) + 1);
 }
 
 /// A wave entry naming a MetaOp the MetaGraph lacks is a typed plan error,
