@@ -76,39 +76,6 @@ impl CommModel {
         if src.is_empty() || dst.is_empty() || bytes == 0 {
             return 0.0;
         }
-        let worst = self.worst_pairing(src, dst, LinkClass::InterIsland);
-        self.sharded_transfer_time(src, worst, bytes)
-    }
-
-    /// [`group_transfer_time`](Self::group_transfer_time) of groups whose
-    /// node spans are known. The spans settle the worst link without
-    /// visiting a device when the groups share no node, and cap it at the
-    /// island when both sit on the same one node.
-    #[must_use]
-    pub fn spanned_transfer_time(
-        &self,
-        (src, src_span): (&DeviceGroup, &NodeSpan),
-        (dst, dst_span): (&DeviceGroup, &NodeSpan),
-        bytes: u64,
-    ) -> f64 {
-        if src.is_empty() || dst.is_empty() || bytes == 0 {
-            return 0.0;
-        }
-        let worst = match NodeSpan::pairing_ceiling(src_span, dst_span) {
-            Some(LinkClass::InterIsland) if src_span.disjoint_from(dst_span) => {
-                LinkClass::InterIsland
-            }
-            Some(ceiling) => self.worst_pairing(src, dst, ceiling),
-            None => self.worst_pairing(src, dst, LinkClass::InterIsland),
-        };
-        self.sharded_transfer_time(src, worst, bytes)
-    }
-
-    /// The worst link class over the round-robin pairing of `src` with
-    /// `dst` (each source device streams to the destination device at its
-    /// id modulo the destination size), scanning until `ceiling` is reached:
-    /// no pair can be worse.
-    fn worst_pairing(&self, src: &DeviceGroup, dst: &DeviceGroup, ceiling: LinkClass) -> LinkClass {
         let mut worst = LinkClass::IntraDevice;
         for s in src.iter() {
             // Pair each source device with the destination device it would
@@ -120,15 +87,11 @@ impl CommModel {
                 .link_class(s, d)
                 .unwrap_or(LinkClass::InterIsland);
             worst = worst.max(class);
-            if worst >= ceiling {
+            if worst == LinkClass::InterIsland {
+                // No pair can be worse.
                 break;
             }
         }
-        worst
-    }
-
-    /// One shard of `bytes` split evenly over `src`, over a `worst` link.
-    fn sharded_transfer_time(&self, src: &DeviceGroup, worst: LinkClass, bytes: u64) -> f64 {
         let shard = (bytes as f64 / src.len() as f64).ceil() as u64;
         self.cluster.interconnect().transfer_time(worst, shard)
     }
@@ -144,6 +107,12 @@ impl CommModel {
     /// Single-device groups cost nothing.
     #[must_use]
     pub fn all_reduce_time(&self, group: &DeviceGroup, bytes: u64) -> f64 {
+        if group.len() <= 1 || bytes == 0 {
+            return 0.0;
+        }
+        if self.bottleneck_class(group) != LinkClass::InterIsland {
+            return self.ring_collective_time(group, bytes, 2.0);
+        }
         NodeSpan::new(&self.cluster, group).all_reduce_time(self.cluster.interconnect(), bytes)
     }
 
@@ -344,41 +313,6 @@ mod tests {
             assert_eq!(
                 m.all_reduce_time(&group.sorted(), bytes).to_bits(),
                 all_reduce_reference(&m, &group.sorted(), bytes).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn spanned_transfers_price_bit_identically_to_the_pairing_scan() {
-        let cluster = ClusterSpec::homogeneous(4, 8)
-            .without_devices(&[DeviceId(3), DeviceId(17), DeviceId(18)])
-            .unwrap();
-        let m = CommModel::new(&cluster);
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut next = move |bound: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % bound
-        };
-        for _ in 0..4_000 {
-            // Narrow windows make same-node, disjoint and overlapping pairs
-            // all common; ids up to 40 include devices the cluster lacks.
-            let mut group = || -> DeviceGroup {
-                let base = next(36);
-                let len = 1 + next(10) as usize;
-                (0..len)
-                    .map(|_| DeviceId((base + next(6)) as u32))
-                    .collect()
-            };
-            let (src, dst) = (group(), group());
-            let bytes = next(1 << 30);
-            let spans = (NodeSpan::new(&cluster, &src), NodeSpan::new(&cluster, &dst));
-            assert_eq!(
-                m.spanned_transfer_time((&src, &spans.0), (&dst, &spans.1), bytes)
-                    .to_bits(),
-                m.group_transfer_time(&src, &dst, bytes).to_bits(),
-                "{src} -> {dst}"
             );
         }
     }

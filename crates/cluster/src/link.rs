@@ -208,37 +208,6 @@ impl NodeSpan {
         intra + inter
     }
 
-    /// The worst link class a transfer between groups spanning `src` and
-    /// `dst` can cross: `None` when a device is outside the cluster (the
-    /// pairing decides), the island when both sit on the same one node, the
-    /// network otherwise.
-    pub(crate) fn pairing_ceiling(src: &NodeSpan, dst: &NodeSpan) -> Option<LinkClass> {
-        if !(src.complete && dst.complete) {
-            return None;
-        }
-        if src.nodes.len() == 1 && src.nodes == dst.nodes {
-            return Some(LinkClass::IntraIsland);
-        }
-        Some(LinkClass::InterIsland)
-    }
-
-    /// Whether the two spans share no node.
-    pub(crate) fn disjoint_from(&self, other: &NodeSpan) -> bool {
-        let (mut a, mut b) = (self.nodes.iter().peekable(), other.nodes.iter().peekable());
-        while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
-            match x.cmp(&y) {
-                std::cmp::Ordering::Less => {
-                    a.next();
-                }
-                std::cmp::Ordering::Greater => {
-                    b.next();
-                }
-                std::cmp::Ordering::Equal => return false,
-            }
-        }
-        true
-    }
-
     /// Appends the links an intra-group collective (e.g. the gradient
     /// all-reduce of a parameter device group) over this span occupies,
     /// sorted and duplicate-free.

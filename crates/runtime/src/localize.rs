@@ -5,9 +5,11 @@
 //! in the placed plan), the inter-wave transmission operators with the wave
 //! boundary each one crosses (step 2), and the parameter device-group pool
 //! (step 3). [`LocalizedPlan`] derives all three and prices them here, not
-//! in the runs: every transmission's round trip and every group's
-//! all-reduce, each with the link slots it occupies under contention, from
-//! one node-span pass per device group. Every run of the plan —
+//! in the runs: every transmission's round trip (the cost model's
+//! [`Transmission::round_trip_time`](crate::Transmission::round_trip_time))
+//! and every group's all-reduce, each with the link slots it occupies under
+//! contention, read from one node-span pass per device group. Every run of
+//! the plan —
 //! [`LocalizedPlan::run`] under any [`SimConfig`](crate::SimConfig) —
 //! reads those prices, and the closed-form iteration time adds them up
 //! without events: the reference the serialized simulator is cross-checked
@@ -15,7 +17,7 @@
 
 use std::sync::Arc;
 
-use spindle_cluster::{ClusterSpec, CommModel, DeviceId, NodeSpan};
+use spindle_cluster::{ClusterSpec, CommModel, NodeSpan};
 use spindle_core::{ExecutionPlan, PlanError};
 use spindle_graph::ComputationGraph;
 
@@ -80,20 +82,10 @@ impl LocalizedPlan {
             });
         }
         // The simulator indexes per-device state by id over the cluster's
-        // device space, so every placed device must exist in the cluster. A
-        // cluster without holes holds exactly the ids below its space.
-        let space = cluster.device_space();
-        let dense = space == cluster.num_devices();
-        let in_cluster = |d: DeviceId| {
-            if dense {
-                d.index() < space
-            } else {
-                cluster.contains(d)
-            }
-        };
+        // device space, so every placed device must exist in the cluster.
         for wave in plan.waves() {
             let placed = wave.entries.iter().flat_map(|e| e.placement.iter());
-            if let Some(device) = placed.flatten().find(|&d| !in_cluster(d)) {
+            if let Some(device) = placed.flatten().find(|&d| !cluster.contains(d)) {
                 return Err(RuntimeError::InvalidPlan(PlanError::PlacementOutOfRange {
                     wave: wave.index,
                     device: device.0,
@@ -122,7 +114,7 @@ impl LocalizedPlan {
             next[site.after_wave] += 1;
         }
 
-        // Prices and footprints, one node-span pass per device group.
+        // Prices, and footprints from one node-span pass per device group.
         let flows = sites.len() + pool.num_groups();
         let comm = CommModel::shared(Arc::clone(&cluster));
         let mut flow_s = Vec::with_capacity(flows);
@@ -133,14 +125,9 @@ impl LocalizedPlan {
         slots_at.push(0);
         for site in &sites {
             let t = &site.transmission;
+            flow_s.push(t.round_trip_time(&comm));
             src.fill(&cluster, t.src.devices());
             dst.fill(&cluster, t.dst.devices());
-            // Transmission::round_trip_time, settled by the spans.
-            let (there, back) = ((&t.src, &src), (&t.dst, &dst));
-            flow_s.push(
-                comm.spanned_transfer_time(there, back, t.bytes)
-                    + comm.spanned_transfer_time(back, there, t.bytes),
-            );
             links.clear();
             NodeSpan::transfer_links(&src, &dst, &mut links);
             slots.extend(links.iter().map(|l| l.slot()));
@@ -244,7 +231,7 @@ impl LocalizedPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spindle_cluster::{collective_footprint, transfer_footprint, ClusterSpec};
+    use spindle_cluster::{collective_footprint, transfer_footprint, ClusterSpec, DeviceId};
     use spindle_core::SpindleSession;
     use spindle_graph::{GraphBuilder, Modality, OpKind, TensorShape};
 

@@ -7,9 +7,7 @@
 //! parameter sets synchronised within them — one all-reduce per group per
 //! iteration instead of one per parameter.
 
-use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use spindle_cluster::{DeviceGroup, DeviceId};
 use spindle_core::ExecutionPlan;
@@ -53,7 +51,7 @@ impl ParamGroupPool {
         }
         // Each parameter's holders become adjacent, ascending by entry.
         holders.sort_unstable();
-        let mut groups = GroupSums::new(sets.words, placements.len());
+        let mut groups = GroupSums::new(placements.len());
         let mut union = vec![0u64; sets.words];
         let mut rest = holders.as_slice();
         while let Some(&(param, first, _)) = rest.first() {
@@ -102,7 +100,7 @@ impl ParamGroupPool {
                 *word |= bits;
             }
         }
-        let mut groups = GroupSums::new(sets.words, metagraph.num_metaops());
+        let mut groups = GroupSums::new(metagraph.num_metaops());
         for metaop in metagraph.metaops() {
             let bytes = metaop.representative().param_bytes() * u64::from(metaop.num_ops());
             let at = metaop.id().index() * sets.words;
@@ -165,56 +163,13 @@ impl DeviceSets {
     }
 }
 
-/// Bytes per distinct device set, found by hashing each set's bits.
-struct GroupSums {
-    words: usize,
-    /// Each group's device set, `words` words apiece, in insertion order.
-    sets: Vec<u64>,
-    bytes: Vec<u64>,
-    /// Set hash → the latest group with that hash; groups sharing a hash
-    /// chain through `collided`.
-    index: HashMap<u64, u32, BuildHasherDefault<SetHash>>,
-    collided: Vec<Option<u32>>,
-}
-
-/// Passes through the FNV-1a hash [`GroupSums::add`] computed over a set's
-/// words.
-#[derive(Default)]
-struct SetHash(u64);
-
-impl Hasher for SetHash {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-}
+/// Bytes per distinct device set.
+struct GroupSums(HashMap<Vec<u64>, u64>);
 
 impl GroupSums {
-    /// Sums for sets of `words` words, room made for `groups` groups.
-    fn new(words: usize, groups: usize) -> Self {
-        let mut index = HashMap::default();
-        index.reserve(groups);
-        Self {
-            words,
-            sets: Vec::with_capacity(groups * words),
-            bytes: Vec::with_capacity(groups),
-            index,
-            collided: Vec::with_capacity(groups),
-        }
-    }
-
-    fn set(&self, group: u32) -> &[u64] {
-        let at = group as usize * self.words;
-        &self.sets[at..at + self.words]
+    /// Sums with room made for `groups` groups.
+    fn new(groups: usize) -> Self {
+        Self(HashMap::with_capacity(groups))
     }
 
     /// Adds `bytes` to the group of the devices in `set` when it holds more
@@ -223,34 +178,22 @@ impl GroupSums {
         if set.iter().map(|w| w.count_ones()).sum::<u32>() < 2 {
             return;
         }
-        // FNV-1a over the words.
-        let hash = set.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &w| {
-            (h ^ w).wrapping_mul(0x0100_0000_01b3)
-        });
-        let mut candidate = self.index.get(&hash).copied();
-        while let Some(group) = candidate {
-            if self.set(group) == set {
-                self.bytes[group as usize] += bytes;
-                return;
+        match self.0.get_mut(set) {
+            Some(sum) => *sum += bytes,
+            None => {
+                self.0.insert(set.to_vec(), bytes);
             }
-            candidate = self.collided[group as usize];
         }
-        let group = self.bytes.len() as u32;
-        self.sets.extend_from_slice(set);
-        self.bytes.push(bytes);
-        self.collided.push(self.index.insert(hash, group));
     }
 
     fn into_pool(self) -> ParamGroupPool {
-        let mut order: Vec<u32> = (0..self.bytes.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| list_order(self.set(a), self.set(b)));
-        let groups = order
+        let mut groups: Vec<(DeviceGroup, u64)> = self
+            .0
             .into_iter()
-            .map(|group| {
-                let set = self.set(group);
+            .map(|(set, bytes)| {
                 let count = set.iter().map(|w| w.count_ones() as usize).sum();
                 let mut devices = Vec::with_capacity(count);
-                for (w, &bits) in (0..).zip(set) {
+                for (w, &bits) in (0..).zip(&set) {
                     let mut rest = bits;
                     while rest != 0 {
                         devices.push(DeviceId(w * 64 + rest.trailing_zeros()));
@@ -258,29 +201,11 @@ impl GroupSums {
                     }
                 }
                 // Ascending ids: the group is already sorted.
-                (devices.into_iter().collect(), self.bytes[group as usize])
+                (devices.into_iter().collect(), bytes)
             })
             .collect();
+        groups.sort_unstable_by(|a, b| a.0.devices().cmp(b.0.devices()));
         ParamGroupPool { groups }
-    }
-}
-
-/// How two device sets compare as their ascending device lists do. Below
-/// the lowest device in one set only, the lists agree; there the set
-/// holding it lists it, and the other lists its next larger device — or
-/// nothing, and is the shorter list.
-fn list_order(a: &[u64], b: &[u64]) -> Ordering {
-    let Some(w) = a.iter().zip(b).position(|(x, y)| x != y) else {
-        return Ordering::Equal;
-    };
-    let bit = (a[w] ^ b[w]).trailing_zeros();
-    let in_a = a[w] >> bit & 1 == 1;
-    let other = if in_a { b } else { a };
-    let other_continues = other[w] >> bit >> 1 != 0 || other[w + 1..].iter().any(|&x| x != 0);
-    if in_a == other_continues {
-        Ordering::Less
-    } else {
-        Ordering::Greater
     }
 }
 
@@ -573,30 +498,6 @@ mod tests {
             let pool = ParamGroupPool::from_plan_approximate(&plan);
             assert!(pool.num_groups() > 1);
             assert_eq!(pool.groups(), reference(&plan));
-        }
-    }
-
-    #[test]
-    fn bitsets_order_as_their_device_lists() {
-        let mut rng = XorShift64Star::new(0x9004);
-        let mut set = || -> Vec<u64> {
-            // Sparse sets over two words, often sharing a prefix.
-            (0..2)
-                .map(|_| rng.next_u64() & rng.next_u64() & rng.next_u64() & 0x00ff_00f0_0f00_f00f)
-                .collect()
-        };
-        let list = |set: &[u64]| -> Vec<u32> {
-            (0..128)
-                .filter(|&d| set[d as usize / 64] >> (d % 64) & 1 == 1)
-                .collect()
-        };
-        for _ in 0..5_000 {
-            let (a, b) = (set(), set());
-            assert_eq!(
-                list_order(&a, &b),
-                list(&a).cmp(&list(&b)),
-                "{a:x?} vs {b:x?}"
-            );
         }
     }
 
