@@ -9,11 +9,10 @@
 //! [`Transmission::round_trip_time`](crate::Transmission::round_trip_time))
 //! and every group's all-reduce, each with the link slots it occupies under
 //! contention, read from one node-span pass per device group. Every run of
-//! the plan —
-//! [`LocalizedPlan::run`] under any [`SimConfig`](crate::SimConfig) —
-//! reads those prices, and the closed-form iteration time adds them up
-//! without events: the reference the serialized simulator is cross-checked
-//! against.
+//! the plan — [`LocalizedPlan::run`] under any
+//! [`SimConfig`](crate::SimConfig) — reads those prices, and the
+//! closed-form iteration time adds them up without events: the reference
+//! the serialized simulator is cross-checked against.
 
 use std::sync::Arc;
 
