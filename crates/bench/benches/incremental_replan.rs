@@ -182,20 +182,6 @@ fn main() {
     });
     report.push(("cold_plan_hyperscale-48t/256gpu".to_string(), cold));
 
-    // The acceptance bars of the incremental re-planning work. Guarded only
-    // outside quick mode: CI smoke iteration counts are too small for stable
-    // ratios (the perf gate tracks absolute regressions instead).
-    if !quick {
-        assert!(
-            clip_speedup >= 3.0,
-            "single-task churn at paper scale must be >=3x faster incrementally, got {clip_speedup:.2}x"
-        );
-        assert!(
-            hyper_speedup >= 5.0,
-            "hyperscale churn must be >=5x faster incrementally, got {hyper_speedup:.2}x"
-        );
-    }
-
     // -- Elastic topology churn: migration-aware partial re-plan -------------
     // One device dies, the session re-plans onto the survivors (clean-prefix
     // placements reused, migration priced), the device returns, the session
@@ -285,4 +271,20 @@ fn main() {
     let path = report_path();
     write_json_report(&path, &report).expect("write BENCH_incremental.json");
     println!("\nwrote {} entries to {}", report.len(), path.display());
+
+    // The acceptance bars of the incremental re-planning work, checked after
+    // the report is written so a failing ratio still leaves its numbers.
+    // Guarded only outside quick mode: CI smoke iteration counts are too
+    // small for stable ratios (the perf gate tracks absolute regressions
+    // instead).
+    if !quick {
+        assert!(
+            clip_speedup >= 3.0,
+            "single-task churn at paper scale must be >=3x faster incrementally, got {clip_speedup:.2}x"
+        );
+        assert!(
+            hyper_speedup >= 5.0,
+            "hyperscale churn must be >=5x faster incrementally, got {hyper_speedup:.2}x"
+        );
+    }
 }

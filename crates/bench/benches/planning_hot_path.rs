@@ -3,8 +3,11 @@
 //!
 //! Covers the paths this repo's perf work targets: cold single-phase planning
 //! (fresh session, fresh curve cache), warm re-planning, the MPSP bisection
-//! and wavefront micro-loops, and sequential multi-phase planning of the
-//! dynamic Multitask-CLIP schedule.
+//! and wavefront micro-loops, the placement stage of a hyperscale schedule
+//! (`place_hyperscale-48t/256gpu`: one `LevelSchedule::place` of a fixed,
+//! unplaced 48-task/256-GPU schedule, including the clone of the schedule it
+//! consumes), and sequential multi-phase planning of the dynamic
+//! Multitask-CLIP schedule.
 //!
 //! Every case's mean is written to `BENCH_planning.json` at the workspace
 //! root as `bench name → ns/iter`. The clip-10t/32gpu cold-plan probe also
@@ -23,9 +26,9 @@ use std::time::Duration;
 
 use spindle_bench::microbench::{bench, group, quick_mode, write_json_report, Timing};
 use spindle_cluster::ClusterSpec;
-use spindle_core::pipeline::{ContractedGraph, CurveSet};
-use spindle_core::{allocator, mpsp, wavefront, MetaOpArena, SpindleSession};
-use spindle_workloads::{multitask_clip, DynamicWorkload};
+use spindle_core::pipeline::{ContractedGraph, CurveSet, LevelSchedule};
+use spindle_core::{allocator, mpsp, wavefront, MetaOpArena, PlacementStrategy, SpindleSession};
+use spindle_workloads::{hyperscale, multitask_clip, DynamicWorkload};
 
 fn report_path() -> PathBuf {
     if let Ok(path) = std::env::var("SPINDLE_BENCH_OUT") {
@@ -98,6 +101,33 @@ fn main() {
             wavefront::schedule_level_dense(&alloc_plan, &arena, 32, 0, 0.0, 0, &mut wf_scratch);
     });
     record("wavefront_level0", t, &mut report);
+
+    // -- Placement stage -----------------------------------------------------
+    group("placement stage (hyperscale, 48 tasks, 256 gpus)");
+    let hyper_cluster = ClusterSpec::homogeneous(32, 8);
+    let hyper_estimator = spindle_estimator::ScalabilityEstimator::new(&hyper_cluster);
+    let hyper = ContractedGraph::new(&hyperscale(48).unwrap());
+    let hyper_curves = CurveSet::resolve(&hyper, &hyper_estimator).unwrap();
+    let unplaced = LevelSchedule::build(
+        &hyper,
+        &hyper_curves,
+        &hyper_estimator,
+        256,
+        mpsp::DEFAULT_EPSILON,
+        None,
+    );
+    let t = bench("place_hyperscale-48t/256gpu", warmup, iters, || {
+        let _ = unplaced
+            .clone()
+            .place(
+                &hyper,
+                &hyper_cluster,
+                PlacementStrategy::Locality,
+                Duration::ZERO,
+            )
+            .unwrap();
+    });
+    record("place_hyperscale-48t/256gpu", t, &mut report);
 
     // -- Multi-phase planning -------------------------------------------------
     group("dynamic Multitask-CLIP schedule: sequential phases");

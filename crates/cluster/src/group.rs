@@ -36,6 +36,21 @@ impl DeviceGroup {
         Ok(Self { devices })
     }
 
+    /// Creates a group from devices the caller knows to be distinct (e.g.
+    /// taken from a free list), skipping the duplicate check of
+    /// [`new`](Self::new) and of collecting; debug builds still check.
+    #[must_use]
+    pub fn from_distinct(devices: Vec<DeviceId>) -> Self {
+        debug_assert!(
+            devices
+                .iter()
+                .enumerate()
+                .all(|(i, d)| !devices[..i].contains(d)),
+            "duplicate device in {devices:?}"
+        );
+        Self { devices }
+    }
+
     /// Creates a group of `count` consecutive devices starting at `first`.
     ///
     /// # Panics
@@ -191,6 +206,21 @@ mod tests {
         assert!(a.overlaps(&b));
         assert!(!a.overlaps(&c));
         assert_eq!(a.intersection(&b), vec![DeviceId(2), DeviceId(3)]);
+    }
+
+    #[test]
+    fn from_distinct_keeps_the_given_order() {
+        let ids = [DeviceId(5), DeviceId(2), DeviceId(9)];
+        let g = DeviceGroup::from_distinct(ids.to_vec());
+        assert_eq!(g.devices(), &ids);
+        assert_eq!(g, ids.into_iter().collect());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "duplicate device")]
+    fn from_distinct_checks_distinctness_in_debug_builds() {
+        let _ = DeviceGroup::from_distinct(vec![DeviceId(1), DeviceId(2), DeviceId(1)]);
     }
 
     #[test]

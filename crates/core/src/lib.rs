@@ -91,7 +91,7 @@ pub use metagraph::{MetaGraph, MetaLevel};
 pub use metaop::{MetaOp, MetaOpId};
 pub use mpsp::ContinuousSolution;
 pub use pipeline::{curves_for, ContractedGraph, CurveSet, LevelSchedule};
-pub use placement::{PlacementCheckpoint, PlacementStrategy};
+pub use placement::PlacementStrategy;
 pub use plan::{ExecutionPlan, Wave, WaveEntry};
 pub use session::{PlannerConfig, ReplanOutcome, SpindleSession};
 pub use structural::{

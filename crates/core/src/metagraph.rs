@@ -40,7 +40,14 @@ impl MetaGraph {
     /// by dependency depth.
     #[must_use]
     pub fn contract(graph: &ComputationGraph) -> Self {
-        let order = graph.topological_order();
+        // The smallest-id-first topological order. When every edge runs from
+        // a lower id to a higher one — as graph builders declare them — that
+        // order is the id order itself, and no ready queue is needed.
+        let order: Vec<OpId> = if graph.edges().iter().all(|&(a, b)| a < b) {
+            (0..graph.num_ops() as u32).map(OpId).collect()
+        } else {
+            graph.topological_order()
+        };
         // Operators are densely indexed, so the op -> MetaOp map is a plain
         // vector filled in topological order (predecessors are always mapped
         // before their successors).
@@ -75,11 +82,11 @@ impl MetaGraph {
         }
 
         let mut metaops: Vec<MetaOp> = chains
-            .iter()
+            .into_iter()
             .enumerate()
             .map(|(i, ops)| {
                 let representative = graph.op(ops[0]).clone();
-                MetaOp::new(MetaOpId(i as u32), ops.clone(), representative)
+                MetaOp::new(MetaOpId(i as u32), ops, representative)
             })
             .collect();
 
@@ -97,35 +104,29 @@ impl MetaGraph {
         edges.dedup();
 
         // Dependency depth of each MetaOp (longest path), which guarantees
-        // that no two MetaOps of the same level depend on each other.
-        let n = metaops.len();
-        let mut preds: Vec<Vec<MetaOpId>> = vec![Vec::new(); n];
-        let mut succs: Vec<Vec<MetaOpId>> = vec![Vec::new(); n];
+        // that no two MetaOps of the same level depend on each other. MetaOps
+        // were created in a topological order of the original graph, so every
+        // edge runs from a lower id to a higher one, and the sorted edges
+        // reach each MetaOp's outgoing edges after all of its incoming ones.
+        let mut levels: Vec<MetaLevel> = Vec::new();
         for &(a, b) in &edges {
-            preds[b.index()].push(a);
-            succs[a.index()].push(b);
-        }
-        let mut depth = vec![0usize; n];
-        // MetaOps were created in a topological order of the original graph, so
-        // index order is a valid processing order.
-        for i in 0..n {
-            for &p in &preds[i] {
-                depth[i] = depth[i].max(depth[p.index()] + 1);
+            let depth = metaops[a.index()].level() + 1;
+            if depth > metaops[b.index()].level() {
+                metaops[b.index()].set_level(depth);
             }
         }
-        for (i, d) in depth.iter().enumerate() {
-            metaops[i].set_level(*d);
+        // A MetaOp of depth d > 0 has a predecessor of depth d - 1 and a lower
+        // id, so in id order each depth first appears after the one below it.
+        for metaop in &metaops {
+            let depth = metaop.level();
+            if depth == levels.len() {
+                levels.push(MetaLevel {
+                    index: depth,
+                    metaops: Vec::new(),
+                });
+            }
+            levels[depth].metaops.push(metaop.id());
         }
-        let max_depth = depth.iter().copied().max().unwrap_or(0);
-        let levels = (0..=max_depth)
-            .map(|lvl| MetaLevel {
-                index: lvl,
-                metaops: (0..n)
-                    .filter(|&i| depth[i] == lvl)
-                    .map(|i| MetaOpId(i as u32))
-                    .collect(),
-            })
-            .collect();
 
         Self {
             metaops,
@@ -219,6 +220,7 @@ impl fmt::Display for MetaGraph {
 mod tests {
     use super::*;
     use spindle_graph::{GraphBuilder, Modality, OpKind, TensorShape};
+    use spindle_workloads::{FuzzBounds, QwenValSize, Scenario, WorkloadPreset};
 
     /// The two-task example of Fig. 3: an audio-language task (audio + text
     /// encoders feeding an LM) and a vision-language task (vision + text).
@@ -350,6 +352,124 @@ mod tests {
             assert!(mg.metaop(mid).ops().contains(&op.id()));
         }
         assert!(mg.to_string().contains("metaops"));
+    }
+
+    /// The contraction [`MetaGraph::contract`] replaced: it cloned each
+    /// chain into its MetaOp and took dependency depths from per-MetaOp
+    /// predecessor lists, one level scan per depth.
+    fn contract_reference(graph: &ComputationGraph) -> MetaGraph {
+        let mut op_to_metaop: Vec<MetaOpId> = vec![MetaOpId(0); graph.num_ops()];
+        let mut chains: Vec<Vec<OpId>> = Vec::new();
+        for &op in &graph.topological_order() {
+            let fuse_into = (graph.in_degree(op) == 1)
+                .then(|| graph.predecessors(op)[0])
+                .filter(|&pred| {
+                    graph.out_degree(pred) == 1
+                        && graph.op(pred).signature() == graph.op(op).signature()
+                })
+                .map(|pred| op_to_metaop[pred.index()]);
+            let mid = fuse_into.unwrap_or_else(|| {
+                chains.push(Vec::new());
+                MetaOpId(chains.len() as u32 - 1)
+            });
+            chains[mid.index()].push(op);
+            op_to_metaop[op.index()] = mid;
+        }
+        let mut metaops: Vec<MetaOp> = chains
+            .iter()
+            .enumerate()
+            .map(|(i, ops)| MetaOp::new(MetaOpId(i as u32), ops.clone(), graph.op(ops[0]).clone()))
+            .collect();
+        let mut edges: Vec<(MetaOpId, MetaOpId)> = graph
+            .edges()
+            .iter()
+            .map(|&(a, b)| (op_to_metaop[a.index()], op_to_metaop[b.index()]))
+            .filter(|(a, b)| a != b)
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let n = metaops.len();
+        let mut preds: Vec<Vec<MetaOpId>> = vec![Vec::new(); n];
+        for &(a, b) in &edges {
+            preds[b.index()].push(a);
+        }
+        let mut depth = vec![0usize; n];
+        for i in 0..n {
+            for &p in &preds[i] {
+                depth[i] = depth[i].max(depth[p.index()] + 1);
+            }
+        }
+        for (metaop, &d) in metaops.iter_mut().zip(&depth) {
+            metaop.set_level(d);
+        }
+        let max_depth = depth.iter().copied().max().unwrap_or(0);
+        let levels = (0..=max_depth)
+            .map(|lvl| MetaLevel {
+                index: lvl,
+                metaops: (0..n)
+                    .filter(|&i| depth[i] == lvl)
+                    .map(|i| MetaOpId(i as u32))
+                    .collect(),
+            })
+            .collect();
+        MetaGraph {
+            metaops,
+            edges,
+            levels,
+            op_to_metaop,
+        }
+    }
+
+    /// A text chain declared before the audio chain that feeds it, so one
+    /// edge runs from a higher operator id to a lower one.
+    fn late_producer_graph() -> ComputationGraph {
+        let mut b = GraphBuilder::new();
+        let t = b.add_task("at", [Modality::Audio, Modality::Text], 8);
+        let text = b
+            .add_op_chain(
+                t,
+                OpKind::Encoder(Modality::Text),
+                TensorShape::new(8, 77, 768),
+                3,
+            )
+            .unwrap();
+        let audio = b
+            .add_op_chain(
+                t,
+                OpKind::Encoder(Modality::Audio),
+                TensorShape::new(8, 229, 768),
+                2,
+            )
+            .unwrap();
+        b.add_flow(*audio.last().unwrap(), text[0]).unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn contraction_matches_the_reference_on_presets_and_fuzzed_graphs() {
+        let late = late_producer_graph();
+        assert!(late.edges().iter().any(|&(a, b)| a > b));
+        let mut graphs = vec![
+            late,
+            fig3_like_graph(),
+            spindle_workloads::hyperscale(48).unwrap(),
+        ];
+        for preset in WorkloadPreset::figure8_presets() {
+            graphs.push(preset.build().unwrap());
+        }
+        for size in [QwenValSize::B30, QwenValSize::B70] {
+            graphs.push(spindle_workloads::qwen_val(size).unwrap());
+        }
+        let bounds = FuzzBounds::quick();
+        for index in 0..16 {
+            let scenario = Scenario::draw(0x00C0_FFEE, index, &bounds);
+            graphs.extend(scenario.phases().unwrap().into_iter().map(|(_, g)| g));
+        }
+        for graph in &graphs {
+            // Equal MetaOps (members, representatives and levels), edges,
+            // levels and op map.
+            assert_eq!(MetaGraph::contract(graph), contract_reference(graph));
+        }
     }
 
     #[test]

@@ -27,13 +27,9 @@ use spindle_graph::ComputationGraph;
 
 use crate::arena::{MetaOpArena, PlanningStats};
 use crate::mpsp::{self, MpspScratch};
-use crate::placement::{check_capacity, place_locality_checkpointed, place_sequential};
 use crate::structural::{LevelArtifact, LevelKey, StructuralPlanCache};
 use crate::wavefront::{self, WavefrontScratch};
-use crate::{
-    allocator, ExecutionPlan, MetaGraph, MetaOpId, PlacementCheckpoint, PlacementStrategy,
-    PlanError, Wave,
-};
+use crate::{allocator, ExecutionPlan, MetaGraph, MetaOpId, PlacementStrategy, PlanError, Wave};
 
 /// Per-MetaOp scaling curves, keyed by MetaOp.
 pub type CurveMap = BTreeMap<MetaOpId, Arc<ScalingCurve>>;
@@ -269,11 +265,10 @@ impl LevelSchedule {
     /// Stage 4: assigns concrete devices to every wave entry by `strategy`
     /// and assembles the final [`ExecutionPlan`].
     ///
-    /// The locality strategy also snapshots its pass state after every level
-    /// — the [`PlacementCheckpoint`]s that make migration-aware partial
-    /// re-planning possible after device churn (one checkpoint per level, in
-    /// level order). [`PlacementStrategy::Sequential`] carries no cross-wave
-    /// state, so it returns an empty checkpoint list.
+    /// The plan carries everything a later partial re-plan needs: the
+    /// locality pass's cross-wave state is a function of the placements
+    /// themselves, so a re-plan after device loss resumes the pass by
+    /// replaying the placements of its clean prefix.
     ///
     /// `planning_time` is the wall-clock time attributed to planning so far
     /// (sessions pass their pipeline timer; standalone callers may pass
@@ -289,7 +284,7 @@ impl LevelSchedule {
         cluster: &ClusterSpec,
         strategy: PlacementStrategy,
         planning_time: Duration,
-    ) -> Result<(ExecutionPlan, Vec<PlacementCheckpoint>), PlanError> {
+    ) -> Result<ExecutionPlan, PlanError> {
         let mut plan = ExecutionPlan::new(
             self.waves,
             contracted.metagraph_handle(),
@@ -297,16 +292,9 @@ impl LevelSchedule {
             self.theoretical_optimum,
             planning_time,
         );
-        check_capacity(&plan, cluster)?;
-        let checkpoints = match strategy {
-            PlacementStrategy::Locality => place_locality_checkpointed(&mut plan, cluster),
-            PlacementStrategy::Sequential => {
-                place_sequential(&mut plan);
-                Vec::new()
-            }
-        };
+        strategy.place(&mut plan, cluster)?;
         plan.set_device_space(cluster.device_space() as u32);
-        Ok((plan, checkpoints))
+        Ok(plan)
     }
 }
 
@@ -396,7 +384,7 @@ mod tests {
         assert!(!curves.is_empty());
 
         let schedule = build(&contracted, &curves, &estimator);
-        let (plan, checkpoints) = schedule
+        let plan = schedule
             .place(
                 &contracted,
                 &cluster,
@@ -408,7 +396,6 @@ mod tests {
         assert!(plan.theoretical_optimum() > 0.0);
         assert_eq!(plan.num_devices(), 8);
         assert!(plan.waves().iter().all(|w| w.devices_used() <= 8));
-        assert_eq!(checkpoints.len(), contracted.metagraph().levels().len());
         plan.validate().unwrap();
         plan.require_placement().unwrap();
     }
@@ -423,7 +410,7 @@ mod tests {
         let estimator = ScalabilityEstimator::new(&cluster);
         let contracted = ContractedGraph::new(&graph);
         let curves = CurveSet::resolve(&contracted, &estimator).unwrap();
-        let (by_hand, _) = build(&contracted, &curves, &estimator)
+        let by_hand = build(&contracted, &curves, &estimator)
             .place(
                 &contracted,
                 &cluster,

@@ -12,6 +12,7 @@
 //!    sub-optimal communication costs and better memory balance").
 
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use spindle_cluster::{ClusterSpec, DeviceGroup, DeviceId, Island};
 
@@ -47,7 +48,7 @@ impl PlacementStrategy {
     pub fn place(self, plan: &mut ExecutionPlan, cluster: &ClusterSpec) -> Result<(), PlanError> {
         check_capacity(plan, cluster)?;
         match self {
-            PlacementStrategy::Locality => place_locality(plan, cluster),
+            PlacementStrategy::Locality => place_locality_resume(plan, cluster, 0),
             PlacementStrategy::Sequential => place_sequential(plan),
         }
         Ok(())
@@ -71,7 +72,7 @@ pub(crate) fn check_capacity(plan: &ExecutionPlan, cluster: &ClusterSpec) -> Res
 }
 
 /// Naïve consecutive-device placement.
-pub(crate) fn place_sequential(plan: &mut ExecutionPlan) {
+fn place_sequential(plan: &mut ExecutionPlan) {
     for wave in plan.waves_mut() {
         let mut next = 0u32;
         for entry in &mut wave.entries {
@@ -84,47 +85,6 @@ pub(crate) fn place_sequential(plan: &mut ExecutionPlan) {
     }
 }
 
-/// Snapshot of the locality pass's cross-wave state at a level boundary:
-/// per-device memory load, MetaOp-on-device residency, and each MetaOp's last
-/// device group. Stored per level alongside cached plan skeletons so that a
-/// topology change can keep the placements of a clean prefix of levels and
-/// resume the pass — restricted to the surviving device set — from the first
-/// dirty level instead of re-placing the whole plan
-/// (see [`SpindleSession::replan`](crate::SpindleSession::replan)).
-///
-/// The snapshot is sparse (device-id keyed, not dense-indexed), so it can be
-/// restored onto a cluster whose device numbering gained holes after
-/// [`ClusterSpec::without_devices`]. State attached to devices that no longer
-/// exist is dropped on restore — exactly the state whose loss forces a
-/// migration.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PlacementCheckpoint {
-    /// Bytes resident per device; only loaded devices are listed.
-    memory_used: Vec<(DeviceId, u64)>,
-    /// `(metaop index, device)` residency pairs.
-    resident: Vec<(u32, DeviceId)>,
-    /// Last device group of each placed MetaOp, by metaop index.
-    last_placement: Vec<(u32, DeviceGroup)>,
-}
-
-impl PlacementCheckpoint {
-    /// Approximate heap footprint, for cache byte accounting.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.memory_used.len() * std::mem::size_of::<(DeviceId, u64)>()
-            + self.resident.len() * std::mem::size_of::<(u32, DeviceId)>()
-            + self
-                .last_placement
-                .iter()
-                .map(|(_, g)| {
-                    std::mem::size_of::<(u32, DeviceGroup)>()
-                        + g.len() * std::mem::size_of::<DeviceId>()
-                })
-                .sum::<usize>()
-    }
-}
-
 /// Island index recorded for device ids that are not part of the cluster.
 const NO_ISLAND: usize = usize::MAX;
 
@@ -132,9 +92,10 @@ const NO_ISLAND: usize = usize::MAX;
 /// many it needs; the entry's affinities are already marked.
 type Chooser = fn(&mut LocalityPass, usize);
 
-/// Ranking key of an island for one entry (smaller ranks first): islands
-/// with enough free devices, then high affinity, then plenty of free memory.
-type IslandKey = (Reverse<bool>, Reverse<i64>, Reverse<u64>);
+/// Ranking key of an island for one entry (larger ranks first): islands
+/// with enough free devices, then high affinity, then plenty of free memory,
+/// then the lower island index.
+type IslandKey = (bool, i64, u64, Reverse<usize>);
 
 /// Affinity of every device, and of every island, for the entry being placed.
 struct Affinity {
@@ -149,23 +110,31 @@ struct Affinity {
 }
 
 impl Affinity {
-    fn clear(&mut self) {
-        self.device.fill(0);
-        self.island.fill(0);
+    /// The island of `d`, if `d` is part of the cluster.
+    fn island_index(&self, d: DeviceId) -> Option<usize> {
+        self.island_of
+            .get(d.index())
+            .copied()
+            .filter(|&k| k != NO_ISLAND)
     }
 
+    /// Adds `weight` to every device of `group` that is part of the cluster
+    /// and to its island. Devices a replayed placement kept after they left
+    /// the cluster attract nothing.
     fn mark(&mut self, group: Option<&DeviceGroup>, weight: i64) {
         for d in group.into_iter().flat_map(DeviceGroup::iter) {
-            self.device[d.index()] += weight;
-            if let Some(island) = self.island.get_mut(self.island_of[d.index()]) {
-                *island += weight;
+            if let Some(k) = self.island_index(d) {
+                self.device[d.index()] += weight;
+                self.island[k] += weight;
             }
         }
     }
 }
 
-/// The locality pass (§3.5) with its cross-wave state made explicit, so the
-/// state can be checkpointed at level boundaries and restored later.
+/// The locality pass (§3.5). Its cross-wave state — per-device memory load,
+/// MetaOp-on-device residency and each MetaOp's last placement — is a
+/// function of the placements made so far, so a pass can resume at any wave
+/// by replaying the placements of the waves before it.
 ///
 /// All working state is dense and reused across waves: device sets are
 /// `Vec`-indexed by `DeviceId` (sized by [`ClusterSpec::device_space`], so a
@@ -181,14 +150,14 @@ struct LocalityPass {
     num_devices: usize,
     /// Dense id-space size (one past the highest device id).
     space: usize,
-    num_metaops: usize,
     preds: Vec<Vec<MetaOpId>>,
     succs: Vec<Vec<MetaOpId>>,
     volume: Vec<u64>,
-    // Cross-wave state — what checkpoints capture.
+    // Cross-wave state.
     memory_used: Vec<u64>,
     resident: Vec<bool>,
-    last_placement: Vec<Option<DeviceGroup>>,
+    /// `(wave, entry)` index of each MetaOp's last placed entry.
+    last: Vec<Option<(usize, usize)>>,
     // Per-wave scratch.
     free: Vec<bool>,
     /// Free devices of each island, and the sum of their free memory: set
@@ -196,8 +165,8 @@ struct LocalityPass {
     island_free: Vec<usize>,
     island_free_mem: Vec<u64>,
     affinity: Affinity,
-    /// Islands with free devices and their ranking keys, for one entry.
-    ranked: Vec<(IslandKey, usize)>,
+    /// Ranking keys of the islands with free devices, for one entry.
+    ranked: Vec<IslandKey>,
     order: Vec<usize>,
     candidates: Vec<DeviceId>,
     chosen: Vec<DeviceId>,
@@ -244,13 +213,12 @@ impl LocalityPass {
             capacity: cluster.device_memory_bytes(),
             num_devices: cluster.num_devices(),
             space,
-            num_metaops,
             preds,
             succs,
             volume,
             memory_used: vec![0; space],
             resident: vec![false; num_metaops * space],
-            last_placement: vec![None; num_metaops],
+            last: vec![None; num_metaops],
             free: vec![false; space],
             island_free: vec![0; num_islands],
             island_free_mem: vec![0; num_islands],
@@ -268,97 +236,75 @@ impl LocalityPass {
         }
     }
 
-    /// Whether `d` is one of this pass's cluster devices.
-    fn contains(&self, d: DeviceId) -> bool {
-        self.affinity
-            .island_of
-            .get(d.index())
-            .is_some_and(|&k| k != NO_ISLAND)
-    }
-
-    /// Snapshots the cross-wave state in sparse, id-stable form.
-    fn checkpoint(&self) -> PlacementCheckpoint {
-        PlacementCheckpoint {
-            memory_used: self
-                .memory_used
-                .iter()
-                .enumerate()
-                .filter(|&(_, &bytes)| bytes > 0)
-                .map(|(i, &bytes)| (DeviceId(i as u32), bytes))
-                .collect(),
-            resident: (0..self.num_metaops)
-                .flat_map(|m| {
-                    let row = &self.resident[m * self.space..(m + 1) * self.space];
-                    row.iter()
-                        .enumerate()
-                        .filter(|&(_, &r)| r)
-                        .map(move |(d, _)| (m as u32, DeviceId(d as u32)))
-                })
-                .collect(),
-            last_placement: self
-                .last_placement
-                .iter()
-                .enumerate()
-                .filter_map(|(m, g)| g.as_ref().map(|g| (m as u32, g.clone())))
-                .collect(),
+    /// Rebuilds the cross-wave state from `waves[..first_wave]` as they are
+    /// already placed, then places `waves[first_wave..]`.
+    fn place_from(&mut self, waves: &mut [Wave], first_wave: usize, choose: Chooser) {
+        self.replay(&waves[..first_wave]);
+        for w in first_wave..waves.len() {
+            self.place_wave(waves, w, choose);
         }
     }
 
-    /// Loads a checkpoint, dropping state attached to devices that are not
-    /// part of this pass's cluster (they were removed by churn). A last
-    /// placement touching a removed device keeps its surviving members —
-    /// affinity toward the survivors still makes the data flows cheap.
-    fn restore(&mut self, checkpoint: &PlacementCheckpoint) {
-        self.memory_used.fill(0);
-        for &(d, bytes) in &checkpoint.memory_used {
-            if self.contains(d) {
-                self.memory_used[d.index()] = bytes;
-            }
-        }
-        self.resident.fill(false);
-        for &(m, d) in &checkpoint.resident {
-            let m = m as usize;
-            if m < self.num_metaops && self.contains(d) {
-                self.resident[m * self.space + d.index()] = true;
-            }
-        }
-        self.last_placement.fill(None);
-        for (m, group) in &checkpoint.last_placement {
-            let m = *m as usize;
-            if m >= self.num_metaops {
-                continue;
-            }
-            let survivors: DeviceGroup = group.iter().filter(|&d| self.contains(d)).collect();
-            if !survivors.is_empty() {
-                self.last_placement[m] = Some(survivors);
+    /// Replays placements made earlier — possibly by a pass on a larger
+    /// cluster. State on devices outside this pass's cluster is dropped:
+    /// exactly the state whose loss forces a migration.
+    fn replay(&mut self, waves: &[Wave]) {
+        for (w, wave) in waves.iter().enumerate() {
+            for (e, entry) in wave.entries.iter().enumerate() {
+                let Some(group) = &entry.placement else {
+                    continue;
+                };
+                for d in group.iter() {
+                    if self.affinity.island_index(d).is_some() {
+                        self.occupy(entry.metaop, d, entry.memory_per_device);
+                    }
+                }
+                self.last[entry.metaop.index()] = Some((w, e));
             }
         }
     }
 
-    /// Places the given waves in order, snapshotting the cross-wave state
-    /// after the last wave of every level they cover.
-    fn place_levels<'w>(
-        &mut self,
-        waves: impl IntoIterator<Item = &'w mut Wave>,
-        choose: Chooser,
-    ) -> Vec<PlacementCheckpoint> {
-        let mut checkpoints = Vec::new();
-        let mut current_level: Option<usize> = None;
-        for wave in waves {
-            if current_level.is_some_and(|level| level != wave.level) {
-                checkpoints.push(self.checkpoint());
-            }
-            current_level = Some(wave.level);
-            self.place_wave(wave, choose);
+    /// Makes `metaop` resident on `d`, charging its per-device bytes the first
+    /// time.
+    fn occupy(&mut self, metaop: MetaOpId, d: DeviceId, bytes: u64) {
+        let slot = metaop.index() * self.space + d.index();
+        if !self.resident[slot] {
+            self.resident[slot] = true;
+            self.memory_used[d.index()] = self.memory_used[d.index()].saturating_add(bytes);
         }
-        if current_level.is_some() {
-            checkpoints.push(self.checkpoint());
-        }
-        checkpoints
     }
 
-    /// Places every entry of one wave, advancing the cross-wave state.
-    fn place_wave(&mut self, wave: &mut Wave, choose: Chooser) {
+    /// Marks the affinity of every device and island for an entry of
+    /// `metaop`: toward its own last placement, its predecessors' and its
+    /// siblings' (MetaOps feeding the same successor, so the successor's
+    /// inputs end up on one island).
+    fn mark_affinities(&mut self, waves: &[Wave], metaop: MetaOpId) {
+        let Self {
+            affinity,
+            last,
+            preds,
+            succs,
+            ..
+        } = self;
+        let last_group =
+            |m: MetaOpId| last[m.index()].and_then(|(w, e)| waves[w].entries[e].placement.as_ref());
+        affinity.device.fill(0);
+        affinity.island.fill(0);
+        affinity.mark(last_group(metaop), 4);
+        for &pred in &preds[metaop.index()] {
+            affinity.mark(last_group(pred), 2);
+        }
+        for &succ in &succs[metaop.index()] {
+            for &sibling in &preds[succ.index()] {
+                if sibling != metaop {
+                    affinity.mark(last_group(sibling), 1);
+                }
+            }
+        }
+    }
+
+    /// Places every entry of `waves[w]`, advancing the cross-wave state.
+    fn place_wave(&mut self, waves: &mut [Wave], w: usize, choose: Chooser) {
         self.free.fill(false);
         self.island_free.fill(0);
         self.island_free_mem.fill(0);
@@ -369,41 +315,25 @@ impl LocalityPass {
             self.island_free_mem[k] += self.capacity.saturating_sub(self.memory_used[d.index()]);
         }
         // Guideline 2: place the most communication-intensive entries first.
+        let entries = &waves[w].entries;
         self.order.clear();
-        self.order.extend(0..wave.entries.len());
+        self.order.extend(0..entries.len());
         let volume = &self.volume;
         self.order
-            .sort_by_key(|&i| Reverse(volume[wave.entries[i].metaop.index()]));
+            .sort_by_key(|&i| Reverse(volume[entries[i].metaop.index()]));
 
         for oi in 0..self.order.len() {
             let idx = self.order[oi];
-            let metaop = wave.entries[idx].metaop;
-            let needed = (wave.entries[idx].devices as usize).min(self.num_devices);
-            // Affinity of each device and island for this entry.
-            self.affinity.clear();
-            self.affinity
-                .mark(self.last_placement[metaop.index()].as_ref(), 4);
-            for &pred in &self.preds[metaop.index()] {
-                self.affinity
-                    .mark(self.last_placement[pred.index()].as_ref(), 2);
-            }
-            // Sibling affinity: co-locate with MetaOps that feed the same
-            // successor, so the successor's inputs end up on one island.
-            for &succ in &self.succs[metaop.index()] {
-                for &sibling in &self.preds[succ.index()] {
-                    if sibling != metaop {
-                        self.affinity
-                            .mark(self.last_placement[sibling.index()].as_ref(), 1);
-                    }
-                }
-            }
+            let entry = &waves[w].entries[idx];
+            let (metaop, per_device) = (entry.metaop, entry.memory_per_device);
+            let needed = (entry.devices as usize).min(self.num_devices);
+            self.mark_affinities(waves, metaop);
 
             self.chosen.clear();
             choose(self, needed);
 
             // Memory-balance fallback: if any chosen device would exceed its
             // capacity, redo the choice ordering devices purely by free memory.
-            let per_device = wave.entries[idx].memory_per_device;
             let would_overflow = self
                 .chosen
                 .iter()
@@ -431,16 +361,10 @@ impl LocalityPass {
                 self.island_free[k] -= 1;
                 self.island_free_mem[k] -=
                     self.capacity.saturating_sub(self.memory_used[d.index()]);
-                let slot = metaop.index() * self.space + d.index();
-                if !self.resident[slot] {
-                    self.resident[slot] = true;
-                    self.memory_used[d.index()] =
-                        self.memory_used[d.index()].saturating_add(per_device);
-                }
+                self.occupy(metaop, d, per_device);
             }
-            let group: DeviceGroup = self.chosen.iter().copied().collect();
-            self.last_placement[metaop.index()] = Some(group.clone());
-            wave.entries[idx].placement = Some(group);
+            waves[w].entries[idx].placement = Some(DeviceGroup::from_distinct(self.chosen.clone()));
+            self.last[metaop.index()] = Some((w, idx));
         }
     }
 
@@ -448,38 +372,33 @@ impl LocalityPass {
     /// the running totals.
     fn island_key(&self, k: usize, needed: usize) -> IslandKey {
         (
-            Reverse(self.island_free[k] >= needed),
-            Reverse(self.affinity.island[k]),
-            Reverse(self.island_free_mem[k]),
+            self.island_free[k] >= needed,
+            self.affinity.island[k],
+            self.island_free_mem[k],
+            Reverse(k),
         )
     }
 
-    /// Guideline 1: takes islands best-first by [`island_key`](Self::island_key),
-    /// ties to the lower index, until the entry has `needed` devices — the
-    /// order a stable sort of every island visits them in. Islands without
-    /// free devices would add nothing and are left out. Most entries fit on
-    /// the best island, found in one scan; the rest are sorted only when the
-    /// entry needs more.
+    /// Guideline 1: takes islands best-first by [`island_key`](Self::island_key)
+    /// until the entry has `needed` devices — the order a stable sort of
+    /// every island visits them in. Islands without free devices would add
+    /// nothing and are left out. The ranked islands form a heap, so an entry
+    /// that fits on the best island orders nothing beyond it.
     fn choose_islands(&mut self, needed: usize) {
         self.ranked.clear();
         for k in 0..self.islands.len() {
             if self.island_free[k] > 0 {
-                self.ranked.push((self.island_key(k, needed), k));
+                self.ranked.push(self.island_key(k, needed));
             }
         }
-        let Some(&(_, best)) = self.ranked.iter().min() else {
-            return;
-        };
-        self.take_from_island(best, needed);
-        if self.chosen.len() < needed {
-            self.ranked.sort_unstable();
-            for i in 1..self.ranked.len() {
-                if self.chosen.len() >= needed {
-                    break;
-                }
-                self.take_from_island(self.ranked[i].1, needed);
-            }
+        let mut heap = BinaryHeap::from(std::mem::take(&mut self.ranked));
+        while self.chosen.len() < needed {
+            let Some((.., Reverse(k))) = heap.pop() else {
+                break;
+            };
+            self.take_from_island(k, needed);
         }
+        self.ranked = heap.into_vec();
     }
 
     /// Appends island `k`'s free devices to `chosen`, most affine first, then
@@ -502,48 +421,23 @@ impl LocalityPass {
     }
 }
 
-/// Locality-, communication- and memory-aware placement.
-fn place_locality(plan: &mut ExecutionPlan, cluster: &ClusterSpec) {
-    let mut pass = LocalityPass::new(plan, cluster);
-    for wave in plan.waves_mut() {
-        pass.place_wave(wave, LocalityPass::choose_islands);
-    }
-}
-
-/// [`place_locality`] that also snapshots the pass state at every level
-/// boundary. `checkpoints[i]` is the state after the last wave of the `i`-th
-/// level of the plan, in wave order — restoring `checkpoints[i]` and
-/// re-placing levels `i+1..` reproduces a full pass exactly.
-pub(crate) fn place_locality_checkpointed(
-    plan: &mut ExecutionPlan,
-    cluster: &ClusterSpec,
-) -> Vec<PlacementCheckpoint> {
-    let mut pass = LocalityPass::new(plan, cluster);
-    pass.place_levels(plan.waves_mut(), LocalityPass::choose_islands)
-}
-
-/// Resumes a locality pass from `resume_from` (the checkpoint taken after the
-/// last clean level) and places only `plan.waves_mut()[first_wave..]` — the
-/// waves of the dirty levels — onto `cluster`'s surviving devices. Waves
-/// before `first_wave` keep whatever placement they already carry. Returns
-/// one checkpoint per level placed, so the resulting hybrid plan can itself
-/// seed the next partial re-plan.
+/// Locality-, communication- and memory-aware placement of
+/// `plan.waves_mut()[first_wave..]` onto `cluster`. The waves before
+/// `first_wave` keep the placements they carry — a clean prefix kept after
+/// device loss, possibly placed on a larger cluster — and the pass resumes
+/// from the state those placements leave. With `first_wave == 0` this is a
+/// full pass.
 pub(crate) fn place_locality_resume(
     plan: &mut ExecutionPlan,
     cluster: &ClusterSpec,
     first_wave: usize,
-    resume_from: &PlacementCheckpoint,
-) -> Vec<PlacementCheckpoint> {
+) {
     let mut pass = LocalityPass::new(plan, cluster);
-    pass.restore(resume_from);
-    pass.place_levels(
-        plan.waves_mut().iter_mut().skip(first_wave),
-        LocalityPass::choose_islands,
-    )
+    pass.place_from(plan.waves_mut(), first_wave, LocalityPass::choose_islands);
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{MetaGraph, Wave, WaveEntry};
     use spindle_cluster::{GpuSpec, InterconnectSpec};
@@ -728,28 +622,26 @@ mod tests {
         }
     }
 
-    /// Asserts that the production pass of `plan` on `cluster`, resumed from
-    /// `resume` at `first_wave`, places and checkpoints exactly like a pass
-    /// with the reference island ranking; returns how many entries took the
+    /// Asserts that the production pass of `plan` on `cluster`, resumed at
+    /// `first_wave`, places exactly like a pass with the reference island
+    /// ranking; returns the placed plan and how many entries took the
     /// memory-balance fallback.
     fn assert_matches_reference(
         plan: &ExecutionPlan,
         cluster: &ClusterSpec,
         first_wave: usize,
-        resume: &PlacementCheckpoint,
-    ) -> usize {
+    ) -> (ExecutionPlan, usize) {
         let mut placed = plan.clone();
-        let checkpoints = place_locality_resume(&mut placed, cluster, first_wave, resume);
+        place_locality_resume(&mut placed, cluster, first_wave);
         let mut reference = plan.clone();
         let mut pass = LocalityPass::new(&reference, cluster);
-        pass.restore(resume);
-        let reference_checkpoints = pass.place_levels(
-            reference.waves_mut().iter_mut().skip(first_wave),
+        pass.place_from(
+            reference.waves_mut(),
+            first_wave,
             LocalityPass::choose_islands_reference,
         );
         assert_eq!(placed.waves(), reference.waves(), "placements differ");
-        assert_eq!(checkpoints, reference_checkpoints, "checkpoints differ");
-        pass.fallbacks
+        (placed, pass.fallbacks)
     }
 
     /// A cold plan of the hyperscale roster's first `tasks` slots minus one
@@ -767,19 +659,142 @@ mod tests {
             .unwrap()
     }
 
-    /// Index of the first wave after the `level`-th level of `plan` (in wave
-    /// order) — where a pass resumed from checkpoint `level` starts.
-    fn first_wave_after(plan: &ExecutionPlan, level: usize) -> usize {
-        let mut levels_seen = 0;
-        for (i, pair) in plan.waves().windows(2).enumerate() {
-            if pair[0].level != pair[1].level {
-                if levels_seen == level {
-                    return i + 1;
-                }
-                levels_seen += 1;
+    /// FNV-1a over every wave's and entry's exact bits, placements included:
+    /// equal iff two plans are identical wave for wave.
+    pub(crate) fn plan_digest(plan: &ExecutionPlan) -> u64 {
+        let mut words = Vec::new();
+        for wave in plan.waves() {
+            words.extend([wave.index as u64, wave.level as u64]);
+            words.extend([wave.start.to_bits(), wave.duration.to_bits()]);
+            for e in &wave.entries {
+                words.extend([e.metaop.index() as u64, e.layers.into(), e.devices.into()]);
+                words.extend([e.time_per_op.to_bits(), e.exec_time.to_bits()]);
+                words.push(e.memory_per_device);
+                let group = e.placement.as_ref().expect("placed");
+                words.push(group.len() as u64);
+                words.extend(group.iter().map(|d| u64::from(d.0)));
             }
         }
-        plan.num_waves()
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// The first wave of every level of `plan`: where a resumed pass can
+    /// start.
+    fn level_starts(plan: &ExecutionPlan) -> Vec<usize> {
+        let waves = plan.waves();
+        (0..waves.len())
+            .filter(|&i| i == 0 || waves[i - 1].level != waves[i].level)
+            .collect()
+    }
+
+    /// Twelve seeded device ids of `cluster`, plus every device of one
+    /// seeded island when `empty_island`.
+    fn seeded_removals(
+        cluster: &ClusterSpec,
+        rng: &mut XorShift64Star,
+        empty_island: bool,
+    ) -> Vec<DeviceId> {
+        let gpus = cluster.num_devices() as u64;
+        let mut removed: Vec<DeviceId> = (0..12)
+            .map(|_| DeviceId((rng.next_u64() % gpus) as u32))
+            .collect();
+        if empty_island {
+            let islands = cluster.islands();
+            let island = &islands[(rng.next_u64() % islands.len() as u64) as usize];
+            removed.extend(island.devices.iter());
+        }
+        removed
+    }
+
+    /// `islands` islands of eight devices, each with twice the memory of the
+    /// largest entry of `plan`: resident slices pile up until some locality
+    /// choices would overflow and fall back.
+    fn small_memory_cluster(islands: usize, plan: &ExecutionPlan) -> ClusterSpec {
+        let largest = plan
+            .waves()
+            .iter()
+            .flat_map(|w| &w.entries)
+            .map(|e| e.memory_per_device)
+            .max()
+            .unwrap();
+        ClusterSpec::with_specs(
+            islands,
+            8,
+            GpuSpec {
+                memory_bytes: 2 * largest,
+                ..GpuSpec::a800_80gb()
+            },
+            InterconnectSpec::nvlink_plus_infiniband_400g(),
+        )
+    }
+
+    /// Plans placed on a full cluster and then resumed on a churned copy at
+    /// every level boundary, digested and pinned: 48 tasks on 256 GPUs and
+    /// 63 on 512, each with seeded removals, with one island emptied, and on
+    /// devices small enough to force the memory-balance fallback. The
+    /// digests were recorded by resuming from the per-level placement
+    /// checkpoints the pass used to take; each resume also matches the
+    /// reference island ranking.
+    #[test]
+    fn resumed_placements_match_the_recorded_digests() {
+        let mut rng = XorShift64Star::new(0x5EED_0004);
+        let mut digests = Vec::new();
+        for (tasks, islands) in [(49, 32), (64, 64)] {
+            for case in 0..3 {
+                let mut full = ClusterSpec::homogeneous(islands, 8);
+                let removed = seeded_removals(&full, &mut rng, case == 1);
+                let plan =
+                    hyperscale_plan(tasks, &mut rng, &full.without_devices(&removed).unwrap());
+                if case == 2 {
+                    full = small_memory_cluster(islands, &plan);
+                }
+                let churned = full.without_devices(&removed).unwrap();
+                let mut before_loss = plan.clone();
+                place_locality_resume(&mut before_loss, &full, 0);
+                let mut fallbacks = 0;
+                for first_wave in level_starts(&plan) {
+                    let (resumed, n) = assert_matches_reference(&before_loss, &churned, first_wave);
+                    digests.push(plan_digest(&resumed));
+                    fallbacks += n;
+                }
+                assert_eq!(case == 2, fallbacks > 0, "{tasks} tasks, case {case}");
+            }
+        }
+        assert_eq!(
+            digests,
+            [
+                0x3630_6f41_a5b1_9059,
+                0xb608_2100_7130_4aee,
+                0x506b_805e_e89c_90dc,
+                0x5a58_d6dc_d6af_1668,
+                0xff6c_1946_068c_b8f1,
+                0x96b6_ddf6_5bd3_860e,
+                0x4338_b31c_15eb_dd17,
+                0xfd4f_d229_4fb3_b962,
+                0x6954_ae09_7d10_4c71,
+                0x40b6_3919_a49b_812c,
+                0xedd4_2a9d_c00f_66e3,
+                0x177f_0b3c_5252_327e,
+                0x169e_040b_62e3_f93d,
+                0xe490_8eda_1789_397f,
+                0x8f3d_6015_daa7_d3d0,
+                0xd5e2_5394_43d9_d139,
+                0x1b37_1a2d_fab4_68ff,
+                0x0aeb_cfee_acf7_5aab,
+                0xe2cb_3af9_2a3f_983c,
+                0x97af_f367_5c4f_e25d,
+                0x5ac9_f4cc_d9cf_abbd,
+                0x7555_ec5d_00f3_9b8c,
+                0x2f51_6858_0010_8a76,
+                0x3d54_b315_183a_f246,
+            ],
+            "{digests:#018x?}"
+        );
     }
 
     #[test]
@@ -788,7 +803,7 @@ mod tests {
         for (tasks, gpus) in [(48, 256), (48, 256), (64, 512), (64, 512)] {
             let cluster = ClusterSpec::homogeneous(gpus / 8, 8);
             let plan = hyperscale_plan(tasks, &mut rng, &cluster);
-            assert_matches_reference(&plan, &cluster, 0, &PlacementCheckpoint::default());
+            assert_matches_reference(&plan, &cluster, 0);
         }
     }
 
@@ -799,29 +814,22 @@ mod tests {
         for draw in 0..3 {
             // Knock out a seeded set of devices, emptying one island outright
             // on the last draw.
-            let mut removed: Vec<DeviceId> = (0..12)
-                .map(|_| DeviceId((rng.next_u64() % 256) as u32))
-                .collect();
-            if draw == 2 {
-                removed.extend((40..48).map(DeviceId));
-            }
+            let removed = seeded_removals(&full, &mut rng, draw == 2);
             let churned = full.without_devices(&removed).unwrap();
             assert!(
                 churned.device_space() > churned.num_devices(),
                 "no id holes"
             );
             let plan = hyperscale_plan(48, &mut rng, &churned);
-            assert_matches_reference(&plan, &churned, 0, &PlacementCheckpoint::default());
+            assert_matches_reference(&plan, &churned, 0);
 
-            // Resume on the survivors from checkpoints of a pass on the full
-            // cluster, as a re-plan after device loss does: restore drops the
-            // state of the removed devices.
+            // Resume on the survivors after the placements of a pass on the
+            // full cluster, as a re-plan after device loss does: the replay
+            // drops the state of the removed devices.
             let mut before_loss = plan.clone();
-            let checkpoints = place_locality_checkpointed(&mut before_loss, &full);
-            for level in [0, checkpoints.len() / 2, checkpoints.len() - 2] {
-                let first_wave = first_wave_after(&plan, level);
-                assert!(first_wave < plan.num_waves());
-                assert_matches_reference(&plan, &churned, first_wave, &checkpoints[level]);
+            place_locality_resume(&mut before_loss, &full, 0);
+            for &first_wave in &level_starts(&plan)[1..] {
+                assert_matches_reference(&before_loss, &churned, first_wave);
             }
         }
     }
@@ -831,26 +839,8 @@ mod tests {
         let mut rng = XorShift64Star::new(0x5EED_0003);
         let cluster = ClusterSpec::homogeneous(32, 8);
         let plan = hyperscale_plan(48, &mut rng, &cluster);
-        // The same topology with devices of twice the largest entry's
-        // footprint: resident slices pile up until some locality choices
-        // would overflow and fall back.
-        let largest = plan
-            .waves()
-            .iter()
-            .flat_map(|w| &w.entries)
-            .map(|e| e.memory_per_device)
-            .max()
-            .unwrap();
-        let small = ClusterSpec::with_specs(
-            32,
-            8,
-            GpuSpec {
-                memory_bytes: 2 * largest,
-                ..GpuSpec::a800_80gb()
-            },
-            InterconnectSpec::nvlink_plus_infiniband_400g(),
-        );
-        let fallbacks = assert_matches_reference(&plan, &small, 0, &PlacementCheckpoint::default());
+        let small = small_memory_cluster(32, &plan);
+        let (_, fallbacks) = assert_matches_reference(&plan, &small, 0);
         assert!(fallbacks > 0, "no entry took the memory-balance fallback");
     }
 }

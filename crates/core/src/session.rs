@@ -14,8 +14,7 @@ use crate::structural::{
     DEFAULT_STRUCTURAL_CACHE_BUDGET,
 };
 use crate::{
-    mpsp, CacheTelemetry, ExecutionPlan, PlacementCheckpoint, PlacementStrategy, PlanError,
-    PlanningStats, Wave,
+    mpsp, CacheTelemetry, ExecutionPlan, PlacementStrategy, PlanError, PlanningStats, Wave,
 };
 
 /// Tunable knobs of the planner.
@@ -558,17 +557,12 @@ impl SpindleSession {
         };
         if let Some(prev_key) = prev_key {
             if let Some(old) = self.structural.skeleton(&prev_key) {
-                if let Some(outcome) =
-                    self.replan_after_loss(&contracted, &curves, &old, devices_lost, started)?
-                {
-                    return Ok(outcome);
-                }
-            } else {
-                // The pre-churn placement was evicted: nothing to diff
-                // against, so the whole plan is re-placed and the
-                // migration volume is unknown (reported as zero).
-                levels_replaced = levels_total;
+                return self.replan_after_loss(&contracted, &curves, &old, devices_lost, started);
             }
+            // The pre-churn placement was evicted: nothing to diff against,
+            // so the whole plan is re-placed and the migration volume is
+            // unknown (reported as zero).
+            levels_replaced = levels_total;
         }
         let schedule = LevelSchedule::build(
             &contracted,
@@ -579,7 +573,7 @@ impl SpindleSession {
             use_cache.then_some(&mut self.structural),
         );
         let stats = schedule.stats();
-        let (mut plan, checkpoints) = schedule.place(
+        let mut plan = schedule.place(
             &contracted,
             &self.cluster,
             self.config.placement,
@@ -592,7 +586,6 @@ impl SpindleSession {
                 PlacedSkeleton {
                     waves: plan.waves().to_vec(),
                     theoretical_optimum: plan.theoretical_optimum(),
-                    checkpoints,
                 },
             );
         }
@@ -636,11 +629,9 @@ impl SpindleSession {
     /// The partial-reuse re-plan after device loss: keep the placements of
     /// the maximal clean prefix of levels (none of their placed devices was
     /// removed — they pay zero migration), rebuild and re-place the dirty
-    /// suffix onto the surviving devices by resuming the placement pass from
-    /// the last clean level's checkpoint, and price the parameter migration
-    /// the suffix's placement shift causes. Returns `Ok(None)` when the old
-    /// skeleton cannot seed a resume (no usable checkpoints) — the caller
-    /// falls back to a full re-plan.
+    /// suffix onto the surviving devices by resuming the placement pass
+    /// after replaying the prefix's placements, and price the parameter
+    /// migration the suffix's placement shift causes.
     fn replan_after_loss(
         &mut self,
         contracted: &ContractedGraph,
@@ -648,7 +639,7 @@ impl SpindleSession {
         old: &PlacedSkeleton,
         devices_lost: usize,
         started: Instant,
-    ) -> Result<Option<ReplanOutcome>, PlanError> {
+    ) -> Result<ReplanOutcome, PlanError> {
         let num_devices = self.cluster.num_devices() as u32;
         let device_space = self.cluster.device_space();
         let levels_total = contracted.metagraph().levels().len();
@@ -684,15 +675,10 @@ impl SpindleSession {
             // exceed the surviving capacity) and pays zero migration.
             let outcome = self.serve_skeleton(contracted, old, started);
             self.structural.insert_skeleton(new_key, old.clone());
-            return Ok(Some(ReplanOutcome {
+            return Ok(ReplanOutcome {
                 devices_lost,
                 ..outcome
-            }));
-        }
-        if clean_prefix > 0 && old.checkpoints.len() < clean_prefix {
-            // Skeleton predates checkpointing (or used a stateless strategy):
-            // nothing to resume from.
-            return Ok(None);
+            });
         }
         // Where the suffix MetaOps used to live, for the migration diff.
         let mut old_sites: Vec<Vec<DeviceId>> = vec![Vec::new(); num_metaops];
@@ -744,13 +730,7 @@ impl SpindleSession {
             started.elapsed(),
         );
         crate::placement::check_capacity(&plan, &self.cluster)?;
-        let resume = if clean_prefix > 0 {
-            old.checkpoints[clean_prefix - 1].clone()
-        } else {
-            PlacementCheckpoint::default()
-        };
-        let suffix_checkpoints =
-            crate::placement::place_locality_resume(&mut plan, &self.cluster, prefix_len, &resume);
+        crate::placement::place_locality_resume(&mut plan, &self.cluster, prefix_len);
         plan.set_device_space(device_space as u32);
         let mut outcome = ReplanOutcome {
             levels_reused: stats.levels_reused as usize,
@@ -808,19 +788,16 @@ impl SpindleSession {
                 outcome.migration_cost += interconnect.transfer_time(class, bytes);
             }
         }
-        let mut checkpoints = old.checkpoints[..clean_prefix].to_vec();
-        checkpoints.extend(suffix_checkpoints);
         self.structural.insert_skeleton(
             new_key,
             PlacedSkeleton {
                 waves: outcome.plan.waves().to_vec(),
                 theoretical_optimum: new_optimum,
-                checkpoints,
             },
         );
         outcome.plan.set_planning_time(started.elapsed());
         self.stats.merge(&stats);
-        Ok(Some(outcome))
+        Ok(outcome)
     }
 
     /// The theoretical optimum `Σ C̃*` of a workload on this session's
@@ -1160,6 +1137,9 @@ mod tests {
             .cloned()
             .collect();
         assert_eq!(cold_prefix, new_prefix);
+        // The resumed suffix, pinned bit for bit.
+        let digest = crate::placement::tests::plan_digest(&churned.plan);
+        assert_eq!(digest, 0x0d98_d0ea_381f_6952, "{digest:#018x}");
         // A second re-plan on the shrunken topology is a plain skeleton hit.
         let settled = session.replan(&graph).unwrap();
         assert_eq!(settled.devices_lost, 0);

@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use spindle_graph::WorkloadSignature;
 
-use crate::{MetaGraph, MetaLevel, PlacementCheckpoint, PlacementStrategy, Wave, WaveEntry};
+use crate::{MetaGraph, MetaLevel, PlacementStrategy, Wave, WaveEntry};
 
 /// Default byte budget of the structural plan cache: comfortably holds every
 /// artifact of paper-scale and hyperscale runs while bounding a long-running
@@ -299,33 +299,24 @@ impl LevelArtifact {
 
 /// The cached whole-plan artifact: the fully placed wave list and the summed
 /// theoretical optimum of a previously planned structure.
+///
+/// The placements are all a partial re-plan after device loss needs: it
+/// keeps the waves of the clean prefix of levels and resumes the locality
+/// pass by replaying their placements.
 #[derive(Debug, Clone)]
 pub struct PlacedSkeleton {
     /// The placed waves, ready to clone into a new [`ExecutionPlan`](crate::ExecutionPlan).
     pub waves: Vec<Wave>,
     /// The plan's theoretical optimum `Σ C̃*`.
     pub theoretical_optimum: f64,
-    /// Placement-pass state snapshotted after each level (`checkpoints[i]` =
-    /// state after the last wave of level `i`). After device churn, a clean
-    /// prefix of levels keeps its placements and the pass resumes from the
-    /// last clean checkpoint instead of re-placing the whole plan. Empty for
-    /// stateless placement strategies.
-    pub checkpoints: Vec<PlacementCheckpoint>,
 }
 
 impl PlacedSkeleton {
-    /// Approximate memory footprint of the skeleton (waves, entries,
-    /// placement device lists and level checkpoints), for cache byte
-    /// accounting.
+    /// Approximate memory footprint of the skeleton (waves, entries and
+    /// placement device lists), for cache byte accounting.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.waves.iter().map(wave_bytes).sum::<usize>()
-            + self
-                .checkpoints
-                .iter()
-                .map(PlacementCheckpoint::approx_bytes)
-                .sum::<usize>()
+        std::mem::size_of::<Self>() + self.waves.iter().map(wave_bytes).sum::<usize>()
     }
 }
 
@@ -731,7 +722,6 @@ mod tests {
             PlacedSkeleton {
                 waves: Vec::new(),
                 theoretical_optimum: 1.0,
-                checkpoints: Vec::new(),
             },
         );
         assert!(cache.skeleton(&plan_key).is_some());
@@ -804,7 +794,6 @@ mod tests {
             PlacedSkeleton {
                 waves: Vec::new(),
                 theoretical_optimum: 1.0,
-                checkpoints: Vec::new(),
             },
         );
         assert!(cache.bytes() <= cache.budget());

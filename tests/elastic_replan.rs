@@ -6,6 +6,7 @@
 
 use spindle::prelude::*;
 use spindle::runtime::{SimConfig, Simulator};
+use spindle::service::ReplanSummary;
 use spindle_cluster::ClusterSpec;
 use spindle_core::ReplanOutcome;
 use spindle_graph::{ComputationGraph, GraphBuilder, TensorShape, XorShift64Star};
@@ -64,6 +65,21 @@ fn assert_no_dead_placement(outcome: &ReplanOutcome, removed: &[DeviceId], conte
     }
 }
 
+/// 1–3 distinct devices of a 12-device cluster, drawn over the whole id
+/// space so some draws hit level-0 devices (full re-placement) and some only
+/// the high-id tail (clean level-0 prefix, partial reuse).
+fn draw_removal(rng: &mut XorShift64Star) -> Vec<DeviceId> {
+    let k = 1 + (rng.next_u64() % 3) as usize;
+    let mut removed: Vec<DeviceId> = Vec::new();
+    while removed.len() < k {
+        let d = DeviceId((rng.next_u64() % 12) as u32);
+        if !removed.contains(&d) {
+            removed.push(d);
+        }
+    }
+    removed
+}
+
 #[test]
 fn seeded_removals_replan_onto_survivors_with_invariants_intact() {
     let cluster = ClusterSpec::homogeneous(3, 4);
@@ -76,17 +92,7 @@ fn seeded_removals_replan_onto_survivors_with_invariants_intact() {
     for step in 0..12 {
         let mut session = SpindleSession::new(cluster.clone());
         let baseline = session.plan(&graph).unwrap();
-        // Remove 1–3 distinct devices, drawn over the whole id space so
-        // some draws hit level-0 devices (full re-placement) and some only
-        // the high-id tail (clean level-0 prefix, partial reuse).
-        let k = 1 + (rng.next_u64() % 3) as usize;
-        let mut removed: Vec<DeviceId> = Vec::new();
-        while removed.len() < k {
-            let d = DeviceId((rng.next_u64() % 12) as u32);
-            if !removed.contains(&d) {
-                removed.push(d);
-            }
-        }
+        let removed = draw_removal(&mut rng);
         let shrunk = session.remove_devices(&removed).unwrap();
         assert_eq!(shrunk, removed.len(), "step {step}: all removals applied");
 
@@ -123,6 +129,65 @@ fn seeded_removals_replan_onto_survivors_with_invariants_intact() {
     assert!(
         saw_priced_migration,
         "no draw induced (and priced) any migration"
+    );
+}
+
+/// The plans of the seeded removals above, and of a further loss of the
+/// highest surviving device after each, pinned bit for bit: the resumed
+/// suffix placements were recorded when the pass restored per-level
+/// checkpoints instead of replaying the clean prefix.
+#[test]
+fn seeded_removal_replans_match_the_recorded_digests() {
+    let cluster = ClusterSpec::homogeneous(3, 4);
+    let graph = staged_graph();
+    let mut rng = XorShift64Star::new(0x0E1A_571C);
+    let mut digests = Vec::new();
+    let mut partial = 0;
+    for _ in 0..12 {
+        let mut session = SpindleSession::new(cluster.clone());
+        session.plan(&graph).unwrap();
+        session.remove_devices(&draw_removal(&mut rng)).unwrap();
+        let mut outcomes = vec![session.replan(&graph).unwrap()];
+        let highest = session.cluster().all_devices().iter().max().unwrap();
+        session.remove_devices(&[highest]).unwrap();
+        outcomes.push(session.replan(&graph).unwrap());
+        for outcome in &outcomes {
+            partial += usize::from(
+                outcome.levels_replaced > 0 && outcome.levels_replaced < outcome.levels_total,
+            );
+            digests.push(ReplanSummary::of(outcome).plan_fingerprint);
+        }
+    }
+    assert_eq!(partial, 6, "partial clean-prefix reuses");
+    assert_eq!(
+        digests,
+        [
+            0x7b43_ba54_4639_007c,
+            0xe644_4886_41ba_0ca6,
+            0x4eee_d787_809b_e35c,
+            0x4eee_d787_809b_e35c,
+            0x4d44_48cd_7eb7_ba1a,
+            0x5f43_0e74_7304_cbe0,
+            0xf806_cf89_4980_e0f7,
+            0x1b41_b11d_c034_7280,
+            0xb409_fb90_663c_421d,
+            0x38d2_59d2_86db_2ff9,
+            0x7b43_ba54_4639_007c,
+            0xe644_4886_41ba_0ca6,
+            0xec40_84a0_732a_f6d2,
+            0xc77f_eab9_eb2d_26c1,
+            0x43ef_5133_fa01_d4e6,
+            0x28fc_3ee4_744c_81b2,
+            0x7b43_ba54_4639_007c,
+            0xe644_4886_41ba_0ca6,
+            0x6ada_e7e1_937b_2bdb,
+            0x0ae3_2c48_cb4a_c3d3,
+            0x4ac8_b7e6_1028_c852,
+            0x1d1e_cb7e_6ede_a0a6,
+            0x1d1e_cb7e_6ede_a0a6,
+            0xb751_5bfa_1cfc_694d,
+        ],
+        "{digests:#018x?}"
     );
 }
 
