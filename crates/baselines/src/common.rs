@@ -3,22 +3,20 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use spindle_cluster::ClusterSpec;
-use spindle_core::{curves_for, MetaGraph, MetaOpId, PlanError, SpindleSession};
+use spindle_core::{ContractedGraph, CurveSet, MetaGraph, MetaOpId, PlanError, SpindleSession};
 use spindle_estimator::{ScalabilityEstimator, ScalingCurve};
 use spindle_graph::{ComputationGraph, TaskId};
 
 /// Contracted graph, per-MetaOp curves and per-task MetaOp lists — the inputs
-/// every baseline planner needs.
+/// every baseline planner needs, resolved through a planning session.
 #[derive(Debug)]
 pub struct BaselineContext {
-    /// The contracted MetaGraph.
-    pub metagraph: MetaGraph,
-    /// Scaling curves per MetaOp.
-    pub curves: BTreeMap<MetaOpId, Arc<ScalingCurve>>,
-    /// The estimator (for memory queries). Shared with the planning session
-    /// when the context is built through [`from_session`](Self::from_session),
-    /// so baselines profile through the same persistent curve cache.
+    /// The session's stage-1 artifact: the contracted MetaGraph.
+    pub contracted: ContractedGraph,
+    /// The session's stage-2 artifact: one scaling curve per MetaOp.
+    pub curves: CurveSet,
+    /// The session's estimator (for memory queries), so baselines profile
+    /// through the same persistent curve cache.
     pub estimator: Arc<ScalabilityEstimator>,
     /// MetaOps of each task, in dependency-level order.
     pub task_metaops: BTreeMap<TaskId, Vec<MetaOpId>>,
@@ -27,21 +25,6 @@ pub struct BaselineContext {
 }
 
 impl BaselineContext {
-    /// Builds the context for a workload on a cluster, with a fresh estimator
-    /// (cold curve cache).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] if the cluster is empty or an operator cannot be
-    /// profiled.
-    pub fn build(graph: &ComputationGraph, cluster: &ClusterSpec) -> Result<Self, PlanError> {
-        Self::with_estimator(
-            graph,
-            Arc::new(ScalabilityEstimator::new(cluster)),
-            cluster.num_devices() as u32,
-        )
-    }
-
     /// Builds the context for a workload inside a planning session, reusing
     /// the session's estimator and therefore its cross-plan curve cache.
     ///
@@ -53,23 +36,13 @@ impl BaselineContext {
         graph: &ComputationGraph,
         session: &SpindleSession,
     ) -> Result<Self, PlanError> {
-        Self::with_estimator(
-            graph,
-            session.estimator_handle(),
-            session.cluster().num_devices() as u32,
-        )
-    }
-
-    fn with_estimator(
-        graph: &ComputationGraph,
-        estimator: Arc<ScalabilityEstimator>,
-        num_devices: u32,
-    ) -> Result<Self, PlanError> {
+        let num_devices = session.cluster().num_devices() as u32;
         if num_devices == 0 {
             return Err(PlanError::EmptyCluster);
         }
-        let metagraph = MetaGraph::contract(graph);
-        let curves = curves_for(&metagraph, &estimator)?;
+        let contracted = session.contract(graph);
+        let curves = session.resolve_curves(&contracted)?;
+        let metagraph = contracted.metagraph();
         let mut task_metaops: BTreeMap<TaskId, Vec<MetaOpId>> = BTreeMap::new();
         // Level-major order gives a valid sequential execution order per task.
         for level in metagraph.levels() {
@@ -81,28 +54,44 @@ impl BaselineContext {
             }
         }
         Ok(Self {
-            metagraph,
+            contracted,
             curves,
-            estimator,
+            estimator: session.estimator_handle(),
             task_metaops,
             num_devices,
         })
+    }
+
+    /// The contracted MetaGraph.
+    #[must_use]
+    pub fn metagraph(&self) -> &MetaGraph {
+        self.contracted.metagraph()
     }
 
     /// Per-device memory bytes of `layers` operators of a MetaOp at allocation
     /// `devices`.
     #[must_use]
     pub fn memory_per_device(&self, metaop: MetaOpId, devices: u32, layers: u32) -> u64 {
-        let rep = self.metagraph.metaop(metaop).representative();
+        let rep = self.metagraph().metaop(metaop).representative();
         self.estimator
             .memory_bytes(rep, devices)
             .saturating_mul(u64::from(layers))
     }
 
+    /// Per-operator time of a MetaOp on `devices` devices: the profiled point
+    /// of its curve where there is one, the fitted curve otherwise.
+    #[must_use]
+    pub fn time_per_op(&self, metaop: MetaOpId, devices: u32) -> f64 {
+        let curve = self.curve(metaop);
+        curve
+            .time_at(devices)
+            .unwrap_or_else(|| curve.time(f64::from(devices)))
+    }
+
     /// The largest valid allocation of a MetaOp not exceeding `limit`.
     #[must_use]
     pub fn largest_valid_allocation(&self, metaop: MetaOpId, limit: u32) -> u32 {
-        self.curves[&metaop]
+        self.curve(metaop)
             .valid_allocations()
             .iter()
             .filter(|&&(n, _)| n <= limit)
@@ -110,11 +99,30 @@ impl BaselineContext {
             .max()
             .unwrap_or(1)
     }
+
+    fn curve(&self, metaop: MetaOpId) -> &ScalingCurve {
+        self.curves
+            .get(metaop)
+            .expect("CurveSet::resolve covers every MetaOp of the ContractedGraph")
+    }
+}
+
+/// Plans `graph` with `system` in a fresh session on `cluster`.
+#[cfg(test)]
+pub(crate) fn plan_on(
+    mut system: impl spindle_core::PlanningSystem,
+    graph: &ComputationGraph,
+    cluster: &spindle_cluster::ClusterSpec,
+) -> spindle_core::ExecutionPlan {
+    system
+        .plan(graph, &mut SpindleSession::new(cluster.clone()))
+        .unwrap()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spindle_cluster::ClusterSpec;
     use spindle_graph::{GraphBuilder, Modality, OpKind, TensorShape};
 
     #[test]
@@ -134,14 +142,15 @@ mod tests {
             .unwrap();
         b.add_flow(*enc.last().unwrap(), lm[0]).unwrap();
         let graph = b.build().unwrap();
-        let cluster = ClusterSpec::homogeneous(1, 8);
-        let ctx = BaselineContext::build(&graph, &cluster).unwrap();
+        let session = SpindleSession::new(ClusterSpec::homogeneous(1, 8));
+        let ctx = BaselineContext::from_session(&graph, &session).unwrap();
         assert_eq!(ctx.num_devices, 8);
         assert_eq!(ctx.task_metaops.len(), 1);
         let metaops = &ctx.task_metaops[&TaskId(0)];
         assert_eq!(metaops.len(), 2);
         assert!(
-            ctx.metagraph.metaop(metaops[0]).level() <= ctx.metagraph.metaop(metaops[1]).level()
+            ctx.metagraph().metaop(metaops[0]).level()
+                <= ctx.metagraph().metaop(metaops[1]).level()
         );
         assert!(ctx.largest_valid_allocation(metaops[0], 8) >= 4);
         assert!(ctx.memory_per_device(metaops[0], 8, 4) > 0);

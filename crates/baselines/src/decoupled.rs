@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use spindle_cluster::{ClusterSpec, DeviceGroup, DeviceId};
+use spindle_cluster::{DeviceGroup, DeviceId};
 use spindle_core::{ExecutionPlan, PlanError, PlanningSystem, SpindleSession, Wave, WaveEntry};
 use spindle_estimator::{AnalyticGpuModel, ParallelConfig};
 use spindle_graph::ComputationGraph;
@@ -39,30 +39,24 @@ impl DecoupledPlanner {
     pub fn new(parallelism: DecoupledParallelism) -> Self {
         Self { parallelism }
     }
+}
 
-    /// Produces the decoupled execution plan for `graph` on `cluster`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] if the cluster is empty or profiling fails.
-    pub fn plan(
-        &self,
-        graph: &ComputationGraph,
-        cluster: &ClusterSpec,
-    ) -> Result<ExecutionPlan, PlanError> {
-        let started = Instant::now();
-        let ctx = BaselineContext::build(graph, cluster)?;
-        self.plan_with_context(ctx, cluster, started)
+impl PlanningSystem for DecoupledPlanner {
+    fn name(&self) -> &str {
+        match self.parallelism {
+            DecoupledParallelism::HybridBest => "Megatron-LM",
+            DecoupledParallelism::DataParallelOnly => "DeepSpeed",
+        }
     }
 
-    /// Lays out the decoupled schedule over an already-built context.
-    fn plan_with_context(
-        &self,
-        ctx: BaselineContext,
-        cluster: &ClusterSpec,
-        started: Instant,
+    fn plan(
+        &mut self,
+        graph: &ComputationGraph,
+        session: &mut SpindleSession,
     ) -> Result<ExecutionPlan, PlanError> {
-        let model = AnalyticGpuModel::new(cluster);
+        let started = Instant::now();
+        let ctx = BaselineContext::from_session(graph, session)?;
+        let model = AnalyticGpuModel::new(session.cluster());
         let mut waves: Vec<Wave> = Vec::new();
         let mut now = 0.0f64;
 
@@ -70,15 +64,12 @@ impl DecoupledPlanner {
         // dependency order, each occupying the whole cluster.
         for metaops in ctx.task_metaops.values() {
             for &metaop_id in metaops {
-                let metaop = ctx.metagraph.metaop(metaop_id);
+                let metaop = ctx.metagraph().metaop(metaop_id);
                 let rep = metaop.representative();
                 let (devices, time_per_op) = match self.parallelism {
                     DecoupledParallelism::HybridBest => {
                         let n = ctx.largest_valid_allocation(metaop_id, ctx.num_devices);
-                        let t = ctx.curves[&metaop_id]
-                            .time_at(n)
-                            .unwrap_or_else(|| ctx.curves[&metaop_id].time(f64::from(n)));
-                        (n, t)
+                        (n, ctx.time_per_op(metaop_id, n))
                     }
                     DecoupledParallelism::DataParallelOnly => {
                         // Largest data-parallel degree that divides the batch.
@@ -111,7 +102,7 @@ impl DecoupledPlanner {
 
         Ok(ExecutionPlan::new(
             waves,
-            ctx.metagraph,
+            ctx.contracted.metagraph_handle(),
             ctx.num_devices,
             0.0,
             started.elapsed(),
@@ -119,28 +110,11 @@ impl DecoupledPlanner {
     }
 }
 
-impl PlanningSystem for DecoupledPlanner {
-    fn name(&self) -> &str {
-        match self.parallelism {
-            DecoupledParallelism::HybridBest => "Megatron-LM",
-            DecoupledParallelism::DataParallelOnly => "DeepSpeed",
-        }
-    }
-
-    fn plan(
-        &mut self,
-        graph: &ComputationGraph,
-        session: &mut SpindleSession,
-    ) -> Result<ExecutionPlan, PlanError> {
-        let started = Instant::now();
-        let ctx = BaselineContext::from_session(graph, session)?;
-        self.plan_with_context(ctx, session.cluster(), started)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::plan_on;
+    use spindle_cluster::ClusterSpec;
     use spindle_runtime::Simulator;
     use spindle_workloads::multitask_clip;
 
@@ -148,9 +122,11 @@ mod tests {
     fn decoupled_plan_is_valid_and_sequential() {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(1, 8);
-        let plan = DecoupledPlanner::new(DecoupledParallelism::HybridBest)
-            .plan(&graph, &cluster)
-            .unwrap();
+        let plan = plan_on(
+            DecoupledPlanner::new(DecoupledParallelism::HybridBest),
+            &graph,
+            &cluster,
+        );
         plan.validate().unwrap();
         plan.require_placement().unwrap();
         // One wave per MetaOp, strictly sequential.
@@ -164,12 +140,16 @@ mod tests {
     fn hybrid_is_at_least_as_fast_as_dp_only() {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(2, 8);
-        let megatron = DecoupledPlanner::new(DecoupledParallelism::HybridBest)
-            .plan(&graph, &cluster)
-            .unwrap();
-        let deepspeed = DecoupledPlanner::new(DecoupledParallelism::DataParallelOnly)
-            .plan(&graph, &cluster)
-            .unwrap();
+        let megatron = plan_on(
+            DecoupledPlanner::new(DecoupledParallelism::HybridBest),
+            &graph,
+            &cluster,
+        );
+        let deepspeed = plan_on(
+            DecoupledPlanner::new(DecoupledParallelism::DataParallelOnly),
+            &graph,
+            &cluster,
+        );
         assert!(megatron.makespan() <= deepspeed.makespan() * 1.001);
     }
 
@@ -177,9 +157,11 @@ mod tests {
     fn decoupled_execution_runs_through_the_runtime() {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(1, 8);
-        let plan = DecoupledPlanner::new(DecoupledParallelism::DataParallelOnly)
-            .plan(&graph, &cluster)
-            .unwrap();
+        let plan = plan_on(
+            DecoupledPlanner::new(DecoupledParallelism::DataParallelOnly),
+            &graph,
+            &cluster,
+        );
         let report = Simulator::new(&plan, &cluster)
             .with_graph(&graph)
             .run_iteration()
@@ -193,9 +175,11 @@ mod tests {
         // underutilised during light operators.
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(2, 8);
-        let plan = DecoupledPlanner::new(DecoupledParallelism::HybridBest)
-            .plan(&graph, &cluster)
-            .unwrap();
+        let plan = plan_on(
+            DecoupledPlanner::new(DecoupledParallelism::HybridBest),
+            &graph,
+            &cluster,
+        );
         let report = Simulator::new(&plan, &cluster)
             .with_graph(&graph)
             .run_iteration()

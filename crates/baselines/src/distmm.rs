@@ -11,12 +11,11 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use spindle_cluster::ClusterSpec;
 use spindle_core::mpsp::{self, MpspScratch};
 use spindle_core::wavefront::{self, WavefrontScratch};
 use spindle_core::{
-    allocator, CurveSet, ExecutionPlan, MetaOpArena, MetaOpId, PlacementStrategy, PlanError,
-    PlanningSystem, SpindleSession, Wave,
+    allocator, ExecutionPlan, MetaOpArena, MetaOpId, PlacementStrategy, PlanError, PlanningSystem,
+    SpindleSession, Wave,
 };
 use spindle_graph::ComputationGraph;
 
@@ -32,30 +31,21 @@ impl DistMmMtPlanner {
     pub fn new() -> Self {
         Self
     }
+}
 
-    /// Produces the DistMM-MT execution plan for `graph` on `cluster`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] if the cluster is empty or profiling fails.
-    pub fn plan(
-        &self,
-        graph: &ComputationGraph,
-        cluster: &ClusterSpec,
-    ) -> Result<ExecutionPlan, PlanError> {
-        let started = Instant::now();
-        let ctx = BaselineContext::build(graph, cluster)?;
-        self.plan_with_context(ctx, cluster, started)
+impl PlanningSystem for DistMmMtPlanner {
+    fn name(&self) -> &str {
+        "DistMM-MT"
     }
 
-    /// Lays out the DistMM-MT schedule over an already-built context.
-    fn plan_with_context(
-        &self,
-        ctx: BaselineContext,
-        cluster: &ClusterSpec,
-        started: Instant,
+    fn plan(
+        &mut self,
+        graph: &ComputationGraph,
+        session: &mut SpindleSession,
     ) -> Result<ExecutionPlan, PlanError> {
-        let arena = MetaOpArena::build(&ctx.metagraph, &CurveSet::from(ctx.curves.clone()));
+        let started = Instant::now();
+        let ctx = BaselineContext::from_session(graph, session)?;
+        let arena = MetaOpArena::build(ctx.metagraph(), &ctx.curves);
         let mut mpsp_scratch = MpspScratch::new();
         let mut wavefront_scratch = WavefrontScratch::new();
         let mut waves: Vec<Wave> = Vec::new();
@@ -66,7 +56,7 @@ impl DistMmMtPlanner {
             let mut by_level: BTreeMap<usize, Vec<MetaOpId>> = BTreeMap::new();
             for &id in metaops {
                 by_level
-                    .entry(ctx.metagraph.metaop(id).level())
+                    .entry(ctx.metagraph().metaop(id).level())
                     .or_default()
                     .push(id);
             }
@@ -104,36 +94,22 @@ impl DistMmMtPlanner {
         // locality-aware mechanism.
         let mut plan = ExecutionPlan::new(
             waves,
-            ctx.metagraph,
+            ctx.contracted.metagraph_handle(),
             ctx.num_devices,
             0.0,
             started.elapsed(),
         );
-        PlacementStrategy::Locality.place(&mut plan, cluster)?;
+        PlacementStrategy::Locality.place(&mut plan, session.cluster())?;
         Ok(plan)
-    }
-}
-
-impl PlanningSystem for DistMmMtPlanner {
-    fn name(&self) -> &str {
-        "DistMM-MT"
-    }
-
-    fn plan(
-        &mut self,
-        graph: &ComputationGraph,
-        session: &mut SpindleSession,
-    ) -> Result<ExecutionPlan, PlanError> {
-        let started = Instant::now();
-        let ctx = BaselineContext::from_session(graph, session)?;
-        self.plan_with_context(ctx, session.cluster(), started)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::plan_on;
     use crate::{DecoupledParallelism, DecoupledPlanner};
+    use spindle_cluster::ClusterSpec;
     use spindle_runtime::Simulator;
     use spindle_workloads::{multitask_clip, WorkloadPreset};
 
@@ -141,7 +117,7 @@ mod tests {
     fn distmm_plan_is_valid() {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(1, 8);
-        let plan = DistMmMtPlanner::new().plan(&graph, &cluster).unwrap();
+        let plan = plan_on(DistMmMtPlanner::new(), &graph, &cluster);
         plan.validate().unwrap();
         plan.require_placement().unwrap();
     }
@@ -153,10 +129,12 @@ mod tests {
         // decoupled baseline.
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(2, 8);
-        let distmm = DistMmMtPlanner::new().plan(&graph, &cluster).unwrap();
-        let decoupled = DecoupledPlanner::new(DecoupledParallelism::DataParallelOnly)
-            .plan(&graph, &cluster)
-            .unwrap();
+        let distmm = plan_on(DistMmMtPlanner::new(), &graph, &cluster);
+        let decoupled = plan_on(
+            DecoupledPlanner::new(DecoupledParallelism::DataParallelOnly),
+            &graph,
+            &cluster,
+        );
         assert!(distmm.makespan() < decoupled.makespan());
     }
 
@@ -194,7 +172,7 @@ mod tests {
             let graph = preset.build().unwrap();
             for gpus in preset.paper_cluster_sizes() {
                 let cluster = ClusterSpec::homogeneous(gpus / 8, 8);
-                let plan = DistMmMtPlanner::new().plan(&graph, &cluster).unwrap();
+                let plan = plan_on(DistMmMtPlanner::new(), &graph, &cluster);
                 digests.push(plan_digest(&plan));
             }
         }
@@ -227,7 +205,7 @@ mod tests {
     fn distmm_runs_through_runtime() {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(1, 8);
-        let plan = DistMmMtPlanner::new().plan(&graph, &cluster).unwrap();
+        let plan = plan_on(DistMmMtPlanner::new(), &graph, &cluster);
         let report = Simulator::new(&plan, &cluster)
             .with_graph(&graph)
             .run_iteration()

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use spindle_cluster::{ClusterSpec, DeviceGroup, DeviceId};
+use spindle_cluster::{DeviceGroup, DeviceId};
 use spindle_core::{ExecutionPlan, PlanError, PlanningSystem, SpindleSession, Wave, WaveEntry};
 use spindle_graph::{ComputationGraph, TaskId};
 
@@ -28,65 +28,6 @@ impl OptimusPlanner {
     #[must_use]
     pub fn new() -> Self {
         Self
-    }
-
-    /// Produces the Spindle-Optimus execution plan for `graph` on `cluster`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] if the cluster is empty or profiling fails.
-    pub fn plan(
-        &self,
-        graph: &ComputationGraph,
-        cluster: &ClusterSpec,
-    ) -> Result<ExecutionPlan, PlanError> {
-        let started = Instant::now();
-        let ctx = BaselineContext::build(graph, cluster)?;
-        self.plan_with_context(ctx, started)
-    }
-
-    /// Lays out the Spindle-Optimus schedule over an already-built context.
-    fn plan_with_context(
-        &self,
-        ctx: BaselineContext,
-        started: Instant,
-    ) -> Result<ExecutionPlan, PlanError> {
-        let tasks: Vec<TaskId> = ctx.task_metaops.keys().copied().collect();
-        let n = ctx.num_devices;
-
-        let mut waves: Vec<Wave> = Vec::new();
-        let mut now = 0.0f64;
-        // More tasks than devices: run them in concurrent groups of at most N.
-        for group in tasks.chunks(n as usize) {
-            let allocations = allocate_marginal_gain(&ctx, group, n);
-            let group_end = self.emit_task_waves(&ctx, group, &allocations, now, &mut waves);
-            now = group_end;
-        }
-
-        let mut plan = ExecutionPlan::new(
-            waves,
-            ctx.metagraph,
-            ctx.num_devices,
-            0.0,
-            started.elapsed(),
-        );
-        sort_waves_by_start(&mut plan);
-        Ok(plan)
-    }
-
-    /// Plans within a session, reusing its curve cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] if the cluster is empty or profiling fails.
-    pub fn plan_in_session(
-        &self,
-        graph: &ComputationGraph,
-        session: &SpindleSession,
-    ) -> Result<ExecutionPlan, PlanError> {
-        let started = Instant::now();
-        let ctx = BaselineContext::from_session(graph, session)?;
-        self.plan_with_context(ctx, started)
     }
 
     /// Lays out each task's sequential operator execution on its contiguous
@@ -107,11 +48,9 @@ impl OptimusPlanner {
             let placement_base = DeviceId(first_device);
             let mut now = start;
             for &metaop_id in &ctx.task_metaops[&task] {
-                let metaop = ctx.metagraph.metaop(metaop_id);
+                let metaop = ctx.metagraph().metaop(metaop_id);
                 let alloc = ctx.largest_valid_allocation(metaop_id, devices);
-                let time_per_op = ctx.curves[&metaop_id]
-                    .time_at(alloc)
-                    .unwrap_or_else(|| ctx.curves[&metaop_id].time(f64::from(alloc)));
+                let time_per_op = ctx.time_per_op(metaop_id, alloc);
                 let layers = metaop.num_ops();
                 let mut entry = WaveEntry::new(metaop_id, layers, alloc, time_per_op);
                 entry.memory_per_device = ctx.memory_per_device(metaop_id, alloc, layers);
@@ -143,7 +82,33 @@ impl PlanningSystem for OptimusPlanner {
         graph: &ComputationGraph,
         session: &mut SpindleSession,
     ) -> Result<ExecutionPlan, PlanError> {
-        self.plan_in_session(graph, session)
+        let started = Instant::now();
+        let ctx = BaselineContext::from_session(graph, session)?;
+        let tasks: Vec<TaskId> = ctx.task_metaops.keys().copied().collect();
+        let n = ctx.num_devices;
+
+        let mut waves: Vec<Wave> = Vec::new();
+        let mut now = 0.0f64;
+        // More tasks than devices: run them in concurrent groups of at most N.
+        for group in tasks.chunks(n as usize) {
+            let allocations = allocate_marginal_gain(&ctx, group, n);
+            let group_end = self.emit_task_waves(&ctx, group, &allocations, now, &mut waves);
+            now = group_end;
+        }
+
+        // Waves of concurrent tasks interleave on the timeline: order them by
+        // start time and re-index them.
+        waves.sort_by(|a, b| a.start.total_cmp(&b.start));
+        for (i, wave) in waves.iter_mut().enumerate() {
+            wave.index = i;
+        }
+        Ok(ExecutionPlan::new(
+            waves,
+            ctx.contracted.metagraph_handle(),
+            ctx.num_devices,
+            0.0,
+            started.elapsed(),
+        ))
     }
 }
 
@@ -154,10 +119,7 @@ fn task_time(ctx: &BaselineContext, task: TaskId, n: u32) -> f64 {
         .iter()
         .map(|&id| {
             let alloc = ctx.largest_valid_allocation(id, n);
-            let t = ctx.curves[&id]
-                .time_at(alloc)
-                .unwrap_or_else(|| ctx.curves[&id].time(f64::from(alloc)));
-            t * f64::from(ctx.metagraph.metaop(id).num_ops())
+            ctx.time_per_op(id, alloc) * f64::from(ctx.metagraph().metaop(id).num_ops())
         })
         .sum()
 }
@@ -214,27 +176,12 @@ fn allocate_marginal_gain(
     alloc
 }
 
-/// Sorts waves by start time and re-indexes them (waves of concurrent tasks
-/// interleave on the timeline).
-fn sort_waves_by_start(plan: &mut ExecutionPlan) {
-    let mut waves = plan.waves().to_vec();
-    waves.sort_by(|a, b| a.start.total_cmp(&b.start));
-    for (i, wave) in waves.iter_mut().enumerate() {
-        wave.index = i;
-    }
-    *plan = ExecutionPlan::new(
-        waves,
-        plan.metagraph().clone(),
-        plan.num_devices(),
-        plan.theoretical_optimum(),
-        plan.planning_time(),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::plan_on;
     use crate::{DecoupledParallelism, DecoupledPlanner};
+    use spindle_cluster::ClusterSpec;
     use spindle_runtime::Simulator;
     use spindle_workloads::{multitask_clip, ofasys};
 
@@ -242,7 +189,7 @@ mod tests {
     fn optimus_plan_is_valid_and_runs() {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(2, 8);
-        let plan = OptimusPlanner::new().plan(&graph, &cluster).unwrap();
+        let plan = plan_on(OptimusPlanner::new(), &graph, &cluster);
         plan.validate().unwrap();
         plan.require_placement().unwrap();
         let report = Simulator::new(&plan, &cluster)
@@ -256,7 +203,7 @@ mod tests {
     fn concurrent_tasks_use_disjoint_devices() {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(2, 8);
-        let plan = OptimusPlanner::new().plan(&graph, &cluster).unwrap();
+        let plan = plan_on(OptimusPlanner::new(), &graph, &cluster);
         // Any two waves overlapping in time must not share devices.
         let waves = plan.waves();
         for (i, a) in waves.iter().enumerate() {
@@ -288,10 +235,12 @@ mod tests {
         // to pay off; this checks the four-node side of that trend.
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(4, 8);
-        let optimus = OptimusPlanner::new().plan(&graph, &cluster).unwrap();
-        let decoupled = DecoupledPlanner::new(DecoupledParallelism::DataParallelOnly)
-            .plan(&graph, &cluster)
-            .unwrap();
+        let optimus = plan_on(OptimusPlanner::new(), &graph, &cluster);
+        let decoupled = plan_on(
+            DecoupledPlanner::new(DecoupledParallelism::DataParallelOnly),
+            &graph,
+            &cluster,
+        );
         assert!(optimus.makespan() < decoupled.makespan());
     }
 
@@ -299,7 +248,7 @@ mod tests {
     fn heavier_tasks_receive_more_devices() {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(2, 8);
-        let ctx = BaselineContext::build(&graph, &cluster).unwrap();
+        let ctx = BaselineContext::from_session(&graph, &SpindleSession::new(cluster)).unwrap();
         let tasks: Vec<TaskId> = ctx.task_metaops.keys().copied().collect();
         let alloc = allocate_marginal_gain(&ctx, &tasks, 16);
         let total: u32 = alloc.values().sum();
@@ -323,7 +272,7 @@ mod tests {
     fn more_tasks_than_devices_are_chunked() {
         let graph = ofasys(7).unwrap();
         let cluster = ClusterSpec::homogeneous(1, 4);
-        let plan = OptimusPlanner::new().plan(&graph, &cluster).unwrap();
+        let plan = plan_on(OptimusPlanner::new(), &graph, &cluster);
         plan.validate().unwrap();
         plan.require_placement().unwrap();
     }

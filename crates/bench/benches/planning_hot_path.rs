@@ -123,6 +123,7 @@ fn main() {
                 &hyper,
                 &hyper_cluster,
                 PlacementStrategy::Locality,
+                &[],
                 Duration::ZERO,
             )
             .unwrap();

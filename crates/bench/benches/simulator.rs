@@ -23,7 +23,7 @@ use spindle_bench::microbench::{bench, group, quick_mode, write_json_report, Tim
 use spindle_cluster::ClusterSpec;
 use spindle_core::SpindleSession;
 use spindle_runtime::{
-    price_checkpoint_write, CheckpointPolicy, DynamicRunLoop, LocalizedPlan, SimConfig, Straggler,
+    price_checkpoint_write, DynamicRunLoop, LocalizedPlan, SimConfig, Straggler,
 };
 use spindle_workloads::{hyperscale, multitask_clip, ArrivalSchedule, DynamicWorkload};
 
@@ -164,7 +164,6 @@ fn main() {
     // plan's per-device write flows and push them through the contended
     // storage-link model. This is pure pricing — no simulation — and sits on
     // the run loop's per-iteration path whenever a cadence is active.
-    let policy = CheckpointPolicy::every(64);
     for (name, tasks, gpus) in [
         ("clip-4t/16gpu", 4usize, 16usize),
         ("clip-10t/32gpu", 10, 32),
@@ -177,7 +176,7 @@ fn main() {
             warmup,
             iters,
             || {
-                let stall = price_checkpoint_write(&cluster, &plan, &policy, true);
+                let stall = price_checkpoint_write(&cluster, &plan, true);
                 assert!(stall > 0.0);
             },
         );

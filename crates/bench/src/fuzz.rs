@@ -682,7 +682,7 @@ pub fn check_scenario(
                     let p = CheckpointPolicy::every(cadence);
                     #[allow(clippy::cast_precision_loss)]
                     let n = p.checkpoints_in(HORIZON_ITERS) as f64;
-                    n * price_checkpoint_write(&cluster, &outcome.plan, &p, true)
+                    n * price_checkpoint_write(&cluster, &outcome.plan, true)
                 };
                 let dense = charge(k);
                 let sparse = charge(k.saturating_mul(2));

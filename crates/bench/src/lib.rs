@@ -56,14 +56,6 @@ pub struct Measurement {
     pub localized: LocalizedPlan,
 }
 
-impl Measurement {
-    /// Speedup of this measurement relative to a reference iteration time.
-    #[must_use]
-    pub fn speedup_over(&self, reference_ms: f64) -> f64 {
-        reference_ms / self.iteration_ms
-    }
-}
-
 /// Plans and simulates one iteration of `graph` within `session` with
 /// `system`, going through the [`PlanningSystem`](spindle_core::PlanningSystem)
 /// trait. Reusing one session
@@ -234,7 +226,7 @@ mod tests {
         let deepspeed = measure(SystemKind::DeepSpeed, &graph, &mut session);
         assert!(spindle.iteration_ms > 0.0);
         assert!(deepspeed.iteration_ms > 0.0);
-        let s = spindle.speedup_over(deepspeed.iteration_ms);
+        let s = deepspeed.iteration_ms / spindle.iteration_ms;
         assert!(s > 0.5 && s < 10.0);
     }
 

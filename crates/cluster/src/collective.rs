@@ -116,24 +116,6 @@ impl CommModel {
         NodeSpan::new(&self.cluster, group).all_reduce_time(self.cluster.interconnect(), bytes)
     }
 
-    /// Ring all-gather time in seconds for `bytes` of *output* data across
-    /// `group` (volume factor `(n−1)/n`).
-    #[must_use]
-    pub fn all_gather_time(&self, group: &DeviceGroup, bytes: u64) -> f64 {
-        self.ring_collective_time(group, bytes, 1.0)
-    }
-
-    /// Broadcast of `bytes` from one device of `group` to the rest, modelled as
-    /// a pipelined chain bounded by the slowest link.
-    #[must_use]
-    pub fn broadcast_time(&self, group: &DeviceGroup, bytes: u64) -> f64 {
-        if group.len() <= 1 {
-            return 0.0;
-        }
-        let class = self.bottleneck_class(group);
-        self.cluster.interconnect().transfer_time(class, bytes)
-    }
-
     fn ring_collective_time(&self, group: &DeviceGroup, bytes: u64, volume_factor: f64) -> f64 {
         ring_collective_time(
             self.cluster.interconnect(),
@@ -170,7 +152,6 @@ mod tests {
         let m = model(1, 8);
         let g = DeviceGroup::contiguous(DeviceId(0), 1);
         assert_eq!(m.all_reduce_time(&g, 1 << 30), 0.0);
-        assert_eq!(m.broadcast_time(&g, 1 << 30), 0.0);
     }
 
     #[test]
@@ -185,12 +166,12 @@ mod tests {
     }
 
     #[test]
-    fn all_reduce_costs_about_twice_all_gather() {
+    fn all_reduce_costs_about_twice_a_one_pass_ring() {
         let m = model(1, 8);
         let g = DeviceGroup::contiguous(DeviceId(0), 8);
         let b = 1u64 << 30;
         let ar = m.all_reduce_time(&g, b);
-        let ag = m.all_gather_time(&g, b);
+        let ag = m.ring_collective_time(&g, b, 1.0);
         let ratio = ar / ag;
         assert!(ratio > 1.8 && ratio < 2.2, "ratio {ratio}");
     }

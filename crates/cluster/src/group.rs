@@ -94,16 +94,6 @@ impl DeviceGroup {
         self.devices.iter().copied()
     }
 
-    /// Devices present in both groups.
-    #[must_use]
-    pub fn intersection(&self, other: &DeviceGroup) -> Vec<DeviceId> {
-        self.devices
-            .iter()
-            .copied()
-            .filter(|d| other.contains(*d))
-            .collect()
-    }
-
     /// Returns `true` if the two groups share at least one device.
     #[must_use]
     pub fn overlaps(&self, other: &DeviceGroup) -> bool {
@@ -199,13 +189,12 @@ mod tests {
     }
 
     #[test]
-    fn overlap_and_intersection() {
+    fn overlap() {
         let a = DeviceGroup::contiguous(DeviceId(0), 4);
         let b = DeviceGroup::contiguous(DeviceId(2), 4);
         let c = DeviceGroup::contiguous(DeviceId(8), 2);
         assert!(a.overlaps(&b));
         assert!(!a.overlaps(&c));
-        assert_eq!(a.intersection(&b), vec![DeviceId(2), DeviceId(3)]);
     }
 
     #[test]

@@ -316,12 +316,6 @@ impl ClusterSpec {
     pub fn device_memory_bytes(&self) -> u64 {
         self.gpu.memory_bytes
     }
-
-    /// Aggregate peak compute of the whole cluster in FLOP/s.
-    #[must_use]
-    pub fn aggregate_peak_flops(&self) -> f64 {
-        self.gpu.peak_flops() * self.num_devices() as f64
-    }
 }
 
 impl fmt::Display for ClusterSpec {
@@ -390,10 +384,8 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_compute_scales_with_devices() {
+    fn device_memory_is_the_gpus() {
         let small = ClusterSpec::homogeneous(1, 8);
-        let large = ClusterSpec::homogeneous(4, 8);
-        assert!((large.aggregate_peak_flops() / small.aggregate_peak_flops() - 4.0).abs() < 1e-9);
         assert_eq!(small.device_memory_bytes(), 80 * (1 << 30));
     }
 

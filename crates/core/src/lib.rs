@@ -90,7 +90,7 @@ pub use error::PlanError;
 pub use metagraph::{MetaGraph, MetaLevel};
 pub use metaop::{MetaOp, MetaOpId};
 pub use mpsp::ContinuousSolution;
-pub use pipeline::{curves_for, ContractedGraph, CurveSet, LevelSchedule};
+pub use pipeline::{ContractedGraph, CurveSet, LevelSchedule};
 pub use placement::PlacementStrategy;
 pub use plan::{ExecutionPlan, Wave, WaveEntry};
 pub use session::{PlannerConfig, ReplanOutcome, SpindleSession};

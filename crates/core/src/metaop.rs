@@ -113,18 +113,6 @@ impl MetaOp {
     pub fn total_flops(&self) -> f64 {
         self.representative.flops_total() * f64::from(self.num_ops())
     }
-
-    /// First operator of the chain (receives the MetaOp's external inputs).
-    #[must_use]
-    pub fn first_op(&self) -> OpId {
-        self.ops[0]
-    }
-
-    /// Last operator of the chain (produces the MetaOp's external outputs).
-    #[must_use]
-    pub fn last_op(&self) -> OpId {
-        *self.ops.last().expect("MetaOps are never empty")
-    }
 }
 
 impl fmt::Display for MetaOp {
@@ -161,8 +149,6 @@ mod tests {
         assert_eq!(m.id(), MetaOpId(2));
         assert_eq!(m.num_ops(), 3);
         assert_eq!(m.task(), TaskId(1));
-        assert_eq!(m.first_op(), OpId(0));
-        assert_eq!(m.last_op(), OpId(2));
         assert_eq!(m.params(), &[ParamId(3)]);
         assert_eq!(m.level(), 0);
         assert!((m.total_flops() - 3.0 * m.representative().flops_total()).abs() < 1e-6);

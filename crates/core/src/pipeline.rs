@@ -17,7 +17,6 @@
 //! mutated workload re-runs stages 1 and 3–4 but stage 2 degenerates to cache
 //! lookups for every operator signature seen before.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,9 +29,6 @@ use crate::mpsp::{self, MpspScratch};
 use crate::structural::{LevelArtifact, LevelKey, StructuralPlanCache};
 use crate::wavefront::{self, WavefrontScratch};
 use crate::{allocator, ExecutionPlan, MetaGraph, MetaOpId, PlacementStrategy, PlanError, Wave};
-
-/// Per-MetaOp scaling curves, keyed by MetaOp.
-pub type CurveMap = BTreeMap<MetaOpId, Arc<ScalingCurve>>;
 
 /// Stage-1 artifact: the contracted MetaGraph of a workload, behind an
 /// [`Arc`] so plans (and cached plan skeletons) share it without deep copies.
@@ -63,31 +59,11 @@ impl ContractedGraph {
     }
 }
 
-/// Resolves the scaling curve of every MetaOp of `metagraph` against
-/// `estimator` — the loop behind [`CurveSet::resolve`], exposed on a bare
-/// MetaGraph for baseline planners and tests.
-///
-/// # Errors
-///
-/// Returns [`PlanError::NoCurve`] for operators that cannot be profiled.
-pub fn curves_for(
-    metagraph: &MetaGraph,
-    estimator: &ScalabilityEstimator,
-) -> Result<CurveMap, PlanError> {
-    let mut curves = CurveMap::new();
-    for metaop in metagraph.metaops() {
-        let curve = estimator
-            .try_curve_for(metaop.representative())
-            .map_err(|_| PlanError::NoCurve(metaop.id()))?;
-        curves.insert(metaop.id(), curve);
-    }
-    Ok(curves)
-}
-
-/// Stage-2 artifact: one scaling curve per MetaOp of a [`ContractedGraph`].
+/// Stage-2 artifact: one scaling curve per MetaOp of a [`ContractedGraph`],
+/// stored densely in [`MetaOpId`] order.
 #[derive(Debug, Clone, Default)]
 pub struct CurveSet {
-    curves: CurveMap,
+    curves: Vec<Arc<ScalingCurve>>,
 }
 
 impl CurveSet {
@@ -102,13 +78,23 @@ impl CurveSet {
         contracted: &ContractedGraph,
         estimator: &ScalabilityEstimator,
     ) -> Result<Self, PlanError> {
-        curves_for(contracted.metagraph(), estimator).map(Self::from)
+        let curves = contracted
+            .metagraph()
+            .metaops()
+            .iter()
+            .map(|metaop| {
+                estimator
+                    .try_curve_for(metaop.representative())
+                    .map_err(|_| PlanError::NoCurve(metaop.id()))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self { curves })
     }
 
     /// The curve of a MetaOp, if resolved.
     #[must_use]
     pub fn get(&self, id: MetaOpId) -> Option<&Arc<ScalingCurve>> {
-        self.curves.get(&id)
+        self.curves.get(id.index())
     }
 
     /// Number of resolved curves.
@@ -121,12 +107,6 @@ impl CurveSet {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.curves.is_empty()
-    }
-}
-
-impl From<CurveMap> for CurveSet {
-    fn from(curves: CurveMap) -> Self {
-        Self { curves }
     }
 }
 
@@ -255,20 +235,15 @@ impl LevelSchedule {
         self.stats
     }
 
-    /// Decomposes the schedule into its raw waves and theoretical optimum —
-    /// the partial re-plan path consumes these directly, splicing a subset of
-    /// the waves behind a reused placed prefix.
-    pub(crate) fn into_parts(self) -> (Vec<Wave>, f64) {
-        (self.waves, self.theoretical_optimum)
-    }
-
     /// Stage 4: assigns concrete devices to every wave entry by `strategy`
     /// and assembles the final [`ExecutionPlan`].
     ///
-    /// The plan carries everything a later partial re-plan needs: the
-    /// locality pass's cross-wave state is a function of the placements
-    /// themselves, so a re-plan after device loss resumes the pass by
-    /// replaying the placements of its clean prefix.
+    /// `kept` is a placed prefix of waves the plan keeps as they are: after
+    /// device loss, the clean prefix of levels of the plan placed before the
+    /// loss; empty for a fresh plan. The schedule's waves of the later levels
+    /// are re-timed behind the kept ones, and placement resumes after them —
+    /// the locality pass's cross-wave state is a function of the placements
+    /// themselves, so it is rebuilt by replaying the kept placements.
     ///
     /// `planning_time` is the wall-clock time attributed to planning so far
     /// (sessions pass their pipeline timer; standalone callers may pass
@@ -283,16 +258,31 @@ impl LevelSchedule {
         contracted: &ContractedGraph,
         cluster: &ClusterSpec,
         strategy: PlacementStrategy,
+        kept: &[Wave],
         planning_time: Duration,
     ) -> Result<ExecutionPlan, PlanError> {
+        let waves = match kept.last() {
+            None => self.waves,
+            Some(last) => {
+                let mut waves = kept.to_vec();
+                let mut now = last.end();
+                for mut wave in self.waves.into_iter().filter(|w| w.level > last.level) {
+                    wave.index = waves.len();
+                    wave.start = now;
+                    now = wave.end();
+                    waves.push(wave);
+                }
+                waves
+            }
+        };
         let mut plan = ExecutionPlan::new(
-            self.waves,
+            waves,
             contracted.metagraph_handle(),
             self.num_devices,
             self.theoretical_optimum,
             planning_time,
         );
-        strategy.place(&mut plan, cluster)?;
+        strategy.place_from(&mut plan, cluster, kept.len())?;
         plan.set_device_space(cluster.device_space() as u32);
         Ok(plan)
     }
@@ -389,6 +379,7 @@ mod tests {
                 &contracted,
                 &cluster,
                 PlacementStrategy::Locality,
+                &[],
                 Duration::ZERO,
             )
             .unwrap();
@@ -415,6 +406,7 @@ mod tests {
                 &contracted,
                 &cluster,
                 PlacementStrategy::Locality,
+                &[],
                 Duration::ZERO,
             )
             .unwrap();
@@ -431,17 +423,8 @@ mod tests {
         let contracted = ContractedGraph::new(&graph);
         let curves = CurveSet::resolve(&contracted, &estimator).unwrap();
         let direct = theoretical_optimum(&contracted, &curves, 8, mpsp::DEFAULT_EPSILON);
-        let (_, optimum) = build(&contracted, &curves, &estimator).into_parts();
+        let optimum = build(&contracted, &curves, &estimator).theoretical_optimum;
         assert!((direct - optimum).abs() < 1e-12);
         assert!(direct > 0.0);
-    }
-
-    #[test]
-    fn curves_for_covers_every_metaop() {
-        let graph = workload();
-        let mg = MetaGraph::contract(&graph);
-        let est = ScalabilityEstimator::new(&ClusterSpec::homogeneous(1, 8));
-        let curves = curves_for(&mg, &est).unwrap();
-        assert_eq!(curves.len(), mg.num_metaops());
     }
 }

@@ -46,10 +46,23 @@ impl PlacementStrategy {
     /// Returns [`PlanError::CapacityExceeded`] if some wave requests more
     /// devices than the cluster provides.
     pub fn place(self, plan: &mut ExecutionPlan, cluster: &ClusterSpec) -> Result<(), PlanError> {
+        self.place_from(plan, cluster, 0)
+    }
+
+    /// Places `plan.waves()[first_wave..]`. The waves before `first_wave`
+    /// keep the placements they carry (a clean prefix kept after device
+    /// loss, possibly placed on a larger cluster), and the locality pass
+    /// resumes from the state those placements leave.
+    pub(crate) fn place_from(
+        self,
+        plan: &mut ExecutionPlan,
+        cluster: &ClusterSpec,
+        first_wave: usize,
+    ) -> Result<(), PlanError> {
         check_capacity(plan, cluster)?;
         match self {
-            PlacementStrategy::Locality => place_locality_resume(plan, cluster, 0),
-            PlacementStrategy::Sequential => place_sequential(plan),
+            PlacementStrategy::Locality => place_locality_resume(plan, cluster, first_wave),
+            PlacementStrategy::Sequential => place_sequential(&mut plan.waves_mut()[first_wave..]),
         }
         Ok(())
     }
@@ -57,7 +70,7 @@ impl PlacementStrategy {
 
 /// Shared precondition of every strategy: no wave may request more devices
 /// than the cluster provides.
-pub(crate) fn check_capacity(plan: &ExecutionPlan, cluster: &ClusterSpec) -> Result<(), PlanError> {
+fn check_capacity(plan: &ExecutionPlan, cluster: &ClusterSpec) -> Result<(), PlanError> {
     let total_devices = cluster.num_devices() as u32;
     for wave in plan.waves() {
         if wave.devices_used() > total_devices {
@@ -72,8 +85,8 @@ pub(crate) fn check_capacity(plan: &ExecutionPlan, cluster: &ClusterSpec) -> Res
 }
 
 /// Naïve consecutive-device placement.
-fn place_sequential(plan: &mut ExecutionPlan) {
-    for wave in plan.waves_mut() {
+fn place_sequential(waves: &mut [Wave]) {
+    for wave in waves {
         let mut next = 0u32;
         for entry in &mut wave.entries {
             entry.placement = Some(DeviceGroup::contiguous(
@@ -427,11 +440,7 @@ impl LocalityPass {
 /// device loss, possibly placed on a larger cluster — and the pass resumes
 /// from the state those placements leave. With `first_wave == 0` this is a
 /// full pass.
-pub(crate) fn place_locality_resume(
-    plan: &mut ExecutionPlan,
-    cluster: &ClusterSpec,
-    first_wave: usize,
-) {
+fn place_locality_resume(plan: &mut ExecutionPlan, cluster: &ClusterSpec, first_wave: usize) {
     let mut pass = LocalityPass::new(plan, cluster);
     pass.place_from(plan.waves_mut(), first_wave, LocalityPass::choose_islands);
 }

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use spindle_cluster::{ClusterSpec, DeviceId, LinkClass, NodeId};
+use spindle_cluster::{ClusterSpec, DeviceGroup, DeviceId, LinkClass, NodeId};
 use spindle_estimator::{CurveCacheStats, ScalabilityEstimator, DEFAULT_CURVE_CACHE_BUDGET};
 use spindle_graph::ComputationGraph;
 
@@ -15,6 +15,7 @@ use crate::structural::{
 };
 use crate::{
     mpsp, CacheTelemetry, ExecutionPlan, PlacementStrategy, PlanError, PlanningStats, Wave,
+    WaveEntry,
 };
 
 /// Tunable knobs of the planner.
@@ -83,8 +84,9 @@ pub struct ReplanOutcome {
     /// re-plan* to stay within the configured byte budgets (both caches
     /// combined).
     pub cache: CacheTelemetry,
-    /// Devices lost since the placement being reused was made (0 when the
-    /// topology did not shrink since the last plan of this structure).
+    /// Devices of the set the session last planned on that have left the
+    /// cluster since (0 on a session's first plan, and when no device was
+    /// lost since the previous plan).
     pub devices_lost: usize,
     /// Levels re-placed onto the surviving device set after a topology
     /// change; the remaining `levels_total - levels_replaced` clean-prefix
@@ -134,6 +136,62 @@ impl ReplanOutcome {
             migration_cost: 0.0,
             rematerialized_metaops: 0,
             restore_bytes: 0,
+        }
+    }
+
+    /// Prices the migration of a re-plan after device loss that kept the
+    /// first `kept` waves: for every re-placed MetaOp, each device it now
+    /// occupies but did not in `old` (the pre-loss plan's waves after the
+    /// kept prefix) receives that MetaOp's per-device bytes over the cheapest
+    /// link class connecting it to a surviving old replica (intra-island when
+    /// one shares the island, inter-island otherwise — including the
+    /// no-survivor case, a checkpoint restore). `present` marks the devices
+    /// of `cluster`.
+    fn price_migration(
+        &mut self,
+        old: &[Wave],
+        kept: usize,
+        cluster: &ClusterSpec,
+        present: &[bool],
+    ) {
+        let num_metaops = self.plan.metagraph().num_metaops();
+        let new = &self.plan.waves()[kept..];
+        let old_sites = sites(old, num_metaops);
+        let new_sites = sites(new, num_metaops);
+        let mut bytes_per_device: Vec<u64> = vec![0; num_metaops];
+        for entry in new.iter().flat_map(|w| &w.entries) {
+            let bytes = &mut bytes_per_device[entry.metaop.index()];
+            *bytes = (*bytes).max(entry.memory_per_device);
+        }
+        let interconnect = cluster.interconnect();
+        for m in 0..num_metaops {
+            let bytes = bytes_per_device[m];
+            if bytes == 0 {
+                continue;
+            }
+            let old_nodes: Vec<NodeId> = old_sites[m]
+                .iter()
+                .filter(|d| present.get(d.index()) == Some(&true))
+                .filter_map(|&d| cluster.node_of(d).ok())
+                .collect();
+            // Every old replica died: the MetaOp cannot be migrated at all —
+            // its new sites restore from the checkpoint tier. Count it so
+            // lost state is surfaced, never silently dropped.
+            let rematerialized = !old_sites[m].is_empty() && old_nodes.is_empty();
+            if rematerialized && !new_sites[m].is_empty() {
+                self.rematerialized_metaops += 1;
+            }
+            for &d in new_sites[m].iter().filter(|d| !old_sites[m].contains(d)) {
+                self.migration_bytes += bytes;
+                if rematerialized {
+                    self.restore_bytes += bytes;
+                }
+                let class = match cluster.node_of(d) {
+                    Ok(node) if old_nodes.contains(&node) => LinkClass::IntraIsland,
+                    _ => LinkClass::InterIsland,
+                };
+                self.migration_cost += interconnect.transfer_time(class, bytes);
+            }
         }
     }
 
@@ -206,11 +264,11 @@ pub struct SpindleSession {
     pristine: Arc<ClusterSpec>,
     /// Currently removed device ids (sorted, deduplicated).
     removed: Vec<DeviceId>,
-    /// The active device set before the most recent topology change:
-    /// `(device count, missing ids)`. Lets the next re-plan probe the
-    /// structural cache for the pre-churn placed skeleton and reuse its
-    /// clean-prefix placements.
-    prev_topology: Option<(u32, Vec<u32>)>,
+    /// The device set of the last successful planning pass, as a presence
+    /// map over its dense id space. A re-plan after device loss probes the
+    /// structural cache for the skeleton placed on it and keeps that
+    /// skeleton's clean prefix of levels.
+    planned_on: Option<Vec<bool>>,
     estimator: Arc<ScalabilityEstimator>,
     config: PlannerConfig,
     plans_produced: usize,
@@ -248,7 +306,7 @@ impl SpindleSession {
             pristine: Arc::clone(&cluster),
             cluster,
             removed: Vec::new(),
-            prev_topology: None,
+            planned_on: None,
             estimator,
             config,
             plans_produced: 0,
@@ -275,23 +333,8 @@ impl SpindleSession {
         &self.removed
     }
 
-    /// The `(device count, missing ids)` signature of a cluster's active
-    /// device set within its dense id space.
-    fn device_set_signature(cluster: &ClusterSpec) -> (u32, Vec<u32>) {
-        let space = cluster.device_space();
-        let mut present = vec![false; space];
-        for d in cluster.all_devices().iter() {
-            present[d.index()] = true;
-        }
-        let missing = (0..space as u32)
-            .filter(|&i| !present[i as usize])
-            .collect();
-        (cluster.num_devices() as u32, missing)
-    }
-
-    /// Rebuilds the active cluster from `pristine` minus `removed`, recording
-    /// the previous active set for partial placement reuse. Returns the
-    /// signed change in device count (positive = devices lost).
+    /// Rebuilds the active cluster from `pristine` minus `removed`. Returns
+    /// the signed change in device count (positive = devices lost).
     fn apply_topology(&mut self) -> Result<isize, PlanError> {
         let before = self.cluster.num_devices() as isize;
         let next = self
@@ -300,7 +343,6 @@ impl SpindleSession {
             .map_err(|_| PlanError::EmptyCluster)?;
         let after = next.num_devices() as isize;
         if before != after || next.all_devices() != self.cluster.all_devices() {
-            self.prev_topology = Some(Self::device_set_signature(&self.cluster));
             self.cluster = Arc::new(next);
         }
         Ok(before - after)
@@ -309,10 +351,10 @@ impl SpindleSession {
     /// Removes `devices` from the active cluster — the topology-change entry
     /// point for device churn (spot reclamation, GPU failure, preemption).
     /// Ids already removed or unknown are ignored. Subsequent plans place
-    /// onto the surviving set only; the next re-plan of a structure planned
-    /// before the change reuses the placements of its clean prefix of levels
-    /// and reports the migration the dirty suffix costs (see
-    /// [`ReplanOutcome`]).
+    /// onto the surviving set only; the next re-plan diffs against the
+    /// device set the session last planned on, reuses the placements of the
+    /// clean prefix of levels of the plan placed there and reports the
+    /// migration the dirty suffix costs (see [`ReplanOutcome`]).
     ///
     /// Returns the number of devices actually lost.
     ///
@@ -403,12 +445,6 @@ impl SpindleSession {
     #[must_use]
     pub fn structural_cache_stats(&self) -> StructuralCacheStats {
         self.structural.stats()
-    }
-
-    /// Drops every cached structural artifact (level schedules and placed
-    /// skeletons). The curve cache is unaffected.
-    pub fn clear_structural_cache(&mut self) {
-        self.structural.clear();
     }
 
     /// Approximate bytes currently held by the session's caches: the
@@ -505,9 +541,12 @@ impl SpindleSession {
     /// The single pipeline pass behind [`replan`](Self::replan). Consults the
     /// structural plan cache (when enabled): a whole-plan hit skips stages 3
     /// and 4 entirely, per-level hits splice cached schedule fragments, and
-    /// misses solve fresh and feed the cache for the next re-plan. Merges the
-    /// pass's hot-path counters into the session's on success; the caller
-    /// fills in the curve-cache probe.
+    /// misses solve fresh and feed the cache for the next re-plan. After
+    /// device loss, the skeleton placed on the last planned device set keeps
+    /// its clean prefix of levels — none of their placed devices left, so
+    /// they pay zero migration — and the pass prices the migration of the
+    /// re-placed suffix. Merges the pass's hot-path counters into the
+    /// session's on success; the caller fills in the curve-cache probe.
     fn plan_pass(&mut self, graph: &ComputationGraph) -> Result<ReplanOutcome, PlanError> {
         let started = Instant::now();
         // Apply the configured byte budgets before the pass touches either
@@ -518,84 +557,102 @@ impl SpindleSession {
             .ensure_budget(self.config.structural_cache_budget);
         let contracted = self.contract(graph);
         let curves = self.resolve_curves(&contracted)?;
-        let num_devices = self.cluster.num_devices() as u32;
         let levels_total = contracted.metagraph().levels().len();
         let use_cache = self.config.structural_cache;
         if use_cache {
             self.structural
                 .ensure_epsilon(self.config.bisection_epsilon);
         }
-        let plan_key = use_cache.then(|| {
-            let (n, missing) = Self::device_set_signature(&self.cluster);
-            PlanKey::with_device_set(contracted.metagraph(), n, missing, self.config.placement)
-        });
+        let present = presence(&self.cluster);
+        let placement = self.config.placement;
+        let key = |present: &[bool]| {
+            let (n, missing) = device_set_signature(present);
+            PlanKey::with_device_set(contracted.metagraph(), n, missing, placement)
+        };
+        let plan_key = use_cache.then(|| key(&present));
         if let Some(skeleton) = plan_key.as_ref().and_then(|k| self.structural.skeleton(k)) {
             // Whole-plan structural hit. Bit-identical to the full pipeline
             // by construction of `PlanKey`.
+            self.planned_on = Some(present);
             return Ok(self.serve_skeleton(&contracted, &skeleton, started));
         }
-        // Migration-aware partial placement reuse: when the topology shrank
-        // since this structure was last placed, salvage the clean prefix of
-        // levels from the pre-churn skeleton instead of re-placing everything.
-        let mut devices_lost = 0;
-        let mut levels_replaced = 0;
-        let prev_key = match &self.prev_topology {
-            Some((prev_n, prev_missing))
-                if use_cache
-                    && *prev_n > num_devices
-                    && self.config.placement == PlacementStrategy::Locality =>
-            {
-                devices_lost = (*prev_n - num_devices) as usize;
-                Some(PlanKey::with_device_set(
-                    contracted.metagraph(),
-                    *prev_n,
-                    prev_missing.clone(),
-                    self.config.placement,
-                ))
-            }
+        let devices_lost = match &self.planned_on {
+            Some(planned) if use_cache && placement == PlacementStrategy::Locality => planned
+                .iter()
+                .enumerate()
+                .filter(|&(i, &was)| was && present.get(i) != Some(&true))
+                .count(),
+            _ => 0,
+        };
+        // The pre-loss skeleton; when it was evicted there is nothing to diff
+        // against, so the whole plan is re-placed and the migration volume is
+        // unknown (reported as zero).
+        let old = match &self.planned_on {
+            Some(planned) if devices_lost > 0 => self.structural.skeleton(&key(planned)),
             _ => None,
         };
-        if let Some(prev_key) = prev_key {
-            if let Some(old) = self.structural.skeleton(&prev_key) {
-                return self.replan_after_loss(&contracted, &curves, &old, devices_lost, started);
+        let kept_levels = old
+            .as_ref()
+            .map_or(0, |old| clean_prefix(&old.waves, levels_total, &present));
+        let mut outcome = match &old {
+            // Every placed device survived: the old plan is feasible on the
+            // surviving set as-is (disjoint placements on survivors cannot
+            // exceed the surviving capacity) and pays zero migration.
+            Some(old) if kept_levels == levels_total => {
+                self.serve_skeleton(&contracted, old, started)
             }
-            // The pre-churn placement was evicted: nothing to diff against,
-            // so the whole plan is re-placed and the migration volume is
-            // unknown (reported as zero).
-            levels_replaced = levels_total;
+            _ => {
+                let schedule = LevelSchedule::build(
+                    &contracted,
+                    &curves,
+                    &self.estimator,
+                    self.cluster.num_devices() as u32,
+                    self.config.bisection_epsilon,
+                    use_cache.then_some(&mut self.structural),
+                );
+                let stats = schedule.stats();
+                let kept = old.as_ref().map_or(&[][..], |old| {
+                    &old.waves[..old.waves.partition_point(|w| w.level < kept_levels)]
+                });
+                let plan = schedule.place(
+                    &contracted,
+                    &self.cluster,
+                    placement,
+                    kept,
+                    started.elapsed(),
+                )?;
+                self.stats.merge(&stats);
+                let mut outcome = ReplanOutcome {
+                    levels_reused: stats.levels_reused as usize,
+                    ..ReplanOutcome::new(plan, levels_total)
+                };
+                if let Some(old) = &old {
+                    outcome.price_migration(
+                        &old.waves[kept.len()..],
+                        kept.len(),
+                        &self.cluster,
+                        &present,
+                    );
+                }
+                outcome.plan.set_planning_time(started.elapsed());
+                outcome
+            }
+        };
+        if devices_lost > 0 {
+            outcome.devices_lost = devices_lost;
+            outcome.levels_replaced = levels_total - kept_levels;
         }
-        let schedule = LevelSchedule::build(
-            &contracted,
-            &curves,
-            &self.estimator,
-            num_devices,
-            self.config.bisection_epsilon,
-            use_cache.then_some(&mut self.structural),
-        );
-        let stats = schedule.stats();
-        let mut plan = schedule.place(
-            &contracted,
-            &self.cluster,
-            self.config.placement,
-            started.elapsed(),
-        )?;
-        plan.set_planning_time(started.elapsed());
         if let Some(key) = plan_key {
             self.structural.insert_skeleton(
                 key,
                 PlacedSkeleton {
-                    waves: plan.waves().to_vec(),
-                    theoretical_optimum: plan.theoretical_optimum(),
+                    waves: outcome.plan.waves().to_vec(),
+                    theoretical_optimum: outcome.plan.theoretical_optimum(),
                 },
             );
         }
-        self.stats.merge(&stats);
-        Ok(ReplanOutcome {
-            levels_reused: stats.levels_reused as usize,
-            devices_lost,
-            levels_replaced,
-            ..ReplanOutcome::new(plan, levels_total)
-        })
+        self.planned_on = Some(present);
+        Ok(outcome)
     }
 
     /// Serves a whole plan from a placed skeleton: clones its waves, attaches
@@ -626,180 +683,6 @@ impl SpindleSession {
         }
     }
 
-    /// The partial-reuse re-plan after device loss: keep the placements of
-    /// the maximal clean prefix of levels (none of their placed devices was
-    /// removed — they pay zero migration), rebuild and re-place the dirty
-    /// suffix onto the surviving devices by resuming the placement pass
-    /// after replaying the prefix's placements, and price the parameter
-    /// migration the suffix's placement shift causes.
-    fn replan_after_loss(
-        &mut self,
-        contracted: &ContractedGraph,
-        curves: &CurveSet,
-        old: &PlacedSkeleton,
-        devices_lost: usize,
-        started: Instant,
-    ) -> Result<ReplanOutcome, PlanError> {
-        let num_devices = self.cluster.num_devices() as u32;
-        let device_space = self.cluster.device_space();
-        let levels_total = contracted.metagraph().levels().len();
-        let num_metaops = contracted.metagraph().num_metaops();
-        let mut present = vec![false; device_space];
-        for d in self.cluster.all_devices().iter() {
-            present[d.index()] = true;
-        }
-        // The clean prefix: maximal leading run of levels whose placements
-        // reference surviving devices only.
-        let mut clean_prefix = 0usize;
-        'levels: for lvl in 0..levels_total {
-            for wave in old.waves.iter().filter(|w| w.level == lvl) {
-                for entry in &wave.entries {
-                    let clean = entry.placement.as_ref().is_some_and(|g| {
-                        g.iter()
-                            .all(|d| d.index() < device_space && present[d.index()])
-                    });
-                    if !clean {
-                        break 'levels;
-                    }
-                }
-            }
-            clean_prefix += 1;
-        }
-        let new_key = {
-            let (n, missing) = Self::device_set_signature(&self.cluster);
-            PlanKey::with_device_set(contracted.metagraph(), n, missing, self.config.placement)
-        };
-        if clean_prefix == levels_total {
-            // Every placed device survived: the old plan is feasible on the
-            // surviving set as-is (disjoint placements on survivors cannot
-            // exceed the surviving capacity) and pays zero migration.
-            let outcome = self.serve_skeleton(contracted, old, started);
-            self.structural.insert_skeleton(new_key, old.clone());
-            return Ok(ReplanOutcome {
-                devices_lost,
-                ..outcome
-            });
-        }
-        // Where the suffix MetaOps used to live, for the migration diff.
-        let mut old_sites: Vec<Vec<DeviceId>> = vec![Vec::new(); num_metaops];
-        for wave in old.waves.iter().filter(|w| w.level >= clean_prefix) {
-            for entry in &wave.entries {
-                if let Some(group) = &entry.placement {
-                    let sites = &mut old_sites[entry.metaop.index()];
-                    for d in group.iter() {
-                        if !sites.contains(&d) {
-                            sites.push(d);
-                        }
-                    }
-                }
-            }
-        }
-        // Re-solve every level at the surviving capacity (level artifacts
-        // cached per capacity make repeats cheap), keep the clean prefix's
-        // old waves verbatim, and splice the freshly scheduled suffix after
-        // them.
-        let schedule = LevelSchedule::build(
-            contracted,
-            curves,
-            &self.estimator,
-            num_devices,
-            self.config.bisection_epsilon,
-            Some(&mut self.structural),
-        );
-        let stats = schedule.stats();
-        let (new_waves, new_optimum) = schedule.into_parts();
-        let mut waves: Vec<Wave> = old
-            .waves
-            .iter()
-            .filter(|w| w.level < clean_prefix)
-            .cloned()
-            .collect();
-        let prefix_len = waves.len();
-        let mut now = waves.last().map_or(0.0, Wave::end);
-        for mut wave in new_waves.into_iter().filter(|w| w.level >= clean_prefix) {
-            wave.index = waves.len();
-            wave.start = now;
-            now = wave.end();
-            waves.push(wave);
-        }
-        let mut plan = ExecutionPlan::new(
-            waves,
-            contracted.metagraph_handle(),
-            num_devices,
-            new_optimum,
-            started.elapsed(),
-        );
-        crate::placement::check_capacity(&plan, &self.cluster)?;
-        crate::placement::place_locality_resume(&mut plan, &self.cluster, prefix_len);
-        plan.set_device_space(device_space as u32);
-        let mut outcome = ReplanOutcome {
-            levels_reused: stats.levels_reused as usize,
-            devices_lost,
-            levels_replaced: levels_total - clean_prefix,
-            ..ReplanOutcome::new(plan, levels_total)
-        };
-        // Price the migration: for every suffix MetaOp, each device it now
-        // occupies but did not before receives that MetaOp's per-device bytes
-        // over the cheapest link class connecting it to a surviving old
-        // replica (intra-island when one shares the island, inter-island
-        // otherwise — including the no-survivor case, a checkpoint restore).
-        let interconnect = self.cluster.interconnect();
-        let mut new_sites: Vec<Vec<DeviceId>> = vec![Vec::new(); num_metaops];
-        let mut bytes_per_device: Vec<u64> = vec![0; num_metaops];
-        for wave in outcome.plan.waves().iter().skip(prefix_len) {
-            for entry in &wave.entries {
-                let m = entry.metaop.index();
-                bytes_per_device[m] = bytes_per_device[m].max(entry.memory_per_device);
-                if let Some(group) = &entry.placement {
-                    for d in group.iter() {
-                        if !new_sites[m].contains(&d) {
-                            new_sites[m].push(d);
-                        }
-                    }
-                }
-            }
-        }
-        for m in 0..num_metaops {
-            let bytes = bytes_per_device[m];
-            if bytes == 0 {
-                continue;
-            }
-            let old_nodes: Vec<NodeId> = old_sites[m]
-                .iter()
-                .filter(|d| d.index() < device_space && present[d.index()])
-                .filter_map(|&d| self.cluster.node_of(d).ok())
-                .collect();
-            // Every old replica died: the MetaOp cannot be migrated at all —
-            // its new sites restore from the checkpoint tier. Count it so
-            // lost state is surfaced, never silently dropped.
-            let rematerialized = !old_sites[m].is_empty() && old_nodes.is_empty();
-            if rematerialized && !new_sites[m].is_empty() {
-                outcome.rematerialized_metaops += 1;
-            }
-            for &d in new_sites[m].iter().filter(|d| !old_sites[m].contains(d)) {
-                outcome.migration_bytes += bytes;
-                if rematerialized {
-                    outcome.restore_bytes += bytes;
-                }
-                let class = match self.cluster.node_of(d) {
-                    Ok(node) if old_nodes.contains(&node) => LinkClass::IntraIsland,
-                    _ => LinkClass::InterIsland,
-                };
-                outcome.migration_cost += interconnect.transfer_time(class, bytes);
-            }
-        }
-        self.structural.insert_skeleton(
-            new_key,
-            PlacedSkeleton {
-                waves: outcome.plan.waves().to_vec(),
-                theoretical_optimum: new_optimum,
-            },
-        );
-        outcome.plan.set_planning_time(started.elapsed());
-        self.stats.merge(&stats);
-        Ok(outcome)
-    }
-
     /// The theoretical optimum `Σ C̃*` of a workload on this session's
     /// cluster, computed directly from the per-level MPSP solutions — no
     /// discretisation, wavefront scheduling or device placement.
@@ -820,6 +703,54 @@ impl SpindleSession {
             self.config.bisection_epsilon,
         ))
     }
+}
+
+/// Which ids of `cluster`'s dense id space hold a device.
+fn presence(cluster: &ClusterSpec) -> Vec<bool> {
+    let mut present = vec![false; cluster.device_space()];
+    for d in cluster.all_devices().iter() {
+        present[d.index()] = true;
+    }
+    present
+}
+
+/// The `(device count, missing ids)` signature of the device set `present`
+/// marks within its dense id space.
+fn device_set_signature(present: &[bool]) -> (u32, Vec<u32>) {
+    let missing: Vec<u32> = (0..present.len() as u32)
+        .filter(|&i| !present[i as usize])
+        .collect();
+    ((present.len() - missing.len()) as u32, missing)
+}
+
+/// The number of leading levels of `waves` whose placements reference
+/// devices `present` marks only.
+fn clean_prefix(waves: &[Wave], levels_total: usize, present: &[bool]) -> usize {
+    let on_survivors = |entry: &WaveEntry| {
+        entry
+            .placement
+            .as_ref()
+            .is_some_and(|g| g.iter().all(|d| present.get(d.index()) == Some(&true)))
+    };
+    waves
+        .iter()
+        .find(|w| !w.entries.iter().all(on_survivors))
+        .map_or(levels_total, |w| w.level)
+}
+
+/// The distinct devices each MetaOp occupies over `waves`, in placement
+/// order.
+fn sites(waves: &[Wave], num_metaops: usize) -> Vec<Vec<DeviceId>> {
+    let mut sites: Vec<Vec<DeviceId>> = vec![Vec::new(); num_metaops];
+    for entry in waves.iter().flat_map(|w| &w.entries) {
+        let at = &mut sites[entry.metaop.index()];
+        for d in entry.placement.iter().flat_map(DeviceGroup::iter) {
+            if !at.contains(&d) {
+                at.push(d);
+            }
+        }
+    }
+    sites
 }
 
 #[cfg(test)]
@@ -1160,11 +1091,10 @@ mod tests {
         assert_eq!(session.removed_devices(), &[]);
         let restored = session.replan(&graph).unwrap();
         assert_eq!(restored.plan.waves(), cold.plan.waves());
-        // And with a cleared cache the restored re-plan still reproduces the
+        // And a fresh session's plan of the restored cluster reproduces the
         // cold plan bit for bit — determinism, not cache luck.
-        session.clear_structural_cache();
-        let recomputed = session.replan(&graph).unwrap();
-        assert_eq!(recomputed.plan.waves(), cold.plan.waves());
+        let fresh = SpindleSession::new(ClusterSpec::homogeneous(3, 4)).plan(&graph);
+        assert_eq!(fresh.unwrap().waves(), cold.plan.waves());
     }
 
     #[test]

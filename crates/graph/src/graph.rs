@@ -249,13 +249,6 @@ impl ComputationGraph {
         unshared + by_param.values().sum::<u64>()
     }
 
-    /// Volume in bytes of the data flow along edge `(from, to)`: the output
-    /// activation of `from`.
-    #[must_use]
-    pub fn edge_volume(&self, from: OpId, _to: OpId) -> u64 {
-        self.op(from).output_bytes()
-    }
-
     /// Extracts the sub-graph containing only the operators of `tasks`
     /// (re-indexed densely). Used by decoupled baselines and by dynamic
     /// workloads when the active task set changes.
@@ -493,13 +486,6 @@ mod tests {
         // Flows inside the kept task survive.
         assert_eq!(sub.leaves().len(), 1);
         assert!(g.subgraph_for_tasks(&[TaskId(9)]).is_err());
-    }
-
-    #[test]
-    fn edge_volume_is_producer_output() {
-        let g = two_task_graph();
-        let (a, b) = g.edges()[0];
-        assert_eq!(g.edge_volume(a, b), g.op(a).output_bytes());
     }
 
     #[test]

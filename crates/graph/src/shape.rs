@@ -60,13 +60,6 @@ impl TensorShape {
     pub fn tokens(&self) -> u64 {
         u64::from(self.batch) * u64::from(self.seq)
     }
-
-    /// Returns a copy with a different batch size (used when a task's batch is
-    /// re-partitioned).
-    #[must_use]
-    pub fn with_batch(&self, batch: u32) -> Self {
-        Self { batch, ..*self }
-    }
 }
 
 impl fmt::Display for TensorShape {
@@ -98,11 +91,5 @@ mod tests {
         assert!(TensorShape::new(1, 0, 1).validate().is_err());
         assert!(TensorShape::new(1, 1, 0).validate().is_err());
         assert!(TensorShape::new(4, 77, 768).validate().is_ok());
-    }
-
-    #[test]
-    fn with_batch_only_changes_batch() {
-        let s = TensorShape::new(8, 77, 768).with_batch(4);
-        assert_eq!(s, TensorShape::new(4, 77, 768));
     }
 }

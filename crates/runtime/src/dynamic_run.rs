@@ -360,18 +360,12 @@ impl<'s> DynamicRunLoop<'s> {
                         0.0
                     } else if self.checkpoint_policy.async_overlap {
                         let mut bg_config = self.sim_config.clone();
-                        bg_config.background_flows =
-                            background_checkpoint_flows(&cluster, &plan, &self.checkpoint_policy);
+                        bg_config.background_flows = background_checkpoint_flows(&cluster, &plan);
                         let loaded = localized.run(&bg_config);
                         checkpoints_written as f64 * (loaded.total_s() - sim.total_s()).max(0.0)
                     } else {
                         checkpoints_written as f64
-                            * price_checkpoint_write(
-                                &cluster,
-                                &plan,
-                                &self.checkpoint_policy,
-                                self.sim_config.contention,
-                            )
+                            * price_checkpoint_write(&cluster, &plan, self.sim_config.contention)
                     };
                     total_simulated_s += checkpoint_write_s;
 

@@ -92,8 +92,8 @@ pub use migrate::{
 };
 pub use param_groups::ParamGroupPool;
 pub use recovery::{
-    adam_state_bytes, background_checkpoint_flows, checkpoint_flows, full_state_bytes,
-    price_checkpoint_write, price_restore, CheckpointPolicy,
+    background_checkpoint_flows, checkpoint_flows, price_checkpoint_write, price_restore,
+    CheckpointPolicy,
 };
 pub use sim::{
     BackgroundFlow, CommMode, FaultReport, FaultSpec, IntoShared, RuntimeEngine, SimConfig,

@@ -171,13 +171,6 @@ impl LocalizedPlan {
         &self.sites
     }
 
-    /// The transmissions ready after wave `wave` completes, in site order.
-    pub fn sites_after_wave(&self, wave: usize) -> impl Iterator<Item = &TransmissionSite> {
-        self.boundary(wave)
-            .iter()
-            .map(move |&site| &self.sites[site as usize])
-    }
-
     /// The indices of the sites ready after wave `wave` completes,
     /// ascending.
     pub(crate) fn boundary(&self, wave: usize) -> &[u32] {
@@ -298,7 +291,12 @@ mod tests {
         for w in 0..plan.num_waves() {
             let direct: Vec<&TransmissionSite> =
                 sites.iter().filter(|s| s.after_wave == w).collect();
-            assert_eq!(localized.sites_after_wave(w).collect::<Vec<_>>(), direct);
+            let boundary: Vec<&TransmissionSite> = localized
+                .boundary(w)
+                .iter()
+                .map(|&site| &localized.sites()[site as usize])
+                .collect();
+            assert_eq!(boundary, direct);
         }
     }
 

@@ -192,15 +192,6 @@ impl SimReport {
         &self.utilization_trace
     }
 
-    /// Average achieved cluster throughput over the whole iteration, TFLOP/s.
-    #[must_use]
-    pub fn average_cluster_tflops(&self) -> f64 {
-        if self.total_s <= 0.0 {
-            return 0.0;
-        }
-        self.total_flops / self.total_s / 1e12
-    }
-
     /// Average utilization of each cluster device as a fraction of its peak
     /// compute (Fig. 9b, left spider chart).
     #[must_use]
@@ -455,7 +446,6 @@ mod tests {
     fn utilization_and_memory_accessors() {
         let r = report();
         assert_eq!(r.utilization_trace().len(), 2);
-        assert!((r.average_cluster_tflops() - 100.0).abs() < 1e-9);
         assert_eq!(r.device_utilization().len(), 2);
         assert_eq!(r.metaop_utilization().len(), 1);
         assert!((r.device_memory_gib()[&DeviceId(0)] - 2.0).abs() < 1e-9);

@@ -23,32 +23,16 @@ use spindle_core::ExecutionPlan;
 use crate::migrate::RestoreFlow;
 use crate::sim::BackgroundFlow;
 
-/// The identity sizing: checkpoint bytes equal the MetaOp's resident state
-/// bytes (the default of [`CheckpointPolicy`]).
-#[must_use]
-pub fn full_state_bytes(state_bytes: u64) -> u64 {
-    state_bytes
-}
-
-/// Adam-style sizing: parameters plus two optimizer moments, three times the
+/// When and how checkpoints are written. A shard's checkpoint holds its
 /// resident state bytes.
-#[must_use]
-pub fn adam_state_bytes(state_bytes: u64) -> u64 {
-    state_bytes.saturating_mul(3)
-}
-
-/// When and how big checkpoints are.
 ///
 /// `cadence_iters: None` disables checkpoint modeling entirely: no write
 /// charges, no restore pricing, no replay — the optimistic pre-checkpoint
 /// behavior, and the default.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CheckpointPolicy {
     /// A checkpoint is written every this many iterations (`None` = never).
     pub cadence_iters: Option<u32>,
-    /// Maps a MetaOp shard's resident state bytes to its checkpoint bytes
-    /// (e.g. [`adam_state_bytes`] for params + Adam moments).
-    pub bytes_per_metaop_fn: fn(u64) -> u64,
     /// `true` overlaps checkpoint writes with training: instead of a full
     /// synchronous stall, the write runs as background storage flows that
     /// contend with the iteration's own traffic in the event simulator, and
@@ -57,20 +41,13 @@ pub struct CheckpointPolicy {
 }
 
 impl CheckpointPolicy {
-    /// A synchronous checkpoint every `cadence_iters` iterations with the
-    /// default (full-state) sizing.
+    /// A synchronous checkpoint every `cadence_iters` iterations.
     #[must_use]
     pub fn every(cadence_iters: u32) -> Self {
         Self {
             cadence_iters: Some(cadence_iters.max(1)),
             ..Self::default()
         }
-    }
-
-    /// Checkpoint bytes of one shard holding `state_bytes` of resident state.
-    #[must_use]
-    pub fn checkpoint_bytes(&self, state_bytes: u64) -> u64 {
-        (self.bytes_per_metaop_fn)(state_bytes)
     }
 
     /// `true` when checkpoint modeling is active.
@@ -101,29 +78,19 @@ impl CheckpointPolicy {
     }
 }
 
-impl Default for CheckpointPolicy {
-    fn default() -> Self {
-        Self {
-            cadence_iters: None,
-            bytes_per_metaop_fn: full_state_bytes,
-            async_overlap: false,
-        }
-    }
-}
-
 /// Prices a set of storage transfers (restores *or* checkpoint writes — the
 /// tier is symmetric) on `cluster`: all flows start concurrently; with
 /// `contended`, each flow runs at the rate of its most contended stage —
 /// equal-share on its node's storage link, equal-share of the spine scaled
 /// by the oversubscription ratio (see
 /// [`StorageSpec::slowdown`](spindle_cluster::StorageSpec::slowdown)).
-/// Flow bytes are scaled through `policy.bytes_per_metaop_fn` first. Returns
-/// the makespan of the transfer set, seconds.
+/// Returns the makespan of the transfer set, seconds. The price does not
+/// depend on `_policy`: a shard's checkpoint holds its resident state bytes.
 #[must_use]
 pub fn price_restore(
     cluster: &ClusterSpec,
     flows: &[RestoreFlow],
-    policy: &CheckpointPolicy,
+    _policy: &CheckpointPolicy,
     contended: bool,
 ) -> f64 {
     struct Active {
@@ -134,7 +101,7 @@ pub fn price_restore(
     let mut active: Vec<Active> = flows
         .iter()
         .map(|f| Active {
-            remaining_s: storage.transfer_time(policy.checkpoint_bytes(f.bytes)),
+            remaining_s: storage.transfer_time(f.bytes),
             node: cluster.node_of(f.to).ok(),
         })
         .collect();
@@ -205,13 +172,13 @@ pub fn checkpoint_flows(plan: &ExecutionPlan) -> Vec<RestoreFlow> {
 /// stall the training timeline pays per cadence boundary when
 /// `async_overlap` is off.
 #[must_use]
-pub fn price_checkpoint_write(
-    cluster: &ClusterSpec,
-    plan: &ExecutionPlan,
-    policy: &CheckpointPolicy,
-    contended: bool,
-) -> f64 {
-    price_restore(cluster, &checkpoint_flows(plan), policy, contended)
+pub fn price_checkpoint_write(cluster: &ClusterSpec, plan: &ExecutionPlan, contended: bool) -> f64 {
+    price_restore(
+        cluster,
+        &checkpoint_flows(plan),
+        &CheckpointPolicy::default(),
+        contended,
+    )
 }
 
 /// Builds the background-flow set of one `async_overlap` checkpoint write
@@ -224,7 +191,6 @@ pub fn price_checkpoint_write(
 pub fn background_checkpoint_flows(
     cluster: &ClusterSpec,
     plan: &ExecutionPlan,
-    policy: &CheckpointPolicy,
 ) -> Vec<BackgroundFlow> {
     let storage = cluster.storage();
     checkpoint_flows(plan)
@@ -232,7 +198,7 @@ pub fn background_checkpoint_flows(
         .filter_map(|f| {
             let node = cluster.node_of(f.to).ok()?;
             Some(BackgroundFlow {
-                nominal_s: storage.transfer_time(policy.checkpoint_bytes(f.bytes)),
+                nominal_s: storage.transfer_time(f.bytes),
                 footprint: vec![
                     LinkId::Uplink(node),
                     LinkId::StorageLink(node),
@@ -362,36 +328,27 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), n, "no shard is written twice");
-        let policy = CheckpointPolicy::every(1);
-        let write = price_checkpoint_write(&cluster, &plan, &policy, true);
+        let write = price_checkpoint_write(&cluster, &plan, true);
         assert!(write > 0.0);
-        // Bigger checkpoints (Adam sizing) can only take longer.
-        let adam = CheckpointPolicy {
-            bytes_per_metaop_fn: adam_state_bytes,
-            ..policy
-        };
-        assert!(price_checkpoint_write(&cluster, &plan, &adam, true) > write);
     }
 
     #[test]
     fn slower_storage_prices_higher() {
         let (plan, cluster) = plan_on(2, 4);
-        let policy = CheckpointPolicy::every(1);
-        let fast = price_checkpoint_write(&cluster, &plan, &policy, true);
+        let fast = price_checkpoint_write(&cluster, &plan, true);
         let slow_cluster = cluster.clone().with_storage(StorageSpec {
             node_bandwidth: 1e9,
             spine_bandwidth: 4e9,
             latency_s: 2e-3,
         });
-        let slow = price_checkpoint_write(&slow_cluster, &plan, &policy, true);
+        let slow = price_checkpoint_write(&slow_cluster, &plan, true);
         assert!(slow > fast * 2.0, "{slow} vs {fast}");
     }
 
     #[test]
     fn background_flows_name_egress_and_storage_links() {
         let (plan, cluster) = plan_on(2, 4);
-        let policy = CheckpointPolicy::every(1);
-        let bg = background_checkpoint_flows(&cluster, &plan, &policy);
+        let bg = background_checkpoint_flows(&cluster, &plan);
         assert_eq!(bg.len(), checkpoint_flows(&plan).len());
         for flow in &bg {
             assert!(flow.nominal_s > 0.0);

@@ -135,13 +135,18 @@ fn seeded_removals_replan_onto_survivors_with_invariants_intact() {
 /// The plans of the seeded removals above, and of a further loss of the
 /// highest surviving device after each, pinned bit for bit: the resumed
 /// suffix placements were recorded when the pass restored per-level
-/// checkpoints instead of replaying the clean prefix.
+/// checkpoints instead of replaying the clean prefix. One FNV-1a digest over
+/// every summary field of the 24 re-plans (devices lost, levels replaced and
+/// reused, migration bytes and cost bits, re-materialised MetaOps, restore
+/// bytes and the cache probe) pins the loss-side figures, recorded before
+/// the device-loss re-plan was folded into the session's one planning pass.
 #[test]
 fn seeded_removal_replans_match_the_recorded_digests() {
     let cluster = ClusterSpec::homogeneous(3, 4);
     let graph = staged_graph();
     let mut rng = XorShift64Star::new(0x0E1A_571C);
     let mut digests = Vec::new();
+    let mut figures = 0xcbf2_9ce4_8422_2325u64;
     let mut partial = 0;
     for _ in 0..12 {
         let mut session = SpindleSession::new(cluster.clone());
@@ -155,10 +160,15 @@ fn seeded_removal_replans_match_the_recorded_digests() {
             partial += usize::from(
                 outcome.levels_replaced > 0 && outcome.levels_replaced < outcome.levels_total,
             );
-            digests.push(ReplanSummary::of(outcome).plan_fingerprint);
+            let summary = ReplanSummary::of(outcome);
+            digests.push(summary.plan_fingerprint);
+            for byte in format!("{summary:?}").bytes() {
+                figures = (figures ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
         }
     }
     assert_eq!(partial, 6, "partial clean-prefix reuses");
+    assert_eq!(figures, 0x8e26_2110_0d0a_bcc1, "{figures:#018x}");
     assert_eq!(
         digests,
         [
@@ -189,6 +199,33 @@ fn seeded_removal_replans_match_the_recorded_digests() {
         ],
         "{digests:#018x?}"
     );
+}
+
+/// A loss re-plan diffs against the device set the session last planned
+/// on: two removals before one re-plan give the plan and figures of one
+/// removal of both devices, and a session's first plan reports no loss.
+#[test]
+fn loss_replans_diff_against_the_last_planned_device_set() {
+    let cluster = ClusterSpec::homogeneous(3, 4);
+    let graph = staged_graph();
+    let replan_after = |removals: &[&[DeviceId]]| {
+        let mut session = SpindleSession::new(cluster.clone());
+        session.plan(&graph).unwrap();
+        for removed in removals {
+            session.remove_devices(removed).unwrap();
+        }
+        ReplanSummary::of(&session.replan(&graph).unwrap())
+    };
+    let (d10, d11) = (DeviceId(10), DeviceId(11));
+    let single = replan_after(&[&[d11, d10]]);
+    let figures = |s: &ReplanSummary| (s.devices_lost, s.levels_replaced, s.migration_bytes);
+    assert_eq!(figures(&single), (2, 2, 96), "{single:?}");
+    assert_eq!(replan_after(&[&[d11], &[d10]]), single);
+
+    let mut fresh = SpindleSession::new(cluster);
+    fresh.remove_devices(&[d11, DeviceId(3)]).unwrap();
+    let first = ReplanSummary::of(&fresh.replan(&graph).unwrap());
+    assert_eq!(figures(&first), (0, 0, 0), "{first:?}");
 }
 
 #[test]
