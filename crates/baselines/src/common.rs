@@ -2,8 +2,12 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Duration;
 
-use spindle_core::{ContractedGraph, CurveSet, MetaGraph, MetaOpId, PlanError, SpindleSession};
+use spindle_cluster::{DeviceGroup, DeviceId};
+use spindle_core::{
+    ContractedGraph, CurveSet, ExecutionPlan, MetaGraph, MetaOpId, PlanError, SpindleSession, Wave,
+};
 use spindle_estimator::{ScalabilityEstimator, ScalingCurve};
 use spindle_graph::{ComputationGraph, TaskId};
 
@@ -22,6 +26,14 @@ pub struct BaselineContext {
     pub task_metaops: BTreeMap<TaskId, Vec<MetaOpId>>,
     /// Cluster size in devices.
     pub num_devices: u32,
+    /// The cluster's devices in id order. A baseline lays tasks out on
+    /// contiguous ranges of positions in this list
+    /// ([`device_range`](Self::device_range)), so after a device loss they
+    /// land on the survivors.
+    pub devices: Vec<DeviceId>,
+    /// The cluster's device id space
+    /// ([`ClusterSpec::device_space`](spindle_cluster::ClusterSpec::device_space)).
+    pub device_space: u32,
 }
 
 impl BaselineContext {
@@ -36,7 +48,8 @@ impl BaselineContext {
         graph: &ComputationGraph,
         session: &SpindleSession,
     ) -> Result<Self, PlanError> {
-        let num_devices = session.cluster().num_devices() as u32;
+        let cluster = session.cluster();
+        let num_devices = cluster.num_devices() as u32;
         if num_devices == 0 {
             return Err(PlanError::EmptyCluster);
         }
@@ -59,7 +72,38 @@ impl BaselineContext {
             estimator: session.estimator_handle(),
             task_metaops,
             num_devices,
+            devices: cluster.all_devices().devices().to_vec(),
+            device_space: cluster.device_space() as u32,
         })
+    }
+
+    /// The devices at positions `first..first + count` of
+    /// [`devices`](Self::devices): the ids `first..first + count` on an
+    /// intact cluster, the survivors in their place after a loss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the last device or is empty.
+    #[must_use]
+    pub fn device_range(&self, first: u32, count: u32) -> DeviceGroup {
+        let range = first as usize..(first + count) as usize;
+        assert!(!range.is_empty(), "device range must not be empty");
+        DeviceGroup::from_distinct(self.devices[range].to_vec())
+    }
+
+    /// A plan of `waves` over the session's cluster and its device id
+    /// space.
+    #[must_use]
+    pub fn plan(&self, waves: Vec<Wave>, planning_time: Duration) -> ExecutionPlan {
+        let mut plan = ExecutionPlan::new(
+            waves,
+            self.contracted.metagraph_handle(),
+            self.num_devices,
+            0.0,
+            planning_time,
+        );
+        plan.set_device_space(self.device_space);
+        plan
     }
 
     /// The contracted MetaGraph.

@@ -10,7 +10,6 @@
 
 use std::time::Instant;
 
-use spindle_cluster::{DeviceGroup, DeviceId};
 use spindle_core::{ExecutionPlan, PlanError, PlanningSystem, SpindleSession, Wave, WaveEntry};
 use spindle_estimator::{AnalyticGpuModel, ParallelConfig};
 use spindle_graph::ComputationGraph;
@@ -87,7 +86,7 @@ impl PlanningSystem for DecoupledPlanner {
                 let layers = metaop.num_ops();
                 let mut entry = WaveEntry::new(metaop_id, layers, devices, time_per_op);
                 entry.memory_per_device = ctx.memory_per_device(metaop_id, devices, layers);
-                entry.placement = Some(DeviceGroup::contiguous(DeviceId(0), devices as usize));
+                entry.placement = Some(ctx.device_range(0, devices));
                 let duration = entry.exec_time;
                 waves.push(Wave {
                     index: waves.len(),
@@ -100,13 +99,7 @@ impl PlanningSystem for DecoupledPlanner {
             }
         }
 
-        Ok(ExecutionPlan::new(
-            waves,
-            ctx.contracted.metagraph_handle(),
-            ctx.num_devices,
-            0.0,
-            started.elapsed(),
-        ))
+        Ok(ctx.plan(waves, started.elapsed()))
     }
 }
 

@@ -92,13 +92,7 @@ impl PlanningSystem for DistMmMtPlanner {
         // DistMM-MT plans every task against the full cluster, so waves of the
         // same task never overlap and placement can reuse Spindle's
         // locality-aware mechanism.
-        let mut plan = ExecutionPlan::new(
-            waves,
-            ctx.contracted.metagraph_handle(),
-            ctx.num_devices,
-            0.0,
-            started.elapsed(),
-        );
+        let mut plan = ctx.plan(waves, started.elapsed());
         PlacementStrategy::Locality.place(&mut plan, session.cluster())?;
         Ok(plan)
     }

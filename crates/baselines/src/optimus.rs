@@ -13,7 +13,6 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use spindle_cluster::{DeviceGroup, DeviceId};
 use spindle_core::{ExecutionPlan, PlanError, PlanningSystem, SpindleSession, Wave, WaveEntry};
 use spindle_graph::{ComputationGraph, TaskId};
 
@@ -31,8 +30,8 @@ impl OptimusPlanner {
     }
 
     /// Lays out each task's sequential operator execution on its contiguous
-    /// device range, all tasks starting at `start`. Returns the end time of
-    /// the slowest task.
+    /// range of the context's devices, all tasks starting at `start`.
+    /// Returns the end time of the slowest task.
     fn emit_task_waves(
         &self,
         ctx: &BaselineContext,
@@ -45,7 +44,6 @@ impl OptimusPlanner {
         let mut group_end = start;
         for &task in tasks {
             let devices = allocations[&task];
-            let placement_base = DeviceId(first_device);
             let mut now = start;
             for &metaop_id in &ctx.task_metaops[&task] {
                 let metaop = ctx.metagraph().metaop(metaop_id);
@@ -54,7 +52,7 @@ impl OptimusPlanner {
                 let layers = metaop.num_ops();
                 let mut entry = WaveEntry::new(metaop_id, layers, alloc, time_per_op);
                 entry.memory_per_device = ctx.memory_per_device(metaop_id, alloc, layers);
-                entry.placement = Some(DeviceGroup::contiguous(placement_base, alloc as usize));
+                entry.placement = Some(ctx.device_range(first_device, alloc));
                 let duration = entry.exec_time;
                 waves.push(Wave {
                     index: 0, // re-indexed after sorting
@@ -102,13 +100,7 @@ impl PlanningSystem for OptimusPlanner {
         for (i, wave) in waves.iter_mut().enumerate() {
             wave.index = i;
         }
-        Ok(ExecutionPlan::new(
-            waves,
-            ctx.contracted.metagraph_handle(),
-            ctx.num_devices,
-            0.0,
-            started.elapsed(),
-        ))
+        Ok(ctx.plan(waves, started.elapsed()))
     }
 }
 

@@ -88,9 +88,11 @@ impl fmt::Display for SystemKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spindle_cluster::ClusterSpec;
+    use std::sync::Arc;
+
+    use spindle_cluster::{ClusterSpec, DeviceId};
     use spindle_core::SpindleSession;
-    use spindle_runtime::Simulator;
+    use spindle_runtime::{LocalizedPlan, Simulator};
     use spindle_workloads::multitask_clip;
 
     #[test]
@@ -125,6 +127,30 @@ mod tests {
         }
         // After the first system fitted the curves, the rest were cache-served.
         assert!(session.cache_stats().hits > 0);
+    }
+
+    #[test]
+    fn every_system_plans_onto_the_survivors_of_a_device_loss() {
+        let graph = multitask_clip(4).unwrap();
+        let mut session = SpindleSession::new(ClusterSpec::homogeneous(2, 8));
+        let removed = [DeviceId(0), DeviceId(1)];
+        session.remove_devices(&removed).unwrap();
+        let cluster = session.cluster_handle();
+        for kind in SystemKind::ALL.into_iter().chain([SystemKind::SpindleSeq]) {
+            let plan = kind.planning_system().plan(&graph, &mut session).unwrap();
+            plan.check_invariants(cluster.device_memory_bytes())
+                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+            for entry in plan.waves().iter().flat_map(|w| &w.entries) {
+                let group = entry.placement.as_ref().unwrap();
+                assert!(
+                    removed.iter().all(|&d| !group.contains(d)),
+                    "{kind}: {} placed on {group}",
+                    entry.metaop
+                );
+            }
+            LocalizedPlan::new(Arc::new(plan), &cluster, Some(&graph))
+                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+        }
     }
 
     #[test]

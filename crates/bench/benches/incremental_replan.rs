@@ -21,12 +21,15 @@
 //! cargo bench -p spindle-bench --bench incremental_replan
 //! ```
 
+use std::hint::black_box;
 use std::path::PathBuf;
+use std::time::Duration;
 
 use spindle_bench::microbench::{bench, group, quick_mode, write_json_report, Timing};
-use spindle_cluster::ClusterSpec;
+use spindle_cluster::{ClusterSpec, DeviceId};
 use spindle_core::{PlannerConfig, SpindleSession};
 use spindle_graph::ComputationGraph;
+use spindle_runtime::{migration_flows, price_migration};
 use spindle_workloads::{hyperscale_subset, multitask_clip, HYPERSCALE_DEFAULT_TASKS};
 
 fn report_path() -> PathBuf {
@@ -191,7 +194,7 @@ fn main() {
     group("elastic churn: device loss -> re-plan -> restore -> re-plan");
     let mut session = SpindleSession::new(clip_cluster.clone());
     session.plan(&clip10).unwrap();
-    let dead = [spindle_cluster::DeviceId(31)];
+    let dead = [DeviceId(31)];
     // First sight of the shrunk topology must actually be migration-aware
     // churn; afterwards the loss-keyed placement is cached and steady-state
     // churn re-plans are served structurally (devices_lost 0 against the
@@ -214,7 +217,7 @@ fn main() {
 
     let mut session = SpindleSession::new(hyper_cluster.clone());
     session.plan(&hyper_a).unwrap();
-    let dead = [spindle_cluster::DeviceId(255)];
+    let dead = [DeviceId(255)];
     let t = bench("churn_replan_hyperscale-48t/256gpu", warmup, iters, || {
         session.remove_devices(&dead).unwrap();
         let _ = session.replan(&hyper_a).unwrap();
@@ -224,6 +227,31 @@ fn main() {
     report.push((
         "churn_replan_hyperscale-48t/256gpu".to_string(),
         per_replan(t),
+    ));
+
+    // -- Migration of a device event: derive and price the moved shards ------
+    // The 48-task mix loses node 1 (eight GPUs) and the session re-plans
+    // onto the survivors once. The bench times the runtime's migration layer
+    // of that fixed re-plan: deriving the shard moves (`migration_flows`) and
+    // pricing them under link contention (`price_migration`). The number of
+    // moves is a deterministic work count.
+    group("migration: one node lost from the 48-task mix, 256 gpus");
+    let mut session = SpindleSession::new(hyper_cluster.clone());
+    let before = session.plan(&hyper_a).unwrap();
+    let node: Vec<DeviceId> = (8..16).map(DeviceId).collect();
+    session.remove_devices(&node).unwrap();
+    let after = session.replan(&hyper_a).unwrap().plan;
+    let survivors = session.cluster_handle();
+    let moves = migration_flows(&before, &after, &survivors).flows.len();
+    println!("{:48} {moves} shard moves", "");
+    let t = bench("migrate_hyperscale-48t/256gpu", warmup, iters, || {
+        let migration = migration_flows(&before, &after, &survivors);
+        black_box(price_migration(&survivors, &migration.flows, true));
+    });
+    report.push(("migrate_hyperscale-48t/256gpu".to_string(), t));
+    report.push((
+        "work_migrate_flows_hyperscale-48t/256gpu".to_string(),
+        Timing::exact(Duration::from_nanos(moves as u64)),
     ));
 
     // -- Recovery re-plan: whole-node loss with restore accounting -----------
@@ -238,13 +266,13 @@ fn main() {
         .with_storage(spindle_cluster::StorageSpec::disaggregated_nvme());
     let clip5 = multitask_clip(5).unwrap();
     let policy = spindle_runtime::CheckpointPolicy::every(64);
-    let node1: Vec<spindle_cluster::DeviceId> = (4..8).map(spindle_cluster::DeviceId).collect();
+    let node1: Vec<DeviceId> = (4..8).map(DeviceId).collect();
     let mut session = SpindleSession::new(recovery_cluster.clone());
     let mut prev = session.plan(&clip5).unwrap();
     // Prove the case exercises the restore path before timing it.
     session.remove_devices(&node1).unwrap();
     let shrunk = session.replan(&clip5).unwrap();
-    let probe = spindle_runtime::migration_flows(&prev, &shrunk.plan, &session.cluster_handle());
+    let probe = migration_flows(&prev, &shrunk.plan, &session.cluster_handle());
     assert!(
         probe.restore_bytes() > 0,
         "whole-node loss must strand MetaOps for the recovery bench to be honest"
@@ -254,8 +282,7 @@ fn main() {
     let t = bench("recovery_replan_clip-5t/8gpu", warmup, iters, || {
         session.remove_devices(&node1).unwrap();
         let outcome = session.replan(&clip5).unwrap();
-        let migration =
-            spindle_runtime::migration_flows(&prev, &outcome.plan, &session.cluster_handle());
+        let migration = migration_flows(&prev, &outcome.plan, &session.cluster_handle());
         let stall = spindle_runtime::price_restore(
             &session.cluster_handle(),
             &migration.restores,

@@ -265,8 +265,7 @@ impl fmt::Display for Violation {
 /// Whether the plan's waves form a serial timeline: every wave starts at or
 /// after its predecessor ends (up to float noise). Only such plans are held
 /// to the level-synchronous optimum `Σ C̃*`.
-#[must_use]
-pub fn has_serial_timeline(plan: &ExecutionPlan) -> bool {
+fn has_serial_timeline(plan: &ExecutionPlan) -> bool {
     plan.waves()
         .windows(2)
         .all(|w| w[1].start >= w[0].end() - 1e-9)

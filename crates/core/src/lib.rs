@@ -92,7 +92,7 @@ pub use metaop::{MetaOp, MetaOpId};
 pub use mpsp::ContinuousSolution;
 pub use pipeline::{ContractedGraph, CurveSet, LevelSchedule};
 pub use placement::PlacementStrategy;
-pub use plan::{ExecutionPlan, Wave, WaveEntry};
+pub use plan::{ExecutionPlan, Residency, SiteSet, Survivors, Wave, WaveEntry};
 pub use session::{PlannerConfig, ReplanOutcome, SpindleSession};
 pub use structural::{
     LevelArtifact, LevelKey, PlacedSkeleton, PlanKey, StructuralCacheStats, StructuralPlanCache,

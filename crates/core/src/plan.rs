@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use spindle_cluster::DeviceGroup;
+use spindle_cluster::{ClusterSpec, DeviceGroup, DeviceId, NodeId};
 
 use crate::{MetaGraph, MetaOpId, PlanError};
 
@@ -447,10 +447,182 @@ impl fmt::Display for ExecutionPlan {
     }
 }
 
+/// A set of `(MetaOp, device)` sites: one bit per pair, in a dense
+/// MetaOp-major table sized from the waves it describes.
+#[derive(Debug, Clone)]
+pub struct SiteSet {
+    bits: Vec<u64>,
+    /// 64-bit words per MetaOp.
+    words: usize,
+    /// One past the highest MetaOp index the table covers.
+    metaops: usize,
+}
+
+impl SiteSet {
+    /// An empty set with room for every site a placed entry of `waves`
+    /// occupies.
+    #[must_use]
+    pub fn for_waves(waves: &[Wave]) -> Self {
+        let (mut metaops, mut devices) = (0, 0);
+        for entry in waves.iter().flat_map(|w| &w.entries) {
+            if let Some(group) = &entry.placement {
+                metaops = metaops.max(entry.metaop.index() + 1);
+                devices = group.iter().fold(devices, |n, d| n.max(d.index() + 1));
+            }
+        }
+        let words = devices.div_ceil(64);
+        Self {
+            bits: vec![0; metaops * words],
+            words,
+            metaops,
+        }
+    }
+
+    /// Adds `(metaop, device)` and returns whether it was absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the site lies outside the waves the set was sized for.
+    pub fn insert(&mut self, metaop: MetaOpId, device: DeviceId) -> bool {
+        let (word, bit) = self
+            .locate(metaop, device)
+            .expect("the site lies within the waves the set was sized for");
+        let absent = self.bits[word] & bit == 0;
+        self.bits[word] |= bit;
+        absent
+    }
+
+    /// Whether the set holds `(metaop, device)`.
+    #[must_use]
+    pub fn contains(&self, metaop: MetaOpId, device: DeviceId) -> bool {
+        self.locate(metaop, device)
+            .is_some_and(|(word, bit)| self.bits[word] & bit != 0)
+    }
+
+    fn locate(&self, metaop: MetaOpId, device: DeviceId) -> Option<(usize, u64)> {
+        let d = device.index();
+        (metaop.index() < self.metaops && d < self.words * 64)
+            .then(|| (metaop.index() * self.words + d / 64, 1 << (d % 64)))
+    }
+}
+
+/// Where the MetaOps of a run of waves reside: each MetaOp's distinct
+/// devices in first-placement order, with constant-time membership. Diffing
+/// the residency of a plan before and after a topology change gives the
+/// parameter shards that must move.
+#[derive(Debug, Clone)]
+pub struct Residency {
+    held: SiteSet,
+    /// MetaOp `m`'s sites are `devices[offsets[m]..offsets[m + 1]]`.
+    offsets: Vec<usize>,
+    devices: Vec<DeviceId>,
+}
+
+impl Residency {
+    /// The residency of `waves`, in one pass over their placements.
+    #[must_use]
+    pub fn new(waves: &[Wave]) -> Self {
+        let mut held = SiteSet::for_waves(waves);
+        let mut offsets = vec![0; held.metaops + 1];
+        let mut first_seen = Vec::new();
+        for entry in waves.iter().flat_map(|w| &w.entries) {
+            for d in entry.placement.iter().flat_map(DeviceGroup::iter) {
+                if held.insert(entry.metaop, d) {
+                    first_seen.push((entry.metaop.index(), d));
+                    offsets[entry.metaop.index() + 1] += 1;
+                }
+            }
+        }
+        for m in 1..offsets.len() {
+            offsets[m] += offsets[m - 1];
+        }
+        // A stable scatter keeps each MetaOp's sites in first-seen order.
+        let mut next = offsets.clone();
+        let mut devices = vec![DeviceId(0); first_seen.len()];
+        for (m, d) in first_seen {
+            devices[next[m]] = d;
+            next[m] += 1;
+        }
+        Self {
+            held,
+            offsets,
+            devices,
+        }
+    }
+
+    /// The distinct devices `metaop` occupies, in first-placement order.
+    #[must_use]
+    pub fn sites(&self, metaop: MetaOpId) -> &[DeviceId] {
+        let m = metaop.index();
+        if m + 1 >= self.offsets.len() {
+            return &[];
+        }
+        &self.devices[self.offsets[m]..self.offsets[m + 1]]
+    }
+
+    /// Whether `metaop` occupies `device`.
+    #[must_use]
+    pub fn holds(&self, metaop: MetaOpId, device: DeviceId) -> bool {
+        self.held.contains(metaop, device)
+    }
+
+    /// Each MetaOp's first site that `cluster` still has, overall and on
+    /// each node, in site order: the replica a moved shard is read from.
+    #[must_use]
+    pub fn survivors(&self, cluster: &ClusterSpec) -> Survivors {
+        let nodes = cluster.num_nodes();
+        let metaops = self.offsets.len() - 1;
+        let mut first = vec![None; metaops];
+        let mut on_node = vec![None; metaops * nodes];
+        for (m, first) in first.iter_mut().enumerate() {
+            for &d in &self.devices[self.offsets[m]..self.offsets[m + 1]] {
+                if let Ok(node) = cluster.node_of(d) {
+                    first.get_or_insert(d);
+                    on_node[m * nodes + node.index()].get_or_insert(d);
+                }
+            }
+        }
+        Survivors {
+            first,
+            on_node,
+            nodes,
+        }
+    }
+}
+
+/// The first surviving site of each MetaOp of a [`Residency`], overall and
+/// on each node of a cluster ([`Residency::survivors`]).
+#[derive(Debug, Clone)]
+pub struct Survivors {
+    first: Vec<Option<DeviceId>>,
+    /// `nodes` entries per MetaOp, by node index.
+    on_node: Vec<Option<DeviceId>>,
+    nodes: usize,
+}
+
+impl Survivors {
+    /// The MetaOp's first surviving site, `None` when every replica died.
+    #[must_use]
+    pub fn first(&self, metaop: MetaOpId) -> Option<DeviceId> {
+        self.first.get(metaop.index()).copied().flatten()
+    }
+
+    /// The MetaOp's first surviving site on `node`.
+    #[must_use]
+    pub fn on_node(&self, metaop: MetaOpId, node: NodeId) -> Option<DeviceId> {
+        if node.index() >= self.nodes {
+            return None;
+        }
+        self.on_node
+            .get(metaop.index() * self.nodes + node.index())
+            .copied()
+            .flatten()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spindle_cluster::DeviceId;
     use spindle_graph::{GraphBuilder, Modality, OpKind, TensorShape};
 
     fn tiny_metagraph() -> MetaGraph {
@@ -804,5 +976,42 @@ mod tests {
         assert!(wave.utilization(8) > 0.5);
         assert!(wave.entry_for(MetaOpId(0)).is_some());
         assert!(wave.entry_for(MetaOpId(9)).is_none());
+    }
+
+    #[test]
+    fn residency_lists_sites_in_first_placement_order() {
+        let group = |ids: &[u32]| DeviceGroup::new(ids.iter().map(|&d| DeviceId(d))).unwrap();
+        let entry = |metaop, ids: &[u32]| WaveEntry {
+            placement: Some(group(ids)),
+            ..WaveEntry::new(MetaOpId(metaop), 1, ids.len() as u32, 1.0)
+        };
+        let waves = [
+            wave_at(0, 0.0, vec![entry(1, &[70, 3]), entry(0, &[9])]),
+            wave_at(1, 1.0, vec![entry(1, &[3, 12, 66])]),
+        ];
+        let residency = Residency::new(&waves);
+        assert_eq!(residency.sites(MetaOpId(0)), [DeviceId(9)]);
+        assert_eq!(residency.sites(MetaOpId(1)), [70, 3, 12, 66].map(DeviceId));
+        assert!(residency.sites(MetaOpId(7)).is_empty());
+        assert!(residency.holds(MetaOpId(1), DeviceId(66)));
+        assert!(!residency.holds(MetaOpId(0), DeviceId(3)));
+        assert!(!residency.holds(MetaOpId(1), DeviceId(500)));
+        // Devices 70 and 3 are gone: MetaOp 1 survives first on device 12,
+        // and on node 8 only through device 66.
+        let cluster = ClusterSpec::homogeneous(9, 8)
+            .without_devices(&[DeviceId(3), DeviceId(70)])
+            .unwrap();
+        let survivors = residency.survivors(&cluster);
+        assert_eq!(survivors.first(MetaOpId(1)), Some(DeviceId(12)));
+        assert_eq!(
+            survivors.on_node(MetaOpId(1), NodeId(8)),
+            Some(DeviceId(66))
+        );
+        assert_eq!(survivors.on_node(MetaOpId(1), NodeId(0)), None);
+        assert_eq!(survivors.first(MetaOpId(0)), Some(DeviceId(9)));
+        let mut seen = SiteSet::for_waves(&waves);
+        assert!(seen.insert(MetaOpId(1), DeviceId(70)));
+        assert!(!seen.insert(MetaOpId(1), DeviceId(70)));
+        assert!(!seen.contains(MetaOpId(0), DeviceId(70)));
     }
 }

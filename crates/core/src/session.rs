@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use spindle_cluster::{ClusterSpec, DeviceGroup, DeviceId, LinkClass, NodeId};
+use spindle_cluster::{ClusterSpec, DeviceId, LinkClass};
 use spindle_estimator::{CurveCacheStats, ScalabilityEstimator, DEFAULT_CURVE_CACHE_BUDGET};
 use spindle_graph::ComputationGraph;
 
@@ -14,8 +14,8 @@ use crate::structural::{
     DEFAULT_STRUCTURAL_CACHE_BUDGET,
 };
 use crate::{
-    mpsp, CacheTelemetry, ExecutionPlan, PlacementStrategy, PlanError, PlanningStats, Wave,
-    WaveEntry,
+    mpsp, CacheTelemetry, ExecutionPlan, MetaOpId, PlacementStrategy, PlanError, PlanningStats,
+    Residency, Wave, WaveEntry,
 };
 
 /// Tunable knobs of the planner.
@@ -145,49 +145,39 @@ impl ReplanOutcome {
     /// kept prefix) receives that MetaOp's per-device bytes over the cheapest
     /// link class connecting it to a surviving old replica (intra-island when
     /// one shares the island, inter-island otherwise — including the
-    /// no-survivor case, a checkpoint restore). `present` marks the devices
-    /// of `cluster`.
-    fn price_migration(
-        &mut self,
-        old: &[Wave],
-        kept: usize,
-        cluster: &ClusterSpec,
-        present: &[bool],
-    ) {
+    /// no-survivor case, a checkpoint restore). The survivors are the old
+    /// replicas `cluster` still has.
+    fn price_migration(&mut self, old: &[Wave], kept: usize, cluster: &ClusterSpec) {
         let num_metaops = self.plan.metagraph().num_metaops();
         let new = &self.plan.waves()[kept..];
-        let old_sites = sites(old, num_metaops);
-        let new_sites = sites(new, num_metaops);
+        let old_sites = Residency::new(old);
+        let survivors = old_sites.survivors(cluster);
+        let new_sites = Residency::new(new);
         let mut bytes_per_device: Vec<u64> = vec![0; num_metaops];
         for entry in new.iter().flat_map(|w| &w.entries) {
             let bytes = &mut bytes_per_device[entry.metaop.index()];
             *bytes = (*bytes).max(entry.memory_per_device);
         }
         let interconnect = cluster.interconnect();
-        for m in 0..num_metaops {
-            let bytes = bytes_per_device[m];
+        for (m, &bytes) in (0..).map(MetaOpId).zip(&bytes_per_device) {
             if bytes == 0 {
                 continue;
             }
-            let old_nodes: Vec<NodeId> = old_sites[m]
-                .iter()
-                .filter(|d| present.get(d.index()) == Some(&true))
-                .filter_map(|&d| cluster.node_of(d).ok())
-                .collect();
             // Every old replica died: the MetaOp cannot be migrated at all —
             // its new sites restore from the checkpoint tier. Count it so
             // lost state is surfaced, never silently dropped.
-            let rematerialized = !old_sites[m].is_empty() && old_nodes.is_empty();
-            if rematerialized && !new_sites[m].is_empty() {
+            let rematerialized = !old_sites.sites(m).is_empty() && survivors.first(m).is_none();
+            let sites = new_sites.sites(m);
+            if rematerialized && !sites.is_empty() {
                 self.rematerialized_metaops += 1;
             }
-            for &d in new_sites[m].iter().filter(|d| !old_sites[m].contains(d)) {
+            for &d in sites.iter().filter(|&&d| !old_sites.holds(m, d)) {
                 self.migration_bytes += bytes;
                 if rematerialized {
                     self.restore_bytes += bytes;
                 }
                 let class = match cluster.node_of(d) {
-                    Ok(node) if old_nodes.contains(&node) => LinkClass::IntraIsland,
+                    Ok(node) if survivors.on_node(m, node).is_some() => LinkClass::IntraIsland,
                     _ => LinkClass::InterIsland,
                 };
                 self.migration_cost += interconnect.transfer_time(class, bytes);
@@ -627,12 +617,7 @@ impl SpindleSession {
                     ..ReplanOutcome::new(plan, levels_total)
                 };
                 if let Some(old) = &old {
-                    outcome.price_migration(
-                        &old.waves[kept.len()..],
-                        kept.len(),
-                        &self.cluster,
-                        &present,
-                    );
+                    outcome.price_migration(&old.waves[kept.len()..], kept.len(), &self.cluster);
                 }
                 outcome.plan.set_planning_time(started.elapsed());
                 outcome
@@ -736,21 +721,6 @@ fn clean_prefix(waves: &[Wave], levels_total: usize, present: &[bool]) -> usize 
         .iter()
         .find(|w| !w.entries.iter().all(on_survivors))
         .map_or(levels_total, |w| w.level)
-}
-
-/// The distinct devices each MetaOp occupies over `waves`, in placement
-/// order.
-fn sites(waves: &[Wave], num_metaops: usize) -> Vec<Vec<DeviceId>> {
-    let mut sites: Vec<Vec<DeviceId>> = vec![Vec::new(); num_metaops];
-    for entry in waves.iter().flat_map(|w| &w.entries) {
-        let at = &mut sites[entry.metaop.index()];
-        for d in entry.placement.iter().flat_map(DeviceGroup::iter) {
-            if !at.contains(&d) {
-                at.push(d);
-            }
-        }
-    }
-    sites
 }
 
 #[cfg(test)]

@@ -8,14 +8,11 @@
 //! `ReplanOutcome::migration_cost`); this module derives the *concrete* flow
 //! set from the old and new plans and prices it the way the event-driven
 //! simulator prices wave-boundary traffic — all flows issued concurrently,
-//! sharing link bandwidth equal-share at the most contended link
-//! ([`LinkOccupancy`]). The contended price is what the elastic run loop
-//! charges the timeline.
+//! sharing link bandwidth equal-share at the most contended link. The
+//! contended price is what the elastic run loop charges the timeline.
 
-use std::collections::BTreeMap;
-
-use spindle_cluster::{ClusterSpec, CommModel, DeviceId, LinkOccupancy, NodeSpan};
-use spindle_core::{ExecutionPlan, MetaOpId};
+use spindle_cluster::{ClusterSpec, CommModel, DeviceId, NodeSpan};
+use spindle_core::{ExecutionPlan, MetaOpId, Residency, SiteSet};
 
 /// One parameter-shard move: `bytes` of MetaOp state travel from a surviving
 /// replica to a device that newly hosts the MetaOp.
@@ -92,74 +89,52 @@ impl MigrationPlan {
 /// A MetaOp whose old replicas *all* died cannot be moved: each of its new
 /// sites gets a [`RestoreFlow`] from storage instead, so lost state is
 /// always counted, never silently dropped. MetaOps with no annotated memory
-/// or absent from the old plan (fresh arrivals) emit nothing.
+/// or absent from the old plan (fresh arrivals) emit nothing. Flows and
+/// restores come out in the order `new` first places each MetaOp on each
+/// device.
 #[must_use]
 pub fn migration_flows(
     old: &ExecutionPlan,
     new: &ExecutionPlan,
     cluster: &ClusterSpec,
 ) -> MigrationPlan {
-    let mut old_metaops: Vec<MetaOpId> = Vec::new();
-    let mut old_sites: BTreeMap<MetaOpId, Vec<DeviceId>> = BTreeMap::new();
-    for wave in old.waves() {
-        for entry in &wave.entries {
-            let Some(group) = &entry.placement else {
-                continue;
-            };
-            if !old_metaops.contains(&entry.metaop) {
-                old_metaops.push(entry.metaop);
-            }
-            let sites = old_sites.entry(entry.metaop).or_default();
-            for d in group.iter() {
-                if cluster.contains(d) && !sites.contains(&d) {
-                    sites.push(d);
-                }
-            }
-        }
-    }
+    let old_sites = Residency::new(old.waves());
+    let survivors = old_sites.survivors(cluster);
     let mut plan = MigrationPlan::default();
-    let mut new_seen: BTreeMap<MetaOpId, Vec<DeviceId>> = BTreeMap::new();
-    for wave in new.waves() {
-        for entry in &wave.entries {
-            let Some(group) = &entry.placement else {
-                continue;
-            };
-            if !old_metaops.contains(&entry.metaop) || entry.memory_per_device == 0 {
+    let mut seen = SiteSet::for_waves(new.waves());
+    for entry in new.waves().iter().flat_map(|w| &w.entries) {
+        let Some(group) = &entry.placement else {
+            continue;
+        };
+        let m = entry.metaop;
+        if old_sites.sites(m).is_empty() || entry.memory_per_device == 0 {
+            continue;
+        }
+        let first = survivors.first(m);
+        for d in group.iter() {
+            if !seen.insert(m, d) || (old_sites.holds(m, d) && cluster.contains(d)) {
                 continue;
             }
-            let sources = old_sites.get(&entry.metaop).map_or(&[][..], Vec::as_slice);
-            let seen = new_seen.entry(entry.metaop).or_default();
-            for d in group.iter() {
-                if seen.contains(&d) {
-                    continue;
-                }
-                seen.push(d);
-                if sources.contains(&d) {
-                    continue;
-                }
-                if sources.is_empty() {
-                    // Every old replica died: the shard must come back from
-                    // the checkpoint tier.
-                    plan.restores.push(RestoreFlow {
-                        metaop: entry.metaop,
-                        to: d,
-                        bytes: entry.memory_per_device,
-                    });
-                    continue;
-                }
-                let node = cluster.node_of(d).ok();
-                let from = sources
-                    .iter()
-                    .copied()
-                    .find(|&s| cluster.node_of(s).ok() == node && node.is_some())
-                    .unwrap_or(sources[0]);
-                plan.flows.push(MigrationFlow {
-                    metaop: entry.metaop,
-                    from,
+            let Some(first) = first else {
+                // Every old replica died: the shard must come back from the
+                // checkpoint tier.
+                plan.restores.push(RestoreFlow {
+                    metaop: m,
                     to: d,
                     bytes: entry.memory_per_device,
                 });
-            }
+                continue;
+            };
+            let near = cluster
+                .node_of(d)
+                .ok()
+                .and_then(|node| survivors.on_node(m, node));
+            plan.flows.push(MigrationFlow {
+                metaop: m,
+                from: near.unwrap_or(first),
+                to: d,
+                bytes: entry.memory_per_device,
+            });
         }
     }
     plan
@@ -178,89 +153,115 @@ pub fn migration_bytes(flows: &[MigrationFlow]) -> u64 {
 /// wave-boundary traffic. Without contention, flows overlap at full rate and
 /// the price is the slowest flow. Returns the makespan of the migration,
 /// seconds.
+///
+/// The price advances in rounds: each round runs to the next completion at
+/// the current rates (the least remaining time times slowdown over the live
+/// flows), every live flow loses the round's time divided by its slowdown,
+/// and flows left within `1e-12` of the elapsed time finish together.
 #[must_use]
 pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended: bool) -> f64 {
-    struct Active {
-        remaining_s: f64,
-        /// The flow's link slots: `slots[footprint.0..footprint.1]`.
-        footprint: (usize, usize),
-        /// The flow's equal-share slowdown, recomputed only when a flow
-        /// sharing one of its links completes.
-        congestion: f64,
-    }
+    // A point-to-point flow crosses at most two links (an island bus, or an
+    // uplink and a downlink); `NONE` pads a shorter footprint.
+    const NONE: u32 = u32::MAX;
     let comm = CommModel::new(cluster);
     let (mut from, mut to) = (NodeSpan::default(), NodeSpan::default());
     let mut links = Vec::new();
-    let mut slots: Vec<u32> = Vec::new();
-    let mut active: Vec<Active> = flows
-        .iter()
-        .map(|f| {
-            from.fill(cluster, &[f.from]);
-            to.fill(cluster, &[f.to]);
-            links.clear();
-            NodeSpan::transfer_links(&from, &to, &mut links);
-            let start = slots.len();
-            slots.extend(links.iter().map(|l| l.slot()));
-            Active {
-                remaining_s: comm.p2p_time(f.from, f.to, f.bytes),
-                footprint: (start, slots.len()),
-                congestion: 1.0,
-            }
-        })
-        .collect();
-    let footprint = |flow: &Active| &slots[flow.footprint.0..flow.footprint.1];
-    let mut occupancy = LinkOccupancy::for_cluster(cluster);
-    let mut touched = Vec::new();
-    if contended {
-        for (id, flow) in (0..).zip(&active) {
-            occupancy.register(id, footprint(flow));
+    // The live flows as parallel arrays, compacted as flows finish: time left
+    // at the nominal rate, equal-share slowdown and link slots.
+    let mut remaining = Vec::with_capacity(flows.len());
+    let mut slowdown = vec![1.0_f64; flows.len()];
+    let mut slots: Vec<[u32; 2]> = Vec::with_capacity(flows.len());
+    for f in flows {
+        from.fill(cluster, &[f.from]);
+        to.fill(cluster, &[f.to]);
+        links.clear();
+        NodeSpan::transfer_links(&from, &to, &mut links);
+        debug_assert!(links.len() <= 2, "a point-to-point flow crossed {links:?}");
+        let mut pair = [NONE; 2];
+        for (slot, link) in pair.iter_mut().zip(&links) {
+            *slot = link.slot();
         }
-        for flow in &mut active {
-            flow.congestion = f64::from(occupancy.congestion(footprint(flow)));
+        remaining.push(comm.p2p_time(f.from, f.to, f.bytes));
+        slots.push(pair);
+    }
+    // Live flows per link slot, all zero without contention. The slot past
+    // the last link stands for a missing link and never counts a flow.
+    let idle = slots
+        .iter()
+        .flatten()
+        .filter(|&&slot| slot != NONE)
+        .max()
+        .map_or(0, |&slot| slot + 1);
+    let mut count = vec![0u32; idle as usize + 1];
+    for slot in slots.iter_mut().flatten() {
+        if *slot == NONE {
+            *slot = idle;
+        } else if contended {
+            count[*slot as usize] += 1;
         }
     }
-    let mut live: Vec<usize> = (0..active.len()).collect();
-    // The last round whose completions touched each flow.
-    let mut touched_in = vec![0usize; active.len()];
-    let mut round = 0;
     let mut now = 0.0_f64;
-    while !live.is_empty() {
-        round += 1;
-        // Next completion at current equal-share rates.
-        let step = live
-            .iter()
-            .map(|&i| active[i].remaining_s * active[i].congestion)
-            .fold(f64::INFINITY, f64::min);
+    while !remaining.is_empty() {
+        let step = next_completion(&remaining, &mut slowdown, &slots, &count);
         now += step;
-        for &i in &live {
-            active[i].remaining_s -= step / active[i].congestion;
-        }
         let eps = 1e-12 * now.max(1.0);
-        live.retain(|&i| {
-            let done = active[i].remaining_s <= eps;
-            if done && contended {
-                occupancy.release(i as u32, footprint(&active[i]));
-                for &slot in footprint(&active[i]) {
-                    touched.extend_from_slice(occupancy.flows_on(slot));
+        for (r, s) in remaining.iter_mut().zip(&slowdown) {
+            *r -= step / s;
+        }
+        let mut i = 0;
+        while i < remaining.len() {
+            if remaining[i] <= eps {
+                for &slot in &slots[i] {
+                    if contended && slot != idle {
+                        count[slot as usize] -= 1;
+                    }
                 }
-            }
-            !done
-        });
-        // Only flows on a released link can change speed.
-        for i in touched.drain(..) {
-            let i = i as usize;
-            if touched_in[i] != round {
-                touched_in[i] = round;
-                active[i].congestion = f64::from(occupancy.congestion(footprint(&active[i])));
+                remaining.swap_remove(i);
+                slowdown.swap_remove(i);
+                slots.swap_remove(i);
+            } else {
+                i += 1;
             }
         }
     }
     now
 }
 
+/// The time to the next completion at current equal-share rates: the least
+/// remaining time × slowdown over the live flows, after setting each flow's
+/// slowdown to the larger live-flow count of its two link slots, at least 1.
+/// Four running minima keep consecutive flows independent; a minimum does
+/// not depend on the order it is taken in.
+fn next_completion(
+    remaining: &[f64],
+    slowdown: &mut [f64],
+    slots: &[[u32; 2]],
+    count: &[u32],
+) -> f64 {
+    let share = |[a, b]: [u32; 2]| f64::from(count[a as usize].max(count[b as usize]).max(1));
+    let mut least = [f64::INFINITY; 4];
+    let mut s4 = slowdown.chunks_exact_mut(4);
+    let mut l4 = slots.chunks_exact(4);
+    let mut r4 = remaining.chunks_exact(4);
+    for ((s, l), r) in (&mut s4).zip(&mut l4).zip(&mut r4) {
+        for lane in 0..4 {
+            s[lane] = share(l[lane]);
+            least[lane] = least[lane].min(r[lane] * s[lane]);
+        }
+    }
+    let rest = s4.into_remainder().iter_mut().zip(l4.remainder());
+    for ((s, &l), r) in rest.zip(r4.remainder()) {
+        *s = share(l);
+        least[0] = least[0].min(r * *s);
+    }
+    least.into_iter().fold(f64::INFINITY, f64::min)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use spindle_cluster::{transfer_footprint, DeviceGroup, LinkId};
     use spindle_core::SpindleSession;
     use spindle_graph::{
@@ -268,8 +269,10 @@ mod tests {
     };
 
     /// The reference pricing loop: every round recomputes every flow's
-    /// congestion from a per-link flow count. [`price_migration`] caches
-    /// congestion and must price every flow set bit-identically.
+    /// congestion from a per-link flow count keyed by [`LinkId`] over the
+    /// flow's [`transfer_footprint`]. [`price_migration`] keeps packed live
+    /// flows and dense per-slot counts, and must price every flow set
+    /// bit-identically.
     fn price_migration_reference(
         cluster: &ClusterSpec,
         flows: &[MigrationFlow],
@@ -333,48 +336,67 @@ mod tests {
         now
     }
 
+    /// `count` flows drawn on `cluster`: every third stays on its source's
+    /// node, and sizes come from a few values, so several flows often finish
+    /// in one round.
+    fn draw_flows(
+        cluster: &ClusterSpec,
+        rng: &mut XorShift64Star,
+        count: usize,
+    ) -> Vec<MigrationFlow> {
+        let devices: Vec<DeviceId> = cluster.all_devices().iter().collect();
+        let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+        let sizes = [1u64 << 24, 3 << 26, 1 << 30, 5 << 27];
+        (0..count)
+            .map(|k| {
+                let from = devices[pick(devices.len())];
+                let to = if k % 3 == 0 {
+                    let node = cluster.node_of(from).unwrap().index();
+                    let peers = &cluster.nodes()[node].devices;
+                    peers[pick(peers.len())]
+                } else {
+                    devices[pick(devices.len())]
+                };
+                MigrationFlow {
+                    metaop: MetaOpId(k as u32),
+                    from,
+                    to,
+                    bytes: sizes[pick(sizes.len())] + pick(3) as u64,
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn cached_congestion_prices_bit_identically_to_the_reference() {
         // Four nodes of eight with holes, so flows mix same-node pairs,
-        // cross-node pairs and several flows out of (or into) one node.
-        let cluster = ClusterSpec::homogeneous(4, 8)
+        // cross-node pairs and several flows out of (or into) one node; then
+        // a few flow sets of the size a device event moves on 32 nodes.
+        let small = ClusterSpec::homogeneous(4, 8)
             .without_devices(&[DeviceId(3), DeviceId(12), DeviceId(13)])
             .unwrap();
-        let devices: Vec<DeviceId> = cluster.all_devices().iter().collect();
+        let large = ClusterSpec::homogeneous(32, 8)
+            .without_devices(&(40..48).chain([3, 200]).map(DeviceId).collect::<Vec<_>>())
+            .unwrap();
         let mut rng = XorShift64Star::new(0x5EED_F10E);
-        let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
-        for round in 0..200 {
-            let count = 1 + pick(48);
-            // Few distinct sizes, so several flows often finish in one round.
-            let sizes = [1u64 << 24, 3 << 26, 1 << 30, 5 << 27];
-            let flows: Vec<MigrationFlow> = (0..count)
-                .map(|k| {
-                    let from = devices[pick(devices.len())];
-                    // Every third flow stays on its source's node.
-                    let to = if k % 3 == 0 {
-                        let node = cluster.node_of(from).unwrap().index();
-                        let peers = &cluster.nodes()[node].devices;
-                        peers[pick(peers.len())]
-                    } else {
-                        devices[pick(devices.len())]
-                    };
-                    MigrationFlow {
-                        metaop: MetaOpId(k as u32),
-                        from,
-                        to,
-                        bytes: sizes[pick(sizes.len())] + pick(3) as u64,
-                    }
-                })
-                .collect();
+        let check = |cluster: &ClusterSpec, rng: &mut XorShift64Star, count: usize, case| {
+            let flows = draw_flows(cluster, rng, count);
             for contended in [true, false] {
-                let got = price_migration(&cluster, &flows, contended);
-                let want = price_migration_reference(&cluster, &flows, contended);
+                let got = price_migration(cluster, &flows, contended);
+                let want = price_migration_reference(cluster, &flows, contended);
                 assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
-                    "round {round}, contended {contended}: {got} vs {want}"
+                    "case {case} ({count} flows), contended {contended}: {got} vs {want}"
                 );
             }
+        };
+        for case in 0..200 {
+            let count = 1 + (rng.next_u64() % 48) as usize;
+            check(&small, &mut rng, count, case);
+        }
+        for (case, count) in (200..).zip([1_000, 1_200, 1_430]) {
+            check(&large, &mut rng, count, case);
         }
     }
 

@@ -432,3 +432,79 @@ fn seeded_loss_restore_cycles_account_recovery_deterministically() {
     );
     assert_eq!(first, second, "replaying the walk diverged");
 }
+
+/// Every device event of a seeded churn replay on 256 GPUs — a
+/// `hyperscale_churn` window of the 48-task mix with seeded device loss and
+/// restore — digested and pinned: each migration's flows and restores in
+/// order, its contended and uncontended price bits, and the re-plan's own
+/// migration figures (bytes, cost bits, restore bytes, re-materialised
+/// MetaOps). Several events move more than 1,000 shards, the size of a
+/// device event at this scale. Recorded before the migration passes became
+/// table-driven.
+#[test]
+fn hyperscale_device_churn_migration_matches_the_recorded_digest() {
+    use spindle::runtime::{migration_flows, price_migration};
+    use spindle::workloads::{hyperscale_churn, DeviceChurnKind, ScheduleEvent};
+
+    const SEED: u64 = 0x5eed_c4a7;
+    let schedule = hyperscale_churn(SEED, 48, 12, 30.0)
+        .unwrap()
+        .with_seeded_device_churn(SEED, 256, 16);
+    let mut session = SpindleSession::new(ClusterSpec::homogeneous(32, 8));
+    let mut current: Option<(&ComputationGraph, ExecutionPlan)> = None;
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |words: &[u64]| {
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let (mut device_events, mut large) = (0, 0);
+    for event in schedule.timeline() {
+        match event {
+            ScheduleEvent::Phase(arrival) => {
+                let plan = session.replan(&arrival.graph).unwrap().plan;
+                current = Some((&arrival.graph, plan));
+            }
+            ScheduleEvent::Churn(churn) => {
+                let (graph, old) = current.take().expect("a task event comes first");
+                let ids: Vec<DeviceId> = churn.devices.iter().map(|&d| DeviceId(d)).collect();
+                match churn.kind {
+                    DeviceChurnKind::Remove => session.remove_devices(&ids).unwrap(),
+                    DeviceChurnKind::Restore => session.restore_devices(&ids),
+                };
+                let outcome = session.replan(graph).unwrap();
+                let cluster = session.cluster_handle();
+                let migration = migration_flows(&old, &outcome.plan, &cluster);
+                for f in &migration.flows {
+                    mix(&[
+                        f.metaop.index() as u64,
+                        f.from.0.into(),
+                        f.to.0.into(),
+                        f.bytes,
+                    ]);
+                }
+                mix(&[u64::MAX]);
+                for r in &migration.restores {
+                    mix(&[r.metaop.index() as u64, r.to.0.into(), r.bytes]);
+                }
+                mix(&[
+                    price_migration(&cluster, &migration.flows, true).to_bits(),
+                    price_migration(&cluster, &migration.flows, false).to_bits(),
+                    outcome.migration_bytes,
+                    outcome.migration_cost.to_bits(),
+                    outcome.restore_bytes,
+                    outcome.rematerialized_metaops as u64,
+                ]);
+                device_events += 1;
+                large += usize::from(migration.flows.len() > 1_000);
+                current = Some((graph, outcome.plan));
+            }
+        }
+    }
+    assert!(
+        large >= 3,
+        "{large} of {device_events} device events move over 1,000 shards"
+    );
+    assert_eq!(device_events, 18);
+    assert_eq!(digest, 0xcf9b_ca21_1324_1201, "{digest:#018x}");
+}
