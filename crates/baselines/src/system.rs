@@ -126,7 +126,7 @@ mod tests {
             assert!(report.iteration_time_ms() > 0.0, "{kind}");
         }
         // After the first system fitted the curves, the rest were cache-served.
-        assert!(session.cache_stats().hits > 0);
+        assert!(session.planning_stats().curve_hits > 0);
     }
 
     #[test]

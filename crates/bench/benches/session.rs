@@ -46,13 +46,13 @@ fn main() {
         }
     });
 
-    let stats = session.cache_stats();
+    let stats = session.planning_stats();
     println!(
         "\ncurve cache after warm pass: {} entries, {} fits, {} hits ({:.0}% hit rate)",
-        stats.entries,
-        stats.fits,
-        stats.hits,
-        stats.hit_rate() * 100.0
+        stats.curve_entries,
+        stats.curve_fits,
+        stats.curve_hits,
+        stats.curve_hits as f64 / (stats.curve_hits + stats.curve_fits) as f64 * 100.0
     );
     println!(
         "warm-session speedup over cold re-planning: {:.2}x ({:.3} ms -> {:.3} ms per schedule pass)",

@@ -42,10 +42,10 @@ fn main() {
             }
             let mut row = vec![kind.label().to_string()];
             row.extend(checkpoints);
+            let stats = session.planning_stats();
             row.push(format!(
                 "{} fits / {} hits",
-                session.cache_stats().fits,
-                session.cache_stats().hits
+                stats.curve_fits, stats.curve_hits
             ));
             rows.push(row);
         }

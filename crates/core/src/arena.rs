@@ -105,31 +105,34 @@ impl MetaOpArena {
     }
 }
 
-/// The cache-telemetry pair shared by every surface that reports on the
-/// session caches (estimator curve cache plus structural plan cache combined):
-/// a point-in-time byte gauge and an eviction count.
+/// The byte gauge and eviction count of a cache, or of both session caches
+/// combined.
 ///
-/// One struct serves both [`PlanningStats`] (lifetime evictions) and
-/// [`ReplanOutcome`](crate::ReplanOutcome) (evictions during that re-plan), so
-/// the two reporting surfaces cannot drift apart field by field. The
-/// surrounding type documents which eviction window applies.
+/// [`PlanningStats`] carries one per cache and one for both (evictions over
+/// each cache's lifetime); [`ReplanOutcome`](crate::ReplanOutcome) and
+/// [`ReplanSummary`](crate::ReplanSummary) carry the combined pair with the
+/// evictions of that one re-plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheTelemetry {
-    /// Approximate bytes currently held by the caches — a gauge, not a
-    /// counter.
+    /// Approximate bytes currently held — a gauge, not a counter.
     pub bytes: usize,
-    /// Cache entries evicted to stay within the configured byte budgets.
+    /// Entries evicted to stay within the configured byte budgets.
     pub evictions: u64,
 }
 
-/// Counters describing one planning pass's hot-path behaviour, exposed through
+/// The session's counter snapshot, returned by
 /// [`SpindleSession::planning_stats`](crate::SpindleSession::planning_stats).
 ///
-/// Benches and tests use these to *assert* the allocation-free invariants
-/// instead of trusting them: the scratch high-water marks bound how large the
-/// reusable buffers ever grew (they must match the largest level, not the
-/// number of solves), and `waves_crafted` must equal the number of waves in
-/// the produced plans.
+/// The planning counters, from `mpsp_solves` to the scratch high-water
+/// marks, accumulate over every pass through [`merge`](Self::merge). Benches
+/// and tests use them to *assert* the allocation-free invariants instead of
+/// trusting them: the scratch high-water marks bound how large the reusable
+/// buffers ever grew (they must match the largest level, not the number of
+/// solves), and `waves_crafted` must equal the number of waves in the
+/// produced plans. The cache fields, from `cache` on, are read from the two
+/// caches when the snapshot is taken: entry counts and bytes as they are
+/// now, fits, hits, misses and evictions over each cache's lifetime. A
+/// single pass's stats leave them zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanningStats {
     /// Number of per-level MPSP solves performed.
@@ -148,16 +151,36 @@ pub struct PlanningStats {
     pub mpsp_scratch_high_water: usize,
     /// High-water mark of the wavefront scratch (largest pending set).
     pub wavefront_scratch_high_water: usize,
-    /// Session cache telemetry. `cache.bytes` is a point-in-time gauge: the
-    /// session's [`planning_stats`](crate::SpindleSession::planning_stats)
-    /// snapshot fills it; per-pass stats leave it zero and `merge` keeps the
-    /// latest non-zero observation. `cache.evictions` counts over the
-    /// session's lifetime; `merge` keeps the max.
+    /// Both caches combined: `curve_cache` plus `structural_cache`.
     pub cache: CacheTelemetry,
+    /// The estimator's curve cache, shared by every session that pools the
+    /// estimator.
+    pub curve_cache: CacheTelemetry,
+    /// Distinct operator signatures whose curves are cached.
+    pub curve_entries: usize,
+    /// Profile-and-fit operations performed by the estimator.
+    pub curve_fits: usize,
+    /// Curve lookups served from the cache without fitting.
+    pub curve_hits: usize,
+    /// The structural plan cache (artifacts, skeletons and keys).
+    pub structural_cache: CacheTelemetry,
+    /// Distinct level signatures cached.
+    pub level_entries: usize,
+    /// Level lookups served from the structural cache.
+    pub level_hits: usize,
+    /// Level lookups that missed (and were solved fresh).
+    pub level_misses: usize,
+    /// Distinct placed plan structures cached.
+    pub skeleton_entries: usize,
+    /// Whole-plan lookups served from the structural cache.
+    pub skeleton_hits: usize,
+    /// Whole-plan lookups that missed.
+    pub skeleton_misses: usize,
 }
 
 impl PlanningStats {
-    /// Accumulates another pass's counters into this one.
+    /// Accumulates another pass's planning counters into this one; the
+    /// cache fields are left as they are.
     pub fn merge(&mut self, other: &PlanningStats) {
         self.mpsp_solves += other.mpsp_solves;
         self.bisection_iterations += other.bisection_iterations;
@@ -170,10 +193,6 @@ impl PlanningStats {
         self.wavefront_scratch_high_water = self
             .wavefront_scratch_high_water
             .max(other.wavefront_scratch_high_water);
-        if other.cache.bytes != 0 {
-            self.cache.bytes = other.cache.bytes;
-        }
-        self.cache.evictions = self.cache.evictions.max(other.cache.evictions);
     }
 }
 
@@ -231,10 +250,7 @@ mod tests {
             levels_reused: 1,
             mpsp_scratch_high_water: 4,
             wavefront_scratch_high_water: 2,
-            cache: CacheTelemetry {
-                bytes: 0,
-                evictions: 2,
-            },
+            ..PlanningStats::default()
         };
         let b = PlanningStats {
             mpsp_solves: 2,
@@ -244,10 +260,8 @@ mod tests {
             levels_reused: 3,
             mpsp_scratch_high_water: 3,
             wavefront_scratch_high_water: 6,
-            cache: CacheTelemetry {
-                bytes: 4096,
-                evictions: 1,
-            },
+            curve_fits: 7,
+            ..PlanningStats::default()
         };
         a.merge(&b);
         assert_eq!(a.mpsp_solves, 3);
@@ -257,7 +271,6 @@ mod tests {
         assert_eq!(a.levels_reused, 4);
         assert_eq!(a.mpsp_scratch_high_water, 4);
         assert_eq!(a.wavefront_scratch_high_water, 6);
-        assert_eq!(a.cache.bytes, 4096, "gauge takes the latest observation");
-        assert_eq!(a.cache.evictions, 2, "lifetime counter keeps the max");
+        assert_eq!(a.curve_fits, 0, "the snapshot fills the cache fields");
     }
 }

@@ -93,9 +93,9 @@ pub use mpsp::ContinuousSolution;
 pub use pipeline::{ContractedGraph, CurveSet, LevelSchedule};
 pub use placement::PlacementStrategy;
 pub use plan::{ExecutionPlan, Residency, SiteSet, Survivors, Wave, WaveEntry};
-pub use session::{PlannerConfig, ReplanOutcome, SpindleSession};
+pub use session::{PlannerConfig, ReplanOutcome, ReplanSummary, SpindleSession};
 pub use structural::{
-    LevelArtifact, LevelKey, PlacedSkeleton, PlanKey, StructuralCacheStats, StructuralPlanCache,
+    LevelArtifact, LevelKey, PlacedSkeleton, PlanKey, StructuralPlanCache,
     DEFAULT_STRUCTURAL_CACHE_BUDGET,
 };
 pub use system::{PlanningSystem, SpindlePlanner};

@@ -218,8 +218,7 @@ impl LevelSchedule {
             levels_reused,
             mpsp_scratch_high_water: mpsp_scratch.high_water(),
             wavefront_scratch_high_water: wavefront_scratch.high_water(),
-            // Session-level gauges; per-pass stats leave them empty.
-            cache: crate::CacheTelemetry::default(),
+            ..PlanningStats::default()
         };
         Self {
             waves,

@@ -446,7 +446,7 @@ fn place_locality_resume(plan: &mut ExecutionPlan, cluster: &ClusterSpec, first_
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::{MetaGraph, Wave, WaveEntry};
     use spindle_cluster::{GpuSpec, InterconnectSpec};
@@ -668,30 +668,6 @@ pub(crate) mod tests {
             .unwrap()
     }
 
-    /// FNV-1a over every wave's and entry's exact bits, placements included:
-    /// equal iff two plans are identical wave for wave.
-    pub(crate) fn plan_digest(plan: &ExecutionPlan) -> u64 {
-        let mut words = Vec::new();
-        for wave in plan.waves() {
-            words.extend([wave.index as u64, wave.level as u64]);
-            words.extend([wave.start.to_bits(), wave.duration.to_bits()]);
-            for e in &wave.entries {
-                words.extend([e.metaop.index() as u64, e.layers.into(), e.devices.into()]);
-                words.extend([e.time_per_op.to_bits(), e.exec_time.to_bits()]);
-                words.push(e.memory_per_device);
-                let group = e.placement.as_ref().expect("placed");
-                words.push(group.len() as u64);
-                words.extend(group.iter().map(|d| u64::from(d.0)));
-            }
-        }
-        words
-            .iter()
-            .flat_map(|w| w.to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-            })
-    }
-
     /// The first wave of every level of `plan`: where a resumed pass can
     /// start.
     fn level_starts(plan: &ExecutionPlan) -> Vec<usize> {
@@ -768,7 +744,7 @@ pub(crate) mod tests {
                 let mut fallbacks = 0;
                 for first_wave in level_starts(&plan) {
                     let (resumed, n) = assert_matches_reference(&before_loss, &churned, first_wave);
-                    digests.push(plan_digest(&resumed));
+                    digests.push(resumed.fingerprint());
                     fallbacks += n;
                 }
                 assert_eq!(case == 2, fallbacks > 0, "{tasks} tasks, case {case}");

@@ -222,6 +222,40 @@ impl ExecutionPlan {
         self.waves.len()
     }
 
+    /// FNV-1a over every wave's and entry's exact bits, placements included:
+    /// equal for two plans iff, up to hash collisions, their waves, timings,
+    /// memory annotations and placements are bit-identical.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        let mut word = |w: u64| {
+            for byte in w.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for wave in &self.waves {
+            word(wave.index as u64);
+            word(wave.level as u64);
+            word(wave.start.to_bits());
+            word(wave.duration.to_bits());
+            for entry in &wave.entries {
+                word(entry.metaop.index() as u64);
+                word(u64::from(entry.layers));
+                word(u64::from(entry.devices));
+                word(entry.time_per_op.to_bits());
+                word(entry.exec_time.to_bits());
+                word(entry.memory_per_device);
+                match &entry.placement {
+                    None => word(u64::MAX),
+                    Some(group) => {
+                        word(group.len() as u64);
+                        group.iter().for_each(|d| word(u64::from(d.0)));
+                    }
+                }
+            }
+        }
+        hash
+    }
+
     /// Checks the structural invariants of the plan:
     ///
     /// * no wave allocates more devices than the cluster has;

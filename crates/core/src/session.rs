@@ -5,13 +5,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use spindle_cluster::{ClusterSpec, DeviceId, LinkClass};
-use spindle_estimator::{CurveCacheStats, ScalabilityEstimator, DEFAULT_CURVE_CACHE_BUDGET};
+use spindle_estimator::{ScalabilityEstimator, DEFAULT_CURVE_CACHE_BUDGET};
 use spindle_graph::ComputationGraph;
 
 use crate::pipeline::{self, ContractedGraph, CurveSet, LevelSchedule};
 use crate::structural::{
-    PlacedSkeleton, PlanKey, StructuralCacheStats, StructuralPlanCache,
-    DEFAULT_STRUCTURAL_CACHE_BUDGET,
+    PlacedSkeleton, PlanKey, StructuralPlanCache, DEFAULT_STRUCTURAL_CACHE_BUDGET,
 };
 use crate::{
     mpsp, CacheTelemetry, ExecutionPlan, MetaOpId, PlacementStrategy, PlanError, PlanningStats,
@@ -184,24 +183,112 @@ impl ReplanOutcome {
             }
         }
     }
+}
 
-    /// Cache hit rate of this re-plan: hits over total lookups.
+/// The counters of one re-plan as a `Copy` record: a [`ReplanOutcome`]
+/// without its plan, which it names by makespan, wave count and
+/// fingerprint.
+///
+/// The service ships it over the wire and the runtime's run reports hold
+/// it, so clients need neither the waves nor a field-by-field copy. The
+/// fingerprint is an FNV-1a hash over every wave entry's exact bit pattern:
+/// two plans have equal fingerprints iff their wave structure, timings and
+/// placements are bit-identical, which is the property the
+/// transport-equivalence cross-check asserts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReplanSummary {
+    /// Bit pattern of the plan's makespan (seconds as `f64::to_bits`).
+    pub makespan_bits: u64,
+    /// Number of waves in the plan.
+    pub num_waves: u32,
+    /// FNV-1a over every wave's and entry's exact bits, placements
+    /// included.
+    pub plan_fingerprint: u64,
+    /// Operator signatures profiled and fitted anew.
+    pub new_curve_fits: u32,
+    /// Curve-cache hits served while producing the plan.
+    pub cache_hits: u32,
+    /// `true` if the curve cache was fully warm (zero new fits).
+    pub warm: bool,
+    /// MetaLevels of the re-planned graph.
+    pub levels_total: u32,
+    /// Levels spliced from the structural plan cache.
+    pub levels_reused: u32,
+    /// `true` if the fully placed wave list was served structurally.
+    pub placement_reused: bool,
+    /// Session cache telemetry after the re-plan (see
+    /// [`ReplanOutcome::cache`]).
+    pub cache: CacheTelemetry,
+    /// Devices of the last planned device set lost since.
+    pub devices_lost: u32,
+    /// Levels re-placed after a topology change.
+    pub levels_replaced: u32,
+    /// The planner's estimate of the parameter bytes that must move.
+    pub migration_bytes: u64,
+    /// Bit pattern of the planner's serialized migration time estimate, in
+    /// seconds.
+    pub migration_cost_bits: u64,
+    /// MetaOps that lost every replica and must restore from checkpoints.
+    pub rematerialized_metaops: u32,
+    /// The planner's estimate of the state bytes those MetaOps read back
+    /// from storage.
+    pub restore_bytes: u64,
+}
+
+impl ReplanSummary {
+    /// Summarises a full [`ReplanOutcome`].
+    #[must_use]
+    pub fn of(outcome: &ReplanOutcome) -> Self {
+        Self {
+            makespan_bits: outcome.plan.makespan().to_bits(),
+            num_waves: outcome.plan.num_waves() as u32,
+            plan_fingerprint: outcome.plan.fingerprint(),
+            new_curve_fits: outcome.new_curve_fits as u32,
+            cache_hits: outcome.cache_hits as u32,
+            warm: outcome.warm,
+            levels_total: outcome.levels_total as u32,
+            levels_reused: outcome.levels_reused as u32,
+            placement_reused: outcome.placement_reused,
+            cache: outcome.cache,
+            devices_lost: outcome.devices_lost as u32,
+            levels_replaced: outcome.levels_replaced as u32,
+            migration_bytes: outcome.migration_bytes,
+            migration_cost_bits: outcome.migration_cost.to_bits(),
+            rematerialized_metaops: outcome.rematerialized_metaops as u32,
+            restore_bytes: outcome.restore_bytes,
+        }
+    }
+
+    /// The plan's makespan in seconds.
+    #[must_use]
+    pub fn makespan(&self) -> f64 {
+        f64::from_bits(self.makespan_bits)
+    }
+
+    /// The planner's serialized migration time estimate in seconds.
+    #[must_use]
+    pub fn migration_cost(&self) -> f64 {
+        f64::from_bits(self.migration_cost_bits)
+    }
+
+    /// Curve-cache hits over curve lookups (1.0 without lookups).
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.new_curve_fits;
+        let total = u64::from(self.cache_hits) + u64::from(self.new_curve_fits);
         if total == 0 {
             return 1.0;
         }
-        self.cache_hits as f64 / total as f64
+        f64::from(self.cache_hits) / total as f64
     }
 
-    /// Fraction of levels served from the structural cache.
+    /// Fraction of levels served from the structural cache (1.0 without
+    /// levels).
     #[must_use]
     pub fn level_reuse_rate(&self) -> f64 {
         if self.levels_total == 0 {
             return 1.0;
         }
-        self.levels_reused as f64 / self.levels_total as f64
+        f64::from(self.levels_reused) / f64::from(self.levels_total)
     }
 }
 
@@ -410,12 +497,6 @@ impl SpindleSession {
         self.plans_produced
     }
 
-    /// Number of distinct operator signatures whose curves are cached.
-    #[must_use]
-    pub fn cached_curves(&self) -> usize {
-        self.estimator.cached_curves()
-    }
-
     /// Number of profile-and-fit operations performed over the session's
     /// lifetime. Re-planning a workload whose operator signatures were all
     /// seen before leaves this unchanged.
@@ -424,45 +505,30 @@ impl SpindleSession {
         self.estimator.curve_fits()
     }
 
-    /// A snapshot of the curve-cache counters.
-    #[must_use]
-    pub fn cache_stats(&self) -> CurveCacheStats {
-        self.estimator.cache_stats()
-    }
-
-    /// A snapshot of the structural plan cache's counters (level artifacts,
-    /// placed skeletons, hits and misses).
-    #[must_use]
-    pub fn structural_cache_stats(&self) -> StructuralCacheStats {
-        self.structural.stats()
-    }
-
-    /// Approximate bytes currently held by the session's caches: the
-    /// estimator's curve cache plus the structural plan cache.
-    #[must_use]
-    pub fn cache_bytes(&self) -> usize {
-        self.estimator.cache_bytes() + self.structural.bytes()
-    }
-
-    /// Total cache entries evicted (both caches combined) to stay within the
-    /// configured byte budgets, over the session's lifetime.
-    #[must_use]
-    pub fn cache_evictions(&self) -> usize {
-        self.estimator.cache_evictions() + self.structural.evictions()
-    }
-
-    /// Accumulated hot-path counters over every plan this session produced:
-    /// bisection iterations, waves crafted and the scratch-buffer high-water
-    /// marks, plus a live snapshot of the cache byte/eviction gauges. Benches
-    /// and tests use these to assert the allocation-free planning invariants
-    /// (e.g. the MPSP scratch never grows beyond the largest level) instead
-    /// of trusting them.
+    /// The session's counters: the hot-path counters accumulated over every
+    /// plan it produced (bisection iterations, waves crafted, the
+    /// scratch-buffer high-water marks), and a snapshot of both caches'
+    /// entries, hits, misses, bytes and evictions. Benches and tests use
+    /// these to assert the allocation-free planning invariants (e.g. the
+    /// MPSP scratch never grows beyond the largest level) instead of
+    /// trusting them.
     #[must_use]
     pub fn planning_stats(&self) -> PlanningStats {
-        let mut stats = self.stats;
+        let estimator = &self.estimator;
+        let mut stats = PlanningStats {
+            curve_cache: CacheTelemetry {
+                bytes: estimator.cache_bytes(),
+                evictions: estimator.cache_evictions() as u64,
+            },
+            curve_entries: estimator.cached_curves(),
+            curve_fits: estimator.curve_fits(),
+            curve_hits: estimator.cache_hits(),
+            ..self.stats
+        };
+        self.structural.report(&mut stats);
         stats.cache = CacheTelemetry {
-            bytes: self.cache_bytes(),
-            evictions: self.cache_evictions() as u64,
+            bytes: stats.curve_cache.bytes + stats.structural_cache.bytes,
+            evictions: stats.curve_cache.evictions + stats.structural_cache.evictions,
         };
         stats
     }
@@ -513,17 +579,16 @@ impl SpindleSession {
         if self.cluster.num_devices() == 0 {
             return Err(PlanError::EmptyCluster);
         }
-        let fits_before = self.curve_fits();
-        let hits_before = self.estimator.cache_hits();
-        let evictions_before = self.cache_evictions();
+        let before = self.planning_stats();
         let mut outcome = self.plan_pass(graph)?;
         self.plans_produced += 1;
-        outcome.new_curve_fits = self.curve_fits().saturating_sub(fits_before);
-        outcome.cache_hits = self.estimator.cache_hits().saturating_sub(hits_before);
+        let after = self.planning_stats();
+        outcome.new_curve_fits = after.curve_fits.saturating_sub(before.curve_fits);
+        outcome.cache_hits = after.curve_hits.saturating_sub(before.curve_hits);
         outcome.warm = outcome.new_curve_fits == 0;
         outcome.cache = CacheTelemetry {
-            bytes: self.cache_bytes(),
-            evictions: self.cache_evictions().saturating_sub(evictions_before) as u64,
+            bytes: after.cache.bytes,
+            evictions: after.cache.evictions.saturating_sub(before.cache.evictions),
         };
         Ok(outcome)
     }
@@ -809,7 +874,7 @@ mod tests {
         assert_eq!(session.curve_fits(), fits, "warm re-plan must not re-fit");
         assert_eq!(cold.waves(), warm.waves());
         assert_eq!(session.plans_produced(), 2);
-        assert!(session.cache_stats().hits > 0);
+        assert!(session.planning_stats().curve_hits > 0);
     }
 
     #[test]
@@ -824,8 +889,8 @@ mod tests {
         assert_eq!(warm.new_curve_fits, 0);
         assert!(warm.warm);
         assert!(warm.cache_hits > 0);
-        assert!((warm.hit_rate() - 1.0).abs() < 1e-12);
-        assert!(cold.hit_rate() < 1.0);
+        assert!((ReplanSummary::of(&warm).hit_rate() - 1.0).abs() < 1e-12);
+        assert!(ReplanSummary::of(&cold).hit_rate() < 1.0);
         assert_eq!(warm.plan.waves(), cold.plan.waves());
     }
 
@@ -899,7 +964,7 @@ mod tests {
             stats.levels_reused,
             contracted.metagraph().levels().len() as u64
         );
-        assert!(session.structural_cache_stats().skeleton_hits > 0);
+        assert!(stats.skeleton_hits > 0);
         // With the structural cache disabled the pipeline runs in full again.
         session.config_mut().structural_cache = false;
         session.plan(&graph).unwrap();
@@ -920,14 +985,15 @@ mod tests {
         );
         assert_eq!(cold.cache.evictions, 0, "default budgets are generous");
         let stats = session.planning_stats();
-        assert_eq!(stats.cache.bytes, session.cache_bytes());
+        assert_eq!(stats.cache.bytes, cold.cache.bytes);
         assert_eq!(stats.cache.evictions, 0);
         // Starve both caches: the next pass evicts everything it inserts.
         session.config_mut().structural_cache_budget = 1;
         session.config_mut().curve_cache_budget = 1;
         let starved = session.replan(&graph).unwrap();
         assert!(starved.cache.evictions > 0, "tiny budgets must evict");
-        assert!(session.cache_bytes() <= 2, "hard byte bound on both caches");
+        let bytes = session.planning_stats().cache.bytes;
+        assert!(bytes <= 2, "hard byte bound on both caches");
         assert_eq!(starved.plan.waves(), cold.plan.waves(), "plans unaffected");
         // A post-eviction re-plan re-fits from scratch yet stays identical.
         let refit = session.replan(&graph).unwrap();
@@ -1039,7 +1105,7 @@ mod tests {
             .collect();
         assert_eq!(cold_prefix, new_prefix);
         // The resumed suffix, pinned bit for bit.
-        let digest = crate::placement::tests::plan_digest(&churned.plan);
+        let digest = churned.plan.fingerprint();
         assert_eq!(digest, 0x0d98_d0ea_381f_6952, "{digest:#018x}");
         // A second re-plan on the shrunken topology is a plain skeleton hit.
         let settled = session.replan(&graph).unwrap();
@@ -1144,5 +1210,102 @@ mod tests {
         let mut b = SpindleSession::with_estimator(cluster, estimator, PlannerConfig::default());
         b.plan(&graph).unwrap();
         assert_eq!(b.curve_fits(), fits, "second session reuses pooled curves");
+    }
+
+    /// Every cache and planning counter of a seeded replay, digested after
+    /// each re-plan: a roster walk under budgets small enough that both
+    /// caches evict, with a device loss and a restore on the way. Recorded
+    /// when the cache counters came from `CurveCacheStats` (hit rate
+    /// included), `StructuralCacheStats` and the session's
+    /// `cached_curves()`, `cache_bytes()` and `cache_evictions()`, in that
+    /// order, which is why some values appear twice; `planning_stats()`
+    /// now returns every one of them.
+    #[test]
+    fn seeded_replay_cache_counters_match_the_recorded_digest() {
+        let cluster = ClusterSpec::homogeneous(4, 8);
+        let mut session = SpindleSession::with_config(
+            cluster,
+            PlannerConfig {
+                structural_cache_budget: 40 * 1024,
+                curve_cache_budget: 6 * 1024,
+                ..PlannerConfig::default()
+            },
+        );
+        let mut rng = spindle_graph::XorShift64Star::new(0x0C0_C7E5);
+        let mut active: Vec<bool> = (0..spindle_workloads::HYPERSCALE_ROSTER)
+            .map(|s| s < 8)
+            .collect();
+        let node3: Vec<DeviceId> = (24..32).map(DeviceId).collect();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |words: &[u64]| {
+            for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let (mut lost, mut regained) = (0, 0);
+        for step in 0..20 {
+            match step {
+                7 => lost += session.remove_devices(&node3[4..]).unwrap(),
+                13 => regained += session.restore_devices(&node3[4..]),
+                15 => lost += session.remove_devices(&node3).unwrap(),
+                _ => {
+                    let slot =
+                        (rng.next_u64() % spindle_workloads::HYPERSCALE_ROSTER as u64) as usize;
+                    let can_deactivate = active[slot] && active.iter().filter(|&&a| a).count() > 4;
+                    active[slot] = !can_deactivate;
+                }
+            }
+            let slots: Vec<usize> = (0..spindle_workloads::HYPERSCALE_ROSTER)
+                .filter(|&s| active[s])
+                .collect();
+            let outcome = session
+                .replan(&spindle_workloads::hyperscale_subset(&slots).unwrap())
+                .unwrap();
+            let stats = session.planning_stats();
+            let lookups = stats.curve_fits + stats.curve_hits;
+            mix(&[
+                stats.curve_entries as u64,
+                stats.curve_fits as u64,
+                stats.curve_hits as u64,
+                stats.curve_cache.bytes as u64,
+                stats.curve_cache.evictions,
+                (stats.curve_hits as f64 / lookups as f64).to_bits(),
+                stats.level_entries as u64,
+                stats.skeleton_entries as u64,
+                stats.level_hits as u64,
+                stats.level_misses as u64,
+                stats.skeleton_hits as u64,
+                stats.skeleton_misses as u64,
+                stats.structural_cache.bytes as u64,
+                stats.structural_cache.evictions,
+                stats.curve_entries as u64,
+                stats.cache.bytes as u64,
+                stats.cache.evictions,
+                stats.mpsp_solves,
+                stats.bisection_iterations,
+                stats.waves_crafted,
+                stats.levels_planned,
+                stats.levels_reused,
+                stats.mpsp_scratch_high_water as u64,
+                stats.wavefront_scratch_high_water as u64,
+                stats.cache.bytes as u64,
+                stats.cache.evictions,
+                outcome.cache.bytes as u64,
+                outcome.cache.evictions,
+                outcome.devices_lost as u64,
+            ]);
+            if step == 19 {
+                assert!(
+                    stats.curve_cache.evictions > 0,
+                    "the curve cache must evict"
+                );
+                assert!(
+                    stats.structural_cache.evictions > 0,
+                    "the structural cache must evict"
+                );
+            }
+        }
+        assert_eq!((lost, regained), (12, 4));
+        assert_eq!(digest, 0x0d60_6436_8909_e058, "{digest:#018x}");
     }
 }

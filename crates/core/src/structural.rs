@@ -36,7 +36,9 @@ use std::sync::Arc;
 
 use spindle_graph::WorkloadSignature;
 
-use crate::{MetaGraph, MetaLevel, PlacementStrategy, Wave, WaveEntry};
+use crate::{
+    CacheTelemetry, MetaGraph, MetaLevel, PlacementStrategy, PlanningStats, Wave, WaveEntry,
+};
 
 /// Default byte budget of the structural plan cache: comfortably holds every
 /// artifact of paper-scale and hyperscale runs while bounding a long-running
@@ -320,27 +322,6 @@ impl PlacedSkeleton {
     }
 }
 
-/// Counters of the structural cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StructuralCacheStats {
-    /// Distinct level signatures currently cached.
-    pub level_entries: usize,
-    /// Distinct placed plan structures currently cached.
-    pub skeleton_entries: usize,
-    /// Level lookups served from the cache.
-    pub level_hits: usize,
-    /// Level lookups that missed (and were solved fresh).
-    pub level_misses: usize,
-    /// Whole-plan lookups served from the cache.
-    pub skeleton_hits: usize,
-    /// Whole-plan lookups that missed.
-    pub skeleton_misses: usize,
-    /// Approximate bytes currently held (artifacts, skeletons and keys).
-    pub bytes: usize,
-    /// Artifacts evicted to keep the cache within its byte budget.
-    pub evictions: usize,
-}
-
 /// One cached level artifact with its LRU stamp and accounted size.
 #[derive(Debug)]
 struct LevelSlot {
@@ -410,12 +391,11 @@ impl Default for StructuralPlanCache {
 
 impl fmt::Debug for StructuralPlanCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let stats = self.stats();
         f.debug_struct("StructuralPlanCache")
-            .field("level_entries", &stats.level_entries)
-            .field("skeleton_entries", &stats.skeleton_entries)
-            .field("level_hits", &stats.level_hits)
-            .field("skeleton_hits", &stats.skeleton_hits)
+            .field("level_entries", &self.levels.len())
+            .field("skeleton_entries", &self.skeletons.len())
+            .field("level_hits", &self.level_hits)
+            .field("skeleton_hits", &self.skeleton_hits)
             .finish()
     }
 }
@@ -451,18 +431,6 @@ impl StructuralPlanCache {
             self.budget = budget;
             self.evict_to_budget();
         }
-    }
-
-    /// Approximate bytes currently cached.
-    #[must_use]
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Total artifacts evicted over the cache's lifetime.
-    #[must_use]
-    pub fn evictions(&self) -> usize {
-        self.evictions
     }
 
     /// Evicts least-recently-used slots (levels and skeletons pooled under
@@ -578,19 +546,20 @@ impl StructuralPlanCache {
         self.bytes = 0;
     }
 
-    /// A snapshot of the cache counters.
-    #[must_use]
-    pub fn stats(&self) -> StructuralCacheStats {
-        StructuralCacheStats {
-            level_entries: self.levels.len(),
-            skeleton_entries: self.skeletons.len(),
-            level_hits: self.level_hits,
-            level_misses: self.level_misses,
-            skeleton_hits: self.skeleton_hits,
-            skeleton_misses: self.skeleton_misses,
+    /// Fills the structural cache's fields of a
+    /// [`PlanningStats`] snapshot: entries, hits and misses, bytes and
+    /// lifetime evictions.
+    pub(crate) fn report(&self, stats: &mut PlanningStats) {
+        stats.structural_cache = CacheTelemetry {
             bytes: self.bytes,
-            evictions: self.evictions,
-        }
+            evictions: self.evictions as u64,
+        };
+        stats.level_entries = self.levels.len();
+        stats.level_hits = self.level_hits;
+        stats.level_misses = self.level_misses;
+        stats.skeleton_entries = self.skeletons.len();
+        stats.skeleton_hits = self.skeleton_hits;
+        stats.skeleton_misses = self.skeleton_misses;
     }
 }
 
@@ -599,6 +568,13 @@ mod tests {
     use super::*;
     use crate::pipeline::ContractedGraph;
     use spindle_graph::{GraphBuilder, Modality, OpKind, TensorShape};
+
+    /// The cache's fields of a session snapshot.
+    fn snapshot(cache: &StructuralPlanCache) -> PlanningStats {
+        let mut stats = PlanningStats::default();
+        cache.report(&mut stats);
+        stats
+    }
 
     fn contracted(batches: &[u32]) -> ContractedGraph {
         let mut b = GraphBuilder::new();
@@ -725,7 +701,7 @@ mod tests {
             },
         );
         assert!(cache.skeleton(&plan_key).is_some());
-        let stats = cache.stats();
+        let stats = snapshot(&cache);
         assert_eq!(stats.level_entries, 1);
         assert_eq!(stats.skeleton_entries, 1);
         assert_eq!(stats.level_hits, 1);
@@ -734,9 +710,9 @@ mod tests {
         assert_eq!(stats.skeleton_misses, 1);
         // Same epsilon: nothing dropped. New epsilon: artifacts invalidated.
         cache.ensure_epsilon(1e-7);
-        assert_eq!(cache.stats().level_entries, 1);
+        assert_eq!(snapshot(&cache).level_entries, 1);
         cache.ensure_epsilon(1e-9);
-        let stats = cache.stats();
+        let stats = snapshot(&cache);
         assert_eq!(stats.level_entries, 0);
         assert_eq!(stats.skeleton_entries, 0);
         assert!(format!("{cache:?}").contains("StructuralPlanCache"));
@@ -774,15 +750,18 @@ mod tests {
         cache.ensure_budget(2 * per_entry);
         cache.insert_level(key_for(1), artifact());
         cache.insert_level(key_for(2), artifact());
-        assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.bytes(), 2 * per_entry);
+        assert_eq!(snapshot(&cache).structural_cache.evictions, 0);
+        assert_eq!(cache.bytes, 2 * per_entry);
         // Touch key 1 so key 2 becomes the LRU victim of the next insert.
         assert!(cache.level(&key_for(1)).is_some());
         cache.insert_level(key_for(3), artifact());
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 1);
+        let stats = snapshot(&cache);
+        assert_eq!(stats.structural_cache.evictions, 1);
         assert_eq!(stats.level_entries, 2);
-        assert!(stats.bytes <= cache.budget(), "hard byte bound");
+        assert!(
+            stats.structural_cache.bytes <= cache.budget(),
+            "hard byte bound"
+        );
         assert!(cache.level(&key_for(1)).is_some(), "recently used survives");
         assert!(cache.level(&key_for(2)).is_none(), "LRU entry was evicted");
         assert!(cache.level(&key_for(3)).is_some());
@@ -796,11 +775,11 @@ mod tests {
                 theoretical_optimum: 1.0,
             },
         );
-        assert!(cache.bytes() <= cache.budget());
+        assert!(cache.bytes <= cache.budget());
         cache.ensure_budget(1);
-        let stats = cache.stats();
+        let stats = snapshot(&cache);
         assert_eq!(stats.level_entries + stats.skeleton_entries, 0);
-        assert_eq!(stats.bytes, 0);
-        assert!(stats.evictions >= 3);
+        assert_eq!(stats.structural_cache.bytes, 0);
+        assert!(stats.structural_cache.evictions >= 3);
     }
 }

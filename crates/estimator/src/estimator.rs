@@ -14,42 +14,6 @@ use crate::{AnalyticGpuModel, EstimatorError, PerfModel, Profiler, ScalingCurve}
 /// multi-tenant service cannot grow without bound.
 pub const DEFAULT_CURVE_CACHE_BUDGET: usize = 16 * 1024 * 1024;
 
-/// Counters describing the curve cache of a [`ScalabilityEstimator`].
-///
-/// `fits` counts the expensive operations (profile sweep + piecewise α–β fit);
-/// `hits` counts lookups served from the cache. Long-lived planning sessions
-/// use these to verify that re-planning a workload with unchanged operator
-/// signatures performs **zero** new fits. `bytes` and `evictions` track the
-/// LRU byte bound: the cache never holds more than its configured budget of
-/// approximate curve bytes, evicting least-recently-used fits when it would.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CurveCacheStats {
-    /// Distinct operator signatures currently cached.
-    pub entries: usize,
-    /// Profile-and-fit operations performed since the estimator was created.
-    pub fits: usize,
-    /// Curve lookups served from the cache without fitting.
-    pub hits: usize,
-    /// Approximate bytes currently held by the cached curves.
-    pub bytes: usize,
-    /// Curves evicted to keep the cache within its byte budget.
-    pub evictions: usize,
-}
-
-impl CurveCacheStats {
-    /// Fraction of lookups served from the cache (0.0 when nothing was looked
-    /// up yet).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.fits + self.hits;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The scalability estimator of §3.2: profiles each distinct operator workload
 /// and fits its piecewise α–β scaling curve, with results cached by
 /// [`WorkloadSignature`] — the task-independent workload identity — so that
@@ -184,7 +148,7 @@ impl ScalabilityEstimator {
 
     /// The scaling curve of the given operator, or an error if profiling fails.
     ///
-    /// Cache hits are free and counted in [`cache_stats`](Self::cache_stats);
+    /// Cache hits are free and counted in [`cache_hits`](Self::cache_hits);
     /// misses run the profiler and fit a fresh curve.
     ///
     /// # Errors
@@ -285,18 +249,6 @@ impl ScalabilityEstimator {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// A snapshot of the curve-cache counters.
-    #[must_use]
-    pub fn cache_stats(&self) -> CurveCacheStats {
-        CurveCacheStats {
-            entries: self.cached_curves(),
-            fits: self.curve_fits(),
-            hits: self.cache_hits(),
-            bytes: self.cache_bytes(),
-            evictions: self.cache_evictions(),
-        }
-    }
-
     fn read_cache(&self) -> std::sync::RwLockReadGuard<'_, HashMap<WorkloadSignature, CurveSlot>> {
         self.cache
             .read()
@@ -364,19 +316,20 @@ mod tests {
             OpKind::Encoder(Modality::Audio),
             TensorShape::new(8, 229, 768),
         );
-        assert_eq!(est.cache_stats(), CurveCacheStats::default());
+        assert_eq!(
+            est.cached_curves() + est.curve_fits() + est.cache_bytes(),
+            0
+        );
         let _ = est.curve_for(&a);
         assert_eq!(est.curve_fits(), 1);
         assert_eq!(est.cache_hits(), 0);
         let _ = est.curve_for(&b); // same signature: a hit, no new fit
         let _ = est.curve_for(&a);
-        let stats = est.cache_stats();
-        assert_eq!(stats.entries, 1);
-        assert_eq!(stats.fits, 1);
-        assert_eq!(stats.hits, 2);
-        assert!(stats.bytes > 0, "cached curves must be accounted");
-        assert_eq!(stats.evictions, 0);
-        assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(est.cached_curves(), 1);
+        assert_eq!(est.curve_fits(), 1);
+        assert_eq!(est.cache_hits(), 2);
+        assert!(est.cache_bytes() > 0, "cached curves must be accounted");
+        assert_eq!(est.cache_evictions(), 0);
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod scaling_curve;
 pub mod test_util;
 
 pub use error::EstimatorError;
-pub use estimator::{CurveCacheStats, ScalabilityEstimator, DEFAULT_CURVE_CACHE_BUDGET};
+pub use estimator::{ScalabilityEstimator, DEFAULT_CURVE_CACHE_BUDGET};
 pub use memory_model::MemoryModel;
 pub use parallel::ParallelConfig;
 pub use perf_model::{AnalyticGpuModel, PerfModel};

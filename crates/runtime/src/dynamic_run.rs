@@ -16,7 +16,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use spindle_cluster::DeviceId;
-use spindle_core::SpindleSession;
+use spindle_core::{ReplanSummary, SpindleSession};
 use spindle_graph::ComputationGraph;
 use spindle_workloads::{ArrivalSchedule, DeviceChurnEvent, DeviceChurnKind, ScheduleEvent};
 
@@ -38,20 +38,9 @@ pub struct PhaseRunReport {
     pub arrival_s: f64,
     /// Wall-clock cost of the online re-plan, milliseconds.
     pub replan_ms: f64,
-    /// Operator signatures that had to be profiled and fitted anew.
-    pub new_curve_fits: usize,
-    /// Curve-cache hits served during the re-plan.
-    pub cache_hits: usize,
-    /// `true` if the re-plan was served entirely from the warm cache.
-    pub warm: bool,
-    /// MetaLevels of the phase's graph.
-    pub levels_total: usize,
-    /// MetaLevels spliced from the session's structural plan cache instead
-    /// of being re-solved (incremental re-planning).
-    pub levels_reused: usize,
-    /// `true` if the placed wave list was reused wholesale (the plan
-    /// structure recurred), skipping placement entirely.
-    pub placement_reused: bool,
+    /// The online re-plan's counters: curve fits and hits, warmth, levels
+    /// reused from the structural plan cache, placement reuse.
+    pub replan: ReplanSummary,
     /// Simulated iteration time of the phase's plan, seconds.
     pub sim_iteration_s: f64,
     /// Closed-form iteration time of the same plan
@@ -85,32 +74,33 @@ pub struct ChurnRunReport {
     pub removed: bool,
     /// The global device ids the event named.
     pub devices: Vec<u32>,
-    /// Devices lost relative to the previous plan's topology (removals of
-    /// already-dead devices count zero).
-    pub devices_lost: usize,
-    /// MetaLevels of the re-planned graph.
-    pub levels_total: usize,
-    /// MetaLevels whose placement had to be redone; the remaining clean
-    /// prefix kept its placements and paid zero migration.
-    pub levels_replaced: usize,
     /// Wall-clock cost of the topology re-plan, milliseconds.
     pub replan_ms: f64,
-    /// Parameter bytes of the actual migration flow set (old plan → new
-    /// plan), the same flows [`sim_migration_s`](Self::sim_migration_s)
-    /// prices. Unlike the planner's loss-side estimate this also counts a
-    /// restore moving parameters back onto returned devices.
+    /// The topology re-plan's counters (all zero when no phase was active):
+    /// devices lost against the last planned device set (removals of
+    /// already-dead devices count zero), levels re-placed (the clean prefix
+    /// kept its placements and paid zero migration), and the planner's
+    /// loss-side estimates of the migration (bytes, serialized α-β price)
+    /// and of the restores. The runtime's own figures are the fields below.
+    pub replan: ReplanSummary,
+    /// Runtime figure: parameter bytes of the actual migration flow set
+    /// (old plan → new plan), the same flows
+    /// [`sim_migration_s`](Self::sim_migration_s) prices. Unlike the
+    /// planner's estimate this also counts a restore moving parameters back
+    /// onto returned devices.
     pub migration_bytes: u64,
-    /// The planner's serialized α-β migration price, seconds (upper bound).
-    pub planner_migration_s: f64,
-    /// The migration makespan with all flows concurrent under the
-    /// simulator's equal-share link-contention model, seconds.
+    /// Runtime figure: the migration makespan with all flows concurrent
+    /// under the simulator's equal-share link-contention model, seconds.
     pub sim_migration_s: f64,
-    /// In-flight compute seconds the device death discarded mid-wave.
+    /// Runtime figure: in-flight compute seconds the device death discarded
+    /// mid-wave.
     pub wasted_compute_s: f64,
-    /// Distinct MetaOps whose every replica died, forcing a checkpoint
-    /// restore (counted whether or not a [`CheckpointPolicy`] is active).
+    /// Runtime figure: distinct MetaOps of the flow set whose every replica
+    /// died, forcing a checkpoint restore (counted whether or not a
+    /// [`CheckpointPolicy`] is active).
     pub rematerialized_metaops: usize,
-    /// State bytes that had to come back from the checkpoint tier.
+    /// Runtime figure: state bytes of the flow set that had to come back
+    /// from the checkpoint tier.
     pub restore_bytes: u64,
     /// Makespan of the restore flows over the contended storage links,
     /// seconds (0 without an active [`CheckpointPolicy`]).
@@ -148,22 +138,25 @@ impl DynamicRunReport {
         self.phases.len().saturating_sub(1)
     }
 
-    /// Curve-cache hit rate over the online re-plans (phases after the
-    /// first, whose plans are produced mid-run). 1.0 means every operator
-    /// signature was served from the warm cache.
+    /// The counters of the online re-plans (phases after the first, whose
+    /// plans are produced mid-run) summed: curve fits and hits, levels
+    /// reused and total.
+    fn online_replans(&self) -> ReplanSummary {
+        let mut sum = ReplanSummary::default();
+        for p in self.phases.iter().skip(1) {
+            sum.new_curve_fits += p.replan.new_curve_fits;
+            sum.cache_hits += p.replan.cache_hits;
+            sum.levels_reused += p.replan.levels_reused;
+            sum.levels_total += p.replan.levels_total;
+        }
+        sum
+    }
+
+    /// Curve-cache hit rate over the online re-plans. 1.0 means every
+    /// operator signature was served from the warm cache.
     #[must_use]
     pub fn warm_hit_rate(&self) -> f64 {
-        let (hits, fits) = self
-            .phases
-            .iter()
-            .skip(1)
-            .fold((0usize, 0usize), |(h, f), p| {
-                (h + p.cache_hits, f + p.new_curve_fits)
-            });
-        if hits + fits == 0 {
-            return 1.0;
-        }
-        hits as f64 / (hits + fits) as f64
+        self.online_replans().hit_rate()
     }
 
     /// Largest absolute plan-vs-simulated gap over all phases.
@@ -211,21 +204,10 @@ impl DynamicRunReport {
     }
 
     /// Fraction of MetaLevels spliced from the structural plan cache over
-    /// the online re-plans (phases after the first). 1.0 means every re-plan
-    /// was fully incremental.
+    /// the online re-plans. 1.0 means every re-plan was fully incremental.
     #[must_use]
     pub fn structural_reuse_rate(&self) -> f64 {
-        let (reused, total) = self
-            .phases
-            .iter()
-            .skip(1)
-            .fold((0usize, 0usize), |(r, t), p| {
-                (r + p.levels_reused, t + p.levels_total)
-            });
-        if total == 0 {
-            return 1.0;
-        }
-        reused as f64 / total as f64
+        self.online_replans().level_reuse_rate()
     }
 }
 
@@ -330,6 +312,7 @@ impl<'s> DynamicRunLoop<'s> {
                     // Online re-plan at the arrival, against the warm session
                     // cache.
                     let outcome = self.session.replan(&arrival.graph)?;
+                    let replan = ReplanSummary::of(&outcome);
                     let replan_ms = outcome.plan.planning_time().as_secs_f64() * 1e3;
                     total_replan_ms += replan_ms;
                     let plan = Arc::new(outcome.plan);
@@ -373,12 +356,7 @@ impl<'s> DynamicRunLoop<'s> {
                         label: arrival.label.clone(),
                         arrival_s: arrival.at_s,
                         replan_ms,
-                        new_curve_fits: outcome.new_curve_fits,
-                        cache_hits: outcome.cache_hits,
-                        warm: outcome.warm,
-                        levels_total: outcome.levels_total,
-                        levels_reused: outcome.levels_reused,
-                        placement_reused: outcome.placement_reused,
+                        replan,
                         sim_iteration_s: sim.total_s(),
                         analytical_iteration_s: analytical_s,
                         gap: sim.gap_vs(analytical_s),
@@ -447,12 +425,9 @@ impl<'s> DynamicRunLoop<'s> {
                 label: event.label.clone(),
                 removed,
                 devices: event.devices.clone(),
-                devices_lost: 0,
-                levels_total: 0,
-                levels_replaced: 0,
                 replan_ms: 0.0,
+                replan: ReplanSummary::default(),
                 migration_bytes: 0,
-                planner_migration_s: 0.0,
                 sim_migration_s: 0.0,
                 wasted_compute_s,
                 rematerialized_metaops: 0,
@@ -467,11 +442,8 @@ impl<'s> DynamicRunLoop<'s> {
         // Re-plan the active task mix on the survivors; levels untouched by
         // the loss keep their placements (partial placement reuse).
         let outcome = self.session.replan(graph)?;
+        let replan = ReplanSummary::of(&outcome);
         let replan_ms = outcome.plan.planning_time().as_secs_f64() * 1e3;
-        let devices_lost = outcome.devices_lost;
-        let levels_total = outcome.levels_total;
-        let levels_replaced = outcome.levels_replaced;
-        let planner_migration_s = outcome.migration_cost;
         let new_plan = Arc::new(outcome.plan);
         let cluster = self.session.cluster_handle();
 
@@ -518,12 +490,9 @@ impl<'s> DynamicRunLoop<'s> {
             label: event.label.clone(),
             removed,
             devices: event.devices.clone(),
-            devices_lost,
-            levels_total,
-            levels_replaced,
             replan_ms,
+            replan,
             migration_bytes: moved_bytes,
-            planner_migration_s,
             sim_migration_s,
             wasted_compute_s,
             rematerialized_metaops,
@@ -552,20 +521,23 @@ mod tests {
         assert_eq!(report.replans(), 3);
         // Phase 1 is cold; the final phase ("7 tasks" again) re-plans fully
         // warm, so the overall online hit rate is high.
-        assert!(!report.phases[0].warm);
-        assert!(report.phases[3].warm, "repeat task mix must be cache-warm");
+        assert!(!report.phases[0].replan.warm);
+        assert!(
+            report.phases[3].replan.warm,
+            "repeat task mix must be cache-warm"
+        );
         assert!(report.warm_hit_rate() > 0.5);
         // The final phase repeats phase 2's task mix, so the structural plan
         // cache serves it wholesale: every level spliced, placement reused.
         assert_eq!(
-            report.phases[0].levels_reused, 0,
+            report.phases[0].replan.levels_reused, 0,
             "cold plan reuses nothing"
         );
         assert_eq!(
-            report.phases[3].levels_reused,
-            report.phases[3].levels_total
+            report.phases[3].replan.levels_reused,
+            report.phases[3].replan.levels_total
         );
-        assert!(report.phases[3].placement_reused);
+        assert!(report.phases[3].replan.placement_reused);
         assert!(report.structural_reuse_rate() > 0.0);
         // The default serialized config is the closed form run as events:
         // every phase agrees with it up to float rounding.
@@ -596,8 +568,8 @@ mod tests {
         assert_eq!(report.churn.len(), schedule.num_topology_changes());
         for c in &report.churn {
             // Every event re-plans onto a live topology: the loop survives.
-            assert!(c.iteration_after_s > 0.0 || c.levels_total == 0);
-            if c.removed && c.devices_lost > 0 {
+            assert!(c.iteration_after_s > 0.0 || c.replan.levels_total == 0);
+            if c.removed && c.replan.devices_lost > 0 {
                 // Losing a small slice of capacity changes the iteration
                 // time boundedly (it can even speed up: shallower
                 // parallelism means less sync overhead). What must hold is
@@ -606,7 +578,7 @@ mod tests {
                     c.iteration_after_s <= c.iteration_before_s * 4.0
                         && c.iteration_after_s >= c.iteration_before_s * 0.25,
                     "lost {} devices, iteration jumped {} -> {}",
-                    c.devices_lost,
+                    c.replan.devices_lost,
                     c.iteration_before_s,
                     c.iteration_after_s
                 );
@@ -614,7 +586,7 @@ mod tests {
                 // planner's serialized α-β bound only through overlap — it
                 // never exceeds serial by more than rounding.
                 if c.migration_bytes > 0 {
-                    assert!(c.planner_migration_s > 0.0);
+                    assert!(c.replan.migration_cost() > 0.0);
                 }
             }
         }
@@ -652,11 +624,11 @@ mod tests {
         // first on ties), so a plan is already active and gets re-planned
         // down to 14 devices.
         assert!(report.churn[0].removed);
-        assert_eq!(report.churn[0].devices_lost, 2);
-        assert!(report.churn[0].levels_replaced > 0);
+        assert_eq!(report.churn[0].replan.devices_lost, 2);
+        assert!(report.churn[0].replan.levels_replaced > 0);
         // The restore re-plans back up: nothing is "lost".
         assert!(!report.churn[1].removed);
-        assert_eq!(report.churn[1].devices_lost, 0);
+        assert_eq!(report.churn[1].replan.devices_lost, 0);
         assert!(report.churn[1].iteration_after_s > 0.0);
         // The restore re-planned on the full device set again: the next
         // removal of the same devices would be a real loss.
@@ -803,5 +775,96 @@ mod tests {
         for phase in &report.phases {
             assert!(phase.gap <= 1e-9, "phase {} gap {}", phase.label, phase.gap);
         }
+    }
+
+    /// Every figure of a dynamic run with device churn and a checkpoint policy
+    /// except the wall-clock re-plan times, digested and pinned: each phase's
+    /// re-plan counters, simulated and closed-form iteration, checkpoint
+    /// charges and utilization trace; each device event's re-plan counters,
+    /// the runtime's migration, restore and replay figures and the iteration
+    /// before and after; and the run's totals. Recorded when the reports
+    /// copied the re-plan's counters field by field; they now hold its
+    /// `ReplanSummary`.
+    #[test]
+    fn run_reports_match_the_recorded_digest() {
+        use crate::recovery::CheckpointPolicy;
+        let schedule = ArrivalSchedule::multitask_clip_arrivals(0x0D1A, 6, 60.0)
+            .unwrap()
+            .with_seeded_device_churn(0x0D1A, 16, 12);
+        let mut session = SpindleSession::new(ClusterSpec::homogeneous(2, 8));
+        let report = DynamicRunLoop::new(&mut session)
+            .with_sim_config(SimConfig::contended())
+            .with_checkpoint_policy(CheckpointPolicy::every(3))
+            .run(&schedule)
+            .unwrap();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |words: &[u64]| {
+            for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for p in &report.phases {
+            mix(&p.label.bytes().map(u64::from).collect::<Vec<_>>());
+            mix(&[
+                p.arrival_s.to_bits(),
+                p.replan.new_curve_fits.into(),
+                p.replan.cache_hits.into(),
+                p.replan.warm.into(),
+                p.replan.levels_total.into(),
+                p.replan.levels_reused.into(),
+                p.replan.placement_reused.into(),
+                p.sim_iteration_s.to_bits(),
+                p.analytical_iteration_s.to_bits(),
+                p.gap.to_bits(),
+                p.iterations,
+                p.checkpoints_written,
+                p.checkpoint_write_s.to_bits(),
+                p.utilization_trace.len() as u64,
+            ]);
+            for sample in &p.utilization_trace {
+                mix(&[sample.time_s.to_bits(), sample.tflops_per_s.to_bits()]);
+            }
+        }
+        for c in &report.churn {
+            mix(&c.label.bytes().map(u64::from).collect::<Vec<_>>());
+            mix(&c.devices.iter().map(|&d| u64::from(d)).collect::<Vec<_>>());
+            mix(&[
+                c.at_s.to_bits(),
+                u64::from(c.removed),
+                c.replan.devices_lost.into(),
+                c.replan.levels_total.into(),
+                c.replan.levels_replaced.into(),
+                c.migration_bytes,
+                c.replan.migration_cost_bits,
+                c.sim_migration_s.to_bits(),
+                c.wasted_compute_s.to_bits(),
+                c.rematerialized_metaops as u64,
+                c.restore_bytes,
+                c.restore_s.to_bits(),
+                c.replay_s.to_bits(),
+                c.iteration_before_s.to_bits(),
+                c.iteration_after_s.to_bits(),
+            ]);
+        }
+        mix(&[
+            report.total_simulated_s.to_bits(),
+            report.replans() as u64,
+            report.warm_hit_rate().to_bits(),
+            report.worst_gap().to_bits(),
+            report.structural_reuse_rate().to_bits(),
+            report.churn_overhead_s().to_bits(),
+        ]);
+        let events = report.churn.len();
+        let restored = report.churn.iter().filter(|c| c.restore_bytes > 0).count();
+        let priced = report
+            .churn
+            .iter()
+            .filter(|c| c.replan.migration_cost() > 0.0)
+            .count();
+        assert_eq!(
+            (report.phases.len(), events, restored, priced),
+            (6, 11, 6, 8)
+        );
+        assert_eq!(digest, 0x4a28_c339_276b_3907, "{digest:#018x}");
     }
 }

@@ -166,10 +166,7 @@ pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended
     let comm = CommModel::new(cluster);
     let (mut from, mut to) = (NodeSpan::default(), NodeSpan::default());
     let mut links = Vec::new();
-    // The live flows as parallel arrays, compacted as flows finish: time left
-    // at the nominal rate, equal-share slowdown and link slots.
     let mut remaining = Vec::with_capacity(flows.len());
-    let mut slowdown = vec![1.0_f64; flows.len()];
     let mut slots: Vec<[u32; 2]> = Vec::with_capacity(flows.len());
     for f in flows {
         from.fill(cluster, &[f.from]);
@@ -184,25 +181,48 @@ pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended
         remaining.push(comm.p2p_time(f.from, f.to, f.bytes));
         slots.push(pair);
     }
-    // Live flows per link slot, all zero without contention. The slot past
-    // the last link stands for a missing link and never counts a flow.
+    // The slot past the last link stands for a missing link.
     let idle = slots
         .iter()
         .flatten()
         .filter(|&&slot| slot != NONE)
         .max()
         .map_or(0, |&slot| slot + 1);
+    for slot in slots.iter_mut().flatten().filter(|slot| **slot == NONE) {
+        *slot = idle;
+    }
+    let share = |a: u32, b: u32| f64::from(a.max(b).max(1));
+    price_rounds(remaining, slots, idle, contended, share)
+}
+
+/// The round model of [`price_migration`] and
+/// [`price_restore`](crate::price_restore) over packed live flows: flow `i`
+/// needs `remaining[i]` seconds at its nominal rate and occupies the two
+/// slots `slots[i]`. With `contended`, each slot counts its live flows, and
+/// a flow's slowdown is `share` of its two slots' counts; slot `idle` stands
+/// for no resource and never counts a flow. Without, every count stays
+/// zero. Each round runs to the next completion at the current rates (the
+/// least remaining time times slowdown), every live flow loses the round's
+/// time divided by its slowdown, and flows left within `1e-12` of the
+/// elapsed time finish together and release their slots. Returns the
+/// makespan, seconds.
+pub(crate) fn price_rounds(
+    mut remaining: Vec<f64>,
+    mut slots: Vec<[u32; 2]>,
+    idle: u32,
+    contended: bool,
+    share: impl Fn(u32, u32) -> f64,
+) -> f64 {
     let mut count = vec![0u32; idle as usize + 1];
-    for slot in slots.iter_mut().flatten() {
-        if *slot == NONE {
-            *slot = idle;
-        } else if contended {
-            count[*slot as usize] += 1;
+    if contended {
+        for &slot in slots.iter().flatten().filter(|&&slot| slot != idle) {
+            count[slot as usize] += 1;
         }
     }
+    let mut slowdown = vec![1.0_f64; remaining.len()];
     let mut now = 0.0_f64;
     while !remaining.is_empty() {
-        let step = next_completion(&remaining, &mut slowdown, &slots, &count);
+        let step = next_completion(&remaining, &mut slowdown, &slots, &count, &share);
         now += step;
         let eps = 1e-12 * now.max(1.0);
         for (r, s) in remaining.iter_mut().zip(&slowdown) {
@@ -227,18 +247,19 @@ pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended
     now
 }
 
-/// The time to the next completion at current equal-share rates: the least
-/// remaining time × slowdown over the live flows, after setting each flow's
-/// slowdown to the larger live-flow count of its two link slots, at least 1.
-/// Four running minima keep consecutive flows independent; a minimum does
-/// not depend on the order it is taken in.
+/// The time to the next completion at current rates: the least remaining
+/// time × slowdown over the live flows, after setting each flow's slowdown
+/// to `share` of its two slots' live-flow counts. Four running minima keep
+/// consecutive flows independent; a minimum does not depend on the order it
+/// is taken in.
 fn next_completion(
     remaining: &[f64],
     slowdown: &mut [f64],
     slots: &[[u32; 2]],
     count: &[u32],
+    share: &impl Fn(u32, u32) -> f64,
 ) -> f64 {
-    let share = |[a, b]: [u32; 2]| f64::from(count[a as usize].max(count[b as usize]).max(1));
+    let share = |[a, b]: [u32; 2]| share(count[a as usize], count[b as usize]);
     let mut least = [f64::INFINITY; 4];
     let mut s4 = slowdown.chunks_exact_mut(4);
     let mut l4 = slots.chunks_exact(4);

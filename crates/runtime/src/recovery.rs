@@ -15,12 +15,10 @@
 //! steady-state write stalls (synchronous) or background storage flows
 //! contending with training traffic (`async_overlap`).
 
-use std::collections::BTreeMap;
+use spindle_cluster::{ClusterSpec, LinkId};
+use spindle_core::{ExecutionPlan, SiteSet};
 
-use spindle_cluster::{ClusterSpec, LinkId, NodeId};
-use spindle_core::ExecutionPlan;
-
-use crate::migrate::RestoreFlow;
+use crate::migrate::{price_rounds, RestoreFlow};
 use crate::sim::BackgroundFlow;
 
 /// When and how checkpoints are written. A shard's checkpoint holds its
@@ -93,46 +91,21 @@ pub fn price_restore(
     _policy: &CheckpointPolicy,
     contended: bool,
 ) -> f64 {
-    struct Active {
-        remaining_s: f64,
-        node: Option<NodeId>,
-    }
+    // One slot per node's storage link, one shared by flows to devices the
+    // cluster does not have, then the spine every flow crosses.
     let storage = cluster.storage();
-    let mut active: Vec<Active> = flows
+    let unplaced = cluster.num_nodes() as u32;
+    let spine = unplaced + 1;
+    let remaining = flows
         .iter()
-        .map(|f| Active {
-            remaining_s: storage.transfer_time(f.bytes),
-            node: cluster.node_of(f.to).ok(),
-        })
+        .map(|f| storage.transfer_time(f.bytes))
         .collect();
-    let mut now = 0.0_f64;
-    while !active.is_empty() {
-        let mut node_flows: BTreeMap<Option<NodeId>, usize> = BTreeMap::new();
-        for flow in &active {
-            *node_flows.entry(flow.node).or_insert(0) += 1;
-        }
-        let spine_flows = active.len();
-        let factor = |flow: &Active| {
-            if contended {
-                storage.slowdown(node_flows[&flow.node], spine_flows)
-            } else {
-                1.0
-            }
-        };
-        // Next completion at current rates; rates only change at completions.
-        let step = active
-            .iter()
-            .map(|f| f.remaining_s * factor(f))
-            .fold(f64::INFINITY, f64::min);
-        now += step;
-        for flow in &mut active {
-            let f = factor(flow);
-            flow.remaining_s -= step / f;
-        }
-        let eps = 1e-12 * now.max(1.0);
-        active.retain(|f| f.remaining_s > eps);
-    }
-    now
+    let slots = flows
+        .iter()
+        .map(|f| [cluster.node_of(f.to).map_or(unplaced, |n| n.0), spine])
+        .collect();
+    let share = |node: u32, spine: u32| storage.slowdown(node as usize, spine as usize);
+    price_rounds(remaining, slots, spine + 1, contended, share)
 }
 
 /// The storage flows of one full checkpoint of `plan`: every placed MetaOp
@@ -141,27 +114,22 @@ pub fn price_restore(
 /// restore, so [`price_restore`] prices both directions.
 #[must_use]
 pub fn checkpoint_flows(plan: &ExecutionPlan) -> Vec<RestoreFlow> {
-    let mut seen: BTreeMap<spindle_core::MetaOpId, Vec<spindle_cluster::DeviceId>> =
-        BTreeMap::new();
+    let mut written = SiteSet::for_waves(plan.waves());
     let mut flows = Vec::new();
-    for wave in plan.waves() {
-        for entry in &wave.entries {
-            let Some(group) = &entry.placement else {
-                continue;
-            };
-            if entry.memory_per_device == 0 {
-                continue;
-            }
-            let sites = seen.entry(entry.metaop).or_default();
-            for d in group.iter() {
-                if !sites.contains(&d) {
-                    sites.push(d);
-                    flows.push(RestoreFlow {
-                        metaop: entry.metaop,
-                        to: d,
-                        bytes: entry.memory_per_device,
-                    });
-                }
+    for entry in plan.waves().iter().flat_map(|w| &w.entries) {
+        let Some(group) = &entry.placement else {
+            continue;
+        };
+        if entry.memory_per_device == 0 {
+            continue;
+        }
+        for d in group.iter() {
+            if written.insert(entry.metaop, d) {
+                flows.push(RestoreFlow {
+                    metaop: entry.metaop,
+                    to: d,
+                    bytes: entry.memory_per_device,
+                });
             }
         }
     }
@@ -212,9 +180,98 @@ pub fn background_checkpoint_flows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spindle_cluster::{DeviceId, StorageSpec};
+    use std::collections::BTreeMap;
+
+    use spindle_cluster::{DeviceId, NodeId, StorageSpec};
     use spindle_core::{MetaOpId, SpindleSession};
-    use spindle_graph::{GraphBuilder, Modality, OpKind, TensorShape};
+    use spindle_graph::{GraphBuilder, Modality, OpKind, TensorShape, XorShift64Star};
+
+    /// The round loop [`price_restore`] ran before it shared
+    /// [`price_migration`](crate::price_migration)'s packed rounds: every
+    /// round rebuilds the per-node flow counts in a map. The packed loop
+    /// must price every flow set bit-identically.
+    fn price_restore_reference(
+        cluster: &ClusterSpec,
+        flows: &[RestoreFlow],
+        contended: bool,
+    ) -> f64 {
+        struct Active {
+            remaining_s: f64,
+            node: Option<NodeId>,
+        }
+        let storage = cluster.storage();
+        let mut active: Vec<Active> = flows
+            .iter()
+            .map(|f| Active {
+                remaining_s: storage.transfer_time(f.bytes),
+                node: cluster.node_of(f.to).ok(),
+            })
+            .collect();
+        let mut now = 0.0_f64;
+        while !active.is_empty() {
+            let mut node_flows: BTreeMap<Option<NodeId>, usize> = BTreeMap::new();
+            for flow in &active {
+                *node_flows.entry(flow.node).or_insert(0) += 1;
+            }
+            let spine_flows = active.len();
+            let factor = |flow: &Active| {
+                if contended {
+                    storage.slowdown(node_flows[&flow.node], spine_flows)
+                } else {
+                    1.0
+                }
+            };
+            let step = active
+                .iter()
+                .map(|f| f.remaining_s * factor(f))
+                .fold(f64::INFINITY, f64::min);
+            now += step;
+            for flow in &mut active {
+                let f = factor(flow);
+                flow.remaining_s -= step / f;
+            }
+            let eps = 1e-12 * now.max(1.0);
+            active.retain(|f| f.remaining_s > eps);
+        }
+        now
+    }
+
+    #[test]
+    fn packed_restore_pricing_matches_the_reference_bit_for_bit() {
+        // Eight nodes of four behind the default spine of four node links,
+        // three devices gone: a restore can target a device the cluster no
+        // longer has. Odd cases pile every flow onto the first two nodes
+        // (node links are the bottleneck); even cases spread up to 40 flows
+        // over all eight, far past the spine's knee.
+        let cluster = ClusterSpec::homogeneous(8, 4);
+        let targets: Vec<DeviceId> = cluster.all_devices().iter().collect();
+        let cluster = cluster
+            .without_devices(&[DeviceId(5), DeviceId(6), DeviceId(30)])
+            .unwrap();
+        let policy = CheckpointPolicy::every(1);
+        let mut rng = XorShift64Star::new(0x0C4E_57A6);
+        let sizes = [1u64 << 24, 3 << 26, 1 << 30, 5 << 27];
+        for case in 0..300 {
+            let pool = if case % 2 == 0 { 32 } else { 8 };
+            let count = 1 + (rng.next_u64() % 40) as usize;
+            let flows: Vec<RestoreFlow> = (0..count)
+                .map(|k| RestoreFlow {
+                    metaop: MetaOpId(k as u32),
+                    to: targets[(rng.next_u64() % pool) as usize],
+                    bytes: sizes[(rng.next_u64() % 4) as usize] + rng.next_u64() % 3,
+                })
+                .collect();
+            for contended in [true, false] {
+                let got = price_restore(&cluster, &flows, &policy, contended);
+                let want = price_restore_reference(&cluster, &flows, contended);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "case {case} ({count} flows), contended {contended}: {got} vs {want}"
+                );
+            }
+        }
+    }
 
     fn plan_on(nodes: usize, gpus: usize) -> (ExecutionPlan, ClusterSpec) {
         let mut b = GraphBuilder::new();

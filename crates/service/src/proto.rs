@@ -39,7 +39,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use spindle_cluster::DeviceId;
-use spindle_core::{CacheTelemetry, ReplanOutcome};
+use spindle_core::CacheTelemetry;
+pub use spindle_core::ReplanSummary;
 use spindle_graph::{
     ComputationGraph, Modality, OpId, OpKind, Operator, ParamId, TaskId, TaskSpec, TensorShape,
 };
@@ -256,23 +257,9 @@ macro_rules! wire_uint {
 
 wire_uint!(u8, u16, u32, u64);
 
-/// Implements [`Wire`] for a struct as its fields in order. Given the whole
-/// declaration, it also declares the struct, so that the field order is
-/// written once.
+/// Implements [`Wire`] for a struct as the listed fields in order: the
+/// wire order of a struct declared elsewhere.
 macro_rules! wire_struct {
-    (
-        $(#[$meta:meta])*
-        pub struct $name:ident {
-            $($(#[$field_meta:meta])* pub $field:ident: $ty:ty,)*
-        }
-    ) => {
-        $(#[$meta])*
-        pub struct $name {
-            $($(#[$field_meta])* pub $field: $ty,)*
-        }
-
-        wire_struct!($name { $($field),* });
-    };
     ($name:ident { $($field:tt),* $(,)? }) => {
         impl Wire for $name {
             fn put(&self, out: &mut impl Sink) {
@@ -609,129 +596,25 @@ wire_struct!(ServiceStats {
     restore_bytes,
 });
 
-wire_struct! {
-    /// A transport-portable summary of a [`ReplanOutcome`].
-    ///
-    /// The full outcome owns an [`ExecutionPlan`](spindle_core::ExecutionPlan);
-    /// shipping every wave over the wire would be wasteful when clients only need
-    /// the plan's identity and the cache-warmth probe. The summary therefore
-    /// carries the plan's *fingerprint* — an FNV-1a hash over every wave entry's
-    /// exact bit pattern — plus the outcome's counters. Two plans have equal
-    /// fingerprints iff their wave structure, timings and placements are
-    /// bit-identical, which is the property the transport-equivalence cross-check
-    /// asserts.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-    pub struct ReplanSummary {
-        /// Bit pattern of the plan's makespan (seconds as `f64::to_bits`).
-        pub makespan_bits: u64,
-        /// Number of waves in the plan.
-        pub num_waves: u32,
-        /// FNV-1a fingerprint over every wave's entries (metaop, layers, devices,
-        /// per-op time bits, start/duration bits and placement device ids).
-        pub plan_fingerprint: u64,
-        /// Operator signatures profiled and fitted anew.
-        pub new_curve_fits: u32,
-        /// Curve-cache hits served while producing the plan.
-        pub cache_hits: u32,
-        /// `true` if the curve cache was fully warm.
-        pub warm: bool,
-        /// MetaLevels of the re-planned graph.
-        pub levels_total: u32,
-        /// Levels spliced from the structural plan cache.
-        pub levels_reused: u32,
-        /// `true` if the fully placed wave list was served structurally.
-        pub placement_reused: bool,
-        /// Session cache telemetry after the re-plan.
-        pub cache: CacheTelemetry,
-        /// Devices lost since the reused placement was made.
-        pub devices_lost: u32,
-        /// Levels re-placed after a topology change.
-        pub levels_replaced: u32,
-        /// Parameter bytes that must move to realize the new placement.
-        pub migration_bytes: u64,
-        /// Bit pattern of the estimated migration time in seconds.
-        pub migration_cost_bits: u64,
-        /// MetaOps that lost every replica and must restore from checkpoints.
-        pub rematerialized_metaops: u32,
-        /// State bytes of those MetaOps that must be read back from storage.
-        pub restore_bytes: u64,
-    }
-}
-
-impl ReplanSummary {
-    /// Summarises a full [`ReplanOutcome`] for the wire.
-    #[must_use]
-    pub fn of(outcome: &ReplanOutcome) -> Self {
-        let mut fp = Fnv1a::new();
-        for wave in outcome.plan.waves() {
-            fp.u64(wave.index as u64);
-            fp.u64(wave.level as u64);
-            fp.u64(wave.start.to_bits());
-            fp.u64(wave.duration.to_bits());
-            for entry in &wave.entries {
-                fp.u64(entry.metaop.index() as u64);
-                fp.u64(u64::from(entry.layers));
-                fp.u64(u64::from(entry.devices));
-                fp.u64(entry.time_per_op.to_bits());
-                fp.u64(entry.exec_time.to_bits());
-                fp.u64(entry.memory_per_device);
-                match &entry.placement {
-                    None => fp.u64(u64::MAX),
-                    Some(group) => {
-                        fp.u64(group.len() as u64);
-                        for d in group.iter() {
-                            fp.u64(u64::from(d.0));
-                        }
-                    }
-                }
-            }
-        }
-        Self {
-            makespan_bits: outcome.plan.makespan().to_bits(),
-            num_waves: outcome.plan.num_waves() as u32,
-            plan_fingerprint: fp.finish(),
-            new_curve_fits: outcome.new_curve_fits as u32,
-            cache_hits: outcome.cache_hits as u32,
-            warm: outcome.warm,
-            levels_total: outcome.levels_total as u32,
-            levels_reused: outcome.levels_reused as u32,
-            placement_reused: outcome.placement_reused,
-            cache: outcome.cache,
-            devices_lost: outcome.devices_lost as u32,
-            levels_replaced: outcome.levels_replaced as u32,
-            migration_bytes: outcome.migration_bytes,
-            migration_cost_bits: outcome.migration_cost.to_bits(),
-            rematerialized_metaops: outcome.rematerialized_metaops as u32,
-            restore_bytes: outcome.restore_bytes,
-        }
-    }
-
-    /// The plan's makespan in seconds.
-    #[must_use]
-    pub fn makespan(&self) -> f64 {
-        f64::from_bits(self.makespan_bits)
-    }
-}
-
-/// Incremental FNV-1a over `u64` words.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, word: u64) {
-        for byte in word.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+// `ReplanSummary` is declared in `spindle-core`; this is its wire layout.
+wire_struct!(ReplanSummary {
+    makespan_bits,
+    num_waves,
+    plan_fingerprint,
+    new_curve_fits,
+    cache_hits,
+    warm,
+    levels_total,
+    levels_reused,
+    placement_reused,
+    cache,
+    devices_lost,
+    levels_replaced,
+    migration_bytes,
+    migration_cost_bits,
+    rematerialized_metaops,
+    restore_bytes,
+});
 
 impl Wire for CacheTelemetry {
     fn put(&self, out: &mut impl Sink) {

@@ -54,13 +54,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 cumulative_s / 1e3
             );
         }
-        let stats = session.cache_stats();
+        let stats = session.planning_stats();
         println!(
             "  curve cache: {} entries, {} fits, {} hits ({:.0}% hit rate)\n",
-            stats.entries,
-            stats.fits,
-            stats.hits,
-            stats.hit_rate() * 100.0
+            stats.curve_entries,
+            stats.curve_fits,
+            stats.curve_hits,
+            stats.curve_hits as f64 / (stats.curve_hits + stats.curve_fits) as f64 * 100.0
         );
     }
     Ok(())

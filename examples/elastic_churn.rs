@@ -47,9 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "{:<44} {:>4} {:>2}/{:<2} {:>7.2}ms {:>8}MiB {:>8.2}ms {:>7.2}ms {:>7.2}ms",
             format!("t={:.1}s {}", c.at_s, c.label),
-            c.devices_lost,
-            c.levels_replaced,
-            c.levels_total,
+            c.replan.devices_lost,
+            c.replan.levels_replaced,
+            c.replan.levels_total,
             c.replan_ms,
             c.migration_bytes >> 20,
             c.sim_migration_s * 1e3,

@@ -40,10 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:<26} {:>8.2}ms {:>9} {:>9}/{:<3} {:>9} {:>8.1}ms",
             phase.label,
             phase.replan_ms,
-            phase.levels_total,
-            phase.levels_reused,
-            phase.levels_total,
-            if phase.placement_reused {
+            phase.replan.levels_total,
+            phase.replan.levels_reused,
+            phase.replan.levels_total,
+            if phase.replan.placement_reused {
                 "reused"
             } else {
                 "fresh"
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n{report}");
-    let stats = session.structural_cache_stats();
+    let stats = session.planning_stats();
     println!(
         "structural cache: {} level artifacts, {} placed skeletons, \
          {} level hits, {} skeleton hits",
@@ -61,8 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "curve cache: {} curves, {} fits over the whole run ({} plans)",
-        session.cached_curves(),
-        session.curve_fits(),
+        stats.curve_entries,
+        stats.curve_fits,
         session.plans_produced()
     );
     Ok(())

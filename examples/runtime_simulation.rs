@@ -120,10 +120,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             phase.label,
             phase.arrival_s,
             phase.replan_ms,
-            if phase.warm {
+            if phase.replan.warm {
                 "warm".to_string()
             } else {
-                phase.new_curve_fits.to_string()
+                phase.replan.new_curve_fits.to_string()
             },
             phase.sim_iteration_s * 1e3,
             phase.gap * 100.0,

@@ -90,7 +90,7 @@ pub mod prelude {
         ContractedGraph, CurveSet, ExecutionPlan, LevelSchedule, PlacementStrategy, PlannerConfig,
         PlanningSystem, SpindlePlanner, SpindleSession,
     };
-    pub use spindle_estimator::{CurveCacheStats, ScalabilityEstimator, ScalingCurve};
+    pub use spindle_estimator::{ScalabilityEstimator, ScalingCurve};
     pub use spindle_graph::{ComputationGraph, Modality, OpKind, TaskSpec};
     pub use spindle_runtime::{SimReport, Simulator};
     pub use spindle_workloads::{multitask_clip, ofasys, qwen_val, WorkloadPreset};

@@ -43,13 +43,13 @@ fn budgeted_caches_never_exceed_their_budgets_under_churn() {
         let slots: Vec<usize> = (0..HYPERSCALE_ROSTER).filter(|&s| active[s]).collect();
         let graph = hyperscale_subset(&slots).unwrap();
         let outcome = session.replan(&graph).unwrap();
+        let bytes = session.planning_stats().cache.bytes;
         assert!(
-            session.cache_bytes() <= structural_budget + curve_budget,
-            "step {step}: caches hold {} bytes over a {} byte budget",
-            session.cache_bytes(),
+            bytes <= structural_budget + curve_budget,
+            "step {step}: caches hold {bytes} bytes over a {} byte budget",
             structural_budget + curve_budget
         );
-        assert!(outcome.cache.bytes <= structural_budget + curve_budget);
+        assert_eq!(outcome.cache.bytes, bytes);
 
         let cold = SpindleSession::new(cluster.clone()).plan(&graph).unwrap();
         assert_plans_identical(&outcome.plan, &cold, &format!("budgeted churn step {step}"));
@@ -58,13 +58,15 @@ fn budgeted_caches_never_exceed_their_budgets_under_churn() {
         let can_deactivate = active[slot] && active.iter().filter(|&&a| a).count() > 4;
         active[slot] = !can_deactivate;
     }
+    let stats = session.planning_stats();
     assert!(
-        session.cache_evictions() > 0,
+        stats.cache.evictions > 0,
         "a 24-step roster walk under tight budgets must evict"
     );
-    let stats = session.planning_stats();
-    assert_eq!(stats.cache.bytes, session.cache_bytes());
-    assert_eq!(stats.cache.evictions, session.cache_evictions() as u64);
+    assert_eq!(
+        stats.cache.evictions,
+        stats.curve_cache.evictions + stats.structural_cache.evictions
+    );
 }
 
 #[test]
@@ -82,7 +84,8 @@ fn post_eviction_replans_match_cold_plans_and_lose_only_reuse() {
     unbounded.replan(&graph_b).unwrap();
     let warm = unbounded.replan(&graph_a).unwrap();
     assert_eq!(warm.levels_reused, warm.levels_total);
-    assert_eq!(unbounded.cache_evictions(), 0, "no budget, no evictions");
+    let evictions = unbounded.planning_stats().cache.evictions;
+    assert_eq!(evictions, 0, "no budget, no evictions");
 
     // Same churn with a structural budget so small every insertion evicts its
     // predecessor: nothing survives to be reused, yet every plan is identical.
@@ -101,7 +104,7 @@ fn post_eviction_replans_match_cold_plans_and_lose_only_reuse() {
         "a starved cache has nothing left to splice"
     );
     assert!(!evicted.placement_reused);
-    assert!(starved.cache_evictions() > 0);
+    assert!(starved.planning_stats().cache.evictions > 0);
     assert_plans_identical(&evicted.plan, &warm.plan, "starved vs unbounded A↔B churn");
 
     // Restoring the budget mid-session re-enables reuse without a restart.

@@ -6,6 +6,7 @@
 //! bench: the speedup is only meaningful because the output is bit-for-bit
 //! the same.
 
+use spindle::core::ReplanSummary;
 use spindle::prelude::*;
 use spindle::workloads::{hyperscale_churn, hyperscale_subset, HYPERSCALE_ROSTER};
 use spindle_cluster::ClusterSpec;
@@ -64,7 +65,7 @@ fn clip_churn_replans_match_cold_plans_bit_for_bit() {
     }
     // The walk revisits task counts, so the structural cache must have
     // served whole plans by now.
-    assert!(warm.structural_cache_stats().skeleton_hits > 0);
+    assert!(warm.planning_stats().skeleton_hits > 0);
 }
 
 #[test]
@@ -101,7 +102,7 @@ fn levels_reused_is_zero_cold_and_positive_after_single_task_churn() {
     assert_eq!(cold.levels_reused, 0, "a cold plan has nothing to reuse");
     assert!(cold.levels_total > 0);
     assert!(!cold.placement_reused);
-    assert!((cold.level_reuse_rate()).abs() < 1e-12);
+    assert!((ReplanSummary::of(&cold).level_reuse_rate()).abs() < 1e-12);
 
     // First visit of the churned mix: its levels all differ from the 10-task
     // plan's (every level contains the departed task), so it seeds the cache.
@@ -119,7 +120,7 @@ fn levels_reused_is_zero_cold_and_positive_after_single_task_churn() {
         assert_eq!(outcome.levels_reused, outcome.levels_total);
         assert!(outcome.levels_reused > 0);
         assert!(outcome.placement_reused);
-        assert!((outcome.level_reuse_rate() - 1.0).abs() < 1e-12);
+        assert!((ReplanSummary::of(&outcome).level_reuse_rate() - 1.0).abs() < 1e-12);
     }
 }
 

@@ -23,7 +23,7 @@ fn warm_replan_of_the_same_workload_performs_zero_fits() {
         fits_after_cold,
         "re-planning an unchanged workload must not fit any curve"
     );
-    assert!(session.cache_stats().hits > 0);
+    assert!(session.planning_stats().curve_hits > 0);
 
     // Cold and warm plans are identical in every scheduling decision.
     assert_eq!(cold.waves(), warm.waves());

@@ -248,7 +248,7 @@ fn dynamic_run_loop_replans_online_and_reports_cache_warmth() {
     assert!(report.replans() >= 2, "the schedule must force ≥2 re-plans");
     assert!(report.warm_hit_rate() > 0.5);
     // The last phase repeats an earlier task mix: fully warm re-plan.
-    assert!(report.phases.last().unwrap().warm);
+    assert!(report.phases.last().unwrap().replan.warm);
     // Oracle-matching sim config: every phase's gap stays under 1%.
     assert!(report.worst_gap() < 0.01);
     // The session kept planning through the loop (one plan per phase).
