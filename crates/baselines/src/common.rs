@@ -151,16 +151,45 @@ impl BaselineContext {
     }
 }
 
-/// Plans `graph` with `system` in a fresh session on `cluster`.
+/// Plans `graph` with `kind` in a fresh session on `cluster`.
 #[cfg(test)]
 pub(crate) fn plan_on(
-    mut system: impl spindle_core::PlanningSystem,
+    kind: crate::SystemKind,
     graph: &ComputationGraph,
     cluster: &spindle_cluster::ClusterSpec,
-) -> spindle_core::ExecutionPlan {
-    system
-        .plan(graph, &mut SpindleSession::new(cluster.clone()))
+) -> ExecutionPlan {
+    kind.plan(graph, &mut SpindleSession::new(cluster.clone()))
         .unwrap()
+}
+
+/// FNV-1a over every wave's and entry's exact bits, placements included:
+/// equal iff two plans are identical wave for wave.
+#[cfg(test)]
+pub(crate) fn plan_digest(plan: &ExecutionPlan) -> u64 {
+    let mut words = Vec::new();
+    for wave in plan.waves() {
+        words.extend([wave.index as u64, wave.level as u64]);
+        words.extend([wave.start.to_bits(), wave.duration.to_bits()]);
+        for e in &wave.entries {
+            words.extend([e.metaop.index() as u64, e.layers.into(), e.devices.into()]);
+            words.extend([e.time_per_op.to_bits(), e.exec_time.to_bits()]);
+            words.push(e.memory_per_device);
+            let group = e.placement.as_ref().expect("placed");
+            words.extend(group.iter().map(|d| u64::from(d.0)));
+        }
+    }
+    fnv1a(&words)
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+#[cfg(test)]
+pub(crate) fn fnv1a(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
 }
 
 #[cfg(test)]

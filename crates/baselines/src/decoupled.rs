@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use spindle_core::{ExecutionPlan, PlanError, PlanningSystem, SpindleSession, Wave, WaveEntry};
+use spindle_core::{ExecutionPlan, PlanError, SpindleSession, Wave, WaveEntry};
 use spindle_estimator::{AnalyticGpuModel, ParallelConfig};
 use spindle_graph::ComputationGraph;
 
@@ -18,7 +18,7 @@ use crate::common::BaselineContext;
 
 /// The per-operator parallelisation style of a decoupled baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecoupledParallelism {
+pub(crate) enum DecoupledParallelism {
     /// Megatron-LM-style: the best valid hybrid data × tensor configuration
     /// (manually tuned, here chosen by exhaustive search over valid configs).
     HybridBest,
@@ -26,87 +26,66 @@ pub enum DecoupledParallelism {
     DataParallelOnly,
 }
 
-/// Planner for the decoupled (task-sequential, whole-cluster) baselines.
-#[derive(Debug, Clone, Copy)]
-pub struct DecoupledPlanner {
+/// Plans `graph` as a decoupled (task-sequential, whole-cluster) baseline
+/// with the given parallelisation style within `session`.
+pub(crate) fn plan(
     parallelism: DecoupledParallelism,
-}
+    graph: &ComputationGraph,
+    session: &SpindleSession,
+) -> Result<ExecutionPlan, PlanError> {
+    let started = Instant::now();
+    let ctx = BaselineContext::from_session(graph, session)?;
+    let model = AnalyticGpuModel::new(session.cluster());
+    let mut waves: Vec<Wave> = Vec::new();
+    let mut now = 0.0f64;
 
-impl DecoupledPlanner {
-    /// Creates a decoupled planner with the given parallelisation style.
-    #[must_use]
-    pub fn new(parallelism: DecoupledParallelism) -> Self {
-        Self { parallelism }
-    }
-}
-
-impl PlanningSystem for DecoupledPlanner {
-    fn name(&self) -> &str {
-        match self.parallelism {
-            DecoupledParallelism::HybridBest => "Megatron-LM",
-            DecoupledParallelism::DataParallelOnly => "DeepSpeed",
-        }
-    }
-
-    fn plan(
-        &mut self,
-        graph: &ComputationGraph,
-        session: &mut SpindleSession,
-    ) -> Result<ExecutionPlan, PlanError> {
-        let started = Instant::now();
-        let ctx = BaselineContext::from_session(graph, session)?;
-        let model = AnalyticGpuModel::new(session.cluster());
-        let mut waves: Vec<Wave> = Vec::new();
-        let mut now = 0.0f64;
-
-        // Tasks execute one after another; within a task, operators execute in
-        // dependency order, each occupying the whole cluster.
-        for metaops in ctx.task_metaops.values() {
-            for &metaop_id in metaops {
-                let metaop = ctx.metagraph().metaop(metaop_id);
-                let rep = metaop.representative();
-                let (devices, time_per_op) = match self.parallelism {
-                    DecoupledParallelism::HybridBest => {
-                        let n = ctx.largest_valid_allocation(metaop_id, ctx.num_devices);
-                        (n, ctx.time_per_op(metaop_id, n))
-                    }
-                    DecoupledParallelism::DataParallelOnly => {
-                        // Largest data-parallel degree that divides the batch.
-                        let batch = rep.input_shape().batch;
-                        let mut dp = 1;
-                        for n in 1..=ctx.num_devices.min(batch) {
-                            if batch % n == 0 {
-                                dp = n;
-                            }
+    // Tasks execute one after another; within a task, operators execute in
+    // dependency order, each occupying the whole cluster.
+    for metaops in ctx.task_metaops.values() {
+        for &metaop_id in metaops {
+            let metaop = ctx.metagraph().metaop(metaop_id);
+            let rep = metaop.representative();
+            let (devices, time_per_op) = match parallelism {
+                DecoupledParallelism::HybridBest => {
+                    let n = ctx.largest_valid_allocation(metaop_id, ctx.num_devices);
+                    (n, ctx.time_per_op(metaop_id, n))
+                }
+                DecoupledParallelism::DataParallelOnly => {
+                    // Largest data-parallel degree that divides the batch.
+                    let batch = rep.input_shape().batch;
+                    let mut dp = 1;
+                    for n in 1..=ctx.num_devices.min(batch) {
+                        if batch % n == 0 {
+                            dp = n;
                         }
-                        let config = ParallelConfig { dp, tp: 1 };
-                        (dp, model.execution_time_with_config(rep, config))
                     }
-                };
-                let layers = metaop.num_ops();
-                let mut entry = WaveEntry::new(metaop_id, layers, devices, time_per_op);
-                entry.memory_per_device = ctx.memory_per_device(metaop_id, devices, layers);
-                entry.placement = Some(ctx.device_range(0, devices));
-                let duration = entry.exec_time;
-                waves.push(Wave {
-                    index: waves.len(),
-                    level: 0,
-                    start: now,
-                    duration,
-                    entries: vec![entry],
-                });
-                now += duration;
-            }
+                    let config = ParallelConfig { dp, tp: 1 };
+                    (dp, model.execution_time_with_config(rep, config))
+                }
+            };
+            let layers = metaop.num_ops();
+            let mut entry = WaveEntry::new(metaop_id, layers, devices, time_per_op);
+            entry.memory_per_device = ctx.memory_per_device(metaop_id, devices, layers);
+            entry.placement = Some(ctx.device_range(0, devices));
+            let duration = entry.exec_time;
+            waves.push(Wave {
+                index: waves.len(),
+                level: 0,
+                start: now,
+                duration,
+                entries: vec![entry],
+            });
+            now += duration;
         }
-
-        Ok(ctx.plan(waves, started.elapsed()))
     }
+
+    Ok(ctx.plan(waves, started.elapsed()))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::common::plan_on;
+    use crate::SystemKind;
     use spindle_cluster::ClusterSpec;
     use spindle_runtime::Simulator;
     use spindle_workloads::multitask_clip;
@@ -115,11 +94,7 @@ mod tests {
     fn decoupled_plan_is_valid_and_sequential() {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(1, 8);
-        let plan = plan_on(
-            DecoupledPlanner::new(DecoupledParallelism::HybridBest),
-            &graph,
-            &cluster,
-        );
+        let plan = plan_on(SystemKind::MegatronLM, &graph, &cluster);
         plan.validate().unwrap();
         plan.require_placement().unwrap();
         // One wave per MetaOp, strictly sequential.
@@ -133,16 +108,8 @@ mod tests {
     fn hybrid_is_at_least_as_fast_as_dp_only() {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(2, 8);
-        let megatron = plan_on(
-            DecoupledPlanner::new(DecoupledParallelism::HybridBest),
-            &graph,
-            &cluster,
-        );
-        let deepspeed = plan_on(
-            DecoupledPlanner::new(DecoupledParallelism::DataParallelOnly),
-            &graph,
-            &cluster,
-        );
+        let megatron = plan_on(SystemKind::MegatronLM, &graph, &cluster);
+        let deepspeed = plan_on(SystemKind::DeepSpeed, &graph, &cluster);
         assert!(megatron.makespan() <= deepspeed.makespan() * 1.001);
     }
 
@@ -150,11 +117,7 @@ mod tests {
     fn decoupled_execution_runs_through_the_runtime() {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(1, 8);
-        let plan = plan_on(
-            DecoupledPlanner::new(DecoupledParallelism::DataParallelOnly),
-            &graph,
-            &cluster,
-        );
+        let plan = plan_on(SystemKind::DeepSpeed, &graph, &cluster);
         let report = Simulator::new(&plan, &cluster)
             .with_graph(&graph)
             .run_iteration()
@@ -168,11 +131,7 @@ mod tests {
         // underutilised during light operators.
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(2, 8);
-        let plan = plan_on(
-            DecoupledPlanner::new(DecoupledParallelism::HybridBest),
-            &graph,
-            &cluster,
-        );
+        let plan = plan_on(SystemKind::MegatronLM, &graph, &cluster);
         let report = Simulator::new(&plan, &cluster)
             .with_graph(&graph)
             .run_iteration()

@@ -14,95 +14,76 @@ use std::time::Instant;
 use spindle_core::mpsp::{self, MpspScratch};
 use spindle_core::wavefront::{self, WavefrontScratch};
 use spindle_core::{
-    allocator, ExecutionPlan, MetaOpArena, MetaOpId, PlacementStrategy, PlanError, PlanningSystem,
-    SpindleSession, Wave,
+    allocator, ExecutionPlan, MetaOpArena, MetaOpId, PlacementStrategy, PlanError, SpindleSession,
+    Wave,
 };
 use spindle_graph::ComputationGraph;
 
 use crate::common::BaselineContext;
 
-/// Planner implementing the DistMM-MT strategy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DistMmMtPlanner;
+/// Plans `graph` with the DistMM-MT strategy within `session`.
+pub(crate) fn plan(
+    graph: &ComputationGraph,
+    session: &SpindleSession,
+) -> Result<ExecutionPlan, PlanError> {
+    let started = Instant::now();
+    let ctx = BaselineContext::from_session(graph, session)?;
+    let arena = MetaOpArena::build(ctx.metagraph(), &ctx.curves);
+    let mut mpsp_scratch = MpspScratch::new();
+    let mut wavefront_scratch = WavefrontScratch::new();
+    let mut waves: Vec<Wave> = Vec::new();
+    let mut now = 0.0f64;
 
-impl DistMmMtPlanner {
-    /// Creates the planner.
-    #[must_use]
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl PlanningSystem for DistMmMtPlanner {
-    fn name(&self) -> &str {
-        "DistMM-MT"
-    }
-
-    fn plan(
-        &mut self,
-        graph: &ComputationGraph,
-        session: &mut SpindleSession,
-    ) -> Result<ExecutionPlan, PlanError> {
-        let started = Instant::now();
-        let ctx = BaselineContext::from_session(graph, session)?;
-        let arena = MetaOpArena::build(ctx.metagraph(), &ctx.curves);
-        let mut mpsp_scratch = MpspScratch::new();
-        let mut wavefront_scratch = WavefrontScratch::new();
-        let mut waves: Vec<Wave> = Vec::new();
-        let mut now = 0.0f64;
-
-        for metaops in ctx.task_metaops.values() {
-            // Group this task's MetaOps by dependency level.
-            let mut by_level: BTreeMap<usize, Vec<MetaOpId>> = BTreeMap::new();
-            for &id in metaops {
-                by_level
-                    .entry(ctx.metagraph().metaop(id).level())
-                    .or_default()
-                    .push(id);
-            }
-            for (level, ids) in by_level {
-                let solution = mpsp::solve_level(
-                    &arena,
-                    &ids,
-                    ctx.num_devices,
-                    mpsp::DEFAULT_EPSILON,
-                    &mut mpsp_scratch,
-                );
-                let alloc = allocator::discretize_level(&solution, &arena, &ids);
-                let (mut level_waves, end) = wavefront::schedule_level_dense(
-                    &alloc,
-                    &arena,
-                    ctx.num_devices,
-                    level,
-                    now,
-                    waves.len(),
-                    &mut wavefront_scratch,
-                );
-                for wave in &mut level_waves {
-                    for entry in &mut wave.entries {
-                        entry.memory_per_device =
-                            ctx.memory_per_device(entry.metaop, entry.devices, entry.layers);
-                    }
-                }
-                waves.extend(level_waves);
-                now = end;
-            }
+    for metaops in ctx.task_metaops.values() {
+        // Group this task's MetaOps by dependency level.
+        let mut by_level: BTreeMap<usize, Vec<MetaOpId>> = BTreeMap::new();
+        for &id in metaops {
+            by_level
+                .entry(ctx.metagraph().metaop(id).level())
+                .or_default()
+                .push(id);
         }
-
-        // DistMM-MT plans every task against the full cluster, so waves of the
-        // same task never overlap and placement can reuse Spindle's
-        // locality-aware mechanism.
-        let mut plan = ctx.plan(waves, started.elapsed());
-        PlacementStrategy::Locality.place(&mut plan, session.cluster())?;
-        Ok(plan)
+        for (level, ids) in by_level {
+            let solution = mpsp::solve_level(
+                &arena,
+                &ids,
+                ctx.num_devices,
+                mpsp::DEFAULT_EPSILON,
+                &mut mpsp_scratch,
+            );
+            let alloc = allocator::discretize_level(&solution, &arena, &ids);
+            let (mut level_waves, end) = wavefront::schedule_level_dense(
+                &alloc,
+                &arena,
+                ctx.num_devices,
+                level,
+                now,
+                waves.len(),
+                &mut wavefront_scratch,
+            );
+            for wave in &mut level_waves {
+                for entry in &mut wave.entries {
+                    entry.memory_per_device =
+                        ctx.memory_per_device(entry.metaop, entry.devices, entry.layers);
+                }
+            }
+            waves.extend(level_waves);
+            now = end;
+        }
     }
+
+    // DistMM-MT plans every task against the full cluster, so waves of the
+    // same task never overlap and placement can reuse Spindle's
+    // locality-aware mechanism.
+    let mut plan = ctx.plan(waves, started.elapsed());
+    PlacementStrategy::Locality.place(&mut plan, session.cluster())?;
+    Ok(plan)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::common::plan_on;
-    use crate::{DecoupledParallelism, DecoupledPlanner};
+    use crate::common::{plan_digest, plan_on};
+    use crate::SystemKind;
     use spindle_cluster::ClusterSpec;
     use spindle_runtime::Simulator;
     use spindle_workloads::{multitask_clip, WorkloadPreset};
@@ -111,7 +92,7 @@ mod tests {
     fn distmm_plan_is_valid() {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(1, 8);
-        let plan = plan_on(DistMmMtPlanner::new(), &graph, &cluster);
+        let plan = plan_on(SystemKind::DistMmMt, &graph, &cluster);
         plan.validate().unwrap();
         plan.require_placement().unwrap();
     }
@@ -123,36 +104,9 @@ mod tests {
         // decoupled baseline.
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(2, 8);
-        let distmm = plan_on(DistMmMtPlanner::new(), &graph, &cluster);
-        let decoupled = plan_on(
-            DecoupledPlanner::new(DecoupledParallelism::DataParallelOnly),
-            &graph,
-            &cluster,
-        );
+        let distmm = plan_on(SystemKind::DistMmMt, &graph, &cluster);
+        let decoupled = plan_on(SystemKind::DeepSpeed, &graph, &cluster);
         assert!(distmm.makespan() < decoupled.makespan());
-    }
-
-    /// FNV-1a over every wave's and entry's exact bits, placements included:
-    /// equal iff two plans are identical wave for wave.
-    fn plan_digest(plan: &ExecutionPlan) -> u64 {
-        let mut words = Vec::new();
-        for wave in plan.waves() {
-            words.extend([wave.index as u64, wave.level as u64]);
-            words.extend([wave.start.to_bits(), wave.duration.to_bits()]);
-            for e in &wave.entries {
-                words.extend([e.metaop.index() as u64, e.layers.into(), e.devices.into()]);
-                words.extend([e.time_per_op.to_bits(), e.exec_time.to_bits()]);
-                words.push(e.memory_per_device);
-                let group = e.placement.as_ref().expect("placed");
-                words.extend(group.iter().map(|d| u64::from(d.0)));
-            }
-        }
-        words
-            .iter()
-            .flat_map(|w| w.to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-            })
     }
 
     /// DistMM-MT plans of every Fig. 8 preset on each of its paper cluster
@@ -166,7 +120,7 @@ mod tests {
             let graph = preset.build().unwrap();
             for gpus in preset.paper_cluster_sizes() {
                 let cluster = ClusterSpec::homogeneous(gpus / 8, 8);
-                let plan = plan_on(DistMmMtPlanner::new(), &graph, &cluster);
+                let plan = plan_on(SystemKind::DistMmMt, &graph, &cluster);
                 digests.push(plan_digest(&plan));
             }
         }
@@ -199,7 +153,7 @@ mod tests {
     fn distmm_runs_through_runtime() {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(1, 8);
-        let plan = plan_on(DistMmMtPlanner::new(), &graph, &cluster);
+        let plan = plan_on(SystemKind::DistMmMt, &graph, &cluster);
         let report = Simulator::new(&plan, &cluster)
             .with_graph(&graph)
             .run_iteration()

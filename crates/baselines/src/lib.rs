@@ -27,7 +27,9 @@
 //!   Spindle's own plan machinery — it quantifies the overhead of the Spindle
 //!   implementation itself.
 //!
-//! All planners return ordinary [`ExecutionPlan`](spindle_core::ExecutionPlan)s.
+//! [`SystemKind::plan`] plans with any of them inside a shared
+//! [`SpindleSession`] and returns an ordinary
+//! [`ExecutionPlan`](spindle_core::ExecutionPlan).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -38,11 +40,8 @@ mod distmm;
 mod optimus;
 mod system;
 
-pub use decoupled::{DecoupledParallelism, DecoupledPlanner};
-pub use distmm::DistMmMtPlanner;
-pub use optimus::OptimusPlanner;
 pub use system::SystemKind;
 
-// Every planner here implements `PlanningSystem` against a `SpindleSession`;
-// re-exported so harnesses depending on this crate get the trait in one hop.
-pub use spindle_core::{PlanningSystem, SpindlePlanner, SpindleSession};
+// `SystemKind::plan` plans within a `SpindleSession`; re-exported so harnesses
+// depending on this crate get it in one hop.
+pub use spindle_core::SpindleSession;

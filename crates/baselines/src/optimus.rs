@@ -13,95 +13,75 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use spindle_core::{ExecutionPlan, PlanError, PlanningSystem, SpindleSession, Wave, WaveEntry};
+use spindle_core::{ExecutionPlan, PlanError, SpindleSession, Wave, WaveEntry};
 use spindle_graph::{ComputationGraph, TaskId};
 
 use crate::common::BaselineContext;
 
-/// Planner implementing the Spindle-Optimus strategy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OptimusPlanner;
+/// Plans `graph` with the Spindle-Optimus strategy within `session`.
+pub(crate) fn plan(
+    graph: &ComputationGraph,
+    session: &SpindleSession,
+) -> Result<ExecutionPlan, PlanError> {
+    let started = Instant::now();
+    let ctx = BaselineContext::from_session(graph, session)?;
+    let tasks: Vec<TaskId> = ctx.task_metaops.keys().copied().collect();
+    let n = ctx.num_devices;
 
-impl OptimusPlanner {
-    /// Creates the planner.
-    #[must_use]
-    pub fn new() -> Self {
-        Self
+    let mut waves: Vec<Wave> = Vec::new();
+    let mut now = 0.0f64;
+    // More tasks than devices: run them in concurrent groups of at most N.
+    for group in tasks.chunks(n as usize) {
+        let allocations = allocate_marginal_gain(&ctx, group, n);
+        now = emit_task_waves(&ctx, group, &allocations, now, &mut waves);
     }
 
-    /// Lays out each task's sequential operator execution on its contiguous
-    /// range of the context's devices, all tasks starting at `start`.
-    /// Returns the end time of the slowest task.
-    fn emit_task_waves(
-        &self,
-        ctx: &BaselineContext,
-        tasks: &[TaskId],
-        allocations: &BTreeMap<TaskId, u32>,
-        start: f64,
-        waves: &mut Vec<Wave>,
-    ) -> f64 {
-        let mut first_device = 0u32;
-        let mut group_end = start;
-        for &task in tasks {
-            let devices = allocations[&task];
-            let mut now = start;
-            for &metaop_id in &ctx.task_metaops[&task] {
-                let metaop = ctx.metagraph().metaop(metaop_id);
-                let alloc = ctx.largest_valid_allocation(metaop_id, devices);
-                let time_per_op = ctx.time_per_op(metaop_id, alloc);
-                let layers = metaop.num_ops();
-                let mut entry = WaveEntry::new(metaop_id, layers, alloc, time_per_op);
-                entry.memory_per_device = ctx.memory_per_device(metaop_id, alloc, layers);
-                entry.placement = Some(ctx.device_range(first_device, alloc));
-                let duration = entry.exec_time;
-                waves.push(Wave {
-                    index: 0, // re-indexed after sorting
-                    level: 0,
-                    start: now,
-                    duration,
-                    entries: vec![entry],
-                });
-                now += duration;
-            }
-            group_end = group_end.max(now);
-            first_device += devices;
-        }
-        group_end
+    // Waves of concurrent tasks interleave on the timeline: order them by
+    // start time and re-index them.
+    waves.sort_by(|a, b| a.start.total_cmp(&b.start));
+    for (i, wave) in waves.iter_mut().enumerate() {
+        wave.index = i;
     }
+    Ok(ctx.plan(waves, started.elapsed()))
 }
 
-impl PlanningSystem for OptimusPlanner {
-    fn name(&self) -> &str {
-        "Spindle-Optimus"
-    }
-
-    fn plan(
-        &mut self,
-        graph: &ComputationGraph,
-        session: &mut SpindleSession,
-    ) -> Result<ExecutionPlan, PlanError> {
-        let started = Instant::now();
-        let ctx = BaselineContext::from_session(graph, session)?;
-        let tasks: Vec<TaskId> = ctx.task_metaops.keys().copied().collect();
-        let n = ctx.num_devices;
-
-        let mut waves: Vec<Wave> = Vec::new();
-        let mut now = 0.0f64;
-        // More tasks than devices: run them in concurrent groups of at most N.
-        for group in tasks.chunks(n as usize) {
-            let allocations = allocate_marginal_gain(&ctx, group, n);
-            let group_end = self.emit_task_waves(&ctx, group, &allocations, now, &mut waves);
-            now = group_end;
+/// Lays out each task's sequential operator execution on its contiguous
+/// range of the context's devices, all tasks starting at `start`.
+/// Returns the end time of the slowest task.
+fn emit_task_waves(
+    ctx: &BaselineContext,
+    tasks: &[TaskId],
+    allocations: &BTreeMap<TaskId, u32>,
+    start: f64,
+    waves: &mut Vec<Wave>,
+) -> f64 {
+    let mut first_device = 0u32;
+    let mut group_end = start;
+    for &task in tasks {
+        let devices = allocations[&task];
+        let mut now = start;
+        for &metaop_id in &ctx.task_metaops[&task] {
+            let metaop = ctx.metagraph().metaop(metaop_id);
+            let alloc = ctx.largest_valid_allocation(metaop_id, devices);
+            let time_per_op = ctx.time_per_op(metaop_id, alloc);
+            let layers = metaop.num_ops();
+            let mut entry = WaveEntry::new(metaop_id, layers, alloc, time_per_op);
+            entry.memory_per_device = ctx.memory_per_device(metaop_id, alloc, layers);
+            entry.placement = Some(ctx.device_range(first_device, alloc));
+            let duration = entry.exec_time;
+            waves.push(Wave {
+                index: 0, // re-indexed after sorting
+                level: 0,
+                start: now,
+                duration,
+                entries: vec![entry],
+            });
+            now += duration;
         }
-
-        // Waves of concurrent tasks interleave on the timeline: order them by
-        // start time and re-index them.
-        waves.sort_by(|a, b| a.start.total_cmp(&b.start));
-        for (i, wave) in waves.iter_mut().enumerate() {
-            wave.index = i;
-        }
-        Ok(ctx.plan(waves, started.elapsed()))
+        group_end = group_end.max(now);
+        first_device += devices;
     }
+    group_end
 }
 
 /// Completion time of a task when its operators execute sequentially on `n`
@@ -172,7 +152,7 @@ fn allocate_marginal_gain(
 mod tests {
     use super::*;
     use crate::common::plan_on;
-    use crate::{DecoupledParallelism, DecoupledPlanner};
+    use crate::SystemKind;
     use spindle_cluster::ClusterSpec;
     use spindle_runtime::Simulator;
     use spindle_workloads::{multitask_clip, ofasys};
@@ -181,7 +161,7 @@ mod tests {
     fn optimus_plan_is_valid_and_runs() {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(2, 8);
-        let plan = plan_on(OptimusPlanner::new(), &graph, &cluster);
+        let plan = plan_on(SystemKind::SpindleOptimus, &graph, &cluster);
         plan.validate().unwrap();
         plan.require_placement().unwrap();
         let report = Simulator::new(&plan, &cluster)
@@ -195,7 +175,7 @@ mod tests {
     fn concurrent_tasks_use_disjoint_devices() {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(2, 8);
-        let plan = plan_on(OptimusPlanner::new(), &graph, &cluster);
+        let plan = plan_on(SystemKind::SpindleOptimus, &graph, &cluster);
         // Any two waves overlapping in time must not share devices.
         let waves = plan.waves();
         for (i, a) in waves.iter().enumerate() {
@@ -227,12 +207,8 @@ mod tests {
         // to pay off; this checks the four-node side of that trend.
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(4, 8);
-        let optimus = plan_on(OptimusPlanner::new(), &graph, &cluster);
-        let decoupled = plan_on(
-            DecoupledPlanner::new(DecoupledParallelism::DataParallelOnly),
-            &graph,
-            &cluster,
-        );
+        let optimus = plan_on(SystemKind::SpindleOptimus, &graph, &cluster);
+        let decoupled = plan_on(SystemKind::DeepSpeed, &graph, &cluster);
         assert!(optimus.makespan() < decoupled.makespan());
     }
 
@@ -264,7 +240,7 @@ mod tests {
     fn more_tasks_than_devices_are_chunked() {
         let graph = ofasys(7).unwrap();
         let cluster = ClusterSpec::homogeneous(1, 4);
-        let plan = plan_on(OptimusPlanner::new(), &graph, &cluster);
+        let plan = plan_on(SystemKind::SpindleOptimus, &graph, &cluster);
         plan.validate().unwrap();
         plan.require_placement().unwrap();
     }

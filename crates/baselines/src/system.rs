@@ -2,9 +2,11 @@
 
 use std::fmt;
 
-use spindle_core::{PlanningSystem, SpindlePlanner};
+use spindle_core::{ExecutionPlan, PlanError, SpindleSession};
+use spindle_graph::ComputationGraph;
 
-use crate::{DecoupledParallelism, DecoupledPlanner, DistMmMtPlanner, OptimusPlanner};
+use crate::decoupled::{self, DecoupledParallelism};
+use crate::{distmm, optimus};
 
 /// Every system compared in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -60,21 +62,30 @@ impl SystemKind {
         matches!(self, SystemKind::Spindle | SystemKind::DistMmMt)
     }
 
-    /// Instantiates the [`PlanningSystem`] implementing this kind — the single
-    /// place that maps kinds to planners. Experiment harnesses call this once
-    /// and then drive every system through the trait.
-    #[must_use]
-    pub fn planning_system(self) -> Box<dyn PlanningSystem> {
+    /// Plans one training iteration of `graph` with this system within
+    /// `session` — the one way to plan a system by kind. The session supplies
+    /// the cluster, the planner configuration and the shared scalability
+    /// estimator, so every system profiles operators through the same
+    /// persistent curve cache and is measured on identical footing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlanError`] if the cluster is empty or profiling fails.
+    pub fn plan(
+        self,
+        graph: &ComputationGraph,
+        session: &mut SpindleSession,
+    ) -> Result<ExecutionPlan, PlanError> {
         match self {
-            SystemKind::Spindle => Box::new(SpindlePlanner::new()),
-            SystemKind::SpindleOptimus => Box::new(OptimusPlanner::new()),
-            SystemKind::DistMmMt => Box::new(DistMmMtPlanner::new()),
+            SystemKind::Spindle => session.plan(graph),
+            SystemKind::SpindleOptimus => optimus::plan(graph, session),
+            SystemKind::DistMmMt => distmm::plan(graph, session),
             SystemKind::MegatronLM => {
-                Box::new(DecoupledPlanner::new(DecoupledParallelism::HybridBest))
+                decoupled::plan(DecoupledParallelism::HybridBest, graph, session)
             }
-            SystemKind::DeepSpeed | SystemKind::SpindleSeq => Box::new(DecoupledPlanner::new(
-                DecoupledParallelism::DataParallelOnly,
-            )),
+            SystemKind::DeepSpeed | SystemKind::SpindleSeq => {
+                decoupled::plan(DecoupledParallelism::DataParallelOnly, graph, session)
+            }
         }
     }
 }
@@ -91,9 +102,10 @@ mod tests {
     use std::sync::Arc;
 
     use spindle_cluster::{ClusterSpec, DeviceId};
-    use spindle_core::SpindleSession;
     use spindle_runtime::{LocalizedPlan, Simulator};
-    use spindle_workloads::multitask_clip;
+    use spindle_workloads::{multitask_clip, WorkloadPreset};
+
+    use crate::common::{fnv1a, plan_digest};
 
     #[test]
     fn labels_and_awareness_match_table_1a() {
@@ -110,14 +122,23 @@ mod tests {
     }
 
     #[test]
+    fn spindle_plans_through_the_session_pass() {
+        let graph = multitask_clip(2).unwrap();
+        let mut session = SpindleSession::new(ClusterSpec::homogeneous(1, 8));
+        let plan = SystemKind::Spindle.plan(&graph, &mut session).unwrap();
+        plan.validate().unwrap();
+        plan.require_placement().unwrap();
+        assert_eq!(session.plans_produced(), 1);
+    }
+
+    #[test]
     fn every_system_plans_and_runs_the_same_workload() {
         let graph = multitask_clip(4).unwrap();
         let cluster = ClusterSpec::homogeneous(1, 8);
         // One shared session: every system profiles through one curve cache.
         let mut session = SpindleSession::new(cluster.clone());
         for kind in SystemKind::ALL {
-            let mut system = kind.planning_system();
-            let plan = system.plan(&graph, &mut session).unwrap();
+            let plan = kind.plan(&graph, &mut session).unwrap();
             plan.validate().unwrap_or_else(|e| panic!("{kind}: {e}"));
             let report = Simulator::new(plan, &cluster)
                 .with_graph(&graph)
@@ -137,7 +158,7 @@ mod tests {
         session.remove_devices(&removed).unwrap();
         let cluster = session.cluster_handle();
         for kind in SystemKind::ALL.into_iter().chain([SystemKind::SpindleSeq]) {
-            let plan = kind.planning_system().plan(&graph, &mut session).unwrap();
+            let plan = kind.plan(&graph, &mut session).unwrap();
             plan.check_invariants(cluster.device_memory_bytes())
                 .unwrap_or_else(|e| panic!("{kind}: {e}"));
             for entry in plan.waves().iter().flat_map(|w| &w.entries) {
@@ -153,14 +174,51 @@ mod tests {
         }
     }
 
+    /// One digest per system, in `ALL` order and then Spindle-Seq, over its
+    /// plans of the 17 Fig. 8 cells (one shared session per cell, as
+    /// `compare_systems` plans them) and of `multitask_clip(4)` on a 2x8
+    /// session without devices 0 and 1. The digests were recorded through
+    /// the boxed per-system planners that `SystemKind::plan` replaced, and
+    /// it must reproduce every bit.
     #[test]
-    fn trait_names_match_kind_labels() {
-        for kind in SystemKind::ALL {
-            let system = kind.planning_system();
-            assert_eq!(system.name(), kind.label(), "{kind}");
+    fn every_kind_reproduces_the_recorded_plan_digests() {
+        let kinds: Vec<SystemKind> = SystemKind::ALL
+            .into_iter()
+            .chain([SystemKind::SpindleSeq])
+            .collect();
+        let mut plans = vec![Vec::new(); kinds.len()];
+        let mut plan_all = |graph: &ComputationGraph, session: &mut SpindleSession| {
+            for (digests, &kind) in plans.iter_mut().zip(&kinds) {
+                let plan = kind.plan(graph, session).unwrap();
+                digests.push(plan_digest(&plan));
+            }
+        };
+        for preset in WorkloadPreset::figure8_presets() {
+            let graph = preset.build().unwrap();
+            for gpus in preset.paper_cluster_sizes() {
+                plan_all(
+                    &graph,
+                    &mut SpindleSession::new(ClusterSpec::homogeneous(gpus / 8, 8)),
+                );
+            }
         }
-        let spindle_seq = SystemKind::SpindleSeq.planning_system();
-        assert_eq!(spindle_seq.name(), "DeepSpeed"); // same decoupled strategy
+        let mut session = SpindleSession::new(ClusterSpec::homogeneous(2, 8));
+        session.remove_devices(&[DeviceId(0), DeviceId(1)]).unwrap();
+        plan_all(&multitask_clip(4).unwrap(), &mut session);
+        assert!(plans.iter().all(|p| p.len() == 18));
+        let digests: Vec<u64> = plans.iter().map(|p| fnv1a(p)).collect();
+        assert_eq!(
+            digests,
+            [
+                0x263c_f5a1_4a45_46f8,
+                0xd815_11a0_12cb_18cd,
+                0xe3b4_3dca_1918_2f21,
+                0x5adf_5b09_ccd1_ee31,
+                0x9249_ff8f_a076_1e9b,
+                0x9249_ff8f_a076_1e9b,
+            ],
+            "{digests:#018x?}"
+        );
     }
 
     #[test]
@@ -172,7 +230,7 @@ mod tests {
         let mut session = SpindleSession::new(cluster.clone());
         let mut times = std::collections::BTreeMap::new();
         for kind in SystemKind::ALL {
-            let plan = kind.planning_system().plan(&graph, &mut session).unwrap();
+            let plan = kind.plan(&graph, &mut session).unwrap();
             let report = Simulator::new(plan, &cluster)
                 .with_graph(&graph)
                 .run_iteration()

@@ -84,7 +84,6 @@ fn main() -> ExitCode {
                 || {
                     let mut session = SpindleSession::new(cluster.clone());
                     let _ = system
-                        .planning_system()
                         .plan(&graph, &mut session)
                         .expect("planning the hyperscale preset succeeds");
                 },

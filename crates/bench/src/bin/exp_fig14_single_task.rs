@@ -5,7 +5,6 @@
 //! SOTA systems; DistMM-MT — designed exactly for this case — lands close to
 //! Spindle, which is the fidelity check this experiment provides.
 
-use spindle_baselines::SystemKind;
 use spindle_bench::{cluster_label, compare_systems, ms, render_table, speedup};
 use spindle_workloads::WorkloadPreset;
 
@@ -30,5 +29,4 @@ fn main() {
             &rows
         )
     );
-    let _ = SystemKind::ALL; // systems enumerated by compare_systems
 }

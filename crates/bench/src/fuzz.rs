@@ -456,7 +456,6 @@ pub fn check_scenario(
 
     for &system in &FUZZ_SYSTEMS {
         let mut session = SpindleSession::new(cluster.clone());
-        let mut planner = system.planning_system();
         for (phase, graph) in &phases {
             let fail =
                 |detail: String| Box::new(Violation::new(scenario, Some(system), phase, detail));
@@ -465,7 +464,7 @@ pub fn check_scenario(
             let plan = if system == SystemKind::Spindle {
                 session.replan(graph).map_err(|e| fail(e.to_string()))?.plan
             } else {
-                planner
+                system
                     .plan(graph, &mut session)
                     .map_err(|e| fail(e.to_string()))?
             };

@@ -57,8 +57,7 @@ pub struct Measurement {
 }
 
 /// Plans and simulates one iteration of `graph` within `session` with
-/// `system`, going through the [`PlanningSystem`](spindle_core::PlanningSystem)
-/// trait. Reusing one session
+/// `system`, going through [`SystemKind::plan`]. Reusing one session
 /// across systems and phases shares the curve cache, exactly as a long-lived
 /// deployment would.
 ///
@@ -74,7 +73,6 @@ pub fn measure(
 ) -> Measurement {
     let plan = Arc::new(
         system
-            .planning_system()
             .plan(graph, session)
             .unwrap_or_else(|e| panic!("{system} failed to plan: {e}")),
     );

@@ -34,8 +34,10 @@
 //! Each stage has exactly one entry point; the DistMM-MT baseline runs the
 //! same three stage functions one task at a time.
 //!
-//! Spindle and the baseline systems all implement the [`PlanningSystem`]
-//! trait, so experiment harnesses drive every system through one interface.
+//! The baseline systems live in `spindle-baselines`, whose `SystemKind::plan`
+//! plans Spindle (through [`SpindleSession::plan`]) or any baseline by kind
+//! within one session, so experiment harnesses drive every system through
+//! one entry point.
 //!
 //! ## Example
 //!
@@ -81,7 +83,6 @@ pub mod placement;
 mod plan;
 mod session;
 pub mod structural;
-mod system;
 pub mod wavefront;
 
 pub use allocator::{AllocationPlan, DiscreteAllocation, MetaOpAllocation};
@@ -98,4 +99,3 @@ pub use structural::{
     LevelArtifact, LevelKey, PlacedSkeleton, PlanKey, StructuralPlanCache,
     DEFAULT_STRUCTURAL_CACHE_BUDGET,
 };
-pub use system::{PlanningSystem, SpindlePlanner};

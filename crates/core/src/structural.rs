@@ -32,6 +32,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use spindle_graph::WorkloadSignature;
@@ -322,21 +323,58 @@ impl PlacedSkeleton {
     }
 }
 
-/// One cached level artifact with its LRU stamp and accounted size.
-#[derive(Debug)]
-struct LevelSlot {
-    artifact: Arc<LevelArtifact>,
+/// One cached artifact (a level artifact or a placed skeleton) with its LRU
+/// stamp and accounted size.
+struct Slot<T> {
+    value: Arc<T>,
     bytes: usize,
     /// Tick of the most recent lookup or insert.
     tick: u64,
 }
 
-/// One cached placed skeleton with its LRU stamp and accounted size.
-#[derive(Debug)]
-struct SkeletonSlot {
-    skeleton: Arc<PlacedSkeleton>,
-    bytes: usize,
-    tick: u64,
+/// The slots of one artifact kind by key, with their hit and miss counters.
+struct SlotMap<K, T> {
+    slots: HashMap<K, Slot<T>>,
+    hits: usize,
+    misses: usize,
+}
+
+impl<K, T> Default for SlotMap<K, T> {
+    fn default() -> Self {
+        Self {
+            slots: HashMap::new(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+}
+
+impl<K: Clone + Eq + Hash, T> SlotMap<K, T> {
+    /// Looks up `key`, counting the hit or miss; a hit is stamped with the
+    /// next tick of the cache's LRU `clock`.
+    fn lookup(&mut self, key: &K, clock: &mut u64) -> Option<Arc<T>> {
+        let Some(slot) = self.slots.get_mut(key) else {
+            self.misses += 1;
+            return None;
+        };
+        *clock += 1;
+        slot.tick = *clock;
+        self.hits += 1;
+        Some(Arc::clone(&slot.value))
+    }
+
+    /// The tick of the least-recently-used slot.
+    fn oldest_tick(&self) -> Option<u64> {
+        self.slots.values().map(|slot| slot.tick).min()
+    }
+
+    /// Drops the least-recently-used slot, returning its accounted bytes.
+    fn evict_oldest(&mut self) -> usize {
+        let oldest = self.slots.iter().min_by_key(|(_, slot)| slot.tick);
+        let key = oldest.map(|(key, _)| key.clone());
+        key.and_then(|key| self.slots.remove(&key))
+            .map_or(0, |slot| slot.bytes)
+    }
 }
 
 /// The level-keyed structural plan cache of a
@@ -362,12 +400,8 @@ pub struct StructuralPlanCache {
     /// LRU clock; every lookup hit and insert stamps its slot with the next
     /// tick.
     clock: u64,
-    levels: HashMap<LevelKey, LevelSlot>,
-    skeletons: HashMap<PlanKey, SkeletonSlot>,
-    level_hits: usize,
-    level_misses: usize,
-    skeleton_hits: usize,
-    skeleton_misses: usize,
+    levels: SlotMap<LevelKey, LevelArtifact>,
+    skeletons: SlotMap<PlanKey, PlacedSkeleton>,
     evictions: usize,
 }
 
@@ -378,12 +412,8 @@ impl Default for StructuralPlanCache {
             budget: usize::MAX,
             bytes: 0,
             clock: 0,
-            levels: HashMap::new(),
-            skeletons: HashMap::new(),
-            level_hits: 0,
-            level_misses: 0,
-            skeleton_hits: 0,
-            skeleton_misses: 0,
+            levels: SlotMap::default(),
+            skeletons: SlotMap::default(),
             evictions: 0,
         }
     }
@@ -392,10 +422,10 @@ impl Default for StructuralPlanCache {
 impl fmt::Debug for StructuralPlanCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StructuralPlanCache")
-            .field("level_entries", &self.levels.len())
-            .field("skeleton_entries", &self.skeletons.len())
-            .field("level_hits", &self.level_hits)
-            .field("skeleton_hits", &self.skeleton_hits)
+            .field("level_entries", &self.levels.slots.len())
+            .field("skeleton_entries", &self.skeletons.slots.len())
+            .field("level_hits", &self.levels.hits)
+            .field("skeleton_hits", &self.skeletons.hits)
             .finish()
     }
 }
@@ -439,100 +469,61 @@ impl StructuralPlanCache {
     /// it is dropped when it alone exceeds the budget — the byte bound is a
     /// hard invariant.
     fn evict_to_budget(&mut self) {
-        while self.bytes > self.budget && (!self.levels.is_empty() || !self.skeletons.is_empty()) {
-            let oldest_level = self
-                .levels
-                .iter()
-                .min_by_key(|(_, s)| s.tick)
-                .map(|(k, s)| (k.clone(), s.tick));
-            let oldest_skeleton = self
-                .skeletons
-                .iter()
-                .min_by_key(|(_, s)| s.tick)
-                .map(|(k, s)| (k.clone(), s.tick));
-            let level_is_older = match (&oldest_level, &oldest_skeleton) {
-                (Some((_, lt)), Some((_, st))) => lt <= st,
-                (Some(_), None) => true,
-                _ => false,
+        while self.bytes > self.budget {
+            self.bytes -= match (self.levels.oldest_tick(), self.skeletons.oldest_tick()) {
+                (Some(level), Some(skeleton)) if skeleton < level => self.skeletons.evict_oldest(),
+                (Some(_), _) => self.levels.evict_oldest(),
+                (None, Some(_)) => self.skeletons.evict_oldest(),
+                (None, None) => break,
             };
-            if level_is_older {
-                let (key, _) = oldest_level.expect("checked above");
-                if let Some(slot) = self.levels.remove(&key) {
-                    self.bytes -= slot.bytes;
-                    self.evictions += 1;
-                }
-            } else if let Some((key, _)) = oldest_skeleton {
-                if let Some(slot) = self.skeletons.remove(&key) {
-                    self.bytes -= slot.bytes;
-                    self.evictions += 1;
-                }
-            }
+            self.evictions += 1;
         }
     }
 
     /// Looks up a level artifact, counting the hit or miss.
     #[must_use]
     pub fn level(&mut self, key: &LevelKey) -> Option<Arc<LevelArtifact>> {
-        match self.levels.get_mut(key) {
-            Some(slot) => {
-                self.clock += 1;
-                slot.tick = self.clock;
-                self.level_hits += 1;
-                Some(Arc::clone(&slot.artifact))
-            }
-            None => {
-                self.level_misses += 1;
-                None
-            }
-        }
+        self.levels.lookup(key, &mut self.clock)
     }
 
     /// Inserts a freshly solved level artifact, evicting LRU entries if the
     /// insert pushed the cache over its byte budget.
     pub fn insert_level(&mut self, key: LevelKey, artifact: LevelArtifact) {
-        let bytes = key.approx_bytes() + std::mem::size_of::<LevelSlot>() + artifact.approx_bytes();
-        self.clock += 1;
-        let slot = LevelSlot {
-            artifact: Arc::new(artifact),
-            bytes,
-            tick: self.clock,
-        };
-        if let Some(old) = self.levels.insert(key, slot) {
-            self.bytes -= old.bytes;
-        }
-        self.bytes += bytes;
-        self.evict_to_budget();
+        let bytes = key.approx_bytes() + artifact.approx_bytes();
+        self.insert(|cache| &mut cache.levels, key, artifact, bytes);
     }
 
     /// Looks up a placed skeleton, counting the hit or miss.
     #[must_use]
     pub fn skeleton(&mut self, key: &PlanKey) -> Option<Arc<PlacedSkeleton>> {
-        match self.skeletons.get_mut(key) {
-            Some(slot) => {
-                self.clock += 1;
-                slot.tick = self.clock;
-                self.skeleton_hits += 1;
-                Some(Arc::clone(&slot.skeleton))
-            }
-            None => {
-                self.skeleton_misses += 1;
-                None
-            }
-        }
+        self.skeletons.lookup(key, &mut self.clock)
     }
 
     /// Inserts a freshly placed skeleton, evicting LRU entries if the insert
     /// pushed the cache over its byte budget.
     pub fn insert_skeleton(&mut self, key: PlanKey, skeleton: PlacedSkeleton) {
-        let bytes =
-            key.approx_bytes() + std::mem::size_of::<SkeletonSlot>() + skeleton.approx_bytes();
+        let bytes = key.approx_bytes() + skeleton.approx_bytes();
+        self.insert(|cache| &mut cache.skeletons, key, skeleton, bytes);
+    }
+
+    /// Inserts `value` under `key` into the slot map `map` picks, stamped
+    /// with the next tick and accounted at `bytes` plus its slot, then
+    /// evicts down to the budget.
+    fn insert<K: Clone + Eq + Hash, T>(
+        &mut self,
+        map: fn(&mut Self) -> &mut SlotMap<K, T>,
+        key: K,
+        value: T,
+        bytes: usize,
+    ) {
+        let bytes = bytes + std::mem::size_of::<Slot<T>>();
         self.clock += 1;
-        let slot = SkeletonSlot {
-            skeleton: Arc::new(skeleton),
+        let slot = Slot {
+            value: Arc::new(value),
             bytes,
             tick: self.clock,
         };
-        if let Some(old) = self.skeletons.insert(key, slot) {
+        if let Some(old) = map(self).slots.insert(key, slot) {
             self.bytes -= old.bytes;
         }
         self.bytes += bytes;
@@ -541,8 +532,8 @@ impl StructuralPlanCache {
 
     /// Drops every cached artifact (counters are kept).
     pub fn clear(&mut self) {
-        self.levels.clear();
-        self.skeletons.clear();
+        self.levels.slots.clear();
+        self.skeletons.slots.clear();
         self.bytes = 0;
     }
 
@@ -554,12 +545,12 @@ impl StructuralPlanCache {
             bytes: self.bytes,
             evictions: self.evictions as u64,
         };
-        stats.level_entries = self.levels.len();
-        stats.level_hits = self.level_hits;
-        stats.level_misses = self.level_misses;
-        stats.skeleton_entries = self.skeletons.len();
-        stats.skeleton_hits = self.skeleton_hits;
-        stats.skeleton_misses = self.skeleton_misses;
+        stats.level_entries = self.levels.slots.len();
+        stats.level_hits = self.levels.hits;
+        stats.level_misses = self.levels.misses;
+        stats.skeleton_entries = self.skeletons.slots.len();
+        stats.skeleton_hits = self.skeletons.hits;
+        stats.skeleton_misses = self.skeletons.misses;
     }
 }
 
@@ -744,7 +735,7 @@ mod tests {
             }],
         };
         let per_entry = key_for(1).approx_bytes()
-            + std::mem::size_of::<LevelSlot>()
+            + std::mem::size_of::<Slot<LevelArtifact>>()
             + artifact().approx_bytes();
         // Room for exactly two level artifacts.
         cache.ensure_budget(2 * per_entry);

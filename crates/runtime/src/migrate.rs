@@ -38,9 +38,8 @@ pub struct RestoreFlow {
     pub metaop: MetaOpId,
     /// The device receiving the restored shard.
     pub to: DeviceId,
-    /// State bytes restored (the MetaOp's per-device memory footprint —
-    /// scaled to checkpoint bytes by the active
-    /// [`CheckpointPolicy`](crate::CheckpointPolicy) at pricing time).
+    /// State bytes restored: the MetaOp's per-device memory footprint, which
+    /// is exactly what its shard's checkpoint holds.
     pub bytes: u64,
 }
 

@@ -189,8 +189,11 @@ pub struct SimConfig {
     pub seed: u64,
     /// Network occupancy semantics.
     pub comm_mode: CommMode,
-    /// Share link bandwidth among concurrent flows (only observable with
-    /// [`CommMode::Overlapped`], where flows can actually overlap).
+    /// Share link bandwidth among concurrent flows: inside an iteration only
+    /// observable with [`CommMode::Overlapped`], where flows can overlap. A
+    /// [`DynamicRunLoop`](crate::DynamicRunLoop) also reads it, in either
+    /// mode, to price every migration, restore and synchronous checkpoint
+    /// write contended or uncontended.
     pub contention: bool,
     /// Relative compute-time jitter: each compute event's duration is
     /// multiplied by `1 + U(-jitter, +jitter)` drawn from a per-event seeded

@@ -32,12 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // One owned session per system: the curve cache persists across every
         // phase's re-plan.
         let mut session = SpindleSession::new(cluster.clone());
-        let mut system = kind.planning_system();
         let mut cumulative_s = 0.0;
         println!("== {kind} ==");
         for phase in schedule.phases() {
             let fits_before = session.curve_fits();
-            let plan = system.plan(&phase.graph, &mut session)?;
+            let plan = kind.plan(&phase.graph, &mut session)?;
             let new_fits = session.curve_fits() - fits_before;
             let report = Simulator::new(&plan, session.cluster())
                 .with_graph(&phase.graph)

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             SystemKind::SpindleOptimus,
             SystemKind::Spindle,
         ] {
-            let plan = kind.planning_system().plan(&graph, &mut session)?;
+            let plan = kind.plan(&graph, &mut session)?;
             let report = Simulator::new(&plan, session.cluster())
                 .with_graph(&graph)
                 .run_iteration()?;

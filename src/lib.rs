@@ -15,8 +15,8 @@
 //! scaling curves for operators it has already profiled. Internally each plan
 //! runs an explicit staged pipeline (`ContractedGraph` → `CurveSet` →
 //! `LevelSchedule` → [`ExecutionPlan`]) with one entry point per stage,
-//! device placement is chosen by the `PlacementStrategy` enum, and Spindle
-//! plus every baseline system implement the common [`PlanningSystem`] trait.
+//! device placement is chosen by the `PlacementStrategy` enum, and
+//! [`SystemKind::plan`] plans Spindle or any baseline system by kind.
 //!
 //! This crate is a facade that re-exports the whole workspace:
 //!
@@ -29,7 +29,7 @@
 //! * [`runtime`] — a deterministic discrete-event simulator that executes an
 //!   [`ExecutionPlan`] wave by wave and records metrics.
 //! * [`baselines`] — the comparison systems from the paper's evaluation,
-//!   unified behind [`PlanningSystem`].
+//!   planned through [`SystemKind::plan`].
 //! * [`workloads`] — the Multitask-CLIP / OFASys / QWen-VAL workload presets
 //!   and the dynamic task-mix schedules.
 //! * [`service`] — planning as a service: a multi-tenant daemon that shards
@@ -60,9 +60,8 @@
 //! assert!(replanned.makespan() > 0.0);
 //! assert!(session.curve_fits() >= fits_before); // only *new* signatures fit
 //!
-//! // Baselines go through the same trait-based entry point.
-//! let mut deepspeed = SystemKind::DeepSpeed.planning_system();
-//! let baseline_plan = deepspeed.plan(&model, &mut session)?;
+//! // Every system, Spindle and the baselines, plans by kind in one session.
+//! let baseline_plan = SystemKind::DeepSpeed.plan(&model, &mut session)?;
 //! assert!(baseline_plan.makespan() >= plan.makespan());
 //! # Ok(())
 //! # }
@@ -71,7 +70,7 @@
 //! [`MetaOp`]: spindle_core::MetaOp
 //! [`ExecutionPlan`]: spindle_core::ExecutionPlan
 //! [`SpindleSession`]: spindle_core::SpindleSession
-//! [`PlanningSystem`]: spindle_core::PlanningSystem
+//! [`SystemKind::plan`]: spindle_baselines::SystemKind::plan
 
 pub use spindle_baselines as baselines;
 pub use spindle_cluster as cluster;
@@ -88,7 +87,7 @@ pub mod prelude {
     pub use spindle_cluster::{ClusterSpec, DeviceId};
     pub use spindle_core::{
         ContractedGraph, CurveSet, ExecutionPlan, LevelSchedule, PlacementStrategy, PlannerConfig,
-        PlanningSystem, SpindlePlanner, SpindleSession,
+        SpindleSession,
     };
     pub use spindle_estimator::{ScalabilityEstimator, ScalingCurve};
     pub use spindle_graph::{ComputationGraph, Modality, OpKind, TaskSpec};

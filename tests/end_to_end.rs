@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from workload definition
 //! through planning, placement and simulated execution, for every evaluated
 //! system on every workload family — all driven through `SpindleSession` and
-//! the `PlanningSystem` trait.
+//! `SystemKind::plan`.
 
 use spindle::baselines::SystemKind;
 use spindle::prelude::*;
@@ -23,7 +23,6 @@ fn every_system_handles_every_workload_family() {
     for (name, graph) in workloads() {
         for kind in SystemKind::ALL {
             let plan = kind
-                .planning_system()
                 .plan(&graph, &mut session)
                 .unwrap_or_else(|e| panic!("{kind} failed on {name}: {e}"));
             plan.validate()
@@ -53,7 +52,7 @@ fn spindle_beats_the_sota_systems_on_the_paper_workloads() {
         ("ofasys-4t", ofasys(4).unwrap()),
     ] {
         let mut time = |kind: SystemKind| {
-            let plan = kind.planning_system().plan(&graph, &mut session).unwrap();
+            let plan = kind.plan(&graph, &mut session).unwrap();
             Simulator::new(&plan, ClusterSpec::homogeneous(2, 8))
                 .with_graph(&graph)
                 .run_iteration()
@@ -82,7 +81,7 @@ fn spindles_advantage_grows_with_task_count() {
     let mut speedup = |tasks: usize| {
         let graph = multitask_clip(tasks).unwrap();
         let mut run = |kind: SystemKind| {
-            let plan = kind.planning_system().plan(&graph, &mut session).unwrap();
+            let plan = kind.plan(&graph, &mut session).unwrap();
             Simulator::new(&plan, &cluster)
                 .with_graph(&graph)
                 .run_iteration()
@@ -117,7 +116,7 @@ fn session_quickstart_flow_works() {
 fn independent_sessions_produce_identical_plans() {
     // With the one-shot `Planner` shim gone, `SpindleSession` is the only
     // entry point — two fresh sessions over the same cluster must agree
-    // bit-for-bit, and the `PlanningSystem` trait is the only baseline surface.
+    // bit-for-bit, and `SystemKind::plan` is the only baseline surface.
     let cluster = ClusterSpec::homogeneous(2, 8);
     let model = multitask_clip(4).unwrap();
     let first = SpindleSession::new(cluster.clone()).plan(&model).unwrap();
@@ -125,10 +124,7 @@ fn independent_sessions_produce_identical_plans() {
     assert_eq!(first.waves(), second.waves());
     assert!((first.theoretical_optimum() - second.theoretical_optimum()).abs() < 1e-12);
     let mut session = SpindleSession::new(cluster);
-    let baseline = SystemKind::DeepSpeed
-        .planning_system()
-        .plan(&model, &mut session)
-        .unwrap();
+    let baseline = SystemKind::DeepSpeed.plan(&model, &mut session).unwrap();
     baseline.validate().unwrap();
 }
 
@@ -188,7 +184,7 @@ fn spindle_memory_is_better_balanced_than_task_level_allocation() {
     let mut session = SpindleSession::new(cluster.clone());
     let graph = multitask_clip(4).unwrap();
     let mut imbalance = |kind: SystemKind| {
-        let plan = kind.planning_system().plan(&graph, &mut session).unwrap();
+        let plan = kind.plan(&graph, &mut session).unwrap();
         Simulator::new(&plan, &cluster)
             .with_graph(&graph)
             .run_iteration()

@@ -111,20 +111,17 @@ fn cold_and_warm_sessions_produce_identical_plans() {
 #[test]
 fn baselines_share_the_session_cache_with_spindle() {
     // After Spindle plans a workload in a session, a baseline planning the
-    // same workload through the trait performs zero additional fits.
+    // same workload through `SystemKind::plan` performs zero additional fits.
     let graph = multitask_clip(4).unwrap();
     let mut session = SpindleSession::new(ClusterSpec::homogeneous(2, 8));
-    SystemKind::Spindle
-        .planning_system()
-        .plan(&graph, &mut session)
-        .unwrap();
+    SystemKind::Spindle.plan(&graph, &mut session).unwrap();
     let fits = session.curve_fits();
     for kind in [
         SystemKind::DeepSpeed,
         SystemKind::SpindleOptimus,
         SystemKind::DistMmMt,
     ] {
-        kind.planning_system().plan(&graph, &mut session).unwrap();
+        kind.plan(&graph, &mut session).unwrap();
         assert_eq!(
             session.curve_fits(),
             fits,

@@ -40,7 +40,7 @@ fn contention_free_simulation_matches_analytical_engine_on_all_presets() {
         let graph = preset.build().unwrap();
         let mut session = SpindleSession::new(cluster.clone());
         for system in SystemKind::ALL {
-            let plan = Arc::new(system.planning_system().plan(&graph, &mut session).unwrap());
+            let plan = Arc::new(system.plan(&graph, &mut session).unwrap());
             let closed_form = LocalizedPlan::new(Arc::clone(&plan), &cluster, Some(&graph))
                 .unwrap()
                 .closed_form_iteration_s();

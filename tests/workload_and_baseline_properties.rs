@@ -90,7 +90,7 @@ fn baselines_always_produce_valid_plans() {
         for tasks in 1usize..6 {
             let graph = multitask_clip(tasks).unwrap();
             for kind in SystemKind::ALL {
-                let plan = kind.planning_system().plan(&graph, &mut session).unwrap();
+                let plan = kind.plan(&graph, &mut session).unwrap();
                 assert!(
                     plan.validate().is_ok(),
                     "{kind}/{tasks}t/{nodes}n: {:?}",
@@ -117,7 +117,7 @@ fn decoupled_baselines_are_strictly_sequential() {
             SystemKind::MegatronLM,
             SystemKind::SpindleSeq,
         ] {
-            let plan = kind.planning_system().plan(&graph, &mut session).unwrap();
+            let plan = kind.plan(&graph, &mut session).unwrap();
             assert_eq!(
                 plan.num_waves(),
                 plan.metagraph().num_metaops(),
