@@ -51,5 +51,5 @@ pub use device::{DeviceId, GpuSpec, NodeId};
 pub use error::ClusterError;
 pub use group::DeviceGroup;
 pub use link::{collective_footprint, transfer_footprint, LinkId, LinkOccupancy, NodeSpan};
-pub use storage::{storage_footprint, StorageSpec};
+pub use storage::StorageSpec;
 pub use topology::{ClusterSpec, Island, NodeSpec};

@@ -8,11 +8,10 @@
 //! than the sum of the node links (oversubscription), so a cluster-wide
 //! checkpoint or a mass restore contends there even when every node link
 //! still has headroom. [`StorageSpec`] models both stages; together with the
-//! [`LinkId::StorageLink`]/[`LinkId::StorageSpine`] footprint links it plugs
-//! into the same equal-share occupancy model the runtime simulator uses for
-//! training traffic.
-
-use crate::{ClusterError, ClusterSpec, DeviceId, LinkId};
+//! [`LinkId::StorageLink`](crate::LinkId::StorageLink) /
+//! [`LinkId::StorageSpine`](crate::LinkId::StorageSpine) footprint links it
+//! plugs into the same equal-share occupancy model the runtime simulator uses
+//! for training traffic.
 
 /// Bandwidth/latency model of the checkpoint storage tier.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,25 +74,9 @@ impl Default for StorageSpec {
     }
 }
 
-/// The storage links a checkpoint write or restore of `device` occupies: its
-/// node's storage link plus the shared spine.
-///
-/// # Errors
-///
-/// Returns [`ClusterError::UnknownDevice`] if `device` is not part of the
-/// cluster.
-pub fn storage_footprint(
-    cluster: &ClusterSpec,
-    device: DeviceId,
-) -> Result<Vec<LinkId>, ClusterError> {
-    let node = cluster.node_of(device)?;
-    Ok(vec![LinkId::StorageLink(node), LinkId::StorageSpine])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NodeId;
 
     #[test]
     fn lone_transfer_is_node_link_limited() {
@@ -113,16 +96,5 @@ mod tests {
         assert!((s.slowdown(1, 8) - 2.0).abs() < 1e-12);
         // Node-link sharing dominates when flows pile onto one node.
         assert!((s.slowdown(3, 3) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn footprint_names_node_link_and_spine() {
-        let c = ClusterSpec::homogeneous(2, 4);
-        let fp = storage_footprint(&c, DeviceId(5)).unwrap();
-        assert_eq!(
-            fp,
-            vec![LinkId::StorageLink(NodeId(1)), LinkId::StorageSpine]
-        );
-        assert!(storage_footprint(&c, DeviceId(99)).is_err());
     }
 }

@@ -48,19 +48,30 @@ impl MetaGraph {
         } else {
             graph.topological_order()
         };
+        // Each operator's in- and out-degree and its last-listed predecessor,
+        // from one pass over the edges: for an operator of in-degree one
+        // that predecessor is its only one.
+        let n = graph.num_ops();
+        let (mut in_degree, mut out_degree) = (vec![0u32; n], vec![0u32; n]);
+        let mut predecessor = vec![OpId(0); n];
+        for &(a, b) in graph.edges() {
+            out_degree[a.index()] += 1;
+            in_degree[b.index()] += 1;
+            predecessor[b.index()] = a;
+        }
         // Operators are densely indexed, so the op -> MetaOp map is a plain
         // vector filled in topological order (predecessors are always mapped
         // before their successors).
-        let mut op_to_metaop: Vec<MetaOpId> = vec![MetaOpId(0); graph.num_ops()];
+        let mut op_to_metaop: Vec<MetaOpId> = vec![MetaOpId(0); n];
         let mut chains: Vec<Vec<OpId>> = Vec::new();
 
         for &op in &order {
             let operator = graph.op(op);
             // Candidate for fusion into the predecessor's chain?
-            let fuse_into = if graph.in_degree(op) == 1 {
-                let pred = graph.predecessors(op)[0];
+            let fuse_into = if in_degree[op.index()] == 1 {
+                let pred = predecessor[op.index()];
                 let pred_op = graph.op(pred);
-                if graph.out_degree(pred) == 1 && pred_op.signature() == operator.signature() {
+                if out_degree[pred.index()] == 1 && pred_op.signature() == operator.signature() {
                     Some(op_to_metaop[pred.index()])
                 } else {
                     None
@@ -174,26 +185,6 @@ impl MetaGraph {
     #[must_use]
     pub fn metaop_of(&self, op: OpId) -> Option<MetaOpId> {
         self.op_to_metaop.get(op.index()).copied()
-    }
-
-    /// Direct predecessor MetaOps of `id`.
-    #[must_use]
-    pub fn predecessors(&self, id: MetaOpId) -> Vec<MetaOpId> {
-        self.edges
-            .iter()
-            .filter(|&&(_, b)| b == id)
-            .map(|&(a, _)| a)
-            .collect()
-    }
-
-    /// Direct successor MetaOps of `id`.
-    #[must_use]
-    pub fn successors(&self, id: MetaOpId) -> Vec<MetaOpId> {
-        self.edges
-            .iter()
-            .filter(|&&(a, _)| a == id)
-            .map(|&(_, b)| b)
-            .collect()
     }
 
     /// Total number of original operators represented by the MetaGraph.
@@ -337,10 +328,6 @@ mod tests {
         for &(a, b) in mg.edges() {
             assert!(mg.metaop(a).level() < mg.metaop(b).level());
         }
-        // Predecessor / successor lookups agree with the edge list.
-        let (a, b) = mg.edges()[0];
-        assert!(mg.successors(a).contains(&b));
-        assert!(mg.predecessors(b).contains(&a));
     }
 
     #[test]
@@ -356,16 +343,22 @@ mod tests {
 
     /// The contraction [`MetaGraph::contract`] replaced: it cloned each
     /// chain into its MetaOp and took dependency depths from per-MetaOp
-    /// predecessor lists, one level scan per depth.
+    /// predecessor lists, one level scan per depth. Degrees and the sole
+    /// predecessor are read from the edge list, one scan per question.
     fn contract_reference(graph: &ComputationGraph) -> MetaGraph {
+        let predecessors = |op: OpId| -> Vec<OpId> {
+            let edges = graph.edges().iter();
+            edges.filter(|&&(_, b)| b == op).map(|&(a, _)| a).collect()
+        };
+        let out_degree = |op: OpId| graph.edges().iter().filter(|&&(a, _)| a == op).count();
         let mut op_to_metaop: Vec<MetaOpId> = vec![MetaOpId(0); graph.num_ops()];
         let mut chains: Vec<Vec<OpId>> = Vec::new();
         for &op in &graph.topological_order() {
-            let fuse_into = (graph.in_degree(op) == 1)
-                .then(|| graph.predecessors(op)[0])
+            let preds = predecessors(op);
+            let fuse_into = (preds.len() == 1)
+                .then(|| preds[0])
                 .filter(|&pred| {
-                    graph.out_degree(pred) == 1
-                        && graph.op(pred).signature() == graph.op(op).signature()
+                    out_degree(pred) == 1 && graph.op(pred).signature() == graph.op(op).signature()
                 })
                 .map(|pred| op_to_metaop[pred.index()]);
             let mid = fuse_into.unwrap_or_else(|| {

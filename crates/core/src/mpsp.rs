@@ -50,15 +50,9 @@ pub fn continuous_time(curve: &ScalingCurve, n: f64) -> f64 {
 }
 
 /// Inverse of [`continuous_time`]: the fractional allocation at which one
-/// operator of the MetaOp takes `time` seconds.
-#[must_use]
-pub fn continuous_inverse(curve: &ScalingCurve, time: f64) -> f64 {
-    inverse_hoisted(curve, curve.time(1.0), time)
-}
-
-/// [`continuous_inverse`] with the single-device time `t1 = curve.time(1.0)`
-/// hoisted by the caller — the form the bisection loop uses so it never
-/// re-evaluates the fit at `n = 1`.
+/// operator of the MetaOp takes `time` seconds, given its single-device
+/// time `t1 = curve.time(1.0)`. The caller hoists `t1`, so the bisection
+/// loop never re-evaluates the fit at `n = 1`.
 #[inline]
 fn inverse_hoisted(curve: &ScalingCurve, t1: f64, time: f64) -> f64 {
     if time >= t1 {
@@ -326,8 +320,8 @@ mod tests {
     fn continuous_time_extends_below_one_device() {
         let c = linear_curve(1.0, 8);
         assert!((continuous_time(&c, 0.5) - 2.0).abs() < 1e-9);
-        assert!((continuous_inverse(&c, 2.0) - 0.5).abs() < 1e-9);
-        assert!((continuous_inverse(&c, 0.25) - 4.0).abs() < 1e-6);
+        assert!((inverse_hoisted(&c, 1.0, 2.0) - 0.5).abs() < 1e-9);
+        assert!((inverse_hoisted(&c, 1.0, 0.25) - 4.0).abs() < 1e-6);
     }
 
     #[test]

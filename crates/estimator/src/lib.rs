@@ -40,7 +40,6 @@
 
 mod error;
 mod estimator;
-mod memory_model;
 mod parallel;
 mod perf_model;
 mod piecewise;
@@ -51,7 +50,6 @@ pub mod test_util;
 
 pub use error::EstimatorError;
 pub use estimator::{ScalabilityEstimator, DEFAULT_CURVE_CACHE_BUDGET};
-pub use memory_model::MemoryModel;
 pub use parallel::ParallelConfig;
 pub use perf_model::{AnalyticGpuModel, PerfModel};
 pub use piecewise::PiecewiseAlphaBeta;

@@ -139,11 +139,13 @@ impl GraphBuilder {
 
     /// Adds a data flow (edge) from `from` to `to`.
     ///
+    /// A flow added twice is not looked for here: [`build`](Self::build)
+    /// reports it as [`GraphError::DuplicateEdge`].
+    ///
     /// # Errors
     ///
-    /// Returns [`GraphError::UnknownOp`] for out-of-range operators,
-    /// [`GraphError::SelfLoop`] when `from == to`, and
-    /// [`GraphError::DuplicateEdge`] if the flow already exists.
+    /// Returns [`GraphError::UnknownOp`] for out-of-range operators and
+    /// [`GraphError::SelfLoop`] when `from == to`.
     pub fn add_flow(&mut self, from: OpId, to: OpId) -> Result<(), GraphError> {
         if from.index() >= self.ops.len() {
             return Err(GraphError::UnknownOp(from));
@@ -153,9 +155,6 @@ impl GraphBuilder {
         }
         if from == to {
             return Err(GraphError::SelfLoop(from));
-        }
-        if self.edges.contains(&(from, to)) {
-            return Err(GraphError::DuplicateEdge(from, to));
         }
         self.edges.push((from, to));
         Ok(())
@@ -173,11 +172,13 @@ impl GraphBuilder {
         self.tasks.len()
     }
 
-    /// Finalises the graph, validating structure and acyclicity.
+    /// Finalises the graph through [`ComputationGraph::new`], the one check
+    /// of structure, repeated flows and acyclicity.
     ///
     /// # Errors
     ///
-    /// Returns the same errors as [`ComputationGraph::new`].
+    /// Returns the same errors as [`ComputationGraph::new`], including
+    /// [`GraphError::DuplicateEdge`] for a flow added twice.
     pub fn build(self) -> Result<ComputationGraph, GraphError> {
         ComputationGraph::new(self.ops, self.edges, self.tasks)
     }

@@ -15,6 +15,13 @@
 //! [`GraphBuilder`], whose `add_flow` method mirrors the paper's user-facing
 //! API.
 //!
+//! [`ComputationGraph::new`] is the one place a graph is checked: operator
+//! ids, tasks, shapes, edge range, self-loops, repeated flows and cycles.
+//! [`GraphBuilder::build`] ends there, and so does every graph decoded from
+//! the wire. The graph stores its operators, edges and tasks and nothing
+//! derived from them: adjacency is read from
+//! [`edges`](ComputationGraph::edges) where it is needed.
+//!
 //! ## Example
 //!
 //! ```

@@ -84,16 +84,6 @@ impl OpKind {
         matches!(self, OpKind::ContrastiveLoss | OpKind::GenerativeLoss)
     }
 
-    /// Returns `true` if this kind is a full transformer layer (the heavy,
-    /// stackable operators the graph contraction fuses into MetaOps).
-    #[must_use]
-    pub fn is_layer(&self) -> bool {
-        matches!(
-            self,
-            OpKind::Encoder(_) | OpKind::LmEncoder | OpKind::LmDecoder | OpKind::LmDecoderOnly
-        )
-    }
-
     /// The modality this kind is specific to, if any.
     #[must_use]
     pub fn modality(&self) -> Option<Modality> {
@@ -440,8 +430,6 @@ mod tests {
     fn kind_helpers() {
         assert!(OpKind::ContrastiveLoss.is_loss());
         assert!(!OpKind::LmDecoderOnly.is_loss());
-        assert!(OpKind::Encoder(Modality::Audio).is_layer());
-        assert!(!OpKind::Adaptor(Modality::Audio).is_layer());
         assert_eq!(
             OpKind::Encoder(Modality::Audio).modality(),
             Some(Modality::Audio)

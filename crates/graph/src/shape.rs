@@ -54,12 +54,6 @@ impl TensorShape {
     pub fn activation_bytes(&self) -> u64 {
         self.num_elements().saturating_mul(2)
     }
-
-    /// Number of tokens (batch × sequence).
-    #[must_use]
-    pub fn tokens(&self) -> u64 {
-        u64::from(self.batch) * u64::from(self.seq)
-    }
 }
 
 impl fmt::Display for TensorShape {
@@ -77,7 +71,6 @@ mod tests {
         let s = TensorShape::new(8, 229, 768);
         assert_eq!(s.num_elements(), 8 * 229 * 768);
         assert_eq!(s.activation_bytes(), 8 * 229 * 768 * 2);
-        assert_eq!(s.tokens(), 8 * 229);
     }
 
     #[test]

@@ -1279,34 +1279,50 @@ mod tests {
 
     #[test]
     fn invalid_graphs_are_rejected_by_decode() {
-        // A graph with a self-loop edge: structurally well-formed bytes,
-        // semantically invalid — ComputationGraph::new must veto it.
-        let mut payload = vec![TAG_SUBMIT_GRAPH];
-        9u64.put(&mut payload);
-        1u32.put(&mut payload); // one task
-        0u32.put(&mut payload);
-        "t".to_string().put(&mut payload);
-        1u8.put(&mut payload);
-        0u8.put(&mut payload); // text
-        8u32.put(&mut payload);
-        1u32.put(&mut payload); // one op
-        0u32.put(&mut payload); // op id
-        7u8.put(&mut payload); // contrastive loss
-        0u32.put(&mut payload); // task
-        8u32.put(&mut payload);
-        1u32.put(&mut payload);
-        768u32.put(&mut payload);
-        1.0f64.to_bits().put(&mut payload);
-        2u64.put(&mut payload);
-        3u64.put(&mut payload);
-        0u16.put(&mut payload); // no params
-        1u32.put(&mut payload); // one edge
-        0u32.put(&mut payload); // 0 -> 0: self-loop
-        0u32.put(&mut payload);
-        assert!(matches!(
-            Request::decode(&payload),
-            Err(WireError::InvalidGraph(_))
-        ));
+        // Structurally well-formed bytes of a two-op graph, semantically
+        // invalid: `ComputationGraph::new`, the one graph check, must veto a
+        // self-loop, a repeated edge and a two-op cycle.
+        let submit = |edges: &[(u32, u32)]| {
+            let mut payload = vec![TAG_SUBMIT_GRAPH];
+            9u64.put(&mut payload);
+            1u32.put(&mut payload); // one task
+            0u32.put(&mut payload);
+            "t".to_string().put(&mut payload);
+            1u8.put(&mut payload);
+            0u8.put(&mut payload); // text
+            8u32.put(&mut payload);
+            2u32.put(&mut payload); // two ops
+            for id in 0..2u32 {
+                id.put(&mut payload);
+                7u8.put(&mut payload); // contrastive loss
+                0u32.put(&mut payload); // task
+                8u32.put(&mut payload);
+                1u32.put(&mut payload);
+                768u32.put(&mut payload);
+                1.0f64.to_bits().put(&mut payload);
+                2u64.put(&mut payload);
+                3u64.put(&mut payload);
+                0u16.put(&mut payload); // no params
+            }
+            (edges.len() as u32).put(&mut payload);
+            for &(from, to) in edges {
+                from.put(&mut payload);
+                to.put(&mut payload);
+            }
+            Request::decode(&payload)
+        };
+        assert!(submit(&[(0, 1)]).is_ok());
+        for (edges, fault) in [
+            (&[(0, 0)][..], "itself"),
+            (&[(0, 1), (0, 1)], "duplicate edge op0 -> op1"),
+            (&[(0, 1), (1, 0)], "cycle"),
+        ] {
+            let decoded = submit(edges);
+            assert!(
+                matches!(&decoded, Err(WireError::InvalidGraph(e)) if e.contains(fault)),
+                "{edges:?}: {decoded:?}"
+            );
+        }
     }
 
     #[test]

@@ -250,12 +250,18 @@ mod tests {
         // tower → loss: their losses sit at different op depths (after
         // contraction this yields MetaLevels 0–3 for deep and 0–1 for
         // shallow tasks, which the incremental re-planner exploits).
-        let depths = g.depths();
+        // Longest-path depth of every operator, from the edge list.
+        let mut depths = vec![0usize; g.num_ops()];
+        for op in g.topological_order() {
+            for &(pred, _) in g.edges().iter().filter(|&&(_, b)| b == op) {
+                depths[op.index()] = depths[op.index()].max(depths[pred.index()] + 1);
+            }
+        }
         let loss_depth = |task: usize| {
-            g.ops_of_task(spindle_graph::TaskId(task as u32))
-                .into_iter()
-                .find(|&o| g.op(o).kind().is_loss())
-                .map(|o| depths[o.index()])
+            g.ops()
+                .iter()
+                .find(|o| o.task().index() == task && o.kind().is_loss())
+                .map(|o| depths[o.id().index()])
                 .unwrap()
         };
         // Slot 0 is deep, slot 1 shallow (templates alternate).

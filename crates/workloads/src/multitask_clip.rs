@@ -169,7 +169,12 @@ mod tests {
             .map(|&(_, a, b, _)| layers_of(a) + layers_of(b) + 3)
             .sum();
         assert_eq!(g.num_ops(), expected_ops);
-        assert!(g.leaves().len() >= 4);
+        // Operators that feed no other: at least the four losses.
+        let leaves = g
+            .ops()
+            .iter()
+            .filter(|o| g.edges().iter().all(|&(a, _)| a != o.id()));
+        assert!(leaves.count() >= 4);
     }
 
     fn layers_of(m: Modality) -> usize {

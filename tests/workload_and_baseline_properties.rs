@@ -24,12 +24,13 @@ fn presets_report_consistent_task_counts() {
         assert_eq!(graph.tasks().len(), preset.num_tasks(), "{preset}");
         // Every task activates at least one operator and exactly one loss.
         for task in graph.tasks() {
-            let ops = graph.ops_of_task(task.id());
-            assert!(!ops.is_empty(), "{preset}: {task} has no operators");
-            let losses = ops
+            let ops: Vec<_> = graph
+                .ops()
                 .iter()
-                .filter(|&&o| graph.op(o).kind().is_loss())
-                .count();
+                .filter(|o| o.task() == task.id())
+                .collect();
+            assert!(!ops.is_empty(), "{preset}: {task} has no operators");
+            let losses = ops.iter().filter(|o| o.kind().is_loss()).count();
             assert_eq!(losses, 1, "{preset}: {task} should end in one loss");
         }
     }
