@@ -163,12 +163,13 @@ fn main() {
     // The steady-state cost the run loop charges per checkpoint: derive the
     // plan's per-device write flows and push them through the contended
     // storage-link model. This is pure pricing — no simulation — and sits on
-    // the run loop's per-iteration path whenever a cadence is active.
-    for (name, tasks, gpus) in [
-        ("clip-4t/16gpu", 4usize, 16usize),
-        ("clip-10t/32gpu", 10, 32),
+    // the run loop's per-iteration path whenever a cadence is active. The
+    // 48-task mix writes about two thousand shards over 32 storage links.
+    for (name, graph, gpus) in [
+        ("clip-4t/16gpu", multitask_clip(4).unwrap(), 16usize),
+        ("clip-10t/32gpu", multitask_clip(10).unwrap(), 32),
+        ("hyperscale-48t/256gpu", hyperscale(48).unwrap(), 256),
     ] {
-        let graph = multitask_clip(tasks).unwrap();
         let cluster = ClusterSpec::homogeneous(gpus / 8, 8);
         let plan = Arc::new(SpindleSession::new(cluster.clone()).plan(&graph).unwrap());
         let t = bench(

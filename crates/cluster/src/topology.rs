@@ -69,7 +69,10 @@ impl ClusterSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `num_nodes` or `gpus_per_node` is zero.
+    /// Panics if `num_nodes` or `gpus_per_node` is zero, or if a bandwidth
+    /// of `interconnect` is not finite and positive or a latency is not
+    /// finite and non-negative: such a spec prices a transfer at infinity or
+    /// NaN, and contended pricing would never finish.
     #[must_use]
     pub fn with_specs(
         num_nodes: usize,
@@ -79,6 +82,19 @@ impl ClusterSpec {
     ) -> Self {
         assert!(num_nodes > 0, "cluster must have at least one node");
         assert!(gpus_per_node > 0, "nodes must have at least one GPU");
+        assert_priceable(
+            "interconnect",
+            &[
+                interconnect.intra_device_bandwidth,
+                interconnect.intra_island_bandwidth,
+                interconnect.inter_island_bandwidth,
+            ],
+            &[
+                interconnect.intra_device_latency_s,
+                interconnect.intra_island_latency_s,
+                interconnect.inter_island_latency_s,
+            ],
+        );
         let nodes = (0..num_nodes)
             .map(|n| NodeSpec {
                 id: NodeId(n as u32),
@@ -113,8 +129,19 @@ impl ClusterSpec {
 
     /// Replaces the checkpoint storage tier description (defaults to
     /// [`StorageSpec::disaggregated_nvme`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bandwidth of `storage` is not finite and positive or its
+    /// latency is not finite and non-negative: such a tier prices a transfer
+    /// at infinity or NaN, and contended pricing would never finish.
     #[must_use]
     pub fn with_storage(mut self, storage: StorageSpec) -> Self {
+        assert_priceable(
+            "storage",
+            &[storage.node_bandwidth, storage.spine_bandwidth],
+            &[storage.latency_s],
+        );
         self.storage = storage;
         self
     }
@@ -318,6 +345,23 @@ impl ClusterSpec {
     }
 }
 
+/// Asserts that a link spec prices every transfer at a finite time: each
+/// bandwidth finite and positive, each latency finite and non-negative.
+fn assert_priceable(spec: &str, bandwidths: &[f64], latencies: &[f64]) {
+    for &bandwidth in bandwidths {
+        assert!(
+            bandwidth.is_finite() && bandwidth > 0.0,
+            "{spec} bandwidths must be finite and positive, got {bandwidth}"
+        );
+    }
+    for &latency in latencies {
+        assert!(
+            latency.is_finite() && latency >= 0.0,
+            "{spec} latencies must be finite and non-negative, got {latency}"
+        );
+    }
+}
+
 impl fmt::Display for ClusterSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -399,6 +443,84 @@ mod tests {
     #[should_panic(expected = "at least one GPU")]
     fn zero_gpus_panics() {
         let _ = ClusterSpec::homogeneous(1, 0);
+    }
+
+    #[test]
+    fn with_specs_rejects_interconnects_that_cannot_price_a_transfer() {
+        let good = InterconnectSpec::nvlink_plus_infiniband_400g();
+        let mut broken = Vec::new();
+        for v in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            broken.push(InterconnectSpec {
+                intra_device_bandwidth: v,
+                ..good
+            });
+            broken.push(InterconnectSpec {
+                intra_island_bandwidth: v,
+                ..good
+            });
+            broken.push(InterconnectSpec {
+                inter_island_bandwidth: v,
+                ..good
+            });
+        }
+        for v in [-1e-6, f64::NAN, f64::INFINITY] {
+            broken.push(InterconnectSpec {
+                intra_device_latency_s: v,
+                ..good
+            });
+            broken.push(InterconnectSpec {
+                intra_island_latency_s: v,
+                ..good
+            });
+            broken.push(InterconnectSpec {
+                inter_island_latency_s: v,
+                ..good
+            });
+        }
+        for spec in broken {
+            let built = std::panic::catch_unwind(|| {
+                ClusterSpec::with_specs(2, 4, GpuSpec::a800_80gb(), spec)
+            });
+            assert!(built.is_err(), "accepted {spec:?}");
+        }
+        let free = InterconnectSpec {
+            intra_device_latency_s: 0.0,
+            intra_island_latency_s: 0.0,
+            inter_island_latency_s: 0.0,
+            ..good
+        };
+        let _ = ClusterSpec::with_specs(2, 4, GpuSpec::a800_80gb(), free);
+    }
+
+    #[test]
+    fn with_storage_rejects_tiers_that_cannot_price_a_transfer() {
+        let good = StorageSpec::disaggregated_nvme();
+        let mut broken = Vec::new();
+        for v in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            broken.push(StorageSpec {
+                node_bandwidth: v,
+                ..good
+            });
+            broken.push(StorageSpec {
+                spine_bandwidth: v,
+                ..good
+            });
+        }
+        for v in [-1e-3, f64::NAN, f64::INFINITY] {
+            broken.push(StorageSpec {
+                latency_s: v,
+                ..good
+            });
+        }
+        for spec in broken {
+            let built =
+                std::panic::catch_unwind(|| ClusterSpec::homogeneous(2, 4).with_storage(spec));
+            assert!(built.is_err(), "accepted {spec:?}");
+        }
+        let _ = ClusterSpec::homogeneous(2, 4).with_storage(StorageSpec {
+            latency_s: 0.0,
+            ..good
+        });
     }
 
     #[test]

@@ -31,22 +31,16 @@ impl ParallelConfig {
     /// tensor-parallel degree must be 1, 2, 4 or 8 (bounded by NVLink island
     /// size) and not exceed the number of attention heads implied by the
     /// hidden dimension.
-    #[must_use]
-    pub fn valid_for(op: &Operator, n: u32) -> Vec<ParallelConfig> {
+    pub fn valid_for(op: &Operator, n: u32) -> impl Iterator<Item = ParallelConfig> {
         let batch = op.input_shape().batch;
         let heads = (op.input_shape().hidden / 64).max(1);
-        let mut configs = Vec::new();
-        for tp in [1u32, 2, 4, 8] {
+        [1u32, 2, 4, 8].into_iter().filter_map(move |tp| {
             if n % tp != 0 || tp > heads {
-                continue;
+                return None;
             }
             let dp = n / tp;
-            if dp == 0 || batch % dp != 0 {
-                continue;
-            }
-            configs.push(ParallelConfig { dp, tp });
-        }
-        configs
+            (dp != 0 && batch % dp == 0).then_some(ParallelConfig { dp, tp })
+        })
     }
 }
 
@@ -72,7 +66,7 @@ mod tests {
 
     #[test]
     fn serial_config_always_valid() {
-        let configs = ParallelConfig::valid_for(&op(8, 768), 1);
+        let configs: Vec<_> = ParallelConfig::valid_for(&op(8, 768), 1).collect();
         assert_eq!(configs, vec![ParallelConfig::SERIAL]);
         assert_eq!(ParallelConfig::SERIAL.num_devices(), 1);
     }
@@ -80,7 +74,7 @@ mod tests {
     #[test]
     fn dp_must_divide_batch() {
         // batch 4 on 8 devices: dp=8 invalid, dp4xtp2 / dp2xtp4 / dp1xtp8 valid.
-        let configs = ParallelConfig::valid_for(&op(4, 768), 8);
+        let configs: Vec<_> = ParallelConfig::valid_for(&op(4, 768), 8).collect();
         assert!(!configs.iter().any(|c| c.dp == 8));
         assert!(configs.contains(&ParallelConfig { dp: 4, tp: 2 }));
         assert!(configs.contains(&ParallelConfig { dp: 1, tp: 8 }));
@@ -91,11 +85,11 @@ mod tests {
 
     #[test]
     fn odd_device_counts_are_usually_invalid() {
-        assert!(ParallelConfig::valid_for(&op(8, 768), 3).is_empty());
-        assert!(ParallelConfig::valid_for(&op(8, 768), 5).is_empty());
+        assert_eq!(ParallelConfig::valid_for(&op(8, 768), 3).count(), 0);
+        assert_eq!(ParallelConfig::valid_for(&op(8, 768), 5).count(), 0);
         // ... but batch-divisible odd counts are fine (dp only).
         assert_eq!(
-            ParallelConfig::valid_for(&op(6, 768), 3),
+            ParallelConfig::valid_for(&op(6, 768), 3).collect::<Vec<_>>(),
             vec![ParallelConfig { dp: 3, tp: 1 }]
         );
     }
@@ -103,8 +97,7 @@ mod tests {
     #[test]
     fn tp_bounded_by_heads() {
         // hidden 128 -> 2 heads, so tp 4/8 are invalid.
-        let configs = ParallelConfig::valid_for(&op(8, 128), 8);
-        assert!(configs.iter().all(|c| c.tp <= 2));
+        assert!(ParallelConfig::valid_for(&op(8, 128), 8).all(|c| c.tp <= 2));
     }
 
     #[test]

@@ -42,6 +42,10 @@ pub trait PerfModel: std::fmt::Debug + Send + Sync {
 pub struct AnalyticGpuModel {
     cluster: ClusterSpec,
     comm: CommModel,
+    /// The device groups of tensor-parallel degrees 2, 4 and 8: adjacent
+    /// devices from device 0, so within a device island whenever the degree
+    /// fits one.
+    tp_groups: [DeviceGroup; 3],
     /// Per-device FLOPs at which the GPU reaches half of its peak efficiency.
     half_saturation_flops: f64,
     /// Maximum fraction of peak FLOP/s achievable by dense transformer kernels.
@@ -64,6 +68,7 @@ impl AnalyticGpuModel {
         Self {
             cluster: cluster.clone(),
             comm: CommModel::new(cluster),
+            tp_groups: [2, 4, 8].map(|tp| DeviceGroup::contiguous(DeviceId(0), tp)),
             // Half-saturation point of dense transformer kernels: per-device
             // workloads well below ~20 GFLOPs leave the GPU mostly idle, which
             // is what makes lightweight MT MM operators scale poorly (Fig. 4).
@@ -116,32 +121,29 @@ impl AnalyticGpuModel {
         if config.tp <= 1 {
             return 0.0;
         }
-        // Tensor-parallel groups are placed on adjacent devices, i.e. within a
-        // device island whenever tp <= island size.
-        let island = self.cluster.nodes().first().map_or(1, |n| n.num_devices()) as u32;
-        let first = DeviceId(0);
-        let group = if config.tp <= island {
-            DeviceGroup::contiguous(first, config.tp as usize)
-        } else {
-            // Spill across islands (rare; only when tp exceeds a node).
-            DeviceGroup::contiguous(first, config.tp as usize)
+        let tp = config.tp as usize;
+        let built;
+        let group = match self.tp_groups.iter().find(|g| g.len() == tp) {
+            Some(group) => group,
+            None => {
+                built = DeviceGroup::contiguous(DeviceId(0), tp);
+                &built
+            }
         };
         let per_replica_activation = op.output_bytes() / u64::from(config.dp).max(1);
-        4.0 * self.comm.all_reduce_time(&group, per_replica_activation)
+        4.0 * self.comm.all_reduce_time(group, per_replica_activation)
     }
 }
 
 impl PerfModel for AnalyticGpuModel {
     fn execution_time(&self, op: &Operator, n: u32) -> Option<f64> {
         ParallelConfig::valid_for(op, n)
-            .into_iter()
             .map(|c| self.execution_time_with_config(op, c))
             .min_by(|a, b| a.total_cmp(b))
     }
 
     fn memory_bytes(&self, op: &Operator, n: u32) -> u64 {
         let best = ParallelConfig::valid_for(op, n)
-            .into_iter()
             .min_by(|a, b| {
                 self.execution_time_with_config(op, *a)
                     .total_cmp(&self.execution_time_with_config(op, *b))

@@ -11,6 +11,8 @@
 //! sharing link bandwidth equal-share at the most contended link. The
 //! contended price is what the elastic run loop charges the timeline.
 
+use std::ops::Range;
+
 use spindle_cluster::{ClusterSpec, CommModel, DeviceId, NodeSpan};
 use spindle_core::{ExecutionPlan, MetaOpId, Residency, SiteSet};
 
@@ -157,6 +159,14 @@ pub fn migration_bytes(flows: &[MigrationFlow]) -> u64 {
 /// the current rates (the least remaining time times slowdown over the live
 /// flows), every live flow loses the round's time divided by its slowdown,
 /// and flows left within `1e-12` of the elapsed time finish together.
+///
+/// A point-to-point flow crosses at most two links, and flows on the same
+/// two links see the same slowdown in every round, so the rounds price each
+/// such link-pair group at once: one slowdown, one product and one division
+/// per group and round. This is exact, not an approximation: each flow sees
+/// the float operations it would see priced alone, because subtracting one
+/// value keeps a group's remaining times in order (rounding is monotone),
+/// and flows with bit-equal remaining times finish in the same round.
 #[must_use]
 pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended: bool) -> f64 {
     // A point-to-point flow crosses at most two links (an island bus, or an
@@ -165,8 +175,7 @@ pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended
     let comm = CommModel::new(cluster);
     let (mut from, mut to) = (NodeSpan::default(), NodeSpan::default());
     let mut links = Vec::new();
-    let mut remaining = Vec::with_capacity(flows.len());
-    let mut slots: Vec<[u32; 2]> = Vec::with_capacity(flows.len());
+    let mut priced = Vec::with_capacity(flows.len());
     for f in flows {
         from.fill(cluster, &[f.from]);
         to.fill(cluster, &[f.to]);
@@ -177,104 +186,130 @@ pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended
         for (slot, link) in pair.iter_mut().zip(&links) {
             *slot = link.slot();
         }
-        remaining.push(comm.p2p_time(f.from, f.to, f.bytes));
-        slots.push(pair);
+        priced.push((pair, comm.p2p_time(f.from, f.to, f.bytes)));
     }
     // The slot past the last link stands for a missing link.
-    let idle = slots
+    let idle = priced
         .iter()
-        .flatten()
+        .flat_map(|(pair, _)| pair)
         .filter(|&&slot| slot != NONE)
         .max()
         .map_or(0, |&slot| slot + 1);
-    for slot in slots.iter_mut().flatten().filter(|slot| **slot == NONE) {
+    for slot in priced
+        .iter_mut()
+        .flat_map(|(pair, _)| pair)
+        .filter(|slot| **slot == NONE)
+    {
         *slot = idle;
     }
     let share = |a: u32, b: u32| f64::from(a.max(b).max(1));
-    price_rounds(remaining, slots, idle, contended, share)
+    price_rounds(priced, idle, contended, share)
 }
 
 /// The round model of [`price_migration`] and
-/// [`price_restore`](crate::price_restore) over packed live flows: flow `i`
-/// needs `remaining[i]` seconds at its nominal rate and occupies the two
-/// slots `slots[i]`. With `contended`, each slot counts its live flows, and
-/// a flow's slowdown is `share` of its two slots' counts; slot `idle` stands
-/// for no resource and never counts a flow. Without, every count stays
-/// zero. Each round runs to the next completion at the current rates (the
-/// least remaining time times slowdown), every live flow loses the round's
-/// time divided by its slowdown, and flows left within `1e-12` of the
-/// elapsed time finish together and release their slots. Returns the
-/// makespan, seconds.
+/// [`price_restore`](crate::price_restore): flow `(slots, remaining)` needs
+/// `remaining` seconds at its nominal rate and occupies the two slots
+/// `slots`. With `contended`, each slot counts its live flows, and a flow's
+/// slowdown is `share` of its two slots' counts; slot `idle` stands for no
+/// resource and never counts a flow. Without, every count stays zero. Each
+/// round runs to the next completion at the current rates (the least
+/// remaining time times slowdown), every live flow loses the round's time
+/// divided by its slowdown, and flows left within `1e-12` of the elapsed
+/// time finish together and release their slots. Returns the makespan,
+/// seconds.
+///
+/// The rounds work per link-pair group, which prices every flow set
+/// bit-identically to rounds over single flows. Flows on the same two slots
+/// see the same slowdown in every round, so a group computes one slowdown,
+/// one product and one division per round. Rounding is monotone, so
+/// subtracting one step from a group keeps its flows in order of remaining
+/// time, and flows whose remaining times are bit-equal stay bit-equal and
+/// finish in the same round: each group is sorted once, bit-equal flows
+/// merge into one entry with a flow count, the least remaining time of a
+/// group is its first live entry, and finished entries leave from the front
+/// and release their slots by their count.
 pub(crate) fn price_rounds(
-    mut remaining: Vec<f64>,
-    mut slots: Vec<[u32; 2]>,
+    mut flows: Vec<([u32; 2], f64)>,
     idle: u32,
     contended: bool,
     share: impl Fn(u32, u32) -> f64,
 ) -> f64 {
+    /// The flows on one slot pair: their live entries, in ascending
+    /// remaining time, and their slowdown in the current round.
+    struct Group {
+        slots: [u32; 2],
+        live: Range<usize>,
+        slowdown: f64,
+    }
     let mut count = vec![0u32; idle as usize + 1];
     if contended {
-        for &slot in slots.iter().flatten().filter(|&&slot| slot != idle) {
+        for &slot in flows
+            .iter()
+            .flat_map(|(slots, _)| slots)
+            .filter(|&&slot| slot != idle)
+        {
             count[slot as usize] += 1;
         }
     }
-    let mut slowdown = vec![1.0_f64; remaining.len()];
-    let mut now = 0.0_f64;
-    while !remaining.is_empty() {
-        let step = next_completion(&remaining, &mut slowdown, &slots, &count, &share);
-        now += step;
-        let eps = 1e-12 * now.max(1.0);
-        for (r, s) in remaining.iter_mut().zip(&slowdown) {
-            *r -= step / s;
-        }
-        let mut i = 0;
-        while i < remaining.len() {
-            if remaining[i] <= eps {
-                for &slot in &slots[i] {
-                    if contended && slot != idle {
-                        count[slot as usize] -= 1;
-                    }
+    // A remaining time is a latency plus bytes over a bandwidth, which
+    // `ClusterSpec` checks, so it is +0.0 or positive and finite, and its
+    // bits sort as its value does.
+    debug_assert!(flows
+        .iter()
+        .all(|(_, r)| r.is_sign_positive() && r.is_finite()));
+    flows.sort_unstable_by_key(|&([a, b], r)| (u64::from(a) << 32 | u64::from(b), r.to_bits()));
+    // Entries are (remaining time, flows), grouped by slot pair.
+    let mut entries: Vec<(f64, u32)> = Vec::with_capacity(flows.len());
+    let mut groups: Vec<Group> = Vec::new();
+    for &(slots, remaining) in &flows {
+        match (groups.last_mut(), entries.last_mut()) {
+            (Some(group), Some(last)) if group.slots == slots => {
+                if last.0.to_bits() == remaining.to_bits() {
+                    last.1 += 1;
+                } else {
+                    entries.push((remaining, 1));
+                    group.live.end += 1;
                 }
-                remaining.swap_remove(i);
-                slowdown.swap_remove(i);
-                slots.swap_remove(i);
-            } else {
-                i += 1;
+            }
+            _ => {
+                groups.push(Group {
+                    slots,
+                    live: entries.len()..entries.len() + 1,
+                    slowdown: 1.0,
+                });
+                entries.push((remaining, 1));
             }
         }
     }
-    now
-}
-
-/// The time to the next completion at current rates: the least remaining
-/// time × slowdown over the live flows, after setting each flow's slowdown
-/// to `share` of its two slots' live-flow counts. Four running minima keep
-/// consecutive flows independent; a minimum does not depend on the order it
-/// is taken in.
-fn next_completion(
-    remaining: &[f64],
-    slowdown: &mut [f64],
-    slots: &[[u32; 2]],
-    count: &[u32],
-    share: &impl Fn(u32, u32) -> f64,
-) -> f64 {
-    let share = |[a, b]: [u32; 2]| share(count[a as usize], count[b as usize]);
-    let mut least = [f64::INFINITY; 4];
-    let mut s4 = slowdown.chunks_exact_mut(4);
-    let mut l4 = slots.chunks_exact(4);
-    let mut r4 = remaining.chunks_exact(4);
-    for ((s, l), r) in (&mut s4).zip(&mut l4).zip(&mut r4) {
-        for lane in 0..4 {
-            s[lane] = share(l[lane]);
-            least[lane] = least[lane].min(r[lane] * s[lane]);
+    let mut now = 0.0_f64;
+    while !groups.is_empty() {
+        let mut step = f64::INFINITY;
+        for group in &mut groups {
+            let [a, b] = group.slots;
+            group.slowdown = share(count[a as usize], count[b as usize]);
+            step = step.min(entries[group.live.start].0 * group.slowdown);
         }
+        now += step;
+        let eps = 1e-12 * now.max(1.0);
+        groups.retain_mut(|group| {
+            let pace = step / group.slowdown;
+            for (remaining, _) in &mut entries[group.live.clone()] {
+                *remaining -= pace;
+            }
+            let mut finished = 0;
+            while group.live.start < group.live.end && entries[group.live.start].0 <= eps {
+                finished += entries[group.live.start].1;
+                group.live.start += 1;
+            }
+            if contended && finished > 0 {
+                for &slot in group.slots.iter().filter(|&&slot| slot != idle) {
+                    count[slot as usize] -= finished;
+                }
+            }
+            !group.live.is_empty()
+        });
     }
-    let rest = s4.into_remainder().iter_mut().zip(l4.remainder());
-    for ((s, &l), r) in rest.zip(r4.remainder()) {
-        *s = share(l);
-        least[0] = least[0].min(r * *s);
-    }
-    least.into_iter().fold(f64::INFINITY, f64::min)
+    now
 }
 
 #[cfg(test)]
@@ -290,9 +325,9 @@ mod tests {
 
     /// The reference pricing loop: every round recomputes every flow's
     /// congestion from a per-link flow count keyed by [`LinkId`] over the
-    /// flow's [`transfer_footprint`]. [`price_migration`] keeps packed live
-    /// flows and dense per-slot counts, and must price every flow set
-    /// bit-identically.
+    /// flow's [`transfer_footprint`]. [`price_migration`] keeps dense
+    /// per-slot counts and prices flows per link-pair group, and must price
+    /// every flow set bit-identically.
     fn price_migration_reference(
         cluster: &ClusterSpec,
         flows: &[MigrationFlow],
@@ -391,7 +426,10 @@ mod tests {
     fn cached_congestion_prices_bit_identically_to_the_reference() {
         // Four nodes of eight with holes, so flows mix same-node pairs,
         // cross-node pairs and several flows out of (or into) one node; then
-        // a few flow sets of the size a device event moves on 32 nodes.
+        // a few flow sets of the size a device event moves on 32 nodes; then
+        // the moves of a seeded node loss from the 48-task mix, which leave
+        // few source nodes and carry many equal-size shards, so many flows
+        // share a link pair and a remaining time.
         let small = ClusterSpec::homogeneous(4, 8)
             .without_devices(&[DeviceId(3), DeviceId(12), DeviceId(13)])
             .unwrap();
@@ -399,25 +437,41 @@ mod tests {
             .without_devices(&(40..48).chain([3, 200]).map(DeviceId).collect::<Vec<_>>())
             .unwrap();
         let mut rng = XorShift64Star::new(0x5EED_F10E);
-        let check = |cluster: &ClusterSpec, rng: &mut XorShift64Star, count: usize, case| {
-            let flows = draw_flows(cluster, rng, count);
+        let check = |cluster: &ClusterSpec, flows: &[MigrationFlow], case| {
             for contended in [true, false] {
-                let got = price_migration(cluster, &flows, contended);
-                let want = price_migration_reference(cluster, &flows, contended);
+                let got = price_migration(cluster, flows, contended);
+                let want = price_migration_reference(cluster, flows, contended);
                 assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
-                    "case {case} ({count} flows), contended {contended}: {got} vs {want}"
+                    "case {case} ({} flows), contended {contended}: {got} vs {want}",
+                    flows.len()
                 );
             }
         };
         for case in 0..200 {
             let count = 1 + (rng.next_u64() % 48) as usize;
-            check(&small, &mut rng, count, case);
+            check(&small, &draw_flows(&small, &mut rng, count), case);
         }
         for (case, count) in (200..).zip([1_000, 1_200, 1_430]) {
-            check(&large, &mut rng, count, case);
+            check(&large, &draw_flows(&large, &mut rng, count), case);
         }
+        let graph = spindle_workloads::hyperscale(48).unwrap();
+        let mut session = SpindleSession::new(ClusterSpec::homogeneous(32, 8));
+        let before = session.plan(&graph).unwrap();
+        let node = (rng.next_u64() % 32) as u32;
+        session
+            .remove_devices(&(8 * node..8 * node + 8).map(DeviceId).collect::<Vec<_>>())
+            .unwrap();
+        let after = session.replan(&graph).unwrap().plan;
+        let survivors = session.cluster_handle();
+        let flows = migration_flows(&before, &after, &survivors).flows;
+        assert!(
+            flows.len() > 1_000,
+            "node {node} moved {} shards",
+            flows.len()
+        );
+        check(&survivors, &flows, 203);
     }
 
     fn graph() -> ComputationGraph {

@@ -84,6 +84,12 @@ impl CheckpointPolicy {
 /// [`StorageSpec::slowdown`](spindle_cluster::StorageSpec::slowdown)).
 /// Returns the makespan of the transfer set, seconds. The price does not
 /// depend on `_policy`: a shard's checkpoint holds its resident state bytes.
+///
+/// The rounds are [`price_migration`](crate::price_migration)'s. Every flow
+/// crosses its node's storage link and the spine, so flows to one node see
+/// the same slowdown in every round and are priced as one group, exactly as
+/// if each were priced alone: a full checkpoint of thousands of shards is
+/// priced as one group per storage link.
 #[must_use]
 pub fn price_restore(
     cluster: &ClusterSpec,
@@ -96,16 +102,15 @@ pub fn price_restore(
     let storage = cluster.storage();
     let unplaced = cluster.num_nodes() as u32;
     let spine = unplaced + 1;
-    let remaining = flows
+    let priced = flows
         .iter()
-        .map(|f| storage.transfer_time(f.bytes))
-        .collect();
-    let slots = flows
-        .iter()
-        .map(|f| [cluster.node_of(f.to).map_or(unplaced, |n| n.0), spine])
+        .map(|f| {
+            let node = cluster.node_of(f.to).map_or(unplaced, |n| n.0);
+            ([node, spine], storage.transfer_time(f.bytes))
+        })
         .collect();
     let share = |node: u32, spine: u32| storage.slowdown(node as usize, spine as usize);
-    price_rounds(remaining, slots, spine + 1, contended, share)
+    price_rounds(priced, spine + 1, contended, share)
 }
 
 /// The storage flows of one full checkpoint of `plan`: every placed MetaOp
@@ -187,9 +192,9 @@ mod tests {
     use spindle_graph::{GraphBuilder, Modality, OpKind, TensorShape, XorShift64Star};
 
     /// The round loop [`price_restore`] ran before it shared
-    /// [`price_migration`](crate::price_migration)'s packed rounds: every
-    /// round rebuilds the per-node flow counts in a map. The packed loop
-    /// must price every flow set bit-identically.
+    /// [`price_migration`](crate::price_migration)'s rounds: every round
+    /// rebuilds the per-node flow counts in a map. The grouped rounds must
+    /// price every flow set bit-identically.
     fn price_restore_reference(
         cluster: &ClusterSpec,
         flows: &[RestoreFlow],
@@ -251,6 +256,18 @@ mod tests {
         let policy = CheckpointPolicy::every(1);
         let mut rng = XorShift64Star::new(0x0C4E_57A6);
         let sizes = [1u64 << 24, 3 << 26, 1 << 30, 5 << 27];
+        let check = |cluster: &ClusterSpec, flows: &[RestoreFlow], case| {
+            for contended in [true, false] {
+                let got = price_restore(cluster, flows, &policy, contended);
+                let want = price_restore_reference(cluster, flows, contended);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "case {case} ({} flows), contended {contended}: {got} vs {want}",
+                    flows.len()
+                );
+            }
+        };
         for case in 0..300 {
             let pool = if case % 2 == 0 { 32 } else { 8 };
             let count = 1 + (rng.next_u64() % 40) as usize;
@@ -261,16 +278,17 @@ mod tests {
                     bytes: sizes[(rng.next_u64() % 4) as usize] + rng.next_u64() % 3,
                 })
                 .collect();
-            for contended in [true, false] {
-                let got = price_restore(&cluster, &flows, &policy, contended);
-                let want = price_restore_reference(&cluster, &flows, contended);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "case {case} ({count} flows), contended {contended}: {got} vs {want}"
-                );
-            }
+            check(&cluster, &flows, case);
         }
+        // A full checkpoint of the 48-task mix on 256 GPUs: thousands of
+        // shards on 32 storage links, many of one size.
+        let hyper = ClusterSpec::homogeneous(32, 8);
+        let plan = SpindleSession::new(hyper.clone())
+            .plan(&spindle_workloads::hyperscale(48).unwrap())
+            .unwrap();
+        let flows = checkpoint_flows(&plan);
+        assert!(flows.len() > 2_000, "{} shards", flows.len());
+        check(&hyper, &flows, 300);
     }
 
     fn plan_on(nodes: usize, gpus: usize) -> (ExecutionPlan, ClusterSpec) {
