@@ -3,11 +3,12 @@
 //!
 //! Covers the paths this repo's perf work targets: cold single-phase planning
 //! (fresh session, fresh curve cache), warm re-planning, the MPSP bisection
-//! and wavefront micro-loops, the placement stage of a hyperscale schedule
-//! (`place_hyperscale-48t/256gpu`: one `LevelSchedule::place` of a fixed,
-//! unplaced 48-task/256-GPU schedule, including the clone of the schedule it
-//! consumes), and sequential multi-phase planning of the dynamic
-//! Multitask-CLIP schedule.
+//! and wavefront micro-loops, the placement stage (`place_*`: one
+//! `LevelSchedule::place` of a fixed, unplaced schedule, including the clone
+//! of the schedule it consumes, on 32, 64 and 4 islands:
+//! `place_hyperscale-48t/256gpu`, `place_hyperscale-64t/512gpu` and
+//! `place_clip-10t/32gpu`), and sequential multi-phase planning of the
+//! dynamic Multitask-CLIP schedule.
 //!
 //! Every case's mean is written to `BENCH_planning.json` at the workspace
 //! root as `bench name → ns/iter`. The clip-10t/32gpu cold-plan probe also
@@ -103,32 +104,39 @@ fn main() {
     record("wavefront_level0", t, &mut report);
 
     // -- Placement stage -----------------------------------------------------
-    group("placement stage (hyperscale, 48 tasks, 256 gpus)");
-    let hyper_cluster = ClusterSpec::homogeneous(32, 8);
-    let hyper_estimator = spindle_estimator::ScalabilityEstimator::new(&hyper_cluster);
-    let hyper = ContractedGraph::new(&hyperscale(48).unwrap());
-    let hyper_curves = CurveSet::resolve(&hyper, &hyper_estimator).unwrap();
-    let unplaced = LevelSchedule::build(
-        &hyper,
-        &hyper_curves,
-        &hyper_estimator,
-        256,
-        mpsp::DEFAULT_EPSILON,
-        None,
-    );
-    let t = bench("place_hyperscale-48t/256gpu", warmup, iters, || {
-        let _ = unplaced
-            .clone()
-            .place(
-                &hyper,
-                &hyper_cluster,
-                PlacementStrategy::Locality,
-                &[],
-                Duration::ZERO,
-            )
-            .unwrap();
-    });
-    record("place_hyperscale-48t/256gpu", t, &mut report);
+    group("placement stage (hyperscale and Multitask-CLIP schedules)");
+    for (name, graph, gpus) in [
+        ("hyperscale-48t/256gpu", hyperscale(48), 256),
+        ("hyperscale-64t/512gpu", hyperscale(64), 512),
+        ("clip-10t/32gpu", multitask_clip(10), 32),
+    ] {
+        let place_cluster = ClusterSpec::homogeneous(gpus / 8, 8);
+        let place_estimator = spindle_estimator::ScalabilityEstimator::new(&place_cluster);
+        let contracted = ContractedGraph::new(&graph.unwrap());
+        let curves = CurveSet::resolve(&contracted, &place_estimator).unwrap();
+        let unplaced = LevelSchedule::build(
+            &contracted,
+            &curves,
+            &place_estimator,
+            gpus as u32,
+            mpsp::DEFAULT_EPSILON,
+            None,
+        );
+        let key = format!("place_{name}");
+        let t = bench(&key, warmup, iters, || {
+            let _ = unplaced
+                .clone()
+                .place(
+                    &contracted,
+                    &place_cluster,
+                    PlacementStrategy::Locality,
+                    &[],
+                    Duration::ZERO,
+                )
+                .unwrap();
+        });
+        record(&key, t, &mut report);
+    }
 
     // -- Multi-phase planning -------------------------------------------------
     group("dynamic Multitask-CLIP schedule: sequential phases");

@@ -10,9 +10,32 @@
 //!    memory, and an entry that would overflow a device falls back to a
 //!    memory-first assignment (the paper's "alternative placements with
 //!    sub-optimal communication costs and better memory balance").
+//!
+//! # Cost
+//!
+//! An entry costs time in the devices it marks and takes and in the islands
+//! its affinity touches, not in the size of the cluster. It resets only the
+//! affinities the previous entry marked, builds island ranking keys only for
+//! its affine islands — those holding the last placement of its MetaOp, a
+//! predecessor or a sibling: 1,439 keys for the 618 entries of a
+//! 63-task/512-GPU plan, against 15,700 if every island with a free device
+//! were ranked — and moves only the islands it took devices from in the
+//! per-wave island order (a binary search, then a shift back). A wave
+//! starts from per-island free-device and free-memory totals that are kept
+//! current as MetaOps become resident, and sorts its islands once.
+//!
+//! The islands are visited in exactly the order of the reference ranking,
+//! which sorts every island by (fits the entry, affinity, free memory,
+//! index). Affine islands have affinity ≥ 1 and all others 0, so within
+//! each fit class the affine islands come first, in key order, and the rest
+//! rank by (free memory, index): the per-wave order, filtered by fit. An
+//! island that fits holds the whole entry, so the pass takes the best
+//! fitting island, affine or not; only an entry that fits on no island
+//! walks the affine islands by key and then the others in the per-wave
+//! order. The tests check this against the reference ranking on hyperscale
+//! mixes, churned clusters, the memory fallback and 256 fuzz draws.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use spindle_cluster::{ClusterSpec, DeviceGroup, DeviceId, Island};
 
@@ -110,6 +133,49 @@ type Chooser = fn(&mut LocalityPass, usize);
 /// then the lower island index.
 type IslandKey = (bool, i64, u64, Reverse<usize>);
 
+/// Ranking key of a free device for one entry (smaller ranks first): high
+/// affinity, then little memory in use, then the lower id.
+type DeviceKey = (Reverse<i64>, u64, DeviceId);
+
+/// Order key of island `k` in [`LocalityPass::by_memory`] (smaller first):
+/// more free memory, then the lower index.
+fn memory_key(free_mem: &[u64], k: usize) -> (Reverse<u64>, usize) {
+    (Reverse(free_mem[k]), k)
+}
+
+/// Flat (CSR) adjacency lists: the neighbours of MetaOp `m` are
+/// `ids[start[m]..start[m + 1]]`, in MetaGraph edge order.
+struct Adjacency {
+    start: Vec<usize>,
+    ids: Vec<MetaOpId>,
+}
+
+impl Adjacency {
+    /// Lists the neighbours `pairs` gives each of `n` MetaOps as
+    /// `(metaop, neighbour)`.
+    fn new(n: usize, pairs: impl Iterator<Item = (MetaOpId, MetaOpId)> + Clone) -> Self {
+        let mut start = vec![0; n + 1];
+        for (m, _) in pairs.clone() {
+            start[m.index() + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut ids = vec![MetaOpId(0); start[n]];
+        for (m, neighbour) in pairs {
+            ids[next[m.index()]] = neighbour;
+            next[m.index()] += 1;
+        }
+        Self { start, ids }
+    }
+
+    /// The neighbours of `m`.
+    fn of(&self, m: MetaOpId) -> &[MetaOpId] {
+        &self.ids[self.start[m.index()]..self.start[m.index() + 1]]
+    }
+}
+
 /// Affinity of every device, and of every island, for the entry being placed.
 struct Affinity {
     /// Island index of each device id (`NO_ISLAND` for ids outside the
@@ -120,6 +186,10 @@ struct Affinity {
     /// being on the same island as a producer is what makes the data flow
     /// cheap, regardless of which sibling occupies the device.
     island: Vec<i64>,
+    /// The devices and the islands with nonzero affinity, each listed once:
+    /// all that the next entry resets, and the only islands it ranks by key.
+    marked_devices: Vec<usize>,
+    marked_islands: Vec<usize>,
 }
 
 impl Affinity {
@@ -131,13 +201,29 @@ impl Affinity {
             .filter(|&k| k != NO_ISLAND)
     }
 
-    /// Adds `weight` to every device of `group` that is part of the cluster
-    /// and to its island. Devices a replayed placement kept after they left
-    /// the cluster attract nothing.
+    /// Zeroes every affinity the last entry marked.
+    fn reset(&mut self) {
+        for d in self.marked_devices.drain(..) {
+            self.device[d] = 0;
+        }
+        for k in self.marked_islands.drain(..) {
+            self.island[k] = 0;
+        }
+    }
+
+    /// Adds `weight` (positive) to every device of `group` that is part of
+    /// the cluster and to its island. Devices a replayed placement kept after
+    /// they left the cluster attract nothing.
     fn mark(&mut self, group: Option<&DeviceGroup>, weight: i64) {
         for d in group.into_iter().flat_map(DeviceGroup::iter) {
             if let Some(k) = self.island_index(d) {
+                if self.device[d.index()] == 0 {
+                    self.marked_devices.push(d.index());
+                }
                 self.device[d.index()] += weight;
+                if self.island[k] == 0 {
+                    self.marked_islands.push(k);
+                }
                 self.island[k] += weight;
             }
         }
@@ -153,77 +239,106 @@ impl Affinity {
 /// `Vec`-indexed by `DeviceId` (sized by [`ClusterSpec::device_space`], so a
 /// post-churn cluster with holes in its numbering indexes safely), per-MetaOp
 /// state by `MetaOpId`, per-island totals by island index, and the MetaGraph
-/// adjacency is extracted once up front instead of being re-scanned (and
+/// adjacency is flattened once up front instead of being re-scanned (and
 /// re-allocated) per entry.
 struct LocalityPass {
     islands: Vec<Island>,
+    /// Device count of the largest island: no entry needing more fits on one.
+    largest_island: usize,
     all_devices: Vec<DeviceId>,
     capacity: u64,
     /// Devices available for allocation (the surviving count).
     num_devices: usize,
     /// Dense id-space size (one past the highest device id).
     space: usize,
-    preds: Vec<Vec<MetaOpId>>,
-    succs: Vec<Vec<MetaOpId>>,
+    preds: Adjacency,
+    succs: Adjacency,
     volume: Vec<u64>,
     // Cross-wave state.
     memory_used: Vec<u64>,
+    /// Free memory summed over each island's devices, kept current by
+    /// [`occupy`](Self::occupy).
+    island_mem: Vec<u64>,
     resident: Vec<bool>,
     /// `(wave, entry)` index of each MetaOp's last placed entry.
     last: Vec<Option<(usize, usize)>>,
     // Per-wave scratch.
+    /// Devices not yet taken in this wave: every cluster device between
+    /// waves.
     free: Vec<bool>,
     /// Free devices of each island, and the sum of their free memory: set
     /// once per wave, reduced as entries take devices.
     island_free: Vec<usize>,
     island_free_mem: Vec<u64>,
+    /// The islands with free devices by free memory (descending), then
+    /// index: the order the ranking visits islands without affinity in.
+    by_memory: Vec<usize>,
     affinity: Affinity,
-    /// Ranking keys of the islands with free devices, for one entry.
+    /// Ranking keys of the affine islands with free devices, for one entry.
     ranked: Vec<IslandKey>,
+    /// Islands the chosen devices came from, each once, and their places in
+    /// `by_memory`.
+    touched: Vec<usize>,
+    moved: Vec<usize>,
     order: Vec<usize>,
-    candidates: Vec<DeviceId>,
+    candidates: Vec<DeviceKey>,
     chosen: Vec<DeviceId>,
     /// Entries placed by the memory-balance fallback.
     #[cfg(test)]
     fallbacks: usize,
+    /// Island ranking keys built.
+    #[cfg(test)]
+    keys_built: usize,
 }
 
 impl LocalityPass {
     fn new(plan: &ExecutionPlan, cluster: &ClusterSpec) -> Self {
-        let num_metaops = plan.metagraph().num_metaops();
+        let metagraph = plan.metagraph();
+        let num_metaops = metagraph.num_metaops();
         let space = cluster.device_space();
 
-        // Dense adjacency and communication volume of each MetaOp: bytes it
+        // Flat adjacency and communication volume of each MetaOp: bytes it
         // receives plus bytes it sends along MetaGraph edges (guideline 2).
-        let mut preds: Vec<Vec<MetaOpId>> = vec![Vec::new(); num_metaops];
-        let mut succs: Vec<Vec<MetaOpId>> = vec![Vec::new(); num_metaops];
-        for &(a, b) in plan.metagraph().edges() {
-            preds[b.index()].push(a);
-            succs[a.index()].push(b);
-        }
-        let mut volume: Vec<u64> = vec![0; num_metaops];
-        for metaop in plan.metagraph().metaops() {
-            let i = metaop.id().index();
-            let incoming: u64 = preds[i]
-                .iter()
-                .map(|&p| plan.metagraph().metaop(p).representative().output_bytes())
-                .sum();
-            let outgoing = metaop.representative().output_bytes() * succs[i].len() as u64;
-            volume[i] = incoming + outgoing;
-        }
+        let edges = metagraph.edges().iter();
+        let preds = Adjacency::new(num_metaops, edges.clone().map(|&(a, b)| (b, a)));
+        let succs = Adjacency::new(num_metaops, edges.copied());
+        let volume = metagraph
+            .metaops()
+            .iter()
+            .map(|metaop| {
+                let id = metaop.id();
+                let incoming: u64 = preds
+                    .of(id)
+                    .iter()
+                    .map(|&p| metagraph.metaop(p).representative().output_bytes())
+                    .sum();
+                incoming + metaop.representative().output_bytes() * succs.of(id).len() as u64
+            })
+            .collect();
 
         let islands = cluster.islands();
+        let capacity = cluster.device_memory_bytes();
+        let all_devices: Vec<DeviceId> = cluster.all_devices().iter().collect();
         let mut island_of = vec![NO_ISLAND; space];
         for (k, island) in islands.iter().enumerate() {
             for d in island.devices.iter() {
                 island_of[d.index()] = k;
             }
         }
+        let mut free = vec![false; space];
+        for d in &all_devices {
+            free[d.index()] = true;
+        }
         let num_islands = islands.len();
         Self {
+            largest_island: islands.iter().map(|i| i.devices.len()).max().unwrap_or(0),
+            island_mem: islands
+                .iter()
+                .map(|i| capacity * i.devices.len() as u64)
+                .collect(),
             islands,
-            all_devices: cluster.all_devices().iter().collect(),
-            capacity: cluster.device_memory_bytes(),
+            all_devices,
+            capacity,
             num_devices: cluster.num_devices(),
             space,
             preds,
@@ -232,20 +347,27 @@ impl LocalityPass {
             memory_used: vec![0; space],
             resident: vec![false; num_metaops * space],
             last: vec![None; num_metaops],
-            free: vec![false; space],
+            free,
             island_free: vec![0; num_islands],
             island_free_mem: vec![0; num_islands],
+            by_memory: Vec::with_capacity(num_islands),
             affinity: Affinity {
                 island_of,
                 device: vec![0; space],
                 island: vec![0; num_islands],
+                marked_devices: Vec::new(),
+                marked_islands: Vec::new(),
             },
-            ranked: Vec::with_capacity(num_islands),
+            ranked: Vec::new(),
+            touched: Vec::new(),
+            moved: Vec::new(),
             order: Vec::new(),
             candidates: Vec::new(),
             chosen: Vec::new(),
             #[cfg(test)]
             fallbacks: 0,
+            #[cfg(test)]
+            keys_built: 0,
         }
     }
 
@@ -277,13 +399,17 @@ impl LocalityPass {
         }
     }
 
-    /// Makes `metaop` resident on `d`, charging its per-device bytes the first
-    /// time.
+    /// Makes `metaop` resident on the cluster device `d`, charging its
+    /// per-device bytes (to `d` and its island's free memory) the first time.
     fn occupy(&mut self, metaop: MetaOpId, d: DeviceId, bytes: u64) {
         let slot = metaop.index() * self.space + d.index();
         if !self.resident[slot] {
             self.resident[slot] = true;
-            self.memory_used[d.index()] = self.memory_used[d.index()].saturating_add(bytes);
+            let used = &mut self.memory_used[d.index()];
+            let free_before = self.capacity.saturating_sub(*used);
+            *used = used.saturating_add(bytes);
+            self.island_mem[self.affinity.island_of[d.index()]] -=
+                free_before - self.capacity.saturating_sub(*used);
         }
     }
 
@@ -301,14 +427,13 @@ impl LocalityPass {
         } = self;
         let last_group =
             |m: MetaOpId| last[m.index()].and_then(|(w, e)| waves[w].entries[e].placement.as_ref());
-        affinity.device.fill(0);
-        affinity.island.fill(0);
+        affinity.reset();
         affinity.mark(last_group(metaop), 4);
-        for &pred in &preds[metaop.index()] {
+        for &pred in preds.of(metaop) {
             affinity.mark(last_group(pred), 2);
         }
-        for &succ in &succs[metaop.index()] {
-            for &sibling in &preds[succ.index()] {
+        for &succ in succs.of(metaop) {
+            for &sibling in preds.of(succ) {
                 if sibling != metaop {
                     affinity.mark(last_group(sibling), 1);
                 }
@@ -318,15 +443,15 @@ impl LocalityPass {
 
     /// Places every entry of `waves[w]`, advancing the cross-wave state.
     fn place_wave(&mut self, waves: &mut [Wave], w: usize, choose: Chooser) {
-        self.free.fill(false);
-        self.island_free.fill(0);
-        self.island_free_mem.fill(0);
-        for &d in &self.all_devices {
-            self.free[d.index()] = true;
-            let k = self.affinity.island_of[d.index()];
-            self.island_free[k] += 1;
-            self.island_free_mem[k] += self.capacity.saturating_sub(self.memory_used[d.index()]);
+        for (free, island) in self.island_free.iter_mut().zip(&self.islands) {
+            *free = island.devices.len();
         }
+        self.island_free_mem.copy_from_slice(&self.island_mem);
+        self.by_memory.clear();
+        self.by_memory.extend(0..self.islands.len());
+        let free_mem = &self.island_free_mem;
+        self.by_memory
+            .sort_unstable_by_key(|&k| memory_key(free_mem, k));
         // Guideline 2: place the most communication-intensive entries first.
         let entries = &waves[w].entries;
         self.order.clear();
@@ -343,6 +468,7 @@ impl LocalityPass {
             self.mark_affinities(waves, metaop);
 
             self.chosen.clear();
+            self.touched.clear();
             choose(self, needed);
 
             // Memory-balance fallback: if any chosen device would exceed its
@@ -356,28 +482,79 @@ impl LocalityPass {
                 {
                     self.fallbacks += 1;
                 }
+                let (free, memory_used) = (&self.free, &self.memory_used);
                 self.candidates.clear();
-                self.candidates
-                    .extend(self.all_devices.iter().filter(|d| self.free[d.index()]));
-                let memory_used = &self.memory_used;
-                self.candidates
-                    .sort_by_key(|d| (memory_used[d.index()], d.0));
-                self.chosen.clear();
+                self.candidates.extend(
+                    self.all_devices
+                        .iter()
+                        .filter(|d| free[d.index()])
+                        .map(|&d| (Reverse(0), memory_used[d.index()], d)),
+                );
+                self.candidates.sort_unstable();
                 let take = needed.min(self.candidates.len());
-                self.chosen.extend(self.candidates.iter().take(take));
+                self.chosen.clear();
+                self.chosen
+                    .extend(self.candidates[..take].iter().map(|&(.., d)| d));
+                let island_of = &self.affinity.island_of;
+                self.touched.clear();
+                self.touched
+                    .extend(self.chosen.iter().map(|d| island_of[d.index()]));
+                self.touched.sort_unstable();
+                self.touched.dedup();
             }
 
-            for i in 0..self.chosen.len() {
-                let d = self.chosen[i];
-                self.free[d.index()] = false;
-                let k = self.affinity.island_of[d.index()];
-                self.island_free[k] -= 1;
-                self.island_free_mem[k] -=
-                    self.capacity.saturating_sub(self.memory_used[d.index()]);
-                self.occupy(metaop, d, per_device);
-            }
+            self.take_chosen(metaop, per_device);
             waves[w].entries[idx].placement = Some(DeviceGroup::from_distinct(self.chosen.clone()));
             self.last[metaop.index()] = Some((w, idx));
+        }
+        // Hand the wave's devices back for the next wave.
+        for entry in &waves[w].entries {
+            for d in entry.placement.iter().flat_map(DeviceGroup::iter) {
+                self.free[d.index()] = true;
+            }
+        }
+    }
+
+    /// Takes the `chosen` devices for an entry of `metaop` needing `bytes`
+    /// on each: busy for the rest of the wave, charged to the per-wave
+    /// island totals, and resident. The islands they came from, listed in
+    /// `touched`, move to their new place in `by_memory`, or leave it once
+    /// full.
+    fn take_chosen(&mut self, metaop: MetaOpId, bytes: u64) {
+        // Where the touched islands stand before their keys change, last
+        // first: moving an island disturbs nothing in front of it.
+        let (by_memory, free_mem) = (&self.by_memory, &self.island_free_mem);
+        self.moved.clear();
+        self.moved.extend(self.touched.iter().map(|&k| {
+            by_memory.partition_point(|&j| memory_key(free_mem, j) < memory_key(free_mem, k))
+        }));
+        self.moved.sort_unstable_by(|a, b| b.cmp(a));
+        for i in 0..self.chosen.len() {
+            let d = self.chosen[i];
+            self.free[d.index()] = false;
+            let k = self.affinity.island_of[d.index()];
+            self.island_free[k] -= 1;
+            self.island_free_mem[k] -= self.capacity.saturating_sub(self.memory_used[d.index()]);
+            self.occupy(metaop, d, bytes);
+        }
+        // An island's free memory only falls, so it only moves back.
+        let free_mem = &self.island_free_mem;
+        for &at in &self.moved {
+            let k = self.by_memory[at];
+            if self.island_free[k] == 0 {
+                self.by_memory.remove(at);
+                continue;
+            }
+            let key = memory_key(free_mem, k);
+            let mut to = at;
+            while let Some(&next) = self.by_memory.get(to + 1) {
+                if memory_key(free_mem, next) > key {
+                    break;
+                }
+                self.by_memory[to] = next;
+                to += 1;
+            }
+            self.by_memory[to] = k;
         }
     }
 
@@ -394,43 +571,77 @@ impl LocalityPass {
 
     /// Guideline 1: takes islands best-first by [`island_key`](Self::island_key)
     /// until the entry has `needed` devices — the order a stable sort of
-    /// every island visits them in. Islands without free devices would add
-    /// nothing and are left out. The ranked islands form a heap, so an entry
-    /// that fits on the best island orders nothing beyond it.
+    /// every island visits them in — while building keys only for the
+    /// affine islands. The others all have zero affinity, so they rank by
+    /// fit, then free memory, then index: `by_memory` order, split by fit.
+    /// A fitting island holds the whole entry, so only an entry that fits on
+    /// no island takes from more than one.
     fn choose_islands(&mut self, needed: usize) {
         self.ranked.clear();
-        for k in 0..self.islands.len() {
+        for &k in &self.affinity.marked_islands {
             if self.island_free[k] > 0 {
                 self.ranked.push(self.island_key(k, needed));
             }
         }
-        let mut heap = BinaryHeap::from(std::mem::take(&mut self.ranked));
-        while self.chosen.len() < needed {
-            let Some((.., Reverse(k))) = heap.pop() else {
-                break;
-            };
+        #[cfg(test)]
+        {
+            self.keys_built += self.ranked.len();
+        }
+        self.ranked.sort_unstable_by(|a, b| b.cmp(a));
+        let fitting = match self.ranked.first() {
+            Some(&(true, .., Reverse(k))) => Some(k),
+            _ if needed <= self.largest_island => self
+                .by_memory
+                .iter()
+                .copied()
+                .find(|&k| self.affinity.island[k] == 0 && self.island_free[k] >= needed),
+            _ => None,
+        };
+        if let Some(k) = fitting {
+            self.take_from_island(k, needed);
+            return;
+        }
+        // No island fits: every affine island by key, then the others by
+        // free memory.
+        for i in 0..self.ranked.len() {
+            if self.chosen.len() >= needed {
+                return;
+            }
+            let (.., Reverse(k)) = self.ranked[i];
             self.take_from_island(k, needed);
         }
-        self.ranked = heap.into_vec();
+        for i in 0..self.by_memory.len() {
+            if self.chosen.len() >= needed {
+                return;
+            }
+            let k = self.by_memory[i];
+            if self.affinity.island[k] == 0 {
+                self.take_from_island(k, needed);
+            }
+        }
     }
 
     /// Appends island `k`'s free devices to `chosen`, most affine first, then
     /// least loaded (guideline 3 tie-break), until the entry has `needed`.
     fn take_from_island(&mut self, k: usize, needed: usize) {
+        let (affinity, memory_used, free) = (&self.affinity.device, &self.memory_used, &self.free);
         self.candidates.clear();
         self.candidates.extend(
             self.islands[k]
                 .devices
                 .iter()
-                .filter(|d| self.free[d.index()]),
+                .filter(|d| free[d.index()])
+                .map(|d| (Reverse(affinity[d.index()]), memory_used[d.index()], d)),
         );
-        let (affinity, memory_used) = (&self.affinity.device, &self.memory_used);
-        self.candidates
-            .sort_by_key(|d| (Reverse(affinity[d.index()]), memory_used[d.index()], d.0));
+        self.candidates.sort_unstable();
         let take = needed
             .saturating_sub(self.chosen.len())
             .min(self.candidates.len());
-        self.chosen.extend_from_slice(&self.candidates[..take]);
+        if take > 0 {
+            self.touched.push(k);
+        }
+        self.chosen
+            .extend(self.candidates[..take].iter().map(|&(.., d)| d));
     }
 }
 
@@ -451,6 +662,7 @@ mod tests {
     use crate::{MetaGraph, Wave, WaveEntry};
     use spindle_cluster::{GpuSpec, InterconnectSpec};
     use spindle_graph::{GraphBuilder, Modality, OpKind, TensorShape, XorShift64Star};
+    use spindle_workloads::{FuzzBounds, Scenario};
     use std::time::Duration;
 
     /// Builds a plan with two encoder MetaOps feeding an LM MetaOp, scheduled
@@ -817,6 +1029,61 @@ mod tests {
                 assert_matches_reference(&before_loss, &churned, first_wave);
             }
         }
+    }
+
+    /// Every fuzz draw's plan (1–8 islands of 1–8 GPUs) places like the
+    /// reference on its cluster and on a seeded removal of a third of its
+    /// devices, and resumes like it there at every level start after a pass
+    /// on the full cluster.
+    #[test]
+    fn best_first_islands_match_the_full_ranking_on_fuzz_draws() {
+        const SEED: u64 = 0x5EED_0005;
+        let mut rng = XorShift64Star::new(SEED);
+        for index in 0..256 {
+            let scenario = Scenario::draw(SEED, index, &FuzzBounds::full());
+            let graph = scenario.graph_of(&scenario.active).unwrap();
+            let full = ClusterSpec::homogeneous(scenario.nodes, scenario.gpus_per_node);
+            let plan = crate::SpindleSession::new(full.clone())
+                .plan(&graph)
+                .unwrap();
+            assert_matches_reference(&plan, &full, 0);
+
+            let mut devices: Vec<DeviceId> = full.all_devices().iter().collect();
+            let removed = devices.len() / 3;
+            for i in 0..removed {
+                let j = i + (rng.next_u64() % (devices.len() - i) as u64) as usize;
+                devices.swap(i, j);
+            }
+            let churned = full.without_devices(&devices[..removed]).unwrap();
+            let plan = crate::SpindleSession::new(churned.clone())
+                .plan(&graph)
+                .unwrap();
+            assert_matches_reference(&plan, &churned, 0);
+            let mut before_loss = plan.clone();
+            place_locality_resume(&mut before_loss, &full, 0);
+            for first_wave in level_starts(&plan) {
+                assert_matches_reference(&before_loss, &churned, first_wave);
+            }
+        }
+    }
+
+    /// A full pass over the 63-task/512-GPU mix builds ranking keys only for
+    /// the affine islands with free devices: about two per entry. Ranking
+    /// every island with a free device would build 15,700 keys for the same
+    /// 618 entries.
+    #[test]
+    fn island_keys_are_built_only_for_affine_islands() {
+        let cluster = ClusterSpec::homogeneous(64, 8);
+        let graph = spindle_workloads::hyperscale(63).unwrap();
+        let plan = crate::SpindleSession::new(cluster.clone())
+            .plan(&graph)
+            .unwrap();
+        let mut placed = plan.clone();
+        let mut pass = LocalityPass::new(&placed, &cluster);
+        pass.place_from(placed.waves_mut(), 0, LocalityPass::choose_islands);
+        assert_eq!(placed.waves(), plan.waves());
+        let entries: usize = plan.waves().iter().map(|w| w.entries.len()).sum();
+        assert_eq!((entries, pass.keys_built), (618, 1_439));
     }
 
     #[test]

@@ -29,11 +29,20 @@
 //! profiling results, bit-identical MPSP bisection iterates and therefore
 //! bit-identical schedules; the `incremental_replan` integration tests pin
 //! this equivalence over seeded churn sequences.
+//!
+//! A key costs one pass over its items when it is built: a [`PlanKey`] of a
+//! 48-task plan lists 144 MetaOps and 96 edges, and hashes them once into a
+//! 64-bit digest. Lookups, inserts and the rehash of a growing map hash only
+//! that word, so a growth re-buckets its stored keys without walking their
+//! items, and a lookup walks them only to confirm a match: equality still
+//! compares every field, so two keys with one digest cost a comparison,
+//! never a wrong hit.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
-use std::sync::Arc;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use spindle_graph::WorkloadSignature;
 
@@ -63,6 +72,42 @@ fn wave_bytes(wave: &Wave) -> usize {
             .sum::<usize>()
 }
 
+/// A key's fields with a 64-bit digest of them, computed once when the key is
+/// built: hashing feeds only the digest, and equality compares the digests,
+/// then every field.
+#[derive(Debug, Clone)]
+struct Digested<T> {
+    digest: u64,
+    fields: T,
+}
+
+impl<T: Hash> Digested<T> {
+    fn new(fields: T) -> Self {
+        // One randomly keyed SipHash for the whole process, like the maps'
+        // own hasher: keys crafted from submitted graphs cannot be made to
+        // share a digest.
+        static KEYS: OnceLock<RandomState> = OnceLock::new();
+        Self {
+            digest: KEYS.get_or_init(RandomState::new).hash_one(&fields),
+            fields,
+        }
+    }
+}
+
+impl<T: PartialEq> PartialEq for Digested<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.digest == other.digest && self.fields == other.fields
+    }
+}
+
+impl<T: Eq> Eq for Digested<T> {}
+
+impl<T> Hash for Digested<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
+}
+
 /// Canonical signature of one MetaLevel's allocation + scheduling sub-problem:
 /// the level's MetaOp workloads (signature and operator count, in level
 /// order) plus the device budget. Two levels with equal keys have
@@ -74,7 +119,10 @@ fn wave_bytes(wave: &Wave) -> usize {
 /// order, which graph builders derive from task declaration order, so
 /// recurring task mixes produce identically ordered levels.)
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct LevelKey {
+pub struct LevelKey(Digested<LevelFields>);
+
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct LevelFields {
     num_devices: u32,
     items: Vec<(WorkloadSignature, u32)>,
 }
@@ -84,7 +132,7 @@ impl LevelKey {
     /// `num_devices`.
     #[must_use]
     pub fn of(metagraph: &MetaGraph, level: &MetaLevel, num_devices: u32) -> Self {
-        Self {
+        Self(Digested::new(LevelFields {
             num_devices,
             items: level
                 .metaops
@@ -94,14 +142,16 @@ impl LevelKey {
                     (m.representative().workload_signature(), m.num_ops())
                 })
                 .collect(),
-        }
+        }))
     }
 
-    /// Approximate memory footprint of the key, for cache byte accounting.
+    /// Approximate memory footprint of the key's fields, for cache byte
+    /// accounting. The digest word is left out, so the account does not
+    /// depend on how keys are hashed.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.items.len() * std::mem::size_of::<(WorkloadSignature, u32)>()
+        std::mem::size_of::<LevelFields>()
+            + self.0.fields.items.len() * std::mem::size_of::<(WorkloadSignature, u32)>()
     }
 }
 
@@ -111,7 +161,10 @@ impl LevelKey {
 /// placement reads nothing beyond MetaOp volumes (workload-determined), the
 /// edge structure and the wave schedule (level-determined).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanKey {
+pub struct PlanKey(Digested<PlanFields>);
+
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct PlanFields {
     num_devices: u32,
     /// Device ids absent from the dense space `0..num_devices + missing.len()`
     /// — empty on a pristine cluster, the removed ids after device churn.
@@ -141,7 +194,7 @@ impl PlanKey {
         missing: Vec<u32>,
         placement: PlacementStrategy,
     ) -> Self {
-        Self {
+        Self(Digested::new(PlanFields {
             num_devices,
             missing,
             placement,
@@ -151,16 +204,19 @@ impl PlanKey {
                 .map(|m| (m.representative().workload_signature(), m.num_ops()))
                 .collect(),
             edges: metagraph.edges().iter().map(|&(a, b)| (a.0, b.0)).collect(),
-        }
+        }))
     }
 
-    /// Approximate memory footprint of the key, for cache byte accounting.
+    /// Approximate memory footprint of the key's fields, for cache byte
+    /// accounting. The digest word is left out, so the account does not
+    /// depend on how keys are hashed.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.missing.len() * std::mem::size_of::<u32>()
-            + self.metaops.len() * std::mem::size_of::<(WorkloadSignature, u32)>()
-            + self.edges.len() * std::mem::size_of::<(u32, u32)>()
+        let fields = &self.0.fields;
+        std::mem::size_of::<PlanFields>()
+            + fields.missing.len() * std::mem::size_of::<u32>()
+            + fields.metaops.len() * std::mem::size_of::<(WorkloadSignature, u32)>()
+            + fields.edges.len() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
@@ -620,6 +676,72 @@ mod tests {
         assert_ne!(
             key(&a, PlacementStrategy::Locality),
             key(&a, PlacementStrategy::Sequential)
+        );
+    }
+
+    /// Counts the words a key feeds a hasher: `u64`s, and everything else.
+    #[derive(Default)]
+    struct CountingHasher {
+        words: usize,
+        other: usize,
+    }
+
+    impl Hasher for CountingHasher {
+        fn write(&mut self, _: &[u8]) {
+            self.other += 1;
+        }
+
+        fn write_u64(&mut self, _: u64) {
+            self.words += 1;
+        }
+
+        fn finish(&self) -> u64 {
+            0
+        }
+    }
+
+    fn fed(key: &impl Hash) -> (usize, usize) {
+        let mut hasher = CountingHasher::default();
+        key.hash(&mut hasher);
+        (hasher.words, hasher.other)
+    }
+
+    #[test]
+    fn keys_feed_their_hasher_one_digest_word() {
+        let cg = contracted(&[8, 16, 32]);
+        let mg = cg.metagraph();
+        assert_eq!(fed(&LevelKey::of(mg, &mg.levels()[0], 8)), (1, 0));
+        let missing = vec![3, 5];
+        let plan_key = PlanKey::with_device_set(mg, 8, missing, PlacementStrategy::Locality);
+        assert_eq!(fed(&plan_key), (1, 0));
+    }
+
+    #[test]
+    fn a_growing_cache_serves_every_skeleton_back() {
+        let cg = contracted(&[8, 16]);
+        let mg = cg.metagraph();
+        let key = |n: u32| PlanKey::of(mg, n, PlacementStrategy::Locality);
+        let mut cache = StructuralPlanCache::new();
+        // 300 skeletons: the map's capacity doubles several times.
+        for n in 1..=300 {
+            let skeleton = PlacedSkeleton {
+                waves: Vec::new(),
+                theoretical_optimum: f64::from(n),
+            };
+            cache.insert_skeleton(key(n), skeleton);
+        }
+        for n in 1..=300 {
+            let skeleton = cache.skeleton(&key(n)).expect("a hit");
+            assert_eq!(skeleton.theoretical_optimum, f64::from(n));
+        }
+        let stats = snapshot(&cache);
+        assert_eq!(
+            (
+                stats.skeleton_entries,
+                stats.skeleton_hits,
+                stats.skeleton_misses
+            ),
+            (300, 300, 0)
         );
     }
 
