@@ -3,14 +3,16 @@
 //!
 //! Every case alternates between two task mixes that differ by exactly one
 //! task (the single-task-churn regime of dynamic schedules) against a
-//! session whose curve cache *and* structural cache are warm, so the numbers
-//! isolate the cost of re-planning itself:
+//! session whose curve cache is warm, so the numbers isolate the cost of
+//! re-planning itself:
 //!
-//! * `incremental_replan_*` — structural cache on (the default): clean
-//!   levels are spliced, recurring structures reuse the placed skeleton.
-//! * `full_replan_*` — structural cache off: contraction, MPSP, wavefront
-//!   scheduling, memory estimation and placement all re-run (the pre-cache
-//!   warm path).
+//! * `incremental_replan_*` — `SpindleSession::replan` with its structural
+//!   cache warm too: clean levels are spliced, recurring structures reuse
+//!   the placed skeleton.
+//! * `full_replan_*` — the cache-free staged pipeline on the session's warm
+//!   estimator: `contract` → `resolve_curves` → `LevelSchedule::build` with
+//!   no cache → `place`. Contraction, MPSP, wavefront scheduling, memory
+//!   estimation and placement all re-run (the pre-cache warm path).
 //!
 //! The printed bench lines time the alternating *pair*; the JSON report
 //! records the halved mean, i.e. **ns per re-plan**, in
@@ -28,7 +30,7 @@ use std::time::Duration;
 
 use spindle_bench::microbench::{bench, group, quick_mode, write_json_report, Timing};
 use spindle_cluster::{ClusterSpec, DeviceId};
-use spindle_core::{PlannerConfig, SpindleSession};
+use spindle_core::{ExecutionPlan, LevelSchedule, SpindleSession};
 use spindle_graph::ComputationGraph;
 use spindle_runtime::{migration_flows, price_migration};
 use spindle_workloads::{hyperscale_subset, multitask_clip, HYPERSCALE_DEFAULT_TASKS};
@@ -51,7 +53,8 @@ fn per_replan(pair: Timing) -> Timing {
 }
 
 /// One alternating single-task-churn case: the two task mixes, the cluster,
-/// and whether the structural cache is on.
+/// and whether re-plans go through the session's structural cache or the
+/// cache-free staged pipeline.
 struct ChurnCase<'a> {
     name: &'a str,
     cluster: &'a ClusterSpec,
@@ -60,9 +63,33 @@ struct ChurnCase<'a> {
     structural: bool,
 }
 
-/// Benches alternating single-task-churn re-plans, with the structural cache
-/// on or off. The session is pre-warmed on both mixes so the measurement
-/// captures steady-state churn, not first-sight fitting.
+/// Plans `graph` through the staged pipeline with no structural cache, on
+/// `session`'s cluster, estimator and configuration.
+fn staged_plan(session: &SpindleSession, graph: &ComputationGraph) -> ExecutionPlan {
+    let contracted = session.contract(graph);
+    let curves = session.resolve_curves(&contracted).unwrap();
+    let cluster = session.cluster();
+    LevelSchedule::build(
+        &contracted,
+        &curves,
+        session.estimator(),
+        cluster.num_devices() as u32,
+        session.config().bisection_epsilon,
+        None,
+    )
+    .place(
+        &contracted,
+        cluster,
+        session.config().placement,
+        Duration::ZERO,
+    )
+    .unwrap()
+}
+
+/// Benches alternating single-task-churn re-plans, through the structural
+/// cache or the cache-free staged pipeline. The session is pre-warmed on
+/// both mixes so the measurement captures steady-state churn, not
+/// first-sight fitting.
 fn churn_case(
     case: &ChurnCase<'_>,
     warmup: u32,
@@ -76,17 +103,20 @@ fn churn_case(
         b,
         structural,
     } = *case;
-    let config = PlannerConfig {
-        structural_cache: structural,
-        ..PlannerConfig::default()
-    };
-    let mut session = SpindleSession::with_config(cluster.clone(), config);
+    let mut session = SpindleSession::new(cluster.clone());
     session.plan(a).unwrap();
     session.plan(b).unwrap();
-    let t = bench(name, warmup, iters, || {
-        let _ = session.replan(a).unwrap();
-        let _ = session.replan(b).unwrap();
-    });
+    let t = if structural {
+        bench(name, warmup, iters, || {
+            let _ = session.replan(a).unwrap();
+            let _ = session.replan(b).unwrap();
+        })
+    } else {
+        bench(name, warmup, iters, || {
+            black_box(staged_plan(&session, a));
+            black_box(staged_plan(&session, b));
+        })
+    };
     let t = per_replan(t);
     if structural {
         // The measured regime must actually be incremental; assert it.
@@ -186,12 +216,12 @@ fn main() {
     });
     report.push(("cold_plan_hyperscale-48t/256gpu".to_string(), cold));
 
-    // -- Elastic topology churn: migration-aware partial re-plan -------------
-    // One device dies, the session re-plans onto the survivors (clean-prefix
-    // placements reused, migration priced), the device returns, the session
-    // re-plans back. The halved pair is the steady-state latency of one
-    // topology-change re-plan — the number the elastic service pays per
-    // tenant on every churn broadcast.
+    // -- Elastic topology churn: migration-aware re-plan ---------------------
+    // One device dies, the session re-plans onto the survivors (the plan kept
+    // when the device was idle, re-placed otherwise; migration priced), the
+    // device returns, the session re-plans back. The halved pair is the
+    // steady-state latency of one topology-change re-plan — the number the
+    // elastic service pays per tenant on every churn broadcast.
     group("elastic churn: device loss -> re-plan -> restore -> re-plan");
     let mut session = SpindleSession::new(clip_cluster.clone());
     session.plan(&clip10).unwrap();

@@ -130,7 +130,6 @@ fn main() {
                     &contracted,
                     &place_cluster,
                     PlacementStrategy::Locality,
-                    &[],
                     Duration::ZERO,
                 )
                 .unwrap();

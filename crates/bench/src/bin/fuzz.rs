@@ -93,12 +93,14 @@ fn main() -> ExitCode {
             Ok(stats) => {
                 println!(
                     "ok: {} plans checked, {} localizations, {} simulations, {} warm \
-                     re-plans bit-identical, {} recovery checks",
+                     re-plans bit-identical, {} recovery checks, {} loss re-plans kept or \
+                     equal to cold plans",
                     stats.plans_checked,
                     stats.localizations,
                     stats.simulations,
                     stats.warm_identical,
-                    stats.recovery_checked
+                    stats.recovery_checked,
+                    stats.loss_replans_checked
                 );
                 one_localization_per_plan(&stats)
             }
@@ -134,13 +136,15 @@ fn main() -> ExitCode {
             let s = report.stats;
             println!(
                 "\nall {} draws clean: {} plans checked, {} localizations, {} simulations, \
-                 {} warm re-plans bit-identical to cold plans, {} recovery checks",
+                 {} warm re-plans bit-identical to cold plans, {} recovery checks, \
+                 {} loss re-plans kept or equal to cold plans",
                 s.draws,
                 s.plans_checked,
                 s.localizations,
                 s.simulations,
                 s.warm_identical,
-                s.recovery_checked
+                s.recovery_checked,
+                s.loss_replans_checked
             );
             one_localization_per_plan(&s)
         }

@@ -34,10 +34,13 @@
 //! Scenarios additionally carry a *device-level* churn trace (removals and
 //! restores of whole device sets). For Spindle — the only system with an
 //! elastic session — every device-churn event triggers a re-plan that is
-//! pushed through the same invariants on the surviving cluster, with two
-//! extra checks: no placement may reference a removed device, and after the
-//! final restore the session must recur bit-identically with a cold plan on
-//! the pristine cluster (invariant 6 under elasticity).
+//! pushed through the same invariants on the surviving cluster, with three
+//! extra checks: no placement may reference a removed device; a loss
+//! re-plan either keeps the pre-event plan (`levels_replaced == 0`) or
+//! equals a cold plan of a fresh session with the same devices removed
+//! (`levels_replaced == levels_total`), and nothing in between; and after
+//! the final restore the session must recur bit-identically with a cold plan
+//! on the pristine cluster (invariant 6 under elasticity).
 //!
 //! 8. **Recovery accounting** — scenarios also draw a checkpoint cadence and
 //!    a storage-tier bandwidth. At every device-churn event the runtime's
@@ -391,6 +394,9 @@ pub struct FuzzStats {
     /// Device-churn events whose recovery accounting (restore-iff-all-dead,
     /// re-materialised counts, restore pricing) was verified.
     pub recovery_checked: u64,
+    /// Loss re-plans checked to keep the pre-event plan or to equal a cold
+    /// plan on the survivors.
+    pub loss_replans_checked: u64,
 }
 
 /// Checks every invariant for one scenario. `mutation` corrupts Spindle's
@@ -540,6 +546,30 @@ pub fn check_scenario(
                 let outcome = session
                     .replan(graph)
                     .map_err(|e| fail(format!("churn re-plan: {e}")))?;
+                // A loss keeps the pre-event plan or re-places all of it,
+                // exactly as a fresh session on the same survivors plans.
+                if outcome.devices_lost > 0 {
+                    let (replaced, total) = (outcome.levels_replaced, outcome.levels_total);
+                    let expected = match replaced {
+                        0 => Arc::clone(&prev_plan),
+                        n if n == total => {
+                            let mut fresh = SpindleSession::new(cluster.clone());
+                            let cold = fresh
+                                .remove_devices(session.removed_devices())
+                                .and_then(|_| fresh.plan(graph))
+                                .map_err(|e| fail(format!("cold plan on the survivors: {e}")))?;
+                            Arc::new(cold)
+                        }
+                        n => return Err(fail(format!("a loss re-placed {n} of {total} levels"))),
+                    };
+                    if outcome.plan.waves() != expected.waves() {
+                        return Err(fail(format!(
+                            "a loss re-plan replacing {replaced} of {total} levels diverged \
+                             from the pre-event plan or a cold plan on the survivors"
+                        )));
+                    }
+                    stats.loss_replans_checked += 1;
+                }
                 let planner_rematerialized = outcome.rematerialized_metaops;
                 let planner_restore_bytes = outcome.restore_bytes;
                 let plan = Arc::new(outcome.plan);
@@ -774,6 +804,7 @@ pub fn run_with(cfg: &FuzzConfig, mut progress: impl FnMut(u64, &str)) -> FuzzRe
                 stats.simulations += s.simulations;
                 stats.localizations += s.localizations;
                 stats.recovery_checked += s.recovery_checked;
+                stats.loss_replans_checked += s.loss_replans_checked;
             }
             Err(v) => {
                 let (scenario, v) = if cfg.shrink {

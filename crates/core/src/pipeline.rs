@@ -237,13 +237,6 @@ impl LevelSchedule {
     /// Stage 4: assigns concrete devices to every wave entry by `strategy`
     /// and assembles the final [`ExecutionPlan`].
     ///
-    /// `kept` is a placed prefix of waves the plan keeps as they are: after
-    /// device loss, the clean prefix of levels of the plan placed before the
-    /// loss; empty for a fresh plan. The schedule's waves of the later levels
-    /// are re-timed behind the kept ones, and placement resumes after them —
-    /// the locality pass's cross-wave state is a function of the placements
-    /// themselves, so it is rebuilt by replaying the kept placements.
-    ///
     /// `planning_time` is the wall-clock time attributed to planning so far
     /// (sessions pass their pipeline timer; standalone callers may pass
     /// [`Duration::ZERO`]).
@@ -257,31 +250,16 @@ impl LevelSchedule {
         contracted: &ContractedGraph,
         cluster: &ClusterSpec,
         strategy: PlacementStrategy,
-        kept: &[Wave],
         planning_time: Duration,
     ) -> Result<ExecutionPlan, PlanError> {
-        let waves = match kept.last() {
-            None => self.waves,
-            Some(last) => {
-                let mut waves = kept.to_vec();
-                let mut now = last.end();
-                for mut wave in self.waves.into_iter().filter(|w| w.level > last.level) {
-                    wave.index = waves.len();
-                    wave.start = now;
-                    now = wave.end();
-                    waves.push(wave);
-                }
-                waves
-            }
-        };
         let mut plan = ExecutionPlan::new(
-            waves,
+            self.waves,
             contracted.metagraph_handle(),
             self.num_devices,
             self.theoretical_optimum,
             planning_time,
         );
-        strategy.place_from(&mut plan, cluster, kept.len())?;
+        strategy.place(&mut plan, cluster)?;
         plan.set_device_space(cluster.device_space() as u32);
         Ok(plan)
     }
@@ -378,7 +356,6 @@ mod tests {
                 &contracted,
                 &cluster,
                 PlacementStrategy::Locality,
-                &[],
                 Duration::ZERO,
             )
             .unwrap();
@@ -405,7 +382,6 @@ mod tests {
                 &contracted,
                 &cluster,
                 PlacementStrategy::Locality,
-                &[],
                 Duration::ZERO,
             )
             .unwrap();

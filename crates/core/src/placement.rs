@@ -47,9 +47,9 @@ pub enum PlacementStrategy {
     /// The locality-, communication- and memory-aware strategy of §3.5.
     #[default]
     Locality,
-    /// Consecutive devices from device 0 for each entry, ignoring locality —
-    /// the ablation baseline of Fig. 10 ("Spindle w/o DP", i.e. without the
-    /// device-placement mechanism).
+    /// Consecutive devices of the cluster, in id order, for each entry,
+    /// ignoring locality — the ablation baseline of Fig. 10 ("Spindle w/o
+    /// DP", i.e. without the device-placement mechanism).
     Sequential,
 }
 
@@ -69,23 +69,11 @@ impl PlacementStrategy {
     /// Returns [`PlanError::CapacityExceeded`] if some wave requests more
     /// devices than the cluster provides.
     pub fn place(self, plan: &mut ExecutionPlan, cluster: &ClusterSpec) -> Result<(), PlanError> {
-        self.place_from(plan, cluster, 0)
-    }
-
-    /// Places `plan.waves()[first_wave..]`. The waves before `first_wave`
-    /// keep the placements they carry (a clean prefix kept after device
-    /// loss, possibly placed on a larger cluster), and the locality pass
-    /// resumes from the state those placements leave.
-    pub(crate) fn place_from(
-        self,
-        plan: &mut ExecutionPlan,
-        cluster: &ClusterSpec,
-        first_wave: usize,
-    ) -> Result<(), PlanError> {
         check_capacity(plan, cluster)?;
         match self {
-            PlacementStrategy::Locality => place_locality_resume(plan, cluster, first_wave),
-            PlacementStrategy::Sequential => place_sequential(&mut plan.waves_mut()[first_wave..]),
+            PlacementStrategy::Locality => LocalityPass::new(plan, cluster)
+                .place(plan.waves_mut(), LocalityPass::choose_islands),
+            PlacementStrategy::Sequential => place_sequential(plan.waves_mut(), cluster),
         }
         Ok(())
     }
@@ -107,16 +95,18 @@ fn check_capacity(plan: &ExecutionPlan, cluster: &ClusterSpec) -> Result<(), Pla
     Ok(())
 }
 
-/// Naïve consecutive-device placement.
-fn place_sequential(waves: &mut [Wave]) {
+/// Naïve consecutive-device placement: each wave's entries take the
+/// cluster's devices in id order, skipping removed ids.
+fn place_sequential(waves: &mut [Wave], cluster: &ClusterSpec) {
+    let devices = cluster.all_devices();
     for wave in waves {
-        let mut next = 0u32;
+        let mut next = 0;
         for entry in &mut wave.entries {
-            entry.placement = Some(DeviceGroup::contiguous(
-                DeviceId(next),
-                entry.devices as usize,
+            let end = next + entry.devices as usize;
+            entry.placement = Some(DeviceGroup::from_distinct(
+                devices.devices()[next..end].to_vec(),
             ));
-            next += entry.devices;
+            next = end;
         }
     }
 }
@@ -193,14 +183,6 @@ struct Affinity {
 }
 
 impl Affinity {
-    /// The island of `d`, if `d` is part of the cluster.
-    fn island_index(&self, d: DeviceId) -> Option<usize> {
-        self.island_of
-            .get(d.index())
-            .copied()
-            .filter(|&k| k != NO_ISLAND)
-    }
-
     /// Zeroes every affinity the last entry marked.
     fn reset(&mut self) {
         for d in self.marked_devices.drain(..) {
@@ -211,29 +193,26 @@ impl Affinity {
         }
     }
 
-    /// Adds `weight` (positive) to every device of `group` that is part of
-    /// the cluster and to its island. Devices a replayed placement kept after
-    /// they left the cluster attract nothing.
+    /// Adds `weight` (positive) to every device of `group`, a placement of
+    /// this pass, and to its island.
     fn mark(&mut self, group: Option<&DeviceGroup>, weight: i64) {
         for d in group.into_iter().flat_map(DeviceGroup::iter) {
-            if let Some(k) = self.island_index(d) {
-                if self.device[d.index()] == 0 {
-                    self.marked_devices.push(d.index());
-                }
-                self.device[d.index()] += weight;
-                if self.island[k] == 0 {
-                    self.marked_islands.push(k);
-                }
-                self.island[k] += weight;
+            let k = self.island_of[d.index()];
+            if self.device[d.index()] == 0 {
+                self.marked_devices.push(d.index());
             }
+            self.device[d.index()] += weight;
+            if self.island[k] == 0 {
+                self.marked_islands.push(k);
+            }
+            self.island[k] += weight;
         }
     }
 }
 
 /// The locality pass (§3.5). Its cross-wave state — per-device memory load,
 /// MetaOp-on-device residency and each MetaOp's last placement — is a
-/// function of the placements made so far, so a pass can resume at any wave
-/// by replaying the placements of the waves before it.
+/// function of the placements made so far.
 ///
 /// All working state is dense and reused across waves: device sets are
 /// `Vec`-indexed by `DeviceId` (sized by [`ClusterSpec::device_space`], so a
@@ -371,31 +350,10 @@ impl LocalityPass {
         }
     }
 
-    /// Rebuilds the cross-wave state from `waves[..first_wave]` as they are
-    /// already placed, then places `waves[first_wave..]`.
-    fn place_from(&mut self, waves: &mut [Wave], first_wave: usize, choose: Chooser) {
-        self.replay(&waves[..first_wave]);
-        for w in first_wave..waves.len() {
+    /// Places every wave, first to last.
+    fn place(&mut self, waves: &mut [Wave], choose: Chooser) {
+        for w in 0..waves.len() {
             self.place_wave(waves, w, choose);
-        }
-    }
-
-    /// Replays placements made earlier — possibly by a pass on a larger
-    /// cluster. State on devices outside this pass's cluster is dropped:
-    /// exactly the state whose loss forces a migration.
-    fn replay(&mut self, waves: &[Wave]) {
-        for (w, wave) in waves.iter().enumerate() {
-            for (e, entry) in wave.entries.iter().enumerate() {
-                let Some(group) = &entry.placement else {
-                    continue;
-                };
-                for d in group.iter() {
-                    if self.affinity.island_index(d).is_some() {
-                        self.occupy(entry.metaop, d, entry.memory_per_device);
-                    }
-                }
-                self.last[entry.metaop.index()] = Some((w, e));
-            }
         }
     }
 
@@ -645,17 +603,6 @@ impl LocalityPass {
     }
 }
 
-/// Locality-, communication- and memory-aware placement of
-/// `plan.waves_mut()[first_wave..]` onto `cluster`. The waves before
-/// `first_wave` keep the placements they carry — a clean prefix kept after
-/// device loss, possibly placed on a larger cluster — and the pass resumes
-/// from the state those placements leave. With `first_wave == 0` this is a
-/// full pass.
-fn place_locality_resume(plan: &mut ExecutionPlan, cluster: &ClusterSpec, first_wave: usize) {
-    let mut pass = LocalityPass::new(plan, cluster);
-    pass.place_from(plan.waves_mut(), first_wave, LocalityPass::choose_islands);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,22 +790,21 @@ mod tests {
         }
     }
 
-    /// Asserts that the production pass of `plan` on `cluster`, resumed at
-    /// `first_wave`, places exactly like a pass with the reference island
-    /// ranking; returns the placed plan and how many entries took the
-    /// memory-balance fallback.
+    /// Asserts that the production pass of `plan` on `cluster` places
+    /// exactly like a pass with the reference island ranking; returns the
+    /// placed plan and how many entries took the memory-balance fallback.
     fn assert_matches_reference(
         plan: &ExecutionPlan,
         cluster: &ClusterSpec,
-        first_wave: usize,
     ) -> (ExecutionPlan, usize) {
         let mut placed = plan.clone();
-        place_locality_resume(&mut placed, cluster, first_wave);
+        PlacementStrategy::Locality
+            .place(&mut placed, cluster)
+            .unwrap();
         let mut reference = plan.clone();
         let mut pass = LocalityPass::new(&reference, cluster);
-        pass.place_from(
+        pass.place(
             reference.waves_mut(),
-            first_wave,
             LocalityPass::choose_islands_reference,
         );
         assert_eq!(placed.waves(), reference.waves(), "placements differ");
@@ -878,15 +824,6 @@ mod tests {
         crate::SpindleSession::new(cluster.clone())
             .plan(&graph)
             .unwrap()
-    }
-
-    /// The first wave of every level of `plan`: where a resumed pass can
-    /// start.
-    fn level_starts(plan: &ExecutionPlan) -> Vec<usize> {
-        let waves = plan.waves();
-        (0..waves.len())
-            .filter(|&i| i == 0 || waves[i - 1].level != waves[i].level)
-            .collect()
     }
 
     /// Twelve seeded device ids of `cluster`, plus every device of one
@@ -930,15 +867,14 @@ mod tests {
         )
     }
 
-    /// Plans placed on a full cluster and then resumed on a churned copy at
-    /// every level boundary, digested and pinned: 48 tasks on 256 GPUs and
-    /// 63 on 512, each with seeded removals, with one island emptied, and on
-    /// devices small enough to force the memory-balance fallback. The
-    /// digests were recorded by resuming from the per-level placement
-    /// checkpoints the pass used to take; each resume also matches the
-    /// reference island ranking.
+    /// Plans placed on a churned cluster, digested and pinned: 48 tasks on
+    /// 256 GPUs and 63 on 512, each with seeded removals, with one island
+    /// emptied, and on devices small enough to force the memory-balance
+    /// fallback. Each placement also matches the reference island ranking.
+    /// The six digests were recorded next to those of passes resumed behind
+    /// a kept prefix of levels, a path since deleted.
     #[test]
-    fn resumed_placements_match_the_recorded_digests() {
+    fn churned_placements_match_the_recorded_digests() {
         let mut rng = XorShift64Star::new(0x5EED_0004);
         let mut digests = Vec::new();
         for (tasks, islands) in [(49, 32), (64, 64)] {
@@ -951,14 +887,8 @@ mod tests {
                     full = small_memory_cluster(islands, &plan);
                 }
                 let churned = full.without_devices(&removed).unwrap();
-                let mut before_loss = plan.clone();
-                place_locality_resume(&mut before_loss, &full, 0);
-                let mut fallbacks = 0;
-                for first_wave in level_starts(&plan) {
-                    let (resumed, n) = assert_matches_reference(&before_loss, &churned, first_wave);
-                    digests.push(resumed.fingerprint());
-                    fallbacks += n;
-                }
+                let (placed, fallbacks) = assert_matches_reference(&plan, &churned);
+                digests.push(placed.fingerprint());
                 assert_eq!(case == 2, fallbacks > 0, "{tasks} tasks, case {case}");
             }
         }
@@ -966,29 +896,11 @@ mod tests {
             digests,
             [
                 0x3630_6f41_a5b1_9059,
-                0xb608_2100_7130_4aee,
-                0x506b_805e_e89c_90dc,
-                0x5a58_d6dc_d6af_1668,
                 0xff6c_1946_068c_b8f1,
-                0x96b6_ddf6_5bd3_860e,
-                0x4338_b31c_15eb_dd17,
-                0xfd4f_d229_4fb3_b962,
                 0x6954_ae09_7d10_4c71,
-                0x40b6_3919_a49b_812c,
-                0xedd4_2a9d_c00f_66e3,
-                0x177f_0b3c_5252_327e,
                 0x169e_040b_62e3_f93d,
-                0xe490_8eda_1789_397f,
-                0x8f3d_6015_daa7_d3d0,
-                0xd5e2_5394_43d9_d139,
                 0x1b37_1a2d_fab4_68ff,
-                0x0aeb_cfee_acf7_5aab,
-                0xe2cb_3af9_2a3f_983c,
-                0x97af_f367_5c4f_e25d,
                 0x5ac9_f4cc_d9cf_abbd,
-                0x7555_ec5d_00f3_9b8c,
-                0x2f51_6858_0010_8a76,
-                0x3d54_b315_183a_f246,
             ],
             "{digests:#018x?}"
         );
@@ -1000,7 +912,7 @@ mod tests {
         for (tasks, gpus) in [(48, 256), (48, 256), (64, 512), (64, 512)] {
             let cluster = ClusterSpec::homogeneous(gpus / 8, 8);
             let plan = hyperscale_plan(tasks, &mut rng, &cluster);
-            assert_matches_reference(&plan, &cluster, 0);
+            assert_matches_reference(&plan, &cluster);
         }
     }
 
@@ -1018,23 +930,13 @@ mod tests {
                 "no id holes"
             );
             let plan = hyperscale_plan(48, &mut rng, &churned);
-            assert_matches_reference(&plan, &churned, 0);
-
-            // Resume on the survivors after the placements of a pass on the
-            // full cluster, as a re-plan after device loss does: the replay
-            // drops the state of the removed devices.
-            let mut before_loss = plan.clone();
-            place_locality_resume(&mut before_loss, &full, 0);
-            for &first_wave in &level_starts(&plan)[1..] {
-                assert_matches_reference(&before_loss, &churned, first_wave);
-            }
+            assert_matches_reference(&plan, &churned);
         }
     }
 
     /// Every fuzz draw's plan (1–8 islands of 1–8 GPUs) places like the
     /// reference on its cluster and on a seeded removal of a third of its
-    /// devices, and resumes like it there at every level start after a pass
-    /// on the full cluster.
+    /// devices.
     #[test]
     fn best_first_islands_match_the_full_ranking_on_fuzz_draws() {
         const SEED: u64 = 0x5EED_0005;
@@ -1046,7 +948,7 @@ mod tests {
             let plan = crate::SpindleSession::new(full.clone())
                 .plan(&graph)
                 .unwrap();
-            assert_matches_reference(&plan, &full, 0);
+            assert_matches_reference(&plan, &full);
 
             let mut devices: Vec<DeviceId> = full.all_devices().iter().collect();
             let removed = devices.len() / 3;
@@ -1058,12 +960,7 @@ mod tests {
             let plan = crate::SpindleSession::new(churned.clone())
                 .plan(&graph)
                 .unwrap();
-            assert_matches_reference(&plan, &churned, 0);
-            let mut before_loss = plan.clone();
-            place_locality_resume(&mut before_loss, &full, 0);
-            for first_wave in level_starts(&plan) {
-                assert_matches_reference(&before_loss, &churned, first_wave);
-            }
+            assert_matches_reference(&plan, &churned);
         }
     }
 
@@ -1080,7 +977,7 @@ mod tests {
             .unwrap();
         let mut placed = plan.clone();
         let mut pass = LocalityPass::new(&placed, &cluster);
-        pass.place_from(placed.waves_mut(), 0, LocalityPass::choose_islands);
+        pass.place(placed.waves_mut(), LocalityPass::choose_islands);
         assert_eq!(placed.waves(), plan.waves());
         let entries: usize = plan.waves().iter().map(|w| w.entries.len()).sum();
         assert_eq!((entries, pass.keys_built), (618, 1_439));
@@ -1092,7 +989,7 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(32, 8);
         let plan = hyperscale_plan(48, &mut rng, &cluster);
         let small = small_memory_cluster(32, &plan);
-        let (_, fallbacks) = assert_matches_reference(&plan, &small, 0);
+        let (_, fallbacks) = assert_matches_reference(&plan, &small);
         assert!(fallbacks > 0, "no entry took the memory-balance fallback");
     }
 }

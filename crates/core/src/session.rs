@@ -14,7 +14,7 @@ use crate::structural::{
 };
 use crate::{
     mpsp, CacheTelemetry, ExecutionPlan, MetaOpId, PlacementStrategy, PlanError, PlanningStats,
-    Residency, Wave, WaveEntry,
+    Residency, Wave,
 };
 
 /// Tunable knobs of the planner.
@@ -25,13 +25,9 @@ pub struct PlannerConfig {
     pub placement: PlacementStrategy,
     /// Convergence tolerance of the MPSP bisection search, in seconds.
     pub bisection_epsilon: f64,
-    /// Memoize per-level planning artifacts and placed plan skeletons in the
-    /// session's [`StructuralPlanCache`], so re-planning after task churn
-    /// re-solves only the dirty levels (default: on). Disable to force every
-    /// plan through the full pipeline, e.g. to measure the incremental
-    /// speedup.
-    pub structural_cache: bool,
-    /// Byte budget of the structural plan cache
+    /// Byte budget of the session's [`StructuralPlanCache`], which memoizes
+    /// per-level planning artifacts and placed plan skeletons so re-planning
+    /// after task churn re-solves only the dirty levels
     /// (default: [`DEFAULT_STRUCTURAL_CACHE_BUDGET`]). Once the accounted
     /// bytes exceed the budget, least-recently-used artifacts are evicted;
     /// `usize::MAX` disables eviction. Applied on every planning pass, so
@@ -50,7 +46,6 @@ impl Default for PlannerConfig {
         Self {
             placement: PlacementStrategy::Locality,
             bisection_epsilon: mpsp::DEFAULT_EPSILON,
-            structural_cache: true,
             structural_cache_budget: DEFAULT_STRUCTURAL_CACHE_BUDGET,
             curve_cache_budget: DEFAULT_CURVE_CACHE_BUDGET,
         }
@@ -87,9 +82,9 @@ pub struct ReplanOutcome {
     /// cluster since (0 on a session's first plan, and when no device was
     /// lost since the previous plan).
     pub devices_lost: usize,
-    /// Levels re-placed onto the surviving device set after a topology
-    /// change; the remaining `levels_total - levels_replaced` clean-prefix
-    /// levels kept their placements and paid zero migration.
+    /// Levels re-placed onto the surviving device set after a device loss:
+    /// `levels_total` when the loss touched a placed device and the whole
+    /// plan was re-placed, 0 when the pre-loss plan was kept as it was.
     pub levels_replaced: usize,
     /// Parameter bytes that must move to realize the new placement. Zero when
     /// the previous placement is unknown (nothing to diff against).
@@ -138,17 +133,16 @@ impl ReplanOutcome {
         }
     }
 
-    /// Prices the migration of a re-plan after device loss that kept the
-    /// first `kept` waves: for every re-placed MetaOp, each device it now
-    /// occupies but did not in `old` (the pre-loss plan's waves after the
-    /// kept prefix) receives that MetaOp's per-device bytes over the cheapest
-    /// link class connecting it to a surviving old replica (intra-island when
-    /// one shares the island, inter-island otherwise — including the
-    /// no-survivor case, a checkpoint restore). The survivors are the old
-    /// replicas `cluster` still has.
-    fn price_migration(&mut self, old: &[Wave], kept: usize, cluster: &ClusterSpec) {
+    /// Prices the migration of a re-plan after device loss: for every
+    /// MetaOp, each device it now occupies but did not in `old` (the
+    /// pre-loss plan's waves) receives that MetaOp's per-device bytes over
+    /// the cheapest link class connecting it to a surviving old replica
+    /// (intra-island when one shares the island, inter-island otherwise —
+    /// including the no-survivor case, a checkpoint restore). The survivors
+    /// are the old replicas `cluster` still has.
+    fn price_migration(&mut self, old: &[Wave], cluster: &ClusterSpec) {
         let num_metaops = self.plan.metagraph().num_metaops();
-        let new = &self.plan.waves()[kept..];
+        let new = self.plan.waves();
         let old_sites = Residency::new(old);
         let survivors = old_sites.survivors(cluster);
         let new_sites = Residency::new(new);
@@ -343,8 +337,8 @@ pub struct SpindleSession {
     removed: Vec<DeviceId>,
     /// The device set of the last successful planning pass, as a presence
     /// map over its dense id space. A re-plan after device loss probes the
-    /// structural cache for the skeleton placed on it and keeps that
-    /// skeleton's clean prefix of levels.
+    /// structural cache for the skeleton placed on it, and keeps that
+    /// skeleton when none of its placed devices left.
     planned_on: Option<Vec<bool>>,
     estimator: Arc<ScalabilityEstimator>,
     config: PlannerConfig,
@@ -429,9 +423,10 @@ impl SpindleSession {
     /// point for device churn (spot reclamation, GPU failure, preemption).
     /// Ids already removed or unknown are ignored. Subsequent plans place
     /// onto the surviving set only; the next re-plan diffs against the
-    /// device set the session last planned on, reuses the placements of the
-    /// clean prefix of levels of the plan placed there and reports the
-    /// migration the dirty suffix costs (see [`ReplanOutcome`]).
+    /// device set the session last planned on: it keeps the plan placed
+    /// there when the loss touched none of its placed devices, and otherwise
+    /// re-places it and reports the migration that costs (see
+    /// [`ReplanOutcome`]).
     ///
     /// Returns the number of devices actually lost.
     ///
@@ -594,13 +589,13 @@ impl SpindleSession {
     }
 
     /// The single pipeline pass behind [`replan`](Self::replan). Consults the
-    /// structural plan cache (when enabled): a whole-plan hit skips stages 3
-    /// and 4 entirely, per-level hits splice cached schedule fragments, and
-    /// misses solve fresh and feed the cache for the next re-plan. After
-    /// device loss, the skeleton placed on the last planned device set keeps
-    /// its clean prefix of levels — none of their placed devices left, so
-    /// they pay zero migration — and the pass prices the migration of the
-    /// re-placed suffix. Merges the pass's hot-path counters into the
+    /// structural plan cache: a whole-plan hit skips stages 3 and 4
+    /// entirely, per-level hits splice cached schedule fragments, and misses
+    /// solve fresh and feed the cache for the next re-plan. After device
+    /// loss, the skeleton placed on the last planned device set is served as
+    /// it is when none of its placed devices left; otherwise the pass
+    /// re-places the whole plan on the survivors and prices its migration
+    /// against that skeleton. Merges the pass's hot-path counters into the
     /// session's on success; the caller fills in the curve-cache probe.
     fn plan_pass(&mut self, graph: &ComputationGraph) -> Result<ReplanOutcome, PlanError> {
         let started = Instant::now();
@@ -613,47 +608,39 @@ impl SpindleSession {
         let contracted = self.contract(graph);
         let curves = self.resolve_curves(&contracted)?;
         let levels_total = contracted.metagraph().levels().len();
-        let use_cache = self.config.structural_cache;
-        if use_cache {
-            self.structural
-                .ensure_epsilon(self.config.bisection_epsilon);
-        }
+        self.structural
+            .ensure_epsilon(self.config.bisection_epsilon);
         let present = presence(&self.cluster);
         let placement = self.config.placement;
         let key = |present: &[bool]| {
             let (n, missing) = device_set_signature(present);
             PlanKey::with_device_set(contracted.metagraph(), n, missing, placement)
         };
-        let plan_key = use_cache.then(|| key(&present));
-        if let Some(skeleton) = plan_key.as_ref().and_then(|k| self.structural.skeleton(k)) {
+        let plan_key = key(&present);
+        if let Some(skeleton) = self.structural.skeleton(&plan_key) {
             // Whole-plan structural hit. Bit-identical to the full pipeline
             // by construction of `PlanKey`.
             self.planned_on = Some(present);
             return Ok(self.serve_skeleton(&contracted, &skeleton, started));
         }
-        let devices_lost = match &self.planned_on {
-            Some(planned) if use_cache && placement == PlacementStrategy::Locality => planned
+        let devices_lost = self.planned_on.as_ref().map_or(0, |planned| {
+            planned
                 .iter()
                 .enumerate()
                 .filter(|&(i, &was)| was && present.get(i) != Some(&true))
-                .count(),
-            _ => 0,
-        };
+                .count()
+        });
         // The pre-loss skeleton; when it was evicted there is nothing to diff
-        // against, so the whole plan is re-placed and the migration volume is
-        // unknown (reported as zero).
+        // against, so the migration volume is unknown (reported as zero).
         let old = match &self.planned_on {
             Some(planned) if devices_lost > 0 => self.structural.skeleton(&key(planned)),
             _ => None,
         };
-        let kept_levels = old
-            .as_ref()
-            .map_or(0, |old| clean_prefix(&old.waves, levels_total, &present));
         let mut outcome = match &old {
             // Every placed device survived: the old plan is feasible on the
             // surviving set as-is (disjoint placements on survivors cannot
             // exceed the surviving capacity) and pays zero migration.
-            Some(old) if kept_levels == levels_total => {
+            Some(old) if placed_within(&old.waves, &present) => {
                 self.serve_skeleton(&contracted, old, started)
             }
             _ => {
@@ -663,44 +650,32 @@ impl SpindleSession {
                     &self.estimator,
                     self.cluster.num_devices() as u32,
                     self.config.bisection_epsilon,
-                    use_cache.then_some(&mut self.structural),
+                    Some(&mut self.structural),
                 );
                 let stats = schedule.stats();
-                let kept = old.as_ref().map_or(&[][..], |old| {
-                    &old.waves[..old.waves.partition_point(|w| w.level < kept_levels)]
-                });
-                let plan = schedule.place(
-                    &contracted,
-                    &self.cluster,
-                    placement,
-                    kept,
-                    started.elapsed(),
-                )?;
+                let plan =
+                    schedule.place(&contracted, &self.cluster, placement, started.elapsed())?;
                 self.stats.merge(&stats);
                 let mut outcome = ReplanOutcome {
                     levels_reused: stats.levels_reused as usize,
+                    levels_replaced: if devices_lost > 0 { levels_total } else { 0 },
                     ..ReplanOutcome::new(plan, levels_total)
                 };
                 if let Some(old) = &old {
-                    outcome.price_migration(&old.waves[kept.len()..], kept.len(), &self.cluster);
+                    outcome.price_migration(&old.waves, &self.cluster);
                 }
                 outcome.plan.set_planning_time(started.elapsed());
                 outcome
             }
         };
-        if devices_lost > 0 {
-            outcome.devices_lost = devices_lost;
-            outcome.levels_replaced = levels_total - kept_levels;
-        }
-        if let Some(key) = plan_key {
-            self.structural.insert_skeleton(
-                key,
-                PlacedSkeleton {
-                    waves: outcome.plan.waves().to_vec(),
-                    theoretical_optimum: outcome.plan.theoretical_optimum(),
-                },
-            );
-        }
+        outcome.devices_lost = devices_lost;
+        self.structural.insert_skeleton(
+            plan_key,
+            PlacedSkeleton {
+                waves: outcome.plan.waves().to_vec(),
+                theoretical_optimum: outcome.plan.theoretical_optimum(),
+            },
+        );
         self.planned_on = Some(present);
         Ok(outcome)
     }
@@ -773,19 +748,15 @@ fn device_set_signature(present: &[bool]) -> (u32, Vec<u32>) {
     ((present.len() - missing.len()) as u32, missing)
 }
 
-/// The number of leading levels of `waves` whose placements reference
-/// devices `present` marks only.
-fn clean_prefix(waves: &[Wave], levels_total: usize, present: &[bool]) -> usize {
-    let on_survivors = |entry: &WaveEntry| {
+/// Whether every entry of `waves` is placed on devices `present` marks
+/// only.
+fn placed_within(waves: &[Wave], present: &[bool]) -> bool {
+    waves.iter().flat_map(|w| &w.entries).all(|entry| {
         entry
             .placement
             .as_ref()
             .is_some_and(|g| g.iter().all(|d| present.get(d.index()) == Some(&true)))
-    };
-    waves
-        .iter()
-        .find(|w| !w.entries.iter().all(on_survivors))
-        .map_or(levels_total, |w| w.level)
+    })
 }
 
 #[cfg(test)]
@@ -965,13 +936,6 @@ mod tests {
             contracted.metagraph().levels().len() as u64
         );
         assert!(stats.skeleton_hits > 0);
-        // With the structural cache disabled the pipeline runs in full again.
-        session.config_mut().structural_cache = false;
-        session.plan(&graph).unwrap();
-        assert_eq!(
-            session.planning_stats().waves_crafted,
-            2 * plan.num_waves() as u64
-        );
     }
 
     #[test]
@@ -1003,8 +967,8 @@ mod tests {
 
     /// A 3-level chain (embedding → towers → loss) whose first level is a
     /// single MetaOp: on a 12-device cluster its power-of-two allocation
-    /// occupies only devices 0..8, so removing a high-id device leaves level
-    /// 0's placement clean while dirtying the later, work-conserving levels.
+    /// occupies only devices 0..8, while the later, work-conserving levels
+    /// use every device.
     fn staged_workload() -> ComputationGraph {
         let mut b = GraphBuilder::new();
         let t = b.add_task("staged", [Modality::Audio, Modality::Text], 8);
@@ -1054,7 +1018,7 @@ mod tests {
     }
 
     #[test]
-    fn device_loss_replan_reuses_clean_prefix_and_prices_migration() {
+    fn device_loss_replan_re_places_the_plan_and_prices_migration() {
         let graph = staged_workload();
         let cluster = ClusterSpec::homogeneous(3, 4);
         let capacity = cluster.device_memory_bytes();
@@ -1078,11 +1042,9 @@ mod tests {
         let churned = session.replan(&graph).unwrap();
         assert_eq!(churned.devices_lost, 1);
         assert_eq!(churned.levels_total, 3);
-        assert!(
-            churned.levels_replaced > 0 && churned.levels_replaced < churned.levels_total,
-            "partial churn must replace a proper suffix, got {}/{}",
-            churned.levels_replaced,
-            churned.levels_total
+        assert_eq!(
+            churned.levels_replaced, 3,
+            "a touched plan is re-placed whole"
         );
         assert!(churned.migration_bytes > 0, "placement shift moves bytes");
         assert!(churned.migration_cost > 0.0);
@@ -1095,7 +1057,8 @@ mod tests {
             !placed_devices(&churned.plan).contains(&dead),
             "removed device must not appear in any placement"
         );
-        // The clean prefix keeps its placements verbatim — zero migration.
+        // Level 0 never used the lost device, and the full re-place puts it
+        // where it was: its MetaOp moves no bytes.
         let new_prefix: Vec<Wave> = churned
             .plan
             .waves()
@@ -1104,7 +1067,7 @@ mod tests {
             .cloned()
             .collect();
         assert_eq!(cold_prefix, new_prefix);
-        // The resumed suffix, pinned bit for bit.
+        // The re-placed plan, pinned bit for bit.
         let digest = churned.plan.fingerprint();
         assert_eq!(digest, 0x0d98_d0ea_381f_6952, "{digest:#018x}");
         // A second re-plan on the shrunken topology is a plain skeleton hit.

@@ -359,9 +359,9 @@ impl LevelArtifact {
 /// The cached whole-plan artifact: the fully placed wave list and the summed
 /// theoretical optimum of a previously planned structure.
 ///
-/// The placements are all a partial re-plan after device loss needs: it
-/// keeps the waves of the clean prefix of levels and resumes the locality
-/// pass by replaying their placements.
+/// A re-plan after device loss serves the skeleton of the pre-loss device
+/// set as it is when none of its placed devices left, and otherwise prices
+/// the migration of the re-placed plan against its placements.
 #[derive(Debug, Clone)]
 pub struct PlacedSkeleton {
     /// The placed waves, ready to clone into a new [`ExecutionPlan`](crate::ExecutionPlan).

@@ -78,8 +78,9 @@ pub struct ChurnRunReport {
     pub replan_ms: f64,
     /// The topology re-plan's counters (all zero when no phase was active):
     /// devices lost against the last planned device set (removals of
-    /// already-dead devices count zero), levels re-placed (the clean prefix
-    /// kept its placements and paid zero migration), and the planner's
+    /// already-dead devices count zero), levels re-placed (all of them, or
+    /// none when the loss touched no placed device and the plan was kept),
+    /// and the planner's
     /// loss-side estimates of the migration (bytes, serialized α-β price)
     /// and of the restores. The runtime's own figures are the fields below.
     pub replan: ReplanSummary,
@@ -287,9 +288,9 @@ impl<'s> DynamicRunLoop<'s> {
     /// phase). At every device-churn event the topology changes mid-run: a
     /// removal kills the in-flight iteration at the event instant (wasted
     /// compute is charged), the session re-plans the active task mix onto
-    /// the survivors — reusing the placements of every level untouched by
-    /// the loss — and the parameter migration implied by the placement diff
-    /// is priced through the simulator's link-contention model. The loop
+    /// the survivors — keeping the plan when the loss touched none of its
+    /// placed devices — and the parameter migration implied by the placement
+    /// diff is priced through the simulator's link-contention model. The loop
     /// never dies with the devices: it degrades and carries on.
     ///
     /// # Errors
@@ -439,8 +440,8 @@ impl<'s> DynamicRunLoop<'s> {
             });
         };
 
-        // Re-plan the active task mix on the survivors; levels untouched by
-        // the loss keep their placements (partial placement reuse).
+        // Re-plan the active task mix on the survivors; a plan the loss did
+        // not touch is kept as it is.
         let outcome = self.session.replan(graph)?;
         let replan = ReplanSummary::of(&outcome);
         let replan_ms = outcome.plan.planning_time().as_secs_f64() * 1e3;

@@ -452,8 +452,7 @@ mod tests {
         let mut session = SpindleSession::new(ClusterSpec::homogeneous(32, 8));
         assert_pool_matches_reference(&session.plan(&graph).unwrap(), &graph);
         // Lose seeded devices, leaving holes in the id space, then re-plan:
-        // the resumed placement keeps a clean prefix and places the rest on
-        // the survivors.
+        // the plan is re-placed on the survivors.
         let lost: Vec<DeviceId> = (0..20)
             .map(|_| DeviceId((rng.next_u64() % 256) as u32))
             .collect();

@@ -5,9 +5,10 @@
 //! their devices, explicit restores — and driven end to end through
 //! [`DynamicRunLoop`] on a contended simulator. Every removal fault-injects
 //! into the in-flight simulated wave (discarding the work the dead devices
-//! were doing), re-plans the active task mix onto the survivors with the
-//! clean level prefix keeping its placements, prices the parameter migration
-//! through the simulator's link-contention model, and resumes. The run never
+//! were doing), re-plans the active task mix onto the survivors — keeping
+//! the plan when the lost devices were idle, re-placing it otherwise —
+//! prices the parameter migration through the simulator's link-contention
+//! model, and resumes. The run never
 //! places work on a dead device and never crashes: graceful degradation, in
 //! one table.
 //!

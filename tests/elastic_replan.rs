@@ -1,11 +1,12 @@
 //! Elastic re-planning properties: a session that loses devices must
 //! re-plan onto the survivors with every plan invariant intact, never place
-//! work on a dead device, price the migration it induces, reuse the clean
-//! prefix of unaffected levels — and, once the devices return, recur
-//! bit-for-bit with a cold plan as if the churn never happened.
+//! work on a dead device, price the migration it induces, keep the plan
+//! unchanged when the loss touched no placed device — and, once the devices
+//! return, recur bit-for-bit with a cold plan as if the churn never
+//! happened.
 
 use spindle::prelude::*;
-use spindle::runtime::{SimConfig, Simulator};
+use spindle::runtime::{LocalizedPlan, SimConfig, Simulator};
 use spindle::service::ReplanSummary;
 use spindle_cluster::ClusterSpec;
 use spindle_core::ReplanOutcome;
@@ -13,9 +14,8 @@ use spindle_graph::{ComputationGraph, GraphBuilder, TensorShape, XorShift64Star}
 
 /// A 3-level chain (embedding → towers → loss) whose first level is a single
 /// MetaOp: on a 12-device cluster its power-of-two allocation occupies only
-/// devices 0..8, so removals of high-id devices leave level 0's placement
-/// clean — the partial-prefix-reuse case — while low-id removals dirty every
-/// level.
+/// devices 0..8, while the later, work-conserving levels use every device,
+/// so every removal from the full cluster re-places the plan.
 fn staged_graph() -> ComputationGraph {
     let mut b = GraphBuilder::new();
     let t = b.add_task("staged", [Modality::Audio, Modality::Text], 8);
@@ -66,8 +66,8 @@ fn assert_no_dead_placement(outcome: &ReplanOutcome, removed: &[DeviceId], conte
 }
 
 /// 1–3 distinct devices of a 12-device cluster, drawn over the whole id
-/// space so some draws hit level-0 devices (full re-placement) and some only
-/// the high-id tail (clean level-0 prefix, partial reuse).
+/// space so some draws hit level-0 devices and some only the high-id tail,
+/// which level 0 does not use.
 fn draw_removal(rng: &mut XorShift64Star) -> Vec<DeviceId> {
     let k = 1 + (rng.next_u64() % 3) as usize;
     let mut removed: Vec<DeviceId> = Vec::new();
@@ -86,7 +86,6 @@ fn seeded_removals_replan_onto_survivors_with_invariants_intact() {
     let capacity = cluster.device_memory_bytes();
     let graph = staged_graph();
     let mut rng = XorShift64Star::new(0x0E1A_571C);
-    let mut saw_partial_reuse = false;
     let mut saw_priced_migration = false;
 
     for step in 0..12 {
@@ -102,8 +101,10 @@ fn seeded_removals_replan_onto_survivors_with_invariants_intact() {
         assert_no_dead_placement(&outcome, &removed, &context);
         assert_eq!(outcome.devices_lost, removed.len(), "{context}");
         assert!(
-            outcome.levels_replaced <= outcome.levels_total,
-            "{context}: replaced more levels than exist"
+            outcome.levels_replaced == 0 || outcome.levels_replaced == outcome.levels_total,
+            "{context}: a loss keeps the plan or re-places it whole, not {}/{} levels",
+            outcome.levels_replaced,
+            outcome.levels_total
         );
         // Migration is priced exactly when placements actually moved.
         assert_eq!(
@@ -113,9 +114,6 @@ fn seeded_removals_replan_onto_survivors_with_invariants_intact() {
             outcome.migration_bytes,
             outcome.migration_cost
         );
-        if outcome.levels_replaced > 0 && outcome.levels_replaced < outcome.levels_total {
-            saw_partial_reuse = true;
-        }
         if outcome.migration_bytes > 0 {
             saw_priced_migration = true;
         }
@@ -123,23 +121,20 @@ fn seeded_removals_replan_onto_survivors_with_invariants_intact() {
         assert_eq!(baseline.num_devices(), 12);
     }
     assert!(
-        saw_partial_reuse,
-        "no draw exercised partial prefix reuse (0 < levels_replaced < levels_total)"
-    );
-    assert!(
         saw_priced_migration,
         "no draw induced (and priced) any migration"
     );
 }
 
 /// The plans of the seeded removals above, and of a further loss of the
-/// highest surviving device after each, pinned bit for bit: the resumed
-/// suffix placements were recorded when the pass restored per-level
-/// checkpoints instead of replaying the clean prefix. One FNV-1a digest over
-/// every summary field of the 24 re-plans (devices lost, levels replaced and
-/// reused, migration bytes and cost bits, re-materialised MetaOps, restore
-/// bytes and the cache probe) pins the loss-side figures, recorded before
-/// the device-loss re-plan was folded into the session's one planning pass.
+/// highest surviving device after each, pinned bit for bit: recorded when a
+/// loss re-plan kept the clean prefix of levels and placed only the rest,
+/// which six of them did, with the same plans as a full re-place. One FNV-1a
+/// digest over every summary field of the 24 re-plans (devices lost, levels
+/// replaced and reused, migration bytes and cost bits, re-materialised
+/// MetaOps, restore bytes and the cache probe) pins the loss-side figures.
+/// It was re-pinned when the clean-prefix path went: those six re-plans now
+/// report 3 levels replaced, not 2, and every other figure is unchanged.
 #[test]
 fn seeded_removal_replans_match_the_recorded_digests() {
     let cluster = ClusterSpec::homogeneous(3, 4);
@@ -147,7 +142,7 @@ fn seeded_removal_replans_match_the_recorded_digests() {
     let mut rng = XorShift64Star::new(0x0E1A_571C);
     let mut digests = Vec::new();
     let mut figures = 0xcbf2_9ce4_8422_2325u64;
-    let mut partial = 0;
+    let mut kept = 0;
     for _ in 0..12 {
         let mut session = SpindleSession::new(cluster.clone());
         session.plan(&graph).unwrap();
@@ -157,9 +152,10 @@ fn seeded_removal_replans_match_the_recorded_digests() {
         session.remove_devices(&[highest]).unwrap();
         outcomes.push(session.replan(&graph).unwrap());
         for outcome in &outcomes {
-            partial += usize::from(
-                outcome.levels_replaced > 0 && outcome.levels_replaced < outcome.levels_total,
+            assert!(
+                outcome.levels_replaced == 0 || outcome.levels_replaced == outcome.levels_total
             );
+            kept += usize::from(outcome.levels_replaced == 0);
             let summary = ReplanSummary::of(outcome);
             digests.push(summary.plan_fingerprint);
             for byte in format!("{summary:?}").bytes() {
@@ -167,8 +163,8 @@ fn seeded_removal_replans_match_the_recorded_digests() {
             }
         }
     }
-    assert_eq!(partial, 6, "partial clean-prefix reuses");
-    assert_eq!(figures, 0x8e26_2110_0d0a_bcc1, "{figures:#018x}");
+    assert_eq!(kept, 1, "re-plans that kept the pre-loss plan");
+    assert_eq!(figures, 0xe29e_9242_af1a_60b1, "{figures:#018x}");
     assert_eq!(
         digests,
         [
@@ -219,7 +215,7 @@ fn loss_replans_diff_against_the_last_planned_device_set() {
     let (d10, d11) = (DeviceId(10), DeviceId(11));
     let single = replan_after(&[&[d11, d10]]);
     let figures = |s: &ReplanSummary| (s.devices_lost, s.levels_replaced, s.migration_bytes);
-    assert_eq!(figures(&single), (2, 2, 96), "{single:?}");
+    assert_eq!(figures(&single), (2, 3, 96), "{single:?}");
     assert_eq!(replan_after(&[&[d11], &[d10]]), single);
 
     let mut fresh = SpindleSession::new(cluster);
@@ -507,4 +503,52 @@ fn hyperscale_device_churn_migration_matches_the_recorded_digest() {
     );
     assert_eq!(device_events, 18);
     assert_eq!(digest, 0xcf9b_ca21_1324_1201, "{digest:#018x}");
+}
+
+/// A loss that touches no placed device keeps the plan: one Multitask-CLIP
+/// task on 1×7 leaves device 6 idle, so losing it re-places nothing and
+/// moves nothing.
+#[test]
+fn losing_an_idle_device_keeps_the_plan() {
+    let graph = multitask_clip(1).unwrap();
+    let mut session = SpindleSession::new(ClusterSpec::homogeneous(1, 7));
+    let before = session.plan(&graph).unwrap();
+    let idle = DeviceId(6);
+    assert!(before.waves().iter().flat_map(|w| &w.entries).all(|e| !e
+        .placement
+        .as_ref()
+        .unwrap()
+        .contains(idle)));
+    session.remove_devices(&[idle]).unwrap();
+    let outcome = session.replan(&graph).unwrap();
+    assert_eq!(outcome.devices_lost, 1);
+    assert_eq!(outcome.levels_replaced, 0);
+    assert_eq!(outcome.migration_bytes, 0);
+    assert_eq!(outcome.migration_cost, 0.0);
+    assert_eq!(outcome.plan.waves(), before.waves());
+}
+
+/// Sequential placement takes the surviving devices in id order: after
+/// devices 0 and 1 of 2×8 are lost, no entry lands on them, and the plan
+/// localises on the survivors.
+#[test]
+fn sequential_placement_replans_onto_the_survivors() {
+    let graph = multitask_clip(4).unwrap();
+    let config = PlannerConfig {
+        placement: PlacementStrategy::Sequential,
+        ..PlannerConfig::default()
+    };
+    let mut session = SpindleSession::with_config(ClusterSpec::homogeneous(2, 8), config);
+    session.plan(&graph).unwrap();
+    let removed = [DeviceId(0), DeviceId(1)];
+    session.remove_devices(&removed).unwrap();
+    let outcome = session.replan(&graph).unwrap();
+    assert_no_dead_placement(&outcome, &removed, "sequential after loss");
+    assert_eq!(outcome.devices_lost, 2);
+    let survivors = session.cluster_handle();
+    outcome
+        .plan
+        .check_invariants(survivors.device_memory_bytes())
+        .unwrap();
+    LocalizedPlan::new(std::sync::Arc::new(outcome.plan), &survivors, Some(&graph)).unwrap();
 }

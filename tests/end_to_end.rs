@@ -193,3 +193,28 @@ fn spindle_memory_is_better_balanced_than_task_level_allocation() {
     };
     assert!(imbalance(SystemKind::Spindle) < imbalance(SystemKind::SpindleOptimus));
 }
+
+/// The three paper-size Fig. 8 cells where Spindle-Optimus beats Spindle,
+/// pinned as they stand: the serialized 32-GPU iteration times to 0.1 ms,
+/// as `exp_fig08_end_to_end` prints them. A plan change that wins a cell
+/// back, or loses more, shows up as a deliberate re-pin.
+#[test]
+fn the_fig8_cells_spindle_loses_are_pinned() {
+    use spindle::workloads::WorkloadPreset;
+    for (preset, spindle, optimus) in [
+        (WorkloadPreset::MultitaskClip { tasks: 4 }, "77.0", "67.3"),
+        (WorkloadPreset::MultitaskClip { tasks: 7 }, "92.1", "90.6"),
+        (WorkloadPreset::Ofasys { tasks: 7 }, "189.7", "180.1"),
+    ] {
+        let results = spindle_bench::compare_systems(preset, 32);
+        let time = |kind: SystemKind| {
+            let &(_, ms, _) = results.iter().find(|r| r.0 == kind).unwrap();
+            spindle_bench::ms(ms)
+        };
+        assert_eq!(
+            (time(SystemKind::Spindle), time(SystemKind::SpindleOptimus)),
+            (spindle.to_string(), optimus.to_string()),
+            "{preset}"
+        );
+    }
+}

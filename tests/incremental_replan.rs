@@ -6,6 +6,8 @@
 //! bench: the speedup is only meaningful because the output is bit-for-bit
 //! the same.
 
+use std::time::Duration;
+
 use spindle::core::ReplanSummary;
 use spindle::prelude::*;
 use spindle::workloads::{hyperscale_churn, hyperscale_subset, HYPERSCALE_ROSTER};
@@ -188,25 +190,40 @@ fn hyperscale_churn_schedule_replans_identically_and_reuses_structure() {
     );
 }
 
+/// Leaving the structural cache out — the staged pipeline with no cache
+/// passed to `LevelSchedule::build` — changes what a re-plan costs, not the
+/// plan.
 #[test]
 fn disabling_the_structural_cache_changes_cost_not_output() {
     let cluster = ClusterSpec::homogeneous(4, 8);
     let graph = multitask_clip(7).unwrap();
-    let mut cached = SpindleSession::new(cluster.clone());
-    cached.plan(&graph).unwrap();
-    let via_cache = cached.replan(&graph).unwrap();
+    let mut session = SpindleSession::new(cluster.clone());
+    session.plan(&graph).unwrap();
+    let via_cache = session.replan(&graph).unwrap();
     assert!(via_cache.placement_reused);
 
-    let mut uncached = SpindleSession::with_config(
-        cluster,
-        PlannerConfig {
-            structural_cache: false,
-            ..PlannerConfig::default()
-        },
+    let contracted = session.contract(&graph);
+    let curves = session.resolve_curves(&contracted).unwrap();
+    let schedule = LevelSchedule::build(
+        &contracted,
+        &curves,
+        session.estimator(),
+        cluster.num_devices() as u32,
+        session.config().bisection_epsilon,
+        None,
     );
-    uncached.plan(&graph).unwrap();
-    let full = uncached.replan(&graph).unwrap();
-    assert_eq!(full.levels_reused, 0);
-    assert!(!full.placement_reused);
-    assert_plans_identical(&via_cache.plan, &full.plan, "cache on vs off");
+    assert_eq!(schedule.stats().levels_reused, 0);
+    assert_eq!(
+        schedule.stats().levels_planned,
+        via_cache.levels_total as u64
+    );
+    let full = schedule
+        .place(
+            &contracted,
+            &cluster,
+            session.config().placement,
+            Duration::ZERO,
+        )
+        .unwrap();
+    assert_plans_identical(&via_cache.plan, &full, "cache on vs off");
 }
